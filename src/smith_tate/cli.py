@@ -894,7 +894,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tate", parents=[common], help="Tate cohomology parity dimensions")
     t.add_argument("--input", required=True, help="equivariant complex JSON file")
-    t.add_argument("--method", choices=("evaluation", "bareiss"), default="evaluation")
+    t.add_argument(
+        "--method",
+        choices=("evaluation", "bareiss"),
+        default="evaluation",
+        help="evaluation: F_p ranks of the parity blocks at u = 1, exact because they are "
+        "homogeneous (default); bareiss: fraction-free elimination over F_p[u], the "
+        "independent route",
+    )
 
     g = sub.add_parser("group-cohomology", parents=[common], help="group hypercohomology dimensions")
     g.add_argument("--input", required=True, help="equivariant complex JSON file")

@@ -87,6 +87,20 @@ class ActionWindow:
         return f"ActionWindow(({lo}, {hi}])"
 
 
+def _strict_int(v, what: str) -> int:
+    """v as an int when it is one, or a float with an integral value.
+
+    JSON payloads go through this, so that bools, nulls, strings and
+    fractional floats raise MalformedInput instead of being truncated or
+    crashing later.
+    """
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise MalformedInput(f"{what} must be an integer, got {v!r}")
+
+
 def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMap:
     out: CoeffMap = {}
     for src, row in raw.items():
@@ -96,8 +110,8 @@ def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMa
         for tgt, c in row.items():
             if tgt not in ids:
                 raise MalformedInput(f"{what} references unknown generator {tgt!r}")
-            if not isinstance(c, int):
-                raise MalformedInput(f"{what} coefficient for {src!r}->{tgt!r} is not an int")
+            if type(c) is not int:
+                c = _strict_int(c, f"{what} coefficient for {src!r}->{tgt!r}")
             c %= p
             if c:
                 cleaned[tgt] = c
@@ -526,11 +540,10 @@ def complex_from_json(data, *, expect: str | None = None):
             raise MalformedInput(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise MalformedInput("complex JSON must be an object")
-    try:
-        p = int(data["p"])
-        raw_gens = data["generators"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedInput("complex JSON needs integer 'p' and 'generators'") from e
+    if "p" not in data or "generators" not in data:
+        raise MalformedInput("complex JSON needs integer 'p' and 'generators'")
+    p = _strict_int(data["p"], "'p'")
+    raw_gens = data["generators"]
     if not isinstance(raw_gens, list):
         raise MalformedInput("'generators' must be a list")
     gens = []
@@ -540,14 +553,14 @@ def complex_from_json(data, *, expect: str | None = None):
         gens.append(
             Generator(
                 str(item["id"]),
-                int(item["degree"]),
+                _strict_int(item["degree"], "generator degree"),
                 _action_from_json(item.get("action", 0)),
             )
         )
     diff = data.get("differential", {})
     if not isinstance(diff, dict) or not all(isinstance(r, dict) for r in diff.values()):
         raise MalformedInput("'differential' must map ids to coefficient objects")
-    diff = {str(s): {str(t): int(c) for t, c in row.items()} for s, row in diff.items()}
+    diff = {str(s): {str(t): c for t, c in row.items()} for s, row in diff.items()}
     kind = expect
     if kind is None:
         if "sigma" in data:
@@ -560,7 +573,7 @@ def complex_from_json(data, *, expect: str | None = None):
         sigma = data.get("sigma", {})
         if not isinstance(sigma, dict) or not all(isinstance(r, dict) for r in sigma.values()):
             raise MalformedInput("'sigma' must map ids to coefficient objects")
-        sigma = {str(s): {str(t): int(c) for t, c in row.items()} for s, row in sigma.items()}
+        sigma = {str(s): {str(t): c for t, c in row.items()} for s, row in sigma.items()}
         return EquivariantComplex(p, gens, diff, sigma)
     if kind == "filtered":
         return FilteredComplex(p, gens, diff)

@@ -1,31 +1,18 @@
-"""Exact arithmetic over F_p[u] and the rational-function field F_p(u).
-
-F_p(u) stands in for the Laurent field F_p((u)): every matrix assembled by
-this toolkit has Laurent-polynomial entries, and ranks over the two fields
-agree, so the fraction field loses nothing and needs no truncation order.
+"""Exact arithmetic over the polynomial ring F_p[u].
 
 Polynomials are tuples of residues indexed by u-exponent with no trailing
-zeros; () is the zero polynomial.
+zeros; () is the zero polynomial.  Polynomial matrices are lists of rows of
+such tuples.
 
-Two exact rank routines live here:
-
-* ratfun_rank -- fraction-free (Bareiss) Gaussian elimination on the
-  denominator-cleared matrix.  This is the reference contract.
-* poly_matrix_ranks -- evaluates the matrix at more points of F_{p^m} than
-  the degree of any maximal minor, so the maximum of the pointwise ranks
-  *is* the generic rank (a nonzero polynomial of degree <= D cannot vanish
-  at D+1 distinct points).  Same answer, much faster on large matrices.
+bareiss_rank is the independent rank route over F_p(u): fraction-free
+(Bareiss) Gaussian elimination on a polynomial matrix, used by
+`tate_cohomology_dims(..., method="bareiss")` and by the tests as an
+oracle.  The default Tate route needs none of this: every block it ranks
+is homogeneous, so its rank over F_p((u)) is the F_p rank at u = 1 (see
+tate.tate_cohomology_dims).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-
-import numpy as np
-
-from .fp_core import check_prime
 
 Poly = tuple  # tuple[int, ...], coefficient of u^k at index k
 
@@ -116,110 +103,7 @@ def peval(a: Poly, t: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the fraction field
-
-
-@dataclass(frozen=True)
-class RatFun:
-    """Reduced fraction num/den over F_p[u]; den monic and coprime to num."""
-
-    num: Poly
-    den: Poly
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        num = pnorm(self.num, self.p)
-        den = pnorm(self.den, self.p)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = pgcd(num, den, self.p)
-        if len(g) > 1:
-            num = pdiv_exact(num, g, self.p)
-            den = pdiv_exact(den, g, self.p)
-        lead_inv = pow(den[-1], -1, self.p)
-        num = pnorm([x * lead_inv for x in num], self.p)
-        den = pmonic(den, self.p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(x: int, p: int) -> "RatFun":
-        return RatFun(pconst(x, p), (1,), p)
-
-    @staticmethod
-    def u_power(k: int, p: int, coeff: int = 1) -> "RatFun":
-        """coeff * u^k, k possibly negative."""
-        if k >= 0:
-            return RatFun(pupow(k, coeff, p), (1,), p)
-        return RatFun(pconst(coeff, p), pupow(-k, 1, p), p)
-
-    @staticmethod
-    def from_poly(a: Poly, p: int) -> "RatFun":
-        return RatFun(a, (1,), p)
-
-    # predicates / arithmetic -------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, o: "RatFun") -> "RatFun":
-        p = self.p
-        return RatFun(
-            padd(pmul(self.num, o.den, p), pmul(o.num, self.den, p), p),
-            pmul(self.den, o.den, p),
-            p,
-        )
-
-    def __sub__(self, o: "RatFun") -> "RatFun":
-        p = self.p
-        return RatFun(
-            psub(pmul(self.num, o.den, p), pmul(o.num, self.den, p), p),
-            pmul(self.den, o.den, p),
-            p,
-        )
-
-    def __mul__(self, o: "RatFun") -> "RatFun":
-        p = self.p
-        return RatFun(pmul(self.num, o.num, p), pmul(self.den, o.den, p), p)
-
-    def __truediv__(self, o: "RatFun") -> "RatFun":
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero RatFun")
-        p = self.p
-        return RatFun(pmul(self.num, o.den, p), pmul(self.den, o.num, p), p)
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(psub((), self.num, self.p), self.den, self.p)
-
-    def evaluate(self, t: int):
-        """Value at u = t in F_p, or None at a denominator root."""
-        d = peval(self.den, t, self.p)
-        if d == 0:
-            return None
-        return (peval(self.num, t, self.p) * pow(d, -1, self.p)) % self.p
-
-    def __repr__(self) -> str:
-        if self.den == (1,):
-            return f"RatFun({list(self.num)}, p={self.p})"
-        return f"RatFun({list(self.num)}/{list(self.den)}, p={self.p})"
-
-
-# ---------------------------------------------------------------------------
-# fraction-free elimination (the ratfun_rank contract)
-
-
-def _clear_denominators(mat: list[list[RatFun]], p: int) -> list[list[Poly]]:
-    out = []
-    for row in mat:
-        lcm: Poly = (1,)
-        for e in row:
-            g = pgcd(lcm, e.den, p)
-            lcm = pdiv_exact(pmul(lcm, e.den, p), g, p)
-        out.append([pmul(e.num, pdiv_exact(lcm, e.den, p), p) for e in row])
-    return out
+# polynomial matrices
 
 
 def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
@@ -247,170 +131,6 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     return r
 
 
-def ratfun_rank(mat: list[list[RatFun]], p: int | None = None) -> int:
-    """Exact rank over F_p(u) via fraction-free Gaussian elimination.
-
-    Equals the rank of the matrix evaluated at any u avoiding the finitely
-    many roots of the surviving minors.
-    """
-    if not mat or not mat[0]:
-        return 0
-    if p is None:
-        p = mat[0][0].p
-    return bareiss_rank(_clear_denominators(mat, p), p)
-
-
-# ---------------------------------------------------------------------------
-# exact rank by evaluation over F_{p^m}
-
-
-class PrimePowerField:
-    """F_{p^m} with dense add/mul lookup tables (small q only).
-
-    Elements are integers 0..q-1 encoding coefficient vectors base p with
-    respect to a fixed monic irreducible modulus.
-    """
-
-    def __init__(self, p: int, m: int):
-        check_prime(p)
-        self.p, self.m, self.q = p, m, p**m
-        q = self.q
-        digits = np.zeros((q, m), dtype=np.int64)
-        for d in range(m):
-            digits[:, d] = (np.arange(q) // p**d) % p
-        weights = np.array([p**d for d in range(m)], dtype=np.int64)
-        self.add = ((digits[:, None, :] + digits[None, :, :]) % p @ weights).astype(np.int32)
-        self.neg = (((-digits) % p) @ weights).astype(np.int32)
-        modulus = (1,) if m == 1 else _find_irreducible(p, m)
-        mul = np.zeros((q, q), dtype=np.int32)
-        if m == 1:
-            mul[:] = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
-        else:
-            polys = [tuple(int(x) for x in digits[i]) for i in range(q)]
-            enc = {}
-            for i, poly in enumerate(polys):
-                enc[pnorm(poly, p)] = i
-            for i in range(q):
-                for j in range(i, q):
-                    prod = pdivmod(pmul(pnorm(polys[i], p), pnorm(polys[j], p), p), modulus, p)[1]
-                    v = enc[prod]
-                    mul[i, j] = v
-                    mul[j, i] = v
-        self.mul = mul
-        inv = np.zeros(q, dtype=np.int32)
-        for i in range(1, q):
-            inv[i] = int(np.nonzero(mul[i] == 1)[0][0])
-        self.inv = inv
-
-
-def _find_irreducible(p: int, m: int) -> Poly:
-    lower: list[Poly] = []
-    for d in range(1, m // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            lower.append(pnorm(tail + (1,), p))
-    for tail in product(range(p), repeat=m):
-        cand = pnorm(tail + (1,), p)
-        if all(pdivmod(cand, f, p)[1] for f in lower):
-            return cand
-    raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
-
-
-@lru_cache(maxsize=None)
-def _field(p: int, m: int) -> PrimePowerField:
-    return PrimePowerField(p, m)
-
-
-def _table_rank(a: np.ndarray, F: PrimePowerField) -> int:
-    a = a.astype(np.int32, copy=True)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = F.mul[a[r], int(F.inv[a[r, c]])]
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = F.add[a[mask], F.mul[F.neg[col[mask]][:, None], a[r][None, :]]]
-        r += 1
-    return r
-
-
-def _poly_eval_field(a: Poly, t: int, F: PrimePowerField) -> int:
-    # coefficients are residues mod p, i.e. prime-subfield elements
-    out = 0
-    for c in reversed(a):
-        out = int(F.add[F.mul[out, t], c % F.p])
-    return out
-
-
-def _minor_degree_bound(poly_mat: list[list[Poly]]) -> int:
-    row_deg = [max((len(e) - 1 for e in row if e), default=0) for row in poly_mat]
-    cols = len(poly_mat[0]) if poly_mat else 0
-    col_deg = [
-        max((len(row[j]) - 1 for row in poly_mat if row[j]), default=0) for j in range(cols)
-    ]
-    return min(sum(row_deg), sum(col_deg))
-
-
-def poly_matrix_ranks(mats: list[list[list[Poly]]], p: int, sum_bound: int | None = None) -> list[int]:
-    """Generic (F_p(u)) ranks of several polynomial matrices at once.
-
-    Scans D+1 distinct points of F_{p^m} where D bounds the degree of every
-    maximal minor across the batch; stops early once the running maxima sum
-    to sum_bound (an a-priori bound on the sum of the true ranks, e.g.
-    dim V for the two parity blocks of a square-zero differential).
-    """
-    mats = [m for m in mats]
-    sizes = [(len(m), len(m[0]) if m else 0) for m in mats]
-    best = [0] * len(mats)
-    live = [i for i, (r, c) in enumerate(sizes) if r and c]
-    if not live:
-        return best
-    D = max(_minor_degree_bound(mats[i]) for i in live)
-    if D == 0:
-        # constant matrices: one elimination over F_p
-        F = _field(p, 1)
-        for i in live:
-            a = np.array(
-                [[(e[0] % p if e else 0) for e in row] for row in mats[i]], dtype=np.int32
-            )
-            best[i] = _table_rank(a, F)
-        return best
-    npoints = D + 1
-    m = 1
-    while p**m < npoints:
-        m += 1
-    F = _field(p, m)
-    caps = [min(r, c) for r, c in sizes]
-    cap_total = sum(caps[i] for i in live) if sum_bound is None else min(
-        sum_bound, sum(caps[i] for i in live)
-    )
-    for t in range(npoints):
-        for i in live:
-            rows, cols = sizes[i]
-            a = np.empty((rows, cols), dtype=np.int32)
-            for r in range(rows):
-                row = mats[i][r]
-                for c in range(cols):
-                    a[r, c] = _poly_eval_field(row[c], t, F)
-            best[i] = max(best[i], _table_rank(a, F))
-        if sum(best[i] for i in live) >= cap_total:
-            break
-    return best
-
-
-def poly_matrix_rank(poly_mat: list[list[Poly]], p: int, rank_bound: int | None = None) -> int:
-    return poly_matrix_ranks([poly_mat], p, sum_bound=rank_bound)[0]
-
-
 def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]], p: int) -> list[list[Poly]]:
     rows = len(a)
     mid = len(b)
@@ -434,10 +154,6 @@ def poly_mat_add(a: list[list[Poly]], b: list[list[Poly]], p: int) -> list[list[
     return [[padd(x, y, p) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def poly_mat_is_zero(a: list[list[Poly]]) -> bool:
-    return all(not e for row in a for e in row)
-
-
 def poly_mat_from_int(m, p: int, u_shift: int = 0) -> list[list[Poly]]:
     """Integer matrix -> poly matrix with every entry multiplied by u^u_shift."""
     return [[pupow(u_shift, int(v), p) if int(v) % p else () for v in row] for row in m]
@@ -450,29 +166,3 @@ def poly_mat_coeff(a: list[list[Poly]], k: int) -> list[list[int]]:
 
 def poly_mat_max_degree(a: list[list[Poly]]) -> int:
     return max((len(e) - 1 for row in a for e in row if e), default=-1)
-
-
-def ratfun_rank_by_evaluation(mat: list[list[RatFun]], p: int, points: int = 5, seed: int = 0) -> int:
-    """Sanity cross-check: majority rank over random non-root points of F_p.
-
-    Not the contract -- ratfun_rank's elimination result is; this exists so
-    tests can compare the two routes independently.
-    """
-    import random as _random
-
-    if not mat or not mat[0]:
-        return 0
-    rng = _random.Random(seed)
-    ranks = []
-    attempts = 0
-    while len(ranks) < points and attempts < 50 * points:
-        attempts += 1
-        t = rng.randrange(p)
-        vals = [[e.evaluate(t) for e in row] for row in mat]
-        if any(v is None for row in vals for v in row):
-            continue
-        F = _field(p, 1)
-        ranks.append(_table_rank(np.array(vals, dtype=np.int64).astype(np.int32), F))
-    if not ranks:
-        raise ArithmeticError("could not find non-root evaluation points in F_p")
-    return max(ranks)

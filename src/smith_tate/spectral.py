@@ -38,8 +38,14 @@ from .errors import (
 )
 from .fp_core import FpMatrix, rank, rref
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
-from .ratfun import poly_matrix_ranks, pupow
-from .tate import _global_d, _global_norm, _global_sigma, assemble_parity_blocks, blocks_square_zero
+from .tate import (
+    _degree_violation,
+    _global_d,
+    _global_norm,
+    _global_sigma,
+    blocks_square_zero,
+    parity_dims_at_one,
+)
 
 __all__ = [
     "FilteredComplex",
@@ -256,19 +262,28 @@ class EquivariantFloerModel:
         n = self.base.dim()
         return self.terms.get((i, alpha), np.zeros((n, n), dtype=np.int64))
 
+    def _check_degrees(self):
+        """Raise InvalidComplex unless every d_term (i, alpha) has internal
+        degree 1 - i + alpha, i.e. the assembled differential is homogeneous
+        of degree +1 with |u| = 2 and |theta| = 1."""
+        gens = self.base.generators
+        degrees = np.array([g.degree for g in gens], dtype=np.int64)
+        for (i, alpha), m in self.terms.items():
+            bad = _degree_violation(m, degrees, 1 - i + alpha)
+            if bad is not None:
+                r, c = bad
+                raise InvalidComplex(
+                    f"d_term ({i},{alpha}) entry {gens[c].id} -> "
+                    f"{gens[r].id} violates degree 1-i+alpha = {1 - i + alpha}"
+                )
+
     def _validate(self):
+        self._check_degrees()
         base = self.base
-        degs = [g.degree for g in base.generators]
         acts = [g.action for g in base.generators]
         for (i, alpha), m in self.terms.items():
-            want = 1 - i + alpha
             strict = (i, alpha) in ((0, 0), (1, 1))
             for r, c in zip(*np.nonzero(m)):
-                if degs[r] != degs[c] + want:
-                    raise InvalidComplex(
-                        f"d_term ({i},{alpha}) entry {base.generators[c].id} -> "
-                        f"{base.generators[r].id} violates degree 1-i+alpha = {want}"
-                    )
                 if strict and not acts[r] < acts[c]:
                     raise FiltrationViolation(
                         f"d_term ({i},{alpha}) must strictly decrease action "
@@ -279,50 +294,32 @@ class EquivariantFloerModel:
                         f"d_term ({i},{alpha}) must not increase action "
                         f"({base.generators[c].id} -> {base.generators[r].id})"
                     )
-        A, B, C, D = self.blocks()
-        if not blocks_square_zero(A, B, C, D, self.p):
+        if not self.square_is_zero():
             raise NotSquareZero("assembled equivariant differential does not square to zero")
 
-    def blocks(self) -> tuple[list, list, list, list]:
-        """Poly matrices (A, B, C, D) of the assembled differential:
-        A: 1->1, B: theta->1, C: 1->theta, D: theta->theta."""
-        p = self.p
+    def blocks_at_one(self) -> tuple[np.ndarray, ...]:
+        """Blocks (A, B, C, D) of the assembled differential at u = 1:
+        A: 1->1, B: theta->1, C: 1->theta, D: theta->theta.
+
+        Term (i, alpha) is u^(i // 2) d_alpha^i from theta^alpha to
+        theta^(i mod 2).  Raises InvalidComplex unless the differential is
+        homogeneous, so that these blocks determine it.
+        """
+        self._check_degrees()
         n = self.base.dim()
-
-        def zero():
-            return [[() for _ in range(n)] for _ in range(n)]
-
-        A, B, C, D = zero(), zero(), zero(), zero()
+        acbd = np.zeros((4, n, n), dtype=np.int64)
         for (i, alpha), m in self.terms.items():
-            if alpha == 0:
-                tgt, shift = (A, i // 2) if i % 2 == 0 else (C, (i - 1) // 2)
-            else:
-                tgt, shift = (D, (i - 1) // 2) if i % 2 == 1 else (B, i // 2)
-            for r, c in zip(*np.nonzero(m)):
-                mono = pupow(shift, int(m[r, c]), p)
-                cur = tgt[r][c]
-                if cur:
-                    a = list(cur) + [0] * max(0, len(mono) - len(cur))
-                    for idx, v in enumerate(mono):
-                        a[idx] = (a[idx] + v) % p
-                    while a and a[-1] == 0:
-                        a.pop()
-                    tgt[r][c] = tuple(a)
-                else:
-                    tgt[r][c] = mono
+            acbd[2 * alpha + i % 2] += m
+        A, C, B, D = acbd % self.p
         return A, B, C, D
 
     def square_is_zero(self) -> bool:
-        A, B, C, D = self.blocks()
-        return blocks_square_zero(A, B, C, D, self.p)
+        return blocks_square_zero(*self.blocks_at_one(), self.p)
 
     def tate_parity_dims(self) -> tuple[int, int]:
         """(even, odd) F_p((u))-dims of the homology of the assembled complex."""
-        A, B, C, D = self.blocks()
         degs = [g.degree for g in self.base.generators]
-        e2o, o2e, even, odd = assemble_parity_blocks(degs, A, B, C, D, self.p)
-        r_e, r_o = poly_matrix_ranks([e2o, o2e], self.p, sum_bound=self.base.dim())
-        return len(even) - r_e - r_o, len(odd) - r_o - r_e
+        return parity_dims_at_one(degs, *self.blocks_at_one(), self.p)
 
     def __repr__(self) -> str:
         slots = sorted(self.terms)
@@ -500,7 +497,7 @@ def model_to_json(model: EquivariantFloerModel) -> dict:
 def model_from_json(data) -> EquivariantFloerModel:
     import json as _json
 
-    from .complexes import complex_from_json
+    from .complexes import _strict_int, complex_from_json
 
     if isinstance(data, str):
         try:
@@ -521,12 +518,15 @@ def model_from_json(data) -> EquivariantFloerModel:
     for item in raw:
         if not isinstance(item, dict) or "i" not in item or "alpha" not in item:
             raise MalformedInput(f"bad d_term entry: {item!r}")
-        i, alpha = int(item["i"]), int(item["alpha"])
+        i, alpha = _strict_int(item["i"], "d_term 'i'"), _strict_int(item["alpha"], "d_term 'alpha'")
         m = np.zeros((n, n), dtype=np.int64)
-        for trip in item.get("matrix", []):
-            if len(trip) != 3:
+        trips = item.get("matrix", [])
+        if not isinstance(trips, list):
+            raise MalformedInput(f"d_term matrix must be a list of triplets: {trips!r}")
+        for trip in trips:
+            if not isinstance(trip, (list, tuple)) or len(trip) != 3:
                 raise MalformedInput(f"bad matrix triplet: {trip!r}")
-            r, c, v = (int(x) for x in trip)
+            r, c, v = (_strict_int(x, "matrix triplet entry") for x in trip)
             if not (0 <= r < n and 0 <= c < n):
                 raise MalformedInput(f"triplet index out of range: {trip!r}")
             m[r, c] = v % base.p
@@ -537,4 +537,4 @@ def model_from_json(data) -> EquivariantFloerModel:
         # value from the supplied terms and the defaults
         i_max = max([i for (i, _) in terms], default=2)
         i_max = max(i_max, 2)
-    return EquivariantFloerModel(base, terms, int(i_max))
+    return EquivariantFloerModel(base, terms, _strict_int(i_max, "'i_max'"))

@@ -27,16 +27,9 @@ from itertools import product as _product
 import numpy as np
 
 from .complexes import ChainComplex, EquivariantComplex, Generator
-from .errors import NotChainMap, NotEquivariant
+from .errors import InvalidComplex, NotChainMap, NotEquivariant
 from .fp_core import FpMatrix, rank, rref
-from .ratfun import (
-    RatFun,
-    poly_mat_add,
-    poly_mat_from_int,
-    poly_mat_is_zero,
-    poly_mat_mul,
-    poly_matrix_ranks,
-)
+from .ratfun import bareiss_rank, poly_mat_from_int
 
 # ---------------------------------------------------------------------------
 # the coefficient ring F_p((u))<theta>
@@ -151,18 +144,69 @@ def _global_norm(V: EquivariantComplex) -> np.ndarray:
 # the Tate complex
 
 
+def _degree_violation(m: np.ndarray, degrees: np.ndarray, shift: int) -> tuple[int, int] | None:
+    """First nonzero entry (row, col) of m with degrees[row] != degrees[col] + shift,
+    in row-major order, or None when m shifts degree by exactly shift."""
+    rows, cols = np.nonzero(m)
+    bad = np.flatnonzero(degrees[rows] != degrees[cols] + shift)
+    return (int(rows[bad[0]]), int(cols[bad[0]])) if bad.size else None
+
+
+def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
+    """Blocks (A, B, C, D) of d-hat at u = 1: d, N (which carries u),
+    1 - sigma and -d.
+
+    Raises InvalidComplex unless d raises degree by 1 and sigma and N
+    preserve it, the homogeneity every u = 1 computation relies on; a
+    complex built with check=False is not trusted to have it.
+    """
+    p = V.p
+    n = V.dim()
+    d = _global_d(V)
+    s = _global_sigma(V)
+    nm = _global_norm(V)
+    degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
+    for what, m, shift in (("d", d, 1), ("sigma", s, 0), ("N", nm, 0)):
+        bad = _degree_violation(m, degrees, shift)
+        if bad is not None:
+            r, c = bad
+            raise InvalidComplex(
+                f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
+                f"{V.generators[r].id}: the Tate differential is not homogeneous"
+            )
+    return d, nm, (np.eye(n, dtype=np.int64) - s) % p, (-d) % p
+
+
 def blocks_square_zero(A, B, C, D, p: int) -> bool:
-    """Whether the block differential [[A, B], [C, D]] on V<1, theta> squares
-    to zero (A, B, C, D are n x n polynomial matrices in u)."""
-    for x, y in (
-        (poly_mat_mul(A, A, p), poly_mat_mul(B, C, p)),
-        (poly_mat_mul(A, B, p), poly_mat_mul(B, D, p)),
-        (poly_mat_mul(C, A, p), poly_mat_mul(D, C, p)),
-        (poly_mat_mul(C, B, p), poly_mat_mul(D, D, p)),
-    ):
-        if not poly_mat_is_zero(poly_mat_add(x, y, p)):
-            return False
-    return True
+    """Whether the homogeneous block differential [[A, B], [C, D]] on
+    V<1, theta> squares to zero over F_p[u]; A, B, C, D are its n x n
+    blocks at u = 1.
+
+    With |u| = 2 and |theta| = 1 a homogeneous differential of degree +1
+    is M(u) = u^(1/2) G^-1 M(1) G for G = diag(u^(deg/2)) over the total
+    degrees of the basis, so
+    M(u)^2 = u G^-1 M(1)^2 G vanishes exactly when M(1)^2 does.
+    """
+    m = FpMatrix(np.block([[A, B], [C, D]]), p)
+    return (m @ m).is_zero()
+
+
+def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int]:
+    """(even, odd) F_p((u))-dims of the homology of the homogeneous block
+    differential [[A, B], [C, D]] on V<1, theta>, from its blocks at u = 1.
+
+    Each parity block is M(u) = diag(u^a) M(1) diag(u^-b) with integer
+    exponents, a change of basis over F_p((u)), so its rank is rank M(1).
+    """
+    n = len(degrees)
+    odd_deg = np.array(degrees, dtype=np.int64) % 2 == 1
+    # label (i, theta) sits at index i + n * theta of the assembled matrix
+    even = np.concatenate([np.flatnonzero(~odd_deg), n + np.flatnonzero(odd_deg)])
+    odd = np.concatenate([np.flatnonzero(odd_deg), n + np.flatnonzero(~odd_deg)])
+    m = np.block([[A, B], [C, D]])
+    r_e = rank(FpMatrix(m[np.ix_(odd, even)], p))
+    r_o = rank(FpMatrix(m[np.ix_(even, odd)], p))
+    return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
 def assemble_parity_blocks(degrees: list[int], A, B, C, D, p: int):
@@ -205,17 +249,16 @@ class TateComplexView:
         self.complex = V
         self.p = V.p
         p = V.p
-        n = V.dim()
-        d = _global_d(V)
-        s = _global_sigma(V)
-        nm = _global_norm(V)
-        self._A = poly_mat_from_int(d, p)
-        self._B = poly_mat_from_int(nm, p, u_shift=1)
-        self._C = poly_mat_from_int((np.eye(n, dtype=np.int64) - s) % p, p)
-        self._D = poly_mat_from_int((-d) % p, p)
+        self._blocks_at_one = tate_blocks_at_one(V)
+        A, B, C, D = self._blocks_at_one
         degrees = [g.degree for g in V.generators]
         e2o, o2e, even, odd = assemble_parity_blocks(
-            degrees, self._A, self._B, self._C, self._D, p
+            degrees,
+            poly_mat_from_int(A, p),
+            poly_mat_from_int(B, p, u_shift=1),
+            poly_mat_from_int(C, p),
+            poly_mat_from_int(D, p),
+            p,
         )
         ids = [g.id for g in V.generators]
         self.even_basis = [(ids[i], eps) for i, eps in even]
@@ -226,47 +269,29 @@ class TateComplexView:
     def basis_labels(self) -> list[tuple[str, int]]:
         return list(self.even_basis) + list(self.odd_basis)
 
-    def full_matrix(self) -> list[list[RatFun]]:
-        """2n x 2n differential over F_p(u), basis ordered even then odd."""
-        ne, no = len(self.even_basis), len(self.odd_basis)
-        zero = RatFun.const(0, self.p)
-        out = [[zero] * (ne + no) for _ in range(ne + no)]
-        for r in range(no):
-            for c in range(ne):
-                e = self.block_even_to_odd[r][c]
-                if e:
-                    out[ne + r][c] = RatFun.from_poly(e, self.p)
-        for r in range(ne):
-            for c in range(no):
-                e = self.block_odd_to_even[r][c]
-                if e:
-                    out[r][ne + c] = RatFun.from_poly(e, self.p)
-        return out
-
     def square_is_zero(self) -> bool:
-        return blocks_square_zero(self._A, self._B, self._C, self._D, self.p)
+        return blocks_square_zero(*self._blocks_at_one, self.p)
 
 
 def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:
     """(even, odd) dimensions of the Tate cohomology of V over F_p((u)).
 
-    Exact: ranks of the two parity blocks are computed over the function
-    field, either by multi-point evaluation (default, fast) or by
-    fraction-free elimination (method="bareiss", the reference route).
+    With |u| = 2 and |theta| = 1, d-hat is homogeneous of degree +1, so each
+    parity block is M(u) = diag(u^a) M(1) diag(u^-b) and has the F_p rank of M(1).
+    method="evaluation" (default) takes that rank at u = 1, one F_p
+    elimination per parity block; method="bareiss" runs fraction-free
+    elimination on the polynomial blocks, the independent route.  Both
+    raise InvalidComplex when V is not homogeneous.
     """
+    if method == "evaluation":
+        degrees = [g.degree for g in V.generators]
+        return parity_dims_at_one(degrees, *tate_blocks_at_one(V), V.p)
+    if method != "bareiss":
+        raise ValueError(f"unknown method {method!r}")
     view = TateComplexView(V)
     ne, no = len(view.even_basis), len(view.odd_basis)
-    if method == "bareiss":
-        from .ratfun import bareiss_rank
-
-        r_e = bareiss_rank([row[:] for row in view.block_even_to_odd], V.p) if ne and no else 0
-        r_o = bareiss_rank([row[:] for row in view.block_odd_to_even], V.p) if ne and no else 0
-    elif method == "evaluation":
-        r_e, r_o = poly_matrix_ranks(
-            [view.block_even_to_odd, view.block_odd_to_even], V.p, sum_bound=V.dim()
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    r_e = bareiss_rank(view.block_even_to_odd, V.p)
+    r_o = bareiss_rank(view.block_odd_to_even, V.p)
     return ne - r_e - r_o, no - r_o - r_e
 
 

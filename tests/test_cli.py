@@ -424,6 +424,73 @@ class TestErrorPaths:
         assert "line 2" in err and "column" in err
 
 
+def _edge(degree_a=0, degree_b=1, coeff=1, sigma=None):
+    return {
+        "p": 3,
+        "generators": [{"id": "a", "degree": degree_a}, {"id": "b", "degree": degree_b}],
+        "differential": {"a": {"b": coeff}},
+        "sigma": sigma or {},
+    }
+
+
+class TestStrictIntegers:
+    """Non-integer numbers in a complex are malformed input (exit 2); they
+    are never truncated and never crash with a traceback (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _edge(degree_b=0.9),
+            _edge(coeff=None),
+            _edge(coeff=True),
+            _edge(coeff=1.5),
+            _edge(coeff="1"),
+            _edge(sigma={"a": {"a": None}}),
+            {**_edge(), "p": 3.5},
+        ],
+        ids=["fractional-degree", "null-coeff", "bool-coeff", "float-coeff", "string-coeff",
+             "null-sigma-coeff", "fractional-p"],
+    )
+    def test_rejected(self, run, tmp_path, data):
+        code, out, err = run(["tate", "--input", write_json(tmp_path / "in.json", data), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:")
+
+    def test_integral_floats_accepted(self, jrun, tmp_path):
+        as_float = _edge(degree_a=0.0, degree_b=1.0, coeff=1.0)
+        _, by_float, _ = jrun(["tate", "--input", write_json(tmp_path / "f.json", as_float)])
+        _, by_int, _ = jrun(["tate", "--input", write_json(tmp_path / "i.json", _edge())])
+        assert by_float["results"] == by_int["results"]
+
+    def test_model_terms_rejected(self, run, tmp_path):
+        data = {**_edge(), "i_max": 2, "d_terms": [{"i": None, "alpha": 0, "matrix": []}]}
+        code, _, err = run(["spectral", "algebraic", "--input", write_json(tmp_path / "m.json", data)])
+        assert code == 2
+        assert err.startswith("error: MalformedInput:")
+
+
+class TestInhomogeneousInput:
+    """Input that breaks the grading never reaches the u = 1 ranks."""
+
+    def test_tate_differential_keeping_degree(self, run, tmp_path):
+        code, _, err = run(["tate", "--input", write_json(tmp_path / "in.json", _edge(degree_b=0))])
+        assert code == 2
+        assert err.startswith("error: InvalidComplex:")
+
+    def test_tate_sigma_changing_degree(self, run, tmp_path):
+        data = _edge(coeff=0, sigma={"a": {"b": 1}})
+        code, _, err = run(["tate", "--input", write_json(tmp_path / "in.json", data)])
+        assert code == 2
+        assert err.startswith("error: InvalidComplex:")
+
+    def test_model_term_of_wrong_degree(self, run, tmp_path):
+        data = {**_edge(coeff=0), "i_max": 2, "d_terms": [{"i": 1, "alpha": 0, "matrix": [[0, 1, 1]]}]}
+        code, _, err = run(["spectral", "algebraic", "--input", write_json(tmp_path / "m.json", data)])
+        assert code == 2
+        assert err.startswith("error: InvalidComplex:")
+
+
 class TestFuzz:
     @pytest.mark.parametrize(
         "op,count",

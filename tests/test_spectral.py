@@ -1,5 +1,6 @@
 """Action-filtration spectral sequences and equivariant deformation models."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,8 @@ from smith_tate.spectral import (
     model_to_json,
 )
 from smith_tate.tate import tate_cohomology_dims
+
+from oracles import model_poly_route
 
 
 def free_orbit(p, degree=0):
@@ -154,6 +157,17 @@ class TestFloerModelConstruction:
             EquivariantFloerModel(wide, {(2, 0): FpMatrix(m, 3)}, i_max=2)
         assert EquivariantFloerModel(wide, i_max=2).square_is_zero()
 
+    def test_inhomogeneous_unchecked_model_rejected(self):
+        """A term of the wrong internal degree slips past check=False, but
+        the u = 1 ranks and square test refuse it instead of answering."""
+        m = np.zeros((2, 2), dtype=np.int64)
+        m[0, 1] = 1  # y -> x lowers degree; slot (1, 0) must preserve it
+        model = EquivariantFloerModel(self.base, {(1, 0): FpMatrix(m, 3)}, i_max=2, check=False)
+        with pytest.raises(InvalidComplex):
+            model.tate_parity_dims()
+        with pytest.raises(InvalidComplex):
+            model.square_is_zero()
+
 
 class TestAlgebraicSS:
     def test_free_orbit_dies_at_page_two(self):
@@ -253,3 +267,35 @@ def test_algebraic_bound_on_random_models(seed):
     assert pages.tate_bound_holds
     even, odd = pages.einf_dims
     assert even <= pages.e2_dims[0] and odd <= pages.e2_dims[1]
+
+
+def _perturbed(model, seed):
+    """The model plus one random term of the right internal degree, built
+    with check=False: still homogeneous, usually no longer square-zero."""
+    rng = random.Random(seed)
+    degs = [g.degree for g in model.base.generators]
+    n = len(degs)
+    i, alpha = rng.choice([(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)])
+    m = np.zeros((n, n), dtype=np.int64)
+    for r in range(n):
+        for c in range(n):
+            if degs[r] == degs[c] + 1 - i + alpha and rng.random() < 0.5:
+                m[r, c] = rng.randrange(model.p)
+    terms = {k: v for k, v in model.terms.items() if k != (i, alpha)}
+    terms[(i, alpha)] = (model.term(i, alpha) + m) % model.p
+    return EquivariantFloerModel(model.base, terms, i_max=max(model.i_max, i), check=False)
+
+
+def test_model_rank_and_square_at_one_match_polynomial_route():
+    """Fixed-seed differential check of the u = 1 Tate dims and square
+    test of equivariant models against Bareiss elimination and the
+    product of the polynomial blocks."""
+    squares = set()
+    for p in (2, 3, 5, 7):
+        for seed in range(15):
+            for model in (random_floer_model(p, seed), _perturbed(random_floer_model(p, seed), seed)):
+                dims, square = model_poly_route(model)
+                assert model.tate_parity_dims() == dims, (p, seed)
+                assert model.square_is_zero() == square, (p, seed)
+                squares.add(square)
+    assert squares == {True, False}
