@@ -36,6 +36,7 @@ from .complexes import (
     ActionWindow,
     EquivariantComplex,
     Generator,
+    _strict_int,
     complex_from_json,
     complex_to_json,
     window_truncate,
@@ -46,7 +47,7 @@ from .errors import (
     UnknownCommand,
     UnknownProperty,
 )
-from .fp_core import FpMatrix, check_prime, rank
+from .fp_core import FpMatrix, _check_matrix_prime, check_prime, rank
 from .module_decomp import decompose, smith_chain_check, tate_and_invariant_dims
 from .morse_bzp import (
     enumerate_critical_points,
@@ -155,12 +156,11 @@ def _digest_params(*parts) -> str:
 def _sigma_from_json(data) -> FpMatrix:
     if not isinstance(data, dict):
         raise MalformedInput("sigma JSON must be an object")
-    try:
-        p = int(data["p"])
-        n = int(data["size"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedInput("sigma JSON needs integer fields 'p' and 'size'") from e
-    check_prime(p)
+    if "p" not in data or "size" not in data:
+        raise MalformedInput("sigma JSON needs integer fields 'p' and 'size'")
+    p = _strict_int(data["p"], "'p'")
+    n = _strict_int(data["size"], "'size'")
+    _check_matrix_prime(p)
     if n < 0:
         raise MalformedInput("'size' must be nonnegative")
     trips = data.get("matrix", [])
@@ -168,10 +168,9 @@ def _sigma_from_json(data) -> FpMatrix:
         raise MalformedInput("'matrix' must be a list of [row, col, value] triplets")
     a = np.zeros((n, n), dtype=np.int64)
     for t in trips:
-        try:
-            r, c, v = (int(x) for x in t)
-        except (TypeError, ValueError) as e:
-            raise MalformedInput(f"bad matrix triplet: {t!r}") from e
+        if not isinstance(t, list) or len(t) != 3:
+            raise MalformedInput(f"bad matrix triplet: {t!r}")
+        r, c, v = (_strict_int(x, "matrix triplet entry") for x in t)
         if not (0 <= r < n and 0 <= c < n):
             raise MalformedInput(f"matrix triplet out of range: {t!r}")
         a[r, c] = v % p

@@ -24,7 +24,7 @@ from .errors import (
     InvalidComplex,
     MalformedInput,
 )
-from .fp_core import FpMatrix, RrefResult, check_prime, rref, solve
+from .fp_core import FpMatrix, RrefResult, _check_matrix_prime, rref, solve
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -120,6 +120,16 @@ def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMa
     return out
 
 
+def norm_matrix(sigma: FpMatrix) -> FpMatrix:
+    """N = 1 + sigma + ... + sigma^(p-1), as (sigma - 1)^(p-1).
+
+    (x - 1)^p = x^p - 1 = (x - 1)(1 + x + ... + x^(p-1)) in F_p[x], which
+    has no zero divisors, so the two polynomials agree for any square
+    sigma; repeated squaring takes O(log p) products instead of p - 1.
+    """
+    return (sigma - FpMatrix.identity(sigma.rows, sigma.p)).power(sigma.p - 1)
+
+
 class ChainComplex:
     """Finite cochain complex over F_p with action-labelled generators.
 
@@ -128,7 +138,7 @@ class ChainComplex:
     """
 
     def __init__(self, p: int, generators, differential: CoeffMap, *, check: bool = True):
-        check_prime(p)
+        _check_matrix_prime(p)
         self.p = p
         gens = tuple(sorted(generators, key=lambda g: g.id))
         if len({g.id for g in gens}) != len(gens):
@@ -160,6 +170,17 @@ class ChainComplex:
             if not prod.is_zero():
                 out.append(f"d.d != 0 out of degree {k}")
         return out
+
+    def action_violations(self) -> list[str]:
+        """One message per differential entry that does not strictly
+        decrease action, the requirement for filtered use."""
+        gens, index = self.generators, self._index
+        return [
+            f"d({src}) does not strictly decrease action at {tgt}"
+            for src, row in self.differential.items()
+            for tgt in row
+            if not gens[index[tgt]].action < gens[index[src]].action
+        ]
 
     def degrees(self) -> list[int]:
         return sorted(self._deg_index)
@@ -317,13 +338,7 @@ class EquivariantComplex(ChainComplex):
 
     def norm_block(self, k: int) -> FpMatrix:
         """1 + sigma + ... + sigma^(p-1) in degree k."""
-        s = self.sigma_block(k)
-        out = FpMatrix.identity(self.dim(k), self.p)
-        acc = FpMatrix.identity(self.dim(k), self.p)
-        for _ in range(self.p - 1):
-            acc = s @ acc
-            out = out + acc
-        return out
+        return norm_matrix(self.sigma_block(k))
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.
@@ -369,13 +384,9 @@ class EquivariantComplex(ChainComplex):
                     violations.append(f"sigma does not commute with d out of degree {k}")
 
         if strict_action:
-            checks["action_decrease"] = True
-            for src, row in self.differential.items():
-                a = self.generator(src).action
-                for tgt in row:
-                    if not self.generator(tgt).action < a:
-                        checks["action_decrease"] = False
-                        violations.append(f"d({src}) does not strictly decrease action at {tgt}")
+            action = self.action_violations()
+            checks["action_decrease"] = not action
+            violations.extend(action)
         ok = all(checks.values())
         return ValidationReport(ok, checks, violations)
 
@@ -385,14 +396,8 @@ class FilteredComplex(ChainComplex):
 
     def __init__(self, p, generators, differential, *, check=True):
         super().__init__(p, generators, differential, check=check)
-        if check:
-            for src, row in self.differential.items():
-                a = self.generator(src).action
-                for tgt in row:
-                    if not self.generator(tgt).action < a:
-                        raise InvalidComplex(
-                            f"d({src}) does not strictly decrease action at {tgt}"
-                        )
+        if check and (bad := self.action_violations()):
+            raise InvalidComplex(bad[0])
 
     def levels(self) -> list[Fraction]:
         return self.actions()

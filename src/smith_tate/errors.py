@@ -14,6 +14,10 @@ class NotPrime(SmithTateError):
     """A modulus that must be prime is not."""
 
 
+class PrimeTooLarge(SmithTateError):
+    """A prime is too large for exact int64 matrix arithmetic."""
+
+
 class NotNilpotent(SmithTateError):
     """t^p != 0 where a nilpotent operator was required."""
 

@@ -5,6 +5,11 @@ routine returns fully reduced results.  Kernel and image bases come out of
 one reduced row echelon computation and are deterministic for a fixed
 column order (callers wanting "lexicographic by generator id" order their
 columns that way).
+
+The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
+product of two entries stays below 2^48, and every product of n x n
+matrices is exact in int64 for n <= 2^15.  FpScalar uses Python integers
+and takes any prime.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNilpotent, NotPrime
+from .errors import NotNilpotent, NotPrime, PrimeTooLarge
 
+MATRIX_PRIME_BOUND = 1 << 24
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -38,6 +44,13 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
+
+
+def _check_matrix_prime(p: int) -> int:
+    """check_prime, plus the bound that keeps int64 matrix arithmetic exact."""
+    if p >= MATRIX_PRIME_BOUND:
+        raise PrimeTooLarge(f"p = {p} is not below 2^24, the bound for exact int64 matrix arithmetic")
+    return check_prime(p)
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,7 @@ class FpMatrix:
     __slots__ = ("a", "p")
 
     def __init__(self, array, p: int):
-        check_prime(p)
+        _check_matrix_prime(p)
         a = np.asarray(array, dtype=np.int64)
         if a.ndim == 0:
             a = a.reshape(1, 1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ActionWindow, ChainComplex
+from .complexes import ActionWindow, ChainComplex, _strict_int
 from .errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -26,6 +26,7 @@ from .errors import (
     MalformedInput,
     SpectralEndpoint,
 )
+from .fp_core import check_prime
 
 __all__ = [
     "Bar",
@@ -33,6 +34,7 @@ __all__ = [
     "BarStats",
     "SmithBarcodeReport",
     "barcode_from_filtered",
+    "persistence_pairing",
     "window_dim",
     "bar_stats",
     "smith_barcode_check",
@@ -93,7 +95,7 @@ class Barcode:
     """Canonical multiset of bars: sorted by (start, end), equal bars merged."""
 
     def __init__(self, p: int, bars=()):
-        self.p = int(p)
+        self.p = check_prime(p)
         merged: dict[tuple, int] = {}
         for b in bars:
             if not isinstance(b, Bar):
@@ -140,30 +142,29 @@ def scale_barcode(b: Barcode, factor) -> Barcode:
 # reduction
 
 
-def barcode_from_filtered(fc: ChainComplex) -> Barcode:
-    """Barcode of the action sublevel filtration by column reduction.
+def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
+    """Persistence pairing of the action filtration by column reduction.
 
-    Generators are processed by increasing (action, id); a column that
-    reduces to a nonzero vector pairs its lowest entry i with its own index
-    j as a finite bar (action_i, action_j]; reduced-to-zero columns that are
-    never paired give infinite bars.
+    Returns (order, lows): order is fc.filtration_order(), generators by
+    increasing (action, id), and lows[j] is the position in order of the
+    lowest entry of reduced column j, or -1 when the column reduces to zero.
+    A column j with lows[j] = i pairs the generators at positions i and j,
+    and the action of i is strictly below that of j.  Raises
+    FiltrationViolation unless d strictly decreases action.
     """
-    for src, row in fc.differential.items():
-        a = fc.generator(src).action
-        for tgt in row:
-            if not fc.generator(tgt).action < a:
-                raise FiltrationViolation(f"d({src}) does not strictly decrease action at {tgt}")
+    bad = fc.action_violations()
+    if bad:
+        raise FiltrationViolation(bad[0])
     p = fc.p
     order = fc.filtration_order()
     n = len(order)
-    d = fc.matrix_in_order(order).a.copy()
+    d = fc.matrix_in_order(order).a
     low_of: dict[int, int] = {}  # low row -> column that holds it
     lows = np.full(n, -1, dtype=np.int64)
     for j in range(n):
         while True:
             nz = np.nonzero(d[:, j])[0]
             if len(nz) == 0:
-                lows[j] = -1
                 break
             lo = int(nz[-1])
             k = low_of.get(lo)
@@ -173,15 +174,25 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
                 break
             factor = (d[lo, j] * pow(int(d[lo, k]), -1, p)) % p
             d[:, j] = (d[:, j] - factor * d[:, k]) % p
+    return order, lows
+
+
+def barcode_from_filtered(fc: ChainComplex) -> Barcode:
+    """Barcode of the action sublevel filtration.
+
+    Each pair (i, j) of the persistence pairing is a finite bar
+    (action_i, action_j]; each generator left unpaired is an infinite bar.
+    """
+    order, lows = persistence_pairing(fc)
     bars = []
     paired = set(int(x) for x in lows if x >= 0)
     acts = [fc.generators[i].action for i in order]
-    for j in range(n):
+    for j in range(len(order)):
         if lows[j] >= 0:
             bars.append(Bar(acts[lows[j]], acts[j]))
         elif j not in paired:
             bars.append(Bar(acts[j], None))
-    return Barcode(p, bars)
+    return Barcode(fc.p, bars)
 
 
 # ---------------------------------------------------------------------------
@@ -479,5 +490,5 @@ def barcode_from_json(data) -> Barcode:
             end = None if item.get("end") is None else Fraction(str(item["end"]))
         except (ValueError, ZeroDivisionError) as e:
             raise MalformedInput(f"bad bar endpoint in {item!r}") from e
-        bars.append(Bar(start, end, int(item.get("mult", 1))))
-    return Barcode(int(data["p"]), bars)
+        bars.append(Bar(start, end, _strict_int(item.get("mult", 1), "bar 'mult'")))
+    return Barcode(_strict_int(data["p"], "'p'"), bars)

@@ -20,12 +20,13 @@ from .complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    norm_matrix,
 )
 from .fp_core import FpMatrix, _row_reduce, rank
 from .persistence import Bar, Barcode, scale_barcode
 from .ratfun import poly_mat_add, poly_mat_coeff, poly_mat_max_degree, poly_mat_mul, pupow
 from .spectral import EquivariantFloerModel
-from .tate import _global_d, _global_norm, _global_sigma
+from .tate import _global_sigma
 
 __all__ = [
     "random_free_equivariant",
@@ -75,7 +76,7 @@ def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
 
 
 def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    d = (pm @ _global_d(cx) @ inv) % cx.p
+    d = (pm @ cx.matrix_in_order(range(cx.dim())).a @ inv) % cx.p
     ids = [g.id for g in cx.generators]
     out: dict[str, dict[str, int]] = {}
     for c in range(len(ids)):
@@ -411,9 +412,9 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     rng = _rng(seed)
     base = random_equivariant_filtered(p, rng, **kwargs)
     n = base.dim()
-    d = _global_d(base)
+    d = base.matrix_in_order(range(n)).a
     s = _global_sigma(base)
-    nm = _global_norm(base)
+    nm = norm_matrix(FpMatrix(s, p)).a
 
     def as_poly(m, shift=0):
         return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]

@@ -2,8 +2,11 @@
 
 Two filtrations drive this module.  A filtered complex is graded by its
 real action values: the differential strictly lowers action, the sorted
-distinct values give a finite decreasing filtration, and the standard
-subquotient pages E_r^s converge to total homology.
+distinct values give a finite decreasing filtration, and the pages E_r^s
+converge to total homology.  Over a field the complex splits into the
+intervals of its persistence pairing, so the pages are counted from the
+pairing that also gives the barcode; the subquotient construction of E_r
+is the reference route in tests/oracles.py.
 
 The equivariant model filters by powers of u instead.  Its differential on
 V<1, theta> over F_p[[u]] is assembled from a family of maps d_alpha^i
@@ -25,23 +28,24 @@ matrix, and must fit under E_2.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, FilteredComplex
+from .complexes import ChainComplex, EquivariantComplex, FilteredComplex, norm_matrix
 from .errors import (
     FiltrationViolation,
     InvalidComplex,
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, rank, rref
+from .fp_core import FpMatrix, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
+from .persistence import persistence_pairing
 from .tate import (
     _degree_violation,
-    _global_d,
-    _global_norm,
     _global_sigma,
     blocks_square_zero,
     parity_dims_at_one,
@@ -90,91 +94,38 @@ class SpectralSequencePages:
     stabilized_at: int
 
 
-def _subspace_dim(vectors: list[np.ndarray], p: int, n: int) -> int:
-    if not vectors:
-        return 0
-    return rref(FpMatrix(np.array(vectors, dtype=np.int64).T.reshape(n, len(vectors)), p)).rank
-
-
 def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
     """Pages of the spectral sequence of the action filtration.
 
     Filtration index s keeps generators with action <= the (L-s)-th distinct
-    value, so the differential raises s by at least 1.  E_r is computed by
-    the subquotient formula Z_r^s / (Z_{r-1}^{s+1} + d Z_{r-1}^{s-r+1}).
-    A differential can jump at most L-1 filtration steps, so page L is
-    already the infinity page; every page up to there is computed, since a
-    quiet page does not preclude a longer differential later.  E_infinity
-    must total to the homology of the complex in each degree.
+    value, so the differential raises s by at least 1.  Over F_p the
+    filtered complex splits into the intervals of its persistence pairing,
+    so the pages are counted from that pairing: E_r^{s,k} counts the
+    generators at (s, k) that are unpaired or whose partner is at least r
+    filtration steps away, and d_r out of (s, k) has rank the number of
+    pairs exactly r steps apart whose higher-action end sits at (s, k).
+    The subquotient construction Z_r^s / (Z_{r-1}^{s+1} + d Z_{r-1}^{s-r+1})
+    is kept in tests/oracles.py as the reference route.  A differential can
+    jump at most L-1 filtration steps, so page L is already the infinity
+    page; every page up to there is reported.  E_infinity must total to the
+    homology of the complex in each degree, computed independently.
     """
-    for src, row in fc.differential.items():
-        a = fc.generator(src).action
-        for tgt in row:
-            if not fc.generator(tgt).action < a:
-                raise FiltrationViolation(
-                    f"d({src}) does not strictly decrease action at {tgt}"
-                )
-    p = fc.p
-    n = fc.dim()
+    order, lows = persistence_pairing(fc)
     levels = fc.actions()
     L = len(levels)
-    d = _global_d(fc)
-    degs = [g.degree for g in fc.generators]
-    acts = [g.action for g in fc.generators]
-
-    # filtration membership: F^s = span of generators with action <= levels[L-1-s]
-    def in_filt(i: int, s: int) -> bool:
-        if s <= 0:
-            return True
-        if s >= L:
-            return False
-        return acts[i] <= levels[L - 1 - s]
-
-    degrees = sorted(set(degs)) if n else []
-
-    def z_space(r: int, s: int, k: int) -> list[np.ndarray]:
-        """Basis of Z_r^s in degree k: x in F^s with dx in F^(s+r)."""
-        src = [i for i in range(n) if degs[i] == k and in_filt(i, s)]
-        if not src:
-            return []
-        tgt = [j for j in range(n) if degs[j] == k + 1 and not in_filt(j, s + r)]
-        m = FpMatrix(d[np.ix_(tgt, src)] if tgt else np.zeros((0, len(src)), dtype=np.int64), p)
-        out = []
-        for v in rref(m).kernel_basis:
-            w = np.zeros(n, dtype=np.int64)
-            w[src] = v
-            out.append(w)
-        return out
-
-    def page_dim_and_boundary(r: int, s: int, k: int):
-        z = z_space(r, s, k)
-        border = z_space(r - 1, s + 1, k)
-        border += [(d @ np.array(v)) % p for v in z_space(r - 1, s - r + 1, k - 1)]
-        dim_b = _subspace_dim(border, p, n)
-        dim_z = _subspace_dim(z, p, n)
-        # the boundary space sits inside Z_r^s, so the quotient dim subtracts
-        return dim_z - dim_b, z, border
-
+    index_of_level = {a: L - 1 - i for i, a in enumerate(levels)}
+    keys = [(index_of_level[g.action], g.degree) for g in (fc.generators[i] for i in order)]
+    # pages each generator survives: the filtration distance to its partner
+    life = [math.inf] * len(order)
+    for j, i in enumerate(lows):
+        if i >= 0:
+            life[i] = life[j] = keys[i][0] - keys[j][0]
     pages = []
     last_page = max(1, L)
     for r in range(1, last_page + 1):
-        dims = {}
-        ranks = {}
-        cache: dict = {}
-        for s in range(L):
-            for k in degrees:
-                dim, z, border = page_dim_and_boundary(r, s, k)
-                cache[(s, k)] = (z, border)
-                if dim:
-                    dims[(s, k)] = dim
-        for (s, k), (z, _) in cache.items():
-            # rank of d_r out of E_r^{s,k}: dim(d z + B^{s+r,k+1}) - dim B^{s+r,k+1}
-            tborder = cache.get((s + r, k + 1), ([], []))[1]
-            img = [(d @ v) % p for v in z]
-            ranks_val = _subspace_dim(tborder + img, p, n) - _subspace_dim(tborder, p, n)
-            if ranks_val:
-                ranks[(s, k)] = ranks_val
-        pages.append(PageData(r=r, dims=dims, differential_ranks=ranks))
+        dims = Counter(key for key, t in zip(keys, life) if t >= r)
+        ranks = Counter(keys[j] for j, i in enumerate(lows) if i >= 0 and life[j] == r)
+        pages.append(PageData(r, dict(sorted(dims.items())), dict(sorted(ranks.items()))))
     inf_dims = pages[-1].dims
     # earliest page that already equals E_infinity with nothing left to run
     stabilized_at = last_page
@@ -227,9 +178,9 @@ class EquivariantFloerModel:
         self.base = base
         self.p = base.p
         n = base.dim()
-        d = _global_d(base)
+        d = base.matrix_in_order(range(n)).a
         s = _global_sigma(base)
-        nm = _global_norm(base)
+        nm = norm_matrix(FpMatrix(s, self.p)).a
         terms: dict[tuple[int, int], np.ndarray] = {
             (0, 0): d,
             (1, 0): (np.eye(n, dtype=np.int64) - s) % self.p,

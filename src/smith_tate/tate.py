@@ -26,7 +26,7 @@ from itertools import product as _product
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, Generator
+from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
 from .errors import InvalidComplex, NotChainMap, NotEquivariant
 from .fp_core import FpMatrix, rank, rref
 from .ratfun import bareiss_rank, poly_mat_from_int
@@ -106,16 +106,6 @@ class RpElement:
 # global matrices
 
 
-def _global_d(V: ChainComplex) -> np.ndarray:
-    n = V.dim()
-    a = np.zeros((n, n), dtype=np.int64)
-    for src, row in V.differential.items():
-        c = V.index_of(src)
-        for tgt, coeff in row.items():
-            a[V.index_of(tgt), c] = coeff
-    return a
-
-
 def _global_sigma(V: EquivariantComplex) -> np.ndarray:
     n = V.dim()
     a = np.zeros((n, n), dtype=np.int64)
@@ -127,17 +117,6 @@ def _global_sigma(V: EquivariantComplex) -> np.ndarray:
             for tgt, coeff in row.items():
                 a[V.index_of(tgt), i] = coeff
     return a
-
-
-def _global_norm(V: EquivariantComplex) -> np.ndarray:
-    s = _global_sigma(V)
-    n = V.dim()
-    out = np.eye(n, dtype=np.int64)
-    acc = np.eye(n, dtype=np.int64)
-    for _ in range(V.p - 1):
-        acc = (s @ acc) % V.p
-        out = (out + acc) % V.p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +141,9 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     """
     p = V.p
     n = V.dim()
-    d = _global_d(V)
+    d = V.matrix_in_order(range(n)).a
     s = _global_sigma(V)
-    nm = _global_norm(V)
+    nm = norm_matrix(FpMatrix(s, p)).a
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
     for what, m, shift in (("d", d, 1), ("sigma", s, 0), ("N", nm, 0)):
         bad = _degree_violation(m, degrees, shift)
@@ -313,8 +292,8 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     n = V.dim()
     s = _global_sigma(V)
     one_minus = (np.eye(n, dtype=np.int64) - s) % p
-    nm = _global_norm(V)
-    d = _global_d(V)
+    nm = norm_matrix(FpMatrix(s, p)).a
+    d = V.matrix_in_order(range(n)).a
     by_degree = {k: V.degree_indices(k) for k in degs}
 
     def slots(k: int) -> list[tuple[int, int]]:

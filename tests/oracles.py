@@ -1,11 +1,16 @@
-"""Polynomial reference routes for the u = 1 computations.
+"""Reference routes that tests compare the library against.
 
 The library takes Tate ranks and square-zero checks at u = 1, which is
-exact only because every differential it sees is homogeneous.  These
-helpers redo the same computations over F_p[u] entry by entry, with no
-use of the grading, so that tests can compare the two.
+exact only because every differential it sees is homogeneous.  The
+polynomial helpers redo the same computations over F_p[u] entry by entry,
+with no use of the grading.  The library counts the action spectral
+sequence from the persistence pairing; subquotient_pages builds the same
+pages from the subquotient formula.
 """
 
+import numpy as np
+
+from smith_tate.fp_core import FpMatrix, rref
 from smith_tate.ratfun import bareiss_rank, padd, poly_mat_mul, pupow
 from smith_tate.tate import assemble_parity_blocks
 
@@ -42,3 +47,64 @@ def model_poly_route(model) -> tuple[tuple[int, int], bool]:
     e2o, o2e, even, odd = assemble_parity_blocks(degrees, *model_poly_blocks(model), p)
     r_e, r_o = bareiss_rank(e2o, p), bareiss_rank(o2e, p)
     return (len(even) - r_e - r_o, len(odd) - r_o - r_e), poly_square_is_zero(e2o, o2e, p)
+
+
+def subquotient_pages(fc) -> list[tuple[dict, dict]]:
+    """(dims, differential ranks) of every page of the action spectral
+    sequence, from the subquotients
+    E_r^s = Z_r^s / (Z_{r-1}^{s+1} + d Z_{r-1}^{s-r+1}),
+    Z_r^s = {x in F^s : dx in F^(s+r)}, built from kernels and spans over
+    F_p with no use of the persistence pairing."""
+    p = fc.p
+    n = fc.dim()
+    levels = fc.actions()
+    L = len(levels)
+    d = fc.matrix_in_order(range(n)).a
+    degs = [g.degree for g in fc.generators]
+    acts = [g.action for g in fc.generators]
+    degrees = sorted(set(degs))
+
+    def in_filt(i, s):
+        # F^s = span of generators with action <= levels[L-1-s]
+        return s <= 0 or (s < L and acts[i] <= levels[L - 1 - s])
+
+    def span_dim(vectors):
+        if not vectors:
+            return 0
+        return rref(FpMatrix(np.array(vectors, dtype=np.int64).T, p)).rank
+
+    def z_space(r, s, k):
+        src = [i for i in range(n) if degs[i] == k and in_filt(i, s)]
+        if not src:
+            return []
+        tgt = [j for j in range(n) if degs[j] == k + 1 and not in_filt(j, s + r)]
+        m = FpMatrix(d[np.ix_(tgt, src)] if tgt else np.zeros((0, len(src)), dtype=np.int64), p)
+        out = []
+        for v in rref(m).kernel_basis:
+            w = np.zeros(n, dtype=np.int64)
+            w[src] = v
+            out.append(w)
+        return out
+
+    pages = []
+    for r in range(1, max(1, L) + 1):
+        dims, ranks, spaces = {}, {}, {}
+        for s in range(L):
+            for k in degrees:
+                z = z_space(r, s, k)
+                border = z_space(r - 1, s + 1, k)
+                border += [(d @ v) % p for v in z_space(r - 1, s - r + 1, k - 1)]
+                spaces[(s, k)] = (z, border)
+                # the border sits inside Z_r^s, so the quotient dim subtracts
+                dim = span_dim(z) - span_dim(border)
+                if dim:
+                    dims[(s, k)] = dim
+        for (s, k), (z, _) in spaces.items():
+            # rank of d_r: dim(d Z_r^s + B^{s+r,k+1}) - dim B^{s+r,k+1}
+            target_border = spaces.get((s + r, k + 1), ([], []))[1]
+            image = [(d @ v) % p for v in z]
+            rk = span_dim(target_border + image) - span_dim(target_border)
+            if rk:
+                ranks[(s, k)] = rk
+        pages.append((dims, ranks))
+    return pages

@@ -470,6 +470,76 @@ class TestStrictIntegers:
         assert err.startswith("error: MalformedInput:")
 
 
+_SIGMA = {"p": 2, "size": 2, "matrix": [[0, 1, 1], [1, 0, 1]]}
+_BARS = {"p": 3, "bars": [{"start": "0/1", "end": None, "mult": 2}]}
+
+
+class TestStrictIntegersInSigmaAndBarcodeFiles:
+    """Sigma-matrix and barcode files go through the same integer parser."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {**_SIGMA, "p": 2.5},
+            {**_SIGMA, "p": "3"},
+            {**_SIGMA, "size": 2.5},
+            {**_SIGMA, "size": "2"},
+            {**_SIGMA, "matrix": [[0, 1, 1], [1, 0, 1.5]]},
+            {**_SIGMA, "matrix": [[0, 1, 1], [1, "0", 1]]},
+            {**_SIGMA, "matrix": [[0, 1, 1], [1, 0]]},
+        ],
+        ids=["fractional-p", "string-p", "fractional-size", "string-size",
+             "fractional-triplet", "string-triplet", "short-triplet"],
+    )
+    def test_sigma_rejected(self, run, tmp_path, data):
+        code, out, err = run(["decompose", "--sigma", write_json(tmp_path / "s.json", data), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:")
+
+    def test_sigma_integral_floats_accepted(self, jrun, tmp_path):
+        as_float = {"p": 2.0, "size": 2.0, "matrix": [[0.0, 1, 1], [1, 0, 1.0]]}
+        _, by_float, _ = jrun(["decompose", "--sigma", write_json(tmp_path / "f.json", as_float)])
+        _, by_int, _ = jrun(["decompose", "--sigma", write_json(tmp_path / "i.json", _SIGMA)])
+        assert by_float["results"] == by_int["results"]
+
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            ({**_BARS, "p": 2.5}, "MalformedInput"),
+            ({**_BARS, "p": "3"}, "MalformedInput"),
+            ({"p": 3, "bars": [{"start": "0/1", "end": None, "mult": 2.5}]}, "MalformedInput"),
+            ({"p": 3, "bars": [{"start": "0/1", "end": None, "mult": "2"}]}, "MalformedInput"),
+            ({**_BARS, "p": 4}, "NotPrime"),
+        ],
+        ids=["fractional-p", "string-p", "fractional-mult", "string-mult", "composite-p"],
+    )
+    def test_barcode_rejected(self, run, tmp_path, data, error):
+        code, out, err = run(["barcode", "--input", write_json(tmp_path / "b.json", data), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {error}:")
+
+
+class TestMatrixPrimeBound:
+    def test_too_large_prime_rejected(self, run, tmp_path):
+        data = {**_edge(coeff=0), "p": 4294967311}
+        code, out, err = run(["tate", "--input", write_json(tmp_path / "in.json", data), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PrimeTooLarge:")
+        sigma = {**_SIGMA, "p": 4294967311}
+        code, _, err = run(["decompose", "--sigma", write_json(tmp_path / "s.json", sigma)])
+        assert code == 2
+        assert err.startswith("error: PrimeTooLarge:")
+
+    def test_largest_prime_below_bound_accepted(self, jrun, tmp_path):
+        data = {**_edge(coeff=0), "p": 16777213}
+        code, report, _ = jrun(["group-cohomology", "--input", write_json(tmp_path / "in.json", data)])
+        assert code == 0
+        assert report["ok"] is True
+
+
 class TestInhomogeneousInput:
     """Input that breaks the grading never reaches the u = 1 ranks."""
 

@@ -1,7 +1,9 @@
 """Complex construction, validation, windows, tensor powers, JSON round trips."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,14 +16,18 @@ from smith_tate.complexes import (
     complex_from_json,
     complex_to_json,
     invariants_coinvariants,
+    norm_matrix,
     tensor_power,
     window_truncate,
 )
 from smith_tate.errors import (
+    FiltrationViolation,
     InadmissibleWindow,
     InvalidComplex,
     MalformedInput,
 )
+from smith_tate.fp_core import FpMatrix
+from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
     random_chain_complex,
     random_equivariant_filtered,
@@ -155,6 +161,66 @@ class TestFilteredComplex:
         gens = [Generator("x", 0, 1), Generator("y", 1, 0)]
         fc = FilteredComplex(3, gens, {"x": {"y": 1}})
         assert fc.levels() == [Fraction(0), Fraction(1)]
+
+
+class TestActionViolations:
+    """One helper finds the entries that break the filtration; each caller
+    keeps its own exception type and message."""
+
+    GENS = [Generator("x", 0, 1), Generator("y", 1, 1), Generator("z", 1, 2), Generator("w", 1, 0)]
+    DIFF = {"x": {"y": 1, "z": 2, "w": 1}}
+    MESSAGES = [
+        "d(x) does not strictly decrease action at y",
+        "d(x) does not strictly decrease action at z",
+    ]
+
+    def test_helper_lists_every_violation(self):
+        cx = ChainComplex(3, self.GENS, self.DIFF)
+        assert cx.action_violations() == self.MESSAGES
+        assert ChainComplex(3, self.GENS, {"x": {"w": 1}}).action_violations() == []
+
+    def test_callers_keep_their_exception_and_message(self):
+        with pytest.raises(InvalidComplex) as e:
+            FilteredComplex(3, self.GENS, self.DIFF)
+        assert str(e.value) == self.MESSAGES[0]
+        report = EquivariantComplex(3, self.GENS, self.DIFF, {}).validate(strict_action=True)
+        assert not report.checks["action_decrease"]
+        assert report.violations == self.MESSAGES
+        with pytest.raises(FiltrationViolation) as e:
+            barcode_from_filtered(ChainComplex(3, self.GENS, self.DIFF))
+        assert str(e.value) == self.MESSAGES[0]
+
+
+def _norm_by_powers(sigma, p):
+    """1 + sigma + ... + sigma^(p-1) by p - 1 products of plain integer matrices."""
+    n = len(sigma)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [row[:] for row in acc]
+    for _ in range(p - 1):
+        acc = [[sum(sigma[i][t] * acc[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+        out = [[(out[i][j] + acc[i][j]) % p for j in range(n)] for i in range(n)]
+    return out
+
+
+class TestNorm:
+    def test_large_prime_matches_sum_of_powers(self):
+        p = 100003
+        rng = random.Random(0)
+        sigma = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
+        assert norm_matrix(FpMatrix(sigma, p)).a.tolist() == _norm_by_powers(sigma, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_tensor_powers_match_sum_of_powers(self, p):
+        base = ChainComplex(p, [Generator("a", 0), Generator("b", 1)], {"a": {"b": 1}})
+        T = tensor_power(base)
+        for k in T.degrees():
+            sigma = T.sigma_block(k).a.tolist()
+            assert T.norm_block(k).a.tolist() == _norm_by_powers(sigma, p)
+
+    def test_norm_kills_one_minus_sigma(self):
+        V = free_orbit(5)
+        s = V.sigma_block(0)
+        assert (V.norm_block(0) @ (FpMatrix(np.eye(5, dtype=np.int64), 5) - s)).is_zero()
 
 
 class TestActionWindow:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smith_tate.errors import NotNilpotent, NotPrime
+from smith_tate.complexes import ChainComplex, Generator
+from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import (
+    MATRIX_PRIME_BOUND,
     FpMatrix,
     FpScalar,
     check_prime,
@@ -28,6 +30,39 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
     assert is_prime(97)
     assert not is_prime(91)  # 7 * 13
+
+
+class TestMatrixPrimeBound:
+    """int64 arithmetic is exact only for p below 2^24."""
+
+    TOO_LARGE = 4294967311  # prime; entry products overflow int64
+    LARGEST = 16777213  # the largest prime below 2^24
+
+    def test_bound_value(self):
+        assert MATRIX_PRIME_BOUND == 2**24
+        assert is_prime(self.TOO_LARGE) and is_prime(self.LARGEST)
+        assert not any(is_prime(q) for q in range(self.LARGEST + 1, MATRIX_PRIME_BOUND))
+
+    def test_too_large_prime_rejected(self):
+        with pytest.raises(PrimeTooLarge):
+            FpMatrix([[1, 2], [3, 4]], self.TOO_LARGE)
+        with pytest.raises(PrimeTooLarge):
+            ChainComplex(self.TOO_LARGE, [Generator("v", 0)], {})
+
+    def test_largest_prime_below_bound_accepted(self):
+        p = self.LARGEST
+        big = p - 1
+        # det = big * big - 1 * 1 = 0 mod p, since big = -1
+        assert rank(FpMatrix([[big, 1], [1, big]], p)) == 1
+        assert rank(FpMatrix([[big, big], [big, 1]], p)) == 2
+        a = np.full((64, 64), big, dtype=np.int64)
+        assert ((FpMatrix(a, p) @ FpMatrix(a, p)).a == 64 % p).all()
+        cx = ChainComplex(p, [Generator("x", 0), Generator("y", 1)], {"x": {"y": big}})
+        assert cx.homology_dims() == {}
+
+    def test_scalars_keep_any_prime(self):
+        x = FpScalar(self.TOO_LARGE - 1, self.TOO_LARGE)
+        assert int(x * x) == 1
 
 
 def test_check_prime_rejects_composites():

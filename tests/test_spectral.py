@@ -20,7 +20,12 @@ from smith_tate.errors import (
     NotSquareZero,
 )
 from smith_tate.fp_core import FpMatrix
-from smith_tate.random_instances import random_filtered_complex, random_floer_model
+from smith_tate.persistence import barcode_from_filtered
+from smith_tate.random_instances import (
+    planted_filtered_complex,
+    random_filtered_complex,
+    random_floer_model,
+)
 from smith_tate.spectral import (
     EquivariantFloerModel,
     action_ss_pages,
@@ -30,7 +35,7 @@ from smith_tate.spectral import (
 )
 from smith_tate.tate import tate_cohomology_dims
 
-from oracles import model_poly_route
+from oracles import model_poly_route, subquotient_pages
 
 
 def free_orbit(p, degree=0):
@@ -299,3 +304,53 @@ def test_model_rank_and_square_at_one_match_polynomial_route():
                 assert model.square_is_zero() == square, (p, seed)
                 squares.add(square)
     assert squares == {True, False}
+
+
+def _assert_pages_match_oracle(fc):
+    """Every page's dims and differential ranks equal the subquotient
+    route's, including the insertion order of both dicts."""
+    ss = action_ss_pages(fc)
+    expected = subquotient_pages(fc)
+    assert len(ss.pages) == len(expected)
+    for pg, (dims, ranks) in zip(ss.pages, expected):
+        assert list(pg.dims.items()) == list(dims.items()), pg.r
+        assert list(pg.differential_ranks.items()) == list(ranks.items()), pg.r
+    assert ss.converges
+    return ss
+
+
+def test_pairing_pages_match_subquotient_route():
+    """Fixed-seed differential check of the pages counted from the
+    persistence pairing against the subquotient construction."""
+    long_differentials = 0
+    for p in (2, 3, 5, 7):
+        for seed in range(25):
+            fc = random_filtered_complex(p, seed, max_gens=16, max_levels=6)
+            ss = _assert_pages_match_oracle(fc)
+            long_differentials += any(pg.differential_ranks for pg in ss.pages[1:])
+    assert long_differentials > 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_planted_complexes_with_repeated_levels_match_subquotient_route(p):
+    """Several bars share each level, so many generators sit at one
+    filtration index and differentials of every length coexist."""
+    finite = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (Fraction(1, 2), 3, 1), (1, 2, 1)]
+    infinite = [0, 1, 1, 3]
+    for seed in range(3):
+        fc, planted = planted_filtered_complex(p, finite, infinite, seed)
+        ss = _assert_pages_match_oracle(fc)
+        assert barcode_from_filtered(fc) == planted
+        assert ss.levels == [0, Fraction(1, 2), 1, 2, 3]
+        # a bar (a, b] is a pair (b, a) of filtration distance r firing d_r
+        assert sum(sum(pg.differential_ranks.values()) for pg in ss.pages) == 7
+
+
+def test_equal_action_differential_rejected():
+    gens = [Generator("x", 0, 1), Generator("y", 1, 1), Generator("z", 1, 0)]
+    cx = ChainComplex(5, gens, {"x": {"z": 1, "y": 2}})
+    with pytest.raises(FiltrationViolation, match=r"d\(x\) does not strictly decrease action at y"):
+        action_ss_pages(cx)
+    unchecked = FilteredComplex(5, gens, {"x": {"y": 1}}, check=False)
+    with pytest.raises(FiltrationViolation):
+        action_ss_pages(unchecked)
