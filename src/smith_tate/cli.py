@@ -757,8 +757,9 @@ def _shrink_candidates(payload: dict):
 def _minimize(check: Callable, payload: dict) -> dict:
     """Greedily delete components while the payload keeps failing check.
 
-    Candidates that no longer parse (deleting a generator can break
-    square-zero or equivariance) count as passing and are skipped.
+    Candidates that the library rejects with a SmithTateError (deleting a
+    generator can break square-zero or equivariance) count as passing and
+    are skipped; any other exception is a crash of the check and propagates.
     """
     best = copy.deepcopy(payload)
     budget = 400
@@ -769,7 +770,7 @@ def _minimize(check: Callable, payload: dict) -> dict:
             budget -= 1
             try:
                 ok, _ = check(cand)
-            except Exception:
+            except SmithTateError:
                 ok = True
             if not ok:
                 best = cand

@@ -23,6 +23,7 @@ from .errors import (
     InadmissibleWindow,
     InvalidComplex,
     MalformedInput,
+    NotSquareZero,
 )
 from .fp_core import FpMatrix, RrefResult, _check_matrix_prime, rref, solve
 
@@ -251,7 +252,9 @@ class ChainComplex:
         )
         res = rref(stacked)
         reps = [ker[j - len(im)] for j in res.pivots if j >= len(im)]
-        assert len(reps) == len(ker) - len(im)
+        if len(reps) != len(ker) - len(im):
+            # the image of d^(k-1) lies in ker d^k exactly when d^k d^(k-1) = 0
+            raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
         self._homology_cache[k] = (reps, res)
         return self._homology_cache[k]
 

@@ -15,7 +15,7 @@ class NotPrime(SmithTateError):
 
 
 class PrimeTooLarge(SmithTateError):
-    """A prime is too large for exact int64 matrix arithmetic."""
+    """A prime is too large for exact int64 matrix arithmetic or primality testing."""
 
 
 class NotNilpotent(SmithTateError):

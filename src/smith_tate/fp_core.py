@@ -9,7 +9,8 @@ columns that way).
 The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
 product of two entries stays below 2^48, and every product of n x n
 matrices is exact in int64 for n <= 2^15.  FpScalar uses Python integers
-and takes any prime.
+and takes any prime below PRIMALITY_BOUND, where the Miller-Rabin test of
+is_prime is exact.
 """
 
 from __future__ import annotations
@@ -21,22 +22,56 @@ import numpy as np
 from .errors import NotNilpotent, NotPrime, PrimeTooLarge
 
 MATRIX_PRIME_BOUND = 1 << 24
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (base, psi): Miller-Rabin with every base up to this one is exact below
+# psi, the least strong pseudoprime to all of them (OEIS A014233; Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (
+    (2, 2047),
+    (3, 1_373_653),
+    (5, 25_326_001),
+    (7, 3_215_031_751),
+    (11, 2_152_302_898_747),
+    (13, 3_474_749_660_383),
+    (17, 341_550_071_728_321),
+    (19, 341_550_071_728_321),
+    (23, 3_825_123_056_546_413_051),
+    (29, 3_825_123_056_546_413_051),
+    (31, 3_825_123_056_546_413_051),
+    (37, 318_665_857_834_031_151_167_461),
+    (41, 3_317_044_064_679_887_385_961_981),
+)
+PRIMALITY_BOUND = _MR_BASES[-1][1]
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises PrimeTooLarge from PRIMALITY_BOUND on.
+
+    Bases are tried in order and the test stops once n is below the bound
+    for the bases tried so far, so small moduli cost one or two powers.
+    """
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
+    if n >= PRIMALITY_BOUND:
+        raise PrimeTooLarge(f"{n} is not below {PRIMALITY_BOUND}, the bound for deterministic primality testing")
+    for q, _ in _MR_BASES:
         if n % q == 0:
-            return False
-    d = 41
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+            return n == q
+    if n < 43 * 43:
+        return True  # no prime factor up to 41
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a, psi in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 
@@ -320,5 +355,6 @@ def nilpotent_partition(t: FpMatrix) -> list[int]:
         at_least_k1 = ranks[k] - ranks[k + 1] if k < p else 0
         sizes.extend([k] * (at_least_k - at_least_k1))
     sizes.sort(reverse=True)
-    assert sum(sizes) == n
+    if sum(sizes) != n:
+        raise RuntimeError(f"Jordan block sizes {sizes} do not sum to the dimension {n}")
     return sizes

@@ -117,7 +117,10 @@ def smith_chain_check(hf_phi_dim: int, sigma_on_hf_phi_p: FpMatrix) -> ChainRepo
     direct_invariant = n - rank(
         sigma_on_hf_phi_p - FpMatrix.identity(n, sigma_on_hf_phi_p.p)
     )
-    assert direct_invariant == invariant
+    if direct_invariant != invariant:
+        raise RuntimeError(
+            f"invariant dimension {direct_invariant} from rank(sigma - 1) differs from {invariant} from the decomposition"
+        )
     return ChainReport(
         p=d.p,
         hf_phi_dim=hf_phi_dim,

@@ -457,7 +457,8 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
                 continue
             i = 2 * j + parity
             terms[(i, alpha)] = coeff
-    assert (0, 1) not in terms
+    if (0, 1) in terms:
+        raise RuntimeError("the conjugated differential has a term in the (i=0, alpha=1) slot")
     i_max = max((i for i, _ in terms), default=2)
     return EquivariantFloerModel(base, terms, max(2, i_max))
 

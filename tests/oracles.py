@@ -5,12 +5,18 @@ exact only because every differential it sees is homogeneous.  The
 polynomial helpers redo the same computations over F_p[u] entry by entry,
 with no use of the grading.  The library counts the action spectral
 sequence from the persistence pairing; subquotient_pages builds the same
-pages from the subquotient formula.
+pages from the subquotient formula.  The library counts every iterate
+window from prefix sums over probe indices; smith_barcode_check_per_window
+counts each window by window_dim and integrates m(t) region by region.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
+from smith_tate.complexes import ActionWindow
 from smith_tate.fp_core import FpMatrix, rref
+from smith_tate.persistence import SmithBarcodeReport, _midpoint_probes, bar_stats, finite_bar_count_at, window_dim
 from smith_tate.ratfun import bareiss_rank, padd, poly_mat_mul, pupow
 from smith_tate.tate import assemble_parity_blocks
 
@@ -108,3 +114,50 @@ def subquotient_pages(fc) -> list[tuple[dict, dict]]:
                 ranks[(s, k)] = rk
         pages.append((dims, ranks))
     return pages
+
+
+def integrate_finite_count_by_regions(b) -> Fraction:
+    """Integral of m(t) dt, as m at the midpoint of each region between
+    consecutive finite endpoints times the region's length."""
+    pts = sorted({bar.start for bar in b.bars if bar.finite} | {bar.end for bar in b.bars if bar.finite})
+    total = Fraction(0)
+    for lo, hi in zip(pts, pts[1:]):
+        total += finite_bar_count_at(b, (lo + hi) / 2) * (hi - lo)
+    return total
+
+
+def smith_barcode_check_per_window(b1, bp, p: int) -> SmithBarcodeReport:
+    """The p-th iterate comparison with every window counted on its own by
+    window_dim, which rescans all bars and checks the window's endpoints
+    against the spectrum: O(P^2 E log E) for P probes and E bars."""
+    events = sorted(set(b1.endpoints()) | {e / p for e in bp.endpoints()})
+    probes = _midpoint_probes(events)
+    m_failures = []
+    for t in probes:
+        m1 = finite_bar_count_at(b1, t)
+        mp = finite_bar_count_at(bp, p * t)
+        if m1 > mp:
+            m_failures.append((t, m1, mp))
+    beta1 = bar_stats(b1).beta_tot
+    betap = bar_stats(bp).beta_tot
+    windows = [ActionWindow(None, None)]
+    windows += [ActionWindow(None, t) for t in probes]
+    windows += [ActionWindow(t, None) for t in probes]
+    windows += [ActionWindow(a, t) for i, a in enumerate(probes) for t in probes[i + 1 :]]
+    window_failures = []
+    for w in windows:
+        d1 = window_dim(b1, w)
+        dp = window_dim(bp, w.scaled(p))
+        if d1 > dp:
+            window_failures.append((w, d1, dp))
+    return SmithBarcodeReport(
+        p=p,
+        m_ok=not m_failures,
+        m_failures=tuple(m_failures),
+        beta_tot_single=beta1,
+        beta_tot_iterate=betap,
+        beta_direct_ok=betap >= p * beta1,
+        beta_integral_ok=integrate_finite_count_by_regions(bp) >= p * integrate_finite_count_by_regions(b1),
+        window_ok=not window_failures,
+        window_failures=tuple(window_failures),
+    )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -698,3 +699,47 @@ class TestReplay:
         code, report, _ = jrun(["fuzz", "--replay", path])
         assert code == 1
         assert "MalformedInput" in report["results"]["details"]["error"]
+
+
+class TestPrimalityBound:
+    @pytest.fixture()
+    def pair_files(self, tmp_path):
+        b1 = Barcode(3, [Bar(0, 1), Bar("1/2", None)])
+        bp = generate_iterated_barcode(b1, 3, extra_bars=2, seed=5)
+        return write_json(tmp_path / "s.json", barcode_to_json(b1)), write_json(tmp_path / "i.json", barcode_to_json(bp))
+
+    def test_large_prime_scale_returns(self, jrun, pair_files):
+        single, iterate = pair_files
+        t0 = time.perf_counter()
+        # trial division up to sqrt(2^61 - 1) would take minutes
+        for p in (10**14 + 31, 2**61 - 1):
+            code, report, _ = jrun(["barcode-smith", "--single", single, "--iterate", iterate, "-p", str(p)])
+            assert code == 1
+            assert report["results"]["p"] == p
+        assert time.perf_counter() - t0 < 10
+
+    def test_prime_above_primality_bound_rejected(self, run, pair_files):
+        single, iterate = pair_files
+        code, out, err = run(["barcode-smith", "--single", single, "--iterate", iterate, "-p", str(2**89 - 1)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PrimeTooLarge:")
+        assert "3317044064679887385961981" in err
+
+
+def test_minimize_propagates_a_crashing_check(run, monkeypatch, tmp_path):
+    import smith_tate.cli as cli
+
+    real = cli._FUZZ_OPS["barcode-smith"]
+    full = []
+
+    def check(payload):
+        # fail on the generated payload, crash on every shrunk candidate
+        if not full:
+            full.append(payload)
+            return False, {}
+        raise TypeError("crash in the check")
+
+    monkeypatch.setitem(cli._FUZZ_OPS, "barcode-smith", cli.FuzzOp(real.name, real.generate, check))
+    with pytest.raises(TypeError, match="crash in the check"):
+        run(["fuzz", "--op", "barcode-smith", "--count", "1", "--seed", "0", "--reproducer", str(tmp_path / "r.json")])

@@ -25,6 +25,7 @@ from smith_tate.errors import (
     InadmissibleWindow,
     InvalidComplex,
     MalformedInput,
+    NotSquareZero,
 )
 from smith_tate.fp_core import FpMatrix
 from smith_tate.persistence import barcode_from_filtered
@@ -422,3 +423,11 @@ def test_truncation_of_filtered_is_filtered(seed):
     out = window_truncate(fc, ActionWindow(None, mid + Fraction(1, 7)))
     assert isinstance(out, FilteredComplex)
     assert all(g.action <= mid + Fraction(1, 7) for g in out.generators)
+
+
+def test_homology_of_unchecked_complex_without_square_zero_raises():
+    # d(x) = y and d(y) = z, so d^2 (x) = z != 0
+    gens = [Generator("x", 0), Generator("y", 1), Generator("z", 2)]
+    cx = ChainComplex(3, gens, {"x": {"y": 1}, "y": {"z": 1}}, check=False)
+    with pytest.raises(NotSquareZero, match="kernel of d\\^1"):
+        cx.homology_dims()

@@ -1,5 +1,7 @@
 """Exact linear algebra over F_p: rank, kernels, solving, Jordan partitions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from smith_tate.complexes import ChainComplex, Generator
 from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import (
     MATRIX_PRIME_BOUND,
+    PRIMALITY_BOUND,
     FpMatrix,
     FpScalar,
     check_prime,
@@ -265,3 +268,49 @@ def test_planted_partition_recovered(p, data):
             a[off + t, off + t + 1] = 1
         off += s
     assert nilpotent_partition(FpMatrix(a, p)) == sorted(sizes, reverse=True)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestMillerRabin:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(100_000) if is_prime(n)] == [n for n in range(100_000) if _trial_division(n)]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561, 1105, 1729, 41041, 825265, 321197185,  # Carmichael numbers
+            # the least strong pseudoprimes to every prime base up to 2, 3,
+            # 5, 7, 11, 13, 17 (and 19), 23 (to 31) and 37
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051, 318665857834031151167461,
+        ],
+    )
+    def test_rejects_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [16777213, 2**31 - 1, 10**14 + 31, 2**61 - 1])
+    def test_accepts_large_primes(self, n):
+        assert is_prime(n)
+        assert check_prime(n) == n
+
+    @pytest.mark.parametrize("n", [(2**31 - 1) ** 2, 16777213 * (10**14 + 31), (2**61 - 1) * 1000003])
+    def test_rejects_large_semiprimes(self, n):
+        with pytest.raises(NotPrime):
+            check_prime(n)
+
+    def test_bound_raises(self):
+        assert PRIMALITY_BOUND == 3_317_044_064_679_887_385_961_981
+        for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**89 - 1, 2**90):
+            with pytest.raises(PrimeTooLarge, match=str(PRIMALITY_BOUND)):
+                check_prime(n)
+
+
+def test_jordan_partition_checks_the_block_sum(monkeypatch):
+    t = FpMatrix([[0, 1], [0, 0]], 3)
+    assert nilpotent_partition(t) == [2]
+    monkeypatch.setattr("smith_tate.fp_core.rank", lambda m: 1)
+    with pytest.raises(RuntimeError, match="do not sum to the dimension 2"):
+        nilpotent_partition(t)

@@ -148,3 +148,11 @@ def test_explicit_multiplicity_request():
     sigma = random_sigma_matrix(3, (1, 1, 1), 42)
     assert sigma.rows == 6
     assert decompose(sigma).multiplicities == (1, 1, 1)
+
+
+def test_dimension_chain_checks_the_invariant_dimension(monkeypatch):
+    sigma = cyclic_shift(3, 3)
+    assert smith_chain_check(1, sigma).invariant_dim == 1
+    monkeypatch.setattr("smith_tate.module_decomp.rank", lambda m: 0)
+    with pytest.raises(RuntimeError, match="invariant dimension 3 from rank"):
+        smith_chain_check(1, sigma)

@@ -1,5 +1,6 @@
 """Barcodes: extraction, window counts, iterate comparison, torsion windows."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,8 @@ from smith_tate.random_instances import (
     random_barcode,
     random_filtered_complex,
 )
+
+from oracles import integrate_finite_count_by_regions, smith_barcode_check_per_window
 
 
 def spans(b):
@@ -334,3 +337,123 @@ def test_barcode_matches_homology_of_full_complex(p, seed):
     b = barcode_from_filtered(fc)
     total = sum(d for d in fc.homology_dims().values())
     assert sum(bar.multiplicity for bar in b.bars if not bar.finite) == total
+
+
+# ---------------------------------------------------------------------------
+# the prefix-sum iterate check against the per-window reference route
+
+PRIMES = (2, 3, 5, 7)
+
+
+def _window_shape(w):
+    return (w.lower is None, w.upper is None)
+
+
+def _assert_same_report(b1, bp, p):
+    report = smith_barcode_check(b1, bp, p)
+    assert report == smith_barcode_check_per_window(b1, bp, p), (b1, bp, p)
+    for _, *counts in report.m_failures + report.window_failures:
+        assert all(type(c) is int for c in counts)
+    return report
+
+
+def test_iterate_check_matches_reference_on_criterion_07_pairs():
+    for i in range(1000):
+        p = PRIMES[i % 4]
+        b1 = random_barcode(p, i)
+        assert _assert_same_report(b1, generate_iterated_barcode(b1, p, extra_bars=i % 3, seed=i), p).ok
+    for i in range(100):
+        p = PRIMES[i % 4]
+        candidates = (random_barcode(p, 20_000 + 100 * i + attempt) for attempt in range(50))
+        b1 = next(cand for cand in candidates if any(bar.finite for bar in cand.bars))
+        _, bad = adversarial_iterated_pair(b1, p, i)
+        assert not _assert_same_report(b1, bad, p).ok
+
+
+def test_iterate_check_matches_reference_on_unrelated_pairs():
+    shapes = set()
+    m_failed = 0
+    for i in range(200):
+        p = PRIMES[i % 4]
+        report = _assert_same_report(random_barcode(p, 40_000 + i, max_bars=10), random_barcode(p, 50_000 + i), p)
+        shapes |= {_window_shape(w) for w, _, _ in report.window_failures}
+        m_failed += not report.m_ok
+    # whole line, (-inf, t], (a, inf) and (a, t] all fail somewhere
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+    assert m_failed > 0
+
+
+def _grid_pair(p, seed):
+    """Bars on a coarse grid, so that starts and ends are shared within a
+    barcode and coincide with the scaled endpoints of the other one."""
+    rng = random.Random(seed)
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+
+    def bars(scale, count):
+        out = []
+        for _ in range(count):
+            a, b = sorted(rng.sample(grid, 2))
+            end = None if rng.random() < 0.3 else b * scale
+            out.append(Bar(a * scale, end, rng.randint(1, 3)))
+        # equal bars given separately are merged by Barcode
+        return out + out[: rng.randint(0, 2)]
+
+    return Barcode(p, bars(1, rng.randint(1, 8))), Barcode(p, bars(p, rng.randint(1, 8)))
+
+
+def test_iterate_check_matches_reference_on_shared_endpoints():
+    merged = 0
+    for i in range(200):
+        p = PRIMES[i % 4]
+        b1, bp = _grid_pair(p, i)
+        merged += any(bar.multiplicity > 3 for bar in b1.bars + bp.bars)
+        _assert_same_report(b1, bp, p)
+        _assert_same_report(b1, scale_barcode(b1, p), p)
+    assert merged > 0
+
+
+@pytest.mark.parametrize("block", [1, 40, 150])
+def test_iterate_check_is_independent_of_the_row_blocks(monkeypatch, block):
+    # a block of 1 probe pair holds one row; 150 pairs hold several rows
+    monkeypatch.setattr("smith_tate.persistence._PAIR_BLOCK", block)
+    for i in range(20):
+        p = PRIMES[i % 4]
+        _assert_same_report(random_barcode(p, 60_000 + i, max_bars=10), random_barcode(p, 70_000 + i), p)
+        _assert_same_report(*_grid_pair(p, 80_000 + i), p)
+
+
+@pytest.mark.parametrize("big", [2**59, 2**70])
+def test_iterate_check_counts_exactly_at_huge_multiplicity(big):
+    # both barcodes hold under 2^61 bars at 2^59 (int64 counts), over it at 2^70
+    b1 = Barcode(3, [Bar(0, 2, big), Bar(1, None, big + 1), Bar(Fraction(1, 2), 3)])
+    bp = Barcode(3, [Bar(0, 6, big - 1), Bar(3, None, big), Bar(Fraction(3, 2), 9, 2)])
+    report = _assert_same_report(b1, bp, 3)
+    assert (ActionWindow(None, None), big + 1, big) in report.window_failures
+    assert report.m_failures[0] == (Fraction(1, 4), big, big - 1)
+
+
+def test_iterate_check_on_empty_barcodes():
+    report = _assert_same_report(Barcode(3, []), Barcode(3, []), 3)
+    assert report.ok
+    report = _assert_same_report(Barcode(3, [Bar(0, None)]), Barcode(3, []), 3)
+    assert report.window_failures == (
+        (ActionWindow(None, None), 1, 0),
+        (ActionWindow(None, Fraction(1)), 1, 0),
+        (ActionWindow(Fraction(-1), None), 1, 0),
+        (ActionWindow(Fraction(-1), Fraction(1)), 1, 0),
+    )
+
+
+def test_iterate_check_rejects_nonpositive_scale():
+    b = Barcode(3, [Bar(0, 1)])
+    for p in (0, -3):
+        with pytest.raises(InadmissibleWindow):
+            smith_barcode_check(b, b, p)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=40, deadline=None)
+def test_integral_sweep_matches_region_sum(seed):
+    b1, bp = _grid_pair(PRIMES[seed % 4], seed)
+    for b in (b1, bp, random_barcode(5, seed)):
+        assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b)

@@ -354,3 +354,11 @@ def test_equal_action_differential_rejected():
     unchecked = FilteredComplex(5, gens, {"x": {"y": 1}}, check=False)
     with pytest.raises(FiltrationViolation):
         action_ss_pages(unchecked)
+
+
+def test_random_model_checks_the_theta_slot(monkeypatch):
+    assert (0, 1) not in random_floer_model(3, 4, deform=False).terms
+    # a pupow that drops the u-shift puts the norm block at u^0
+    monkeypatch.setattr("smith_tate.random_instances.pupow", lambda k, x, p: (x % p,))
+    with pytest.raises(RuntimeError, match="alpha=1"):
+        random_floer_model(3, 4, deform=False)
