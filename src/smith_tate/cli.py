@@ -36,7 +36,12 @@ from .complexes import (
     ActionWindow,
     EquivariantComplex,
     Generator,
+    _coeff_map,
+    _frac_str,
+    _json_object,
     _strict_int,
+    _triplets_from_json,
+    _triplets_to_json,
     complex_from_json,
     complex_to_json,
     window_truncate,
@@ -87,10 +92,6 @@ _FAILURE_DISPLAY_CAP = 20
 
 # ---------------------------------------------------------------------------
 # JSON plumbing
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _jsonable(x):
@@ -154,8 +155,7 @@ def _digest_params(*parts) -> str:
 
 
 def _sigma_from_json(data) -> FpMatrix:
-    if not isinstance(data, dict):
-        raise MalformedInput("sigma JSON must be an object")
+    data = _json_object(data, "sigma")
     if "p" not in data or "size" not in data:
         raise MalformedInput("sigma JSON needs integer fields 'p' and 'size'")
     p = _strict_int(data["p"], "'p'")
@@ -163,23 +163,11 @@ def _sigma_from_json(data) -> FpMatrix:
     _check_matrix_prime(p)
     if n < 0:
         raise MalformedInput("'size' must be nonnegative")
-    trips = data.get("matrix", [])
-    if not isinstance(trips, list):
-        raise MalformedInput("'matrix' must be a list of [row, col, value] triplets")
-    a = np.zeros((n, n), dtype=np.int64)
-    for t in trips:
-        if not isinstance(t, list) or len(t) != 3:
-            raise MalformedInput(f"bad matrix triplet: {t!r}")
-        r, c, v = (_strict_int(x, "matrix triplet entry") for x in t)
-        if not (0 <= r < n and 0 <= c < n):
-            raise MalformedInput(f"matrix triplet out of range: {t!r}")
-        a[r, c] = v % p
-    return FpMatrix(a, p)
+    return FpMatrix(_triplets_from_json(data.get("matrix", []), n, p), p)
 
 
 def _sigma_to_json(m: FpMatrix) -> dict:
-    trips = [[int(r), int(c), int(m.a[r, c])] for r, c in zip(*np.nonzero(m.a))]
-    return {"p": m.p, "size": m.rows, "matrix": trips}
+    return {"p": m.p, "size": m.rows, "matrix": _triplets_to_json(m.a)}
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +467,7 @@ def _check_sigma_decomposition(payload):
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
     gens = [Generator(f"v{i}", 0) for i in range(n)]
-    sigma_map = {
-        gens[c].id: {gens[r].id: int(s.a[r, c]) for r in np.nonzero(s.a[:, c])[0]}
-        for c in range(n)
-    }
-    V = EquivariantComplex(s.p, gens, {}, sigma_map)
+    V = EquivariantComplex(s.p, gens, {}, _coeff_map(s.a, [g.id for g in gens]))
     direct_tate = tate_cohomology_dims(V)
     ok = (
         invariant == direct_invariant

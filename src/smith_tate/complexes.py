@@ -102,6 +102,37 @@ def _strict_int(v, what: str) -> int:
     raise MalformedInput(f"{what} must be an integer, got {v!r}")
 
 
+def _triplets_from_json(trips, n: int, p: int) -> np.ndarray:
+    """The n x n matrix over F_p of a JSON list of sparse [row, col, value]
+    triplets, each a 3-element list; a repeated (row, col) keeps its last value."""
+    if not isinstance(trips, list):
+        raise MalformedInput(f"a matrix must be a list of [row, col, value] triplets, got {trips!r}")
+    a = np.zeros((n, n), dtype=np.int64)
+    for t in trips:
+        if not isinstance(t, list) or len(t) != 3:
+            raise MalformedInput(f"bad matrix triplet: {t!r}")
+        r, c, v = (_strict_int(x, "matrix triplet entry") for x in t)
+        if not (0 <= r < n and 0 <= c < n):
+            raise MalformedInput(f"matrix triplet out of range: {t!r}")
+        a[r, c] = v % p
+    return a
+
+
+def _triplets_to_json(a: np.ndarray) -> list[list[int]]:
+    """The nonzero entries of a as [row, col, value] triplets in row-major order."""
+    return [[int(r), int(c), int(a[r, c])] for r, c in zip(*np.nonzero(a))]
+
+
+def _coeff_map(m: np.ndarray, ids: list[str]) -> CoeffMap:
+    """{source id: {target id: coefficient}} of a square matrix whose rows
+    and columns follow ids; a zero column gets no entry."""
+    out: CoeffMap = {}
+    cols, rows = np.nonzero(m.T)
+    for c, r, v in zip(cols.tolist(), rows.tolist(), m[rows, cols].tolist()):
+        out.setdefault(ids[c], {})[ids[r]] = v
+    return out
+
+
 def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMap:
     out: CoeffMap = {}
     for src, row in raw.items():
@@ -200,39 +231,40 @@ class ChainComplex:
     def index_of(self, gid: str) -> int:
         return self._index[gid]
 
-    def d_block(self, k: int) -> FpMatrix:
-        """Matrix of d from degree k to degree k+1 in stored generator order."""
-        if k in self._block_cache:
-            return self._block_cache[k]
-        src = self._deg_index.get(k, [])
-        tgt = self._deg_index.get(k + 1, [])
+    def _coeff_matrix(self, coeffs: CoeffMap, src, tgt, *, sigma: bool = False) -> np.ndarray:
+        """Dense matrix of a coefficient map from the generators at indices
+        src to those at indices tgt; entries outside tgt are dropped.
+
+        With sigma, a generator without a row is fixed and an entry outside
+        tgt raises InvalidComplex: sigma must keep each degree.
+        """
         pos = {idx: r for r, idx in enumerate(tgt)}
         a = np.zeros((len(tgt), len(src)), dtype=np.int64)
         for c, i in enumerate(src):
-            row = self.differential.get(self.generators[i].id)
-            if not row:
+            g = self.generators[i]
+            row = coeffs.get(g.id)
+            if row is None:
+                if sigma:
+                    a[pos[i], c] = 1
                 continue
             for tid, coeff in row.items():
                 r = pos.get(self._index[tid])
                 if r is not None:
                     a[r, c] = coeff
-        m = FpMatrix(a, self.p)
-        self._block_cache[k] = m
-        return m
+                elif sigma:
+                    raise InvalidComplex(f"sigma({g.id}) leaves degree {g.degree}")
+        return a
+
+    def d_block(self, k: int) -> FpMatrix:
+        """Matrix of d from degree k to degree k+1 in stored generator order."""
+        if k not in self._block_cache:
+            a = self._coeff_matrix(self.differential, self._deg_index.get(k, []), self._deg_index.get(k + 1, []))
+            self._block_cache[k] = FpMatrix(a, self.p)
+        return self._block_cache[k]
 
     def matrix_in_order(self, order: list[int]) -> FpMatrix:
         """Full differential matrix with rows/columns indexed by `order`."""
-        pos = {idx: r for r, idx in enumerate(order)}
-        a = np.zeros((len(order), len(order)), dtype=np.int64)
-        for c, i in enumerate(order):
-            row = self.differential.get(self.generators[i].id)
-            if not row:
-                continue
-            for tid, coeff in row.items():
-                j = self._index[tid]
-                if j in pos:
-                    a[pos[j], c] = coeff
-        return FpMatrix(a, self.p)
+        return FpMatrix(self._coeff_matrix(self.differential, order, order), self.p)
 
     # -- homology ----------------------------------------------------------
 
@@ -319,25 +351,17 @@ class EquivariantComplex(ChainComplex):
                 raise InvalidComplex("; ".join(report.violations))
 
     def sigma_block(self, k: int) -> FpMatrix:
-        if k in self._sigma_cache:
-            return self._sigma_cache[k]
-        idx = self._deg_index.get(k, [])
-        pos = {i: r for r, i in enumerate(idx)}
-        a = np.zeros((len(idx), len(idx)), dtype=np.int64)
-        for r, i in enumerate(idx):
-            gid = self.generators[i].id
-            row = self.sigma.get(gid)
-            if row is None:
-                a[r, r] = 1
-                continue
-            for tid, coeff in row.items():
-                j = self._index[tid]
-                if j not in pos:
-                    raise InvalidComplex(f"sigma({gid}) leaves degree {k}")
-                a[pos[j], r] = coeff
-        m = FpMatrix(a, self.p)
-        self._sigma_cache[k] = m
-        return m
+        """Matrix of sigma on degree k; raises InvalidComplex when sigma
+        leaves the degree."""
+        if k not in self._sigma_cache:
+            idx = self._deg_index.get(k, [])
+            self._sigma_cache[k] = FpMatrix(self._coeff_matrix(self.sigma, idx, idx, sigma=True), self.p)
+        return self._sigma_cache[k]
+
+    def sigma_matrix(self) -> FpMatrix:
+        """Matrix of sigma on all generators in stored order."""
+        order = range(self.dim())
+        return FpMatrix(self._coeff_matrix(self.sigma, order, order, sigma=True), self.p)
 
     def norm_block(self, k: int) -> FpMatrix:
         """1 + sigma + ... + sigma^(p-1) in degree k."""
@@ -501,20 +525,35 @@ def window_truncate(V: ChainComplex, window: ActionWindow):
 # JSON
 
 
+def _frac_str(x: Fraction) -> str:
+    """An exact rational as the "num/den" string that reports and barcode JSON use."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _json_object(data, what: str) -> dict:
+    """data as a dict, parsing it first when it is JSON text."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as e:
+            raise MalformedInput(f"invalid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{what} JSON must be an object")
+    return data
+
+
 def _action_to_json(a: Fraction) -> dict:
     return {"num": a.numerator, "den": a.denominator}
 
 
 def _action_from_json(v) -> Fraction:
-    if isinstance(v, bool):
-        raise MalformedInput("action must be a number or {num, den}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, dict) and set(v) <= {"num", "den"}:
-        try:
-            return Fraction(int(v["num"]), int(v.get("den", 1)))
-        except (KeyError, ZeroDivisionError, ValueError) as e:
-            raise MalformedInput(f"bad action fraction: {v!r}") from e
+    if isinstance(v, dict) and "num" in v and set(v) <= {"num", "den"}:
+        num = _strict_int(v["num"], "action 'num'")
+        den = _strict_int(v.get("den", 1), "action 'den'")
+        if den:
+            return Fraction(num, den)
     raise MalformedInput(f"bad action value: {v!r}")
 
 
@@ -541,13 +580,7 @@ def complex_from_json(data, *, expect: str | None = None):
     gives an EquivariantComplex, "filtered": true a FilteredComplex);
     passing "chain", "equivariant", or "filtered" forces one.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise MalformedInput(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise MalformedInput("complex JSON must be an object")
+    data = _json_object(data, "complex")
     if "p" not in data or "generators" not in data:
         raise MalformedInput("complex JSON needs integer 'p' and 'generators'")
     p = _strict_int(data["p"], "'p'")

@@ -15,7 +15,8 @@ class NotPrime(SmithTateError):
 
 
 class PrimeTooLarge(SmithTateError):
-    """A prime is too large for exact int64 matrix arithmetic or primality testing."""
+    """A prime is too large for exact int64 matrix arithmetic, primality
+    testing, or the p-linear work of the Morse model."""
 
 
 class NotNilpotent(SmithTateError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ActionWindow, ChainComplex, _strict_int
+from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _strict_int
 from .errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -109,9 +109,6 @@ class Barcode:
         self.bars: tuple[Bar, ...] = tuple(
             Bar(s, e, m) for (s, e), m in sorted(merged.items(), key=lambda kv: key(kv[0]))
         )
-
-    def __len__(self) -> int:
-        return sum(b.multiplicity for b in self.bars)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Barcode) and self.p == other.p and self.bars == other.bars
@@ -439,13 +436,14 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
     events = sorted(set(b1.endpoints()) | {e / p for e in bp.endpoints()})
     probes = _midpoint_probes(events)
     n = len(probes)
-    dtype = np.int64 if max(sum(bar.multiplicity for bar in b.bars) for b in (b1, bp)) < 2**61 else object
+    stats1, statsp = bar_stats(b1), bar_stats(bp)
+    bars = max(s.finite_count + s.infinite_count for s in (stats1, statsp))
+    dtype = np.int64 if bars < 2**61 else object
     c1 = _probe_counts(b1, probes, 1, dtype)
     cp = _probe_counts(bp, probes, p, dtype)
 
     m_failures = [(probes[k], int(c1.cover[k]), int(cp.cover[k])) for k in np.nonzero(c1.cover > cp.cover)[0]]
-    beta1 = bar_stats(b1).beta_tot
-    betap = bar_stats(bp).beta_tot
+    beta1, betap = stats1.beta_tot, statsp.beta_tot
     beta_direct_ok = betap >= p * beta1
     beta_integral_ok = _integrate_finite_count(bp) >= p * _integrate_finite_count(b1)
 
@@ -552,17 +550,13 @@ def gamma_beta_check(gamma, b: Barcode) -> bool:
 # JSON
 
 
-def _frac_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def barcode_to_json(b: Barcode) -> dict:
     return {
         "p": b.p,
         "bars": [
             {
-                "start": _frac_to_str(bar.start),
-                "end": None if bar.end is None else _frac_to_str(bar.end),
+                "start": _frac_str(bar.start),
+                "end": None if bar.end is None else _frac_str(bar.end),
                 "mult": bar.multiplicity,
             }
             for bar in b.bars
@@ -571,15 +565,9 @@ def barcode_to_json(b: Barcode) -> dict:
 
 
 def barcode_from_json(data) -> Barcode:
-    import json as _json
-
-    if isinstance(data, str):
-        try:
-            data = _json.loads(data)
-        except _json.JSONDecodeError as e:
-            raise MalformedInput(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict) or "p" not in data:
-        raise MalformedInput("barcode JSON must be an object with a 'p' key")
+    data = _json_object(data, "barcode")
+    if "p" not in data:
+        raise MalformedInput("barcode JSON needs a 'p' key")
     raw = data.get("bars", [])
     if not isinstance(raw, list):
         raise MalformedInput("'bars' must be a list")

@@ -20,13 +20,12 @@ from .complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
-    norm_matrix,
+    _coeff_map,
 )
 from .fp_core import FpMatrix, _row_reduce, rank
 from .persistence import Bar, Barcode, scale_barcode
-from .ratfun import poly_mat_add, poly_mat_coeff, poly_mat_max_degree, poly_mat_mul, pupow
 from .spectral import EquivariantFloerModel
-from .tate import _global_sigma
+from .tate import tate_blocks_at_one
 
 __all__ = [
     "random_free_equivariant",
@@ -76,14 +75,9 @@ def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
 
 
 def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    d = (pm @ cx.matrix_in_order(range(cx.dim())).a @ inv) % cx.p
-    ids = [g.id for g in cx.generators]
-    out: dict[str, dict[str, int]] = {}
-    for c in range(len(ids)):
-        col = {ids[r]: int(d[r, c]) for r in np.nonzero(d[:, c])[0]}
-        if col:
-            out[ids[c]] = col
-    return out
+    # reduce after each product: int64 holds n p^2 but not n^2 p^4 for p near 2^24
+    d = (pm @ cx.matrix_in_order(range(cx.dim())).a % cx.p @ inv) % cx.p
+    return _coeff_map(d, [g.id for g in cx.generators])
 
 
 # ---------------------------------------------------------------------------
@@ -406,57 +400,37 @@ def random_equivariant_filtered(
 
 def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> EquivariantFloerModel:
     """A valid equivariant model over a genuine base; with deform, the
-    default differential is conjugated by I + uR for a random R of degree
-    -2 strictly decreasing action, which plants higher parameter terms
-    while preserving all page dimensions over the Novikov variable."""
+    default differential is conjugated by Q = I + uR for a random R of
+    degree -2 strictly decreasing action, which plants higher parameter
+    terms while preserving all page dimensions over the Novikov variable.
+
+    uR has degree 0, so the conjugated differential is homogeneous and is
+    fixed by its value Q(1) M(1) Q(1)^-1 at u = 1 together with the
+    degrees: an entry (r, c) of the block theta^alpha -> theta^eps belongs
+    to the term d_alpha^i with i = 1 + alpha - (deg r - deg c), which
+    carries u^(i // 2) and has i = eps mod 2.  R strictly lowers action, so
+    the Neumann series for Q(1)^-1 terminates.
+    """
     rng = _rng(seed)
     base = random_equivariant_filtered(p, rng, **kwargs)
     n = base.dim()
-    d = base.matrix_in_order(range(n)).a
-    s = _global_sigma(base)
-    nm = norm_matrix(FpMatrix(s, p)).a
-
-    def as_poly(m, shift=0):
-        return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]
-
-    a0 = as_poly(d)
-    b0 = as_poly(nm, shift=1)
-    c0 = as_poly((np.eye(n, dtype=np.int64) - s) % p)
-    d0 = as_poly((-d) % p)
+    blocks = tate_blocks_at_one(base)
+    degs = np.array([g.degree for g in base.generators], dtype=np.int64)
     if deform and n:
-        degs = [g.degree for g in base.generators]
         acts = [g.action for g in base.generators]
-        r = np.zeros((n, n), dtype=np.int64)
+        r: dict[tuple[int, int], int] = {}
         for _ in range(2 * n):
             x, y = rng.randrange(n), rng.randrange(n)
             if degs[y] == degs[x] - 2 and acts[y] < acts[x]:
-                r[y, x] = rng.randrange(p)
-        ident = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
-        q = poly_mat_add(ident, as_poly(r, shift=1), p)
-        # Neumann series for the inverse; uR is nilpotent since R strictly
-        # decreases action
-        minus_ur = as_poly((-r) % p, shift=1)
-        qinv = ident
-        term = ident
-        while True:
-            term = poly_mat_mul(term, minus_ur, p)
-            if poly_mat_max_degree(term) < 0:
-                break
-            qinv = poly_mat_add(qinv, term, p)
-
-        def conj(mat):
-            return poly_mat_mul(poly_mat_mul(q, mat, p), qinv, p)
-
-        a0, b0, c0, d0 = conj(a0), conj(b0), conj(c0), conj(d0)
+                r[(y, x)] = rng.randrange(p)
+        q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
+        blocks = tuple((q @ m % p @ qinv) % p for m in blocks)
+    A, B, C, D = blocks  # 1 -> 1, theta -> 1, 1 -> theta, theta -> theta
     terms = {}
-    for mat, alpha, parity in ((a0, 0, 0), (c0, 0, 1), (d0, 1, 1), (b0, 1, 0)):
-        top = poly_mat_max_degree(mat)
-        for j in range(top + 1):
-            coeff = np.array(poly_mat_coeff(mat, j), dtype=np.int64) if n else np.zeros((0, 0), dtype=np.int64)
-            if not coeff.any():
-                continue
-            i = 2 * j + parity
-            terms[(i, alpha)] = coeff
+    for m, alpha in ((A, 0), (C, 0), (D, 1), (B, 1)):
+        slot = 1 + alpha - (degs[:, None] - degs[None, :])
+        for i in sorted(set(slot[m != 0].tolist())):
+            terms[(i, alpha)] = np.where(slot == i, m, 0)
     if (0, 1) in terms:
         raise RuntimeError("the conjugated differential has a term in the (i=0, alpha=1) slot")
     i_max = max((i for i, _ in terms), default=2)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over the polynomial ring F_p[u].
+"""Exact arithmetic over the polynomial ring F_p[u], for the Bareiss rank.
 
 Polynomials are tuples of residues indexed by u-exponent with no trailing
 zeros; () is the zero polynomial.  Polynomial matrices are lists of rows of
@@ -7,9 +7,10 @@ such tuples.
 bareiss_rank is the independent rank route over F_p(u): fraction-free
 (Bareiss) Gaussian elimination on a polynomial matrix, used by
 `tate_cohomology_dims(..., method="bareiss")` and by the tests as an
-oracle.  The default Tate route needs none of this: every block it ranks
-is homogeneous, so its rank over F_p((u)) is the F_p rank at u = 1 (see
-tate.tate_cohomology_dims).
+oracle.  Nothing else in the library computes over F_p[u]: every
+differential it builds is homogeneous, so Tate ranks are F_p ranks at
+u = 1 (see tate.tate_cohomology_dims) and the deformed models of
+random_instances.random_floer_model are conjugated at u = 1.
 """
 
 from __future__ import annotations
@@ -131,38 +132,6 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     return r
 
 
-def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]], p: int) -> list[list[Poly]]:
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0]) if mid else 0
-    out = [[() for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        arow = a[r]
-        for m in range(mid):
-            e = arow[m]
-            if not e:
-                continue
-            brow = b[m]
-            orow = out[r]
-            for c in range(cols):
-                if brow[c]:
-                    orow[c] = padd(orow[c], pmul(e, brow[c], p), p)
-    return out
-
-
-def poly_mat_add(a: list[list[Poly]], b: list[list[Poly]], p: int) -> list[list[Poly]]:
-    return [[padd(x, y, p) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def poly_mat_from_int(m, p: int, u_shift: int = 0) -> list[list[Poly]]:
     """Integer matrix -> poly matrix with every entry multiplied by u^u_shift."""
     return [[pupow(u_shift, int(v), p) if int(v) % p else () for v in row] for row in m]
-
-
-def poly_mat_coeff(a: list[list[Poly]], k: int) -> list[list[int]]:
-    """Coefficient of u^k entrywise, as a plain integer matrix."""
-    return [[(e[k] if k < len(e) else 0) for e in row] for row in a]
-
-
-def poly_mat_max_degree(a: list[list[Poly]]) -> int:
-    return max((len(e) - 1 for row in a for e in row if e), default=-1)

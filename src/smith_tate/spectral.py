@@ -34,7 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, FilteredComplex, norm_matrix
+from .complexes import (
+    ChainComplex,
+    EquivariantComplex,
+    FilteredComplex,
+    _coeff_map,
+    _json_object,
+    _strict_int,
+    _triplets_from_json,
+    _triplets_to_json,
+    complex_from_json,
+    complex_to_json,
+)
 from .errors import (
     FiltrationViolation,
     InvalidComplex,
@@ -46,9 +57,9 @@ from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_di
 from .persistence import persistence_pairing
 from .tate import (
     _degree_violation,
-    _global_sigma,
     blocks_square_zero,
     parity_dims_at_one,
+    tate_blocks_at_one,
 )
 
 __all__ = [
@@ -178,15 +189,8 @@ class EquivariantFloerModel:
         self.base = base
         self.p = base.p
         n = base.dim()
-        d = base.matrix_in_order(range(n)).a
-        s = _global_sigma(base)
-        nm = norm_matrix(FpMatrix(s, self.p)).a
-        terms: dict[tuple[int, int], np.ndarray] = {
-            (0, 0): d,
-            (1, 0): (np.eye(n, dtype=np.int64) - s) % self.p,
-            (1, 1): (-d) % self.p,
-            (2, 1): nm,
-        }
+        A, B, C, D = tate_blocks_at_one(base)
+        terms: dict[tuple[int, int], np.ndarray] = {(0, 0): A, (1, 0): C, (1, 1): D, (2, 1): B}
         supplied = d_terms or {}
         for (i, alpha), m in supplied.items():
             if alpha not in (0, 1) or i < 0:
@@ -313,19 +317,6 @@ class AlgebraicSSPages:
         return self.einf_dims[0] + self.einf_dims[1]
 
 
-def _complex_from_matrix(base: ChainComplex, m: np.ndarray, sign: int = 1) -> ChainComplex:
-    """Chain complex on the same generators with differential matrix m."""
-    p = base.p
-    ids = [g.id for g in base.generators]
-    diff: dict[str, dict[str, int]] = {}
-    mm = (sign * m) % p
-    for c in range(len(ids)):
-        col = {ids[r]: int(mm[r, c]) for r in np.nonzero(mm[:, c])[0]}
-        if col:
-            diff[ids[c]] = col
-    return ChainComplex(p, list(base.generators), diff)
-
-
 def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     """E_1, E_2 and E_infinity of the u-filtration, with the dimension bound.
 
@@ -340,8 +331,9 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     p = model.p
     base = model.base
     n = base.dim()
-    even_cx = _complex_from_matrix(base, model.term(0, 0))
-    odd_cx = _complex_from_matrix(base, model.term(1, 1))
+    ids = [g.id for g in base.generators]
+    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids))
+    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids))
     d10 = model.term(1, 0)
     d21 = model.term(2, 1)
     e1_even = even_cx.homology_dims()
@@ -386,9 +378,10 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     bound = einf[0] <= e2_even_total and einf[1] <= e2_odd_total
     sigma_module = None
     sigma_tate = None
-    s = _global_sigma(base)
+    sigma = base.sigma_matrix()
+    s = sigma.a
     d00 = model.term(0, 0)
-    order_p = FpMatrix(s, p).power(p) == FpMatrix.identity(n, p) if n else True
+    order_p = sigma.power(p) == FpMatrix.identity(n, p) if n else True
     if order_p and ((s @ d00 - d00 @ s) % p == 0).all():
         # sigma descends to H(d_0^0); decompose the induced module
         blocks = []
@@ -430,38 +423,21 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
 
 
 def model_to_json(model: EquivariantFloerModel) -> dict:
-    from .complexes import complex_to_json
-
     out = complex_to_json(model.base)
     out["i_max"] = model.i_max
     out["d_terms"] = [
-        {
-            "i": i,
-            "alpha": alpha,
-            "matrix": [[int(r), int(c), int(m[r, c])] for r, c in zip(*np.nonzero(m))],
-        }
+        {"i": i, "alpha": alpha, "matrix": _triplets_to_json(m)}
         for (i, alpha), m in sorted(model.terms.items())
     ]
     return out
 
 
 def model_from_json(data) -> EquivariantFloerModel:
-    import json as _json
-
-    from .complexes import _strict_int, complex_from_json
-
-    if isinstance(data, str):
-        try:
-            data = _json.loads(data)
-        except _json.JSONDecodeError as e:
-            raise MalformedInput(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise MalformedInput("model JSON must be an object")
+    data = _json_object(data, "model")
     base = complex_from_json(
         {k: v for k, v in data.items() if k not in ("d_terms", "i_max", "filtered")},
         expect="equivariant",
     )
-    n = base.dim()
     terms: dict[tuple[int, int], np.ndarray] = {}
     raw = data.get("d_terms", [])
     if not isinstance(raw, list):
@@ -470,18 +446,7 @@ def model_from_json(data) -> EquivariantFloerModel:
         if not isinstance(item, dict) or "i" not in item or "alpha" not in item:
             raise MalformedInput(f"bad d_term entry: {item!r}")
         i, alpha = _strict_int(item["i"], "d_term 'i'"), _strict_int(item["alpha"], "d_term 'alpha'")
-        m = np.zeros((n, n), dtype=np.int64)
-        trips = item.get("matrix", [])
-        if not isinstance(trips, list):
-            raise MalformedInput(f"d_term matrix must be a list of triplets: {trips!r}")
-        for trip in trips:
-            if not isinstance(trip, (list, tuple)) or len(trip) != 3:
-                raise MalformedInput(f"bad matrix triplet: {trip!r}")
-            r, c, v = (_strict_int(x, "matrix triplet entry") for x in trip)
-            if not (0 <= r < n and 0 <= c < n):
-                raise MalformedInput(f"triplet index out of range: {trip!r}")
-            m[r, c] = v % base.p
-        terms[(i, alpha)] = m
+        terms[(i, alpha)] = _triplets_from_json(item.get("matrix", []), base.dim(), base.p)
     i_max = data.get("i_max")
     if i_max is None:
         # the JSON wire format may omit i_max; infer the smallest consistent

@@ -103,23 +103,6 @@ class RpElement:
 
 
 # ---------------------------------------------------------------------------
-# global matrices
-
-
-def _global_sigma(V: EquivariantComplex) -> np.ndarray:
-    n = V.dim()
-    a = np.zeros((n, n), dtype=np.int64)
-    for i, g in enumerate(V.generators):
-        row = V.sigma.get(g.id)
-        if row is None:
-            a[i, i] = 1
-        else:
-            for tgt, coeff in row.items():
-                a[V.index_of(tgt), i] = coeff
-    return a
-
-
-# ---------------------------------------------------------------------------
 # the Tate complex
 
 
@@ -133,7 +116,8 @@ def _degree_violation(m: np.ndarray, degrees: np.ndarray, shift: int) -> tuple[i
 
 def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     """Blocks (A, B, C, D) of d-hat at u = 1: d, N (which carries u),
-    1 - sigma and -d.
+    1 - sigma and -d.  Group cohomology and the default terms of
+    equivariant models take their maps from here too.
 
     Raises InvalidComplex unless d raises degree by 1 and sigma and N
     preserve it, the homogeneity every u = 1 computation relies on; a
@@ -142,8 +126,9 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     p = V.p
     n = V.dim()
     d = V.matrix_in_order(range(n)).a
-    s = _global_sigma(V)
-    nm = norm_matrix(FpMatrix(s, p)).a
+    sigma = V.sigma_matrix()
+    s = sigma.a
+    nm = norm_matrix(sigma).a
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
     for what, m, shift in (("d", d, 1), ("sigma", s, 0), ("N", nm, 0)):
         bad = _degree_violation(m, degrees, shift)
@@ -289,11 +274,7 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
     p = V.p
-    n = V.dim()
-    s = _global_sigma(V)
-    one_minus = (np.eye(n, dtype=np.int64) - s) % p
-    nm = norm_matrix(FpMatrix(s, p)).a
-    d = V.matrix_in_order(range(n)).a
+    d, nm, one_minus, _ = tate_blocks_at_one(V)
     by_degree = {k: V.degree_indices(k) for k in degs}
 
     def slots(k: int) -> list[tuple[int, int]]:

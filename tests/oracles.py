@@ -3,13 +3,18 @@
 The library takes Tate ranks and square-zero checks at u = 1, which is
 exact only because every differential it sees is homogeneous.  The
 polynomial helpers redo the same computations over F_p[u] entry by entry,
-with no use of the grading.  The library counts the action spectral
+with no use of the grading; random_floer_model_over_polynomials deforms
+the equivariant model by conjugating its polynomial blocks, where the
+library conjugates at u = 1 and reads the u-powers off the degrees.
+coeff_matrix_by_entries builds the dense matrix of a coefficient map one
+entry at a time.  The library counts the action spectral
 sequence from the persistence pairing; subquotient_pages builds the same
 pages from the subquotient formula.  The library counts every iterate
 window from prefix sums over probe indices; smith_barcode_check_per_window
 counts each window by window_dim and integrates m(t) region by region.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +22,88 @@ import numpy as np
 from smith_tate.complexes import ActionWindow
 from smith_tate.fp_core import FpMatrix, rref
 from smith_tate.persistence import SmithBarcodeReport, _midpoint_probes, bar_stats, finite_bar_count_at, window_dim
-from smith_tate.ratfun import bareiss_rank, padd, poly_mat_mul, pupow
+from smith_tate.random_instances import random_equivariant_filtered
+from smith_tate.ratfun import bareiss_rank, padd, pmul, pupow
+from smith_tate.spectral import EquivariantFloerModel
 from smith_tate.tate import assemble_parity_blocks
+
+
+def poly_mat_mul(a, b, p: int):
+    """Product of two polynomial matrices over F_p[u]."""
+    rows, mid = len(a), len(b)
+    cols = len(b[0]) if mid else 0
+    out = [[() for _ in range(cols)] for _ in range(rows)]
+    for r in range(rows):
+        for m in range(mid):
+            if a[r][m]:
+                for c in range(cols):
+                    if b[m][c]:
+                        out[r][c] = padd(out[r][c], pmul(a[r][m], b[m][c], p), p)
+    return out
+
+
+def coeff_matrix_by_entries(cx, coeffs, src, tgt, *, sigma: bool = False) -> np.ndarray:
+    """Entry (r, c) is the coefficient of generator tgt[r] in the image of
+    generator src[c]; with sigma, a generator without an image is fixed."""
+    a = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    for c, i in enumerate(src):
+        image = coeffs.get(cx.generators[i].id)
+        for r, j in enumerate(tgt):
+            if image is not None:
+                a[r, c] = image.get(cx.generators[j].id, 0)
+            elif sigma and i == j:
+                a[r, c] = 1
+    return a
+
+
+def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwargs):
+    """random_floer_model with its blocks d, uN, 1 - sigma, -d conjugated
+    by I + uR over F_p[u], and each coefficient of u^j of a block read off
+    as the term of slot 2j + (target theta exponent)."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    base = random_equivariant_filtered(p, rng, **kwargs)
+    n = base.dim()
+    every = range(n)
+    d = coeff_matrix_by_entries(base, base.differential, every, every)
+    s = coeff_matrix_by_entries(base, base.sigma, every, every, sigma=True)
+    nm, power = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(p):
+        nm, power = (nm + power) % p, (power @ s) % p
+
+    def as_poly(m, shift=0):
+        return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]
+
+    def add(a, b):
+        return [[padd(x, y, p) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def top_degree(a):
+        return max((len(e) - 1 for row in a for e in row if e), default=-1)
+
+    a0, b0 = as_poly(d), as_poly(nm, shift=1)
+    c0, d0 = as_poly((np.eye(n, dtype=np.int64) - s) % p), as_poly((-d) % p)
+    if deform and n:
+        degs = [g.degree for g in base.generators]
+        acts = [g.action for g in base.generators]
+        r = np.zeros((n, n), dtype=np.int64)
+        for _ in range(2 * n):
+            x, y = rng.randrange(n), rng.randrange(n)
+            if degs[y] == degs[x] - 2 and acts[y] < acts[x]:
+                r[y, x] = rng.randrange(p)
+        ident = as_poly(np.eye(n, dtype=np.int64))
+        q = add(ident, as_poly(r, shift=1))
+        minus_ur = as_poly((-r) % p, shift=1)
+        qinv, term = ident, ident
+        while top_degree(term := poly_mat_mul(term, minus_ur, p)) >= 0:
+            qinv = add(qinv, term)
+        a0, b0, c0, d0 = (poly_mat_mul(poly_mat_mul(q, m, p), qinv, p) for m in (a0, b0, c0, d0))
+    terms = {}
+    for mat, alpha, parity in ((a0, 0, 0), (c0, 0, 1), (d0, 1, 1), (b0, 1, 0)):
+        for j in range(top_degree(mat) + 1):
+            coeff = np.array([[e[j] if j < len(e) else 0 for e in row] for row in mat], dtype=np.int64)
+            if coeff.any():
+                terms[(2 * j + parity, alpha)] = coeff
+    i_max = max((i for i, _ in terms), default=2)
+    return EquivariantFloerModel(base, terms, max(2, i_max))
 
 
 def model_poly_blocks(model):

@@ -395,6 +395,16 @@ class TestMorseConstantsCommand:
         assert code == 2
         assert "NotPrime" in err
 
+    @pytest.mark.parametrize("p", [10007, 1000003])
+    def test_prime_above_budget_is_an_error(self, run, p):
+        # the resolution's dense p x p blocks would need gigabytes at p = 10007
+        t0 = time.perf_counter()
+        code, out, err = run(["morse-constants", "-p", str(p), "--json"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PrimeTooLarge:")
+
 
 class TestErrorPaths:
     def test_unknown_command(self, run):
@@ -425,10 +435,10 @@ class TestErrorPaths:
         assert "line 2" in err and "column" in err
 
 
-def _edge(degree_a=0, degree_b=1, coeff=1, sigma=None):
+def _edge(degree_a=0, degree_b=1, coeff=1, sigma=None, action_a=0):
     return {
         "p": 3,
-        "generators": [{"id": "a", "degree": degree_a}, {"id": "b", "degree": degree_b}],
+        "generators": [{"id": "a", "degree": degree_a, "action": action_a}, {"id": "b", "degree": degree_b}],
         "differential": {"a": {"b": coeff}},
         "sigma": sigma or {},
     }
@@ -448,9 +458,14 @@ class TestStrictIntegers:
             _edge(coeff="1"),
             _edge(sigma={"a": {"a": None}}),
             {**_edge(), "p": 3.5},
+            _edge(action_a={"num": 1.5, "den": 2}),
+            _edge(action_a={"num": "7"}),
+            _edge(action_a={"num": True, "den": 3}),
+            _edge(action_a={"num": 1, "den": "2"}),
         ],
         ids=["fractional-degree", "null-coeff", "bool-coeff", "float-coeff", "string-coeff",
-             "null-sigma-coeff", "fractional-p"],
+             "null-sigma-coeff", "fractional-p", "fractional-action-num", "string-action-num",
+             "bool-action-num", "string-action-den"],
     )
     def test_rejected(self, run, tmp_path, data):
         code, out, err = run(["tate", "--input", write_json(tmp_path / "in.json", data), "--json"])

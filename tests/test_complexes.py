@@ -33,7 +33,10 @@ from smith_tate.random_instances import (
     random_chain_complex,
     random_equivariant_filtered,
     random_filtered_complex,
+    random_free_equivariant,
 )
+
+from oracles import coeff_matrix_by_entries
 
 
 def free_orbit(p, degree=0, action=0):
@@ -431,3 +434,63 @@ def test_homology_of_unchecked_complex_without_square_zero_raises():
     cx = ChainComplex(3, gens, {"x": {"y": 1}, "y": {"z": 1}}, check=False)
     with pytest.raises(NotSquareZero, match="kernel of d\\^1"):
         cx.homology_dims()
+
+
+def _unchecked_equivariant(p, seed):
+    """An unchecked complex whose d and sigma may hit any generator."""
+    rng = random.Random(seed)
+    gens = [Generator(f"g{i}", rng.randint(-1, 2)) for i in range(rng.randint(1, 7))]
+
+    def coeffs():
+        return {
+            g.id: {h.id: rng.randrange(1, p) for h in gens if rng.random() < 0.3}
+            for g in gens
+            if rng.random() < 0.7
+        }
+
+    return EquivariantComplex(p, gens, coeffs(), coeffs(), check=False)
+
+
+def test_operator_matrices_match_entry_by_entry_loop():
+    """d_block, sigma_block, matrix_in_order and sigma_matrix against a
+    plain loop over entries, with sigma_block refusing a sigma that
+    leaves its degree."""
+    leaving = 0
+    for p in (2, 3, 5, 7):
+        for seed in range(25):
+            rng = random.Random(seed)
+            for V in (
+                random_equivariant_filtered(p, seed),
+                random_free_equivariant(p, seed),
+                _unchecked_equivariant(p, seed),
+            ):
+                n = V.dim()
+                order = rng.sample(range(n), rng.randint(0, n))
+                want = coeff_matrix_by_entries(V, V.differential, order, order)
+                assert V.matrix_in_order(order).a.tolist() == want.tolist()
+                want = coeff_matrix_by_entries(V, V.sigma, range(n), range(n), sigma=True)
+                assert V.sigma_matrix().a.tolist() == want.tolist()
+                for k in range(min(V.degrees()) - 1, max(V.degrees()) + 2):
+                    idx = V.degree_indices(k)
+                    want = coeff_matrix_by_entries(V, V.differential, idx, V.degree_indices(k + 1))
+                    assert V.d_block(k).a.tolist() == want.tolist()
+                    images = [V.sigma.get(V.generators[i].id, {}) for i in idx]
+                    if any(V.generator(t).degree != k for image in images for t in image):
+                        leaving += 1
+                        with pytest.raises(InvalidComplex, match=f"leaves degree {k}"):
+                            V.sigma_block(k)
+                    else:
+                        want = coeff_matrix_by_entries(V, V.sigma, idx, idx, sigma=True)
+                        assert V.sigma_block(k).a.tolist() == want.tolist()
+    assert leaving > 10
+
+
+def test_random_complexes_at_the_largest_matrix_prime():
+    """The conjugating products are reduced one at a time: unreduced, they
+    overflow int64 near p = 2^24 and this seed's differential stopped
+    squaring to zero."""
+    p = 16777213
+    for seed in (163, 164):
+        fc = random_filtered_complex(p, seed, max_gens=20)
+        assert not fc.action_violations()
+        random_chain_complex(p, seed, max_dim=8)

@@ -4,9 +4,10 @@ import cmath
 
 import pytest
 
-from smith_tate.errors import MalformedInput, NotPrime
+from smith_tate.errors import MalformedInput, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import FpScalar
 from smith_tate.morse_bzp import (
+    MORSE_PRIME_BOUND,
     CriticalPoint,
     enumerate_critical_points,
     local_euler_constant,
@@ -114,3 +115,24 @@ class TestEulerConstant:
     def test_negative_n_rejected(self):
         with pytest.raises(MalformedInput):
             local_euler_constant(-1, 3)
+
+
+class TestPrimeBudget:
+    def test_every_function_refuses_primes_from_the_bound(self):
+        assert MORSE_PRIME_BOUND == 256
+        for call in (
+            lambda p: enumerate_critical_points(p, 1),
+            lambda p: resolution_homology(p, 6),
+            wilson_constant,
+            lambda p: local_euler_constant(1, p),
+        ):
+            for p in (257, 10007, 1000003):
+                with pytest.raises(PrimeTooLarge, match="below 256"):
+                    call(p)
+            with pytest.raises(NotPrime):
+                call(255)
+
+    def test_largest_prime_below_the_bound_accepted(self):
+        assert wilson_constant(251).value == 250
+        assert local_euler_constant(2, 251).sign.value == 1
+        assert len(enumerate_critical_points(251, 0)) == 502

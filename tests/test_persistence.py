@@ -432,6 +432,14 @@ def test_iterate_check_counts_exactly_at_huge_multiplicity(big):
     assert report.m_failures[0] == (Fraction(1, 4), big, big - 1)
 
 
+def test_bar_stats_count_exactly_at_huge_multiplicity():
+    big = 2**70
+    stats = bar_stats(Barcode(3, [Bar(0, 2, big), Bar(1, 2, 3), Bar(1, None, big + 1)]))
+    assert (stats.finite_count, stats.infinite_count, stats.total_count) == (big + 3, big + 1, 3 * big + 7)
+    assert stats.beta_tot == 2 * big + 3
+    assert all(type(v) is int for v in (stats.finite_count, stats.infinite_count, stats.total_count))
+
+
 def test_iterate_check_on_empty_barcodes():
     report = _assert_same_report(Barcode(3, []), Barcode(3, []), 3)
     assert report.ok

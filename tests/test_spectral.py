@@ -33,9 +33,9 @@ from smith_tate.spectral import (
     model_from_json,
     model_to_json,
 )
-from smith_tate.tate import tate_cohomology_dims
+from smith_tate.tate import tate_blocks_at_one, tate_cohomology_dims
 
-from oracles import model_poly_route, subquotient_pages
+from oracles import model_poly_route, random_floer_model_over_polynomials, subquotient_pages
 
 
 def free_orbit(p, degree=0):
@@ -356,9 +356,37 @@ def test_equal_action_differential_rejected():
         action_ss_pages(unchecked)
 
 
+def test_random_model_matches_polynomial_conjugation():
+    """Fixed-seed differential check of the deformation at u = 1 against
+    the conjugation by I + uR over F_p[u]: same terms, in the same order.
+    The second sweep packs the degrees closer, so that more models get
+    terms above the defaults."""
+    deformed = 0
+    for p in (2, 3, 5, 7):
+        for kwargs, seeds in (({}, 100), ({"degree_lo": 0, "degree_hi": 2, "max_trivial": 6}, 50)):
+            for seed in range(seeds):
+                for deform in (True, False):
+                    model = random_floer_model(p, seed, deform=deform, **kwargs)
+                    expected = random_floer_model_over_polynomials(p, seed, deform=deform, **kwargs)
+                    assert model_to_json(model) == model_to_json(expected), (p, seed, deform)
+                    assert model.i_max == expected.i_max, (p, seed, deform)
+                    assert list(model.terms) == list(expected.terms), (p, seed, deform)
+                    deformed += model.i_max > 2
+    assert deformed >= 50
+
+
 def test_random_model_checks_the_theta_slot(monkeypatch):
     assert (0, 1) not in random_floer_model(3, 4, deform=False).terms
-    # a pupow that drops the u-shift puts the norm block at u^0
-    monkeypatch.setattr("smith_tate.random_instances.pupow", lambda k, x, p: (x % p,))
+    # a norm block entry that raises degree by 2 belongs to slot i = 0
+    base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 2)], {}, {})
+
+    def blocks(V):
+        A, B, C, D = tate_blocks_at_one(V)
+        B = B.copy()
+        B[1, 0] = 1
+        return A, B, C, D
+
+    monkeypatch.setattr("smith_tate.random_instances.random_equivariant_filtered", lambda p, rng, **kw: base)
+    monkeypatch.setattr("smith_tate.random_instances.tate_blocks_at_one", blocks)
     with pytest.raises(RuntimeError, match="alpha=1"):
         random_floer_model(3, 4, deform=False)

@@ -114,10 +114,14 @@ class TestTateDims:
             tate_cohomology_dims(flat_d)
         with pytest.raises(InvalidComplex):
             TateComplexView(flat_d)
+        with pytest.raises(InvalidComplex):
+            group_cohomology_dims(flat_d)
         gens = [Generator("a", 0), Generator("b", 1)]
         shifting_sigma = EquivariantComplex(3, gens, {}, {"a": {"b": 1}}, check=False)
         with pytest.raises(InvalidComplex):
             tate_cohomology_dims(shifting_sigma)
+        with pytest.raises(InvalidComplex):
+            group_cohomology_dims(shifting_sigma)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
