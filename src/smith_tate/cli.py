@@ -132,6 +132,8 @@ def _load_json(path: str):
         raise MalformedInput(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise MalformedInput(f"{path}: JSON nested too deeply") from e
 
 
 def _digest_files(*paths: str) -> str:

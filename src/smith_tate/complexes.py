@@ -537,6 +537,8 @@ def _json_object(data, what: str) -> dict:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise MalformedInput(f"invalid JSON: {e}") from e
+        except RecursionError as e:
+            raise MalformedInput("invalid JSON: nested too deeply") from e
     if not isinstance(data, dict):
         raise MalformedInput(f"{what} JSON must be an object")
     return data

@@ -151,13 +151,6 @@ class FpMatrix:
     def identity(n: int, p: int) -> "FpMatrix":
         return FpMatrix(np.eye(n, dtype=np.int64), p)
 
-    @staticmethod
-    def from_triplets(rows: int, cols: int, triplets, p: int) -> "FpMatrix":
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for i, j, v in triplets:
-            a[i, j] = (a[i, j] + v) % p
-        return FpMatrix(a, p)
-
     # -- shape / access ----------------------------------------------
 
     @property
@@ -167,9 +160,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def entry(self, i: int, j: int) -> FpScalar:
-        return FpScalar(int(self.a[i, j]), self.p)
 
     def column(self, j: int) -> np.ndarray:
         return self.a[:, j].copy()
@@ -212,9 +202,6 @@ class FpMatrix:
         self._same(other)
         return FpMatrix(self.a @ other.a, self.p)
 
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.a * (c % self.p), self.p)
-
     def power(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -227,18 +214,8 @@ class FpMatrix:
             k >>= 1
         return out
 
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.a.T, self.p)
-
     def mul_vec(self, v: np.ndarray) -> np.ndarray:
         return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
-
-    def submatrix(self, row_idx, col_idx) -> "FpMatrix":
-        return FpMatrix(self.a[np.ix_(list(row_idx), list(col_idx))], self.p)
-
-    def hstack(self, other: "FpMatrix") -> "FpMatrix":
-        self._same(other)
-        return FpMatrix(np.hstack([self.a, other.a]), self.p)
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

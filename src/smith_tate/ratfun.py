@@ -83,26 +83,6 @@ def pdiv_exact(a: Poly, b: Poly, p: int) -> Poly:
     return q
 
 
-def pgcd(a: Poly, b: Poly, p: int) -> Poly:
-    while b:
-        a, b = b, pdivmod(a, b, p)[1]
-    return pmonic(a, p)
-
-
-def pmonic(a: Poly, p: int) -> Poly:
-    if not a:
-        return ()
-    inv = pow(a[-1], -1, p)
-    return pnorm([x * inv for x in a], p)
-
-
-def peval(a: Poly, t: int, p: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = (out * t + c) % p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomial matrices
 
@@ -131,7 +111,3 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
         r += 1
     return r
 
-
-def poly_mat_from_int(m, p: int, u_shift: int = 0) -> list[list[Poly]]:
-    """Integer matrix -> poly matrix with every entry multiplied by u^u_shift."""
-    return [[pupow(u_shift, int(v), p) if int(v) % p else () for v in row] for row in m]

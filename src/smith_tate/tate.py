@@ -12,6 +12,13 @@ whose square vanishes because N (1 - sigma) = 0 and d_V commutes with both.
 Everything 2-periodic collapses onto parity, so Tate cohomology is reported
 as a pair (even, odd) of F_p((u))-dimensions.
 
+One parity split of V<1, theta> (parity_split) serves every result here.
+Tate ranks are F_p ranks of its two blocks at u = 1, or Bareiss ranks of
+the same blocks over F_p[u].  Group cohomology is the first-quadrant part
+of the same complex: its total map from degree k is the parity-k block cut
+to generators of degree <= k, so above the top degree of V it is Tate
+cohomology.
+
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
 Kunneth model H(V)^(ox p) the rotation fixes the diagonal words and permutes
@@ -29,7 +36,7 @@ import numpy as np
 from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
 from .errors import InvalidComplex, NotChainMap, NotEquivariant
 from .fp_core import FpMatrix, rank, rref
-from .ratfun import bareiss_rank, poly_mat_from_int
+from .ratfun import bareiss_rank, pupow
 
 # ---------------------------------------------------------------------------
 # the coefficient ring F_p((u))<theta>
@@ -155,6 +162,20 @@ def blocks_square_zero(A, B, C, D, p: int) -> bool:
     return (m @ m).is_zero()
 
 
+def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block differential M = [[A, B], [C, D]] on V<1, theta>, with the
+    generator degree and the total parity (degree + eps) mod 2 of every label.
+
+    Label (i, theta^eps) sits at index i + n * eps of M.  The differential
+    is odd, so M[parity 1 rows, parity 0 columns] and M[parity 0 rows,
+    parity 1 columns] carry all of it; Tate and group cohomology, and the
+    polynomial blocks of the Bareiss route, are all read off this split.
+    """
+    gen_deg = np.tile(np.asarray(degrees, dtype=np.int64), 2)
+    parity = (gen_deg + np.repeat([0, 1], len(degrees))) % 2
+    return np.block([[A, B], [C, D]]), gen_deg, parity
+
+
 def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int]:
     """(even, odd) F_p((u))-dims of the homology of the homogeneous block
     differential [[A, B], [C, D]] on V<1, theta>, from its blocks at u = 1.
@@ -162,79 +183,11 @@ def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int
     Each parity block is M(u) = diag(u^a) M(1) diag(u^-b) with integer
     exponents, a change of basis over F_p((u)), so its rank is rank M(1).
     """
-    n = len(degrees)
-    odd_deg = np.array(degrees, dtype=np.int64) % 2 == 1
-    # label (i, theta) sits at index i + n * theta of the assembled matrix
-    even = np.concatenate([np.flatnonzero(~odd_deg), n + np.flatnonzero(odd_deg)])
-    odd = np.concatenate([np.flatnonzero(odd_deg), n + np.flatnonzero(~odd_deg)])
-    m = np.block([[A, B], [C, D]])
+    m, _, parity = parity_split(degrees, A, B, C, D)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     r_e = rank(FpMatrix(m[np.ix_(odd, even)], p))
     r_o = rank(FpMatrix(m[np.ix_(even, odd)], p))
     return len(even) - r_e - r_o, len(odd) - r_o - r_e
-
-
-def assemble_parity_blocks(degrees: list[int], A, B, C, D, p: int):
-    """Split the block differential on V<1, theta> by total parity.
-
-    Basis labels are (generator index, theta exponent); parity of a label is
-    (degree + theta) mod 2.  Returns (even_to_odd, odd_to_even, even_basis,
-    odd_basis); the differential is odd, so these two blocks carry all of it.
-    """
-    even = [(i, 0) for i, d in enumerate(degrees) if d % 2 == 0]
-    even += [(i, 1) for i, d in enumerate(degrees) if d % 2 == 1]
-    odd = [(i, 0) for i, d in enumerate(degrees) if d % 2 == 1]
-    odd += [(i, 1) for i, d in enumerate(degrees) if d % 2 == 0]
-    by_eps = {0: {0: A, 1: B}, 1: {0: C, 1: D}}  # [target eps][source eps]
-
-    def block(src, tgt):
-        tpos = {lab: r for r, lab in enumerate(tgt)}
-        rows = [[() for _ in src] for _ in tgt]
-        for c, (i, eps_s) in enumerate(src):
-            for eps_t in (0, 1):
-                mat = by_eps[eps_t][eps_s]
-                for j in range(len(degrees)):
-                    e = mat[j][i]
-                    if e and (j, eps_t) in tpos:
-                        rows[tpos[(j, eps_t)]][c] = e
-        return rows
-
-    return block(even, odd), block(odd, even), even, odd
-
-
-class TateComplexView:
-    """The periodic complex (V ox F_p((u))<theta>, d-hat) in matrix form.
-
-    Basis elements are (generator id, theta exponent); they split by total
-    parity (degree + theta) into an even and an odd block, and the
-    differential swaps the blocks.  Entries are polynomials in u.
-    """
-
-    def __init__(self, V: EquivariantComplex):
-        self.complex = V
-        self.p = V.p
-        p = V.p
-        self._blocks_at_one = tate_blocks_at_one(V)
-        A, B, C, D = self._blocks_at_one
-        degrees = [g.degree for g in V.generators]
-        e2o, o2e, even, odd = assemble_parity_blocks(
-            degrees,
-            poly_mat_from_int(A, p),
-            poly_mat_from_int(B, p, u_shift=1),
-            poly_mat_from_int(C, p),
-            poly_mat_from_int(D, p),
-            p,
-        )
-        ids = [g.id for g in V.generators]
-        self.even_basis = [(ids[i], eps) for i, eps in even]
-        self.odd_basis = [(ids[i], eps) for i, eps in odd]
-        self.block_even_to_odd = e2o
-        self.block_odd_to_even = o2e
-
-    def basis_labels(self) -> list[tuple[str, int]]:
-        return list(self.even_basis) + list(self.odd_basis)
-
-    def square_is_zero(self) -> bool:
-        return blocks_square_zero(*self._blocks_at_one, self.p)
 
 
 def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:
@@ -244,28 +197,43 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
     parity block is M(u) = diag(u^a) M(1) diag(u^-b) and has the F_p rank of M(1).
     method="evaluation" (default) takes that rank at u = 1, one F_p
     elimination per parity block; method="bareiss" runs fraction-free
-    elimination on the polynomial blocks, the independent route.  Both
-    raise InvalidComplex when V is not homogeneous.
+    elimination on the same parity blocks over F_p[u], with u on the
+    entries of N, the independent route.  Both raise InvalidComplex when V
+    is not homogeneous.
     """
-    if method == "evaluation":
-        degrees = [g.degree for g in V.generators]
-        return parity_dims_at_one(degrees, *tate_blocks_at_one(V), V.p)
-    if method != "bareiss":
+    if method not in ("evaluation", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
-    view = TateComplexView(V)
-    ne, no = len(view.even_basis), len(view.odd_basis)
-    r_e = bareiss_rank(view.block_even_to_odd, V.p)
-    r_o = bareiss_rank(view.block_odd_to_even, V.p)
-    return ne - r_e - r_o, no - r_o - r_e
+    degrees = [g.degree for g in V.generators]
+    blocks = tate_blocks_at_one(V)
+    if method == "evaluation":
+        return parity_dims_at_one(degrees, *blocks, V.p)
+    p, n = V.p, len(degrees)
+    m, _, parity = parity_split(degrees, *blocks)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+    def poly_block(rows, cols):
+        # B maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
+        return [[pupow(int(r < n <= c), int(m[r, c]), p) if m[r, c] else () for c in cols] for r in rows]
+
+    r_e = bareiss_rank(poly_block(odd, even), p)
+    r_o = bareiss_rank(poly_block(even, odd), p)
+    return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
 def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) -> dict[int, int]:
     """Hypercohomology dimensions H^k(Z/pZ, V) for k up to max_degree.
 
-    Totalizes the first-quadrant double complex with horizontal maps
-    alternating (1 - sigma) and the norm N; columns are capped high enough
-    that every reported degree is exact.  Default max_degree leaves room to
-    watch the dimensions go 2-periodic.
+    The first-quadrant double complex with horizontal maps alternating
+    (1 - sigma) and the norm N puts generator x of degree j in column
+    i = k - j of total degree k; reading theta's exponent as i mod 2, that
+    is the Tate label of parity k.  So the total map from degree k to k + 1
+    is the u = 1 parity block out of parity k, restricted to columns of
+    generator degree <= k and rows of generator degree <= k + 1.  Once
+    k >= max degree of V nothing is cut off and the rank depends only on
+    k mod 2, so H^k is the Tate dimension of parity k above the top degree
+    (periodicity of cyclic group cohomology), and at most
+    dmax - dmin + 2 F_p eliminations are run for any max_degree.  Default
+    max_degree leaves room to watch the dimensions go 2-periodic.
     """
     if V.dim() == 0:
         return {}
@@ -273,46 +241,20 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     dmin, dmax = degs[0], degs[-1]
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
-    p = V.p
-    d, nm, one_minus, _ = tate_blocks_at_one(V)
-    by_degree = {k: V.degree_indices(k) for k in degs}
-
-    def slots(k: int) -> list[tuple[int, int]]:
-        return [(i, j) for j in degs if (i := k - j) >= 0]
-
-    def total_matrix(k: int) -> FpMatrix:
-        src = slots(k)
-        tgt = slots(k + 1)
-        src_off, c = {}, 0
-        for sl in src:
-            src_off[sl] = c
-            c += len(by_degree[sl[1]])
-        tgt_off, r = {}, 0
-        for sl in tgt:
-            tgt_off[sl] = r
-            r += len(by_degree[sl[1]])
-        a = np.zeros((r, c), dtype=np.int64)
-        for (i, j) in src:
-            cols = by_degree[j]
-            c0 = src_off[(i, j)]
-            if (i + 1, j) in tgt_off:
-                h = one_minus if i % 2 == 0 else nm
-                r0 = tgt_off[(i + 1, j)]
-                a[r0:r0 + len(cols), c0:c0 + len(cols)] = h[np.ix_(cols, cols)]
-            if (i, j + 1) in tgt_off:
-                rows = by_degree[j + 1]
-                r0 = tgt_off[(i, j + 1)]
-                sign = 1 if i % 2 == 0 else p - 1
-                a[r0:r0 + len(rows), c0:c0 + len(cols)] = (sign * d[np.ix_(rows, cols)]) % p
-        return FpMatrix(a, p)
-
-    dims_total = {k: sum(len(by_degree[j]) for (_, j) in slots(k)) for k in range(dmin, max_degree + 2)}
-    ranks = {k: rank(total_matrix(k)) for k in range(dmin, max_degree + 1)}
-    ranks[dmin - 1] = 0
-    out = {}
-    for k in range(dmin, max_degree + 1):
-        out[k] = dims_total[k] - ranks[k] - ranks[k - 1]
-    return out
+    degrees = [g.degree for g in V.generators]
+    m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
+    ranks = {dmin - 1: 0}
+    for k in range(dmin, min(max_degree, dmax + 1) + 1):
+        cols = np.flatnonzero((parity == k % 2) & (gen_deg <= k))
+        rows = np.flatnonzero((parity != k % 2) & (gen_deg <= k + 1))
+        ranks[k] = rank(FpMatrix(m[np.ix_(rows, cols)], V.p))
+    for k in range(dmax + 2, max_degree + 1):
+        ranks[k] = ranks[k - 2]
+    at_most = np.sort(degrees)  # H^k's cochains: the generators of degree <= k
+    return {
+        k: int(np.searchsorted(at_most, k, side="right")) - ranks[k] - ranks[k - 1]
+        for k in range(dmin, max_degree + 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ with no use of the grading; random_floer_model_over_polynomials deforms
 the equivariant model by conjugating its polynomial blocks, where the
 library conjugates at u = 1 and reads the u-powers off the degrees.
 coeff_matrix_by_entries builds the dense matrix of a coefficient map one
-entry at a time.  The library counts the action spectral
+entry at a time.  The library reads Tate and group cohomology off one
+numpy parity split of V<1, theta>; assemble_parity_blocks splits the
+polynomial blocks label by label, and group_cohomology_by_slots assembles
+the first-quadrant double complex slot by slot and eliminates every total
+degree up to max_degree.  The library counts the action spectral
 sequence from the persistence pairing; subquotient_pages builds the same
 pages from the subquotient formula.  The library counts every iterate
 window from prefix sums over probe indices; smith_barcode_check_per_window
@@ -20,12 +24,12 @@ from fractions import Fraction
 import numpy as np
 
 from smith_tate.complexes import ActionWindow
-from smith_tate.fp_core import FpMatrix, rref
+from smith_tate.fp_core import FpMatrix, rank, rref
 from smith_tate.persistence import SmithBarcodeReport, _midpoint_probes, bar_stats, finite_bar_count_at, window_dim
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, padd, pmul, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import assemble_parity_blocks
+from smith_tate.tate import tate_blocks_at_one
 
 
 def poly_mat_mul(a, b, p: int):
@@ -40,6 +44,11 @@ def poly_mat_mul(a, b, p: int):
                     if b[m][c]:
                         out[r][c] = padd(out[r][c], pmul(a[r][m], b[m][c], p), p)
     return out
+
+
+def poly_mat(m, p: int, shift: int = 0):
+    """Integer matrix -> polynomial matrix with every entry times u^shift."""
+    return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]
 
 
 def coeff_matrix_by_entries(cx, coeffs, src, tgt, *, sigma: bool = False) -> np.ndarray:
@@ -70,17 +79,14 @@ def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwa
     for _ in range(p):
         nm, power = (nm + power) % p, (power @ s) % p
 
-    def as_poly(m, shift=0):
-        return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]
-
     def add(a, b):
         return [[padd(x, y, p) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
     def top_degree(a):
         return max((len(e) - 1 for row in a for e in row if e), default=-1)
 
-    a0, b0 = as_poly(d), as_poly(nm, shift=1)
-    c0, d0 = as_poly((np.eye(n, dtype=np.int64) - s) % p), as_poly((-d) % p)
+    a0, b0 = poly_mat(d, p), poly_mat(nm, p, shift=1)
+    c0, d0 = poly_mat((np.eye(n, dtype=np.int64) - s) % p, p), poly_mat((-d) % p, p)
     if deform and n:
         degs = [g.degree for g in base.generators]
         acts = [g.action for g in base.generators]
@@ -89,9 +95,9 @@ def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwa
             x, y = rng.randrange(n), rng.randrange(n)
             if degs[y] == degs[x] - 2 and acts[y] < acts[x]:
                 r[y, x] = rng.randrange(p)
-        ident = as_poly(np.eye(n, dtype=np.int64))
-        q = add(ident, as_poly(r, shift=1))
-        minus_ur = as_poly((-r) % p, shift=1)
+        ident = poly_mat(np.eye(n, dtype=np.int64), p)
+        q = add(ident, poly_mat(r, p, shift=1))
+        minus_ur = poly_mat((-r) % p, p, shift=1)
         qinv, term = ident, ident
         while top_degree(term := poly_mat_mul(term, minus_ur, p)) >= 0:
             qinv = add(qinv, term)
@@ -118,6 +124,96 @@ def model_poly_blocks(model):
                 if m[r, c]:
                     tgt[r][c] = padd(tgt[r][c], pupow(i // 2, int(m[r, c]), p), p)
     return A, B, C, D
+
+
+def assemble_parity_blocks(degrees: list[int], A, B, C, D, p: int):
+    """Split the block differential on V<1, theta> by total parity, label
+    by label.
+
+    Basis labels are (generator index, theta exponent); parity of a label is
+    (degree + theta) mod 2.  Returns (even_to_odd, odd_to_even, even_basis,
+    odd_basis); the differential is odd, so these two blocks carry all of it.
+    """
+    even = [(i, 0) for i, d in enumerate(degrees) if d % 2 == 0]
+    even += [(i, 1) for i, d in enumerate(degrees) if d % 2 == 1]
+    odd = [(i, 0) for i, d in enumerate(degrees) if d % 2 == 1]
+    odd += [(i, 1) for i, d in enumerate(degrees) if d % 2 == 0]
+    by_eps = {0: {0: A, 1: B}, 1: {0: C, 1: D}}  # [target eps][source eps]
+
+    def block(src, tgt):
+        tpos = {lab: r for r, lab in enumerate(tgt)}
+        rows = [[() for _ in src] for _ in tgt]
+        for c, (i, eps_s) in enumerate(src):
+            for eps_t in (0, 1):
+                mat = by_eps[eps_t][eps_s]
+                for j in range(len(degrees)):
+                    e = mat[j][i]
+                    if e and (j, eps_t) in tpos:
+                        rows[tpos[(j, eps_t)]][c] = e
+        return rows
+
+    return block(even, odd), block(odd, even), even, odd
+
+
+def tate_poly_parity_blocks(V):
+    """(even_to_odd, odd_to_even, even_basis, odd_basis) of V's Tate
+    differential over F_p[u]: the blocks d, uN, 1 - sigma, -d split label
+    by label."""
+    p = V.p
+    A, B, C, D = tate_blocks_at_one(V)
+    degrees = [g.degree for g in V.generators]
+    return assemble_parity_blocks(
+        degrees, poly_mat(A, p), poly_mat(B, p, shift=1), poly_mat(C, p), poly_mat(D, p), p
+    )
+
+
+def group_cohomology_by_slots(V, max_degree=None) -> dict:
+    """H^k(Z/pZ, V) for k up to max_degree from the first-quadrant double
+    complex assembled slot by slot: slot (i, j) holds V^j in column i, with
+    horizontal maps alternating 1 - sigma and N and vertical map (-1)^i d,
+    and every total matrix up to max_degree is eliminated."""
+    if V.dim() == 0:
+        return {}
+    degs = V.degrees()
+    dmin, dmax = degs[0], degs[-1]
+    if max_degree is None:
+        max_degree = dmax + 2 * (dmax - dmin + 1) + 4
+    p = V.p
+    d, nm, one_minus, _ = tate_blocks_at_one(V)
+    by_degree = {k: V.degree_indices(k) for k in degs}
+
+    def slots(k):
+        return [(i, j) for j in degs if (i := k - j) >= 0]
+
+    def total_matrix(k):
+        src, tgt = slots(k), slots(k + 1)
+        src_off, c = {}, 0
+        for sl in src:
+            src_off[sl] = c
+            c += len(by_degree[sl[1]])
+        tgt_off, r = {}, 0
+        for sl in tgt:
+            tgt_off[sl] = r
+            r += len(by_degree[sl[1]])
+        a = np.zeros((r, c), dtype=np.int64)
+        for (i, j) in src:
+            cols = by_degree[j]
+            c0 = src_off[(i, j)]
+            if (i + 1, j) in tgt_off:
+                h = one_minus if i % 2 == 0 else nm
+                r0 = tgt_off[(i + 1, j)]
+                a[r0:r0 + len(cols), c0:c0 + len(cols)] = h[np.ix_(cols, cols)]
+            if (i, j + 1) in tgt_off:
+                rows = by_degree[j + 1]
+                r0 = tgt_off[(i, j + 1)]
+                sign = 1 if i % 2 == 0 else p - 1
+                a[r0:r0 + len(rows), c0:c0 + len(cols)] = (sign * d[np.ix_(rows, cols)]) % p
+        return FpMatrix(a, p)
+
+    dims_total = {k: sum(len(by_degree[j]) for (_, j) in slots(k)) for k in range(dmin, max_degree + 2)}
+    ranks = {k: rank(total_matrix(k)) for k in range(dmin, max_degree + 1)}
+    ranks[dmin - 1] = 0
+    return {k: dims_total[k] - ranks[k] - ranks[k - 1] for k in range(dmin, max_degree + 1)}
 
 
 def poly_square_is_zero(even_to_odd, odd_to_even, p: int) -> bool:

@@ -537,6 +537,27 @@ class TestStrictIntegersInSigmaAndBarcodeFiles:
         assert err.startswith(f"error: {error}:")
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is malformed input,
+    not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["tate", "--input"], '{"p": 3, "generators": ' + "[" * 200_000),
+            (["torsion", "--input"], '{"p": 3, "bars": ' + "[" * 200_000),
+        ],
+        ids=["complex", "barcode"],
+    )
+    def test_rejected(self, run, tmp_path, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(argv + [str(path), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:")
+
+
 class TestMatrixPrimeBound:
     def test_too_large_prime_rejected(self, run, tmp_path):
         data = {**_edge(coeff=0), "p": 4294967311}

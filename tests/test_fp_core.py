@@ -111,11 +111,9 @@ class TestFpMatrix:
         m = FpMatrix([1, 2, 3], 5)
         assert (m.rows, m.cols) == (3, 1)
 
-    def test_identity_zeros_triplets(self):
+    def test_identity_and_zeros(self):
         assert FpMatrix.identity(3, 5) == FpMatrix(np.eye(3, dtype=int), 5)
         assert FpMatrix.zeros(2, 3, 5).is_zero()
-        t = FpMatrix.from_triplets(2, 2, [(0, 1, 4), (0, 1, 4)], 7)
-        assert t.a[0, 1] == 1  # accumulates: 4 + 4 = 8 = 1 mod 7
 
     def test_arithmetic(self):
         a = FpMatrix([[1, 2], [0, 1]], 5)
@@ -124,7 +122,6 @@ class TestFpMatrix:
         assert (a - b).a.tolist() == [[0, 2], [2, 0]]
         assert (a @ b).a.tolist() == [[2, 2], [3, 1]]
         assert (-a).a.tolist() == [[4, 3], [0, 4]]
-        assert a.scale(3).a.tolist() == [[3, 1], [0, 3]]
 
     def test_power(self):
         j = FpMatrix([[1, 1], [0, 1]], 3)
@@ -250,7 +247,7 @@ def test_rank_plus_nullity(m):
 @given(fp_matrices(max_n=5))
 @settings(max_examples=40, deadline=None)
 def test_rank_transpose_invariant(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(FpMatrix(m.a.T, m.p))
 
 
 @given(st.sampled_from((2, 3, 5)), st.data())

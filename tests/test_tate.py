@@ -10,10 +10,11 @@ from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, te
 from smith_tate.errors import InvalidComplex, NotChainMap, NotEquivariant
 from smith_tate.tate import (
     RpElement,
-    TateComplexView,
+    blocks_square_zero,
     group_cohomology_dims,
     mapping_cone,
     quasi_frobenius,
+    tate_blocks_at_one,
     tate_cohomology_dims,
 )
 from smith_tate.random_instances import (
@@ -22,7 +23,7 @@ from smith_tate.random_instances import (
     random_free_equivariant,
 )
 
-from oracles import poly_square_is_zero
+from oracles import group_cohomology_by_slots, poly_square_is_zero, tate_poly_parity_blocks
 
 
 def trivial_point(p=3, degree=0):
@@ -57,18 +58,24 @@ class TestRpElement:
         assert mixed.degree() is None
 
 
+def square_at_one_is_zero(V):
+    return blocks_square_zero(*tate_blocks_at_one(V), V.p)
+
+
 class TestTateView:
     def test_parity_split_of_point(self):
-        view = TateComplexView(trivial_point())
-        assert view.even_basis == [("v", 0)]
-        assert view.odd_basis == [("v", 1)]
-        assert view.square_is_zero()
+        V = trivial_point()
+        _, _, even, odd = tate_poly_parity_blocks(V)
+        ids = [g.id for g in V.generators]
+        assert [(ids[i], eps) for i, eps in even] == [("v", 0)]
+        assert [(ids[i], eps) for i, eps in odd] == [("v", 1)]
+        assert square_at_one_is_zero(V)
 
     def test_square_zero_on_random_instances(self):
         for seed in range(6):
             V = random_equivariant_filtered(3, seed)
             if V.dim():
-                assert TateComplexView(V).square_is_zero()
+                assert square_at_one_is_zero(V)
 
 
 class TestTateDims:
@@ -113,13 +120,15 @@ class TestTateDims:
         with pytest.raises(InvalidComplex):
             tate_cohomology_dims(flat_d)
         with pytest.raises(InvalidComplex):
-            TateComplexView(flat_d)
+            tate_cohomology_dims(flat_d, method="bareiss")
         with pytest.raises(InvalidComplex):
             group_cohomology_dims(flat_d)
         gens = [Generator("a", 0), Generator("b", 1)]
         shifting_sigma = EquivariantComplex(3, gens, {}, {"a": {"b": 1}}, check=False)
         with pytest.raises(InvalidComplex):
             tate_cohomology_dims(shifting_sigma)
+        with pytest.raises(InvalidComplex):
+            tate_cohomology_dims(shifting_sigma, method="bareiss")
         with pytest.raises(InvalidComplex):
             group_cohomology_dims(shifting_sigma)
 
@@ -319,9 +328,9 @@ def test_rank_at_one_matches_bareiss_on_fixed_seeds():
     for name, V in _differential_cases():
         dims = tate_cohomology_dims(V)
         assert dims == tate_cohomology_dims(V, method="bareiss"), name
-        view = TateComplexView(V)
-        assert view.square_is_zero(), name
-        assert poly_square_is_zero(view.block_even_to_odd, view.block_odd_to_even, V.p), name
+        even_to_odd, odd_to_even, _, _ = tate_poly_parity_blocks(V)
+        assert square_at_one_is_zero(V), name
+        assert poly_square_is_zero(even_to_odd, odd_to_even, V.p), name
         vanishing.add(dims == (0, 0))
     assert vanishing == {True, False}
 
@@ -360,9 +369,80 @@ def test_rank_and_square_at_one_on_unchecked_complexes():
     for p in (2, 3, 5, 7):
         for seed in range(40):
             V = _unchecked_graded(p, seed)
-            view = TateComplexView(V)
-            square = view.square_is_zero()
-            assert square == poly_square_is_zero(view.block_even_to_odd, view.block_odd_to_even, p)
+            even_to_odd, odd_to_even, _, _ = tate_poly_parity_blocks(V)
+            square = square_at_one_is_zero(V)
+            assert square == poly_square_is_zero(even_to_odd, odd_to_even, p)
             assert tate_cohomology_dims(V) == tate_cohomology_dims(V, method="bareiss")
             squares.add(square)
     assert squares == {True, False}
+
+
+def test_bareiss_blocks_are_the_label_by_label_split(monkeypatch):
+    """The Bareiss route eliminates exactly the polynomial parity blocks
+    of the label-by-label split, in the same order."""
+    import smith_tate.tate as tate
+
+    seen = []
+    real = tate.bareiss_rank
+
+    def recording(mat, p):
+        seen.append(mat)
+        return real(mat, p)
+
+    monkeypatch.setattr(tate, "bareiss_rank", recording)
+    cases = list(_differential_cases())
+    cases += [(f"unchecked-{p}-{s}", _unchecked_graded(p, s)) for p in (2, 3, 5, 7) for s in range(10)]
+    for name, V in cases:
+        seen.clear()
+        tate_cohomology_dims(V, method="bareiss")
+        even_to_odd, odd_to_even, _, _ = tate_poly_parity_blocks(V)
+        assert seen == [even_to_odd, odd_to_even], name
+
+
+def _group_cases():
+    """Fixed-seed complexes for the group cohomology differential test:
+    the Tate families plus homogeneous unchecked complexes."""
+    yield from _differential_cases()
+    for p in (2, 3, 5, 7):
+        for seed in range(10):
+            yield f"unchecked-{p}-{seed}", _unchecked_graded(p, seed)
+
+
+def test_group_cohomology_matches_slot_by_slot_oracle():
+    """The parity-split route gives the same dimensions as the
+    first-quadrant double complex assembled slot by slot, below, across and
+    far above the degrees of V."""
+    for name, V in _group_cases():
+        if not V.dim():
+            assert group_cohomology_dims(V) == group_cohomology_by_slots(V) == {}, name
+            continue
+        degs = V.degrees()
+        dmin, dmax = degs[0], degs[-1]
+        for m in (None, dmin - 2, dmin, (dmin + dmax) // 2, dmax, dmax + 1, 3 * dmax + 20):
+            assert group_cohomology_dims(V, max_degree=m) == group_cohomology_by_slots(V, m), (name, m)
+
+
+def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
+    """Above the top degree the ranks repeat with period 2, so at most
+    dmax - dmin + 2 F_p eliminations are run for any max_degree."""
+    import smith_tate.tate as tate
+
+    calls = []
+    real = tate.rank
+
+    def counting(m):
+        calls.append(m.a.shape)
+        return real(m)
+
+    monkeypatch.setattr(tate, "rank", counting)
+    bases = _tensor_bases(3, 3, 2)
+    cases = [tensor_power(b) for b in bases] + [random_equivariant_filtered(5, s) for s in range(4)]
+    cases = [V for V in cases if V.dim()]
+    assert cases
+    for V in cases:
+        degs = V.degrees()
+        for m in (40, 400):
+            calls.clear()
+            dims = group_cohomology_dims(V, max_degree=m)
+            assert len(dims) == m - degs[0] + 1
+            assert len(calls) <= degs[-1] - degs[0] + 2
