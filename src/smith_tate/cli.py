@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -51,6 +52,7 @@ from .errors import (
     SmithTateError,
     UnknownCommand,
     UnknownProperty,
+    check_size,
 )
 from .fp_core import FpMatrix, _check_matrix_prime, check_prime, rank
 from .module_decomp import decompose, smith_chain_check, tate_and_invariant_dims
@@ -61,6 +63,7 @@ from .morse_bzp import (
     wilson_constant,
 )
 from .persistence import (
+    _midpoint_probes,
     bar_stats,
     barcode_from_filtered,
     barcode_from_json,
@@ -88,6 +91,7 @@ from .spectral import (
 from .tate import group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 
 _FAILURE_DISPLAY_CAP = 20
+MAX_SIGMA_SIZE = 4096  # the dense size x size sigma matrix is allocated up front
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +169,7 @@ def _sigma_from_json(data) -> FpMatrix:
     _check_matrix_prime(p)
     if n < 0:
         raise MalformedInput("'size' must be nonnegative")
+    check_size("sigma 'size'", n, MAX_SIGMA_SIZE)
     return FpMatrix(_triplets_from_json(data.get("matrix", []), n, p), p)
 
 
@@ -526,11 +531,7 @@ def _check_spectral_algebraic(payload):
 
 def _gen_barcode_roundtrip(rng, p, args):
     fc = random_filtered_complex(p, rng, max_gens=args.max_gens or 12)
-    spectrum = sorted({g.action for g in fc.generators})
-    probes = [spectrum[0] - 1]
-    for lo, hi in zip(spectrum, spectrum[1:]):
-        probes.append((lo + hi) / 2)
-    probes.append(spectrum[-1] + 1)
+    probes = _midpoint_probes(fc.actions())
     windows: list[list] = [[None, None]]
     for _ in range(5):
         shape = rng.randrange(3)
@@ -939,6 +940,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once; parse_args gives a fresh Namespace per call."""
+    return build_parser()
+
+
 def _print_tree(value, indent: str) -> None:
     if isinstance(value, dict):
         if not value:
@@ -984,7 +991,7 @@ def dispatch(argv=None) -> int:
     """Run one subcommand; print the report; return the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     t0 = time.perf_counter()
-    parser = build_parser()
+    parser = _parser()
     try:
         if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
             raise UnknownCommand(

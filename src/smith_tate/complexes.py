@@ -8,12 +8,14 @@ requires the differential to strictly decrease action, which is what makes
 barcodes and the action spectral sequence well defined.
 
 Generators are stored sorted by id, so matrix layouts, homology
-representatives, and JSON output are reproducible across runs.
+representatives, and JSON output are reproducible across runs.  Filtration
+comparisons run on each generator's index in a sorted table of the actions.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +41,8 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise MalformedInput("generator id must be a nonempty string")
-        object.__setattr__(self, "action", Fraction(self.action))
+        if not isinstance(self.action, Fraction):
+            object.__setattr__(self, "action", Fraction(self.action))
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,7 @@ class ChainComplex:
         for i, g in enumerate(gens):
             self._deg_index.setdefault(g.degree, []).append(i)
         self._block_cache: dict[int, FpMatrix] = {}
+        self._level_cache: tuple[list[Fraction], list[int]] | None = None
         self._homology_cache: dict[int, tuple[list[np.ndarray], RrefResult]] = {}
         if check:
             bad = self._structure_violations()
@@ -206,12 +210,12 @@ class ChainComplex:
     def action_violations(self) -> list[str]:
         """One message per differential entry that does not strictly
         decrease action, the requirement for filtered use."""
-        gens, index = self.generators, self._index
+        index, level = self._index, self._level_table()[1]
         return [
             f"d({src}) does not strictly decrease action at {tgt}"
             for src, row in self.differential.items()
             for tgt in row
-            if not gens[index[tgt]].action < gens[index[src]].action
+            if not level[index[tgt]] < level[index[src]]
         ]
 
     def degrees(self) -> list[int]:
@@ -322,12 +326,24 @@ class ChainComplex:
 
     # -- misc ----------------------------------------------------------------
 
+    def _level_table(self) -> tuple[list[Fraction], list[int]]:
+        """(sorted distinct actions, each generator's index among them)."""
+        if self._level_cache is None:
+            # parsed generators share one Fraction per action: hash only those
+            objects = {id(g.action): g.action for g in self.generators}
+            levels = sorted(set(objects.values()))
+            at = {a: i for i, a in enumerate(levels)}
+            by_id = {k: at[a] for k, a in objects.items()}
+            self._level_cache = (levels, [by_id[id(g.action)] for g in self.generators])
+        return self._level_cache
+
     def actions(self) -> list[Fraction]:
-        return sorted({g.action for g in self.generators})
+        return list(self._level_table()[0])
 
     def filtration_order(self) -> list[int]:
-        """Generator indices sorted by (action, id)."""
-        return sorted(range(len(self.generators)), key=lambda i: (self.generators[i].action, self.generators[i].id))
+        """Generator indices sorted by (action, id): generators are stored
+        by id, so a stable sort on the level index is enough."""
+        return sorted(range(len(self.generators)), key=self._level_table()[1].__getitem__)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, dims={ {k: self.dim(k) for k in self.degrees()} })"
@@ -389,14 +405,14 @@ class EquivariantComplex(ChainComplex):
                 checks["square_zero"] = False
         violations.extend(structural)
 
+        level = self._level_table()[1]
         for src, row in self.sigma.items():
             g = self.generator(src)
-            for tgt, _ in row.items():
-                h = self.generator(tgt)
-                if h.degree != g.degree:
+            for tgt in row:
+                if self.generator(tgt).degree != g.degree:
                     checks["sigma_structure"] = False
                     violations.append(f"sigma({src}) changes degree")
-                if h.action != g.action:
+                if level[self._index[tgt]] != level[self._index[src]]:
                     checks["sigma_structure"] = False
                     violations.append(f"sigma({src}) changes action")
         if checks["sigma_structure"]:
@@ -506,7 +522,10 @@ def window_truncate(V: ChainComplex, window: ActionWindow):
     complex this is the quotient of one action sublevel by another, so the
     result is again a complex of the same kind.
     """
-    keep = {g.id for g in V.generators if window.contains(g.action)}
+    levels, level = V._level_table()
+    lo = 0 if window.lower is None else bisect_right(levels, window.lower)
+    hi = len(levels) if window.upper is None else bisect_right(levels, window.upper)
+    keep = {g.id for g, k in zip(V.generators, level) if lo <= k < hi}
     gens = [g for g in V.generators if g.id in keep]
     diff = {
         src: {t: c for t, c in row.items() if t in keep}
@@ -548,14 +567,14 @@ def _action_to_json(a: Fraction) -> dict:
     return {"num": a.numerator, "den": a.denominator}
 
 
-def _action_from_json(v) -> Fraction:
+def _action_from_json(v, interned: dict[tuple[int, int], Fraction]) -> Fraction:
+    """The action v, one shared Fraction per repeated (num, den) pair."""
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        v = {"num": v}
     if isinstance(v, dict) and "num" in v and set(v) <= {"num", "den"}:
-        num = _strict_int(v["num"], "action 'num'")
-        den = _strict_int(v.get("den", 1), "action 'den'")
-        if den:
-            return Fraction(num, den)
+        key = (_strict_int(v["num"], "action 'num'"), _strict_int(v.get("den", 1), "action 'den'"))
+        if key[1]:
+            return interned[key] if key in interned else interned.setdefault(key, Fraction(*key))
     raise MalformedInput(f"bad action value: {v!r}")
 
 
@@ -590,6 +609,7 @@ def complex_from_json(data, *, expect: str | None = None):
     if not isinstance(raw_gens, list):
         raise MalformedInput("'generators' must be a list")
     gens = []
+    interned: dict[tuple[int, int], Fraction] = {}
     for item in raw_gens:
         if not isinstance(item, dict) or "id" not in item or "degree" not in item:
             raise MalformedInput(f"bad generator entry: {item!r}")
@@ -597,7 +617,7 @@ def complex_from_json(data, *, expect: str | None = None):
             Generator(
                 str(item["id"]),
                 _strict_int(item["degree"], "generator degree"),
-                _action_from_json(item.get("action", 0)),
+                _action_from_json(item.get("action", 0), interned),
             )
         )
     diff = data.get("differential", {})

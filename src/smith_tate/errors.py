@@ -69,3 +69,13 @@ class UnknownCommand(SmithTateError):
 
 class MalformedInput(SmithTateError):
     """A JSON instance file does not match the documented format."""
+
+
+class TooLarge(SmithTateError):
+    """A requested size is above the limit the operation allows."""
+
+
+def check_size(what: str, size: int, limit: int) -> None:
+    """Raise TooLarge when size exceeds limit; call before allocating."""
+    if size > limit:
+        raise TooLarge(f"{what} is {size}, above the limit of {limit}")

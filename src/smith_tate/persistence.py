@@ -1,22 +1,24 @@
 """Barcodes of filtered complexes and exact window/Smith-inequality checkers.
 
 Bars are half-open intervals (a, b] or (a, inf) with positive integer
-multiplicity, endpoints exact rationals.  A filtered complex yields its
-barcode through standard boundary-matrix reduction in action order; window
-dimensions follow the three counting formulas (window shapes are classified
-by which endpoints are present, and endpoints must avoid the spectrum).
-The p-th iterate comparison bundles the pointwise finite-bar count
-inequality m(t) <= m(pt), the total-length inequality it integrates to,
-and the window-dimension inequality over a canonical window family.  It
-maps every bar endpoint once to an index among generic probe points and
-counts all windows of the family from prefix sums over those indices;
+multiplicity, endpoints exact rationals.  Every count depends only on the
+order of the endpoints, so a barcode interns them once into a sorted level
+table and holds its bars as int level indices.  A filtered complex yields
+its barcode through standard boundary-matrix reduction in action order; a
+window's dimension counts the bars holding exactly one of its ends, which
+must avoid the spectrum.  The p-th iterate comparison bundles the pointwise
+finite-bar count inequality m(t) <= m(pt), the total-length inequality it
+integrates to, and the window-dimension inequality over a canonical window
+family.  It maps every level once to an index among generic probe points
+and counts all windows of the family from prefix sums over those indices;
 window_dim counts a single window directly from the bars.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +54,8 @@ __all__ = [
 
 
 def _frac(x, what: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise MalformedInput(f"{what} must be a rational number, got {x!r}")
     try:
@@ -95,35 +99,57 @@ class Bar:
         return f"({self.start}, {tail}{m}"
 
 
+def _trusted_bar(start: Fraction, end: Fraction | None, multiplicity: int) -> Bar:
+    """A Bar from canonical level data, valid by construction, so not validated again."""
+    bar = object.__new__(Bar)
+    bar.__dict__.update(start=start, end=end, multiplicity=multiplicity)
+    return bar
+
+
 class Barcode:
-    """Canonical multiset of bars: sorted by (start, end), equal bars merged."""
+    """Canonical multiset of bars: sorted by (start, end), equal bars merged.
+
+    levels is the sorted tuple of distinct endpoints.  index_bars holds each
+    bar once, as sorted (start index, end index, multiplicity) into levels
+    with an infinite end at index len(levels); bars holds them as Bars.
+    """
 
     def __init__(self, p: int, bars=()):
-        self.p = check_prime(p)
-        merged: dict[tuple, int] = {}
+        bars = [b if isinstance(b, Bar) else Bar(*b) for b in bars]
+        levels = tuple(sorted({b.start for b in bars} | {b.end for b in bars if b.end is not None}))
+        at = {x: i for i, x in enumerate(levels)} | {None: len(levels)}
+        counts: Counter = Counter()
         for b in bars:
-            if not isinstance(b, Bar):
-                b = Bar(*b)
-            merged[(b.start, b.end)] = merged.get((b.start, b.end), 0) + b.multiplicity
-        key = lambda se: (se[0], se[1] is None, se[1] if se[1] is not None else 0)
-        self.bars: tuple[Bar, ...] = tuple(
-            Bar(s, e, m) for (s, e), m in sorted(merged.items(), key=lambda kv: key(kv[0]))
-        )
+            counts[at[b.start], at[b.end]] += b.multiplicity
+        self._canonicalise(p, levels, counts)
+
+    @classmethod
+    def _from_levels(cls, p: int, levels: tuple, counts: dict[tuple[int, int], int]) -> "Barcode":
+        """counts[s, e] copies of (levels[s], levels[e]]; every level is some bar's endpoint."""
+        b = cls.__new__(cls)
+        b._canonicalise(p, levels, counts)
+        return b
+
+    def _canonicalise(self, p: int, levels: tuple, counts: dict[tuple[int, int], int]) -> None:
+        self.p = check_prime(p)
+        self.levels = levels
+        self.index_bars = tuple((s, e, m) for (s, e), m in sorted(counts.items()))
+        ends = levels + (None,)
+        self.bars = tuple(_trusted_bar(levels[s], ends[e], m) for s, e, m in self.index_bars)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self.p == other.p and self.bars == other.bars
+        key = (self.p, self.levels, self.index_bars)
+        return isinstance(other, Barcode) and key == (other.p, other.levels, other.index_bars)
 
     def __hash__(self):
-        return hash((self.p, self.bars))
+        return hash((self.p, self.levels, self.index_bars))
 
     def __iter__(self):
         return iter(self.bars)
 
     def endpoints(self) -> list[Fraction]:
         """Sorted distinct spectral values (starts and finite ends)."""
-        pts = {b.start for b in self.bars}
-        pts |= {b.end for b in self.bars if b.end is not None}
-        return sorted(pts)
+        return list(self.levels)
 
     def __repr__(self) -> str:
         return f"Barcode(p={self.p}, bars=[{', '.join(map(repr, self.bars))}])"
@@ -133,10 +159,8 @@ def scale_barcode(b: Barcode, factor) -> Barcode:
     factor = Fraction(factor)
     if factor <= 0:
         raise InadmissibleWindow(f"scaling factor must be positive, got {factor}")
-    return Barcode(
-        b.p,
-        [Bar(bar.start * factor, None if bar.end is None else bar.end * factor, bar.multiplicity) for bar in b.bars],
-    )
+    # a positive factor keeps the order of the levels, so the index bars stay
+    return Barcode._from_levels(b.p, tuple(x * factor for x in b.levels), {(s, e): m for s, e, m in b.index_bars})
 
 
 # ---------------------------------------------------------------------------
@@ -183,61 +207,41 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
 
     Each pair (i, j) of the persistence pairing is a finite bar
     (action_i, action_j]; each generator left unpaired is an infinite bar.
+    Bars are merged and sorted on the complex's level indices; every level
+    is an endpoint, as each generator starts or ends a bar.
     """
     order, lows = persistence_pairing(fc)
-    bars = []
-    paired = set(int(x) for x in lows if x >= 0)
-    acts = [fc.generators[i].action for i in order]
-    for j in range(len(order)):
-        if lows[j] >= 0:
-            bars.append(Bar(acts[lows[j]], acts[j]))
-        elif j not in paired:
-            bars.append(Bar(acts[j], None))
-    return Barcode(fc.p, bars)
+    levels, level = fc._level_table()
+    at, inf = [level[i] for i in order], len(levels)
+    lows = lows.tolist()
+    paired = set(lows)
+    pairs = [(at[i], at[j]) if i >= 0 else (at[j], inf) for j, i in enumerate(lows) if i >= 0 or j not in paired]
+    return Barcode._from_levels(fc.p, tuple(levels), Counter(pairs))
 
 
 # ---------------------------------------------------------------------------
 # window counting
 
 
-def _check_not_spectral(b: Barcode, *points):
-    spectrum = set(b.endpoints())
-    for t in points:
-        if t is not None and t in spectrum:
-            raise SpectralEndpoint(f"window endpoint {t} is a bar endpoint")
+def _level_cut(b: Barcode, t: Fraction) -> int:
+    """The number of levels below a window end t, which must not be one."""
+    k = bisect_left(b.levels, t)
+    if k < len(b.levels) and b.levels[k] == t:
+        raise SpectralEndpoint(f"window endpoint {t} is a bar endpoint")
+    return k
 
 
 def window_dim(b: Barcode, w: ActionWindow) -> int:
     """dim of the window-restricted homology, counted from the barcode.
 
-    Selects the counting formula by window shape: bars containing t for
-    (-inf, t]; finite bars containing t plus infinite bars born after t for
-    (t, inf); one-endpoint-inside finite bars plus infinite bars born inside
-    for (a, b]; infinite-bar count for the whole line.
+    Counts the bars that hold exactly one window end: with k(x) the number
+    of levels below x, bar (s, e] holds x exactly when s < k(x) <= e.  An
+    open lower end holds no bar and an open upper end holds the infinite
+    ones, so this also covers (-inf, t], (a, inf) and the whole line.
     """
-    a, t = w.lower, w.upper
-    _check_not_spectral(b, a, t)
-    if a is None and t is None:
-        return sum(bar.multiplicity for bar in b.bars if not bar.finite)
-    if a is None:
-        return sum(bar.multiplicity for bar in b.bars if bar.contains(t))
-    if t is None:
-        out = 0
-        for bar in b.bars:
-            if bar.finite:
-                out += bar.multiplicity if bar.contains(a) else 0
-            else:
-                out += bar.multiplicity if bar.start > a else 0
-        return out
-    out = 0
-    for bar in b.bars:
-        if bar.finite:
-            if bar.contains(a) != bar.contains(t):
-                out += bar.multiplicity
-        else:
-            if not bar.contains(a) and bar.contains(t):
-                out += bar.multiplicity
-    return out
+    ka = 0 if w.lower is None else _level_cut(b, w.lower)
+    kt = len(b.levels) if w.upper is None else _level_cut(b, w.upper)
+    return sum(m for s, e, m in b.index_bars if (s < ka <= e) != (s < kt <= e))
 
 
 # ---------------------------------------------------------------------------
@@ -260,44 +264,52 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
 
     c_plus / c_minus are None when no infinite bar exists; pass
     require_extremal_starts to make that case an EmptyBarcode error.
+    beta_tot weighs each level by the finite bars ending minus starting
+    there, and beta_max compares the longest finite bar from each start.
     """
-    K = sum(bar.multiplicity for bar in b.bars if bar.finite)
-    B = sum(bar.multiplicity for bar in b.bars if not bar.finite)
-    beta_tot = sum((bar.length() * bar.multiplicity for bar in b.bars if bar.finite), Fraction(0))
-    beta_max = max((bar.length() for bar in b.bars if bar.finite), default=Fraction(0))
-    starts = [bar.start for bar in b.bars if not bar.finite]
+    levels, inf = b.levels, len(b.levels)
+    finite = [bar for bar in b.index_bars if bar[1] < inf]
+    starts = [s for s, e, _ in b.index_bars if e == inf]
+    weight = [0] * inf  # multiplicity of finite bars ending minus starting at each level
+    for s, e, m in finite:
+        weight[e] += m
+        weight[s] -= m
+    longest = {s: e for s, e, _ in finite}  # index bars are sorted: the last end from s wins
     if not starts and require_extremal_starts:
         raise EmptyBarcode("no infinite bars: extremal starting points are undefined")
+    K = sum(m for _, _, m in finite)
+    B = sum(m for _, _, m in b.index_bars) - K
     return BarStats(
         finite_count=K,
         infinite_count=B,
         total_count=2 * K + B,
-        beta_tot=beta_tot,
-        beta_max=beta_max,
-        c_plus=max(starts) if starts else None,
-        c_minus=min(starts) if starts else None,
+        beta_tot=sum((w * x for w, x in zip(weight, levels) if w), Fraction(0)),
+        beta_max=max((levels[e] - levels[s] for s, e in longest.items()), default=Fraction(0)),
+        c_plus=levels[starts[-1]] if starts else None,
+        c_minus=levels[starts[0]] if starts else None,
     )
 
 
 def finite_bar_count_at(b: Barcode, t: Fraction) -> int:
     """m(t): multiplicity-weighted number of finite bars containing t."""
-    t = Fraction(t)
-    return sum(bar.multiplicity for bar in b.bars if bar.finite and bar.contains(t))
+    k = bisect_left(b.levels, Fraction(t))
+    return sum(m for s, e, m in b.index_bars if s < k <= e < len(b.levels))
 
 
 def _integrate_finite_count(b: Barcode) -> Fraction:
-    """Exact integral of m(t) dt, by one sweep over the sorted finite endpoints."""
-    steps = sorted(
-        [(bar.start, bar.multiplicity) for bar in b.bars if bar.finite]
-        + [(bar.end, -bar.multiplicity) for bar in b.bars if bar.finite]
-    )
-    total = Fraction(0)
-    m, prev = 0, None
-    for x, dm in steps:
+    """Exact integral of m(t) dt, by one sweep over the regions between
+    consecutive levels."""
+    levels = b.levels
+    steps = [0] * len(levels)
+    for s, e, m in b.index_bars:
+        if e < len(levels):
+            steps[s] += m
+            steps[e] -= m
+    total, m = Fraction(0), 0
+    for k in range(len(levels) - 1):
+        m += steps[k]
         if m:
-            total += m * (x - prev)
-        m += dm
-        prev = x
+            total += m * (levels[k + 1] - levels[k])
     return total
 
 
@@ -353,22 +365,24 @@ class _ProbeCounts:
 
 
 def _probe_counts(b: Barcode, probes: list[Fraction], scale: int, dtype) -> _ProbeCounts:
-    """Counts of b at the points scale * probe, for every probe."""
+    """Counts of b at the points scale * probe, for every probe; each level
+    is located among the probes once, by bisect."""
     n = len(probes)
-
-    def index(x: Fraction) -> int:
+    index = []
+    for x in b.levels:
         k = bisect_left(probes, x / scale)
         if k < n and probes[k] * scale == x:
             raise SpectralEndpoint(f"window endpoint {x} is a bar endpoint")
-        return k
+        index.append(k)
+    inf = len(index)
 
     cover = np.zeros(n + 1, dtype=dtype)
     inf_start = np.zeros(n + 1, dtype=dtype)
     finite = []
-    for bar in b.bars:
-        s, m = index(bar.start), bar.multiplicity
-        if bar.finite:
-            e = index(bar.end)
+    for s, e, m in b.index_bars:
+        s = index[s]
+        if e < inf:
+            e = index[e]
             cover[s] += m
             cover[e] -= m
             finite.append((s, e, m))
@@ -478,13 +492,13 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
 # torsion detection
 
 
-def _pick_avoiding(lo: Fraction, hi: Fraction, avoid: set[Fraction]) -> Fraction:
-    """Some rational strictly inside (lo, hi) avoiding a finite set."""
-    cuts = [lo] + sorted(x for x in avoid if lo < x < hi) + [hi]
-    for a, b in zip(cuts, cuts[1:]):
-        if a < b:
-            return (a + b) / 2
-    raise ValueError("empty interval")
+def _pick_avoiding(lo: Fraction, hi: Fraction, levels: tuple) -> Fraction:
+    """The midpoint of lo and the first of the sorted levels or hi above lo:
+    a rational strictly inside (lo, hi) that is not a level."""
+    if not lo < hi:
+        raise ValueError("empty interval")
+    k = bisect_right(levels, lo)
+    return (lo + (levels[k] if k < len(levels) and levels[k] < hi else hi)) / 2
 
 
 def torsion_witness(b: Barcode) -> ActionWindow | None:
@@ -499,24 +513,23 @@ def torsion_witness(b: Barcode) -> ActionWindow | None:
     """
     if not b.bars:
         raise EmptyBarcode("torsion detection needs a nonempty barcode")
-    avoid = set(b.endpoints())
+    levels = b.levels
     stats = bar_stats(b)
     if stats.c_plus is not None and stats.c_plus > stats.c_minus:
         s = stats.c_plus if stats.c_plus != 0 else stats.c_minus
         r = abs(s) / 2
-        return ActionWindow(_pick_avoiding(s - r, s, avoid), _pick_avoiding(s, s + r, avoid))
-    for bar in b.bars:
-        if not bar.finite:
-            continue
-        a, e = bar.start, bar.end
-        if e > 0:
-            lo = _pick_avoiding(max(a, Fraction(0)), e, avoid)
-            return ActionWindow(lo, _pick_avoiding(e, e + 1, avoid))
-        if e < 0:
-            return ActionWindow(_pick_avoiding(a, e, avoid), _pick_avoiding(e, Fraction(0), avoid))
-        # e == 0: stay strictly negative on both sides
-        return ActionWindow(_pick_avoiding(a - 1, a, avoid), _pick_avoiding(a, Fraction(0), avoid))
-    return None
+        return ActionWindow(_pick_avoiding(s - r, s, levels), _pick_avoiding(s, s + r, levels))
+    finite = next(((s, e) for s, e, _ in b.index_bars if e < len(levels)), None)
+    if finite is None:
+        return None
+    a, e = levels[finite[0]], levels[finite[1]]
+    if e > 0:
+        lo = _pick_avoiding(max(a, Fraction(0)), e, levels)
+        return ActionWindow(lo, _pick_avoiding(e, e + 1, levels))
+    if e < 0:
+        return ActionWindow(_pick_avoiding(a, e, levels), _pick_avoiding(e, Fraction(0), levels))
+    # e == 0: stay strictly negative on both sides
+    return ActionWindow(_pick_avoiding(a - 1, a, levels), _pick_avoiding(a, Fraction(0), levels))
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +564,8 @@ def gamma_beta_check(gamma, b: Barcode) -> bool:
 
 
 def barcode_to_json(b: Barcode) -> dict:
-    return {
-        "p": b.p,
-        "bars": [
-            {
-                "start": _frac_str(bar.start),
-                "end": None if bar.end is None else _frac_str(bar.end),
-                "mult": bar.multiplicity,
-            }
-            for bar in b.bars
-        ],
-    }
+    text = [_frac_str(x) for x in b.levels] + [None]  # an infinite end reads None
+    return {"p": b.p, "bars": [{"start": text[s], "end": text[e], "mult": m} for s, e, m in b.index_bars]}
 
 
 def barcode_from_json(data) -> Barcode:

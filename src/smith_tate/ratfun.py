@@ -28,18 +28,9 @@ def pnorm(coeffs, p: int) -> Poly:
     return tuple(c)
 
 
-def pconst(x: int, p: int) -> Poly:
-    return pnorm((x,), p)
-
-
 def pupow(k: int, x: int, p: int) -> Poly:
     """x * u^k."""
     return pnorm((0,) * k + (x,), p)
-
-
-def padd(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    return pnorm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
 
 
 def psub(a: Poly, b: Poly, p: int) -> Poly:

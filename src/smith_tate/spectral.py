@@ -122,10 +122,9 @@ def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
     homology of the complex in each degree, computed independently.
     """
     order, lows = persistence_pairing(fc)
-    levels = fc.actions()
+    levels, level = fc._level_table()
     L = len(levels)
-    index_of_level = {a: L - 1 - i for i, a in enumerate(levels)}
-    keys = [(index_of_level[g.action], g.degree) for g in (fc.generators[i] for i in order)]
+    keys = [(L - 1 - level[i], fc.generators[i].degree) for i in order]
     # pages each generator survives: the filtration distance to its partner
     life = [math.inf] * len(order)
     for j, i in enumerate(lows):
@@ -150,7 +149,7 @@ def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
         einf_by_degree[k] = einf_by_degree.get(k, 0) + v
     converges = einf_by_degree == {k: v for k, v in total_h.items() if v}
     return SpectralSequencePages(
-        levels=levels,
+        levels=list(levels),
         pages=pages,
         infinity=inf_dims,
         total_homology=total_h,

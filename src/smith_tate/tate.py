@@ -34,7 +34,7 @@ from itertools import product as _product
 import numpy as np
 
 from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
-from .errors import InvalidComplex, NotChainMap, NotEquivariant
+from .errors import InvalidComplex, NotChainMap, NotEquivariant, check_size
 from .fp_core import FpMatrix, rank, rref
 from .ratfun import bareiss_rank, pupow
 
@@ -220,6 +220,10 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
     return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
+# degrees a group cohomology report may span
+MAX_GROUP_DEGREES = 10_000
+
+
 def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) -> dict[int, int]:
     """Hypercohomology dimensions H^k(Z/pZ, V) for k up to max_degree.
 
@@ -233,7 +237,9 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     k mod 2, so H^k is the Tate dimension of parity k above the top degree
     (periodicity of cyclic group cohomology), and at most
     dmax - dmin + 2 F_p eliminations are run for any max_degree.  Default
-    max_degree leaves room to watch the dimensions go 2-periodic.
+    max_degree leaves room to watch the dimensions go 2-periodic.  The
+    result has one entry per degree, so max_degree - dmin above
+    MAX_GROUP_DEGREES raises TooLarge.
     """
     if V.dim() == 0:
         return {}
@@ -241,6 +247,7 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     dmin, dmax = degs[0], degs[-1]
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
+    check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
     degrees = [g.degree for g in V.generators]
     m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
     ranks = {dmin - 1: 0}

@@ -16,6 +16,9 @@ sequence from the persistence pairing; subquotient_pages builds the same
 pages from the subquotient formula.  The library counts every iterate
 window from prefix sums over probe indices; smith_barcode_check_per_window
 counts each window by window_dim and integrates m(t) region by region.
+The library sorts generators and bars on int indices into a table of
+the distinct action levels; the *_by_fractions routes compare and sort
+the exact rationals themselves, generator by generator and bar by bar.
 """
 
 import random
@@ -24,12 +27,28 @@ from fractions import Fraction
 import numpy as np
 
 from smith_tate.complexes import ActionWindow
+from smith_tate.errors import EmptyBarcode, SpectralEndpoint
 from smith_tate.fp_core import FpMatrix, rank, rref
-from smith_tate.persistence import SmithBarcodeReport, _midpoint_probes, bar_stats, finite_bar_count_at, window_dim
+from smith_tate.persistence import (
+    Bar,
+    BarStats,
+    SmithBarcodeReport,
+    _midpoint_probes,
+    bar_stats,
+    finite_bar_count_at,
+    persistence_pairing,
+    window_dim,
+)
 from smith_tate.random_instances import random_equivariant_filtered
-from smith_tate.ratfun import bareiss_rank, padd, pmul, pupow
+from smith_tate.ratfun import bareiss_rank, pmul, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
 from smith_tate.tate import tate_blocks_at_one
+
+
+def padd(a, b, p: int):
+    """Sum of two polynomials over F_p."""
+    n = max(len(a), len(b))
+    return pnorm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
 
 
 def poly_mat_mul(a, b, p: int):
@@ -342,3 +361,119 @@ def smith_barcode_check_per_window(b1, bp, p: int) -> SmithBarcodeReport:
         window_ok=not window_failures,
         window_failures=tuple(window_failures),
     )
+
+
+# ---------------------------------------------------------------------------
+# the filtered layer on exact rationals
+
+
+def filtration_order_by_fractions(cx) -> list[int]:
+    """Generator indices sorted on (action, id) keys."""
+    gens = cx.generators
+    return sorted(range(len(gens)), key=lambda i: (gens[i].action, gens[i].id))
+
+
+def action_violations_by_fractions(cx) -> list[str]:
+    gens, index = cx.generators, {g.id: i for i, g in enumerate(cx.generators)}
+    return [
+        f"d({src}) does not strictly decrease action at {tgt}"
+        for src, row in cx.differential.items()
+        for tgt in row
+        if not gens[index[tgt]].action < gens[index[src]].action
+    ]
+
+
+def canonical_bars_by_fractions(bars) -> list[tuple]:
+    """(start, end, multiplicity) of the merged bars, sorted on rational
+    (start, end) keys with an infinite end last."""
+    merged: dict[tuple, int] = {}
+    for b in bars:
+        merged[(b.start, b.end)] = merged.get((b.start, b.end), 0) + b.multiplicity
+    key = lambda se: (se[0], se[1] is None, se[1] if se[1] is not None else 0)
+    return [(s, e, m) for (s, e), m in sorted(merged.items(), key=lambda kv: key(kv[0]))]
+
+
+def barcode_from_filtered_by_fractions(fc) -> list[tuple]:
+    """The canonical bars of the persistence pairing, with each generator's
+    action read off the generator and merged on rationals."""
+    order, lows = persistence_pairing(fc)
+    paired = set(int(x) for x in lows if x >= 0)
+    acts = [fc.generators[i].action for i in order]
+    bars = []
+    for j in range(len(order)):
+        if lows[j] >= 0:
+            bars.append(Bar(acts[lows[j]], acts[j]))
+        elif j not in paired:
+            bars.append(Bar(acts[j], None))
+    return canonical_bars_by_fractions(bars)
+
+
+def bar_stats_by_fractions(b) -> BarStats:
+    """Counts and lengths summed bar by bar."""
+    K = sum(bar.multiplicity for bar in b.bars if bar.finite)
+    B = sum(bar.multiplicity for bar in b.bars if not bar.finite)
+    starts = [bar.start for bar in b.bars if not bar.finite]
+    return BarStats(
+        finite_count=K,
+        infinite_count=B,
+        total_count=2 * K + B,
+        beta_tot=sum((bar.length() * bar.multiplicity for bar in b.bars if bar.finite), Fraction(0)),
+        beta_max=max((bar.length() for bar in b.bars if bar.finite), default=Fraction(0)),
+        c_plus=max(starts) if starts else None,
+        c_minus=min(starts) if starts else None,
+    )
+
+
+def window_dim_by_fractions(b, w) -> int:
+    """The window dimension by the three counting formulas, each bar tested
+    against the window ends as rationals."""
+    a, t = w.lower, w.upper
+    spectrum = {bar.start for bar in b.bars} | {bar.end for bar in b.bars if bar.finite}
+    for x in (a, t):
+        if x is not None and x in spectrum:
+            raise SpectralEndpoint(f"window endpoint {x} is a bar endpoint")
+    if a is None and t is None:
+        return sum(bar.multiplicity for bar in b.bars if not bar.finite)
+    if a is None:
+        return sum(bar.multiplicity for bar in b.bars if bar.contains(t))
+    if t is None:
+        return sum(
+            bar.multiplicity for bar in b.bars if (bar.contains(a) if bar.finite else bar.start > a)
+        )
+    return sum(
+        bar.multiplicity
+        for bar in b.bars
+        if (bar.contains(a) != bar.contains(t) if bar.finite else not bar.contains(a) and bar.contains(t))
+    )
+
+
+def _pick_avoiding_by_fractions(lo, hi, avoid):
+    cuts = [lo] + sorted(x for x in avoid if lo < x < hi) + [hi]
+    for a, b in zip(cuts, cuts[1:]):
+        if a < b:
+            return (a + b) / 2
+    raise ValueError("empty interval")
+
+
+def torsion_witness_by_fractions(b):
+    """The torsion witness window, every cut chosen against the set of all
+    bar endpoints."""
+    if not b.bars:
+        raise EmptyBarcode("torsion detection needs a nonempty barcode")
+    avoid = {bar.start for bar in b.bars} | {bar.end for bar in b.bars if bar.finite}
+    stats = bar_stats_by_fractions(b)
+    pick = lambda lo, hi: _pick_avoiding_by_fractions(lo, hi, avoid)
+    if stats.c_plus is not None and stats.c_plus > stats.c_minus:
+        s = stats.c_plus if stats.c_plus != 0 else stats.c_minus
+        r = abs(s) / 2
+        return ActionWindow(pick(s - r, s), pick(s, s + r))
+    for bar in b.bars:
+        if not bar.finite:
+            continue
+        a, e = bar.start, bar.end
+        if e > 0:
+            return ActionWindow(pick(max(a, Fraction(0)), e), pick(e, e + 1))
+        if e < 0:
+            return ActionWindow(pick(a, e), pick(e, Fraction(0)))
+        return ActionWindow(pick(a - 1, a), pick(a, Fraction(0)))
+    return None

@@ -779,3 +779,94 @@ def test_minimize_propagates_a_crashing_check(run, monkeypatch, tmp_path):
     monkeypatch.setitem(cli._FUZZ_OPS, "barcode-smith", cli.FuzzOp(real.name, real.generate, check))
     with pytest.raises(TypeError, match="crash in the check"):
         run(["fuzz", "--op", "barcode-smith", "--count", "1", "--seed", "0", "--reproducer", str(tmp_path / "r.json")])
+
+
+class TestTooLarge:
+    """Sizes that set the work or the report size are bounded before any
+    allocation, with a typed error and exit code 2."""
+
+    def test_group_cohomology_max_degree(self, run, trivial_file):
+        t0 = time.perf_counter()
+        code, out, err = run(["group-cohomology", "--input", trivial_file, "--max-degree", "100000000", "--json"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: TooLarge:")
+
+    def test_group_cohomology_at_the_limit(self, jrun, trivial_file):
+        code, report, _ = jrun(["group-cohomology", "--input", trivial_file, "--max-degree", "10000"])
+        assert code == 0
+        assert len(report["results"]["dims"]) == 10_001
+
+    def test_sigma_size(self, run, tmp_path):
+        path = write_json(tmp_path / "sigma.json", {"p": 3, "size": 100_000, "matrix": []})
+        t0 = time.perf_counter()
+        code, out, err = run(["decompose", "--sigma", path, "--json"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: TooLarge:")
+
+
+class TestSharedParser:
+    """dispatch builds the argparse parser once per process and no parse
+    leaves state behind for the next one."""
+
+    def test_built_once(self, run, monkeypatch, trivial_file):
+        import smith_tate.cli as cli
+
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for i in range(20):
+                argv = ["tate", "--input", trivial_file] if i % 2 else ["group-cohomology", "--input", trivial_file]
+                assert run(argv)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_no_state_carries_over(self, run, monkeypatch, tmp_path, trivial_file):
+        import smith_tate.cli as cli
+
+        iso = write_json(
+            tmp_path / "iso.json",
+            {
+                "p": 3,
+                "generators": [{"id": "a", "degree": 0, "action": 1}, {"id": "b", "degree": 1, "action": 0}],
+                "differential": {"a": {"b": 1}},
+                "filtered": True,
+            },
+        )
+        fuzz = ["fuzz", "--op", "tate-free-vanishing", "--count", "2", "--seed", "4"]
+        sequence = [
+            ["barcode", "--input", iso, "--window", "1/3:2"],
+            ["barcode", "--input", iso],
+            fuzz + ["-p", "5"],
+            fuzz,
+            ["tate", "--input", trivial_file, "--method", "bogus"],
+            ["tate", "--input", trivial_file],
+            ["no-such-command"],
+            ["tate", "--input", trivial_file],
+        ]
+
+        def outcome(argv):
+            code, out, err = run(argv + ["--json"])
+            report = json.loads(out) if out.strip() else None
+            if report is not None:
+                report.pop("timing_ms")
+            return code, report, err
+
+        shared = [outcome(argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [outcome(argv) for argv in sequence]
+        assert shared == fresh
+        assert "window" not in shared[1][1]["results"] and "window" in shared[0][1]["results"]
+        assert shared[2][1]["results"]["p"] == 5 and shared[3][1]["results"]["p"] == 3
+        assert [c for c, _, _ in shared] == [0, 0, 0, 0, 2, 0, 2, 0]

@@ -1,12 +1,13 @@
 """Barcodes: extraction, window counts, iterate comparison, torsion windows."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smith_tate.complexes import ActionWindow, FilteredComplex, Generator
+from smith_tate.complexes import ActionWindow, ChainComplex, FilteredComplex, Generator
 from smith_tate.errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -18,6 +19,7 @@ from smith_tate.persistence import (
     Bar,
     Barcode,
     _integrate_finite_count,
+    _midpoint_probes,
     bar_stats,
     barcode_from_filtered,
     barcode_from_json,
@@ -37,7 +39,17 @@ from smith_tate.random_instances import (
     random_filtered_complex,
 )
 
-from oracles import integrate_finite_count_by_regions, smith_barcode_check_per_window
+from oracles import (
+    action_violations_by_fractions,
+    bar_stats_by_fractions,
+    barcode_from_filtered_by_fractions,
+    canonical_bars_by_fractions,
+    filtration_order_by_fractions,
+    integrate_finite_count_by_regions,
+    smith_barcode_check_per_window,
+    torsion_witness_by_fractions,
+    window_dim_by_fractions,
+)
 
 
 def spans(b):
@@ -465,3 +477,139 @@ def test_integral_sweep_matches_region_sum(seed):
     b1, bp = _grid_pair(PRIMES[seed % 4], seed)
     for b in (b1, bp, random_barcode(5, seed)):
         assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b)
+
+
+# ---------------------------------------------------------------------------
+# the level-index route against the rational oracles
+
+# rationals near 2^62 whose neighbours differ by about 2^-124
+HUGE = [Fraction(2**62 + k, 2**62 - 1) for k in (-3, -1, 0, 1, 2)] + [Fraction(-(2**62) - 1, 2**62 - 3)]
+
+
+def _windows(levels, rng, count=60):
+    """The whole line, plus windows whose ends are open, below or above every
+    level, or strictly between two adjacent levels."""
+    ends = [None] + _midpoint_probes(sorted(levels))
+    out = [ActionWindow(None, None)]
+    for _ in range(count):
+        a, t = rng.choice(ends), rng.choice(ends)
+        if a is not None and t is not None:
+            if a == t:
+                continue
+            a, t = min(a, t), max(a, t)
+        out.append(ActionWindow(a, t))
+    return out
+
+
+def _assert_barcode_matches_oracles(b, rng):
+    assert spans(b) == canonical_bars_by_fractions(b.bars)
+    assert b.endpoints() == sorted({x for bar in b.bars for x in (bar.start, bar.end) if x is not None})
+    # split every bar into unit bars and shuffle them: canonicalisation merges them back
+    units = [Bar(bar.start, bar.end) for bar in b.bars for _ in range(bar.multiplicity)]
+    rng.shuffle(units)
+    assert Barcode(b.p, units) == b
+    assert spans(Barcode(b.p, units)) == canonical_bars_by_fractions(units)
+    assert bar_stats(b) == bar_stats_by_fractions(b)
+    for w in _windows(b.endpoints(), rng):
+        assert window_dim(b, w) == window_dim_by_fractions(b, w), (b, w)
+    for x in b.endpoints():
+        for w in (ActionWindow(None, x), ActionWindow(x, None), ActionWindow(x - 1, x), ActionWindow(x, x + 1)):
+            with pytest.raises(SpectralEndpoint):
+                window_dim(b, w)
+            with pytest.raises(SpectralEndpoint):
+                window_dim_by_fractions(b, w)
+        assert finite_bar_count_at(b, x) == sum(bar.multiplicity for bar in b.bars if bar.finite and bar.contains(x))
+    if b.bars:
+        assert torsion_witness(b) == torsion_witness_by_fractions(b)
+    assert barcode_from_json(json.dumps(barcode_to_json(b))) == b
+
+
+def _assert_complex_matches_oracles(fc, rng):
+    assert fc.filtration_order() == filtration_order_by_fractions(fc)
+    assert fc.action_violations() == action_violations_by_fractions(fc)
+    b = barcode_from_filtered(fc)
+    assert spans(b) == barcode_from_filtered_by_fractions(fc)
+    _assert_barcode_matches_oracles(b, rng)
+
+
+def _planted_bars(rng, levels):
+    """Finite and infinite bars on a few levels, with shared starts,
+    repeated bars and multiplicities."""
+    finite, infinite = [], []
+    for _ in range(rng.randint(1, 12)):
+        a, e = sorted(rng.sample(levels, 2))
+        finite.append((a, e, rng.randint(1, 3)))
+    finite += [finite[0], (finite[0][0], max(levels) + 1, 1)]
+    infinite = [finite[0][0]] + [rng.choice(levels) for _ in range(rng.randint(0, 4))]
+    return finite, infinite
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("seed", range(8))
+def test_filtered_layer_matches_fraction_oracles(p, seed):
+    rng = random.Random(1000 * p + seed)
+    _assert_complex_matches_oracles(random_filtered_complex(p, seed, max_gens=30, max_levels=8), rng)
+    for levels in (
+        [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3))) for _ in range(6)],
+        HUGE,
+    ):
+        levels = sorted(set(levels))
+        fc, planted = planted_filtered_complex(p, *_planted_bars(rng, levels), seed)
+        _assert_complex_matches_oracles(fc, rng)
+        assert barcode_from_filtered(fc) == planted
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("seed", range(10))
+def test_barcodes_from_json_match_fraction_oracles(p, seed):
+    rng = random.Random(seed)
+    for kwargs in ({}, {"normalized": True}, {"distinct_infinite": True}, {"allow_finite": False}):
+        b1 = random_barcode(p, 100 * seed + p, max_bars=12, **kwargs)
+        b1 = barcode_from_json(json.dumps(barcode_to_json(b1)))
+        _assert_barcode_matches_oracles(b1, rng)
+        _assert_barcode_matches_oracles(generate_iterated_barcode(b1, p, extra_bars=4, seed=seed), rng)
+        _assert_barcode_matches_oracles(scale_barcode(b1, Fraction(p, 7)), rng)
+        if any(bar.finite for bar in b1.bars):
+            _, bp = adversarial_iterated_pair(b1, p, seed)
+            _assert_barcode_matches_oracles(bp, rng)
+
+
+def test_tied_actions_sort_by_id():
+    gens = [Generator(g, 0, a) for g, a in (("c", 1), ("a", 1), ("d", -1), ("b", 1), ("e", Fraction(-2, 2)))]
+    cx = ChainComplex(3, gens, {})
+    assert [cx.generators[i].id for i in cx.filtration_order()] == ["d", "e", "a", "b", "c"]
+    assert cx.filtration_order() == filtration_order_by_fractions(cx)
+
+
+def test_action_violations_on_an_unfiltered_complex():
+    gens = [Generator("a", 0, 1), Generator("b", 1, 1), Generator("c", 1, 0), Generator("d", 1, 2)]
+    cx = ChainComplex(3, gens, {"a": {"b": 1, "c": 2, "d": 1}})
+    assert cx.action_violations() == action_violations_by_fractions(cx)
+    assert cx.action_violations() == [
+        "d(a) does not strictly decrease action at b",
+        "d(a) does not strictly decrease action at d",
+    ]
+
+
+def test_shared_starts_and_merged_multiplicities():
+    bars = [Bar(0, 2), Bar(0, 1), Bar(0, None), Bar(0, 1, 2), Bar(0, None, 2), Bar(-1, 0), Bar(-3, -1)]
+    b = Barcode(3, bars)
+    assert spans(b) == canonical_bars_by_fractions(bars) == [
+        (-3, -1, 1),
+        (-1, 0, 1),
+        (0, 1, 3),
+        (0, 2, 1),
+        (0, None, 3),
+    ]
+    assert b.index_bars == ((0, 1, 1), (1, 2, 1), (2, 3, 3), (2, 4, 1), (2, 5, 3))
+    _assert_barcode_matches_oracles(b, random.Random(0))
+
+
+def test_windows_between_adjacent_huge_levels():
+    h = HUGE
+    b = Barcode(5, [Bar(h[0], h[1]), Bar(h[1], h[2], 2), Bar(h[2], None), Bar(h[5], h[3]), Bar(h[4], None)])
+    _assert_barcode_matches_oracles(b, random.Random(1))
+    between = (h[1] + h[2]) / 2
+    assert h[1] < between < h[2]
+    w = ActionWindow(None, between)
+    assert window_dim(b, w) == window_dim_by_fractions(b, w) == 3
