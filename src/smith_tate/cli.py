@@ -92,6 +92,7 @@ from .tate import group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 
 _FAILURE_DISPLAY_CAP = 20
 MAX_SIGMA_SIZE = 4096  # the dense size x size sigma matrix is allocated up front
+MAX_FUZZ_GENERATORS = 512  # p per free orbit times the orbit cap of one fuzz instance
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +425,15 @@ class FuzzOp:
     name: str
     generate: Callable  # (rng, p, args) -> payload dict
     check: Callable  # (payload) -> (ok, details dict)
+    orbits: Callable | None = None  # (p, args) -> most free orbits an instance holds
+
+
+def _tate_free_orbits(p, args):
+    return max(1, 21 // p) if args.max_gens is None else args.max_gens
 
 
 def _gen_tate_free(rng, p, args):
-    V = random_free_equivariant(p, rng, max_blocks=args.max_gens)
+    V = random_free_equivariant(p, rng, max_blocks=_tate_free_orbits(p, args))
     return {"kind": "complex", "complex": complex_to_json(V)}
 
 
@@ -507,10 +513,14 @@ def _check_spectral_action(payload):
     return pages.converges, details
 
 
+def _algebraic_orbits(p, args):
+    return max(0, args.max_gens // p) if args.max_gens else 3
+
+
 def _gen_spectral_algebraic(rng, p, args):
-    kwargs = {}
+    kwargs = {"max_orbits": _algebraic_orbits(p, args)}
     if args.max_gens:
-        kwargs = {"max_orbits": max(0, args.max_gens // p), "max_trivial": args.max_gens}
+        kwargs["max_trivial"] = args.max_gens
     model = random_floer_model(p, rng, **kwargs)
     return {"kind": "model", "model": model_to_json(model)}
 
@@ -642,11 +652,11 @@ def _check_torsion_detector(payload):
 _FUZZ_OPS: dict[str, FuzzOp] = {
     op.name: op
     for op in (
-        FuzzOp("tate-free-vanishing", _gen_tate_free, _check_tate_free),
+        FuzzOp("tate-free-vanishing", _gen_tate_free, _check_tate_free, _tate_free_orbits),
         FuzzOp("quasi-frobenius", _gen_quasi_frobenius, _check_quasi_frobenius),
         FuzzOp("sigma-decomposition", _gen_sigma_decomposition, _check_sigma_decomposition),
         FuzzOp("spectral-action", _gen_spectral_action, _check_spectral_action),
-        FuzzOp("spectral-algebraic", _gen_spectral_algebraic, _check_spectral_algebraic),
+        FuzzOp("spectral-algebraic", _gen_spectral_algebraic, _check_spectral_algebraic, _algebraic_orbits),
         FuzzOp("barcode-roundtrip", _gen_barcode_roundtrip, _check_barcode_roundtrip),
         FuzzOp("barcode-smith", _gen_barcode_smith, _check_barcode_smith),
         FuzzOp("torsion-detector", _gen_torsion_detector, _check_torsion_detector),
@@ -794,6 +804,9 @@ def _cmd_fuzz(args):
     if args.adversarial and op.name != "barcode-smith":
         raise MalformedInput("--adversarial applies only to barcode-smith")
     check_prime(args.p)
+    if op.orbits is not None:
+        gens = args.p * op.orbits(args.p, args)
+        check_size(f"{op.name} generators (p per free orbit)", gens, MAX_FUZZ_GENERATORS)
     seed = args.seed
     if seed is None:
         try:

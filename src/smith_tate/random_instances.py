@@ -55,28 +55,37 @@ def _shuffled(rng: random.Random, items: list) -> list:
 # unipotent changes of basis
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b % p for matrices of residues.  Every partial sum is an integer
+    of at most k (p - 1)^2 for inner dimension k; below 2^53 float64 holds
+    it exactly, so the product runs on BLAS, and above it on int64."""
+    if a.shape[1] * (p - 1) ** 2 < 1 << 53:
+        out = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(out, p, out=out).astype(np.int64)
+    return a @ b % p
+
+
 def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
     """(P, P^-1) for P = I + E with E supported on the given (row, col, val)
-    triples; E must be nilpotent for the Neumann series to terminate."""
+    triples; E must be nilpotent.  P^-1 = prod_k (I + (-E)^(2^k)) over the
+    2^k below the nilpotency index, so it takes O(log n) products."""
     e = np.zeros((n, n), dtype=np.int64)
     for r, c, v in entries:
         e[r, c] = (e[r, c] + v) % p
     pm = (np.eye(n, dtype=np.int64) + e) % p
     inv = np.eye(n, dtype=np.int64)
-    term = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        term = (-term @ e) % p
-        if not term.any():
-            break
-        inv = (inv + term) % p
-    else:
-        raise ValueError("conjugation support is not nilpotent")
+    power, square = 1, (-e) % p
+    while square.any():
+        if power >= n:
+            raise ValueError("conjugation support is not nilpotent")
+        inv = (inv + _matmul_mod(inv, square, p)) % p
+        square = _matmul_mod(square, square, p)
+        power *= 2
     return pm, inv
 
 
 def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    # reduce after each product: int64 holds n p^2 but not n^2 p^4 for p near 2^24
-    d = (pm @ cx.matrix_in_order(range(cx.dim())).a % cx.p @ inv) % cx.p
+    d = _matmul_mod(_matmul_mod(pm, cx.matrix_in_order(range(cx.dim())).a % cx.p, cx.p), inv, cx.p)
     return _coeff_map(d, [g.id for g in cx.generators])
 
 
@@ -409,7 +418,7 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     degrees: an entry (r, c) of the block theta^alpha -> theta^eps belongs
     to the term d_alpha^i with i = 1 + alpha - (deg r - deg c), which
     carries u^(i // 2) and has i = eps mod 2.  R strictly lowers action, so
-    the Neumann series for Q(1)^-1 terminates.
+    E = R(1) is nilpotent and _unipotent_pair inverts Q(1) exactly.
     """
     rng = _rng(seed)
     base = random_equivariant_filtered(p, rng, **kwargs)
@@ -424,7 +433,7 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
             if degs[y] == degs[x] - 2 and acts[y] < acts[x]:
                 r[(y, x)] = rng.randrange(p)
         q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
-        blocks = tuple((q @ m % p @ qinv) % p for m in blocks)
+        blocks = tuple(_matmul_mod(_matmul_mod(q, m % p, p), qinv, p) for m in blocks)
     A, B, C, D = blocks  # 1 -> 1, theta -> 1, 1 -> theta, theta -> theta
     terms = {}
     for m, alpha in ((A, 0), (C, 0), (D, 1), (B, 1)):

@@ -7,15 +7,24 @@ such tuples.
 bareiss_rank is the independent rank route over F_p(u): fraction-free
 (Bareiss) Gaussian elimination on a polynomial matrix, used by
 `tate_cohomology_dims(..., method="bareiss")` and by the tests as an
-oracle.  Nothing else in the library computes over F_p[u]: every
-differential it builds is homogeneous, so Tate ranks are F_p ranks at
-u = 1 (see tate.tate_cohomology_dims) and the deformed models of
+oracle.  It holds the matrix as one int64 coefficient array, indexed by
+u-exponent on the last axis, and runs each elimination step as a few
+exact array products.  Nothing else in the library computes over F_p[u]:
+every differential it builds is homogeneous, so Tate ranks are F_p ranks
+at u = 1 (see tate.tate_cohomology_dims) and the deformed models of
 random_instances.random_floer_model are conjugated at u = 1.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .errors import TooLarge, check_size
+
 Poly = tuple  # tuple[int, ...], coefficient of u^k at index k
+
+# cells (rows * cols * width) of the coefficient array bareiss_rank may hold
+MAX_BAREISS_CELLS = 1 << 22
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -33,72 +42,116 @@ def pupow(k: int, x: int, p: int) -> Poly:
     return pnorm((0,) * k + (x,), p)
 
 
-def psub(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    return pnorm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p)
-
-
-def pmul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return pnorm(out, p)
-
-
-def pdivmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    quot = [0] * max(len(a) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % p
-        if c == 0:
-            continue
-        q = (c * inv) % p
-        quot[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
-    return pnorm(quot, p), pnorm(rem, p)
-
-
-def pdiv_exact(a: Poly, b: Poly, p: int) -> Poly:
-    q, r = pdivmod(a, b, p)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 # ---------------------------------------------------------------------------
-# polynomial matrices
+# polynomial matrices as coefficient arrays
+
+
+def _shift_matrices(q: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) Toeplitz matrices S with S[k, k + l] = q[..., l], one
+    per leading index of q, so that a coefficient row x gives x @ S = the
+    coefficients of x * q cut at cols.  A view of q padded with zeros, row
+    k starting k places before row 0: no rows x cols array is allocated."""
+    padded = np.zeros(q.shape[:-1] + (rows - 1 + cols,), dtype=np.int64)
+    padded[..., rows - 1 : rows - 1 + min(q.shape[-1], cols)] = q[..., :cols]
+    *lead, step = padded.strides
+    return np.ndarray(q.shape[:-1] + (rows, cols), np.int64, padded, (rows - 1) * step, (*lead, -step, step))
+
+
+def _series_inverse(q: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The first n coefficients of 1 / q as a power series; q[0] != 0."""
+    q = q.tolist()
+    inv = [pow(q[0], -1, p)]
+    for k in range(1, n):
+        s = sum(q[l] * inv[k - l] for l in range(1, min(k, len(q) - 1) + 1))
+        inv.append(-s * inv[0] % p)
+    return np.array(inv, dtype=np.int64)
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a cut on its last axis after the highest coefficient that is nonzero
+    anywhere in a."""
+    live = np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=0))
+    return a[..., : live[-1] + 1 if live.size else 0]
+
+
+def _divide_exact(num: np.ndarray, prev: np.ndarray, width: int, p: int) -> np.ndarray:
+    """Each row of num divided by prev over F_p[u], or ArithmeticError.
+
+    With prev = u^v q0 and q0(0) != 0, the quotient is num / u^v times the
+    power series 1 / q0, cut to deg num - deg prev + 1 coefficients.  Then
+    quotient * prev agrees with num below u^(qw + v) whenever the v lowest
+    coefficients of num vanish, so only those and the deg q0 highest ones
+    are checked.  An exact quotient is a minor, so at most width wide."""
+    v = int(np.flatnonzero(prev)[0])
+    dp, nw = len(prev) - 1, num.shape[1]
+    qw = nw - dp
+    if qw > width or num[:, : v if qw > 0 else nw].any():
+        raise ArithmeticError("inexact polynomial division")
+    if qw <= 0:
+        return num[:, :0]
+    quot = num[:, v : v + qw] @ _shift_matrices(_series_inverse(prev[v:], qw, p), qw, qw) % p
+    if dp > v:
+        top = quot @ _shift_matrices(prev, qw, nw)[:, qw + v :] % p
+        if not np.array_equal(top, num[:, qw + v :]):
+            raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def _bareiss_step(a: np.ndarray, piv: np.ndarray, prev: np.ndarray, width: int, p: int) -> np.ndarray:
+    """The trailing block (piv a[i, j] - a[i, 0] a[0, j]) / prev, i, j >= 1,
+    of the live block a after one fraction-free step on its pivot
+    piv = a[0, 0]."""
+    m, n, w = a.shape[0] - 1, a.shape[1] - 1, a.shape[2]
+    nw = 2 * w - 1
+    num = a[1:, 1:].reshape(m * n, w) @ _shift_matrices(piv, w, nw)
+    # the pivot column against the shift matrix of each pivot-row entry
+    cross = a[1:, 0] @ _shift_matrices(a[0, 1:], w, nw)  # (n, m, nw)
+    num = _trim((num - cross.transpose(1, 0, 2).reshape(m * n, nw)) % p)
+    if len(prev) > 1 or prev[0] != 1:
+        num = _divide_exact(num, prev, width, p)
+    return num.reshape(m, n, num.shape[1])
 
 
 def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
-    """Rank of a polynomial matrix by fraction-free Gaussian elimination."""
-    mat = [list(row) for row in poly_mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    prev: Poly = (1,)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = psub(pmul(mat[r][c], mat[i][j], p), pmul(mat[i][c], mat[r][j], p), p)
-                mat[i][j] = pdiv_exact(num, prev, p)
-            mat[i][c] = ()
-        prev = mat[r][c]
-        r += 1
-    return r
+    """Rank of a polynomial matrix over F_p(u) by fraction-free Gaussian
+    elimination (Bareiss, Math. Comp. 1968).
 
+    The matrix is loaded once into an int64 array A[rows, cols, width]
+    with the u-exponent on the last axis.  A step on pivot A[0, 0] forms
+    every numerator A[0, 0] A[i, j] - A[i, 0] A[0, j] at once as products
+    with Toeplitz shift matrices, then divides all of them exactly by the
+    previous pivot (Sylvester's identity) and cuts the width to the highest
+    nonzero coefficient left.  Every live entry is a minor, so the width
+    stays within min(rows, cols) * D + 1 for entry degree D; that size is
+    bounded by MAX_BAREISS_CELLS, and width * (p - 1)^2 must fit in int64
+    sums.  Both limits raise TooLarge.
+    """
+    rows = len(poly_mat)
+    cols = len(poly_mat[0]) if rows else 0
+    deg = max((len(e) for row in poly_mat for e in row), default=0) - 1
+    if deg < 0:
+        return 0
+    width = min(rows, cols) * deg + 1
+    check_size("Bareiss coefficient array (rows * cols * width)", rows * cols * width, MAX_BAREISS_CELLS)
+    if width * (p - 1) ** 2 >= 1 << 63:
+        raise TooLarge(f"Bareiss width {width} at p = {p} could overflow int64 sums")
+    a = np.zeros((rows, cols, deg + 1), dtype=np.int64)
+    for i, row in enumerate(poly_mat):
+        for j, e in enumerate(row):
+            if e:
+                a[i, j, : len(e)] = e
+    a %= p
+    prev = np.ones(1, dtype=np.int64)
+    r = 0
+    while a.size:
+        nz = np.flatnonzero(a[:, 0].any(axis=1))
+        if not nz.size:
+            a = a[:, 1:]
+            continue
+        if nz[0]:
+            a[[0, nz[0]]] = a[[nz[0], 0]]
+        r += 1
+        piv = _trim(a[0, 0])
+        a = _bareiss_step(a, piv, prev, width, p)
+        prev = piv
+    return r

@@ -19,6 +19,11 @@ counts each window by window_dim and integrates m(t) region by region.
 The library sorts generators and bars on int indices into a table of
 the distinct action levels; the *_by_fractions routes compare and sort
 the exact rationals themselves, generator by generator and bar by bar.
+The library runs Bareiss elimination over F_p[u] as products of int64
+coefficient arrays; bareiss_rank_by_entries runs it one polynomial
+product and long division (pmul, psub, pdiv_exact) per entry and step.
+The generators invert unipotent changes of basis I + E by repeated
+squaring; unipotent_inverse_by_neumann sums the Neumann series.
 """
 
 import random
@@ -40,7 +45,7 @@ from smith_tate.persistence import (
     window_dim,
 )
 from smith_tate.random_instances import random_equivariant_filtered
-from smith_tate.ratfun import bareiss_rank, pmul, pnorm, pupow
+from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
 from smith_tate.tate import tate_blocks_at_one
 
@@ -49,6 +54,90 @@ def padd(a, b, p: int):
     """Sum of two polynomials over F_p."""
     n = max(len(a), len(b))
     return pnorm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
+
+
+def psub(a, b, p: int):
+    """Difference of two polynomials over F_p."""
+    n = max(len(a), len(b))
+    return pnorm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p)
+
+
+def pmul(a, b, p: int):
+    """Product of two polynomials over F_p, by schoolbook multiplication."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return pnorm(out, p)
+
+
+def pdivmod(a, b, p: int):
+    """(quotient, remainder) of long division by b over F_p."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv = pow(lb, -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c == 0:
+            continue
+        q = (c * inv) % p
+        quot[i - db] = q
+        for j in range(db + 1):
+            rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
+    return pnorm(quot, p), pnorm(rem, p)
+
+
+def pdiv_exact(a, b, p: int):
+    """a / b over F_p, or ArithmeticError when b does not divide a."""
+    q, r = pdivmod(a, b, p)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def bareiss_rank_by_entries(poly_mat, p: int) -> int:
+    """Rank of a polynomial matrix by fraction-free Gaussian elimination,
+    one polynomial product and long division per entry and step."""
+    mat = [list(row) for row in poly_mat]
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    prev = (1,)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = psub(pmul(mat[r][c], mat[i][j], p), pmul(mat[i][c], mat[r][j], p), p)
+                mat[i][j] = pdiv_exact(num, prev, p)
+            mat[i][c] = ()
+        prev = mat[r][c]
+        r += 1
+    return r
+
+
+def unipotent_inverse_by_neumann(e: np.ndarray, p: int) -> np.ndarray:
+    """(I + E)^-1 = sum_k (-E)^k for nilpotent E, one dense product per
+    power of E."""
+    n = len(e)
+    inv = term = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        term = (-term @ e) % p
+        if not term.any():
+            return inv
+        inv = (inv + term) % p
+    raise ValueError("conjugation support is not nilpotent")
 
 
 def poly_mat_mul(a, b, p: int):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from smith_tate.cli import dispatch
-from smith_tate.complexes import EquivariantComplex, Generator, complex_to_json
+from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, complex_to_json, tensor_power
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import adversarial_iterated_pair
 from smith_tate.spectral import EquivariantFloerModel, model_to_json
@@ -806,6 +806,37 @@ class TestTooLarge:
         assert code == 2
         assert out == ""
         assert err.startswith("error: TooLarge:")
+
+    def test_bareiss_coefficient_array(self, run, jrun, tmp_path):
+        """The parity blocks of a 243-generator tensor power need about
+        243 x 243 x 244 coefficient cells over F_p[u]; the u = 1 route
+        still runs on them."""
+        base = ChainComplex(5, [Generator("a", 0), Generator("b", 0), Generator("c", 1)], {"a": {"c": 1}})
+        path = write_json(tmp_path / "tp243.json", complex_to_json(tensor_power(base)))
+        t0 = time.perf_counter()
+        code, out, err = run(["tate", "--input", path, "--method", "bareiss", "--json"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: TooLarge: Bareiss coefficient array")
+        code, report, _ = jrun(["tate", "--input", path])
+        assert code == 0
+        assert (report["results"]["even"], report["results"]["odd"], report["results"]["dim"]) == (1, 1, 243)
+
+    @pytest.mark.parametrize("op", ["tate-free-vanishing", "spectral-algebraic"])
+    def test_fuzz_free_orbit_generators(self, run, jrun, op):
+        """p generators per free orbit are bounded before generating, for
+        the largest matrix prime and for a large --max-gens alike."""
+        for extra in (["-p", "16777213"], ["-p", "7", "--max-gens", "10000"]):
+            t0 = time.perf_counter()
+            code, out, err = run(["fuzz", "--op", op, "--count", "1", "--json"] + extra)
+            assert time.perf_counter() - t0 < 1
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: TooLarge: {op} generators")
+        code, report, _ = jrun(["fuzz", "--op", op, "--count", "2", "-p", "7"])
+        assert code == 0
+        assert report["results"]["passed"] == 2
 
 
 class TestSharedParser:

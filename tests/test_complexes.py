@@ -30,13 +30,14 @@ from smith_tate.errors import (
 from smith_tate.fp_core import FpMatrix
 from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
+    _unipotent_pair,
     random_chain_complex,
     random_equivariant_filtered,
     random_filtered_complex,
     random_free_equivariant,
 )
 
-from oracles import coeff_matrix_by_entries
+from oracles import coeff_matrix_by_entries, unipotent_inverse_by_neumann
 
 
 def free_orbit(p, degree=0, action=0):
@@ -494,3 +495,30 @@ def test_random_complexes_at_the_largest_matrix_prime():
         fc = random_filtered_complex(p, seed, max_gens=20)
         assert not fc.action_violations()
         random_chain_complex(p, seed, max_dim=8)
+
+
+def _nilpotent_entries(rng, n, p, chain):
+    """(row, col, val) triples strictly upper triangular in a random order
+    of the basis; with chain, one chain of nilpotency index n."""
+    order = rng.sample(range(n), n)
+    if chain:
+        return [(order[i], order[i + 1], 1 + rng.randrange(p - 1)) for i in range(n - 1)]
+    pairs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))] if n >= 2 else []
+    return [(order[i], order[j], rng.randrange(p)) for i, j in pairs]
+
+
+def test_unipotent_inverse_matches_neumann_series():
+    """The inverse of I + E is unique, so the repeated-squaring product
+    equals the Neumann series, with float64 and int64 products alike (the
+    largest matrix prime crosses from one to the other at n = 33)."""
+    for p in (2, 3, 5, 16777213):
+        rng = random.Random(p)
+        for _ in range(8):
+            for chain in (False, True):
+                n = rng.randint(1, 40)
+                pm, inv = _unipotent_pair(n, p, _nilpotent_entries(rng, n, p, chain))
+                e = (pm - np.eye(n, dtype=np.int64)) % p
+                assert inv.tolist() == unipotent_inverse_by_neumann(e, p).tolist()
+                assert (pm @ inv % p).tolist() == np.eye(n, dtype=np.int64).tolist()
+    with pytest.raises(ValueError, match="not nilpotent"):
+        _unipotent_pair(3, 5, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])

@@ -335,10 +335,18 @@ def test_rank_at_one_matches_bareiss_on_fixed_seeds():
     assert vanishing == {True, False}
 
 
+def test_rank_at_one_matches_bareiss_on_128_generator_tensor_powers():
+    """The p = 7 tensor powers of two-generator bases, whose parity blocks
+    are 128 x 128: the largest the tests eliminate over F_p[u]."""
+    for base in _tensor_bases(7, 2, 2):
+        V = tensor_power(base)
+        assert V.dim() == 128
+        assert tate_cohomology_dims(V) == tate_cohomology_dims(V, method="bareiss")
+
+
 def test_tensor_power_rank_at_one_counts_homology():
-    """Tate dims of a p-fold tensor power are (h, h) for h = dim H(V); at
-    p = 7 the 128-generator powers are out of Bareiss's reach, so this
-    identity is their cross-check."""
+    """Tate dims of a p-fold tensor power are (h, h) for h = dim H(V), up
+    to the 128-generator powers at p = 7."""
     for p, max_dim, count in ((2, 4, 6), (3, 3, 4), (5, 2, 2), (7, 2, 2)):
         for base in _tensor_bases(p, max_dim, count):
             h = sum(base.homology_dims().values())
