@@ -92,7 +92,7 @@ from .tate import group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 
 _FAILURE_DISPLAY_CAP = 20
 MAX_SIGMA_SIZE = 4096  # the dense size x size sigma matrix is allocated up front
-MAX_FUZZ_GENERATORS = 512  # p per free orbit times the orbit cap of one fuzz instance
+MAX_FUZZ_SIZE = 512  # the size one fuzz instance may reach, FuzzOp.size
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,68 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x).__name__} into a report")
+
+
+_escape = json.encoder.encode_basestring_ascii
+# the text of a JSON scalar, by exact type; subclasses take the slow branch
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(x) -> str:
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for the plain
+    JSON types _jsonable produces, written in one pass into one list."""
+    out: list[str] = []
+    _write_json(x, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, nl: str, out: list) -> None:
+    """Append the text of x, whose closing bracket goes after nl; scalar
+    members are written without a call of their own."""
+    text = _SCALAR_TEXT.get(type(x))
+    if text is not None:
+        out.append(text(x))
+        return
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                out.append(sep + _escape(k) + ": ")
+                _write_json(v, inner, out)
+            else:
+                out.append(sep + _escape(k) + ": " + text(v))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, list):
+        if not x:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for v in x:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                out.append(sep)
+                _write_json(v, inner, out)
+            else:
+                out.append(sep + text(v))
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, str):
+        out.append(_escape(x))
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
 def _json_key(k) -> str:
@@ -425,7 +487,13 @@ class FuzzOp:
     name: str
     generate: Callable  # (rng, p, args) -> payload dict
     check: Callable  # (payload) -> (ok, details dict)
-    orbits: Callable | None = None  # (p, args) -> most free orbits an instance holds
+    size: Callable | None = None  # (p, args) -> (what, largest count an instance reaches)
+
+
+def _free_orbit_size(orbits: Callable) -> Callable:
+    """FuzzOp.size of an op whose instances hold at most orbits(p, args)
+    free orbits of p generators each."""
+    return lambda p, args: ("generators (p per free orbit)", p * orbits(p, args))
 
 
 def _tate_free_orbits(p, args):
@@ -464,6 +532,11 @@ def _check_quasi_frobenius(payload):
         "certificates": len(res.certificates),
     }
     return ok, details
+
+
+def _sigma_size(p, args):
+    # p Jordan multiplicities and p powers to rank, of a matrix with at most --max-gens rows
+    return "size (the larger of p and --max-gens)", max(p, args.max_gens or 12)
 
 
 def _gen_sigma_decomposition(rng, p, args):
@@ -652,11 +725,13 @@ def _check_torsion_detector(payload):
 _FUZZ_OPS: dict[str, FuzzOp] = {
     op.name: op
     for op in (
-        FuzzOp("tate-free-vanishing", _gen_tate_free, _check_tate_free, _tate_free_orbits),
+        FuzzOp("tate-free-vanishing", _gen_tate_free, _check_tate_free, _free_orbit_size(_tate_free_orbits)),
         FuzzOp("quasi-frobenius", _gen_quasi_frobenius, _check_quasi_frobenius),
-        FuzzOp("sigma-decomposition", _gen_sigma_decomposition, _check_sigma_decomposition),
+        FuzzOp("sigma-decomposition", _gen_sigma_decomposition, _check_sigma_decomposition, _sigma_size),
         FuzzOp("spectral-action", _gen_spectral_action, _check_spectral_action),
-        FuzzOp("spectral-algebraic", _gen_spectral_algebraic, _check_spectral_algebraic, _algebraic_orbits),
+        FuzzOp(
+            "spectral-algebraic", _gen_spectral_algebraic, _check_spectral_algebraic, _free_orbit_size(_algebraic_orbits)
+        ),
         FuzzOp("barcode-roundtrip", _gen_barcode_roundtrip, _check_barcode_roundtrip),
         FuzzOp("barcode-smith", _gen_barcode_smith, _check_barcode_smith),
         FuzzOp("torsion-detector", _gen_torsion_detector, _check_torsion_detector),
@@ -804,9 +879,9 @@ def _cmd_fuzz(args):
     if args.adversarial and op.name != "barcode-smith":
         raise MalformedInput("--adversarial applies only to barcode-smith")
     check_prime(args.p)
-    if op.orbits is not None:
-        gens = args.p * op.orbits(args.p, args)
-        check_size(f"{op.name} generators (p per free orbit)", gens, MAX_FUZZ_GENERATORS)
+    if op.size is not None:
+        what, size = op.size(args.p, args)
+        check_size(f"{op.name} {what}", size, MAX_FUZZ_SIZE)
     seed = args.seed
     if seed is None:
         try:
@@ -857,8 +932,7 @@ def _cmd_fuzz(args):
     if failures:
         path = args.reproducer or f"reproducer-{op.name}-{failures[0]['seed']}.json"
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(_jsonable(failures[0]["reproducer"]), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(_json_text(_jsonable(failures[0]["reproducer"])) + "\n")
         results["reproducer-path"] = path
     return digest, results, {"all-instances-pass": not failures}
 
@@ -987,7 +1061,7 @@ def _print_tree(value, indent: str) -> None:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
         return
     print(f"command: {report['command']}")
     print(f"input:   sha256:{report['input_sha256']}")

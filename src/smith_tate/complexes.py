@@ -27,7 +27,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, RrefResult, _check_matrix_prime, rref, solve
+from .fp_core import FpMatrix, RrefResult, _check_matrix_prime, _matmul_mod, rref, solve
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -202,8 +202,7 @@ class ChainComplex:
                 if self.generators[self._index[tgt]].degree != dsrc + 1:
                     out.append(f"d({src}) hits {tgt}, which is not one degree higher")
         for k in self.degrees():
-            prod = self.d_block(k + 1) @ self.d_block(k)
-            if not prod.is_zero():
+            if _matmul_mod(self.d_block(k + 1).a, self.d_block(k).a, self.p).any():
                 out.append(f"d.d != 0 out of degree {k}")
         return out
 

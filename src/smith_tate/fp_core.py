@@ -8,9 +8,10 @@ columns that way).
 
 The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
 product of two entries stays below 2^48, and every product of n x n
-matrices is exact in int64 for n <= 2^15.  FpScalar uses Python integers
-and takes any prime below PRIMALITY_BOUND, where the Miller-Rabin test of
-is_prime is exact.
+matrices is exact in int64 for n <= 2^15.  _matmul_mod runs the same
+exact product on float64 BLAS while its sums stay below 2^53.  FpScalar
+uses Python integers and takes any prime below PRIMALITY_BOUND, where the
+Miller-Rabin test of is_prime is exact.
 """
 
 from __future__ import annotations
@@ -216,6 +217,16 @@ class FpMatrix:
 
     def mul_vec(self, v: np.ndarray) -> np.ndarray:
         return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b % p for int64 matrices of residues.  Every partial sum is an
+    integer of at most k (p - 1)^2 for inner dimension k; below 2^53 float64
+    holds it exactly, so the product runs on BLAS, and above it on int64."""
+    if a.shape[1] * (p - 1) ** 2 < 1 << 53:
+        out = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(out, p, out=out).astype(np.int64)
+    return a @ b % p
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

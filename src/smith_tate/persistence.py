@@ -176,29 +176,43 @@ def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
     A column j with lows[j] = i pairs the generators at positions i and j,
     and the action of i is strictly below that of j.  Raises
     FiltrationViolation unless d strictly decreases action.
+
+    Columns are sparse, {position in order: coefficient}, read straight off
+    the differential, and the low of a column is its largest key.  Each
+    column reduced to a nonzero low is kept, with the inverse of its low
+    coefficient, to clear that low from later columns (as in PHAT; Bauer,
+    Kerber, Reininghaus and Wagner, J. Symb. Comput. 2017).
     """
     bad = fc.action_violations()
     if bad:
         raise FiltrationViolation(bad[0])
     p = fc.p
     order = fc.filtration_order()
-    n = len(order)
-    d = fc.matrix_in_order(order).a
-    low_of: dict[int, int] = {}  # low row -> column that holds it
-    lows = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        while True:
-            nz = np.nonzero(d[:, j])[0]
-            if len(nz) == 0:
-                break
-            lo = int(nz[-1])
-            k = low_of.get(lo)
-            if k is None:
-                low_of[lo] = j
+    ids = [fc.generators[i].id for i in order]
+    pos = {gid: k for k, gid in enumerate(ids)}
+    diff = fc.differential
+    pivot: dict[int, tuple[dict[int, int], int]] = {}  # low -> (reduced column, 1 / its low coefficient)
+    lows = np.full(len(order), -1, dtype=np.int64)
+    for j, gid in enumerate(ids):
+        row = diff.get(gid)
+        if row is None:
+            continue
+        col = {pos[t]: c for t, c in row.items()}
+        while col:
+            lo = max(col)
+            hit = pivot.get(lo)
+            if hit is None:
+                pivot[lo] = col, pow(col[lo], -1, p)
                 lows[j] = lo
                 break
-            factor = (d[lo, j] * pow(int(d[lo, k]), -1, p)) % p
-            d[:, j] = (d[:, j] - factor * d[:, k]) % p
+            other, inv = hit
+            factor = col[lo] * inv % p
+            for r, c in other.items():
+                v = (col.get(r, 0) - factor * c) % p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
     return order, lows
 
 

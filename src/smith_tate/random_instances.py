@@ -22,7 +22,7 @@ from .complexes import (
     Generator,
     _coeff_map,
 )
-from .fp_core import FpMatrix, _row_reduce, rank
+from .fp_core import FpMatrix, _matmul_mod, _row_reduce, rank
 from .persistence import Bar, Barcode, scale_barcode
 from .spectral import EquivariantFloerModel
 from .tate import tate_blocks_at_one
@@ -53,16 +53,6 @@ def _shuffled(rng: random.Random, items: list) -> list:
 
 # ---------------------------------------------------------------------------
 # unipotent changes of basis
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b % p for matrices of residues.  Every partial sum is an integer
-    of at most k (p - 1)^2 for inner dimension k; below 2^53 float64 holds
-    it exactly, so the product runs on BLAS, and above it on int64."""
-    if a.shape[1] * (p - 1) ** 2 < 1 << 53:
-        out = a.astype(np.float64) @ b.astype(np.float64)
-        return np.fmod(out, p, out=out).astype(np.int64)
-    return a @ b % p
 
 
 def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):

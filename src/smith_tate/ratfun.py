@@ -25,6 +25,9 @@ Poly = tuple  # tuple[int, ...], coefficient of u^k at index k
 
 # cells (rows * cols * width) of the coefficient array bareiss_rank may hold
 MAX_BAREISS_CELLS = 1 << 22
+# rows * cols * width^2, the work of one step on the widest array; a matrix
+# of degree-1 entries within the cell limit stays far below it
+MAX_BAREISS_WORK = 1 << 31
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -123,8 +126,9 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     previous pivot (Sylvester's identity) and cuts the width to the highest
     nonzero coefficient left.  Every live entry is a minor, so the width
     stays within min(rows, cols) * D + 1 for entry degree D; that size is
-    bounded by MAX_BAREISS_CELLS, and width * (p - 1)^2 must fit in int64
-    sums.  Both limits raise TooLarge.
+    bounded by MAX_BAREISS_CELLS, width * (p - 1)^2 must fit in int64
+    sums, and a step's products, about rows * cols * width^2, are bounded
+    by MAX_BAREISS_WORK.  The limits raise TooLarge.
     """
     rows = len(poly_mat)
     cols = len(poly_mat[0]) if rows else 0
@@ -135,6 +139,7 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     check_size("Bareiss coefficient array (rows * cols * width)", rows * cols * width, MAX_BAREISS_CELLS)
     if width * (p - 1) ** 2 >= 1 << 63:
         raise TooLarge(f"Bareiss width {width} at p = {p} could overflow int64 sums")
+    check_size("Bareiss step work (rows * cols * width^2)", rows * cols * width * width, MAX_BAREISS_WORK)
     a = np.zeros((rows, cols, deg + 1), dtype=np.int64)
     for i, row in enumerate(poly_mat):
         for j, e in enumerate(row):

@@ -11,9 +11,11 @@ entry at a time.  The library reads Tate and group cohomology off one
 numpy parity split of V<1, theta>; assemble_parity_blocks splits the
 polynomial blocks label by label, and group_cohomology_by_slots assembles
 the first-quadrant double complex slot by slot and eliminates every total
-degree up to max_degree.  The library counts the action spectral
-sequence from the persistence pairing; subquotient_pages builds the same
-pages from the subquotient formula.  The library counts every iterate
+degree up to max_degree.  The library reduces the persistence pairing
+on sparse columns; persistence_pairing_dense reduces the dense n x n
+differential in filtration order.  The library counts the action
+spectral sequence from the persistence pairing; subquotient_pages builds
+the same pages from the subquotient formula.  The library counts every iterate
 window from prefix sums over probe indices; smith_barcode_check_per_window
 counts each window by window_dim and integrates m(t) region by region.
 The library sorts generators and bars on int indices into a table of
@@ -32,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from smith_tate.complexes import ActionWindow
-from smith_tate.errors import EmptyBarcode, SpectralEndpoint
+from smith_tate.errors import EmptyBarcode, FiltrationViolation, SpectralEndpoint
 from smith_tate.fp_core import FpMatrix, rank, rref
 from smith_tate.persistence import (
     Bar,
@@ -342,6 +344,34 @@ def model_poly_route(model) -> tuple[tuple[int, int], bool]:
     e2o, o2e, even, odd = assemble_parity_blocks(degrees, *model_poly_blocks(model), p)
     r_e, r_o = bareiss_rank(e2o, p), bareiss_rank(o2e, p)
     return (len(even) - r_e - r_o, len(odd) - r_o - r_e), poly_square_is_zero(e2o, o2e, p)
+
+
+def persistence_pairing_dense(fc) -> tuple[list[int], np.ndarray]:
+    """(order, lows) of the action filtration by column reduction on the
+    dense n x n differential in filtration order."""
+    bad = fc.action_violations()
+    if bad:
+        raise FiltrationViolation(bad[0])
+    p = fc.p
+    order = fc.filtration_order()
+    n = len(order)
+    d = fc.matrix_in_order(order).a
+    low_of: dict[int, int] = {}  # low row -> column that holds it
+    lows = np.full(n, -1, dtype=np.int64)
+    for j in range(n):
+        while True:
+            nz = np.nonzero(d[:, j])[0]
+            if len(nz) == 0:
+                break
+            lo = int(nz[-1])
+            k = low_of.get(lo)
+            if k is None:
+                low_of[lo] = j
+                lows[j] = lo
+                break
+            factor = (d[lo, j] * pow(int(d[lo, k]), -1, p)) % p
+            d[:, j] = (d[:, j] - factor * d[:, k]) % p
+    return order, lows
 
 
 def subquotient_pages(fc) -> list[tuple[dict, dict]]:

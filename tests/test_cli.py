@@ -823,6 +823,20 @@ class TestTooLarge:
         assert code == 0
         assert (report["results"]["even"], report["results"]["odd"], report["results"]["dim"]) == (1, 1, 243)
 
+    def test_fuzz_sigma_decomposition_size(self, run, jrun):
+        """p Jordan multiplicities and a matrix of up to --max-gens rows are
+        bounded before generating."""
+        for extra in (["-p", "16777213"], ["-p", "7", "--max-gens", "10000"]):
+            t0 = time.perf_counter()
+            code, out, err = run(["fuzz", "--op", "sigma-decomposition", "--count", "1", "--json"] + extra)
+            assert time.perf_counter() - t0 < 1
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: TooLarge: sigma-decomposition size")
+        code, report, _ = jrun(["fuzz", "--op", "sigma-decomposition", "--count", "2", "-p", "509"])
+        assert code == 0
+        assert report["results"]["passed"] == 2
+
     @pytest.mark.parametrize("op", ["tate-free-vanishing", "spectral-algebraic"])
     def test_fuzz_free_orbit_generators(self, run, jrun, op):
         """p generators per free orbit are bounded before generating, for

@@ -1,0 +1,136 @@
+"""The --json writer: byte for byte the text of json.dumps(indent=2,
+sort_keys=True), on every subcommand's report and on generated trees."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import smith_tate.cli as cli
+from smith_tate.cli import _json_text, dispatch
+from smith_tate.complexes import EquivariantComplex, Generator, complex_to_json
+from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
+from smith_tate.random_instances import planted_filtered_complex, random_filtered_complex, random_floer_model
+from smith_tate.spectral import model_to_json
+
+
+def _dumps(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+def _write(path, data) -> str:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _inputs(tmp_path) -> dict[str, list[str]]:
+    """One argv per subcommand, on inputs with nested, empty and rational
+    parts in their reports."""
+    free = [Generator(f"e{j}", 0, 1) for j in range(3)] + [Generator("t", 1, 0)]
+    sigma = {f"e{j}": {f"e{(j + 1) % 3}": 1} for j in range(3)}
+    V = EquivariantComplex(3, free, {f"e{j}": {"t": 1} for j in range(3)}, sigma)
+    V = _write(tmp_path / "v.json", complex_to_json(V))
+    sig = _write(tmp_path / "s.json", {"p": 3, "size": 3, "matrix": [[1, 0, 1], [2, 1, 1], [0, 2, 1]]})
+    rng = random.Random(5)
+    levels = sorted({Fraction(rng.randint(-20, 40), rng.choice((1, 2, 3))) for _ in range(12)})
+    finite = [(*sorted(rng.sample(levels, 2)), 1) for _ in range(12)]
+    fc, _ = planted_filtered_complex(3, finite, levels[:3], 1)
+    filt = _write(tmp_path / "f.json", complex_to_json(fc))
+    act = _write(tmp_path / "a.json", complex_to_json(random_filtered_complex(3, 4, max_gens=20)))
+    model = _write(tmp_path / "m.json", model_to_json(random_floer_model(3, 2)))
+    b1 = Barcode(3, [Bar(0, 1), Bar("1/2", None), Bar(-2, "7/3", 2)])
+    single = _write(tmp_path / "b1.json", barcode_to_json(b1))
+    iterate = _write(tmp_path / "bp.json", barcode_to_json(generate_iterated_barcode(b1, 3, extra_bars=2, seed=5)))
+    return {
+        "tate": ["tate", "--input", V],
+        "group-cohomology": ["group-cohomology", "--input", V, "--max-degree", "4"],
+        "quasi-frobenius": ["quasi-frobenius", "--input", V],
+        "decompose": ["decompose", "--sigma", sig],
+        "smith-check": ["smith-check", "--hf-dim", "1", "--sigma", sig],
+        "spectral": ["spectral", "action", "--input", act],
+        "spectral-algebraic": ["spectral", "algebraic", "--input", model],
+        "barcode": ["barcode", "--input", filt],
+        "barcode-window": ["barcode", "--input", filt, f"--window={levels[0] - 1}:{levels[1] - Fraction(1, 7)}"],
+        "barcode-smith": ["barcode-smith", "--single", single, "--iterate", iterate],
+        "torsion": ["torsion", "--input", single],
+        "morse-constants": ["morse-constants", "-p", "5"],
+        "fuzz": ["fuzz", "--op", "spectral-action", "--count", "3", "--seed", "2"],
+    }
+
+
+def test_every_subcommand_covered(tmp_path):
+    assert {argv[0] for argv in _inputs(tmp_path).values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tate",
+        "group-cohomology",
+        "quasi-frobenius",
+        "decompose",
+        "smith-check",
+        "spectral",
+        "spectral-algebraic",
+        "barcode",
+        "barcode-window",
+        "barcode-smith",
+        "torsion",
+        "morse-constants",
+        "fuzz",
+    ],
+)
+def test_report_is_the_text_of_json_dumps(case, tmp_path, capsys):
+    code = dispatch(_inputs(tmp_path)[case] + ["--json"])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out == _dumps(json.loads(out)) + "\n"
+
+
+def test_fuzz_reproducer_is_the_text_of_json_dumps(tmp_path, monkeypatch, capsys):
+    real = cli._FUZZ_OPS["barcode-roundtrip"]
+    failing = cli.FuzzOp(real.name, real.generate, lambda payload: (False, {"why": "planted"}))
+    monkeypatch.setitem(cli._FUZZ_OPS, real.name, failing)
+    path = tmp_path / "rep.json"
+    code = dispatch(["fuzz", "--op", real.name, "--count", "1", "--reproducer", str(path), "--json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == _dumps(json.loads(out)) + "\n"
+    text = path.read_text(encoding="utf-8")
+    assert text == _dumps(json.loads(text)) + "\n"
+
+
+_strings = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet='"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f\x80\u2028\ufeff\u00e9\u20ac\U0001f600 aZ', max_size=12),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    _strings,
+)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.dictionaries(_strings, kids, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_generated_trees(tree):
+    assert _json_text(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("tree", [{}, [], [{}], {"": []}, [[[]]], {"a": {"b": {}}}, [None, True, False, 0, -1, ""]])
+def test_empty_containers_and_constants(tree):
+    assert _json_text(tree) == _dumps(tree)
+
+
+def test_unsupported_type_raises():
+    with pytest.raises(TypeError):
+        _json_text({"x": 1.5})

@@ -27,6 +27,7 @@ from smith_tate.persistence import (
     finite_bar_count_at,
     gamma_beta_check,
     generate_iterated_barcode,
+    persistence_pairing,
     scale_barcode,
     smith_barcode_check,
     torsion_witness,
@@ -46,6 +47,7 @@ from oracles import (
     canonical_bars_by_fractions,
     filtration_order_by_fractions,
     integrate_finite_count_by_regions,
+    persistence_pairing_dense,
     smith_barcode_check_per_window,
     torsion_witness_by_fractions,
     window_dim_by_fractions,
@@ -613,3 +615,54 @@ def test_windows_between_adjacent_huge_levels():
     assert h[1] < between < h[2]
     w = ActionWindow(None, between)
     assert window_dim(b, w) == window_dim_by_fractions(b, w) == 3
+
+
+def _dense_two_degree_complex(p, n, seed, fill=0.9):
+    """n generators in degrees 0 and 1 on a few levels, with d filled at
+    random on about `fill` of the entries that lower action; any degree
+    0 -> 1 map squares to zero."""
+    rng = random.Random(seed)
+    levels = [Fraction(k, 3) for k in range(8)]
+    gens = [Generator(f"g{i}", i % 2, rng.choice(levels)) for i in range(n)]
+    tops = [g for g in gens if g.degree == 1]
+    diff = {
+        g.id: {t.id: rng.randrange(1, p) for t in tops if t.action < g.action and rng.random() < fill}
+        for g in gens
+        if g.degree == 0
+    }
+    return FilteredComplex(p, gens, diff)
+
+
+def _assert_pairing_matches_dense(fc):
+    order, lows = persistence_pairing(fc)
+    want_order, want_lows = persistence_pairing_dense(fc)
+    assert order == want_order
+    assert lows.dtype == want_lows.dtype and lows.tolist() == want_lows.tolist()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 16777213))
+def test_sparse_pairing_matches_the_dense_reduction(p):
+    """The sparse column reduction against the dense n x n one, on random,
+    planted and dense two-degree complexes."""
+    rng = random.Random(p)
+    for seed in range(12):
+        _assert_pairing_matches_dense(random_filtered_complex(p, seed, max_gens=40, max_levels=8))
+    for n in (40, 150, 300, 600):
+        levels = sorted({Fraction(rng.randint(-40, 80), rng.choice((1, 2, 4))) for _ in range(40)})
+        finite = [(*sorted(rng.sample(levels, 2)), 1) for _ in range(n * 2 // 5)]
+        starts = [rng.choice(levels) for _ in range(n // 5)]
+        fc, planted = planted_filtered_complex(p, finite, starts, rng)
+        _assert_pairing_matches_dense(fc)
+        assert barcode_from_filtered(fc) == planted
+    for n in (30, 80):
+        _assert_pairing_matches_dense(_dense_two_degree_complex(p, n, p + n))
+
+
+def test_sparse_and_dense_pairing_reject_an_unfiltered_complex():
+    gens = [Generator("a", 0, 1), Generator("b", 1, 1), Generator("c", 1, 0)]
+    cx = ChainComplex(3, gens, {"a": {"b": 1, "c": 2}})
+    with pytest.raises(FiltrationViolation) as sparse:
+        persistence_pairing(cx)
+    with pytest.raises(FiltrationViolation) as dense:
+        persistence_pairing_dense(cx)
+    assert str(sparse.value) == str(dense.value) == "d(a) does not strictly decrease action at b"

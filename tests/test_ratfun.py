@@ -2,6 +2,7 @@
 route and against the rank at u = 1."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from smith_tate.errors import TooLarge
 from smith_tate.fp_core import FpMatrix, rank
-from smith_tate.ratfun import MAX_BAREISS_CELLS, _divide_exact, _shift_matrices, bareiss_rank, pnorm, pupow
+from smith_tate.ratfun import MAX_BAREISS_CELLS, MAX_BAREISS_WORK, _divide_exact, _shift_matrices, bareiss_rank, pnorm, pupow
 
 from oracles import bareiss_rank_by_entries, padd, pdivmod, pmul, psub
 
@@ -210,3 +211,17 @@ def test_bareiss_budget():
     with pytest.raises(TooLarge, match="overflow"):
         bareiss_rank(wide, p)
     assert bareiss_rank([[pupow(40, 1, p), ()], [(), (1,)]], p) == 2
+
+
+def test_bareiss_step_work_budget():
+    """A 2 x 2 matrix of degree 500 000 fits the cell limit, but a step
+    would take work quadratic in its width 10^6 + 1: refused at once."""
+    mat = [[pupow(500_000, 1, 3), ()], [(), (1,)]]
+    assert 2 * 2 * (2 * 500_000 + 1) <= MAX_BAREISS_CELLS
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="Bareiss step work"):
+        bareiss_rank(mat, 3)
+    assert time.perf_counter() - t0 < 0.05
+    # a degree the budget admits still runs
+    assert 2 * 2 * (2 * 500 + 1) ** 2 <= MAX_BAREISS_WORK
+    assert bareiss_rank([[pupow(500, 1, 3), ()], [(), (1,)]], 3) == 2
