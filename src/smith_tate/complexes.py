@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, RrefResult, _check_matrix_prime, _matmul_mod, rref, solve
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rref
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -186,7 +186,7 @@ class ChainComplex:
             self._deg_index.setdefault(g.degree, []).append(i)
         self._block_cache: dict[int, FpMatrix] = {}
         self._level_cache: tuple[list[Fraction], list[int]] | None = None
-        self._homology_cache: dict[int, tuple[list[np.ndarray], RrefResult]] = {}
+        self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
             bad = self._structure_violations()
             if bad:
@@ -271,57 +271,52 @@ class ChainComplex:
 
     # -- homology ----------------------------------------------------------
 
-    def _homology_data(self, k: int):
-        """(representatives, solver rref) for H^k; reps are cocycle vectors."""
-        if k in self._homology_cache:
-            return self._homology_cache[k]
-        dk = self.d_block(k)
-        dprev = self.d_block(k - 1)
-        ker = rref(dk).kernel_basis
-        im = rref(dprev).image_basis
-        n = self.dim(k)
-        cols = list(im) + list(ker)
-        stacked = FpMatrix(
-            np.array(cols, dtype=np.int64).T if cols else np.zeros((n, 0), dtype=np.int64),
-            self.p,
-        )
-        res = rref(stacked)
-        reps = [ker[j - len(im)] for j in res.pivots if j >= len(im)]
-        if len(reps) != len(ker) - len(im):
-            # the image of d^(k-1) lies in ker d^k exactly when d^k d^(k-1) = 0
-            raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
-        self._homology_cache[k] = (reps, res)
+    def _homology(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, coords) for H^k, cached: the n_k x dim H^k matrix of cocycle
+        representatives of a basis, and the dim H^k x n_k matrix sending a
+        cocycle to its class coordinates in that basis.
+
+        One elimination of [d^(k-1) | Z | I], with Z a kernel basis of d^k:
+        its pivot columns in Z are cocycles independent modulo the image of
+        d^(k-1), and since Z spans ker d^k they represent a basis of H^k.
+        The identity block records the row operations E, and E sends each
+        pivot column to its unit vector, so the rows of E at the Z pivots
+        read off the class coordinates of any cocycle.
+        """
+        if k not in self._homology_cache:
+            dprev = self.d_block(k - 1).a
+            ker = rref(self.d_block(k)).kernel_basis
+            n, m = dprev.shape
+            z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
+            red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), self.p)
+            lo = sum(c < m for c in pivots)
+            hi = sum(c < m + len(ker) for c in pivots)
+            if hi != len(ker):
+                # the image of d^(k-1) lies in ker d^k exactly when d^k d^(k-1) = 0
+                raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
+            reps = z[:, [c - m for c in pivots[lo:hi]]]
+            self._homology_cache[k] = (reps, red[lo:hi, m + len(ker):])
         return self._homology_cache[k]
 
     def homology_basis(self, k: int) -> list[np.ndarray]:
         """Cocycle representatives of a basis of H^k, in degree-k coordinates."""
-        return [v.copy() for v in self._homology_data(k)[0]]
+        return list(self._homology(k)[0].T.copy())
 
     def homology_dims(self) -> dict[int, int]:
         out = {}
         for k in self.degrees():
-            d = len(self._homology_data(k)[0])
+            d = self._homology(k)[0].shape[1]
             if d:
                 out[k] = d
         return out
 
     def express_in_homology(self, k: int, v: np.ndarray) -> np.ndarray:
-        """Coefficients of the class [v] in the homology_basis(k) order."""
+        """Coefficients of the class [v] in the homology_basis(k) order; for
+        a matrix of cocycle columns, one column of coefficients each."""
         v = np.asarray(v, dtype=np.int64) % self.p
-        if self.d_block(k).mul_vec(v).any():
+        if _matmul_mod(self.d_block(k).a, v, self.p).any():
             raise InvalidComplex("vector is not a cocycle")
-        reps, _ = self._homology_data(k)
-        im = rref(self.d_block(k - 1)).image_basis
-        cols = list(im) + list(reps)
-        n = self.dim(k)
-        stacked = FpMatrix(
-            np.array(cols, dtype=np.int64).T if cols else np.zeros((n, 0), dtype=np.int64),
-            self.p,
-        )
-        x = solve(stacked, v)
-        if x is None:
-            raise InvalidComplex("cocycle not in span of homology data")
-        return x[len(im):] % self.p
+        return _matmul_mod(self._homology(k)[1], v, self.p)
 
     # -- misc ----------------------------------------------------------------
 
@@ -360,10 +355,9 @@ class EquivariantComplex(ChainComplex):
         sigma = sigma or {}
         self.sigma = _clean_coeff_map(sigma, set(self._index), p, "sigma")
         self._sigma_cache: dict[int, FpMatrix] = {}
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise InvalidComplex("; ".join(report.violations))
+        # ChainComplex.__init__ has already checked d
+        if check and (bad := self._sigma_violations()[1]):
+            raise InvalidComplex("; ".join(bad))
 
     def sigma_block(self, k: int) -> FpMatrix:
         """Matrix of sigma on degree k; raises InvalidComplex when sigma
@@ -388,22 +382,28 @@ class EquivariantComplex(ChainComplex):
         strict_action additionally demands that d strictly decrease action,
         the requirement for filtered use.
         """
-        checks = {
-            "unique_ids": True,
-            "degree_one_differential": True,
-            "square_zero": True,
-            "sigma_structure": True,
-            "equivariance": True,
-        }
-        violations: list[str] = []
-        structural = self._structure_violations()
-        for msg in structural:
+        checks = {"unique_ids": True, "degree_one_differential": True, "square_zero": True}
+        violations = self._structure_violations()
+        for msg in violations:
             if "degree" in msg:
                 checks["degree_one_differential"] = False
             else:
                 checks["square_zero"] = False
-        violations.extend(structural)
+        sigma_checks, sigma_violations = self._sigma_violations()
+        checks.update(sigma_checks)
+        violations.extend(sigma_violations)
+        if strict_action:
+            action = self.action_violations()
+            checks["action_decrease"] = not action
+            violations.extend(action)
+        ok = all(checks.values())
+        return ValidationReport(ok, checks, violations)
 
+    def _sigma_violations(self) -> tuple[dict[str, bool], list[str]]:
+        """The sigma_structure and equivariance checks of validate, with
+        their violation messages."""
+        checks = {"sigma_structure": True, "equivariance": True}
+        violations: list[str] = []
         level = self._level_table()[1]
         for src, row in self.sigma.items():
             g = self.generator(src)
@@ -424,13 +424,7 @@ class EquivariantComplex(ChainComplex):
                 if dk @ s != self.sigma_block(k + 1) @ dk:
                     checks["equivariance"] = False
                     violations.append(f"sigma does not commute with d out of degree {k}")
-
-        if strict_action:
-            action = self.action_violations()
-            checks["action_decrease"] = not action
-            violations.extend(action)
-        ok = all(checks.values())
-        return ValidationReport(ok, checks, violations)
+        return checks, violations
 
 
 class FilteredComplex(ChainComplex):

@@ -337,9 +337,6 @@ def random_equivariant_filtered(
         else:
             gens.append(Generator(u["name"], u["deg"], u["act"]))
 
-    def unit_ids(u):
-        return [f"{u['name']}.{j}" for j in range(p)] if u["kind"] == "orbit" else [u["name"]]
-
     # equivariant matched pairs between any unit kinds
     order = _shuffled(rng, list(range(len(units))))
     diff: dict[str, dict[str, int]] = {}
@@ -416,11 +413,11 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     blocks = tate_blocks_at_one(base)
     degs = np.array([g.degree for g in base.generators], dtype=np.int64)
     if deform and n:
-        acts = [g.action for g in base.generators]
+        level = base._level_table()[1]
         r: dict[tuple[int, int], int] = {}
         for _ in range(2 * n):
             x, y = rng.randrange(n), rng.randrange(n)
-            if degs[y] == degs[x] - 2 and acts[y] < acts[x]:
+            if degs[y] == degs[x] - 2 and level[y] < level[x]:
                 r[(y, x)] = rng.randrange(p)
         q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
         blocks = tuple(_matmul_mod(_matmul_mod(q, m % p, p), qinv, p) for m in blocks)

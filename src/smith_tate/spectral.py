@@ -52,7 +52,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, rank
+from .fp_core import FpMatrix, _matmul_mod, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
 from .persistence import persistence_pairing
 from .tate import (
@@ -84,15 +84,6 @@ class PageData:
     r: int
     dims: dict  # (filtration index s, degree k) -> dim E_r^{s,k}
     differential_ranks: dict  # (s, k) -> rank of d_r: E_r^{s,k} -> E_r^{s+r,k+1}
-
-    def total(self) -> int:
-        return sum(self.dims.values())
-
-    def dims_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (_, k), v in self.dims.items():
-            out[k] = out.get(k, 0) + v
-        return out
 
 
 @dataclass(frozen=True)
@@ -233,21 +224,18 @@ class EquivariantFloerModel:
 
     def _validate(self):
         self._check_degrees()
-        base = self.base
-        acts = [g.action for g in base.generators]
+        gens = self.base.generators
+        level = np.array(self.base._level_table()[1], dtype=np.int64)
         for (i, alpha), m in self.terms.items():
             strict = (i, alpha) in ((0, 0), (1, 1))
-            for r, c in zip(*np.nonzero(m)):
-                if strict and not acts[r] < acts[c]:
-                    raise FiltrationViolation(
-                        f"d_term ({i},{alpha}) must strictly decrease action "
-                        f"({base.generators[c].id} -> {base.generators[r].id})"
-                    )
-                if not strict and acts[r] > acts[c]:
-                    raise FiltrationViolation(
-                        f"d_term ({i},{alpha}) must not increase action "
-                        f"({base.generators[c].id} -> {base.generators[r].id})"
-                    )
+            rows, cols = np.nonzero(m)
+            bad = np.flatnonzero(level[rows] >= level[cols] if strict else level[rows] > level[cols])
+            if bad.size:
+                r, c = rows[bad[0]], cols[bad[0]]
+                rule = "strictly decrease" if strict else "not increase"
+                raise FiltrationViolation(
+                    f"d_term ({i},{alpha}) must {rule} action ({gens[c].id} -> {gens[r].id})"
+                )
         if not self.square_is_zero():
             raise NotSquareZero("assembled equivariant differential does not square to zero")
 
@@ -307,13 +295,12 @@ class AlgebraicSSPages:
     sigma_module: ModuleDecomposition | None
     sigma_module_tate_dim: int | None
 
-    @property
-    def e2_total(self) -> int:
-        return self.e2_dims[0] + self.e2_dims[1]
 
-    @property
-    def einf_total(self) -> int:
-        return self.einf_dims[0] + self.einf_dims[1]
+def _induced(m: np.ndarray, src: ChainComplex, tgt: ChainComplex, k: int) -> np.ndarray:
+    """The map H^k(src) -> H^k(tgt) induced by m, a degree-0 matrix on all
+    generators in stored order, in the homology bases of src and tgt."""
+    idx = src.degree_indices(k)
+    return tgt.express_in_homology(k, _matmul_mod(m[np.ix_(idx, idx)], src._homology(k)[0], src.p))
 
 
 def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
@@ -344,28 +331,13 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     e2_even_total = 0
     e2_odd_total = 0
     for k in degrees:
-        src_e = even_cx.homology_basis(k)
-        src_o = odd_cx.homology_basis(k)
-        idx = base.degree_indices(k)
         # both induced maps have internal degree 0
-        m10 = np.zeros((len(src_o), len(src_e)), dtype=np.int64)
-        for c, z in enumerate(src_e):
-            w = np.zeros(n, dtype=np.int64)
-            w[idx] = z
-            img = (d10 @ w) % p
-            m10[:, c] = odd_cx.express_in_homology(k, img[idx])
-        m21 = np.zeros((len(src_e), len(src_o)), dtype=np.int64)
-        for c, z in enumerate(src_o):
-            w = np.zeros(n, dtype=np.int64)
-            w[idx] = z
-            img = (d21 @ w) % p
-            m21[:, c] = even_cx.express_in_homology(k, img[idx])
-        d10_induced[k] = m10
-        d21_induced[k] = m21
+        m10 = d10_induced[k] = _induced(d10, even_cx, odd_cx, k)
+        m21 = d21_induced[k] = _induced(d21, odd_cx, even_cx, k)
         r10 = rank(FpMatrix(m10, p))
         r21 = rank(FpMatrix(m21, p))
-        one_part = len(src_e) - r10 - r21  # ker[d10] / im[d21]
-        theta_part = len(src_o) - r21 - r10  # ker[d21] / im[d10]
+        one_part = m10.shape[1] - r10 - r21  # ker[d10] / im[d21]
+        theta_part = m21.shape[1] - r21 - r10  # ker[d21] / im[d10]
         e2_by_degree[k] = {"one": one_part, "theta": theta_part}
         if k % 2 == 0:
             e2_even_total += one_part
@@ -383,17 +355,7 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     order_p = sigma.power(p) == FpMatrix.identity(n, p) if n else True
     if order_p and ((s @ d00 - d00 @ s) % p == 0).all():
         # sigma descends to H(d_0^0); decompose the induced module
-        blocks = []
-        for k in degrees:
-            reps = even_cx.homology_basis(k)
-            idx = base.degree_indices(k)
-            m = np.zeros((len(reps), len(reps)), dtype=np.int64)
-            for c, z in enumerate(reps):
-                w = np.zeros(n, dtype=np.int64)
-                w[idx] = z
-                img = (s @ w) % p
-                m[:, c] = even_cx.express_in_homology(k, img[idx])
-            blocks.append(m)
+        blocks = [_induced(s, even_cx, even_cx, k) for k in degrees]
         total = sum(b.shape[0] for b in blocks)
         sig_star = np.zeros((total, total), dtype=np.int64)
         off = 0

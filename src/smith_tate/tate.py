@@ -126,9 +126,10 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     1 - sigma and -d.  Group cohomology and the default terms of
     equivariant models take their maps from here too.
 
-    Raises InvalidComplex unless d raises degree by 1 and sigma and N
-    preserve it, the homogeneity every u = 1 computation relies on; a
-    complex built with check=False is not trusted to have it.
+    Raises InvalidComplex unless d raises degree by 1 and sigma preserves
+    it, the homogeneity every u = 1 computation relies on; a complex built
+    with check=False is not trusted to have it.  N = (sigma - 1)^(p-1)
+    then preserves degree as well.
     """
     p = V.p
     n = V.dim()
@@ -137,7 +138,7 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     s = sigma.a
     nm = norm_matrix(sigma).a
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
-    for what, m, shift in (("d", d, 1), ("sigma", s, 0), ("N", nm, 0)):
+    for what, m, shift in (("d", d, 1), ("sigma", s, 0)):
         bad = _degree_violation(m, degrees, shift)
         if bad is not None:
             r, c = bad

@@ -26,6 +26,12 @@ coefficient arrays; bareiss_rank_by_entries runs it one polynomial
 product and long division (pmul, psub, pdiv_exact) per entry and step.
 The generators invert unipotent changes of basis I + E by repeated
 squaring; unipotent_inverse_by_neumann sums the Neumann series.
+The library reads homology off one cached elimination per degree and
+induced maps as matrix products; homology_basis_by_solve and
+express_in_homology_by_solve eliminate the image basis of d^(k-1) beside
+the kernel of d^k and solve each cocycle against it, and
+algebraic_ss_by_vectors induces the page maps one zero-padded vector at a
+time.
 """
 
 import random
@@ -33,9 +39,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from smith_tate.complexes import ActionWindow
-from smith_tate.errors import EmptyBarcode, FiltrationViolation, SpectralEndpoint
-from smith_tate.fp_core import FpMatrix, rank, rref
+from smith_tate.complexes import ActionWindow, ChainComplex, _coeff_map
+from smith_tate.errors import EmptyBarcode, FiltrationViolation, InvalidComplex, SpectralEndpoint
+from smith_tate.fp_core import FpMatrix, rank, rref, solve
+from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
     BarStats,
@@ -596,3 +603,81 @@ def torsion_witness_by_fractions(b):
             return ActionWindow(pick(a, e), pick(e, Fraction(0)))
         return ActionWindow(pick(a - 1, a), pick(a, Fraction(0)))
     return None
+
+
+# ---------------------------------------------------------------------------
+# homology by solving
+
+
+def _image_and_reps(cx, k: int) -> tuple[list, list]:
+    """(image basis of d^(k-1), homology representatives): the kernel
+    vectors of d^k that are pivots after the image basis."""
+    ker = rref(cx.d_block(k)).kernel_basis
+    im = rref(cx.d_block(k - 1)).image_basis
+    cols = im + ker
+    stacked = np.array(cols, dtype=np.int64).T if cols else np.zeros((cx.dim(k), 0), dtype=np.int64)
+    pivots = rref(FpMatrix(stacked, cx.p)).pivots
+    return im, [ker[j - len(im)] for j in pivots if j >= len(im)]
+
+
+def homology_basis_by_solve(cx, k: int) -> list:
+    return _image_and_reps(cx, k)[1]
+
+
+def express_in_homology_by_solve(cx, k: int, v) -> np.ndarray:
+    """Coordinates of the class [v] in homology_basis_by_solve(cx, k)."""
+    v = np.asarray(v, dtype=np.int64) % cx.p
+    if cx.d_block(k).mul_vec(v).any():
+        raise InvalidComplex("vector is not a cocycle")
+    im, reps = _image_and_reps(cx, k)
+    cols = im + reps
+    stacked = np.array(cols, dtype=np.int64).T if cols else np.zeros((cx.dim(k), 0), dtype=np.int64)
+    x = solve(FpMatrix(stacked, cx.p), v)
+    if x is None:
+        raise InvalidComplex("cocycle not in span of homology data")
+    return x[len(im):] % cx.p
+
+
+def _induced_by_vectors(m, src, tgt, k: int) -> np.ndarray:
+    """The map that the n x n matrix m induces from H^k(src) to H^k(tgt),
+    applying m to each representative padded with zeros to all n generators."""
+    p, n = src.p, src.dim()
+    idx = src.degree_indices(k)
+    reps = homology_basis_by_solve(src, k)
+    out = np.zeros((len(homology_basis_by_solve(tgt, k)), len(reps)), dtype=np.int64)
+    for c, z in enumerate(reps):
+        w = np.zeros(n, dtype=np.int64)
+        w[idx] = z
+        out[:, c] = express_in_homology_by_solve(tgt, k, ((m @ w) % p)[idx])
+    return out
+
+
+def algebraic_ss_by_vectors(model) -> dict:
+    """d10_induced, d21_induced, e2_by_degree and sigma_module of
+    algebraic_ss_pages, each induced map built one vector at a time; the
+    sigma_module entry is None unless sigma has order p and commutes with
+    d_0^0."""
+    p, base = model.p, model.base
+    ids = [g.id for g in base.generators]
+    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids))
+    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids))
+    degrees = [k for k in base.degrees() if homology_basis_by_solve(even_cx, k) or homology_basis_by_solve(odd_cx, k)]
+    out = {"d10_induced": {}, "d21_induced": {}, "e2_by_degree": {}, "sigma_module": None}
+    for k in degrees:
+        m10 = out["d10_induced"][k] = _induced_by_vectors(model.term(1, 0), even_cx, odd_cx, k)
+        m21 = out["d21_induced"][k] = _induced_by_vectors(model.term(2, 1), odd_cx, even_cx, k)
+        r10, r21 = rank(FpMatrix(m10, p)), rank(FpMatrix(m21, p))
+        out["e2_by_degree"][k] = {"one": m10.shape[1] - r10 - r21, "theta": m21.shape[1] - r21 - r10}
+    s = base.sigma_matrix().a
+    d00 = model.term(0, 0)
+    n = base.dim()
+    if FpMatrix(s, p).power(p) == FpMatrix.identity(n, p) and not ((s @ d00 - d00 @ s) % p).any():
+        blocks = [_induced_by_vectors(s, even_cx, even_cx, k) for k in degrees]
+        total = sum(b.shape[0] for b in blocks)
+        star = np.zeros((total, total), dtype=np.int64)
+        off = 0
+        for b in blocks:
+            star[off:off + b.shape[0], off:off + b.shape[0]] = b
+            off += b.shape[0]
+        out["sigma_module"] = decompose(FpMatrix(star, p))
+    return out

@@ -13,6 +13,7 @@ from smith_tate.complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    _coeff_map,
     complex_from_json,
     complex_to_json,
     invariants_coinvariants,
@@ -27,17 +28,23 @@ from smith_tate.errors import (
     MalformedInput,
     NotSquareZero,
 )
-from smith_tate.fp_core import FpMatrix
+from smith_tate.fp_core import FpMatrix, rref
 from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
     _unipotent_pair,
     random_chain_complex,
     random_equivariant_filtered,
     random_filtered_complex,
+    random_floer_model,
     random_free_equivariant,
 )
 
-from oracles import coeff_matrix_by_entries, unipotent_inverse_by_neumann
+from oracles import (
+    coeff_matrix_by_entries,
+    express_in_homology_by_solve,
+    homology_basis_by_solve,
+    unipotent_inverse_by_neumann,
+)
 
 
 def free_orbit(p, degree=0, action=0):
@@ -154,6 +161,30 @@ class TestEquivariantComplex:
     def test_omitted_sigma_acts_as_identity(self):
         V = EquivariantComplex(3, [Generator("v", 0)], {}, {})
         assert V.sigma_block(0).a.tolist() == [[1]]
+
+    def test_construction_checks_d_once(self, monkeypatch):
+        calls = []
+        real = ChainComplex._structure_violations
+
+        def counted(cx):
+            calls.append(cx)
+            return real(cx)
+
+        monkeypatch.setattr(ChainComplex, "_structure_violations", counted)
+        gens = [Generator(f"e{j}", 0) for j in range(3)] + [Generator("t", 1)]
+        sigma = {f"e{j}": {f"e{(j + 1) % 3}": 1} for j in range(3)}
+        built = [
+            free_orbit(3),
+            EquivariantComplex(3, gens, {f"e{j}": {"t": 1} for j in range(3)}, sigma),
+            tensor_power(ChainComplex(3, [Generator("a", 0), Generator("b", 1)], {"a": {"b": 1}})),
+        ]
+        assert len(calls) == 4  # the tensor power's base is a construction too
+        with pytest.raises(InvalidComplex, match=r"^sigma does not commute with d out of degree 0$"):
+            EquivariantComplex(3, gens, {"e0": {"t": 1}}, sigma)
+        assert len(calls) == 5
+        # validate still runs every check, once per call
+        assert all(V.validate().ok for V in built)
+        assert len(calls) == 8
 
 
 class TestFilteredComplex:
@@ -522,3 +553,49 @@ def test_unipotent_inverse_matches_neumann_series():
                 assert (pm @ inv % p).tolist() == np.eye(n, dtype=np.int64).tolist()
     with pytest.raises(ValueError, match="not nilpotent"):
         _unipotent_pair(3, 5, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+
+
+def _homology_inputs(p):
+    """Fixed-seed complexes of every kind that computes homology: random
+    chain and filtered complexes, tensor powers, and the d_0^0 and d_1^1
+    complexes of equivariant models with and without deformation."""
+    yield from (random_chain_complex(p, seed) for seed in range(12))
+    yield from (random_filtered_complex(p, seed) for seed in range(12))
+    base_dim = {2: 5, 3: 3, 5: 2, 7: 2}[p]
+    yield from (tensor_power(random_chain_complex(p, 100 + seed, max_dim=base_dim)) for seed in range(3))
+    for seed in range(4):
+        for deform in (False, True):
+            model = random_floer_model(p, seed, deform=deform)
+            ids = [g.id for g in model.base.generators]
+            for i in (0, 1):
+                yield ChainComplex(p, model.base.generators, _coeff_map(model.term(i, i), ids))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_homology_matches_the_solve_route(p):
+    """Fixed-seed differential check of homology_basis and
+    express_in_homology against solving each cocycle beside the image
+    basis of d^(k-1), on vectors and on matrices of cocycle columns."""
+    rng = np.random.default_rng(p)
+    classes = boundaries = 0
+    for cx in _homology_inputs(p):
+        for k in cx.degrees():
+            reps = cx.homology_basis(k)
+            assert [z.tolist() for z in reps] == [z.tolist() for z in homology_basis_by_solve(cx, k)]
+            ker = rref(cx.d_block(k)).kernel_basis
+            if not ker:
+                continue
+            # random cocycles: kernel combinations plus random boundaries
+            dprev = cx.d_block(k - 1).a
+            cocycles = np.array(ker).T @ rng.integers(0, p, (len(ker), 5))
+            cocycles += dprev @ rng.integers(0, p, (dprev.shape[1], 5))
+            cocycles %= p
+            coords = cx.express_in_homology(k, cocycles)
+            assert coords.shape == (len(reps), 5)
+            for c in range(5):
+                want = express_in_homology_by_solve(cx, k, cocycles[:, c])
+                assert cx.express_in_homology(k, cocycles[:, c]).tolist() == want.tolist()
+                assert coords[:, c].tolist() == want.tolist()
+            classes += int(coords.any())
+            boundaries += int(dprev.any())
+    assert classes >= 20 and boundaries >= 20

@@ -12,6 +12,7 @@ from smith_tate.complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    tensor_power,
 )
 from smith_tate.errors import (
     FiltrationViolation,
@@ -35,7 +36,12 @@ from smith_tate.spectral import (
 )
 from smith_tate.tate import tate_blocks_at_one, tate_cohomology_dims
 
-from oracles import model_poly_route, random_floer_model_over_polynomials, subquotient_pages
+from oracles import (
+    algebraic_ss_by_vectors,
+    model_poly_route,
+    random_floer_model_over_polynomials,
+    subquotient_pages,
+)
 
 
 def free_orbit(p, degree=0):
@@ -150,6 +156,30 @@ class TestFloerModelConstruction:
         m[1, 0] = 1  # y <- x raises degree but keeps action constant
         with pytest.raises(FiltrationViolation):
             EquivariantFloerModel(self.base, {(0, 0): FpMatrix(m, 3)}, i_max=2)
+
+    def test_planted_filtration_violations(self):
+        """The first violating entry in row-major order of the first
+        violating term is reported, on the action levels of the base."""
+        gens = [Generator("a", 0, Fraction(1, 2)), Generator("b", 0, 1), Generator("c", 1, Fraction(2, 4)),
+                Generator("d", 1, 1), Generator("e", 1, Fraction(-3))]
+        base = EquivariantComplex(5, gens, {}, {})
+        strict = np.zeros((5, 5), dtype=np.int64)
+        strict[4, 1] = 1  # b -> e decreases action: allowed
+        strict[3, 0] = 2  # a -> d increases it
+        strict[2, 0] = 1  # a -> c keeps it, and comes first
+        with pytest.raises(FiltrationViolation) as e:
+            EquivariantFloerModel(base, {(0, 0): strict}, i_max=2)
+        assert str(e.value) == "d_term (0,0) must strictly decrease action (a -> c)"
+        loose = np.zeros((5, 5), dtype=np.int64)
+        loose[0, 1] = 1  # b -> a decreases action: allowed
+        loose[3, 2] = 1  # c -> d increases it
+        loose[2, 2] = 1  # c -> c keeps it: allowed in a non-strict term
+        loose[3, 3] = 1
+        with pytest.raises(FiltrationViolation) as e:
+            EquivariantFloerModel(base, {(1, 0): loose}, i_max=2)
+        assert str(e.value) == "d_term (1,0) must not increase action (c -> d)"
+        loose[3, 2] = 0
+        assert (EquivariantFloerModel(base, {(1, 0): loose}, i_max=2).term(1, 0) == loose).all()
 
     def test_assembled_square_checked(self):
         wide = EquivariantComplex(
@@ -390,3 +420,36 @@ def test_random_model_checks_the_theta_slot(monkeypatch):
     monkeypatch.setattr("smith_tate.random_instances.tate_blocks_at_one", blocks)
     with pytest.raises(RuntimeError, match="alpha=1"):
         random_floer_model(3, 4, deform=False)
+
+
+def _spectral_inputs(p):
+    """Fixed-seed models: random ones with and without deformation, and
+    the default model on tensor powers of small filtered complexes."""
+    for seed in range(8):
+        for deform in (False, True):
+            yield random_floer_model(p, seed, deform=deform)
+    gens = {2: 4, 3: 3, 5: 2, 7: 2}[p]
+    for seed in range(3):
+        T = tensor_power(random_filtered_complex(p, 200 + seed, max_gens=gens, degree_lo=0, degree_hi=1))
+        yield EquivariantFloerModel(T, i_max=2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_induced_maps_match_the_per_vector_route(p):
+    """Fixed-seed differential check of d10_induced, d21_induced,
+    e2_by_degree and sigma_module against inducing each map one
+    zero-padded basis vector at a time."""
+    nonzero = modules = 0
+    for model in _spectral_inputs(p):
+        pages = algebraic_ss_pages(model)
+        want = algebraic_ss_by_vectors(model)
+        for name in ("d10_induced", "d21_induced"):
+            got = getattr(pages, name)
+            assert list(got) == list(want[name]), (p, model)
+            for k, m in got.items():
+                assert m.shape == want[name][k].shape and (m == want[name][k]).all(), (p, model, name, k)
+                nonzero += int(m.any())
+        assert pages.e2_by_degree == want["e2_by_degree"], (p, model)
+        assert pages.sigma_module == want["sigma_module"], (p, model)
+        modules += pages.sigma_module is not None
+    assert nonzero >= 8 and modules >= 8
