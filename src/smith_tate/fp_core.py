@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p: dense, and sparse columns.
 
 Matrices are numpy int64 arrays with entries reduced mod p; every public
 routine returns fully reduced results.  Kernel and image bases come out of
@@ -17,6 +17,7 @@ Miller-Rabin test of is_prime is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +83,7 @@ def check_prime(p: int) -> int:
     return p
 
 
+@lru_cache(maxsize=1024)
 def _check_matrix_prime(p: int) -> int:
     """check_prime, plus the bound that keeps int64 matrix arithmetic exact."""
     if p >= MATRIX_PRIME_BOUND:
@@ -145,12 +147,19 @@ class FpMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(a: np.ndarray, p: int) -> "FpMatrix":
+        """A 2-d int64 array reduced mod p, for a prime already checked."""
+        m = object.__new__(FpMatrix)
+        m.a, m.p = a % p, p
+        return m
+
+    @staticmethod
     def zeros(rows: int, cols: int, p: int) -> "FpMatrix":
-        return FpMatrix(np.zeros((rows, cols), dtype=np.int64), p)
+        return FpMatrix._of(np.zeros((rows, cols), dtype=np.int64), _check_matrix_prime(p))
 
     @staticmethod
     def identity(n: int, p: int) -> "FpMatrix":
-        return FpMatrix(np.eye(n, dtype=np.int64), p)
+        return FpMatrix._of(np.eye(n, dtype=np.int64), _check_matrix_prime(p))
 
     # -- shape / access ----------------------------------------------
 
@@ -190,30 +199,31 @@ class FpMatrix:
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same(other)
-        return FpMatrix(self.a + other.a, self.p)
+        return FpMatrix._of(self.a + other.a, self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same(other)
-        return FpMatrix(self.a - other.a, self.p)
+        return FpMatrix._of(self.a - other.a, self.p)
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix(-self.a, self.p)
+        return FpMatrix._of(-self.a, self.p)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         self._same(other)
-        return FpMatrix(self.a @ other.a, self.p)
+        return FpMatrix._of(self.a @ other.a, self.p)
 
     def power(self, k: int) -> "FpMatrix":
+        """self^k in floor(log2 k) + popcount(k) - 1 products (k >= 1)."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        out = FpMatrix.identity(self.rows, self.p)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            if k:
+                base = base @ base
+        return FpMatrix.identity(self.rows, self.p) if out is None else out
 
     def mul_vec(self, v: np.ndarray) -> np.ndarray:
         return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
@@ -256,6 +266,47 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def reduce_columns(columns, p: int) -> list[int]:
+    """lows[j], the largest key of sparse column j {key: residue} once reduced
+    left to right in place, or -1.  A reduced column is kept with its low's
+    inverse to clear that low later (PHAT; Bauer et al., J. Symb. Comput. 2017)."""
+    pivot: dict[int, tuple[dict[int, int], int]] = {}
+    lows: list[int] = []
+    for col in columns:
+        while col:
+            lo = max(col)
+            hit = pivot.get(lo)
+            if hit is None:
+                pivot[lo] = col, pow(col[lo], -1, p)
+                break
+            other, inv = hit
+            factor = col[lo] * inv % p
+            for r, c in other.items():
+                v = (col.get(r, 0) - factor * c) % p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+        else:
+            lo = -1
+        lows.append(lo)
+    return lows
+
+
+def leading_pivots(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the pivots of reduce_columns on the residue matrix a,
+    row r keyed rows - 1 - r so that each low is the highest nonzero row.
+    Then rank a[:i, :j] is the number of pivots with row < i and col < j (the
+    pairing lemma; Edelsbrunner and Harer, "Computational Topology", VII.1)."""
+    c, r = np.nonzero(a.T)
+    keys, vals = (a.shape[0] - 1 - r).tolist(), a[r, c].tolist()
+    ends = np.searchsorted(c, np.arange(a.shape[1] + 1)).tolist()
+    columns = (dict(zip(keys[x:y], vals[x:y])) for x, y in zip(ends, ends[1:]))
+    lows = np.array(reduce_columns(columns, p), dtype=np.int64)
+    cols = np.flatnonzero(lows >= 0)
+    return a.shape[0] - 1 - lows[cols], cols
+
+
 @dataclass(frozen=True)
 class RrefResult:
     rank: int
@@ -279,9 +330,7 @@ def rref(m: FpMatrix) -> RrefResult:
     kernel = []
     for f in free:
         v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r, f]) % m.p
+        v[f], v[pivots] = 1, (-red[:rank, f]) % m.p
         kernel.append(v)
     image = [m.column(c) for c in pivots]
     return RrefResult(rank, kernel, image, tuple(pivots), red)
@@ -322,27 +371,20 @@ def nilpotent_partition(t: FpMatrix) -> list[int]:
     """Jordan block sizes of a nilpotent operator with t^p = 0.
 
     Computed from the rank sequence: the number of blocks of size >= k is
-    rank(t^{k-1}) - rank(t^k).  Returned sorted descending; sizes sum to
-    the dimension.
+    rank(t^{k-1}) - rank(t^k), so exactly k is its second difference.
+    Returned sorted descending; sizes sum to the dimension.
     """
     if t.rows != t.cols:
         raise NotNilpotent("operator must be square")
-    n = t.rows
-    p = t.p
-    if not t.power(p).is_zero():
-        raise NotNilpotent(f"t^{p} != 0")
-    ranks = [n]
-    power = FpMatrix.identity(n, p)
-    for _ in range(p):
-        power = power @ t
+    n, p = t.rows, t.p
+    ranks, power = [n], t  # ranks[k] = rank(t^k)
+    for _ in range(p - 1):
         ranks.append(rank(power))
-    # ranks[k] = rank(t^k); t^p = 0 so ranks[p] = 0
-    sizes: list[int] = []
-    for k in range(1, p + 1):
-        at_least_k = ranks[k - 1] - ranks[k]
-        at_least_k1 = ranks[k] - ranks[k + 1] if k < p else 0
-        sizes.extend([k] * (at_least_k - at_least_k1))
-    sizes.sort(reverse=True)
+        power = power @ t
+    if not power.is_zero():
+        raise NotNilpotent(f"t^{p} != 0")
+    ranks += [0, 0]
+    sizes = [k for k in range(p, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
     if sum(sizes) != n:
         raise RuntimeError(f"Jordan block sizes {sizes} do not sum to the dimension {n}")
     return sizes

@@ -32,7 +32,7 @@ from .errors import (
     MalformedInput,
     SpectralEndpoint,
 )
-from .fp_core import check_prime
+from .fp_core import check_prime, reduce_columns
 
 __all__ = [
     "Bar",
@@ -178,41 +178,16 @@ def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
     FiltrationViolation unless d strictly decreases action.
 
     Columns are sparse, {position in order: coefficient}, read straight off
-    the differential, and the low of a column is its largest key.  Each
-    column reduced to a nonzero low is kept, with the inverse of its low
-    coefficient, to clear that low from later columns (as in PHAT; Bauer,
-    Kerber, Reininghaus and Wagner, J. Symb. Comput. 2017).
+    the differential, and reduced by fp_core.reduce_columns.
     """
     bad = fc.action_violations()
     if bad:
         raise FiltrationViolation(bad[0])
-    p = fc.p
     order = fc.filtration_order()
     ids = [fc.generators[i].id for i in order]
     pos = {gid: k for k, gid in enumerate(ids)}
-    diff = fc.differential
-    pivot: dict[int, tuple[dict[int, int], int]] = {}  # low -> (reduced column, 1 / its low coefficient)
-    lows = np.full(len(order), -1, dtype=np.int64)
-    for j, gid in enumerate(ids):
-        row = diff.get(gid)
-        if row is None:
-            continue
-        col = {pos[t]: c for t, c in row.items()}
-        while col:
-            lo = max(col)
-            hit = pivot.get(lo)
-            if hit is None:
-                pivot[lo] = col, pow(col[lo], -1, p)
-                lows[j] = lo
-                break
-            other, inv = hit
-            factor = col[lo] * inv % p
-            for r, c in other.items():
-                v = (col.get(r, 0) - factor * c) % p
-                if v:
-                    col[r] = v
-                else:
-                    del col[r]
+    columns = ({pos[t]: c for t, c in fc.differential.get(gid, {}).items()} for gid in ids)
+    lows = np.array(reduce_columns(columns, fc.p), dtype=np.int64)
     return order, lows
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
 from .errors import InvalidComplex, NotChainMap, NotEquivariant, check_size
-from .fp_core import FpMatrix, rank, rref
+from .fp_core import FpMatrix, leading_pivots, rank
 from .ratfun import bareiss_rank, pupow
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,18 @@ def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray
     return np.block([[A, B], [C, D]]), gen_deg, parity
 
 
+def _pivot_degrees(m: np.ndarray, gen_deg: np.ndarray, parity: np.ndarray, par: int, p: int) -> np.ndarray:
+    """Sorted degrees k at which the pivots of the block out of parity par
+    enter its cut to rows of generator degree <= k + 1 and columns of degree
+    <= k.  Rows and columns are stably sorted by degree, so every cut is a
+    leading submatrix, whose rank is the number of leading_pivots in it."""
+    rows, cols = np.flatnonzero(parity != par), np.flatnonzero(parity == par)
+    rows = rows[np.argsort(gen_deg[rows], kind="stable")]
+    cols = cols[np.argsort(gen_deg[cols], kind="stable")]
+    r, c = leading_pivots(m[np.ix_(rows, cols)] % p, p)
+    return np.sort(np.maximum(gen_deg[rows[r]] - 1, gen_deg[cols[c]]))
+
+
 def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int]:
     """(even, odd) F_p((u))-dims of the homology of the homogeneous block
     differential [[A, B], [C, D]] on V<1, theta>, from its blocks at u = 1.
@@ -184,11 +196,10 @@ def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int
     Each parity block is M(u) = diag(u^a) M(1) diag(u^-b) with integer
     exponents, a change of basis over F_p((u)), so its rank is rank M(1).
     """
-    m, _, parity = parity_split(degrees, A, B, C, D)
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    r_e = rank(FpMatrix(m[np.ix_(odd, even)], p))
-    r_o = rank(FpMatrix(m[np.ix_(even, odd)], p))
-    return len(even) - r_e - r_o, len(odd) - r_o - r_e
+    m, gen_deg, parity = parity_split(degrees, A, B, C, D)
+    r_e, r_o = (len(_pivot_degrees(m, gen_deg, parity, par, p)) for par in (0, 1))
+    even = int(np.count_nonzero(parity == 0))
+    return even - r_e - r_o, len(parity) - even - r_o - r_e
 
 
 def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:
@@ -233,36 +244,28 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     i = k - j of total degree k; reading theta's exponent as i mod 2, that
     is the Tate label of parity k.  So the total map from degree k to k + 1
     is the u = 1 parity block out of parity k, restricted to columns of
-    generator degree <= k and rows of generator degree <= k + 1.  Once
-    k >= max degree of V nothing is cut off and the rank depends only on
-    k mod 2, so H^k is the Tate dimension of parity k above the top degree
-    (periodicity of cyclic group cohomology), and at most
-    dmax - dmin + 2 F_p eliminations are run for any max_degree.  Default
+    generator degree <= k and rows of generator degree <= k + 1, a leading
+    cut counted from one column reduction per parity.  Once k >= max degree
+    of V nothing is cut off, so H^k is the Tate dimension of parity k above
+    the top degree (periodicity of cyclic group cohomology).  Default
     max_degree leaves room to watch the dimensions go 2-periodic.  The
     result has one entry per degree, so max_degree - dmin above
     MAX_GROUP_DEGREES raises TooLarge.
     """
     if V.dim() == 0:
         return {}
-    degs = V.degrees()
-    dmin, dmax = degs[0], degs[-1]
+    degrees = [g.degree for g in V.generators]
+    dmin, dmax = min(degrees), max(degrees)
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
     check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
-    degrees = [g.degree for g in V.generators]
     m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
-    ranks = {dmin - 1: 0}
-    for k in range(dmin, min(max_degree, dmax + 1) + 1):
-        cols = np.flatnonzero((parity == k % 2) & (gen_deg <= k))
-        rows = np.flatnonzero((parity != k % 2) & (gen_deg <= k + 1))
-        ranks[k] = rank(FpMatrix(m[np.ix_(rows, cols)], V.p))
-    for k in range(dmax + 2, max_degree + 1):
-        ranks[k] = ranks[k - 2]
-    at_most = np.sort(degrees)  # H^k's cochains: the generators of degree <= k
-    return {
-        k: int(np.searchsorted(at_most, k, side="right")) - ranks[k] - ranks[k - 1]
-        for k in range(dmin, max_degree + 1)
-    }
+    enter = [_pivot_degrees(m, gen_deg, parity, par, V.p) for par in (0, 1)]
+    ks = np.arange(dmin - 1, max_degree + 1)
+    r_even, r_odd = (np.searchsorted(e, ks, side="right") for e in enter)
+    ranks = np.where(ks % 2, r_odd, r_even)  # r_k: the pivots inside parity k's cut
+    at_most = np.searchsorted(np.sort(degrees), ks[1:], side="right")  # H^k's cochains: degree <= k
+    return dict(zip(ks[1:].tolist(), (at_most - ranks[1:] - ranks[:-1]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +284,13 @@ def mapping_cone(source: ChainComplex, target: ChainComplex, f: dict[str, dict[s
         raise NotChainMap("source and target use different primes")
     p = source.p
     f = {src: {t: c % p for t, c in row.items() if c % p} for src, row in f.items()}
+    source_ids, target_ids = {g.id for g in source.generators}, {g.id for g in target.generators}
     for src, row in f.items():
-        if src not in {g.id for g in source.generators}:
+        if src not in source_ids:
             raise NotChainMap(f"f defined on unknown generator {src!r}")
         dsrc = source.generator(src).degree
         for tgt in row:
-            if tgt not in {g.id for g in target.generators}:
+            if tgt not in target_ids:
                 raise NotChainMap(f"f hits unknown generator {tgt!r}")
             if target.generator(tgt).degree != dsrc:
                 raise NotChainMap(f"f({src}) is not degree-preserving")
@@ -305,20 +309,11 @@ def mapping_cone(source: ChainComplex, target: ChainComplex, f: dict[str, dict[s
         if lhs != rhs:
             raise NotChainMap(f"f does not commute with d at {g.id!r}")
 
-    both_equivariant = isinstance(source, EquivariantComplex) and isinstance(
-        target, EquivariantComplex
-    )
+    both_equivariant = isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)
     if both_equivariant:
+        target_sigma = {t: target.sigma.get(t, {t: 1}) for t in target_ids}
         for g in source.generators:
-            srow = source.sigma.get(g.id, {g.id: 1})
-            lhs = apply_map(f, srow)
-            grow = f.get(g.id, {})
-            rhs: dict[str, int] = {}
-            for tid, c in grow.items():
-                for t2, c2 in target.sigma.get(tid, {tid: 1}).items():
-                    rhs[t2] = (rhs.get(t2, 0) + c * c2) % p
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+            if apply_map(f, source.sigma.get(g.id, {g.id: 1})) != apply_map(target_sigma, f.get(g.id, {})):
                 raise NotEquivariant(f"f does not commute with sigma at {g.id!r}")
 
     gens = [Generator("s:" + g.id, g.degree - 1, g.action) for g in source.generators]
@@ -338,13 +333,11 @@ def mapping_cone(source: ChainComplex, target: ChainComplex, f: dict[str, dict[s
         if row:
             diff["t:" + g.id] = row
     if both_equivariant:
-        sigma: dict[str, dict[str, int]] = {}
-        for g in source.generators:
-            if g.id in source.sigma:
-                sigma["s:" + g.id] = {"s:" + t: c for t, c in source.sigma[g.id].items()}
-        for g in target.generators:
-            if g.id in target.sigma:
-                sigma["t:" + g.id] = {"t:" + t: c for t, c in target.sigma[g.id].items()}
+        sigma = {
+            pre + g: {pre + t: c for t, c in row.items()}
+            for pre, cx in (("s:", source), ("t:", target))
+            for g, row in cx.sigma.items()
+        }
         return EquivariantComplex(p, gens, diff, sigma)
     return ChainComplex(p, gens, diff)
 
@@ -374,11 +367,8 @@ def _apply_sigma_words(vec: dict, degs: dict, p: int) -> dict:
 
 def _apply_norm_words(vec: dict, degs: dict, p: int) -> dict:
     out: dict = {}
-    cur = dict(vec)
-    for w, c in cur.items():
-        out[w] = (out.get(w, 0) + c) % p
-    for _ in range(p - 1):
-        cur = _apply_sigma_words(cur, degs, p)
+    for i in range(p):
+        cur = _apply_sigma_words(cur, degs, p) if i else vec
         for w, c in cur.items():
             out[w] = (out.get(w, 0) + c) % p
     return {k: v for k, v in out.items() if v}
@@ -516,11 +506,9 @@ def quasi_frobenius(
     for k in sorted(hdims):
         m = hdims[k]
         for i in range(m):
-            col = columns[pos + i]
             # [z^(ox p)] has diagonal-word coordinates given by the p-th
             # powers of the H(V)-coordinates of [z]
-            for t in range(m):
-                induced[pos + t, pos + i] = pow(int(col[t]), p, p)
+            induced[pos:pos + m, pos + i] = [pow(int(x), p, p) for x in columns[pos + i]]
         pos += m
     target_degrees = {lab: p * degrees[lab] for lab in labels}
     even_idx = [i for i, lab in enumerate(labels) if target_degrees[lab] % 2 == 0]
@@ -529,12 +517,7 @@ def quasi_frobenius(
     # diagonal words each contribute one even and one odd Tate class over
     # F_p((u)); theta shifts parity, so both counts equal dim H(V)
     target_parity = (n, n)
-    bij = True
-    for idx_set in (even_idx, odd_idx):
-        if idx_set:
-            block = FpMatrix(induced[np.ix_(idx_set, idx_set)], p)
-            if rref(block).rank != len(idx_set):
-                bij = False
+    bij = all(rank(FpMatrix(induced[np.ix_(idx, idx)], p)) == len(idx) for idx in (even_idx, odd_idx) if idx)
     pairs = coefficient_pairs or [(1, 1)]
     wanted = [
         (k, i, j, a % p, b % p)

@@ -11,7 +11,10 @@ entry at a time.  The library reads Tate and group cohomology off one
 numpy parity split of V<1, theta>; assemble_parity_blocks splits the
 polynomial blocks label by label, and group_cohomology_by_slots assembles
 the first-quadrant double complex slot by slot and eliminates every total
-degree up to max_degree.  The library reduces the persistence pairing
+degree up to max_degree.  The library counts every degree's cut of a parity
+block from one column reduction of that block; group_cohomology_by_cut_ranks
+runs a dense F_p rank per cut, and parity_dims_by_dense_rank a dense rank
+per parity block.  The library reduces the persistence pairing
 on sparse columns; persistence_pairing_dense reduces the dense n x n
 differential in filtration order.  The library counts the action
 spectral sequence from the persistence pairing; subquotient_pages builds
@@ -56,7 +59,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import tate_blocks_at_one
+from smith_tate.tate import parity_split, tate_blocks_at_one
 
 
 def padd(a, b, p: int):
@@ -331,6 +334,42 @@ def group_cohomology_by_slots(V, max_degree=None) -> dict:
     ranks = {k: rank(total_matrix(k)) for k in range(dmin, max_degree + 1)}
     ranks[dmin - 1] = 0
     return {k: dims_total[k] - ranks[k] - ranks[k - 1] for k in range(dmin, max_degree + 1)}
+
+
+def group_cohomology_by_cut_ranks(V, max_degree=None) -> dict:
+    """H^k(Z/pZ, V) from one dense F_p rank per degree dmin <= k <= dmax + 1
+    of the parity-k block cut to columns of generator degree <= k and rows
+    of generator degree <= k + 1; above that the ranks repeat with period 2."""
+    if V.dim() == 0:
+        return {}
+    degs = V.degrees()
+    dmin, dmax = degs[0], degs[-1]
+    if max_degree is None:
+        max_degree = dmax + 2 * (dmax - dmin + 1) + 4
+    degrees = [g.degree for g in V.generators]
+    m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
+    ranks = {dmin - 1: 0}
+    for k in range(dmin, min(max_degree, dmax + 1) + 1):
+        cols = np.flatnonzero((parity == k % 2) & (gen_deg <= k))
+        rows = np.flatnonzero((parity != k % 2) & (gen_deg <= k + 1))
+        ranks[k] = rank(FpMatrix(m[np.ix_(rows, cols)], V.p))
+    for k in range(dmax + 2, max_degree + 1):
+        ranks[k] = ranks[k - 2]
+    at_most = np.sort(degrees)
+    return {
+        k: int(np.searchsorted(at_most, k, side="right")) - ranks[k] - ranks[k - 1]
+        for k in range(dmin, max_degree + 1)
+    }
+
+
+def parity_dims_by_dense_rank(degrees, A, B, C, D, p: int) -> tuple[int, int]:
+    """(even, odd) homology dimensions of the block differential on
+    V<1, theta> from one dense F_p rank per parity block at u = 1."""
+    m, _, parity = parity_split(degrees, A, B, C, D)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    r_e = rank(FpMatrix(m[np.ix_(odd, even)], p))
+    r_o = rank(FpMatrix(m[np.ix_(even, odd)], p))
+    return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
 def poly_square_is_zero(even_to_odd, odd_to_even, p: int) -> bool:

@@ -16,6 +16,7 @@ from smith_tate.fp_core import (
     check_prime,
     is_prime,
     kernel_basis,
+    leading_pivots,
     nilpotent_partition,
     rank,
     rref,
@@ -129,6 +130,44 @@ class TestFpMatrix:
         assert j.power(0) == FpMatrix.identity(2, 3)
         with pytest.raises(ValueError):
             FpMatrix.zeros(2, 3, 3).power(2)
+
+    def test_power_takes_no_wasted_products(self, monkeypatch):
+        """power(k) makes floor(log2 k) + popcount(k) - 1 products for
+        k >= 1 and none for k = 0, where it is the identity."""
+        m = FpMatrix([[1, 1, 0], [0, 1, 2], [1, 0, 1]], 5)
+        products = []
+        real = FpMatrix.__matmul__
+
+        def counting(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(FpMatrix, "__matmul__", counting)
+        want = np.eye(3, dtype=np.int64)
+        for k in range(70):
+            products.clear()
+            assert m.power(k).a.tolist() == want.tolist(), k
+            assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+            want = want @ m.a % 5
+
+    def test_operators_do_not_recheck_the_prime(self, monkeypatch):
+        a = FpMatrix([[1, 2], [3, 4]], 7)
+        b = FpMatrix([[0, 1], [1, 0]], 7)
+        calls = []
+        real = is_prime
+        monkeypatch.setattr("smith_tate.fp_core.is_prime", lambda n: calls.append(n) or real(n))
+        assert (a @ b).a.tolist() == [[2, 1], [4, 3]]
+        assert (a + b).a.tolist() == [[1, 3], [4, 4]]
+        assert (a - b).a.tolist() == [[1, 1], [2, 4]]
+        assert (-a).a.tolist() == [[6, 5], [4, 3]]
+        assert a.power(2) == a @ a
+        assert FpMatrix.identity(2, 7) @ a == a
+        assert FpMatrix.zeros(2, 3, 7).is_zero()
+        assert calls == []
+        for _ in range(2):
+            with pytest.raises(NotPrime):
+                FpMatrix(np.eye(2), 4)
+        assert calls == [4, 4]
 
     def test_mul_vec_and_column(self):
         m = FpMatrix([[1, 2], [3, 4]], 5)
@@ -311,3 +350,19 @@ def test_jordan_partition_checks_the_block_sum(monkeypatch):
     monkeypatch.setattr("smith_tate.fp_core.rank", lambda m: 1)
     with pytest.raises(RuntimeError, match="do not sum to the dimension 2"):
         nilpotent_partition(t)
+
+
+@pytest.mark.parametrize("p", [2, 3, 16777213])
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.9])
+def test_leading_pivots_count_the_rank_of_every_leading_submatrix(p, density):
+    """The pairing lemma: one column reduction gives rank a[:i, :j] for
+    every i and j as the number of pivots inside the cut."""
+    rng = np.random.default_rng([p, int(100 * density)])
+    for _ in range(8):
+        rows, cols = (int(x) for x in rng.integers(0, 13, size=2))
+        a = np.where(rng.random((rows, cols)) < density, rng.integers(1, p, size=(rows, cols)), 0)
+        r, c = leading_pivots(a, p)
+        assert len(r) == rank(FpMatrix(a, p))
+        for i in range(rows + 1):
+            for j in range(cols + 1):
+                assert np.count_nonzero((r < i) & (c < j)) == rank(FpMatrix(a[:i, :j], p)), (a.tolist(), i, j)

@@ -13,17 +13,27 @@ from smith_tate.tate import (
     blocks_square_zero,
     group_cohomology_dims,
     mapping_cone,
+    parity_dims_at_one,
     quasi_frobenius,
     tate_blocks_at_one,
     tate_cohomology_dims,
 )
 from smith_tate.random_instances import (
+    _conjugate_differential,
+    _unipotent_pair,
     random_chain_complex,
     random_equivariant_filtered,
+    random_floer_model,
     random_free_equivariant,
 )
 
-from oracles import group_cohomology_by_slots, poly_square_is_zero, tate_poly_parity_blocks
+from oracles import (
+    group_cohomology_by_cut_ranks,
+    group_cohomology_by_slots,
+    parity_dims_by_dense_rank,
+    poly_square_is_zero,
+    tate_poly_parity_blocks,
+)
 
 
 def trivial_point(p=3, degree=0):
@@ -430,19 +440,64 @@ def test_group_cohomology_matches_slot_by_slot_oracle():
             assert group_cohomology_dims(V, max_degree=m) == group_cohomology_by_slots(V, m), (name, m)
 
 
+# (p, degree pattern, matched pairs) of the tensor-power bases of the
+# tate-large benchmark workload: tensor powers of 27 to 64 generators
+_BENCH_SLOTS = [
+    (3, [0, 1, 2], [(0, 1)]), (3, [0, 0, 1], [(1, 2)]), (3, [-1, 0, 2], []),
+    (3, [0, 1, 1], [(0, 1)]), (3, [0, 2, 3], [(1, 2)]), (3, [0, 1, 3], [(0, 1)]),
+    (2, [0, 1, 1, 2, 3, 3], [(0, 1), (3, 4)]), (2, [0, 0, 1, 2, 2, 3], [(1, 2)]),
+    (2, [0, 1, 2, 2, 3, 4], [(0, 1), (3, 4)]), (2, [-1, 0, 0, 1, 1, 2], [(2, 3)]),
+    (2, [0, 1, 1, 2, 2, 3, 4], [(0, 1), (4, 5)]), (3, [0, 1, 1, 3], [(0, 1)]),
+]
+
+
+def _slot_base(p, degrees, pairs, seed):
+    """A complex with the given degrees and one matched pair per entry of
+    pairs, conjugated by a random degree-preserving unipotent matrix."""
+    rng = random.Random(seed)
+    gens = [Generator(f"x{i}", d) for i, d in enumerate(degrees)]
+    cx = ChainComplex(p, gens, {f"x{s}": {f"x{t}": 1 + rng.randrange(p - 1)} for s, t in pairs})
+    n = len(degrees)
+    same = [(i, j, rng.randrange(p)) for i in range(n) for j in range(i + 1, n) if degrees[i] == degrees[j]]
+    return ChainComplex(p, gens, _conjugate_differential(cx, *_unipotent_pair(n, p, same)))
+
+
+def test_group_and_parity_dims_match_the_dense_rank_oracles():
+    """The column-reduction route gives the same group cohomology as one
+    dense rank per degree cut, and the same Tate parity dimensions as one
+    dense rank per parity block, on the group cases, the benchmark's
+    tensor powers and random equivariant models."""
+    cases = list(_group_cases())
+    cases += [(f"bench-{k}", tensor_power(_slot_base(*slot, seed=k))) for k, slot in enumerate(_BENCH_SLOTS)]
+    for name, V in cases:
+        degrees = [g.degree for g in V.generators]
+        blocks = tate_blocks_at_one(V)
+        assert parity_dims_at_one(degrees, *blocks, V.p) == parity_dims_by_dense_rank(degrees, *blocks, V.p), name
+        if not V.dim():
+            continue
+        dmin, dmax = min(degrees), max(degrees)
+        for m in (None, dmin - 2, dmin - 1, dmin, dmax, dmax + 1, 3 * dmax + 20):
+            assert group_cohomology_dims(V, max_degree=m) == group_cohomology_by_cut_ranks(V, m), (name, m)
+    for p in (2, 3, 5, 7):
+        for seed in range(5):
+            model = random_floer_model(p, seed)
+            degrees = [g.degree for g in model.base.generators]
+            assert model.tate_parity_dims() == parity_dims_by_dense_rank(degrees, *model.blocks_at_one(), p)
+
+
 def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
-    """Above the top degree the ranks repeat with period 2, so at most
-    dmax - dmin + 2 F_p eliminations are run for any max_degree."""
-    import smith_tate.tate as tate
+    """Every degree's rank is a pivot count of one column reduction per
+    parity block, so exactly two reductions run for any max_degree."""
+    import smith_tate.fp_core as fp_core
 
     calls = []
-    real = tate.rank
+    real = fp_core.reduce_columns
 
-    def counting(m):
-        calls.append(m.a.shape)
-        return real(m)
+    def counting(columns, p):
+        calls.append(p)
+        return real(columns, p)
 
-    monkeypatch.setattr(tate, "rank", counting)
+    monkeypatch.setattr(fp_core, "reduce_columns", counting)
     bases = _tensor_bases(3, 3, 2)
     cases = [tensor_power(b) for b in bases] + [random_equivariant_filtered(5, s) for s in range(4)]
     cases = [V for V in cases if V.dim()]
@@ -453,4 +508,4 @@ def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
             calls.clear()
             dims = group_cohomology_dims(V, max_degree=m)
             assert len(dims) == m - degs[0] + 1
-            assert len(calls) <= degs[-1] - degs[0] + 2
+            assert calls == [V.p, V.p]
