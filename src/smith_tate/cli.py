@@ -549,7 +549,7 @@ def _check_sigma_decomposition(payload):
     d = decompose(s)
     n = s.rows
     tate_total, invariant = tate_and_invariant_dims(d)
-    direct_invariant = n - rank(s - FpMatrix.identity(n, s.p))
+    direct_invariant = n - rank(FpMatrix(s.a - np.eye(n, dtype=np.int64), s.p))
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
     gens = [Generator(f"v{i}", 0) for i in range(n)]

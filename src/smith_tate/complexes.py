@@ -27,7 +27,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rref
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rank, rref
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -155,14 +155,15 @@ def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMa
     return out
 
 
-def norm_matrix(sigma: FpMatrix) -> FpMatrix:
-    """N = 1 + sigma + ... + sigma^(p-1), as (sigma - 1)^(p-1).
+def norm_matrix(sigma: np.ndarray, p: int) -> np.ndarray:
+    """N = 1 + sigma + ... + sigma^(p-1), as (sigma - 1)^(p-1), for a square
+    residue array sigma.
 
     (x - 1)^p = x^p - 1 = (x - 1)(1 + x + ... + x^(p-1)) in F_p[x], which
     has no zero divisors, so the two polynomials agree for any square
     sigma; repeated squaring takes O(log p) products instead of p - 1.
     """
-    return (sigma - FpMatrix.identity(sigma.rows, sigma.p)).power(sigma.p - 1)
+    return _matpow((sigma - np.eye(len(sigma), dtype=np.int64)) % p, p - 1, p)
 
 
 class ChainComplex:
@@ -184,7 +185,7 @@ class ChainComplex:
         self._deg_index: dict[int, list[int]] = {}
         for i, g in enumerate(gens):
             self._deg_index.setdefault(g.degree, []).append(i)
-        self._block_cache: dict[int, FpMatrix] = {}
+        self._block_cache: dict[int, np.ndarray] = {}
         self._level_cache: tuple[list[Fraction], list[int]] | None = None
         self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
@@ -202,7 +203,7 @@ class ChainComplex:
                 if self.generators[self._index[tgt]].degree != dsrc + 1:
                     out.append(f"d({src}) hits {tgt}, which is not one degree higher")
         for k in self.degrees():
-            if _matmul_mod(self.d_block(k + 1).a, self.d_block(k).a, self.p).any():
+            if _matmul_mod(self.d_block(k + 1), self.d_block(k), self.p).any():
                 out.append(f"d.d != 0 out of degree {k}")
         return out
 
@@ -258,16 +259,17 @@ class ChainComplex:
                     raise InvalidComplex(f"sigma({g.id}) leaves degree {g.degree}")
         return a
 
-    def d_block(self, k: int) -> FpMatrix:
-        """Matrix of d from degree k to degree k+1 in stored generator order."""
+    def d_block(self, k: int) -> np.ndarray:
+        """Matrix of d from degree k to degree k+1 in stored generator order;
+        cached and shared, so callers must not write to it."""
         if k not in self._block_cache:
-            a = self._coeff_matrix(self.differential, self._deg_index.get(k, []), self._deg_index.get(k + 1, []))
-            self._block_cache[k] = FpMatrix(a, self.p)
+            deg = self._deg_index
+            self._block_cache[k] = self._coeff_matrix(self.differential, deg.get(k, []), deg.get(k + 1, []))
         return self._block_cache[k]
 
-    def matrix_in_order(self, order: list[int]) -> FpMatrix:
+    def matrix_in_order(self, order: list[int]) -> np.ndarray:
         """Full differential matrix with rows/columns indexed by `order`."""
-        return FpMatrix(self._coeff_matrix(self.differential, order, order), self.p)
+        return self._coeff_matrix(self.differential, order, order)
 
     # -- homology ----------------------------------------------------------
 
@@ -284,8 +286,8 @@ class ChainComplex:
         read off the class coordinates of any cocycle.
         """
         if k not in self._homology_cache:
-            dprev = self.d_block(k - 1).a
-            ker = rref(self.d_block(k)).kernel_basis
+            dprev = self.d_block(k - 1)
+            ker = rref(FpMatrix(self.d_block(k), self.p)).kernel_basis
             n, m = dprev.shape
             z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
             red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), self.p)
@@ -314,7 +316,7 @@ class ChainComplex:
         """Coefficients of the class [v] in the homology_basis(k) order; for
         a matrix of cocycle columns, one column of coefficients each."""
         v = np.asarray(v, dtype=np.int64) % self.p
-        if _matmul_mod(self.d_block(k).a, v, self.p).any():
+        if _matmul_mod(self.d_block(k), v, self.p).any():
             raise InvalidComplex("vector is not a cocycle")
         return _matmul_mod(self._homology(k)[1], v, self.p)
 
@@ -354,27 +356,27 @@ class EquivariantComplex(ChainComplex):
         super().__init__(p, generators, differential, check=check)
         sigma = sigma or {}
         self.sigma = _clean_coeff_map(sigma, set(self._index), p, "sigma")
-        self._sigma_cache: dict[int, FpMatrix] = {}
+        self._sigma_cache: dict[int, np.ndarray] = {}
         # ChainComplex.__init__ has already checked d
         if check and (bad := self._sigma_violations()[1]):
             raise InvalidComplex("; ".join(bad))
 
-    def sigma_block(self, k: int) -> FpMatrix:
-        """Matrix of sigma on degree k; raises InvalidComplex when sigma
-        leaves the degree."""
+    def sigma_block(self, k: int) -> np.ndarray:
+        """Matrix of sigma on degree k, cached like d_block; raises
+        InvalidComplex when sigma leaves the degree."""
         if k not in self._sigma_cache:
             idx = self._deg_index.get(k, [])
-            self._sigma_cache[k] = FpMatrix(self._coeff_matrix(self.sigma, idx, idx, sigma=True), self.p)
+            self._sigma_cache[k] = self._coeff_matrix(self.sigma, idx, idx, sigma=True)
         return self._sigma_cache[k]
 
-    def sigma_matrix(self) -> FpMatrix:
+    def sigma_matrix(self) -> np.ndarray:
         """Matrix of sigma on all generators in stored order."""
         order = range(self.dim())
-        return FpMatrix(self._coeff_matrix(self.sigma, order, order, sigma=True), self.p)
+        return self._coeff_matrix(self.sigma, order, order, sigma=True)
 
-    def norm_block(self, k: int) -> FpMatrix:
+    def norm_block(self, k: int) -> np.ndarray:
         """1 + sigma + ... + sigma^(p-1) in degree k."""
-        return norm_matrix(self.sigma_block(k))
+        return norm_matrix(self.sigma_block(k), self.p)
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.
@@ -415,13 +417,14 @@ class EquivariantComplex(ChainComplex):
                     checks["sigma_structure"] = False
                     violations.append(f"sigma({src}) changes action")
         if checks["sigma_structure"]:
+            p = self.p
             for k in self.degrees():
                 s = self.sigma_block(k)
-                if s.power(self.p) != FpMatrix.identity(self.dim(k), self.p):
+                if not np.array_equal(_matpow(s, p, p), np.eye(len(s), dtype=np.int64)):
                     checks["sigma_structure"] = False
-                    violations.append(f"sigma^{self.p} != 1 in degree {k}")
+                    violations.append(f"sigma^{p} != 1 in degree {k}")
                 dk = self.d_block(k)
-                if dk @ s != self.sigma_block(k + 1) @ dk:
+                if not np.array_equal(_matmul_mod(dk, s, p), _matmul_mod(self.sigma_block(k + 1), dk, p)):
                     checks["equivariance"] = False
                     violations.append(f"sigma does not commute with d out of degree {k}")
         return checks, violations
@@ -500,8 +503,7 @@ def invariants_coinvariants(V: EquivariantComplex) -> tuple[dict[int, int], dict
     coinv: dict[int, int] = {}
     for k in V.degrees():
         n = V.dim(k)
-        one_minus = FpMatrix.identity(n, V.p) - V.sigma_block(k)
-        r = rref(one_minus).rank
+        r = rank(FpMatrix(np.eye(n, dtype=np.int64) - V.sigma_block(k), V.p))
         if n - r:
             inv[k] = n - r
             coinv[k] = n - r

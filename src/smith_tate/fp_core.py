@@ -1,17 +1,24 @@
 """Exact linear algebra over the prime field F_p: dense, and sparse columns.
 
-Matrices are numpy int64 arrays with entries reduced mod p; every public
-routine returns fully reduced results.  Kernel and image bases come out of
-one reduced row echelon computation and are deterministic for a fixed
-column order (callers wanting "lexicographic by generator id" order their
-columns that way).
+Inside the package a matrix is a plain numpy int64 array of residues in
+[0, p), and its owner holds the prime: ChainComplex.p,
+EquivariantFloerModel.p, or the p of a sigma file.  The prime is checked
+where it enters: the FpMatrix constructor, ChainComplex.__init__ and the
+JSON readers.  FpMatrix is the checked argument of the public entry points
+(rank, rref, solve, kernel_basis, nilpotent_partition and their callers);
+every public routine returns fully reduced results.  Kernel and image bases
+come out of one reduced row echelon computation and are deterministic for a
+fixed column order (callers wanting "lexicographic by generator id" order
+their columns that way).
 
 The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
 product of two entries stays below 2^48, and every product of n x n
-matrices is exact in int64 for n <= 2^15.  _matmul_mod runs the same
-exact product on float64 BLAS while its sums stay below 2^53.  FpScalar
-uses Python integers and takes any prime below PRIMALITY_BOUND, where the
-Miller-Rabin test of is_prime is exact.
+matrices is exact in int64 for n <= 2^15.  Every product and power of
+residue arrays goes through _matmul_mod and _matpow.  _matmul_mod picks its
+route from the shape: below _BLAS_MIN_WORK multiply-adds it runs on int64,
+at or above it on float64 BLAS while its sums stay below 2^53, and past
+that on int64 again.  FpScalar uses Python integers and takes any prime
+below PRIMALITY_BOUND, where the Miller-Rabin test of is_prime is exact.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ import numpy as np
 from .errors import NotNilpotent, NotPrime, PrimeTooLarge
 
 MATRIX_PRIME_BOUND = 1 << 24
+# m k n multiply-adds of an (m x k)(k x n) product from which float64 BLAS,
+# with its conversions, beats numpy's int64 loop: near 20 x 20 x 20
+_BLAS_MIN_WORK = 20**3
 # (base, psi): Miller-Rabin with every base up to this one is exact below
 # psi, the least strong pseudoprime to all of them (OEIS A014233; Sorenson
 # and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
@@ -128,7 +138,12 @@ class FpScalar:
 
 
 class FpMatrix:
-    """Dense matrix over F_p.  Immutable by convention: operations copy."""
+    """Dense matrix over F_p, the checked argument of the public entry points.
+
+    Construction checks the prime and reduces the entries; inside the
+    package matrices are plain int64 residue arrays (the attribute a), and
+    their products go through _matmul_mod and _matpow.
+    """
 
     __slots__ = ("a", "p")
 
@@ -144,25 +159,6 @@ class FpMatrix:
         self.a = a % p
         self.p = p
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def _of(a: np.ndarray, p: int) -> "FpMatrix":
-        """A 2-d int64 array reduced mod p, for a prime already checked."""
-        m = object.__new__(FpMatrix)
-        m.a, m.p = a % p, p
-        return m
-
-    @staticmethod
-    def zeros(rows: int, cols: int, p: int) -> "FpMatrix":
-        return FpMatrix._of(np.zeros((rows, cols), dtype=np.int64), _check_matrix_prime(p))
-
-    @staticmethod
-    def identity(n: int, p: int) -> "FpMatrix":
-        return FpMatrix._of(np.eye(n, dtype=np.int64), _check_matrix_prime(p))
-
-    # -- shape / access ----------------------------------------------
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -170,12 +166,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
 
     def __eq__(self, other) -> bool:
         return (
@@ -191,52 +181,36 @@ class FpMatrix:
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.a.tolist()})"
 
-    # -- arithmetic ----------------------------------------------------
-
-    def _same(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same(other)
-        return FpMatrix._of(self.a + other.a, self.p)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same(other)
-        return FpMatrix._of(self.a - other.a, self.p)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix._of(-self.a, self.p)
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same(other)
-        return FpMatrix._of(self.a @ other.a, self.p)
-
-    def power(self, k: int) -> "FpMatrix":
-        """self^k in floor(log2 k) + popcount(k) - 1 products (k >= 1)."""
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return FpMatrix.identity(self.rows, self.p) if out is None else out
-
-    def mul_vec(self, v: np.ndarray) -> np.ndarray:
-        return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
-
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b % p for int64 matrices of residues.  Every partial sum is an
-    integer of at most k (p - 1)^2 for inner dimension k; below 2^53 float64
-    holds it exactly, so the product runs on BLAS, and above it on int64."""
-    if a.shape[1] * (p - 1) ** 2 < 1 << 53:
+    """a @ b % p for int64 arrays of residues in [0, p); b may be a vector.
+
+    Every partial sum is an integer of at most k (p - 1)^2 for inner
+    dimension k.  A product of at least _BLAS_MIN_WORK multiply-adds whose
+    sums stay below 2^53 runs exactly on float64 BLAS; a smaller one, or one
+    past 2^53, runs on int64, which numpy multiplies without BLAS.
+    """
+    if a.shape[0] * b.size >= _BLAS_MIN_WORK and a.shape[1] * (p - 1) ** 2 < 1 << 53:
         out = a.astype(np.float64) @ b.astype(np.float64)
         return np.fmod(out, p, out=out).astype(np.int64)
     return a @ b % p
+
+
+def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k for a square residue array in floor(log2 k) + popcount(k) - 1
+    products; the identity for k = 0."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("power of a non-square matrix")
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
+    out, base = None, a
+    while k:
+        if k & 1:
+            out = base if out is None else _matmul_mod(out, base, p)
+        k >>= 1
+        if k:
+            base = _matmul_mod(base, base, p)
+    return np.eye(a.shape[0], dtype=np.int64) if out is None else out
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -323,7 +297,7 @@ def rref(m: FpMatrix) -> RrefResult:
     basis vector per non-pivot column, unit in that coordinate); the image
     basis is the original pivot columns, so both are deterministic.
     """
-    red, pivots = _row_reduce(m.a.copy(), m.p)
+    red, pivots = _row_reduce(m.a, m.p)
     rank = len(pivots)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
@@ -332,12 +306,12 @@ def rref(m: FpMatrix) -> RrefResult:
         v = np.zeros(m.cols, dtype=np.int64)
         v[f], v[pivots] = 1, (-red[:rank, f]) % m.p
         kernel.append(v)
-    image = [m.column(c) for c in pivots]
+    image = [m.a[:, c].copy() for c in pivots]
     return RrefResult(rank, kernel, image, tuple(pivots), red)
 
 
 def rank(m: FpMatrix) -> int:
-    return len(_row_reduce(m.a.copy(), m.p)[1])
+    return len(_row_reduce(m.a, m.p)[1])
 
 
 def kernel_basis(m: FpMatrix) -> list:
@@ -377,11 +351,11 @@ def nilpotent_partition(t: FpMatrix) -> list[int]:
     if t.rows != t.cols:
         raise NotNilpotent("operator must be square")
     n, p = t.rows, t.p
-    ranks, power = [n], t  # ranks[k] = rank(t^k)
+    ranks, power = [n], t.a  # ranks[k] = rank(t^k)
     for _ in range(p - 1):
-        ranks.append(rank(power))
-        power = power @ t
-    if not power.is_zero():
+        ranks.append(rank(FpMatrix(power, p)))
+        power = _matmul_mod(power, t.a, p)
+    if power.any():
         raise NotNilpotent(f"t^{p} != 0")
     ranks += [0, 0]
     sizes = [k for k in range(p, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotOrderP
-from .fp_core import FpMatrix, nilpotent_partition, rank
+from .fp_core import FpMatrix, _matpow, nilpotent_partition, rank
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,10 @@ def decompose(sigma: FpMatrix) -> ModuleDecomposition:
     n = sigma.rows
     if sigma.cols != n:
         raise NotOrderP("sigma must be square")
-    if sigma.power(p) != FpMatrix.identity(n, p):
+    one = np.eye(n, dtype=np.int64)
+    if not np.array_equal(_matpow(sigma.a, p, p), one):
         raise NotOrderP(f"sigma^{p} != identity")
-    t = sigma - FpMatrix.identity(n, p)
-    partition = nilpotent_partition(t)
+    partition = nilpotent_partition(FpMatrix(sigma.a - one, p))
     m = [0] * p
     for size in partition:
         m[size - 1] += 1
@@ -114,9 +116,7 @@ def smith_chain_check(hf_phi_dim: int, sigma_on_hf_phi_p: FpMatrix) -> ChainRepo
     sharpened = sum(d.multiplicities[:-1])
     _, invariant = tate_and_invariant_dims(d)
     n = sigma_on_hf_phi_p.rows
-    direct_invariant = n - rank(
-        sigma_on_hf_phi_p - FpMatrix.identity(n, sigma_on_hf_phi_p.p)
-    )
+    direct_invariant = n - rank(FpMatrix(sigma_on_hf_phi_p.a - np.eye(n, dtype=np.int64), d.p))
     if direct_invariant != invariant:
         raise RuntimeError(
             f"invariant dimension {direct_invariant} from rank(sigma - 1) differs from {invariant} from the decomposition"

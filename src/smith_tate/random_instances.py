@@ -75,7 +75,7 @@ def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
 
 
 def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    d = _matmul_mod(_matmul_mod(pm, cx.matrix_in_order(range(cx.dim())).a % cx.p, cx.p), inv, cx.p)
+    d = _matmul_mod(_matmul_mod(pm, cx.matrix_in_order(range(cx.dim())), cx.p), inv, cx.p)
     return _coeff_map(d, [g.id for g in cx.generators])
 
 
@@ -169,7 +169,7 @@ def random_sigma_matrix(p: int, multiplicities, seed) -> FpMatrix:
     # invert by row-reducing the augmented identity
     aug = np.concatenate([q, np.eye(n, dtype=np.int64)], axis=1) % p
     qinv = _row_reduce(aug, p)[0][:, n:]
-    return FpMatrix((q @ j @ qinv) % p, p)
+    return FpMatrix(_matmul_mod(_matmul_mod(q, j, p), qinv, p), p)
 
 
 def random_sigma_with_multiplicities(p: int, seed, max_dim: int = 12):
@@ -420,7 +420,7 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
             if degs[y] == degs[x] - 2 and level[y] < level[x]:
                 r[(y, x)] = rng.randrange(p)
         q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
-        blocks = tuple(_matmul_mod(_matmul_mod(q, m % p, p), qinv, p) for m in blocks)
+        blocks = tuple(_matmul_mod(_matmul_mod(q, m, p), qinv, p) for m in blocks)
     A, B, C, D = blocks  # 1 -> 1, theta -> 1, 1 -> theta, theta -> theta
     terms = {}
     for m, alpha in ((A, 0), (C, 0), (D, 1), (B, 1)):

@@ -52,7 +52,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _matmul_mod, rank
+from .fp_core import FpMatrix, _matmul_mod, _matpow, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
 from .persistence import persistence_pairing
 from .tate import (
@@ -157,8 +157,8 @@ class EquivariantFloerModel:
     """A Z/pZ-equivariant deformation of a filtered complex.
 
     base supplies the generators, the action values, sigma, and the default
-    structure maps; d_terms maps (i, alpha) to an n x n matrix over F_p in
-    the stored generator order, replacing or extending the defaults
+    structure maps; d_terms maps (i, alpha) to an n x n integer array, read
+    mod p, in the stored generator order, replacing or extending the defaults
 
         d_0^0 = d,  d_0^1 = 1 - sigma,  d_1^1 = -d,  d_1^2 = N.
 
@@ -171,7 +171,7 @@ class EquivariantFloerModel:
     def __init__(
         self,
         base: EquivariantComplex,
-        d_terms: dict[tuple[int, int], FpMatrix] | None = None,
+        d_terms: dict[tuple[int, int], np.ndarray] | None = None,
         i_max: int | None = None,
         *,
         check: bool = True,
@@ -187,7 +187,7 @@ class EquivariantFloerModel:
                 raise MalformedInput(f"bad d_term slot ({i}, {alpha})")
             if (i, alpha) == (0, 1):
                 raise MalformedInput("the (i=0, alpha=1) slot does not exist")
-            a = m.a if isinstance(m, FpMatrix) else np.asarray(m, dtype=np.int64) % self.p
+            a = np.asarray(m, dtype=np.int64)
             if a.shape != (n, n):
                 raise MalformedInput(f"d_term ({i},{alpha}) must be {n} x {n}")
             terms[(i, alpha)] = a % self.p
@@ -349,11 +349,10 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     bound = einf[0] <= e2_even_total and einf[1] <= e2_odd_total
     sigma_module = None
     sigma_tate = None
-    sigma = base.sigma_matrix()
-    s = sigma.a
+    s = base.sigma_matrix()
     d00 = model.term(0, 0)
-    order_p = sigma.power(p) == FpMatrix.identity(n, p) if n else True
-    if order_p and ((s @ d00 - d00 @ s) % p == 0).all():
+    order_p = np.array_equal(_matpow(s, p, p), np.eye(n, dtype=np.int64))
+    if order_p and np.array_equal(_matmul_mod(s, d00, p), _matmul_mod(d00, s, p)):
         # sigma descends to H(d_0^0); decompose the induced module
         blocks = [_induced(s, even_cx, even_cx, k) for k in degrees]
         total = sum(b.shape[0] for b in blocks)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
 from .errors import InvalidComplex, NotChainMap, NotEquivariant, check_size
-from .fp_core import FpMatrix, leading_pivots, rank
+from .fp_core import FpMatrix, _matmul_mod, leading_pivots, rank
 from .ratfun import bareiss_rank, pupow
 
 # ---------------------------------------------------------------------------
@@ -133,10 +133,9 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     """
     p = V.p
     n = V.dim()
-    d = V.matrix_in_order(range(n)).a
-    sigma = V.sigma_matrix()
-    s = sigma.a
-    nm = norm_matrix(sigma).a
+    d = V.matrix_in_order(range(n))
+    s = V.sigma_matrix()
+    nm = norm_matrix(s, p)
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
     for what, m, shift in (("d", d, 1), ("sigma", s, 0)):
         bad = _degree_violation(m, degrees, shift)
@@ -159,8 +158,8 @@ def blocks_square_zero(A, B, C, D, p: int) -> bool:
     degrees of the basis, so
     M(u)^2 = u G^-1 M(1)^2 G vanishes exactly when M(1)^2 does.
     """
-    m = FpMatrix(np.block([[A, B], [C, D]]), p)
-    return (m @ m).is_zero()
+    m = np.block([[A, B], [C, D]]) % p
+    return not _matmul_mod(m, m, p).any()
 
 
 def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

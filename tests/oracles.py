@@ -401,7 +401,7 @@ def persistence_pairing_dense(fc) -> tuple[list[int], np.ndarray]:
     p = fc.p
     order = fc.filtration_order()
     n = len(order)
-    d = fc.matrix_in_order(order).a
+    d = fc.matrix_in_order(order)
     low_of: dict[int, int] = {}  # low row -> column that holds it
     lows = np.full(n, -1, dtype=np.int64)
     for j in range(n):
@@ -430,7 +430,7 @@ def subquotient_pages(fc) -> list[tuple[dict, dict]]:
     n = fc.dim()
     levels = fc.actions()
     L = len(levels)
-    d = fc.matrix_in_order(range(n)).a
+    d = fc.matrix_in_order(range(n))
     degs = [g.degree for g in fc.generators]
     acts = [g.action for g in fc.generators]
     degrees = sorted(set(degs))
@@ -651,8 +651,8 @@ def torsion_witness_by_fractions(b):
 def _image_and_reps(cx, k: int) -> tuple[list, list]:
     """(image basis of d^(k-1), homology representatives): the kernel
     vectors of d^k that are pivots after the image basis."""
-    ker = rref(cx.d_block(k)).kernel_basis
-    im = rref(cx.d_block(k - 1)).image_basis
+    ker = rref(FpMatrix(cx.d_block(k), cx.p)).kernel_basis
+    im = rref(FpMatrix(cx.d_block(k - 1), cx.p)).image_basis
     cols = im + ker
     stacked = np.array(cols, dtype=np.int64).T if cols else np.zeros((cx.dim(k), 0), dtype=np.int64)
     pivots = rref(FpMatrix(stacked, cx.p)).pivots
@@ -666,7 +666,7 @@ def homology_basis_by_solve(cx, k: int) -> list:
 def express_in_homology_by_solve(cx, k: int, v) -> np.ndarray:
     """Coordinates of the class [v] in homology_basis_by_solve(cx, k)."""
     v = np.asarray(v, dtype=np.int64) % cx.p
-    if cx.d_block(k).mul_vec(v).any():
+    if (cx.d_block(k) @ v % cx.p).any():
         raise InvalidComplex("vector is not a cocycle")
     im, reps = _image_and_reps(cx, k)
     cols = im + reps
@@ -707,10 +707,12 @@ def algebraic_ss_by_vectors(model) -> dict:
         m21 = out["d21_induced"][k] = _induced_by_vectors(model.term(2, 1), odd_cx, even_cx, k)
         r10, r21 = rank(FpMatrix(m10, p)), rank(FpMatrix(m21, p))
         out["e2_by_degree"][k] = {"one": m10.shape[1] - r10 - r21, "theta": m21.shape[1] - r21 - r10}
-    s = base.sigma_matrix().a
+    s = base.sigma_matrix()
     d00 = model.term(0, 0)
-    n = base.dim()
-    if FpMatrix(s, p).power(p) == FpMatrix.identity(n, p) and not ((s @ d00 - d00 @ s) % p).any():
+    power = np.eye(base.dim(), dtype=np.int64)
+    for _ in range(p):
+        power = power @ s % p
+    if np.array_equal(power, np.eye(base.dim())) and not ((s @ d00 - d00 @ s) % p).any():
         blocks = [_induced_by_vectors(s, even_cx, even_cx, k) for k in degrees]
         total = sum(b.shape[0] for b in blocks)
         star = np.zeros((total, total), dtype=np.int64)

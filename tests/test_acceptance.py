@@ -169,7 +169,7 @@ def test_criterion_05_spectral_sequences():
             reps = base.homology_basis(k)
             if not reps:
                 continue
-            sig_k = base.sigma_block(k).a
+            sig_k = base.sigma_block(k)
             star = np.zeros((len(reps), len(reps)), dtype=np.int64)
             for c, z in enumerate(reps):
                 star[:, c] = base.express_in_homology(k, (sig_k @ z) % p)

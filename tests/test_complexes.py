@@ -104,7 +104,7 @@ class TestChainComplex:
     def test_d_block_and_homology(self):
         gens = [Generator("a", 0), Generator("b", 1), Generator("c", 1)]
         cx = ChainComplex(5, gens, {"a": {"b": 2}})
-        assert cx.d_block(0).a.tolist() == [[2], [0]]
+        assert cx.d_block(0).tolist() == [[2], [0]]
         assert cx.homology_dims() == {1: 1}
         rep = cx.homology_basis(1)
         assert len(rep) == 1
@@ -121,8 +121,8 @@ class TestChainComplex:
 class TestEquivariantComplex:
     def test_cyclic_orbit_valid(self):
         V = free_orbit(3)
-        assert V.sigma_block(0).a.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        assert V.norm_block(0).a.tolist() == [[1, 1, 1]] * 3
+        assert V.sigma_block(0).tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert V.norm_block(0).tolist() == [[1, 1, 1]] * 3
 
     def test_sigma_order_enforced(self):
         # a 2-cycle on 2 generators has order 2, not 3
@@ -160,7 +160,7 @@ class TestEquivariantComplex:
 
     def test_omitted_sigma_acts_as_identity(self):
         V = EquivariantComplex(3, [Generator("v", 0)], {}, {})
-        assert V.sigma_block(0).a.tolist() == [[1]]
+        assert V.sigma_block(0).tolist() == [[1]]
 
     def test_construction_checks_d_once(self, monkeypatch):
         calls = []
@@ -243,20 +243,20 @@ class TestNorm:
         p = 100003
         rng = random.Random(0)
         sigma = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
-        assert norm_matrix(FpMatrix(sigma, p)).a.tolist() == _norm_by_powers(sigma, p)
+        assert norm_matrix(np.array(sigma, dtype=np.int64), p).tolist() == _norm_by_powers(sigma, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_tensor_powers_match_sum_of_powers(self, p):
         base = ChainComplex(p, [Generator("a", 0), Generator("b", 1)], {"a": {"b": 1}})
         T = tensor_power(base)
         for k in T.degrees():
-            sigma = T.sigma_block(k).a.tolist()
-            assert T.norm_block(k).a.tolist() == _norm_by_powers(sigma, p)
+            sigma = T.sigma_block(k).tolist()
+            assert T.norm_block(k).tolist() == _norm_by_powers(sigma, p)
 
     def test_norm_kills_one_minus_sigma(self):
         V = free_orbit(5)
         s = V.sigma_block(0)
-        assert (V.norm_block(0) @ (FpMatrix(np.eye(5, dtype=np.int64), 5) - s)).is_zero()
+        assert not (V.norm_block(0) @ (np.eye(5, dtype=np.int64) - s) % 5).any()
 
 
 class TestActionWindow:
@@ -445,8 +445,8 @@ def test_random_filtered_instances_are_valid(p, seed):
         for tgt in row:
             assert fc.generator(tgt).action < a
     k = fc.degrees()[0]
-    prod = fc.d_block(k + 1) @ fc.d_block(k)
-    assert prod.is_zero()
+    prod = fc.d_block(k + 1) @ fc.d_block(k) % p
+    assert not prod.any()
 
 
 @given(st.integers(0, 10_000))
@@ -499,13 +499,13 @@ def test_operator_matrices_match_entry_by_entry_loop():
                 n = V.dim()
                 order = rng.sample(range(n), rng.randint(0, n))
                 want = coeff_matrix_by_entries(V, V.differential, order, order)
-                assert V.matrix_in_order(order).a.tolist() == want.tolist()
+                assert V.matrix_in_order(order).tolist() == want.tolist()
                 want = coeff_matrix_by_entries(V, V.sigma, range(n), range(n), sigma=True)
-                assert V.sigma_matrix().a.tolist() == want.tolist()
+                assert V.sigma_matrix().tolist() == want.tolist()
                 for k in range(min(V.degrees()) - 1, max(V.degrees()) + 2):
                     idx = V.degree_indices(k)
                     want = coeff_matrix_by_entries(V, V.differential, idx, V.degree_indices(k + 1))
-                    assert V.d_block(k).a.tolist() == want.tolist()
+                    assert V.d_block(k).tolist() == want.tolist()
                     images = [V.sigma.get(V.generators[i].id, {}) for i in idx]
                     if any(V.generator(t).degree != k for image in images for t in image):
                         leaving += 1
@@ -513,7 +513,7 @@ def test_operator_matrices_match_entry_by_entry_loop():
                             V.sigma_block(k)
                     else:
                         want = coeff_matrix_by_entries(V, V.sigma, idx, idx, sigma=True)
-                        assert V.sigma_block(k).a.tolist() == want.tolist()
+                        assert V.sigma_block(k).tolist() == want.tolist()
     assert leaving > 10
 
 
@@ -582,11 +582,11 @@ def test_homology_matches_the_solve_route(p):
         for k in cx.degrees():
             reps = cx.homology_basis(k)
             assert [z.tolist() for z in reps] == [z.tolist() for z in homology_basis_by_solve(cx, k)]
-            ker = rref(cx.d_block(k)).kernel_basis
+            ker = rref(FpMatrix(cx.d_block(k), p)).kernel_basis
             if not ker:
                 continue
             # random cocycles: kernel combinations plus random boundaries
-            dprev = cx.d_block(k - 1).a
+            dprev = cx.d_block(k - 1)
             cocycles = np.array(ker).T @ rng.integers(0, p, (len(ker), 5))
             cocycles += dprev @ rng.integers(0, p, (dprev.shape[1], 5))
             cocycles %= p

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smith_tate.complexes import ChainComplex, Generator
+from smith_tate.complexes import ChainComplex, Generator, norm_matrix
 from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import (
     MATRIX_PRIME_BOUND,
     PRIMALITY_BOUND,
     FpMatrix,
     FpScalar,
+    _BLAS_MIN_WORK,
+    _check_matrix_prime,
+    _matmul_mod,
+    _matpow,
     check_prime,
     is_prime,
     kernel_basis,
@@ -60,7 +64,7 @@ class TestMatrixPrimeBound:
         assert rank(FpMatrix([[big, 1], [1, big]], p)) == 1
         assert rank(FpMatrix([[big, big], [big, 1]], p)) == 2
         a = np.full((64, 64), big, dtype=np.int64)
-        assert ((FpMatrix(a, p) @ FpMatrix(a, p)).a == 64 % p).all()
+        assert (_matmul_mod(a, a, p) == 64 % p).all()
         cx = ChainComplex(p, [Generator("x", 0), Generator("y", 1)], {"x": {"y": big}})
         assert cx.homology_dims() == {}
 
@@ -112,83 +116,101 @@ class TestFpMatrix:
         m = FpMatrix([1, 2, 3], 5)
         assert (m.rows, m.cols) == (3, 1)
 
-    def test_identity_and_zeros(self):
-        assert FpMatrix.identity(3, 5) == FpMatrix(np.eye(3, dtype=int), 5)
-        assert FpMatrix.zeros(2, 3, 5).is_zero()
-
-    def test_arithmetic(self):
-        a = FpMatrix([[1, 2], [0, 1]], 5)
-        b = FpMatrix([[1, 0], [3, 1]], 5)
-        assert (a + b).a.tolist() == [[2, 2], [3, 2]]
-        assert (a - b).a.tolist() == [[0, 2], [2, 0]]
-        assert (a @ b).a.tolist() == [[2, 2], [3, 1]]
-        assert (-a).a.tolist() == [[4, 3], [0, 4]]
-
-    def test_power(self):
-        j = FpMatrix([[1, 1], [0, 1]], 3)
-        assert j.power(3) == FpMatrix.identity(2, 3)
-        assert j.power(0) == FpMatrix.identity(2, 3)
-        with pytest.raises(ValueError):
-            FpMatrix.zeros(2, 3, 3).power(2)
-
-    def test_power_takes_no_wasted_products(self, monkeypatch):
-        """power(k) makes floor(log2 k) + popcount(k) - 1 products for
-        k >= 1 and none for k = 0, where it is the identity."""
-        m = FpMatrix([[1, 1, 0], [0, 1, 2], [1, 0, 1]], 5)
-        products = []
-        real = FpMatrix.__matmul__
-
-        def counting(a, b):
-            products.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(FpMatrix, "__matmul__", counting)
-        want = np.eye(3, dtype=np.int64)
-        for k in range(70):
-            products.clear()
-            assert m.power(k).a.tolist() == want.tolist(), k
-            assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
-            want = want @ m.a % 5
-
-    def test_operators_do_not_recheck_the_prime(self, monkeypatch):
-        a = FpMatrix([[1, 2], [3, 4]], 7)
-        b = FpMatrix([[0, 1], [1, 0]], 7)
-        calls = []
-        real = is_prime
-        monkeypatch.setattr("smith_tate.fp_core.is_prime", lambda n: calls.append(n) or real(n))
-        assert (a @ b).a.tolist() == [[2, 1], [4, 3]]
-        assert (a + b).a.tolist() == [[1, 3], [4, 4]]
-        assert (a - b).a.tolist() == [[1, 1], [2, 4]]
-        assert (-a).a.tolist() == [[6, 5], [4, 3]]
-        assert a.power(2) == a @ a
-        assert FpMatrix.identity(2, 7) @ a == a
-        assert FpMatrix.zeros(2, 3, 7).is_zero()
-        assert calls == []
-        for _ in range(2):
-            with pytest.raises(NotPrime):
-                FpMatrix(np.eye(2), 4)
-        assert calls == [4, 4]
-
-    def test_mul_vec_and_column(self):
-        m = FpMatrix([[1, 2], [3, 4]], 5)
-        assert m.mul_vec([1, 1]).tolist() == [3, 2]
-        assert m.column(1).tolist() == [2, 4]
-
     def test_equality_ignores_nothing(self):
         assert FpMatrix([[1]], 3) != FpMatrix([[1]], 5)
         assert FpMatrix([[1]], 3) != FpMatrix([[1, 0]], 3)
 
 
+def _product_by_python_ints(a, b, p):
+    rows, cols = a.tolist(), b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 16777213])
+def test_matmul_mod_matches_python_ints(p):
+    """Both routes of _matmul_mod against exact integer sums: shapes on each
+    side of the BLAS cut-off, 0-sized shapes, inner dimensions on each side
+    of k (p - 1)^2 = 2^53 (32 and 33 at p = 16777213), and vectors."""
+    rng = np.random.default_rng(p)
+    side = round(_BLAS_MIN_WORK ** (1 / 3))
+    shapes = [(0, 3, 4), (4, 3, 0), (3, 0, 4), (0, 0, 0), (1, 1, 1), (2, 7, 3),
+              (side - 1,) * 3, (side,) * 3, (side + 1,) * 3, (48, 64, 40), (8, 32, 40), (8, 33, 40), (2, 3000, 2)]
+    for m, k, n in shapes:
+        for a, b in (
+            (rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))),
+            (np.full((m, k), p - 1), np.full((k, n), p - 1)),
+        ):
+            got = _matmul_mod(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == _product_by_python_ints(a, b, p), (m, k, n)
+            v = b[:, 0] if n else np.zeros(k, dtype=np.int64)
+            assert _matmul_mod(a, v, p).tolist() == [row[0] for row in _product_by_python_ints(a, v[:, None], p)]
+
+
+class TestMatpow:
+    def test_power(self):
+        j = np.array([[1, 1], [0, 1]])
+        assert _matpow(j, 3, 3).tolist() == np.eye(2).tolist()
+        assert _matpow(j, 0, 3).tolist() == np.eye(2).tolist()
+        assert _matpow(np.zeros((0, 0), dtype=np.int64), 2, 3).shape == (0, 0)
+        with pytest.raises(ValueError):
+            _matpow(np.zeros((2, 3), dtype=np.int64), 2, 3)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            _matpow(np.eye(1, dtype=np.int64), -1, 3)
+
+    def test_power_takes_no_wasted_products(self, monkeypatch):
+        """_matpow(a, k) makes floor(log2 k) + popcount(k) - 1 products for
+        k >= 1 and none for k = 0, where it is the identity."""
+        m = np.array([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
+        products = []
+        real = _matmul_mod
+
+        def counting(a, b, p):
+            products.append(1)
+            return real(a, b, p)
+
+        monkeypatch.setattr("smith_tate.fp_core._matmul_mod", counting)
+        want = np.eye(3, dtype=np.int64)
+        for k in range(70):
+            products.clear()
+            assert _matpow(m, k, 5).tolist() == want.tolist(), k
+            assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+            want = want @ m % 5
+
+    def test_array_routines_do_not_check_the_prime(self, monkeypatch):
+        """Products, powers and the norm on residue arrays never test the
+        prime; the FpMatrix constructor tests each prime once and a composite
+        every time."""
+        a = np.array([[1, 2], [3, 4]])
+        b = np.array([[0, 1], [1, 0]])
+        calls = []
+        real = is_prime
+        monkeypatch.setattr("smith_tate.fp_core.is_prime", lambda n: calls.append(n) or real(n))
+        _check_matrix_prime.cache_clear()
+        assert _matmul_mod(a, b, 7).tolist() == [[2, 1], [4, 3]]
+        assert _matpow(a, 2, 7).tolist() == (a @ a % 7).tolist()
+        assert norm_matrix(b, 7).tolist() == [[4, 3], [3, 4]]  # 1 + b + ... + b^6 = 4 + 3b
+        assert calls == []
+        for _ in range(2):
+            assert FpMatrix(a, 7).a.tolist() == a.tolist()
+        assert calls == [7]
+        for _ in range(2):
+            with pytest.raises(NotPrime):
+                FpMatrix(np.eye(2), 4)
+        assert calls == [7, 4, 4]
+
+
 class TestRref:
     def test_identity_full_rank(self):
-        res = rref(FpMatrix.identity(3, 3))
+        res = rref(FpMatrix(np.eye(3), 3))
         assert res.rank == 3
         assert res.pivots == (0, 1, 2)
         assert res.kernel_basis == []
         assert len(res.image_basis) == 3
 
     def test_zero_matrix(self):
-        res = rref(FpMatrix.zeros(2, 4, 5))
+        res = rref(FpMatrix(np.zeros((2, 4)), 5))
         assert res.rank == 0
         assert len(res.kernel_basis) == 4
         # free-variable parameterization gives the standard basis here
@@ -207,16 +229,16 @@ class TestRref:
     def test_kernel_vectors_annihilate(self):
         m = FpMatrix([[1, 2, 3], [4, 5, 6]], 7)
         for v in rref(m).kernel_basis:
-            assert not m.mul_vec(v).any()
+            assert not (m.a @ v % 7).any()
 
     def test_kernel_basis_helper(self):
-        assert len(kernel_basis(FpMatrix.zeros(1, 3, 3))) == 3
+        assert len(kernel_basis(FpMatrix(np.zeros((1, 3)), 3))) == 3
 
 
 def test_solve_consistent_and_inconsistent():
     m = FpMatrix([[1, 2], [0, 1]], 5)
     x = solve(m, [3, 4])
-    assert m.mul_vec(x).tolist() == [3, 4]
+    assert (m.a @ x % 5).tolist() == [3, 4]
     # [[1,1],[1,1]] x = (1, 0) has no solution
     assert solve(FpMatrix([[1, 1], [1, 1]], 3), [1, 0]) is None
     with pytest.raises(ValueError):
@@ -234,7 +256,7 @@ def test_solve_in_span():
 
 class TestNilpotentPartition:
     def test_zero_operator(self):
-        assert nilpotent_partition(FpMatrix.zeros(4, 4, 3)) == [1, 1, 1, 1]
+        assert nilpotent_partition(FpMatrix(np.zeros((4, 4)), 3)) == [1, 1, 1, 1]
 
     def test_single_jordan_block(self):
         j = np.zeros((3, 3), dtype=int)
@@ -247,7 +269,7 @@ class TestNilpotentPartition:
         s = np.zeros((p, p), dtype=int)
         for j in range(p):
             s[(j + 1) % p, j] = 1
-        t = FpMatrix(s, p) - FpMatrix.identity(p, p)
+        t = FpMatrix(s - np.eye(p, dtype=int), p)
         assert nilpotent_partition(t) == [p]
 
     def test_mixed_blocks(self):
@@ -257,9 +279,9 @@ class TestNilpotentPartition:
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):
-            nilpotent_partition(FpMatrix.identity(2, 3))
+            nilpotent_partition(FpMatrix(np.eye(2), 3))
         with pytest.raises(NotNilpotent):
-            nilpotent_partition(FpMatrix.zeros(2, 3, 3))
+            nilpotent_partition(FpMatrix(np.zeros((2, 3)), 3))
 
 
 @st.composite
@@ -280,7 +302,7 @@ def test_rank_plus_nullity(m):
     assert res.rank + len(res.kernel_basis) == m.cols
     assert res.rank == len(res.image_basis)
     for v in res.kernel_basis:
-        assert not m.mul_vec(v).any()
+        assert not (m.a @ v % m.p).any()
 
 
 @given(fp_matrices(max_n=5))

@@ -20,7 +20,6 @@ from smith_tate.errors import (
     MalformedInput,
     NotSquareZero,
 )
-from smith_tate.fp_core import FpMatrix
 from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
     planted_filtered_complex,
@@ -131,11 +130,11 @@ class TestFloerModelConstruction:
 
     def test_impossible_slot_rejected(self):
         with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(0, 1): FpMatrix.zeros(2, 2, 3)}, i_max=2)
+            EquivariantFloerModel(self.base, {(0, 1): np.zeros((2, 2), dtype=np.int64)}, i_max=2)
 
     def test_supplied_term_above_i_max_rejected(self):
         with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(3, 0): FpMatrix.zeros(2, 2, 3)}, i_max=2)
+            EquivariantFloerModel(self.base, {(3, 0): np.zeros((2, 2), dtype=np.int64)}, i_max=2)
 
     def test_defaults_above_i_max_dropped(self):
         model = EquivariantFloerModel(self.base, i_max=1)
@@ -143,19 +142,19 @@ class TestFloerModelConstruction:
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(2, 0): FpMatrix.zeros(3, 3, 3)}, i_max=2)
+            EquivariantFloerModel(self.base, {(2, 0): np.zeros((3, 3), dtype=np.int64)}, i_max=2)
 
     def test_term_degree_enforced(self):
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1  # x <- y drops degree, but slot (1, 0) preserves it
         with pytest.raises(InvalidComplex):
-            EquivariantFloerModel(self.base, {(1, 0): FpMatrix(m, 3)}, i_max=2)
+            EquivariantFloerModel(self.base, {(1, 0): m}, i_max=2)
 
     def test_filtration_term_must_strictly_decrease(self):
         m = np.zeros((2, 2), dtype=np.int64)
         m[1, 0] = 1  # y <- x raises degree but keeps action constant
         with pytest.raises(FiltrationViolation):
-            EquivariantFloerModel(self.base, {(0, 0): FpMatrix(m, 3)}, i_max=2)
+            EquivariantFloerModel(self.base, {(0, 0): m}, i_max=2)
 
     def test_planted_filtration_violations(self):
         """The first violating entry in row-major order of the first
@@ -189,7 +188,7 @@ class TestFloerModelConstruction:
         m[0, 1] = 1
         m[1, 2] = 1
         with pytest.raises(NotSquareZero):
-            EquivariantFloerModel(wide, {(2, 0): FpMatrix(m, 3)}, i_max=2)
+            EquivariantFloerModel(wide, {(2, 0): m}, i_max=2)
         assert EquivariantFloerModel(wide, i_max=2).square_is_zero()
 
     def test_inhomogeneous_unchecked_model_rejected(self):
@@ -197,7 +196,7 @@ class TestFloerModelConstruction:
         the u = 1 ranks and square test refuse it instead of answering."""
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1  # y -> x lowers degree; slot (1, 0) must preserve it
-        model = EquivariantFloerModel(self.base, {(1, 0): FpMatrix(m, 3)}, i_max=2, check=False)
+        model = EquivariantFloerModel(self.base, {(1, 0): m}, i_max=2, check=False)
         with pytest.raises(InvalidComplex):
             model.tate_parity_dims()
         with pytest.raises(InvalidComplex):
@@ -235,7 +234,7 @@ class TestAlgebraicSS:
         base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1
-        model = EquivariantFloerModel(base, {(2, 0): FpMatrix(m, 3)}, i_max=2)
+        model = EquivariantFloerModel(base, {(2, 0): m}, i_max=2)
         pages = algebraic_ss_pages(model)
         assert pages.e1_even_dims == {0: 1, 1: 1}
         assert pages.e1_odd_dims == {0: 1, 1: 1}
@@ -262,7 +261,7 @@ class TestModelJson:
         base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1
-        model = EquivariantFloerModel(base, {(2, 0): FpMatrix(m, 3)}, i_max=2)
+        model = EquivariantFloerModel(base, {(2, 0): m}, i_max=2)
         data = model_to_json(model)
         back = model_from_json(data)
         assert model_to_json(back) == data
