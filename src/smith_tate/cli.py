@@ -99,26 +99,6 @@ MAX_FUZZ_SIZE = 512  # the size one fuzz instance may reach, FuzzOp.size
 # JSON plumbing
 
 
-def _jsonable(x):
-    """Recursively convert results to plain JSON types; exact rationals
-    become "num/den" strings."""
-    if x is None or isinstance(x, (bool, str)):
-        return x
-    if isinstance(x, Fraction):
-        return _frac_str(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, ActionWindow):
-        return {"lower": _jsonable(x.lower), "upper": _jsonable(x.upper)}
-    if isinstance(x, np.ndarray):
-        return [[int(v) for v in row] for row in np.atleast_2d(x)]
-    if isinstance(x, dict):
-        return {_json_key(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x).__name__} into a report")
-
-
 _escape = json.encoder.encode_basestring_ascii
 # the text of a JSON scalar, by exact type; subclasses take the slow branch
 _SCALAR_TEXT = {
@@ -126,12 +106,20 @@ _SCALAR_TEXT = {
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    Fraction: lambda x: _escape(_frac_str(x)),
+    np.int64: lambda v: int.__repr__(int(v)),
 }
 
 
 def _json_text(x) -> str:
-    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for the plain
-    JSON types _jsonable produces, written in one pass into one list."""
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for a results
+    tree once converted to plain JSON, written in one pass into one list.
+
+    The conversion happens as it writes: exact rationals become "num/den"
+    strings, numpy integers ints, an ActionWindow its {"lower", "upper"}
+    object, an array its list of rows, a tuple a list, and a tuple key its
+    members joined by commas (any other key its str).
+    """
     out: list[str] = []
     _write_json(x, "\n", out)
     return "".join(out)
@@ -145,12 +133,17 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(text(x))
         return
     inner = nl + "  "
+    if isinstance(x, ActionWindow):
+        x = {"lower": x.lower, "upper": x.upper}
+    elif isinstance(x, np.ndarray):
+        x = np.atleast_2d(x).astype(np.int64).tolist()
     if isinstance(x, dict):
         if not x:
             out.append("{}")
             return
         sep = "{" + inner
-        for k, v in sorted(x.items()):
+        keys = (k if type(k) is str else ",".join(map(str, k)) if isinstance(k, tuple) else str(k) for k in x)
+        for k, v in sorted(zip(keys, x.values())):
             text = _SCALAR_TEXT.get(type(v))
             if text is None:
                 out.append(sep + _escape(k) + ": ")
@@ -159,7 +152,7 @@ def _write_json(x, nl: str, out: list) -> None:
                 out.append(sep + _escape(k) + ": " + text(v))
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(x, list):
+    elif isinstance(x, (list, tuple)):
         if not x:
             out.append("[]")
             return
@@ -175,16 +168,10 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(nl + "]")
     elif isinstance(x, str):
         out.append(_escape(x))
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
+    elif isinstance(x, (int, np.integer)):
+        out.append(int.__repr__(int(x)))
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")
-
-
-def _json_key(k) -> str:
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
 
 
 def _load_json(path: str):
@@ -932,7 +919,7 @@ def _cmd_fuzz(args):
     if failures:
         path = args.reproducer or f"reproducer-{op.name}-{failures[0]['seed']}.json"
         with open(path, "w", encoding="utf-8") as f:
-            f.write(_json_text(_jsonable(failures[0]["reproducer"])) + "\n")
+            f.write(_json_text(failures[0]["reproducer"]) + "\n")
         results["reproducer-path"] = path
     return digest, results, {"all-instances-pass": not failures}
 
@@ -1066,7 +1053,7 @@ def _emit(report: dict, as_json: bool) -> None:
     print(f"command: {report['command']}")
     print(f"input:   sha256:{report['input_sha256']}")
     print("results:")
-    _print_tree(report["results"], "  ")
+    _print_tree(json.loads(_json_text(report["results"])), "  ")
     if report["checks"]:
         print("checks:")
         for name in sorted(report["checks"]):
@@ -1098,7 +1085,7 @@ def dispatch(argv=None) -> int:
     report = {
         "command": args.command,
         "input_sha256": digest,
-        "results": _jsonable(results),
+        "results": results,
         "checks": dict(checks),
         "ok": all(checks.values()),
         "timing_ms": int((time.perf_counter() - t0) * 1000),

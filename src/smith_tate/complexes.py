@@ -15,6 +15,7 @@ comparisons run on each generator's index in a sorted table of the actions.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,6 +156,23 @@ def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMa
     return out
 
 
+def _out_of_range(entries, grade, lo, hi) -> list[tuple[int, int]]:
+    """The (target, source) entries of an operator whose step
+    grade[target] - grade[source] lies outside [lo, hi], in the given order.
+
+    grade holds one integer per generator: its degree, or its index in the
+    level table.  Every degree and action rule is one call: d raises degree
+    by 1 and strictly lowers action, sigma keeps both, and the model term
+    (i, alpha) has degree 1 - i + alpha.  lo or hi may be infinite.
+    """
+    return [(t, s) for t, s in entries if not lo <= grade[t] - grade[s] <= hi]
+
+
+def _rotation_sign(word_degs) -> int:
+    """Koszul sign of rotating the last tensor factor to the front."""
+    return -1 if word_degs[-1] * sum(word_degs[:-1]) % 2 else 1
+
+
 def norm_matrix(sigma: np.ndarray, p: int) -> np.ndarray:
     """N = 1 + sigma + ... + sigma^(p-1), as (sigma - 1)^(p-1), for a square
     residue array sigma.
@@ -173,6 +191,10 @@ class ChainComplex:
     d must raise degree by exactly 1 and satisfy d(d(x)) = 0.
     """
 
+    # allowed steps grade(target) - grade(source) of each operator's entries,
+    # in degree and in action level
+    _RULES = {"differential": ((1, 1), (-math.inf, -1)), "sigma": ((0, 0), (0, 0))}
+
     def __init__(self, p: int, generators, differential: CoeffMap, *, check: bool = True):
         _check_matrix_prime(p)
         self.p = p
@@ -188,34 +210,49 @@ class ChainComplex:
         self._block_cache: dict[int, np.ndarray] = {}
         self._level_cache: tuple[list[Fraction], list[int]] | None = None
         self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if check:
-            bad = self._structure_violations()
-            if bad:
-                raise InvalidComplex("; ".join(bad))
+        self._verdicts: dict[str, tuple[list, list]] = {}
+        if check and (bad := self._structure_violations()):
+            raise InvalidComplex("; ".join(msg for _, msg in bad))
 
     # -- structure ---------------------------------------------------------
 
-    def _structure_violations(self) -> list[str]:
-        out = []
-        for src, row in self.differential.items():
-            dsrc = self.generators[self._index[src]].degree
-            for tgt in row:
-                if self.generators[self._index[tgt]].degree != dsrc + 1:
-                    out.append(f"d({src}) hits {tgt}, which is not one degree higher")
+    def _verdict(self, op: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The (target, source) entries of operator op, "differential" or
+        "sigma", that break its degree rule and its action rule, in the
+        operator's order.  Computed once, at construction under check=True
+        or on first use otherwise, and cached like the level table."""
+        if op not in self._verdicts:
+            index = self._index
+            entries = [(index[t], index[s]) for s, row in getattr(self, op).items() for t in row]
+            degree = [g.degree for g in self.generators]
+            (dlo, dhi), (alo, ahi) = self._RULES[op]
+            self._verdicts[op] = (
+                _out_of_range(entries, degree, dlo, dhi),
+                _out_of_range(entries, self._level_table()[1], alo, ahi),
+            )
+        return self._verdicts[op]
+
+    def _structure_violations(self) -> list[tuple[str, str]]:
+        """(check, message) for each entry of d that does not raise degree
+        by 1, then for each degree out of which d.d != 0; the products are
+        taken again on every call."""
+        gens = self.generators
+        out = [
+            ("degree_one_differential", f"d({gens[s].id}) hits {gens[t].id}, which is not one degree higher")
+            for t, s in self._verdict("differential")[0]
+        ]
         for k in self.degrees():
             if _matmul_mod(self.d_block(k + 1), self.d_block(k), self.p).any():
-                out.append(f"d.d != 0 out of degree {k}")
+                out.append(("square_zero", f"d.d != 0 out of degree {k}"))
         return out
 
     def action_violations(self) -> list[str]:
         """One message per differential entry that does not strictly
         decrease action, the requirement for filtered use."""
-        index, level = self._index, self._level_table()[1]
+        gens = self.generators
         return [
-            f"d({src}) does not strictly decrease action at {tgt}"
-            for src, row in self.differential.items()
-            for tgt in row
-            if not level[index[tgt]] < level[index[src]]
+            f"d({gens[s].id}) does not strictly decrease action at {gens[t].id}"
+            for t, s in self._verdict("differential")[1]
         ]
 
     def degrees(self) -> list[int]:
@@ -354,12 +391,11 @@ class EquivariantComplex(ChainComplex):
 
     def __init__(self, p, generators, differential, sigma: CoeffMap | None = None, *, check=True):
         super().__init__(p, generators, differential, check=check)
-        sigma = sigma or {}
-        self.sigma = _clean_coeff_map(sigma, set(self._index), p, "sigma")
+        self.sigma = _clean_coeff_map(sigma or {}, set(self._index), p, "sigma")
         self._sigma_cache: dict[int, np.ndarray] = {}
         # ChainComplex.__init__ has already checked d
-        if check and (bad := self._sigma_violations()[1]):
-            raise InvalidComplex("; ".join(bad))
+        if check and (bad := self._sigma_violations()):
+            raise InvalidComplex("; ".join(msg for _, msg in bad))
 
     def sigma_block(self, k: int) -> np.ndarray:
         """Matrix of sigma on degree k, cached like d_block; raises
@@ -382,52 +418,44 @@ class EquivariantComplex(ChainComplex):
         """Check the structural invariants; never raises.
 
         strict_action additionally demands that d strictly decrease action,
-        the requirement for filtered use.
+        the requirement for filtered use.  Each check fails exactly when
+        its own rule reports a violation.
         """
-        checks = {"unique_ids": True, "degree_one_differential": True, "square_zero": True}
-        violations = self._structure_violations()
-        for msg in violations:
-            if "degree" in msg:
-                checks["degree_one_differential"] = False
-            else:
-                checks["square_zero"] = False
-        sigma_checks, sigma_violations = self._sigma_violations()
-        checks.update(sigma_checks)
-        violations.extend(sigma_violations)
+        checks = dict.fromkeys(
+            ("unique_ids", "degree_one_differential", "square_zero", "sigma_structure", "equivariance"), True
+        )
+        found = self._structure_violations() + self._sigma_violations()
         if strict_action:
-            action = self.action_violations()
-            checks["action_decrease"] = not action
-            violations.extend(action)
-        ok = all(checks.values())
-        return ValidationReport(ok, checks, violations)
+            checks["action_decrease"] = True
+            found += [("action_decrease", msg) for msg in self.action_violations()]
+        for check, _ in found:
+            checks[check] = False
+        return ValidationReport(all(checks.values()), checks, [msg for _, msg in found])
 
-    def _sigma_violations(self) -> tuple[dict[str, bool], list[str]]:
-        """The sigma_structure and equivariance checks of validate, with
-        their violation messages."""
-        checks = {"sigma_structure": True, "equivariance": True}
-        violations: list[str] = []
-        level = self._level_table()[1]
-        for src, row in self.sigma.items():
-            g = self.generator(src)
-            for tgt in row:
-                if self.generator(tgt).degree != g.degree:
-                    checks["sigma_structure"] = False
-                    violations.append(f"sigma({src}) changes degree")
-                if level[self._index[tgt]] != level[self._index[src]]:
-                    checks["sigma_structure"] = False
-                    violations.append(f"sigma({src}) changes action")
-        if checks["sigma_structure"]:
-            p = self.p
-            for k in self.degrees():
-                s = self.sigma_block(k)
-                if not np.array_equal(_matpow(s, p, p), np.eye(len(s), dtype=np.int64)):
-                    checks["sigma_structure"] = False
-                    violations.append(f"sigma^{p} != 1 in degree {k}")
-                dk = self.d_block(k)
-                if not np.array_equal(_matmul_mod(dk, s, p), _matmul_mod(self.sigma_block(k + 1), dk, p)):
-                    checks["equivariance"] = False
-                    violations.append(f"sigma does not commute with d out of degree {k}")
-        return checks, violations
+    def _sigma_violations(self) -> list[tuple[str, str]]:
+        """(check, message) for each sigma entry that changes degree or
+        action; when there is none, for each degree where sigma^p != 1 or
+        sigma does not commute with d."""
+        degree, action = map(set, self._verdict("sigma"))
+        if degree or action:
+            index = self._index
+            return [
+                ("sigma_structure", f"sigma({src}) changes {what}")
+                for src, row in self.sigma.items()
+                for tgt in row
+                for what, bad in (("degree", degree), ("action", action))
+                if (index[tgt], index[src]) in bad
+            ]
+        out = []
+        p = self.p
+        for k in self.degrees():
+            s = self.sigma_block(k)
+            if not np.array_equal(_matpow(s, p, p), np.eye(len(s), dtype=np.int64)):
+                out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
+            dk = self.d_block(k)
+            if not np.array_equal(_matmul_mod(dk, s, p), _matmul_mod(self.sigma_block(k + 1), dk, p)):
+                out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
+        return out
 
 
 class FilteredComplex(ChainComplex):
@@ -488,12 +516,9 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
         row = {k: v for k, v in row.items() if v}
         if row:
             diff[word_id(w)] = row
-    sigma: CoeffMap = {}
-    for w in words:
-        last = w[-1]
-        rest_deg = sum(degs[x] for x in w[:-1])
-        s = -1 if (degs[last] * rest_deg) % 2 else 1
-        sigma[word_id(w)] = {word_id((last,) + w[:-1]): s % p}
+    sigma: CoeffMap = {
+        word_id(w): {word_id(w[-1:] + w[:-1]): _rotation_sign([degs[x] for x in w]) % p} for w in words
+    }
     return EquivariantComplex(p, gens, diff, sigma)
 
 

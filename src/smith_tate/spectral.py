@@ -40,6 +40,7 @@ from .complexes import (
     FilteredComplex,
     _coeff_map,
     _json_object,
+    _out_of_range,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -55,12 +56,7 @@ from .errors import (
 from .fp_core import FpMatrix, _matmul_mod, _matpow, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
 from .persistence import persistence_pairing
-from .tate import (
-    _degree_violation,
-    blocks_square_zero,
-    parity_dims_at_one,
-    tate_blocks_at_one,
-)
+from .tate import blocks_square_zero, parity_dims_at_one, tate_blocks_at_one
 
 __all__ = [
     "FilteredComplex",
@@ -200,6 +196,8 @@ class EquivariantFloerModel:
                     raise MalformedInput(f"d_term ({i},{alpha}) exceeds i_max={self.i_max}")
                 del terms[(i, alpha)]  # defaults above i_max are dropped
         self.terms = {k: v for k, v in terms.items() if v.any()}
+        self._verdict_cache: tuple[str | None, str | None] | None = None
+        self._blocks: tuple[np.ndarray, ...] | None = None
         if check:
             self._validate()
 
@@ -207,53 +205,61 @@ class EquivariantFloerModel:
         n = self.base.dim()
         return self.terms.get((i, alpha), np.zeros((n, n), dtype=np.int64))
 
-    def _check_degrees(self):
-        """Raise InvalidComplex unless every d_term (i, alpha) has internal
-        degree 1 - i + alpha, i.e. the assembled differential is homogeneous
-        of degree +1 with |u| = 2 and |theta| = 1."""
-        gens = self.base.generators
-        degrees = np.array([g.degree for g in gens], dtype=np.int64)
-        for (i, alpha), m in self.terms.items():
-            bad = _degree_violation(m, degrees, 1 - i + alpha)
-            if bad is not None:
-                r, c = bad
-                raise InvalidComplex(
-                    f"d_term ({i},{alpha}) entry {gens[c].id} -> "
-                    f"{gens[r].id} violates degree 1-i+alpha = {1 - i + alpha}"
-                )
+    def _verdict(self) -> tuple[str | None, str | None]:
+        """Messages for the first d_term entry that breaks its degree rule
+        and the first that breaks its action rule, or None; computed once.
+
+        Term (i, alpha) must have internal degree 1 - i + alpha, so that the
+        assembled differential is homogeneous of degree +1 with |u| = 2 and
+        |theta| = 1; d_0^0 and d_1^1 must strictly decrease action and the
+        others must not increase it.
+        """
+        if self._verdict_cache is None:
+            gens = self.base.generators
+            degree, level = [g.degree for g in gens], self.base._level_table()[1]
+            degree_msg = action_msg = None
+            for (i, alpha), m in self.terms.items():
+                entries = list(zip(*np.nonzero(m)))
+                step = 1 - i + alpha
+                if degree_msg is None and (bad := _out_of_range(entries, degree, step, step)):
+                    tgt, src = (gens[x].id for x in bad[0])
+                    degree_msg = f"d_term ({i},{alpha}) entry {src} -> {tgt} violates degree 1-i+alpha = {step}"
+                strict = (i, alpha) in ((0, 0), (1, 1))
+                if action_msg is None and (bad := _out_of_range(entries, level, -math.inf, -1 if strict else 0)):
+                    tgt, src = (gens[x].id for x in bad[0])
+                    rule = "strictly decrease" if strict else "not increase"
+                    action_msg = f"d_term ({i},{alpha}) must {rule} action ({src} -> {tgt})"
+            self._verdict_cache = (degree_msg, action_msg)
+        return self._verdict_cache
 
     def _validate(self):
-        self._check_degrees()
-        gens = self.base.generators
-        level = np.array(self.base._level_table()[1], dtype=np.int64)
-        for (i, alpha), m in self.terms.items():
-            strict = (i, alpha) in ((0, 0), (1, 1))
-            rows, cols = np.nonzero(m)
-            bad = np.flatnonzero(level[rows] >= level[cols] if strict else level[rows] > level[cols])
-            if bad.size:
-                r, c = rows[bad[0]], cols[bad[0]]
-                rule = "strictly decrease" if strict else "not increase"
-                raise FiltrationViolation(
-                    f"d_term ({i},{alpha}) must {rule} action ({gens[c].id} -> {gens[r].id})"
-                )
+        degree_msg, action_msg = self._verdict()
+        if degree_msg:
+            raise InvalidComplex(degree_msg)
+        if action_msg:
+            raise FiltrationViolation(action_msg)
         if not self.square_is_zero():
             raise NotSquareZero("assembled equivariant differential does not square to zero")
 
     def blocks_at_one(self) -> tuple[np.ndarray, ...]:
         """Blocks (A, B, C, D) of the assembled differential at u = 1:
-        A: 1->1, B: theta->1, C: 1->theta, D: theta->theta.
+        A: 1->1, B: theta->1, C: 1->theta, D: theta->theta; assembled once
+        and shared, so callers must not write to them.
 
         Term (i, alpha) is u^(i // 2) d_alpha^i from theta^alpha to
         theta^(i mod 2).  Raises InvalidComplex unless the differential is
         homogeneous, so that these blocks determine it.
         """
-        self._check_degrees()
-        n = self.base.dim()
-        acbd = np.zeros((4, n, n), dtype=np.int64)
-        for (i, alpha), m in self.terms.items():
-            acbd[2 * alpha + i % 2] += m
-        A, C, B, D = acbd % self.p
-        return A, B, C, D
+        if self._blocks is None:
+            if degree_msg := self._verdict()[0]:
+                raise InvalidComplex(degree_msg)
+            n = self.base.dim()
+            acbd = np.zeros((4, n, n), dtype=np.int64)
+            for (i, alpha), m in self.terms.items():
+                acbd[2 * alpha + i % 2] += m
+            A, C, B, D = acbd % self.p
+            self._blocks = (A, B, C, D)
+        return self._blocks
 
     def square_is_zero(self) -> bool:
         return blocks_square_zero(*self.blocks_at_one(), self.p)
@@ -318,8 +324,10 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     base = model.base
     n = base.dim()
     ids = [g.id for g in base.generators]
-    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids))
-    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids))
+    # M(u)^2 = 0 and the theta -> 1 block has no u^0 term, so the u^0 parts
+    # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
+    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids), check=False)
+    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids), check=False)
     d10 = model.term(1, 0)
     d21 = model.term(2, 1)
     e1_even = even_cx.homology_dims()

@@ -33,7 +33,7 @@ from itertools import product as _product
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, Generator, norm_matrix
+from .complexes import ChainComplex, EquivariantComplex, Generator, _rotation_sign, norm_matrix
 from .errors import InvalidComplex, NotChainMap, NotEquivariant, check_size
 from .fp_core import FpMatrix, _matmul_mod, leading_pivots, rank
 from .ratfun import bareiss_rank, pupow
@@ -113,39 +113,29 @@ class RpElement:
 # the Tate complex
 
 
-def _degree_violation(m: np.ndarray, degrees: np.ndarray, shift: int) -> tuple[int, int] | None:
-    """First nonzero entry (row, col) of m with degrees[row] != degrees[col] + shift,
-    in row-major order, or None when m shifts degree by exactly shift."""
-    rows, cols = np.nonzero(m)
-    bad = np.flatnonzero(degrees[rows] != degrees[cols] + shift)
-    return (int(rows[bad[0]]), int(cols[bad[0]])) if bad.size else None
-
-
 def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
     """Blocks (A, B, C, D) of d-hat at u = 1: d, N (which carries u),
     1 - sigma and -d.  Group cohomology and the default terms of
     equivariant models take their maps from here too.
 
-    Raises InvalidComplex unless d raises degree by 1 and sigma preserves
-    it, the homogeneity every u = 1 computation relies on; a complex built
-    with check=False is not trusted to have it.  N = (sigma - 1)^(p-1)
-    then preserves degree as well.
+    Every u = 1 computation relies on d raising degree by 1 and sigma
+    keeping it (so N = (sigma - 1)^(p-1) keeps it too).  Both rules are
+    read off the complex's cached degree verdict, computed here on first
+    use for a complex built with check=False; InvalidComplex names the
+    first breaking entry in row-major order.
     """
-    p = V.p
-    n = V.dim()
-    d = V.matrix_in_order(range(n))
-    s = V.sigma_matrix()
-    nm = norm_matrix(s, p)
-    degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
-    for what, m, shift in (("d", d, 1), ("sigma", s, 0)):
-        bad = _degree_violation(m, degrees, shift)
-        if bad is not None:
-            r, c = bad
+    for what, op, shift in (("d", "differential", 1), ("sigma", "sigma", 0)):
+        bad = V._verdict(op)[0]
+        if bad:
+            r, c = min(bad)
             raise InvalidComplex(
                 f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
                 f"{V.generators[r].id}: the Tate differential is not homogeneous"
             )
-    return d, nm, (np.eye(n, dtype=np.int64) - s) % p, (-d) % p
+    p, n = V.p, V.dim()
+    d = V.matrix_in_order(range(n))
+    s = V.sigma_matrix()
+    return d, norm_matrix(s, p), (np.eye(n, dtype=np.int64) - s) % p, (-d) % p
 
 
 def blocks_square_zero(A, B, C, D, p: int) -> bool:
@@ -278,82 +268,69 @@ def mapping_cone(source: ChainComplex, target: ChainComplex, f: dict[str, dict[s
     (v, w) -> (-d v, f(v) + d w).  Source generators are prefixed "s:",
     target generators "t:"; actions are inherited.  If both complexes carry
     a Z/pZ-action, f must be equivariant and the cone is equivariant.
+
+    The cone is built unchecked and checks itself: its d raises degree by
+    1 exactly when f keeps degree, d_cone^2 = 0 exactly when f is a chain
+    map, and sigma_cone commutes with d_cone exactly when f is equivariant.
+    So its violations raise NotChainMap or NotEquivariant, and
+    InvalidComplex when they come from source or target themselves.
     """
     if source.p != target.p:
         raise NotChainMap("source and target use different primes")
     p = source.p
     f = {src: {t: c % p for t, c in row.items() if c % p} for src, row in f.items()}
-    source_ids, target_ids = {g.id for g in source.generators}, {g.id for g in target.generators}
     for src, row in f.items():
-        if src not in source_ids:
+        if src not in source._index:
             raise NotChainMap(f"f defined on unknown generator {src!r}")
-        dsrc = source.generator(src).degree
         for tgt in row:
-            if tgt not in target_ids:
+            if tgt not in target._index:
                 raise NotChainMap(f"f hits unknown generator {tgt!r}")
-            if target.generator(tgt).degree != dsrc:
-                raise NotChainMap(f"f({src}) is not degree-preserving")
-
-    def apply_map(mp: dict, vec: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for gid, c in vec.items():
-            for tgt, c2 in mp.get(gid, {}).items():
-                out[tgt] = (out.get(tgt, 0) + c * c2) % p
-        return {k: v for k, v in out.items() if v}
-
-    # chain map check: f d = d f generator by generator
-    for g in source.generators:
-        lhs = apply_map(f, source.differential.get(g.id, {}))
-        rhs = apply_map(target.differential, f.get(g.id, {}))
-        if lhs != rhs:
-            raise NotChainMap(f"f does not commute with d at {g.id!r}")
-
-    both_equivariant = isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)
-    if both_equivariant:
-        target_sigma = {t: target.sigma.get(t, {t: 1}) for t in target_ids}
-        for g in source.generators:
-            if apply_map(f, source.sigma.get(g.id, {g.id: 1})) != apply_map(target_sigma, f.get(g.id, {})):
-                raise NotEquivariant(f"f does not commute with sigma at {g.id!r}")
-
     gens = [Generator("s:" + g.id, g.degree - 1, g.action) for g in source.generators]
     gens += [Generator("t:" + g.id, g.degree, g.action) for g in target.generators]
     diff: dict[str, dict[str, int]] = {}
     for g in source.generators:
-        row: dict[str, int] = {}
-        for tgt, c in source.differential.get(g.id, {}).items():
-            row["s:" + tgt] = (-c) % p
-        for tgt, c in f.get(g.id, {}).items():
-            row["t:" + tgt] = c
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            diff["s:" + g.id] = row
+        row = {"s:" + tgt: -c for tgt, c in source.differential.get(g.id, {}).items()}
+        row.update(("t:" + tgt, c) for tgt, c in f.get(g.id, {}).items())
+        diff["s:" + g.id] = row
     for g in target.generators:
-        row = {"t:" + tgt: c for tgt, c in target.differential.get(g.id, {}).items()}
-        if row:
-            diff["t:" + g.id] = row
-    if both_equivariant:
+        diff["t:" + g.id] = {"t:" + tgt: c for tgt, c in target.differential.get(g.id, {}).items()}
+    if not (isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)):
+        cone = ChainComplex(p, gens, diff, check=False)
+        bad = cone._structure_violations()
+    else:
         sigma = {
             pre + g: {pre + t: c for t, c in row.items()}
             for pre, cx in (("s:", source), ("t:", target))
             for g, row in cx.sigma.items()
         }
-        return EquivariantComplex(p, gens, diff, sigma)
-    return ChainComplex(p, gens, diff)
+        cone = EquivariantComplex(p, gens, diff, sigma, check=False)
+        bad = cone._structure_violations() or cone._sigma_violations()
+    if not bad:
+        return cone
+    # the cone sorts "s:" before "t:", so its first n generators are source's
+    n, ids = source.dim(), [g.id for g in source.generators]
+    for r, c in cone._verdict("differential")[0]:
+        if c < n <= r:  # an entry of f
+            raise NotChainMap(f"f({ids[c]}) is not degree-preserving")
+    d = cone.matrix_in_order(range(cone.dim()))
+    commutators = [(NotChainMap, "d", _matmul_mod(d, d, p))]
+    if isinstance(cone, EquivariantComplex):
+        s = cone.sigma_matrix()
+        commutators.append((NotEquivariant, "sigma", _matmul_mod(s, d, p) - _matmul_mod(d, s, p)))
+    for error, what, m in commutators:
+        # the target rows of the source columns: d f - f d, or sigma f - f sigma
+        cols = np.flatnonzero((m[n:, :n] % p).any(axis=0))
+        if cols.size:
+            raise error(f"f does not commute with {what} at {ids[cols[0]]!r}")
+    raise InvalidComplex("; ".join(msg for _, msg in bad))
 
 
 # ---------------------------------------------------------------------------
 # quasi-Frobenius
 
 
-def _rotation_sign(word_degs: tuple[int, ...]) -> int:
-    """Koszul sign of rotating the last tensor factor to the front."""
-    s = word_degs[-1] * sum(word_degs[:-1])
-    return -1 if s % 2 else 1
-
-
 def _rotate(word: tuple, degs: dict, p: int) -> tuple[tuple, int]:
-    sign = _rotation_sign(tuple(degs[x] for x in word))
-    return (word[-1],) + word[:-1], sign % p
+    return (word[-1],) + word[:-1], _rotation_sign([degs[x] for x in word]) % p
 
 
 def _apply_sigma_words(vec: dict, degs: dict, p: int) -> dict:

@@ -35,6 +35,13 @@ express_in_homology_by_solve eliminate the image basis of d^(k-1) beside
 the kernel of d^k and solve each cocycle against it, and
 algebraic_ss_by_vectors induces the page maps one zero-padded vector at a
 time.
+The library checks every degree and action rule of d, sigma and the model
+terms through one cached primitive on index grades, and lets the mapping
+cone check itself; the *_by_loops routes and mapping_cone_by_loops walk
+each coefficient map generator by generator, tate_homogeneity_dense and
+model_validate_dense scan the dense matrices, and validate_by_message_text
+sorts the d messages into checks by their text.  The report writer converts
+results as it writes; jsonable converts the whole tree first.
 """
 
 import random
@@ -42,8 +49,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from smith_tate.complexes import ActionWindow, ChainComplex, _coeff_map
-from smith_tate.errors import EmptyBarcode, FiltrationViolation, InvalidComplex, SpectralEndpoint
+from smith_tate.complexes import (
+    ActionWindow,
+    ChainComplex,
+    EquivariantComplex,
+    Generator,
+    ValidationReport,
+    _coeff_map,
+    _frac_str,
+)
+from smith_tate.errors import (
+    EmptyBarcode,
+    FiltrationViolation,
+    InvalidComplex,
+    NotChainMap,
+    NotEquivariant,
+    NotSquareZero,
+    SpectralEndpoint,
+)
 from smith_tate.fp_core import FpMatrix, rank, rref, solve
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
@@ -59,7 +82,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import parity_split, tate_blocks_at_one
+from smith_tate.tate import blocks_square_zero, parity_split, tate_blocks_at_one
 
 
 def padd(a, b, p: int):
@@ -722,3 +745,231 @@ def algebraic_ss_by_vectors(model) -> dict:
             off += b.shape[0]
         out["sigma_module"] = decompose(FpMatrix(star, p))
     return out
+
+
+# ---------------------------------------------------------------------------
+# structure checks, generator by generator
+
+
+def structure_violations_by_loops(cx) -> list[str]:
+    """The degree rule of d by a loop over its entries, then d.d per degree."""
+    out = []
+    for src, row in cx.differential.items():
+        dsrc = cx.generator(src).degree
+        for tgt in row:
+            if cx.generator(tgt).degree != dsrc + 1:
+                out.append(f"d({src}) hits {tgt}, which is not one degree higher")
+    for k in cx.degrees():
+        if (cx.d_block(k + 1) @ cx.d_block(k) % cx.p).any():
+            out.append(f"d.d != 0 out of degree {k}")
+    return out
+
+
+def sigma_violations_by_loops(V) -> tuple[dict[str, bool], list[str]]:
+    """The sigma_structure and equivariance checks with their messages,
+    comparing each sigma entry's degree and action as generators."""
+    checks = {"sigma_structure": True, "equivariance": True}
+    violations: list[str] = []
+    for src, row in V.sigma.items():
+        g = V.generator(src)
+        for tgt in row:
+            if V.generator(tgt).degree != g.degree:
+                checks["sigma_structure"] = False
+                violations.append(f"sigma({src}) changes degree")
+            if V.generator(tgt).action != g.action:
+                checks["sigma_structure"] = False
+                violations.append(f"sigma({src}) changes action")
+    if checks["sigma_structure"]:
+        p = V.p
+        for k in V.degrees():
+            s = power = V.sigma_block(k)
+            for _ in range(p - 1):
+                power = power @ s % p
+            if not np.array_equal(power, np.eye(len(s), dtype=np.int64)):
+                checks["sigma_structure"] = False
+                violations.append(f"sigma^{p} != 1 in degree {k}")
+            dk = V.d_block(k)
+            if not np.array_equal(dk @ s % p, V.sigma_block(k + 1) @ dk % p):
+                checks["equivariance"] = False
+                violations.append(f"sigma does not commute with d out of degree {k}")
+    return checks, violations
+
+
+def validate_by_message_text(V, *, strict_action: bool = False) -> ValidationReport:
+    """EquivariantComplex.validate as it sorted the d messages into checks
+    by whether their text holds "degree"; "d.d != 0 out of degree k" does,
+    so a d.d failure lands on degree_one_differential."""
+    checks = {"unique_ids": True, "degree_one_differential": True, "square_zero": True}
+    violations = structure_violations_by_loops(V)
+    for msg in violations:
+        if "degree" in msg:
+            checks["degree_one_differential"] = False
+        else:
+            checks["square_zero"] = False
+    sigma_checks, sigma_violations = sigma_violations_by_loops(V)
+    checks.update(sigma_checks)
+    violations.extend(sigma_violations)
+    if strict_action:
+        action = action_violations_by_fractions(V)
+        checks["action_decrease"] = not action
+        violations.extend(action)
+    return ValidationReport(all(checks.values()), checks, violations)
+
+
+def construction_error_by_loops(V) -> str | None:
+    """The InvalidComplex message a checked EquivariantComplex with V's
+    data raises, or None: d's violations first, then sigma's."""
+    for bad in (structure_violations_by_loops(V), sigma_violations_by_loops(V)[1]):
+        if bad:
+            return "; ".join(bad)
+    return None
+
+
+def _degree_violation_dense(m, degrees, shift: int):
+    """First nonzero entry (row, col) of m with degrees[row] != degrees[col] + shift,
+    in row-major order, or None."""
+    rows, cols = np.nonzero(m)
+    bad = np.flatnonzero(degrees[rows] != degrees[cols] + shift)
+    return (int(rows[bad[0]]), int(cols[bad[0]])) if bad.size else None
+
+
+def tate_homogeneity_dense(V) -> None:
+    """Raise the InvalidComplex of tate_blocks_at_one unless the dense n x n
+    d raises degree by 1 and the dense sigma keeps it."""
+    n = V.dim()
+    degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
+    for what, m, shift in (("d", V.matrix_in_order(range(n)), 1), ("sigma", V.sigma_matrix(), 0)):
+        bad = _degree_violation_dense(m, degrees, shift)
+        if bad is not None:
+            r, c = bad
+            raise InvalidComplex(
+                f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
+                f"{V.generators[r].id}: the Tate differential is not homogeneous"
+            )
+
+
+def model_degree_check_dense(model) -> None:
+    """Raise InvalidComplex unless every dense d_term (i, alpha) has internal
+    degree 1 - i + alpha."""
+    gens = model.base.generators
+    degrees = np.array([g.degree for g in gens], dtype=np.int64)
+    for (i, alpha), m in model.terms.items():
+        bad = _degree_violation_dense(m, degrees, 1 - i + alpha)
+        if bad is not None:
+            r, c = bad
+            raise InvalidComplex(
+                f"d_term ({i},{alpha}) entry {gens[c].id} -> "
+                f"{gens[r].id} violates degree 1-i+alpha = {1 - i + alpha}"
+            )
+
+
+def model_validate_dense(model) -> None:
+    """The degree, action and square checks of a model, on dense terms and
+    on blocks assembled here."""
+    model_degree_check_dense(model)
+    gens = model.base.generators
+    for (i, alpha), m in model.terms.items():
+        strict = (i, alpha) in ((0, 0), (1, 1))
+        for r, c in zip(*np.nonzero(m)):
+            a, b = gens[r].action, gens[c].action
+            if (a >= b) if strict else (a > b):
+                rule = "strictly decrease" if strict else "not increase"
+                raise FiltrationViolation(f"d_term ({i},{alpha}) must {rule} action ({gens[c].id} -> {gens[r].id})")
+    n = model.base.dim()
+    acbd = np.zeros((4, n, n), dtype=np.int64)
+    for (i, alpha), m in model.terms.items():
+        acbd[2 * alpha + i % 2] += m
+    A, C, B, D = acbd % model.p
+    if not blocks_square_zero(A, B, C, D, model.p):
+        raise NotSquareZero("assembled equivariant differential does not square to zero")
+
+
+def mapping_cone_by_loops(source, target, f):
+    """The cone of f: source -> target after checking, generator by
+    generator, that f keeps degree, commutes with d and, when both carry an
+    action, with sigma; the cone itself is built checked."""
+    if source.p != target.p:
+        raise NotChainMap("source and target use different primes")
+    p = source.p
+    f = {src: {t: c % p for t, c in row.items() if c % p} for src, row in f.items()}
+    source_ids, target_ids = {g.id for g in source.generators}, {g.id for g in target.generators}
+    for src, row in f.items():
+        if src not in source_ids:
+            raise NotChainMap(f"f defined on unknown generator {src!r}")
+        dsrc = source.generator(src).degree
+        for tgt in row:
+            if tgt not in target_ids:
+                raise NotChainMap(f"f hits unknown generator {tgt!r}")
+            if target.generator(tgt).degree != dsrc:
+                raise NotChainMap(f"f({src}) is not degree-preserving")
+
+    def apply_map(mp: dict, vec: dict[str, int]) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for gid, c in vec.items():
+            for tgt, c2 in mp.get(gid, {}).items():
+                out[tgt] = (out.get(tgt, 0) + c * c2) % p
+        return {k: v for k, v in out.items() if v}
+
+    for g in source.generators:
+        if apply_map(f, source.differential.get(g.id, {})) != apply_map(target.differential, f.get(g.id, {})):
+            raise NotChainMap(f"f does not commute with d at {g.id!r}")
+    both_equivariant = isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)
+    if both_equivariant:
+        target_sigma = {t: target.sigma.get(t, {t: 1}) for t in target_ids}
+        for g in source.generators:
+            if apply_map(f, source.sigma.get(g.id, {g.id: 1})) != apply_map(target_sigma, f.get(g.id, {})):
+                raise NotEquivariant(f"f does not commute with sigma at {g.id!r}")
+    gens = [Generator("s:" + g.id, g.degree - 1, g.action) for g in source.generators]
+    gens += [Generator("t:" + g.id, g.degree, g.action) for g in target.generators]
+    diff: dict[str, dict[str, int]] = {}
+    for g in source.generators:
+        row: dict[str, int] = {}
+        for tgt, c in source.differential.get(g.id, {}).items():
+            row["s:" + tgt] = (-c) % p
+        for tgt, c in f.get(g.id, {}).items():
+            row["t:" + tgt] = c
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            diff["s:" + g.id] = row
+    for g in target.generators:
+        row = {"t:" + tgt: c for tgt, c in target.differential.get(g.id, {}).items()}
+        if row:
+            diff["t:" + g.id] = row
+    if both_equivariant:
+        sigma = {
+            pre + g: {pre + t: c for t, c in row.items()}
+            for pre, cx in (("s:", source), ("t:", target))
+            for g, row in cx.sigma.items()
+        }
+        return EquivariantComplex(p, gens, diff, sigma)
+    return ChainComplex(p, gens, diff)
+
+
+# ---------------------------------------------------------------------------
+# report trees
+
+
+def _json_key(k) -> str:
+    if isinstance(k, tuple):
+        return ",".join(str(v) for v in k)
+    return str(k)
+
+
+def jsonable(x):
+    """Recursively convert results to plain JSON types; exact rationals
+    become "num/den" strings."""
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, Fraction):
+        return _frac_str(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, ActionWindow):
+        return {"lower": jsonable(x.lower), "upper": jsonable(x.upper)}
+    if isinstance(x, np.ndarray):
+        return [[int(v) for v in row] for row in np.atleast_2d(x)]
+    if isinstance(x, dict):
+        return {_json_key(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x).__name__} into a report")

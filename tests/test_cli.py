@@ -577,6 +577,45 @@ class TestMatrixPrimeBound:
         assert report["ok"] is True
 
 
+class TestTextReports:
+    """Without --json the results print as a tree of the JSON report:
+    rationals as num/den, windows as lower/upper, tuple keys as s,k."""
+
+    @pytest.fixture()
+    def barcode_file(self, tmp_path):
+        b = Barcode(3, [Bar(0, 1), Bar("1/2", None), Bar(-2, "7/3", 2)])
+        return write_json(tmp_path / "b.json", barcode_to_json(b))
+
+    def test_barcode_window(self, run, barcode_file):
+        code, out, _ = run(["barcode", "--input", barcode_file, "--window=1/3:2"])
+        assert code == 0
+        assert "      start: -2/1\n" in out and "      end: 7/3\n" in out
+        assert "      end: None\n" in out
+        assert "  beta-tot: 29/3\n" in out
+        assert "  window:\n    lower: 1/3\n    upper: 2/1\n  window-dim: 2\n" in out
+
+    def test_spectral_action(self, run, tmp_path):
+        gens = [
+            {"id": "x", "degree": 0, "action": {"num": 1, "den": 2}},
+            {"id": "y", "degree": 1, "action": 0},
+            {"id": "z", "degree": 1, "action": 2},
+        ]
+        data = {"p": 3, "generators": gens, "differential": {"x": {"y": 1}}, "filtered": True}
+        code, out, _ = run(["spectral", "action", "--input", write_json(tmp_path / "f.json", data)])
+        assert code == 0
+        assert "  levels:\n    - 0/1\n    - 1/2\n    - 2/1\n" in out
+        assert "  infinity:\n    0,1: 1\n" in out
+        assert "      dims:\n        0,1: 1\n        1,0: 1\n        2,1: 1\n      r: 1\n" in out
+        assert "      ranks:\n        1,0: 1\n" in out
+        assert "  total-homology:\n    1: 1\n" in out
+
+    def test_torsion(self, run, barcode_file):
+        code, out, _ = run(["torsion", "--input", barcode_file])
+        assert code == 0
+        assert "  witness:\n    lower: 1/4\n    upper: 17/6\n  witness-dim: 4\n" in out
+        assert "  PASS  witness-avoids-zero\n" in out
+
+
 class TestInhomogeneousInput:
     """Input that breaks the grading never reaches the u = 1 ranks."""
 

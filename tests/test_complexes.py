@@ -158,6 +158,20 @@ class TestEquivariantComplex:
         assert not report.ok
         assert not report.checks["action_decrease"]
 
+    def test_validate_flags_follow_the_rule_that_failed(self):
+        """Each d check fails from its own rule, not from the words of its
+        message: "d.d != 0 out of degree 0" names a degree, yet it is a
+        square_zero failure."""
+        only_degree = EquivariantComplex(3, [Generator("x", 0), Generator("y", 0)], {"x": {"y": 1}}, {}, check=False)
+        report = only_degree.validate()
+        assert (report.checks["degree_one_differential"], report.checks["square_zero"]) == (False, True)
+        assert report.violations == ["d(x) hits y, which is not one degree higher"]
+        gens = [Generator("x", 0), Generator("y", 1), Generator("z", 2)]
+        only_square = EquivariantComplex(3, gens, {"x": {"y": 1}, "y": {"z": 1}}, {}, check=False)
+        report = only_square.validate()
+        assert (report.checks["degree_one_differential"], report.checks["square_zero"]) == (True, False)
+        assert report.violations == ["d.d != 0 out of degree 0"]
+
     def test_omitted_sigma_acts_as_identity(self):
         V = EquivariantComplex(3, [Generator("v", 0)], {}, {})
         assert V.sigma_block(0).tolist() == [[1]]

@@ -1,16 +1,20 @@
 """The --json writer: byte for byte the text of json.dumps(indent=2,
-sort_keys=True), on every subcommand's report and on generated trees."""
+sort_keys=True), on every subcommand's report and on generated trees, and
+on raw results trees the text of json.dumps of oracles.jsonable."""
 
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import jsonable
 
 import smith_tate.cli as cli
 from smith_tate.cli import _json_text, dispatch
-from smith_tate.complexes import EquivariantComplex, Generator, complex_to_json
+from smith_tate.complexes import ActionWindow, EquivariantComplex, Generator, complex_to_json
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import planted_filtered_complex, random_filtered_complex, random_floer_model
 from smith_tate.spectral import model_to_json
@@ -134,3 +138,63 @@ def test_empty_containers_and_constants(tree):
 def test_unsupported_type_raises():
     with pytest.raises(TypeError):
         _json_text({"x": 1.5})
+
+
+# raw results trees: what the subcommands hand the writer before conversion
+_fractions = st.fractions(max_denominator=60)
+_windows = (
+    st.tuples(st.one_of(st.none(), _fractions), st.one_of(st.none(), _fractions))
+    .filter(lambda t: None in t or t[0] < t[1])
+    .map(lambda t: ActionWindow(*t))
+)
+_raw_scalars = st.one_of(
+    _scalars,
+    _fractions,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _windows,
+    arrays(np.int64, array_shapes(min_dims=0, max_dims=2, min_side=0), elements=st.integers(-(10**6), 10**6)),
+)
+# no two kinds of key can convert to the same string: tuple keys hold a
+# comma, int keys a digit, and string keys neither
+_plain_keys = st.text(alphabet='abcXYZ -_/"\\\u00e9\U0001f600', max_size=6)
+_raw_keys = st.one_of(
+    _plain_keys,
+    st.integers(),
+    st.tuples(st.integers(), st.integers()),
+    st.tuples(_plain_keys, st.integers(-3, 3), st.integers(0, 9)),
+)
+_raw_trees = st.recursive(
+    _raw_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_raw_keys, kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_trees)
+def test_raw_trees_convert_as_they_are_written(tree):
+    assert _json_text(tree) == _dumps(jsonable(tree))
+
+
+def test_every_raw_type_once():
+    tree = {
+        ("s", 2): Fraction(-3, 4),
+        1: np.int64(7),
+        "window": ActionWindow(Fraction(1, 3), None),
+        "matrix": np.array([[1, 2], [3, 4]], dtype=np.int64),
+        "row": np.array([5, 6], dtype=np.int64),
+        "pair": (Fraction(2), [np.int64(-1)]),
+    }
+    assert json.loads(_json_text(tree)) == {
+        "s,2": "-3/4",
+        "1": 7,
+        "window": {"lower": "1/3", "upper": None},
+        "matrix": [[1, 2], [3, 4]],
+        "row": [[5, 6]],
+        "pair": ["2/1", [-1]],
+    }
+    assert _json_text(tree) == _dumps(jsonable(tree))
