@@ -477,6 +477,42 @@ class FuzzOp:
     size: Callable | None = None  # (p, args) -> (what, largest count an instance reaches)
 
 
+class _BadPayload(Exception):
+    """A payload without a field its check reads, or with a field of the
+    wrong JSON type; fuzz --replay reports it as MalformedInput (exit 2),
+    apart from the library errors a check turns into a failed verdict."""
+
+
+_REQUIRED = object()
+
+
+def _field(payload, key: str, kind: type = dict, default=_REQUIRED):
+    """payload[key], which must be a JSON value of type kind (an int is
+    never a bool), or default when key is absent and a default is given."""
+    if not isinstance(payload, dict):
+        raise _BadPayload(f"payload must be a JSON object, got {type(payload).__name__}")
+    if key not in payload:
+        if default is _REQUIRED:
+            raise _BadPayload(f"payload needs a field {key!r} of type {kind.__name__}")
+        return default
+    value = payload[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise _BadPayload(f"payload field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _payload_window(pair) -> ActionWindow:
+    """The window of a payload's [lo, hi] pair; a bound is null or is read
+    like a --window bound."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise _BadPayload(f"window must be a [lo, hi] pair, got {pair!r}")
+    try:
+        lo, hi = (None if b is None else _parse_bound(str(b)) for b in pair)
+    except MalformedInput as e:
+        raise _BadPayload(str(e)) from None
+    return ActionWindow(lo, hi)
+
+
 def _free_orbit_size(orbits: Callable) -> Callable:
     """FuzzOp.size of an op whose instances hold at most orbits(p, args)
     free orbits of p generators each."""
@@ -493,7 +529,7 @@ def _gen_tate_free(rng, p, args):
 
 
 def _check_tate_free(payload):
-    V = complex_from_json(payload["complex"], expect="equivariant")
+    V = complex_from_json(_field(payload, "complex"), expect="equivariant")
     dims = tate_cohomology_dims(V)
     return dims == (0, 0), {"even": dims[0], "odd": dims[1]}
 
@@ -504,7 +540,7 @@ def _gen_quasi_frobenius(rng, p, args):
 
 
 def _check_quasi_frobenius(payload):
-    V = complex_from_json(payload["complex"], expect="chain")
+    V = complex_from_json(_field(payload, "complex"), expect="chain")
     res = quasi_frobenius(V)
     total = sum(V.homology_dims().values())
     ok = (
@@ -532,7 +568,8 @@ def _gen_sigma_decomposition(rng, p, args):
 
 
 def _check_sigma_decomposition(payload):
-    s = _sigma_from_json(payload["sigma"])
+    s = _sigma_from_json(_field(payload, "sigma"))
+    expected = _field(payload, "expected", list, None)
     d = decompose(s)
     n = s.rows
     tate_total, invariant = tate_and_invariant_dims(d)
@@ -546,8 +583,8 @@ def _check_sigma_decomposition(payload):
         invariant == direct_invariant
         and direct_tate == (tate_total // 2, tate_total // 2)
     )
-    if "expected" in payload:
-        ok = ok and tuple(payload["expected"]) == d.multiplicities
+    if expected is not None:
+        ok = ok and tuple(expected) == d.multiplicities
     details = {
         "multiplicities": list(d.multiplicities),
         "invariant-dim": invariant,
@@ -564,7 +601,7 @@ def _gen_spectral_action(rng, p, args):
 
 
 def _check_spectral_action(payload):
-    fc = complex_from_json(payload["complex"], expect="filtered")
+    fc = complex_from_json(_field(payload, "complex"), expect="filtered")
     pages = action_ss_pages(fc)
     details = {
         "stabilized-at": pages.stabilized_at,
@@ -586,7 +623,7 @@ def _gen_spectral_algebraic(rng, p, args):
 
 
 def _check_spectral_algebraic(payload):
-    model = model_from_json(payload["model"])
+    model = model_from_json(_field(payload, "model"))
     pages = algebraic_ss_pages(model)
     direct = tate_cohomology_dims(model.base)
     ok = pages.tate_bound_holds and tuple(pages.einf_dims) == direct
@@ -616,18 +653,15 @@ def _gen_barcode_roundtrip(rng, p, args):
 
 
 def _check_barcode_roundtrip(payload):
-    fc = complex_from_json(payload["complex"], expect="filtered")
+    fc = complex_from_json(_field(payload, "complex"), expect="filtered")
+    windows = [(pair, _payload_window(pair)) for pair in _field(payload, "windows", list, [])]
     b = barcode_from_filtered(fc)
     failures = []
-    for lo, hi in payload.get("windows", []):
-        w = ActionWindow(
-            None if lo is None else Fraction(lo),
-            None if hi is None else Fraction(hi),
-        )
+    for pair, w in windows:
         got = window_dim(b, w)
         want = sum(window_truncate(fc, w).homology_dims().values())
         if got != want:
-            failures.append({"window": [lo, hi], "barcode": got, "homology": want})
+            failures.append({"window": pair, "barcode": got, "homology": want})
     return not failures, {"bars": len(b.bars), "failures": failures}
 
 
@@ -656,16 +690,16 @@ def _gen_barcode_smith(rng, p, args):
 
 
 def _check_barcode_smith(payload):
-    b1 = barcode_from_json(payload["single"])
-    bp = barcode_from_json(payload["iterate"])
-    p = int(payload.get("p", b1.p))
-    rep = smith_barcode_check(b1, bp, p)
+    single, iterate = _field(payload, "single"), _field(payload, "iterate")
+    adversarial = _field(payload, "adversarial", bool, False)
+    b1, bp = barcode_from_json(single), barcode_from_json(iterate)
+    rep = smith_barcode_check(b1, bp, _field(payload, "p", int, b1.p))
     details = {
         "report-ok": rep.ok,
         "m-failures": len(rep.m_failures),
         "window-failures": len(rep.window_failures),
     }
-    if payload.get("adversarial"):
+    if adversarial:
         # the pair was tampered with, so the checker must flag it
         return (not rep.ok), details
     return rep.ok, details
@@ -686,7 +720,7 @@ def _gen_torsion_detector(rng, p, args):
 
 
 def _check_torsion_detector(payload):
-    b = barcode_from_json(payload["barcode"])
+    b = barcode_from_json(_field(payload, "barcode"))
     if not b.bars:
         return True, {"empty": True}
     st = bar_stats(b)
@@ -851,6 +885,8 @@ def _cmd_fuzz(args):
             raise UnknownProperty(f"unknown property {rep['op']!r}")
         try:
             ok, details = op.check(rep["payload"])
+        except _BadPayload as e:
+            raise MalformedInput(f"bad {op.name} payload: {e}") from None
         except SmithTateError as e:
             ok, details = False, {"error": f"{type(e).__name__}: {e}"}
         results = {"mode": "replay", "op": op.name, "details": details}

@@ -1,11 +1,14 @@
 """Seeded generators of random instances for tests and the fuzz harness.
 
 Every generator takes a seed (or a random.Random) and is deterministic for
-a fixed seed.  Square-zero differentials are produced by planting a
-matching between degree-adjacent generators and conjugating by a unipotent
-filtration-preserving change of basis, so validity is by construction and
+a fixed seed.  Each square-zero differential is planted the same way: a
+random matching between degree-adjacent generators (_matching) is
+conjugated by P = I + E, whose entries (_draws) keep degree and never
+raise action (_conjugated).  These invariants do not change under such a
+filtered, equivariant change of basis, so validity is by construction and
 each instance carries its provenance (planted data) where tests need an
-oracle.
+oracle.  The bases are built unchecked; the conjugated complex is checked,
+and P d P^-1 fails a check exactly when d does.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .complexes import (
     Generator,
     _coeff_map,
 )
-from .fp_core import FpMatrix, _matmul_mod, _row_reduce, rank
+from .fp_core import FpMatrix, _matmul_mod, _row_reduce
 from .persistence import Bar, Barcode, scale_barcode
 from .spectral import EquivariantFloerModel
 from .tate import tate_blocks_at_one
@@ -52,7 +55,33 @@ def _shuffled(rng: random.Random, items: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# unipotent changes of basis
+# planted matchings and unipotent changes of basis
+
+
+def _matching(rng: random.Random, order: list, fits, skip: float):
+    """Yield the pairs (src, tgt) of a random partial matching: walking
+    order, each unused src is skipped with probability skip, else matched
+    to a random unused tgt with fits(src, tgt).  A caller draws the pair's
+    coefficients between yields."""
+    used = set()
+    for src in order:
+        if src in used:
+            continue
+        targets = [t for t in order if t not in used and t != src and fits(src, t)]
+        if not targets or rng.random() < skip:
+            continue
+        tgt = rng.choice(targets)
+        used.update((src, tgt))
+        yield src, tgt
+
+
+def _draws(rng: random.Random, n: int, fits):
+    """Yield the pairs (a, b) among 2n random draws from range(n) with
+    fits(a, b); a caller draws each kept entry's value between yields."""
+    for _ in range(2 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if fits(a, b):
+            yield a, b
 
 
 def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
@@ -79,6 +108,16 @@ def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -
     return _coeff_map(d, [g.id for g in cx.generators])
 
 
+def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> ChainComplex:
+    """A checked complex of base's kind with its generators and sigma, and
+    d replaced by P d P^-1 for P = I + E on the (row, col, val) entries.
+    (P d P^-1)^2 = P d^2 P^-1, and P commutes with sigma, keeps degree and
+    never raises action, so this check also covers an unchecked base."""
+    pm, inv = _unipotent_pair(base.dim(), base.p, entries)
+    sigma = (base.sigma,) if isinstance(base, EquivariantComplex) else ()
+    return type(base)(base.p, base.generators, _conjugate_differential(base, pm, inv), *sigma)
+
+
 # ---------------------------------------------------------------------------
 # free equivariant complexes
 
@@ -93,50 +132,23 @@ def random_free_equivariant(p: int, seed, max_blocks: int | None = None) -> Equi
     m = rng.randint(1, max_blocks)
     degs = [rng.randint(-2, 3) for _ in range(m)]
     acts = [Fraction(rng.randint(0, 30), rng.choice((1, 2, 3))) for _ in range(m)]
-    gens = []
-    for b in range(m):
-        gens.extend(Generator(f"b{b}.{j}", degs[b], acts[b]) for j in range(p))
+    gens = [Generator(f"b{b}.{j}", degs[b], acts[b]) for b in range(m) for j in range(p)]
     sigma = {f"b{b}.{j}": {f"b{b}.{(j + 1) % p}": 1} for b in range(m) for j in range(p)}
-
-    # matched pairs: each block used at most once, so d squares to zero
-    blocks = _shuffled(rng, list(range(m)))
     diff: dict[str, dict[str, int]] = {}
-    used = set()
-    for src in blocks:
-        if src in used:
-            continue
-        targets = [
-            t
-            for t in blocks
-            if t not in used and t != src and degs[t] == degs[src] + 1 and acts[t] < acts[src]
-        ]
-        if not targets or rng.random() < 0.3:
-            continue
-        tgt = rng.choice(targets)
-        used.update((src, tgt))
+    order = _shuffled(rng, list(range(m)))
+    for src, tgt in _matching(rng, order, lambda s, t: degs[t] == degs[s] + 1 and acts[t] < acts[s], 0.3):
         coeffs = [rng.randrange(p) for _ in range(p)]
         if not any(coeffs):
             coeffs[0] = 1 + rng.randrange(p - 1) if p > 1 else 1
         for j in range(p):
-            row = {}
-            for i, c in enumerate(coeffs):
-                if c:
-                    row[f"b{tgt}.{(j + i) % p}"] = c
-            diff[f"b{src}.{j}"] = row
-
-    # equivariant unipotent conjugation: circulant maps toward lower action.
-    # indices refer to the complex's own (sorted) basis.
-    base = EquivariantComplex(p, gens, diff, sigma)
-    entries = []
-    for _ in range(2 * m):
-        a, b = rng.randrange(m), rng.randrange(m)
-        if degs[a] != degs[b] or not acts[b] < acts[a]:
-            continue
+            diff[f"b{src}.{j}"] = {f"b{tgt}.{(j + i) % p}": c for i, c in enumerate(coeffs) if c}
+    base = EquivariantComplex(p, gens, diff, sigma, check=False)
+    entries = []  # equivariant conjugation: circulant maps toward lower action
+    for a, b in _draws(rng, m, lambda a, b: degs[a] == degs[b] and acts[b] < acts[a]):
         shift, val = rng.randrange(p), 1 + rng.randrange(p - 1)
         for j in range(p):
             entries.append((base.index_of(f"b{b}.{(j + shift) % p}"), base.index_of(f"b{a}.{j}"), val))
-    pm, inv = _unipotent_pair(m * p, p, entries)
-    return EquivariantComplex(p, gens, _conjugate_differential(base, pm, inv), sigma)
+    return _conjugated(base, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +161,20 @@ def random_sigma_matrix(p: int, multiplicities, seed) -> FpMatrix:
     rng = _rng(seed)
     if len(multiplicities) != p or any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be p non-negative counts")
-    n = sum((k + 1) * m for k, m in enumerate(multiplicities))
-    j = np.zeros((n, n), dtype=np.int64)
-    off = 0
-    for k, m in enumerate(multiplicities):
-        size = k + 1
-        for _ in range(m):
-            j[off : off + size, off : off + size] = np.eye(size, dtype=np.int64)
-            for t in range(size - 1):
-                j[off + t, off + t + 1] = 1
-            off += size
+    sizes = [k + 1 for k, m in enumerate(multiplicities) for _ in range(m)]
+    n = sum(sizes)
+    j = np.eye(n, dtype=np.int64) + np.eye(n, k=1, dtype=np.int64)
+    ends = np.cumsum(sizes, dtype=np.int64)[:-1] - 1
+    j[ends, ends + 1] = 0  # no superdiagonal 1 across a block boundary
     if n == 0:
         return FpMatrix(j, p)
+    # [q | I] has rank n, so q is invertible iff its n pivots all lie in q,
+    # and then the reduction ends in [I | q^-1]
     while True:
         q = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        qm = FpMatrix(q, p)
-        if rank(qm) == n:
-            break
-    # invert by row-reducing the augmented identity
-    aug = np.concatenate([q, np.eye(n, dtype=np.int64)], axis=1) % p
-    qinv = _row_reduce(aug, p)[0][:, n:]
-    return FpMatrix(_matmul_mod(_matmul_mod(q, j, p), qinv, p), p)
+        red, pivots = _row_reduce(np.concatenate([q, np.eye(n, dtype=np.int64)], axis=1), p)
+        if pivots[-1] < n:
+            return FpMatrix(_matmul_mod(_matmul_mod(q, j, p), red[:, n:], p), p)
 
 
 def random_sigma_with_multiplicities(p: int, seed, max_dim: int = 12):
@@ -197,26 +202,11 @@ def random_chain_complex(p: int, seed, max_dim: int = 6, degree_lo: int = -1, de
     degs = [rng.randint(degree_lo, degree_hi) for _ in range(n)]
     gens = [Generator(f"v{i}", degs[i], 0) for i in range(n)]
     order = _shuffled(rng, list(range(n)))
-    diff: dict[str, dict[str, int]] = {}
-    used = set()
-    for src in order:
-        if src in used:
-            continue
-        targets = [t for t in order if t not in used and t != src and degs[t] == degs[src] + 1]
-        if not targets or rng.random() < 0.35:
-            continue
-        tgt = rng.choice(targets)
-        used.update((src, tgt))
-        diff[f"v{src}"] = {f"v{tgt}": 1 + rng.randrange(p - 1)}
-    base = ChainComplex(p, gens, diff)
+    matched = _matching(rng, order, lambda s, t: degs[t] == degs[s] + 1, 0.35)
+    base = ChainComplex(p, gens, {f"v{s}": {f"v{t}": 1 + rng.randrange(p - 1)} for s, t in matched}, check=False)
     position = {v: i for i, v in enumerate(order)}
-    entries = []
-    for _ in range(2 * n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a != b and degs[a] == degs[b] and position[a] < position[b]:
-            entries.append((base.index_of(f"v{b}"), base.index_of(f"v{a}"), rng.randrange(p)))
-    pm, inv = _unipotent_pair(n, p, entries)
-    return ChainComplex(p, gens, _conjugate_differential(base, pm, inv))
+    kept = _draws(rng, n, lambda a, b: degs[a] == degs[b] and position[a] < position[b])
+    return _conjugated(base, [(base.index_of(f"v{b}"), base.index_of(f"v{a}"), rng.randrange(p)) for a, b in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +232,10 @@ def random_filtered_complex(
     acts = [rng.choice(levels) for _ in range(n)]
     gens = [Generator(f"v{i}", degs[i], acts[i]) for i in range(n)]
     order = _shuffled(rng, list(range(n)))
-    diff: dict[str, dict[str, int]] = {}
-    used = set()
-    for src in order:
-        if src in used:
-            continue
-        targets = [
-            t
-            for t in order
-            if t not in used and t != src and degs[t] == degs[src] + 1 and acts[t] < acts[src]
-        ]
-        if not targets or rng.random() < 0.3:
-            continue
-        tgt = rng.choice(targets)
-        used.update((src, tgt))
-        diff[f"v{src}"] = {f"v{tgt}": 1 + rng.randrange(p - 1)}
-    base = FilteredComplex(p, gens, diff)
-    entries = []
-    for _ in range(2 * n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a != b and degs[a] == degs[b] and acts[b] < acts[a]:
-            entries.append((base.index_of(f"v{b}"), base.index_of(f"v{a}"), rng.randrange(p)))
-    pm, inv = _unipotent_pair(n, p, entries)
-    return FilteredComplex(p, gens, _conjugate_differential(base, pm, inv))
+    matched = _matching(rng, order, lambda s, t: degs[t] == degs[s] + 1 and acts[t] < acts[s], 0.3)
+    base = FilteredComplex(p, gens, {f"v{s}": {f"v{t}": 1 + rng.randrange(p - 1)} for s, t in matched}, check=False)
+    kept = _draws(rng, n, lambda a, b: degs[a] == degs[b] and acts[b] < acts[a])
+    return _conjugated(base, [(base.index_of(f"v{b}"), base.index_of(f"v{a}"), rng.randrange(p)) for a, b in kept])
 
 
 def planted_filtered_complex(p: int, finite_bars, infinite_starts, seed, degree_lo: int = 0):
@@ -292,22 +263,25 @@ def planted_filtered_complex(p: int, finite_bars, infinite_starts, seed, degree_
     for j, a in enumerate(infinite_starts):
         gens.append(Generator(f"e{j}", degree_lo + rng.randint(0, 3), Fraction(a)))
         bars.append(Bar(Fraction(a), None))
-    base = FilteredComplex(p, gens, diff)
-    n = len(gens)
-    degs = [g.degree for g in base.generators]
-    acts = [g.action for g in base.generators]
-    entries = []
-    for _ in range(2 * n):
-        x, y = rng.randrange(n), rng.randrange(n)
-        if x != y and degs[x] == degs[y] and acts[y] < acts[x]:
-            entries.append((y, x, rng.randrange(p)))
-    pm, inv = _unipotent_pair(n, p, entries)
-    fc = FilteredComplex(p, gens, _conjugate_differential(base, pm, inv))
-    return fc, Barcode(p, bars)
+    base = FilteredComplex(p, gens, diff, check=False)
+    g = base.generators
+    kept = _draws(rng, len(g), lambda x, y: g[x].degree == g[y].degree and g[y].action < g[x].action)
+    return _conjugated(base, [(y, x, rng.randrange(p)) for x, y in kept]), Barcode(p, bars)
 
 
 # ---------------------------------------------------------------------------
 # equivariant filtered complexes and models
+
+
+def _unit_map(rng: random.Random, p: int, src: list[str], tgt: list[str]) -> list[tuple[str, str]]:
+    """The (source id, target id) entries of an equivariant map from one
+    unit to another, each unit the ids of a free orbit or of one trivial
+    generator: x.j -> y.(j + shift) between orbits, for a drawn shift, and
+    every pair otherwise."""
+    if len(src) == len(tgt) == p:
+        shift = rng.randrange(p)
+        return [(s, tgt[(j + shift) % p]) for j, s in enumerate(src)]
+    return [(s, t) for s in src for t in tgt]
 
 
 def random_equivariant_filtered(
@@ -319,79 +293,24 @@ def random_equivariant_filtered(
     rng = _rng(seed)
     n_orb = rng.randint(0, max_orbits)
     n_triv = rng.randint(0 if n_orb else 1, max_trivial)
-    units: list[dict] = []
-    for b in range(n_orb):
-        units.append({"kind": "orbit", "name": f"o{b}", "deg": rng.randint(degree_lo, degree_hi)})
-    for t in range(n_triv):
-        units.append({"kind": "trivial", "name": f"t{t}", "deg": rng.randint(degree_lo, degree_hi)})
+    units = [[f"o{b}.{j}" for j in range(p)] for b in range(n_orb)] + [[f"t{t}"] for t in range(n_triv)]
+    degs = [rng.randint(degree_lo, degree_hi) for _ in units]
     levels = _random_levels(rng, rng.randint(1, 4))
-    for u in units:
-        u["act"] = rng.choice(levels)
-    gens = []
-    sigma: dict[str, dict[str, int]] = {}
-    for u in units:
-        if u["kind"] == "orbit":
-            for j in range(p):
-                gens.append(Generator(f"{u['name']}.{j}", u["deg"], u["act"]))
-                sigma[f"{u['name']}.{j}"] = {f"{u['name']}.{(j + 1) % p}": 1}
-        else:
-            gens.append(Generator(u["name"], u["deg"], u["act"]))
-
-    # equivariant matched pairs between any unit kinds
-    order = _shuffled(rng, list(range(len(units))))
+    acts = [rng.choice(levels) for _ in units]
+    gens = [Generator(g, degs[u], acts[u]) for u, ids in enumerate(units) for g in ids]
+    sigma = {ids[j]: {ids[(j + 1) % p]: 1} for ids in units[:n_orb] for j in range(p)}
     diff: dict[str, dict[str, int]] = {}
-    used = set()
-    for si in order:
-        if si in used:
-            continue
-        s = units[si]
-        targets = [
-            ti
-            for ti in order
-            if ti not in used and ti != si and units[ti]["deg"] == s["deg"] + 1 and units[ti]["act"] < s["act"]
-        ]
-        if not targets or rng.random() < 0.3:
-            continue
-        ti = rng.choice(targets)
-        used.update((si, ti))
-        t = units[ti]
+    order = _shuffled(rng, list(range(len(units))))
+    for s, t in _matching(rng, order, lambda s, t: degs[t] == degs[s] + 1 and acts[t] < acts[s], 0.3):
         val = 1 + rng.randrange(p - 1)
-        if s["kind"] == "orbit" and t["kind"] == "orbit":
-            shift = rng.randrange(p)
-            for j in range(p):
-                diff[f"{s['name']}.{j}"] = {f"{t['name']}.{(j + shift) % p}": val}
-        elif s["kind"] == "orbit" and t["kind"] == "trivial":
-            for j in range(p):
-                diff[f"{s['name']}.{j}"] = {t["name"]: val}
-        elif s["kind"] == "trivial" and t["kind"] == "orbit":
-            diff[s["name"]] = {f"{t['name']}.{j}": val for j in range(p)}
-        else:
-            diff[s["name"]] = {t["name"]: val}
-
-    base = EquivariantComplex(p, gens, diff, sigma)
-    # equivariant conjugation entries between same-degree lower-action units
-    index_of = {g.id: i for i, g in enumerate(base.generators)}
+        for x, y in _unit_map(rng, p, units[s], units[t]):
+            diff.setdefault(x, {})[y] = val
+    base = EquivariantComplex(p, gens, diff, sigma, check=False)
     entries = []
-    for _ in range(2 * len(units)):
-        a, b = rng.randrange(len(units)), rng.randrange(len(units))
-        ua, ub = units[a], units[b]
-        if ua["deg"] != ub["deg"] or not ub["act"] < ua["act"]:
-            continue
+    for a, b in _draws(rng, len(units), lambda a, b: degs[a] == degs[b] and acts[b] < acts[a]):
         val = 1 + rng.randrange(p - 1)
-        if ua["kind"] == "orbit" and ub["kind"] == "orbit":
-            shift = rng.randrange(p)
-            for j in range(p):
-                entries.append((index_of[f"{ub['name']}.{(j + shift) % p}"], index_of[f"{ua['name']}.{j}"], val))
-        elif ua["kind"] == "orbit" and ub["kind"] == "trivial":
-            for j in range(p):
-                entries.append((index_of[ub["name"]], index_of[f"{ua['name']}.{j}"], val))
-        elif ua["kind"] == "trivial" and ub["kind"] == "orbit":
-            for j in range(p):
-                entries.append((index_of[f"{ub['name']}.{j}"], index_of[ua["name"]], val))
-        else:
-            entries.append((index_of[ub["name"]], index_of[ua["name"]], val))
-    pm, inv = _unipotent_pair(len(gens), p, entries)
-    return EquivariantComplex(p, gens, _conjugate_differential(base, pm, inv), sigma)
+        entries.extend((base.index_of(y), base.index_of(x), val) for x, y in _unit_map(rng, p, units[a], units[b]))
+    return _conjugated(base, entries)
 
 
 def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> EquivariantFloerModel:
@@ -415,10 +334,8 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     if deform and n:
         level = base._level_table()[1]
         r: dict[tuple[int, int], int] = {}
-        for _ in range(2 * n):
-            x, y = rng.randrange(n), rng.randrange(n)
-            if degs[y] == degs[x] - 2 and level[y] < level[x]:
-                r[(y, x)] = rng.randrange(p)
+        for x, y in _draws(rng, n, lambda x, y: degs[y] == degs[x] - 2 and level[y] < level[x]):
+            r[(y, x)] = rng.randrange(p)
         q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
         blocks = tuple(_matmul_mod(_matmul_mod(q, m, p), qinv, p) for m in blocks)
     A, B, C, D = blocks  # 1 -> 1, theta -> 1, 1 -> theta, theta -> theta

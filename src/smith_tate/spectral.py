@@ -198,6 +198,7 @@ class EquivariantFloerModel:
         self.terms = {k: v for k, v in terms.items() if v.any()}
         self._verdict_cache: tuple[str | None, str | None] | None = None
         self._blocks: tuple[np.ndarray, ...] | None = None
+        self._square_zero: bool | None = None
         if check:
             self._validate()
 
@@ -262,7 +263,11 @@ class EquivariantFloerModel:
         return self._blocks
 
     def square_is_zero(self) -> bool:
-        return blocks_square_zero(*self.blocks_at_one(), self.p)
+        """Whether the assembled differential squares to zero; computed
+        once, at construction under check=True or on first use otherwise."""
+        if self._square_zero is None:
+            self._square_zero = blocks_square_zero(*self.blocks_at_one(), self.p)
+        return self._square_zero
 
     def tate_parity_dims(self) -> tuple[int, int]:
         """(even, odd) F_p((u))-dims of the homology of the assembled complex."""

@@ -160,7 +160,10 @@ def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray
     is odd, so M[parity 1 rows, parity 0 columns] and M[parity 0 rows,
     parity 1 columns] carry all of it; Tate and group cohomology, and the
     polynomial blocks of the Bareiss route, are all read off this split.
+    A degree of 2^62 or more in size raises TooLarge, which keeps the
+    degree shifts of _pivot_degrees and group_cohomology_dims in int64.
     """
+    check_size("largest |generator degree|", max(map(abs, degrees), default=0), 2**62 - 1)
     gen_deg = np.tile(np.asarray(degrees, dtype=np.int64), 2)
     parity = (gen_deg + np.repeat([0, 1], len(degrees))) % 2
     return np.block([[A, B], [C, D]]), gen_deg, parity

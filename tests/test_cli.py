@@ -9,7 +9,7 @@ import pytest
 from smith_tate.cli import dispatch
 from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, complex_to_json, tensor_power
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
-from smith_tate.random_instances import adversarial_iterated_pair
+from smith_tate.random_instances import adversarial_iterated_pair, random_floer_model
 from smith_tate.spectral import EquivariantFloerModel, model_to_json
 
 
@@ -219,6 +219,17 @@ class TestSpectralCommand:
         assert res["e2"] == [0, 0] and res["einf"] == [0, 0]
         assert res["sigma-module"] == [0, 0, 1]
         assert report["checks"] == {"tate-bound": True}
+
+    def test_algebraic_squares_the_model_once(self, jrun, tmp_path, monkeypatch):
+        import smith_tate.spectral as spectral
+
+        path = write_json(tmp_path / "model.json", model_to_json(random_floer_model(3, 5)))
+        calls = []
+        real = spectral.blocks_square_zero
+        monkeypatch.setattr(spectral, "blocks_square_zero", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = jrun(["spectral", "algebraic", "--input", path])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_mode_is_required(self, run, tmp_path):
         path = write_json(tmp_path / "x.json", {})
@@ -776,6 +787,42 @@ class TestReplay:
         assert "MalformedInput" in report["results"]["details"]["error"]
 
 
+    @pytest.mark.parametrize(
+        "op, payload",
+        [
+            ("tate-free-vanishing", {}),
+            ("torsion-detector", [{"p": 3, "bars": []}]),
+            (
+                "barcode-roundtrip",
+                {
+                    "kind": "windowed_complex",
+                    "complex": {"p": 3, "generators": [{"id": "a", "degree": 0}], "filtered": True},
+                    "windows": [["1/0", None]],
+                },
+            ),
+            ("barcode-smith", {"kind": "barcode_pair", "p": "x", "single": {"p": 3, "bars": []}, "iterate": {"p": 3, "bars": []}}),
+        ],
+    )
+    def test_malformed_payload_is_typed(self, run, tmp_path, op, payload):
+        path = write_json(tmp_path / "bad.json", {"op": op, "p": 3, "seed": 0, "payload": payload})
+        code, out, err = run(["fuzz", "--replay", path, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MalformedInput:")
+
+    def test_crashing_check_on_a_valid_payload_propagates(self, run, monkeypatch, tmp_path, tampered_payload):
+        import smith_tate.cli as cli
+
+        def check(payload):
+            raise TypeError("crash in the check")
+
+        real = cli._FUZZ_OPS["barcode-smith"]
+        monkeypatch.setitem(cli._FUZZ_OPS, "barcode-smith", cli.FuzzOp(real.name, real.generate, check))
+        path = write_json(tmp_path / "repro.json", {"op": "barcode-smith", "payload": tampered_payload})
+        with pytest.raises(TypeError, match="crash in the check"):
+            run(["fuzz", "--replay", path])
+
+
 class TestPrimalityBound:
     @pytest.fixture()
     def pair_files(self, tmp_path):
@@ -890,6 +937,34 @@ class TestTooLarge:
         code, report, _ = jrun(["fuzz", "--op", op, "--count", "2", "-p", "7"])
         assert code == 0
         assert report["results"]["passed"] == 2
+
+
+    @staticmethod
+    def _two_degrees(tmp_path, degree):
+        data = {
+            "p": 2,
+            "generators": [{"id": "a", "degree": degree}, {"id": "b", "degree": degree + 1, "action": -1}],
+            "differential": {},
+            "sigma": {},
+        }
+        return write_json(tmp_path / "huge.json", data)
+
+    @pytest.mark.parametrize("command", [["tate"], ["group-cohomology"], ["spectral", "algebraic"]])
+    def test_huge_generator_degree(self, run, jrun, tmp_path, command):
+        """Degrees become int64 in tate.parity_split, so one of 2^62 or more
+        in size is refused there; the degree shifts stay inside int64."""
+        for degree in (2**63, 2**63 + 1, -(2**63) - 1, 2**62):
+            code, out, err = run(command + ["--input", self._two_degrees(tmp_path, degree), "--json"])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: TooLarge: largest |generator degree|")
+        code, _, _ = jrun(command + ["--input", self._two_degrees(tmp_path, 2**62 - 2)])
+        assert code == 0
+
+    @pytest.mark.parametrize("command", [["barcode"], ["spectral", "action"]])
+    def test_huge_degree_in_a_filtered_command(self, jrun, tmp_path, command):
+        code, _, _ = jrun(command + ["--input", self._two_degrees(tmp_path, 2**63 + 1)])
+        assert code == 0
 
 
 class TestSharedParser:
