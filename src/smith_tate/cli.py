@@ -40,6 +40,8 @@ from .complexes import (
     _coeff_map,
     _frac_str,
     _json_object,
+    _rational,
+    _read_json_files,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -54,7 +56,7 @@ from .errors import (
     UnknownProperty,
     check_size,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, check_prime, rank
+from .fp_core import FpMatrix, _check_matrix_prime, check_prime, fixed_dim
 from .module_decomp import decompose, smith_chain_check, tate_and_invariant_dims
 from .morse_bzp import (
     enumerate_critical_points,
@@ -174,33 +176,6 @@ def _write_json(x, nl: str, out: list) -> None:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise MalformedInput(f"cannot read {path}: {e}") from e
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedInput(
-            f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    except RecursionError as e:
-        raise MalformedInput(f"{path}: JSON nested too deeply") from e
-
-
-def _digest_files(*paths: str) -> str:
-    h = hashlib.sha256()
-    for path in paths:
-        try:
-            with open(path, "rb") as f:
-                h.update(f.read())
-        except OSError as e:
-            raise MalformedInput(f"cannot read {path}: {e}") from e
-    return h.hexdigest()
-
-
 def _digest_params(*parts) -> str:
     text = "\x1f".join(str(p) for p in parts)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -228,24 +203,15 @@ def _sigma_to_json(m: FpMatrix) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# window syntax: "LO:HI" with num/den fractions; inf, -inf, or * opens a side
+# window bounds: --window LO:HI, or a payload's [lo, hi] pair
 
 
-def _parse_bound(s: str):
-    t = s.strip().lower()
-    if t in ("", "*", "inf", "+inf", "-inf"):
+def _parse_bound(v):
+    """None for an open side: null, or "", "*", "inf", "+inf" or "-inf" in
+    any case; else the rational v."""
+    if v is None or isinstance(v, str) and v.strip().lower() in ("", "*", "inf", "+inf", "-inf"):
         return None
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError) as e:
-        raise MalformedInput(f"bad window bound {s!r}") from e
-
-
-def _parse_window(text: str) -> ActionWindow:
-    if ":" not in text:
-        raise MalformedInput("window must be LO:HI; use inf/-inf/* for an open side")
-    lo, hi = text.split(":", 1)
-    return ActionWindow(_parse_bound(lo), _parse_bound(hi))
+    return _rational(v, "window bound")
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +219,23 @@ def _parse_window(text: str) -> ActionWindow:
 
 
 def _cmd_tate(args):
-    digest = _digest_files(args.input)
-    V = complex_from_json(_load_json(args.input), expect="equivariant")
+    digest, (data,) = _read_json_files(args.input)
+    V = complex_from_json(data, expect="equivariant")
     even, odd = tate_cohomology_dims(V, method=args.method)
     results = {"p": V.p, "dim": V.dim(), "even": even, "odd": odd}
     return digest, results, {}
 
 
 def _cmd_group_cohomology(args):
-    digest = _digest_files(args.input)
-    V = complex_from_json(_load_json(args.input), expect="equivariant")
+    digest, (data,) = _read_json_files(args.input)
+    V = complex_from_json(data, expect="equivariant")
     dims = group_cohomology_dims(V, max_degree=args.max_degree)
     return digest, {"p": V.p, "dims": dims}, {}
 
 
 def _cmd_quasi_frobenius(args):
-    digest = _digest_files(args.input)
-    V = complex_from_json(_load_json(args.input), expect="chain")
+    digest, (data,) = _read_json_files(args.input)
+    V = complex_from_json(data, expect="chain")
     res = quasi_frobenius(V, max_certificates=args.max_certificates)
     results = {
         "p": res.p,
@@ -287,8 +253,8 @@ def _cmd_quasi_frobenius(args):
 
 
 def _cmd_decompose(args):
-    digest = _digest_files(args.sigma)
-    s = _sigma_from_json(_load_json(args.sigma))
+    digest, (data,) = _read_json_files(args.sigma)
+    s = _sigma_from_json(data)
     d = decompose(s)
     tate_total, invariant = tate_and_invariant_dims(d)
     results = {
@@ -304,8 +270,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_smith_check(args):
-    digest = _digest_params(_digest_files(args.sigma), "hf-dim", args.hf_dim)
-    s = _sigma_from_json(_load_json(args.sigma))
+    files, (data,) = _read_json_files(args.sigma)
+    digest = _digest_params(files, "hf-dim", args.hf_dim)
+    s = _sigma_from_json(data)
     rep = smith_chain_check(args.hf_dim, s)
     results = {
         "p": rep.p,
@@ -325,8 +292,7 @@ def _cmd_smith_check(args):
 
 
 def _cmd_spectral(args):
-    digest = _digest_files(args.input)
-    data = _load_json(args.input)
+    digest, (data,) = _read_json_files(args.input)
     if args.mode == "action":
         fc = complex_from_json(data, expect="filtered")
         pages = action_ss_pages(fc)
@@ -361,8 +327,7 @@ def _cmd_spectral(args):
 
 
 def _cmd_barcode(args):
-    digest = _digest_files(args.input)
-    data = _load_json(args.input)
+    digest, (data,) = _read_json_files(args.input)
     if isinstance(data, dict) and "bars" in data and "generators" not in data:
         b = barcode_from_json(data)
         source = "barcode"
@@ -384,16 +349,17 @@ def _cmd_barcode(args):
         "c-minus": st.c_minus,
     }
     if args.window is not None:
-        w = _parse_window(args.window)
+        if ":" not in args.window:
+            raise MalformedInput("window must be LO:HI; use inf/-inf/* for an open side")
+        w = ActionWindow(*map(_parse_bound, args.window.split(":", 1)))
         results["window"] = w
         results["window-dim"] = window_dim(b, w)
     return digest, results, {}
 
 
 def _cmd_barcode_smith(args):
-    digest = _digest_files(args.single, args.iterate)
-    b1 = barcode_from_json(_load_json(args.single))
-    bp = barcode_from_json(_load_json(args.iterate))
+    digest, (single, iterate) = _read_json_files(args.single, args.iterate)
+    b1, bp = barcode_from_json(single), barcode_from_json(iterate)
     p = args.p if args.p is not None else b1.p
     check_prime(p)
     rep = smith_barcode_check(b1, bp, p)
@@ -421,9 +387,14 @@ def _cmd_barcode_smith(args):
     return digest, results, checks
 
 
+def _avoids_zero(w: ActionWindow) -> bool:
+    """Whether the window lies on one side of action 0."""
+    return (w.lower is not None and w.lower > 0) or (w.upper is not None and w.upper < 0)
+
+
 def _cmd_torsion(args):
-    digest = _digest_files(args.input)
-    b = barcode_from_json(_load_json(args.input))
+    digest, (data,) = _read_json_files(args.input)
+    b = barcode_from_json(data)
     w = torsion_witness(b)
     if w is None:
         return digest, {"p": b.p, "witness": None}, {}
@@ -431,8 +402,7 @@ def _cmd_torsion(args):
     results = {"p": b.p, "witness": w, "witness-dim": d}
     checks = {
         "witness-dim-positive": d >= 1,
-        "witness-avoids-zero": (w.lower is not None and w.lower > 0)
-        or (w.upper is not None and w.upper < 0),
+        "witness-avoids-zero": _avoids_zero(w),
     }
     return digest, results, checks
 
@@ -502,12 +472,11 @@ def _field(payload, key: str, kind: type = dict, default=_REQUIRED):
 
 
 def _payload_window(pair) -> ActionWindow:
-    """The window of a payload's [lo, hi] pair; a bound is null or is read
-    like a --window bound."""
+    """The window of a payload's [lo, hi] pair, bounds read like --window's."""
     if not isinstance(pair, list) or len(pair) != 2:
         raise _BadPayload(f"window must be a [lo, hi] pair, got {pair!r}")
     try:
-        lo, hi = (None if b is None else _parse_bound(str(b)) for b in pair)
+        lo, hi = map(_parse_bound, pair)
     except MalformedInput as e:
         raise _BadPayload(str(e)) from None
     return ActionWindow(lo, hi)
@@ -573,7 +542,7 @@ def _check_sigma_decomposition(payload):
     d = decompose(s)
     n = s.rows
     tate_total, invariant = tate_and_invariant_dims(d)
-    direct_invariant = n - rank(FpMatrix(s.a - np.eye(n, dtype=np.int64), s.p))
+    direct_invariant = fixed_dim(s.a, s.p)
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
     gens = [Generator(f"v{i}", 0) for i in range(n)]
@@ -731,9 +700,7 @@ def _check_torsion_detector(payload):
     if w is None:
         return (not expect), {"witness": None, "expected": expect}
     dim_ok = window_dim(b, w) >= 1
-    avoids = (w.lower is not None and w.lower > 0) or (
-        w.upper is not None and w.upper < 0
-    )
+    avoids = _avoids_zero(w)
     details = {
         "witness": w,
         "expected": expect,
@@ -781,6 +748,12 @@ def _complex_json_without(cj: dict, gid: str) -> dict:
     return out
 
 
+def _triplets_without(trips: list, k: int) -> list:
+    """The [row, col, value] triplets off row and column k, with every index
+    above k shifted down by one."""
+    return [[r - (r > k), c - (c > k), v] for (r, c, v) in trips if r != k and c != k]
+
+
 def _model_json_without(mj: dict, gid: str) -> dict:
     # term matrices are indexed by sorted generator order, so deleting a
     # generator shifts every index above its slot down by one
@@ -791,11 +764,7 @@ def _model_json_without(mj: dict, gid: str) -> dict:
         {
             "i": item["i"],
             "alpha": item["alpha"],
-            "matrix": [
-                [r - (r > k), c - (c > k), v]
-                for (r, c, v) in item.get("matrix", [])
-                if r != k and c != k
-            ],
+            "matrix": _triplets_without(item.get("matrix", []), k),
         }
         for item in mj.get("d_terms", [])
     ]
@@ -803,20 +772,12 @@ def _model_json_without(mj: dict, gid: str) -> dict:
 
 
 def _sigma_json_without(sj: dict, k: int) -> dict:
-    trips = [
-        [r - (r > k), c - (c > k), v]
-        for (r, c, v) in sj.get("matrix", [])
-        if r != k and c != k
-    ]
-    return {**sj, "size": int(sj["size"]) - 1, "matrix": trips}
+    return {**sj, "size": int(sj["size"]) - 1, "matrix": _triplets_without(sj.get("matrix", []), k)}
 
 
 def _shrink_candidates(payload: dict):
     kind = payload.get("kind")
-    if kind == "complex":
-        for g in payload["complex"]["generators"]:
-            yield {**payload, "complex": _complex_json_without(payload["complex"], g["id"])}
-    elif kind == "windowed_complex":
+    if kind in ("complex", "windowed_complex"):
         windows = payload.get("windows", [])
         for i in range(len(windows)):
             yield {**payload, "windows": windows[:i] + windows[i + 1 :]}
@@ -834,13 +795,8 @@ def _shrink_candidates(payload: dict):
             yield {k: v for k, v in payload.items() if k != "expected"}
         for k in range(int(payload["sigma"].get("size", 0))):
             yield {**payload, "sigma": _sigma_json_without(payload["sigma"], k)}
-    elif kind == "barcode":
-        bj = payload["barcode"]
-        bars = bj.get("bars", [])
-        for i in range(len(bars)):
-            yield {**payload, "barcode": {**bj, "bars": bars[:i] + bars[i + 1 :]}}
-    elif kind == "barcode_pair":
-        for key in ("single", "iterate"):
+    elif kind in ("barcode", "barcode_pair"):
+        for key in ("barcode",) if kind == "barcode" else ("single", "iterate"):
             bj = payload[key]
             bars = bj.get("bars", [])
             for i in range(len(bars)):
@@ -876,8 +832,7 @@ def _minimize(check: Callable, payload: dict) -> dict:
 
 def _cmd_fuzz(args):
     if args.replay is not None:
-        digest = _digest_files(args.replay)
-        rep = _load_json(args.replay)
+        digest, (rep,) = _read_json_files(args.replay)
         if not isinstance(rep, dict) or "op" not in rep or "payload" not in rep:
             raise MalformedInput("reproducer JSON needs 'op' and 'payload' fields")
         op = _FUZZ_OPS.get(str(rep["op"]))

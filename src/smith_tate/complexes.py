@@ -14,8 +14,10 @@ comparisons run on each generator's index in a sorted table of the actions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rank, rref
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, fixed_dim, rref
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -527,11 +529,8 @@ def invariants_coinvariants(V: EquivariantComplex) -> tuple[dict[int, int], dict
     inv: dict[int, int] = {}
     coinv: dict[int, int] = {}
     for k in V.degrees():
-        n = V.dim(k)
-        r = rank(FpMatrix(np.eye(n, dtype=np.int64) - V.sigma_block(k), V.p))
-        if n - r:
-            inv[k] = n - r
-            coinv[k] = n - r
+        if fixed := fixed_dim(V.sigma_block(k), V.p):
+            inv[k] = coinv[k] = fixed
     return inv, coinv
 
 
@@ -561,7 +560,13 @@ def window_truncate(V: ChainComplex, window: ActionWindow):
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON: the one codec of outside input.  Files are read once and hashed as
+# read, all JSON text goes through _parse_json, and every rational written as
+# text goes through _rational.
+
+_MAX_DIGITS = 4300  # CPython's default limit on the digits of an int read from text
+# the decimal exponent of a rational literal, where fractions.Fraction finds it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -569,18 +574,66 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _read_json_files(*paths: str) -> tuple[str, list]:
+    """(sha256 of the files' bytes in order, the JSON value of each file);
+    each file is opened once, and all are read before any is parsed."""
+    h = hashlib.sha256()
+    raw = []
+    for path in paths:
+        try:
+            with open(path, "rb") as f:
+                raw.append(f.read())
+        except OSError as e:
+            raise MalformedInput(f"cannot read {path}: {e}") from e
+        h.update(raw[-1])
+    return h.hexdigest(), [_parse_json(text, path) for text, path in zip(raw, paths)]
+
+
+def _parse_json(text: str | bytes, source: str):
+    """The value of JSON text, bytes read as UTF-8.  Invalid text, nesting
+    too deep for the parser and an integer of more digits than Python reads
+    from text raise MalformedInput naming source."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except json.JSONDecodeError as e:
+        raise MalformedInput(f"{source}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise MalformedInput(f"{source}: JSON nested too deeply") from e
+    except ValueError as e:  # not UTF-8, or an integer past the int-string limit
+        raise MalformedInput(f"{source}: invalid JSON: {e}") from e
+
+
 def _json_object(data, what: str) -> dict:
     """data as a dict, parsing it first when it is JSON text."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise MalformedInput(f"invalid JSON: {e}") from e
-        except RecursionError as e:
-            raise MalformedInput("invalid JSON: nested too deeply") from e
+        data = _parse_json(data, what)
     if not isinstance(data, dict):
         raise MalformedInput(f"{what} JSON must be an object")
     return data
+
+
+def _rational(v, what: str) -> Fraction:
+    """Fraction(str(v)) for text such as " -3/4", "1_000.5e-2" or "7", or a
+    JSON number; what Fraction refuses, a non-finite float included, raises
+    MalformedInput.  So does a decimal exponent e with |e| >= _MAX_DIGITS,
+    before any power is taken: 10**|e| has more than _MAX_DIGITS digits,
+    and takes Fraction seconds to build at |e| = 10**7."""
+    try:
+        text = v if isinstance(v, str) else str(v)
+        exp = _EXPONENT.search(text)
+        if exp and abs(int(exp[1])) >= _MAX_DIGITS:
+            raise MalformedInput(f"bad {what} {v!r}: its power of 10 has more than {_MAX_DIGITS} digits")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedInput(f"bad {what} {v!r}") from e
+
+
+def _coeff_map_from_json(raw, key: str) -> CoeffMap:
+    """The coefficient map of a JSON object {id: {id: coefficient}}; the
+    coefficients are checked by the complex."""
+    if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
+        raise MalformedInput(f"{key!r} must map ids to coefficient objects")
+    return {str(s): {str(t): c for t, c in row.items()} for s, row in raw.items()}
 
 
 def _action_to_json(a: Fraction) -> dict:
@@ -640,24 +693,10 @@ def complex_from_json(data, *, expect: str | None = None):
                 _action_from_json(item.get("action", 0), interned),
             )
         )
-    diff = data.get("differential", {})
-    if not isinstance(diff, dict) or not all(isinstance(r, dict) for r in diff.values()):
-        raise MalformedInput("'differential' must map ids to coefficient objects")
-    diff = {str(s): {str(t): c for t, c in row.items()} for s, row in diff.items()}
-    kind = expect
-    if kind is None:
-        if "sigma" in data:
-            kind = "equivariant"
-        elif data.get("filtered"):
-            kind = "filtered"
-        else:
-            kind = "chain"
+    diff = _coeff_map_from_json(data.get("differential", {}), "differential")
+    kind = expect or ("equivariant" if "sigma" in data else "filtered" if data.get("filtered") else "chain")
     if kind == "equivariant":
-        sigma = data.get("sigma", {})
-        if not isinstance(sigma, dict) or not all(isinstance(r, dict) for r in sigma.values()):
-            raise MalformedInput("'sigma' must map ids to coefficient objects")
-        sigma = {str(s): {str(t): c for t, c in row.items()} for s, row in sigma.items()}
-        return EquivariantComplex(p, gens, diff, sigma)
+        return EquivariantComplex(p, gens, diff, _coeff_map_from_json(data.get("sigma", {}), "sigma"))
     if kind == "filtered":
         return FilteredComplex(p, gens, diff)
     if kind == "chain":

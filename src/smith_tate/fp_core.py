@@ -314,6 +314,12 @@ def rank(m: FpMatrix) -> int:
     return len(_row_reduce(m.a, m.p)[1])
 
 
+def fixed_dim(sigma: np.ndarray, p: int) -> int:
+    """dim ker(sigma - 1) = n - rank(sigma - 1) for an n x n residue array."""
+    n = len(sigma)
+    return n - len(_row_reduce(sigma - np.eye(n, dtype=np.int64), p)[1])
+
+
 def kernel_basis(m: FpMatrix) -> list:
     return rref(m).kernel_basis
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrderP
-from .fp_core import FpMatrix, _matpow, nilpotent_partition, rank
+from .fp_core import FpMatrix, _matpow, fixed_dim, nilpotent_partition
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,7 @@ def smith_chain_check(hf_phi_dim: int, sigma_on_hf_phi_p: FpMatrix) -> ChainRepo
     d = decompose(sigma_on_hf_phi_p)
     sharpened = sum(d.multiplicities[:-1])
     _, invariant = tate_and_invariant_dims(d)
-    n = sigma_on_hf_phi_p.rows
-    direct_invariant = n - rank(FpMatrix(sigma_on_hf_phi_p.a - np.eye(n, dtype=np.int64), d.p))
+    direct_invariant = fixed_dim(sigma_on_hf_phi_p.a, d.p)
     if direct_invariant != invariant:
         raise RuntimeError(
             f"invariant dimension {direct_invariant} from rank(sigma - 1) differs from {invariant} from the decomposition"

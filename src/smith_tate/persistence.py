@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _strict_int
+from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational, _strict_int
 from .errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -568,10 +568,7 @@ def barcode_from_json(data) -> Barcode:
     for item in raw:
         if not isinstance(item, dict) or "start" not in item:
             raise MalformedInput(f"bad bar entry: {item!r}")
-        try:
-            start = Fraction(str(item["start"]))
-            end = None if item.get("end") is None else Fraction(str(item["end"]))
-        except (ValueError, ZeroDivisionError) as e:
-            raise MalformedInput(f"bad bar endpoint in {item!r}") from e
+        start, end = _rational(item["start"], "bar start"), item.get("end")
+        end = None if end is None else _rational(end, "bar end")
         bars.append(Bar(start, end, _strict_int(item.get("mult", 1), "bar 'mult'")))
     return Barcode(_strict_int(data["p"], "'p'"), bars)

@@ -421,9 +421,6 @@ def model_from_json(data) -> EquivariantFloerModel:
         i, alpha = _strict_int(item["i"], "d_term 'i'"), _strict_int(item["alpha"], "d_term 'alpha'")
         terms[(i, alpha)] = _triplets_from_json(item.get("matrix", []), base.dim(), base.p)
     i_max = data.get("i_max")
-    if i_max is None:
-        # the JSON wire format may omit i_max; infer the smallest consistent
-        # value from the supplied terms and the defaults
-        i_max = max([i for (i, _) in terms], default=2)
-        i_max = max(i_max, 2)
+    if i_max is None:  # the smallest value consistent with the terms and the default, 2
+        i_max = max([2, *(i for i, _ in terms)])
     return EquivariantFloerModel(base, terms, _strict_int(i_max, "'i_max'"))

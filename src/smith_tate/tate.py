@@ -242,7 +242,7 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     the top degree (periodicity of cyclic group cohomology).  Default
     max_degree leaves room to watch the dimensions go 2-periodic.  The
     result has one entry per degree, so max_degree - dmin above
-    MAX_GROUP_DEGREES raises TooLarge.
+    MAX_GROUP_DEGREES raises TooLarge; below dmin it is empty.
     """
     if V.dim() == 0:
         return {}
@@ -250,6 +250,8 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     dmin, dmax = min(degrees), max(degrees)
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
+    if max_degree < dmin:
+        return {}
     check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
     m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
     enter = [_pivot_degrees(m, gen_deg, parity, par, V.p) for par in (0, 1)]

@@ -299,6 +299,42 @@ class TestBarcodeCommand:
         assert "MalformedInput" in err
 
 
+class TestHugeLiterals:
+    """A decimal exponent whose power of 10 would pass 4300 digits, and a
+    JSON integer of more digits than Python reads, are malformed input,
+    refused at once instead of computed or left untyped."""
+
+    @pytest.mark.parametrize("start", ["1e10000000", "1e-10000000"])
+    @pytest.mark.parametrize("command", ["torsion", "barcode-smith"])
+    def test_bar_endpoint(self, run, tmp_path, start, command):
+        path = write_json(tmp_path / "b.json", {"p": 3, "bars": [{"start": start, "end": None, "mult": 1}]})
+        argv = ["torsion", "--input", path] if command == "torsion" else ["barcode-smith", "--single", path, "--iterate", path]
+        self._refused(run, argv)
+
+    def test_window_bound(self, run, tmp_path):
+        path = write_json(tmp_path / "b.json", _BARS)
+        self._refused(run, ["barcode", "--input", path, "--window=1e10000000:*"])
+
+    def test_integer_of_5000_digits(self, run, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('{"p": 3, "generators": [{"id": "v", "degree": ' + "9" * 5000 + "}]}", encoding="utf-8")
+        self._refused(run, ["tate", "--input", str(path)])
+
+    def test_replay_window_bound_past_the_float_range(self, run, tmp_path):
+        payload = {"kind": "windowed_complex", "complex": {**_edge(action_a=1), "filtered": True}, "windows": [["@", None]]}
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps({"op": "barcode-roundtrip", "payload": payload}).replace('"@"', "1e400"), encoding="utf-8")
+        self._refused(run, ["fuzz", "--replay", str(path)])
+
+    @staticmethod
+    def _refused(run, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(argv + ["--json"])
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MalformedInput:")
+
+
 class TestBarcodeSmithCommand:
     @pytest.fixture()
     def single_file(self, tmp_path):
@@ -878,6 +914,12 @@ class TestTooLarge:
         assert code == 2
         assert out == ""
         assert err.startswith("error: TooLarge:")
+
+    @pytest.mark.parametrize("max_degree", ["-5", "-1180591620717411303424"])
+    def test_group_cohomology_below_the_lowest_degree(self, jrun, trivial_file, max_degree):
+        code, report, _ = jrun(["group-cohomology", "--input", trivial_file, f"--max-degree={max_degree}"])
+        assert code == 0
+        assert report["results"]["dims"] == {}
 
     def test_group_cohomology_at_the_limit(self, jrun, trivial_file):
         code, report, _ = jrun(["group-cohomology", "--input", trivial_file, "--max-degree", "10000"])

@@ -1,0 +1,324 @@
+"""The one codec of outside input: files read once, one JSON parser, one
+rational reader, and a mutation corpus of every input kind that must end in
+a typed error with exit code 2."""
+
+import builtins
+import copy
+import fractions
+import hashlib
+import json
+import re
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import smith_tate.errors as errors
+from smith_tate.cli import dispatch
+from smith_tate.complexes import _MAX_DIGITS, _rational
+from smith_tate.errors import MalformedInput
+from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
+from smith_tate.random_instances import random_floer_model
+from smith_tate.spectral import model_to_json
+
+
+@pytest.fixture()
+def run(capsys):
+    def _run(argv):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return _run
+
+
+# ---------------------------------------------------------------------------
+# the rational reader against fractions.Fraction
+
+
+def _reads_as(s):
+    """What _rational must give for s: Fraction(s), or None when Fraction
+    refuses s or would build a power of 10 of more than _MAX_DIGITS digits
+    (Fraction's own grammar says where the exponent is)."""
+    m = fractions._RATIONAL_FORMAT.match(s)
+    try:
+        if m and m["exp"] and abs(int(m["exp"])) >= _MAX_DIGITS:
+            return None
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _check_reads_as(s):
+    want = _reads_as(s)
+    if want is None:
+        with pytest.raises(MalformedInput):
+            _rational(s, "x")
+    else:
+        assert _rational(s, "x") == want
+
+
+_WS = st.sampled_from(["", " ", "\t", "\n ", "\u2003"])
+_DIGITS = st.lists(st.text("0123456789", min_size=1, max_size=4), min_size=1, max_size=3).map("_".join)
+
+
+@st.composite
+def rational_literals(draw):
+    """Text in every form Fraction reads: signs, whitespace, n/d, decimals,
+    underscores and exponents on both sides of the bound."""
+    form = draw(st.sampled_from(["integer", "ratio", "decimal"]))
+    if form == "ratio":
+        body = draw(_DIGITS) + draw(_WS) + "/" + draw(_WS) + draw(_DIGITS)
+    else:
+        body = draw(_DIGITS)
+        if form == "decimal":
+            body = draw(st.sampled_from(["", body])) + "." + draw(_DIGITS)
+        if draw(st.booleans()):
+            exp = draw(st.integers(-_MAX_DIGITS - 5, _MAX_DIGITS + 5))
+            sign = "-" if exp < 0 else draw(st.sampled_from(["", "+"]))
+            digits = str(abs(exp))
+            if len(digits) > 1 and draw(st.booleans()):
+                digits = digits[:1] + "_" + digits[1:]
+            body += draw(st.sampled_from("eE")) + sign + digits
+    return draw(_WS) + draw(st.sampled_from(["", "+", "-"])) + body + draw(_WS)
+
+
+@given(rational_literals())
+@settings(max_examples=400, deadline=None)
+def test_rational_reads_every_literal_fraction_reads(s):
+    _check_reads_as(s)
+
+
+@given(st.text("0123456789+-./_eE \t\u0660\u00a0xn", max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_rational_agrees_with_fraction_on_any_text(s):
+    _check_reads_as(s)
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [(7, Fraction(7)), (-2, Fraction(-2)), (0.1, Fraction(1, 10)), (2.5e-3, Fraction(1, 400)), ("1e4299", Fraction(10**4299))],
+)
+def test_rational_reads_numbers_through_their_text(v, want):
+    assert _rational(v, "x") == want
+
+
+@pytest.mark.parametrize(
+    "v",
+    [float("inf"), float("-inf"), float("nan"), True, None, [1], {"num": 1}, "inf", "1/0", "",
+     "1e4300", "1E-4300", " 1e10000000 ", "1e-10000000", "1e1_0000000", "1e" + "9" * 5000],
+)
+def test_rational_refusals(v):
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedInput):
+        _rational(v, "x")
+    assert time.perf_counter() - t0 < 1
+
+
+# ---------------------------------------------------------------------------
+# each input file is read once
+
+
+def test_each_file_is_opened_once(run, tmp_path, monkeypatch):
+    iso = {
+        "p": 3,
+        "generators": [{"id": "a", "degree": 0, "action": 1}, {"id": "b", "degree": 1, "action": 0}],
+        "differential": {"a": {"b": 1}},
+        "filtered": True,
+        "sigma": {},
+    }
+    b1 = Barcode(3, [Bar(0, 1), Bar("1/2", None)])
+    files = {
+        "iso": iso,
+        "sigma": {"p": 3, "size": 3, "matrix": [[1, 0, 1], [2, 1, 1], [0, 2, 1]]},
+        "single": barcode_to_json(b1),
+        "iterate": barcode_to_json(generate_iterated_barcode(b1, 3, extra_bars=2, seed=5)),
+        "model": model_to_json(random_floer_model(3, 5)),
+    }
+    files["replay"] = {"op": "torsion-detector", "payload": {"kind": "barcode", "barcode": files["single"]}}
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    paths = {name: str(path) for name, path in paths.items()}
+    runs = [
+        ["tate", "--input", paths["iso"]],
+        ["group-cohomology", "--input", paths["iso"]],
+        ["quasi-frobenius", "--input", paths["iso"]],
+        ["decompose", "--sigma", paths["sigma"]],
+        ["smith-check", "--hf-dim", "0", "--sigma", paths["sigma"]],
+        ["spectral", "action", "--input", paths["iso"]],
+        ["spectral", "algebraic", "--input", paths["model"]],
+        ["barcode", "--input", paths["iso"]],
+        ["barcode-smith", "--single", paths["single"], "--iterate", paths["iterate"]],
+        ["torsion", "--input", paths["single"]],
+        ["fuzz", "--replay", paths["replay"]],
+    ]
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda f, *a, **kw: opened.append(f) or real_open(f, *a, **kw))
+    for argv in runs:
+        opened.clear()
+        code, out, _ = run(argv + ["--json"])
+        assert code == 0, argv
+        named = sorted(a for a in argv if a in paths.values())
+        assert sorted(opened) == named, argv
+        if argv[0] == "barcode-smith":
+            both = b"".join(Path(paths[name]).read_bytes() for name in ("single", "iterate"))
+            assert json.loads(out)["input_sha256"] == hashlib.sha256(both).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# malformed input of every kind: typed error, exit code 2
+
+
+def _raw(text):
+    """A value written into the mutant's JSON text as text, unquoted."""
+    return {"$raw": text}
+
+
+_DROP, _RENAME = object(), object()
+_HUGE_EXP = _raw("1e10000000")  # a JSON number that reads as an infinite float
+_HUGE_INT = _raw("9" * 5000)
+_NONFINITE = [float("nan"), float("inf"), float("-inf"), _HUGE_EXP]
+_NOT_INT = ["3", 3.5, None, True, [3], {}, _HUGE_INT, *_NONFINITE]
+
+_COMPLEX = {
+    "p": 3,
+    "generators": [{"id": "a", "degree": 0, "action": 1}, {"id": "b", "degree": 1, "action": 0}],
+    "differential": {"a": {"b": 1}},
+}
+_BARCODE = {"p": 3, "bars": [{"start": "0/1", "end": "1/1", "mult": 1}, {"start": "1/2", "end": None, "mult": 1}]}
+
+# kind: (command with @ for the input file, valid input, [(path, replacements)])
+_KINDS = {
+    "complex": (
+        ["tate", "--input", "@"],
+        {**_COMPLEX, "sigma": {}},
+        [
+            (("p",), [_DROP, _RENAME, 4, *_NOT_INT]),
+            (("generators",), [_DROP, _RENAME, {}, "a", None, [1], [{}]]),
+            (("generators", 0, "id"), [_DROP, _RENAME, ""]),
+            (("generators", 0, "degree"), [_DROP, _RENAME, *_NOT_INT]),
+            (("generators", 0, "action"), ["1", 0.5, None, True, {"num": 1, "den": 0}, {"den": 1}, "1e10000000", *_NONFINITE]),
+            (("differential",), [[], "a", {"a": 1}, {"a": {"z": 1}}]),
+            (("differential", "a", "b"), _NOT_INT),
+            (("sigma",), [[], {"a": []}, {"a": {"a": float("nan")}}]),
+        ],
+    ),
+    "model": (
+        ["spectral", "algebraic", "--input", "@"],
+        {**_COMPLEX, "p": 2, "sigma": {}, "i_max": 2, "d_terms": [{"i": 1, "alpha": 1, "matrix": [[1, 0, 1]]}]},
+        [
+            (("p",), [_DROP, _RENAME, *_NOT_INT]),
+            (("i_max",), [v for v in _NOT_INT if v is not None]),
+            (("d_terms",), [{}, "x", [1], [{"alpha": 0}]]),
+            (("d_terms", 0, "i"), [_DROP, _RENAME, *_NOT_INT]),
+            (("d_terms", 0, "matrix"), [{}, "x", [[1, 0]], [[5, 0, 1]], [[1, 0, float("nan")]], [[1, 0, _HUGE_EXP]]]),
+        ],
+    ),
+    "sigma": (
+        ["decompose", "--sigma", "@"],
+        {"p": 3, "size": 3, "matrix": [[1, 0, 1], [2, 1, 1], [0, 2, 1]]},
+        [
+            (("p",), [_DROP, _RENAME, 4, *_NOT_INT]),
+            (("size",), [_DROP, _RENAME, -1, 10**9, *_NOT_INT]),
+            (("matrix",), [{}, "x", [1], [[0, 1]]]),
+            (("matrix", 0, 2), _NOT_INT),
+        ],
+    ),
+    "barcode": (
+        ["torsion", "--input", "@"],
+        _BARCODE,
+        [
+            (("p",), [_DROP, _RENAME, 4, *_NOT_INT]),
+            (("bars",), [{}, "x", [1], [{}]]),
+            (("bars", 0, "start"), [_DROP, _RENAME, "x", "1/0", True, [0], "1e10000000", "1e-10000000", *_NONFINITE]),
+            (("bars", 0, "end"), ["inf", "1/0", "1e10000000", "-1", *_NONFINITE]),
+            (("bars", 0, "mult"), _NOT_INT),
+        ],
+    ),
+    "reproducer": (
+        ["fuzz", "--replay", "@"],
+        {
+            "op": "barcode-roundtrip",
+            "p": 3,
+            "seed": 0,
+            "payload": {"kind": "windowed_complex", "complex": {**_COMPLEX, "filtered": True}, "windows": [[None, "1/2"]]},
+        },
+        [
+            (("op",), [_DROP, _RENAME, 3, None, "nope"]),
+            (("payload",), [_DROP, _RENAME, [], "x", None]),
+            (("payload", "complex"), [_DROP, "x", []]),
+            (("payload", "windows"), [{}, "x", [1], [[None]]]),
+            (("payload", "windows", 0, 1), ["x", "1/0", "1e10000000", "1e-10000000", True, *_NONFINITE]),
+        ],
+    ),
+}
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if value is _DROP or value is _RENAME:
+        item = parent.pop(key)
+        if value is _RENAME:
+            parent[key.upper() + "_"] = item
+    else:
+        parent[key] = value
+    return doc
+
+
+def _text(doc) -> bytes:
+    text = json.dumps(doc)  # writes NaN and Infinity, which the parser reads
+    return re.sub(r'\{"\$raw": "([^"]*)"\}', r"\1", text).encode("utf-8")
+
+
+def _corpus():
+    for kind, (argv, doc, mutations) in _KINDS.items():
+        for path, values in mutations:
+            for i, value in enumerate(values):
+                yield pytest.param(argv, _text(_mutated(doc, path, value)), id=f"{kind}-{'.'.join(map(str, path))}-{i}")
+        text = _text(doc)
+        for cut in (1, len(text) // 2, len(text) - 1):
+            yield pytest.param(argv, text[:cut], id=f"{kind}-truncated-{cut}")
+        yield pytest.param(argv, text[: text.index(b":") + 1] + b"[" * 100_000, id=f"{kind}-deep")
+        yield pytest.param(argv, text[: text.index(b":") + 1] + b"9" * 5000 + b"}", id=f"{kind}-5000-digits")
+        yield pytest.param(argv, b"\xff" + text, id=f"{kind}-not-utf8")
+        yield pytest.param(argv, b"", id=f"{kind}-empty")
+
+
+_TYPED = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.SmithTateError)}
+
+
+@pytest.mark.parametrize("argv, text", _corpus())
+def test_every_mutant_is_a_typed_error(run, tmp_path, argv, text):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    runs = [[str(path) if a == "@" else a for a in argv]]
+    if argv[0] == "torsion":
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps(_BARCODE), encoding="utf-8")
+        runs += [["barcode-smith", "--single", str(path), "--iterate", str(valid)],
+                 ["barcode-smith", "--single", str(valid), "--iterate", str(path)]]
+    for full in runs:
+        t0 = time.perf_counter()
+        code, out, err = run(full + ["--json"])
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, ""), err
+        name = re.match(r"error: (\w+): ", err)
+        assert name and name[1] in _TYPED, err
+
+
+def test_the_valid_inputs_pass(run, tmp_path):
+    """Each mutant differs from an input that dispatch accepts."""
+    for kind, (argv, doc, _) in _KINDS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(_text(doc))
+        code, _, err = run([str(path) if a == "@" else a for a in argv])
+        assert code == 0, (kind, err)

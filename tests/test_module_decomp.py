@@ -162,6 +162,6 @@ def test_explicit_multiplicity_request():
 def test_dimension_chain_checks_the_invariant_dimension(monkeypatch):
     sigma = cyclic_shift(3, 3)
     assert smith_chain_check(1, sigma).invariant_dim == 1
-    monkeypatch.setattr("smith_tate.module_decomp.rank", lambda m: 0)
+    monkeypatch.setattr("smith_tate.module_decomp.fixed_dim", lambda a, p: 3)
     with pytest.raises(RuntimeError, match="invariant dimension 3 from rank"):
         smith_chain_check(1, sigma)
