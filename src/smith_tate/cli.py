@@ -448,9 +448,11 @@ class FuzzOp:
 
 
 class _BadPayload(Exception):
-    """A payload without a field its check reads, or with a field of the
-    wrong JSON type; fuzz --replay reports it as MalformedInput (exit 2),
-    apart from the library errors a check turns into a failed verdict."""
+    """A payload without a field its check reads, with a field of the wrong
+    JSON type, or with one its decoder refuses; args are (SmithTateError
+    type, message).  fuzz --replay raises it as that type, MalformedInput
+    unless a decoder raised another (exit 2).  A library error raised after
+    decoding is a failed verdict instead (exit 1)."""
 
 
 _REQUIRED = object()
@@ -460,26 +462,33 @@ def _field(payload, key: str, kind: type = dict, default=_REQUIRED):
     """payload[key], which must be a JSON value of type kind (an int is
     never a bool), or default when key is absent and a default is given."""
     if not isinstance(payload, dict):
-        raise _BadPayload(f"payload must be a JSON object, got {type(payload).__name__}")
+        raise _BadPayload(MalformedInput, f"payload must be a JSON object, got {type(payload).__name__}")
     if key not in payload:
         if default is _REQUIRED:
-            raise _BadPayload(f"payload needs a field {key!r} of type {kind.__name__}")
+            raise _BadPayload(MalformedInput, f"payload needs a field {key!r} of type {kind.__name__}")
         return default
     value = payload[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise _BadPayload(f"payload field {key!r} must be of type {kind.__name__}, got {value!r}")
+        raise _BadPayload(MalformedInput, f"payload field {key!r} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _decoded(payload, key: str, decode: Callable, **kwargs):
+    """decode(payload[key], **kwargs) of a JSON object field."""
+    try:
+        return decode(_field(payload, key), **kwargs)
+    except SmithTateError as e:
+        raise _BadPayload(type(e), f"field {key!r}: {e}") from None
 
 
 def _payload_window(pair) -> ActionWindow:
     """The window of a payload's [lo, hi] pair, bounds read like --window's."""
     if not isinstance(pair, list) or len(pair) != 2:
-        raise _BadPayload(f"window must be a [lo, hi] pair, got {pair!r}")
+        raise _BadPayload(MalformedInput, f"window must be a [lo, hi] pair, got {pair!r}")
     try:
-        lo, hi = map(_parse_bound, pair)
-    except MalformedInput as e:
-        raise _BadPayload(str(e)) from None
-    return ActionWindow(lo, hi)
+        return ActionWindow(*map(_parse_bound, pair))
+    except SmithTateError as e:
+        raise _BadPayload(type(e), str(e)) from None
 
 
 def _free_orbit_size(orbits: Callable) -> Callable:
@@ -498,7 +507,7 @@ def _gen_tate_free(rng, p, args):
 
 
 def _check_tate_free(payload):
-    V = complex_from_json(_field(payload, "complex"), expect="equivariant")
+    V = _decoded(payload, "complex", complex_from_json, expect="equivariant")
     dims = tate_cohomology_dims(V)
     return dims == (0, 0), {"even": dims[0], "odd": dims[1]}
 
@@ -509,7 +518,7 @@ def _gen_quasi_frobenius(rng, p, args):
 
 
 def _check_quasi_frobenius(payload):
-    V = complex_from_json(_field(payload, "complex"), expect="chain")
+    V = _decoded(payload, "complex", complex_from_json, expect="chain")
     res = quasi_frobenius(V)
     total = sum(V.homology_dims().values())
     ok = (
@@ -537,7 +546,7 @@ def _gen_sigma_decomposition(rng, p, args):
 
 
 def _check_sigma_decomposition(payload):
-    s = _sigma_from_json(_field(payload, "sigma"))
+    s = _decoded(payload, "sigma", _sigma_from_json)
     expected = _field(payload, "expected", list, None)
     d = decompose(s)
     n = s.rows
@@ -570,7 +579,7 @@ def _gen_spectral_action(rng, p, args):
 
 
 def _check_spectral_action(payload):
-    fc = complex_from_json(_field(payload, "complex"), expect="filtered")
+    fc = _decoded(payload, "complex", complex_from_json, expect="filtered")
     pages = action_ss_pages(fc)
     details = {
         "stabilized-at": pages.stabilized_at,
@@ -592,7 +601,7 @@ def _gen_spectral_algebraic(rng, p, args):
 
 
 def _check_spectral_algebraic(payload):
-    model = model_from_json(_field(payload, "model"))
+    model = _decoded(payload, "model", model_from_json)
     pages = algebraic_ss_pages(model)
     direct = tate_cohomology_dims(model.base)
     ok = pages.tate_bound_holds and tuple(pages.einf_dims) == direct
@@ -622,7 +631,7 @@ def _gen_barcode_roundtrip(rng, p, args):
 
 
 def _check_barcode_roundtrip(payload):
-    fc = complex_from_json(_field(payload, "complex"), expect="filtered")
+    fc = _decoded(payload, "complex", complex_from_json, expect="filtered")
     windows = [(pair, _payload_window(pair)) for pair in _field(payload, "windows", list, [])]
     b = barcode_from_filtered(fc)
     failures = []
@@ -659,9 +668,8 @@ def _gen_barcode_smith(rng, p, args):
 
 
 def _check_barcode_smith(payload):
-    single, iterate = _field(payload, "single"), _field(payload, "iterate")
+    b1, bp = (_decoded(payload, key, barcode_from_json) for key in ("single", "iterate"))
     adversarial = _field(payload, "adversarial", bool, False)
-    b1, bp = barcode_from_json(single), barcode_from_json(iterate)
     rep = smith_barcode_check(b1, bp, _field(payload, "p", int, b1.p))
     details = {
         "report-ok": rep.ok,
@@ -689,7 +697,7 @@ def _gen_torsion_detector(rng, p, args):
 
 
 def _check_torsion_detector(payload):
-    b = barcode_from_json(_field(payload, "barcode"))
+    b = _decoded(payload, "barcode", barcode_from_json)
     if not b.bars:
         return True, {"empty": True}
     st = bar_stats(b)
@@ -806,9 +814,10 @@ def _shrink_candidates(payload: dict):
 def _minimize(check: Callable, payload: dict) -> dict:
     """Greedily delete components while the payload keeps failing check.
 
-    Candidates that the library rejects with a SmithTateError (deleting a
-    generator can break square-zero or equivariance) count as passing and
-    are skipped; any other exception is a crash of the check and propagates.
+    Candidates that no longer decode (deleting a generator can break
+    square-zero or equivariance) or that the library rejects with a
+    SmithTateError count as passing and are skipped; any other exception is
+    a crash of the check and propagates.
     """
     best = copy.deepcopy(payload)
     budget = 400
@@ -819,7 +828,7 @@ def _minimize(check: Callable, payload: dict) -> dict:
             budget -= 1
             try:
                 ok, _ = check(cand)
-            except SmithTateError:
+            except (SmithTateError, _BadPayload):
                 ok = True
             if not ok:
                 best = cand
@@ -841,7 +850,8 @@ def _cmd_fuzz(args):
         try:
             ok, details = op.check(rep["payload"])
         except _BadPayload as e:
-            raise MalformedInput(f"bad {op.name} payload: {e}") from None
+            error, message = e.args
+            raise error(f"bad {op.name} payload: {message}") from None
         except SmithTateError as e:
             ok, details = False, {"error": f"{type(e).__name__}: {e}"}
         results = {"mode": "replay", "op": op.name, "details": details}

@@ -30,7 +30,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, fixed_dim, rref
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rref
 
 CoeffMap = dict[str, dict[str, int]]
 
@@ -412,10 +412,6 @@ class EquivariantComplex(ChainComplex):
         order = range(self.dim())
         return self._coeff_matrix(self.sigma, order, order, sigma=True)
 
-    def norm_block(self, k: int) -> np.ndarray:
-        """1 + sigma + ... + sigma^(p-1) in degree k."""
-        return norm_matrix(self.sigma_block(k), self.p)
-
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.
 
@@ -524,16 +520,6 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
     return EquivariantComplex(p, gens, diff, sigma)
 
 
-def invariants_coinvariants(V: EquivariantComplex) -> tuple[dict[int, int], dict[int, int]]:
-    """Dimensions of ker(1 - sigma) and coker(1 - sigma) per degree."""
-    inv: dict[int, int] = {}
-    coinv: dict[int, int] = {}
-    for k in V.degrees():
-        if fixed := fixed_dim(V.sigma_block(k), V.p):
-            inv[k] = coinv[k] = fixed
-    return inv, coinv
-
-
 def window_truncate(V: ChainComplex, window: ActionWindow):
     """Subquotient complex spanned by generators with action in the window.
 
@@ -613,11 +599,15 @@ def _json_object(data, what: str) -> dict:
 
 
 def _rational(v, what: str) -> Fraction:
-    """Fraction(str(v)) for text such as " -3/4", "1_000.5e-2" or "7", or a
-    JSON number; what Fraction refuses, a non-finite float included, raises
-    MalformedInput.  So does a decimal exponent e with |e| >= _MAX_DIGITS,
-    before any power is taken: 10**|e| has more than _MAX_DIGITS digits,
-    and takes Fraction seconds to build at |e| = 10**7."""
+    """Fraction(v) for an int that is not a bool, read exactly whatever its
+    digits; otherwise Fraction(str(v)) for text such as " -3/4",
+    "1_000.5e-2" or "7", or a JSON number.  What Fraction refuses, a bool or
+    a non-finite float included, raises MalformedInput.  So does a decimal
+    exponent e with |e| >= _MAX_DIGITS, before any power is taken: 10**|e|
+    has more than _MAX_DIGITS digits, and takes Fraction seconds to build at
+    |e| = 10**7."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
     try:
         text = v if isinstance(v, str) else str(v)
         exp = _EXPONENT.search(text)

@@ -35,14 +35,6 @@ class InadmissibleWindow(SmithTateError):
     """A window endpoint equals a spectrum (action) value."""
 
 
-class NotChainMap(SmithTateError):
-    """f does not commute with the differentials."""
-
-
-class NotEquivariant(SmithTateError):
-    """f does not commute with the group action."""
-
-
 class FiltrationViolation(SmithTateError):
     """The differential breaks the filtration invariant."""
 

@@ -5,7 +5,7 @@ Inside the package a matrix is a plain numpy int64 array of residues in
 EquivariantFloerModel.p, or the p of a sigma file.  The prime is checked
 where it enters: the FpMatrix constructor, ChainComplex.__init__ and the
 JSON readers.  FpMatrix is the checked argument of the public entry points
-(rank, rref, solve, kernel_basis, nilpotent_partition and their callers);
+(rank, rref, kernel_basis, nilpotent_partition and their callers);
 every public routine returns fully reduced results.  Kernel and image bases
 come out of one reduced row echelon computation and are deterministic for a
 fixed column order (callers wanting "lexicographic by generator id" order
@@ -322,29 +322,6 @@ def fixed_dim(sigma: np.ndarray, p: int) -> int:
 
 def kernel_basis(m: FpMatrix) -> list:
     return rref(m).kernel_basis
-
-
-def solve(m: FpMatrix, b: np.ndarray):
-    """One solution x of m.x = b, or None if inconsistent."""
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % m.p
-    if b.shape[0] != m.rows:
-        raise ValueError("dimension mismatch")
-    aug = np.hstack([m.a, b.reshape(-1, 1)])
-    red, pivots = _row_reduce(aug, m.p)
-    if m.cols in pivots:
-        return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, m.cols]
-    return x
-
-
-def solve_in_span(basis: list, v: np.ndarray, p: int):
-    """Coefficients expressing v in the given spanning vectors, or None."""
-    if not basis:
-        return None if (np.asarray(v) % p).any() else np.zeros(0, dtype=np.int64)
-    m = FpMatrix(np.column_stack(basis), p)
-    return solve(m, v)
 
 
 def nilpotent_partition(t: FpMatrix) -> list[int]:

@@ -46,7 +46,6 @@ __all__ = [
     "smith_barcode_check",
     "torsion_witness",
     "generate_iterated_barcode",
-    "gamma_beta_check",
     "scale_barcode",
     "barcode_to_json",
     "barcode_from_json",
@@ -277,12 +276,6 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
         c_plus=levels[starts[-1]] if starts else None,
         c_minus=levels[starts[0]] if starts else None,
     )
-
-
-def finite_bar_count_at(b: Barcode, t: Fraction) -> int:
-    """m(t): multiplicity-weighted number of finite bars containing t."""
-    k = bisect_left(b.levels, Fraction(t))
-    return sum(m for s, e, m in b.index_bars if s < k <= e < len(b.levels))
 
 
 def _integrate_finite_count(b: Barcode) -> Fraction:
@@ -522,7 +515,7 @@ def torsion_witness(b: Barcode) -> ActionWindow | None:
 
 
 # ---------------------------------------------------------------------------
-# fixtures and the norm comparison
+# fixtures
 
 
 def generate_iterated_barcode(b1: Barcode, p: int, extra_bars: int = 0, seed: int = 0) -> Barcode:
@@ -541,11 +534,6 @@ def generate_iterated_barcode(b1: Barcode, p: int, extra_bars: int = 0, seed: in
         else:
             out.append(Bar(start, start + Fraction(rng.randint(1, 12), rng.randint(1, 4)), rng.randint(1, 3)))
     return Barcode(b1.p, out)
-
-
-def gamma_beta_check(gamma, b: Barcode) -> bool:
-    """Whether a supplied norm value dominates the longest finite bar."""
-    return Fraction(gamma) >= bar_stats(b).beta_max
 
 
 # ---------------------------------------------------------------------------

@@ -33,81 +33,10 @@ from itertools import product as _product
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, Generator, _rotation_sign, norm_matrix
-from .errors import InvalidComplex, NotChainMap, NotEquivariant, check_size
+from .complexes import ChainComplex, EquivariantComplex, _rotation_sign, norm_matrix
+from .errors import InvalidComplex, check_size
 from .fp_core import FpMatrix, _matmul_mod, leading_pivots, rank
 from .ratfun import bareiss_rank, pupow
-
-# ---------------------------------------------------------------------------
-# the coefficient ring F_p((u))<theta>
-
-
-@dataclass(frozen=True)
-class RpElement:
-    """Element of F_p[u, u^-1]<theta>/(theta^2): {(u_exp, theta_exp): coeff}.
-
-    deg u = 2 and deg theta = 1, so a monomial u^k theta^e has degree 2k + e.
-    """
-
-    coeffs: tuple
-    p: int
-
-    @staticmethod
-    def from_dict(d: dict, p: int) -> "RpElement":
-        items = tuple(
-            sorted(((int(k), int(e)), c % p) for (k, e), c in d.items() if c % p and e in (0, 1))
-        )
-        return RpElement(items, p)
-
-    @staticmethod
-    def monomial(u_exp: int, theta_exp: int, coeff: int, p: int) -> "RpElement":
-        return RpElement.from_dict({(u_exp, theta_exp): coeff}, p)
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_homogeneous(self) -> bool:
-        degs = {2 * k + e for (k, e), _ in self.coeffs}
-        return len(degs) <= 1
-
-    def degree(self) -> int | None:
-        degs = {2 * k + e for (k, e), _ in self.coeffs}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def __add__(self, o: "RpElement") -> "RpElement":
-        d = self.as_dict()
-        for k, c in o.coeffs:
-            d[k] = d.get(k, 0) + c
-        return RpElement.from_dict(d, self.p)
-
-    def __mul__(self, o: "RpElement") -> "RpElement":
-        out: dict = {}
-        for (k1, e1), c1 in self.coeffs:
-            for (k2, e2), c2 in o.coeffs:
-                if e1 and e2:
-                    continue  # theta^2 = 0
-                key = (k1 + k2, e1 + e2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return RpElement.from_dict(out, self.p)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "RpElement(0)"
-        terms = []
-        for (k, e), c in self.coeffs:
-            t = str(c)
-            if k:
-                t += f"*u^{k}"
-            if e:
-                t += "*theta"
-            terms.append(t)
-        return "RpElement(" + " + ".join(terms) + f", p={self.p})"
-
 
 # ---------------------------------------------------------------------------
 # the Tate complex
@@ -260,74 +189,6 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     ranks = np.where(ks % 2, r_odd, r_even)  # r_k: the pivots inside parity k's cut
     at_most = np.searchsorted(np.sort(degrees), ks[1:], side="right")  # H^k's cochains: degree <= k
     return dict(zip(ks[1:].tolist(), (at_most - ranks[1:] - ranks[:-1]).tolist()))
-
-
-# ---------------------------------------------------------------------------
-# mapping cone
-
-
-def mapping_cone(source: ChainComplex, target: ChainComplex, f: dict[str, dict[str, int]]):
-    """Cone of the degree-0 chain map f: source -> target.
-
-    Degree k of the cone is source^(k+1) + target^k, with differential
-    (v, w) -> (-d v, f(v) + d w).  Source generators are prefixed "s:",
-    target generators "t:"; actions are inherited.  If both complexes carry
-    a Z/pZ-action, f must be equivariant and the cone is equivariant.
-
-    The cone is built unchecked and checks itself: its d raises degree by
-    1 exactly when f keeps degree, d_cone^2 = 0 exactly when f is a chain
-    map, and sigma_cone commutes with d_cone exactly when f is equivariant.
-    So its violations raise NotChainMap or NotEquivariant, and
-    InvalidComplex when they come from source or target themselves.
-    """
-    if source.p != target.p:
-        raise NotChainMap("source and target use different primes")
-    p = source.p
-    f = {src: {t: c % p for t, c in row.items() if c % p} for src, row in f.items()}
-    for src, row in f.items():
-        if src not in source._index:
-            raise NotChainMap(f"f defined on unknown generator {src!r}")
-        for tgt in row:
-            if tgt not in target._index:
-                raise NotChainMap(f"f hits unknown generator {tgt!r}")
-    gens = [Generator("s:" + g.id, g.degree - 1, g.action) for g in source.generators]
-    gens += [Generator("t:" + g.id, g.degree, g.action) for g in target.generators]
-    diff: dict[str, dict[str, int]] = {}
-    for g in source.generators:
-        row = {"s:" + tgt: -c for tgt, c in source.differential.get(g.id, {}).items()}
-        row.update(("t:" + tgt, c) for tgt, c in f.get(g.id, {}).items())
-        diff["s:" + g.id] = row
-    for g in target.generators:
-        diff["t:" + g.id] = {"t:" + tgt: c for tgt, c in target.differential.get(g.id, {}).items()}
-    if not (isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)):
-        cone = ChainComplex(p, gens, diff, check=False)
-        bad = cone._structure_violations()
-    else:
-        sigma = {
-            pre + g: {pre + t: c for t, c in row.items()}
-            for pre, cx in (("s:", source), ("t:", target))
-            for g, row in cx.sigma.items()
-        }
-        cone = EquivariantComplex(p, gens, diff, sigma, check=False)
-        bad = cone._structure_violations() or cone._sigma_violations()
-    if not bad:
-        return cone
-    # the cone sorts "s:" before "t:", so its first n generators are source's
-    n, ids = source.dim(), [g.id for g in source.generators]
-    for r, c in cone._verdict("differential")[0]:
-        if c < n <= r:  # an entry of f
-            raise NotChainMap(f"f({ids[c]}) is not degree-preserving")
-    d = cone.matrix_in_order(range(cone.dim()))
-    commutators = [(NotChainMap, "d", _matmul_mod(d, d, p))]
-    if isinstance(cone, EquivariantComplex):
-        s = cone.sigma_matrix()
-        commutators.append((NotEquivariant, "sigma", _matmul_mod(s, d, p) - _matmul_mod(d, s, p)))
-    for error, what, m in commutators:
-        # the target rows of the source columns: d f - f d, or sigma f - f sigma
-        cols = np.flatnonzero((m[n:, :n] % p).any(axis=0))
-        if cols.size:
-            raise error(f"f does not commute with {what} at {ids[cols[0]]!r}")
-    raise InvalidComplex("; ".join(msg for _, msg in bad))
 
 
 # ---------------------------------------------------------------------------

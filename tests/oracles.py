@@ -36,15 +36,18 @@ the kernel of d^k and solve each cocycle against it, and
 algebraic_ss_by_vectors induces the page maps one zero-padded vector at a
 time.
 The library checks every degree and action rule of d, sigma and the model
-terms through one cached primitive on index grades, and lets the mapping
-cone check itself; the *_by_loops routes and mapping_cone_by_loops walk
-each coefficient map generator by generator, tate_homogeneity_dense and
+terms through one cached primitive on index grades; the *_by_loops routes
+walk each coefficient map generator by generator, tate_homogeneity_dense and
 model_validate_dense scan the dense matrices, and validate_by_message_text
 sorts the d messages into checks by their text.  The report writer converts
 results as it writes; jsonable converts the whole tree first.
+The library reads the Morse resolution's homology off the ranks of two
+p x p circulants; resolution_homology_by_complex builds the length * p
+generator complex and takes its homology degree by degree.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +55,6 @@ import numpy as np
 from smith_tate.complexes import (
     ActionWindow,
     ChainComplex,
-    EquivariantComplex,
     Generator,
     ValidationReport,
     _coeff_map,
@@ -62,12 +64,10 @@ from smith_tate.errors import (
     EmptyBarcode,
     FiltrationViolation,
     InvalidComplex,
-    NotChainMap,
-    NotEquivariant,
     NotSquareZero,
     SpectralEndpoint,
 )
-from smith_tate.fp_core import FpMatrix, rank, rref, solve
+from smith_tate.fp_core import FpMatrix, _row_reduce, rank, rref
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -75,7 +75,6 @@ from smith_tate.persistence import (
     SmithBarcodeReport,
     _midpoint_probes,
     bar_stats,
-    finite_bar_count_at,
     persistence_pairing,
     window_dim,
 )
@@ -504,6 +503,12 @@ def subquotient_pages(fc) -> list[tuple[dict, dict]]:
     return pages
 
 
+def finite_bar_count_at(b, t: Fraction) -> int:
+    """m(t): multiplicity-weighted number of finite bars containing t."""
+    k = bisect_left(b.levels, Fraction(t))
+    return sum(m for s, e, m in b.index_bars if s < k <= e < len(b.levels))
+
+
 def integrate_finite_count_by_regions(b) -> Fraction:
     """Integral of m(t) dt, as m at the midpoint of each region between
     consecutive finite endpoints times the region's length."""
@@ -669,6 +674,21 @@ def torsion_witness_by_fractions(b):
 
 # ---------------------------------------------------------------------------
 # homology by solving
+
+
+def solve(m: FpMatrix, b: np.ndarray):
+    """One solution x of m.x = b, or None if inconsistent."""
+    b = np.asarray(b, dtype=np.int64).reshape(-1) % m.p
+    if b.shape[0] != m.rows:
+        raise ValueError("dimension mismatch")
+    aug = np.hstack([m.a, b.reshape(-1, 1)])
+    red, pivots = _row_reduce(aug, m.p)
+    if m.cols in pivots:
+        return None
+    x = np.zeros(m.cols, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, m.cols]
+    return x
 
 
 def _image_and_reps(cx, k: int) -> tuple[list, list]:
@@ -884,65 +904,25 @@ def model_validate_dense(model) -> None:
         raise NotSquareZero("assembled equivariant differential does not square to zero")
 
 
-def mapping_cone_by_loops(source, target, f):
-    """The cone of f: source -> target after checking, generator by
-    generator, that f keeps degree, commutes with d and, when both carry an
-    action, with sigma; the cone itself is built checked."""
-    if source.p != target.p:
-        raise NotChainMap("source and target use different primes")
-    p = source.p
-    f = {src: {t: c % p for t, c in row.items() if c % p} for src, row in f.items()}
-    source_ids, target_ids = {g.id for g in source.generators}, {g.id for g in target.generators}
-    for src, row in f.items():
-        if src not in source_ids:
-            raise NotChainMap(f"f defined on unknown generator {src!r}")
-        dsrc = source.generator(src).degree
-        for tgt in row:
-            if tgt not in target_ids:
-                raise NotChainMap(f"f hits unknown generator {tgt!r}")
-            if target.generator(tgt).degree != dsrc:
-                raise NotChainMap(f"f({src}) is not degree-preserving")
+# ---------------------------------------------------------------------------
+# the Morse resolution as a complex
 
-    def apply_map(mp: dict, vec: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for gid, c in vec.items():
-            for tgt, c2 in mp.get(gid, {}).items():
-                out[tgt] = (out.get(tgt, 0) + c * c2) % p
-        return {k: v for k, v in out.items() if v}
 
-    for g in source.generators:
-        if apply_map(f, source.differential.get(g.id, {})) != apply_map(target.differential, f.get(g.id, {})):
-            raise NotChainMap(f"f does not commute with d at {g.id!r}")
-    both_equivariant = isinstance(source, EquivariantComplex) and isinstance(target, EquivariantComplex)
-    if both_equivariant:
-        target_sigma = {t: target.sigma.get(t, {t: 1}) for t in target_ids}
-        for g in source.generators:
-            if apply_map(f, source.sigma.get(g.id, {g.id: 1})) != apply_map(target_sigma, f.get(g.id, {})):
-                raise NotEquivariant(f"f does not commute with sigma at {g.id!r}")
-    gens = [Generator("s:" + g.id, g.degree - 1, g.action) for g in source.generators]
-    gens += [Generator("t:" + g.id, g.degree, g.action) for g in target.generators]
+def resolution_homology_by_complex(p: int, length: int) -> tuple[int, ...]:
+    """Homology dimensions of the length-term alternating resolution, from
+    the complex itself: generator e{k}.{j} is e_j in degree k, mapped by
+    1 - sigma out of even degrees and by N out of odd ones."""
+    gens = [Generator(f"e{k}.{j}", k, 0) for k in range(length) for j in range(p)]
     diff: dict[str, dict[str, int]] = {}
-    for g in source.generators:
-        row: dict[str, int] = {}
-        for tgt, c in source.differential.get(g.id, {}).items():
-            row["s:" + tgt] = (-c) % p
-        for tgt, c in f.get(g.id, {}).items():
-            row["t:" + tgt] = c
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            diff["s:" + g.id] = row
-    for g in target.generators:
-        row = {"t:" + tgt: c for tgt, c in target.differential.get(g.id, {}).items()}
-        if row:
-            diff["t:" + g.id] = row
-    if both_equivariant:
-        sigma = {
-            pre + g: {pre + t: c for t, c in row.items()}
-            for pre, cx in (("s:", source), ("t:", target))
-            for g, row in cx.sigma.items()
-        }
-        return EquivariantComplex(p, gens, diff, sigma)
-    return ChainComplex(p, gens, diff)
+    for k in range(length - 1):
+        for j in range(p):
+            if k % 2 == 0:
+                # (1 - sigma) e_j = e_j - e_{j+1}
+                diff[f"e{k}.{j}"] = {f"e{k + 1}.{j}": 1, f"e{k + 1}.{(j + 1) % p}": p - 1}
+            else:
+                diff[f"e{k}.{j}"] = {f"e{k + 1}.{i}": 1 for i in range(p)}
+    dims = ChainComplex(p, gens, diff).homology_dims()
+    return tuple(dims.get(k, 0) for k in range(length))
 
 
 # ---------------------------------------------------------------------------

@@ -813,14 +813,36 @@ class TestReplay:
         assert "UnknownProperty" in err
 
     def test_replay_with_library_error_fails_cleanly(self, jrun, tmp_path):
-        payload = {"kind": "barcode_pair", "p": 3, "single": {"p": 3, "bars": "x"}, "iterate": {"p": 3, "bars": []}}
+        """An error raised after the payload is decoded is a failed verdict:
+        here the window's lower end is an endpoint of a bar."""
+        payload = {"kind": "windowed_complex", "complex": {**_edge(action_a=1), "filtered": True}, "windows": [["0", None]]}
         path = write_json(
             tmp_path / "repro.json",
-            {"op": "barcode-smith", "p": 3, "seed": 0, "payload": payload},
+            {"op": "barcode-roundtrip", "p": 3, "seed": 0, "payload": payload},
         )
         code, report, _ = jrun(["fuzz", "--replay", path])
         assert code == 1
-        assert "MalformedInput" in report["results"]["details"]["error"]
+        assert report["results"]["details"]["error"].startswith("SpectralEndpoint:")
+
+    @pytest.mark.parametrize(
+        "op, payload, error",
+        [
+            ("barcode-smith", {"kind": "barcode_pair", "single": {"p": 3, "bars": "x"}, "iterate": {"p": 3, "bars": []}},
+             "MalformedInput"),
+            ("tate-free-vanishing", {"kind": "complex", "complex": {**_edge(), "p": "x"}}, "MalformedInput"),
+            ("tate-free-vanishing", {"kind": "complex", "complex": {**_edge(), "p": 4}}, "NotPrime"),
+            ("barcode-roundtrip", {"kind": "windowed_complex", "complex": {**_edge(action_a=1), "filtered": True}, "windows": [["2", "1"]]},
+             "InadmissibleWindow"),
+        ],
+    )
+    def test_replay_of_an_undecodable_field_is_typed(self, run, tmp_path, op, payload, error):
+        """An error raised while a payload field is decoded is the input's
+        fault: it keeps its type, with exit code 2, as the same field passed
+        to a subcommand would."""
+        path = write_json(tmp_path / "repro.json", {"op": op, "payload": payload})
+        code, out, err = run(["fuzz", "--replay", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}: bad {op} payload: ")
 
 
     @pytest.mark.parametrize(
@@ -925,6 +947,16 @@ class TestTooLarge:
         code, report, _ = jrun(["group-cohomology", "--input", trivial_file, "--max-degree", "10000"])
         assert code == 0
         assert len(report["results"]["dims"]) == 10_001
+
+    @pytest.mark.parametrize("extra", [["--length", "1000000000"], ["--levels", "1000000000"]])
+    def test_morse_constants_sizes(self, run, extra):
+        """--length sets one dimension per degree and --levels 2p critical
+        points per level."""
+        t0 = time.perf_counter()
+        code, out, err = run(["morse-constants", "-p", "251", "--json"] + extra)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: TooLarge:")
 
     def test_sigma_size(self, run, tmp_path):
         path = write_json(tmp_path / "sigma.json", {"p": 3, "size": 100_000, "matrix": []})

@@ -19,7 +19,7 @@ import smith_tate.errors as errors
 from smith_tate.cli import dispatch
 from smith_tate.complexes import _MAX_DIGITS, _rational
 from smith_tate.errors import MalformedInput
-from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
+from smith_tate.persistence import Bar, Barcode, barcode_from_json, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import random_floer_model
 from smith_tate.spectral import model_to_json
 
@@ -103,6 +103,14 @@ def test_rational_agrees_with_fraction_on_any_text(s):
 )
 def test_rational_reads_numbers_through_their_text(v, want):
     assert _rational(v, "x") == want
+
+
+def test_rational_reads_ints_exactly():
+    """An int reads as itself, however many digits it has, and never
+    through its text, which Python refuses past 4300 digits."""
+    big = 10**5000
+    assert _rational(big, "x") == big
+    assert barcode_from_json({"p": 3, "bars": [{"start": big}]}).bars[0].start == big
 
 
 @pytest.mark.parametrize(
@@ -252,6 +260,12 @@ _KINDS = {
             (("op",), [_DROP, _RENAME, 3, None, "nope"]),
             (("payload",), [_DROP, _RENAME, [], "x", None]),
             (("payload", "complex"), [_DROP, "x", []]),
+            (("payload", "complex", "p"), [_DROP, _RENAME, *_NOT_INT]),
+            (("payload", "complex", "generators"), [_DROP, {}, "a", [1], [{}]]),
+            (("payload", "complex", "generators", 0, "degree"), [_DROP, *_NOT_INT]),
+            (("payload", "complex", "generators", 0, "action"), ["1", None, {"num": 1, "den": 0}, "1e10000000", *_NONFINITE]),
+            (("payload", "complex", "differential"), [[], "a", {"a": {"z": 1}}]),
+            (("payload", "complex", "differential", "a", "b"), _NOT_INT),
             (("payload", "windows"), [{}, "x", [1], [[None]]]),
             (("payload", "windows", 0, 1), ["x", "1/0", "1e10000000", "1e-10000000", True, *_NONFINITE]),
         ],
@@ -280,24 +294,29 @@ def _text(doc) -> bytes:
 
 
 def _corpus():
+    """(argv, text, the error type required or None for any) per mutant; a
+    mutant inside a reproducer's payload complex fails to decode, which is
+    MalformedInput."""
     for kind, (argv, doc, mutations) in _KINDS.items():
         for path, values in mutations:
+            want = "MalformedInput" if path[:2] == ("payload", "complex") else None
             for i, value in enumerate(values):
-                yield pytest.param(argv, _text(_mutated(doc, path, value)), id=f"{kind}-{'.'.join(map(str, path))}-{i}")
+                text = _text(_mutated(doc, path, value))
+                yield pytest.param(argv, text, want, id=f"{kind}-{'.'.join(map(str, path))}-{i}")
         text = _text(doc)
         for cut in (1, len(text) // 2, len(text) - 1):
-            yield pytest.param(argv, text[:cut], id=f"{kind}-truncated-{cut}")
-        yield pytest.param(argv, text[: text.index(b":") + 1] + b"[" * 100_000, id=f"{kind}-deep")
-        yield pytest.param(argv, text[: text.index(b":") + 1] + b"9" * 5000 + b"}", id=f"{kind}-5000-digits")
-        yield pytest.param(argv, b"\xff" + text, id=f"{kind}-not-utf8")
-        yield pytest.param(argv, b"", id=f"{kind}-empty")
+            yield pytest.param(argv, text[:cut], None, id=f"{kind}-truncated-{cut}")
+        yield pytest.param(argv, text[: text.index(b":") + 1] + b"[" * 100_000, None, id=f"{kind}-deep")
+        yield pytest.param(argv, text[: text.index(b":") + 1] + b"9" * 5000 + b"}", None, id=f"{kind}-5000-digits")
+        yield pytest.param(argv, b"\xff" + text, None, id=f"{kind}-not-utf8")
+        yield pytest.param(argv, b"", None, id=f"{kind}-empty")
 
 
 _TYPED = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.SmithTateError)}
 
 
-@pytest.mark.parametrize("argv, text", _corpus())
-def test_every_mutant_is_a_typed_error(run, tmp_path, argv, text):
+@pytest.mark.parametrize("argv, text, want", _corpus())
+def test_every_mutant_is_a_typed_error(run, tmp_path, argv, text, want):
     path = tmp_path / "in.json"
     path.write_bytes(text)
     runs = [[str(path) if a == "@" else a for a in argv]]
@@ -313,6 +332,7 @@ def test_every_mutant_is_a_typed_error(run, tmp_path, argv, text):
         assert (code, out) == (2, ""), err
         name = re.match(r"error: (\w+): ", err)
         assert name and name[1] in _TYPED, err
+        assert want in (None, name[1]), err
 
 
 def test_the_valid_inputs_pass(run, tmp_path):

@@ -1,11 +1,11 @@
 """The one degree-and-action check against the checkers it replaced.
 
 Every degree and action rule of d, sigma and the model terms runs through
-complexes._out_of_range, once per object, and the mapping cone checks
-itself.  On fixed seeds these tests run the loops, dense scans and the old
-cone kept in oracles.py beside the library: the same exception types, the
-same messages and equal cones.  The one intended difference is validate's
-flags, which used to put a d.d failure under degree_one_differential.
+complexes._out_of_range, once per object.  On fixed seeds these tests run
+the loops and dense scans kept in oracles.py beside the library: the same
+exception types and the same messages.  The one intended difference is
+validate's flags, which used to put a d.d failure under
+degree_one_differential.
 """
 
 import json
@@ -17,7 +17,6 @@ import pytest
 from oracles import (
     action_violations_by_fractions,
     construction_error_by_loops,
-    mapping_cone_by_loops,
     model_degree_check_dense,
     model_validate_dense,
     sigma_violations_by_loops,
@@ -39,15 +38,9 @@ from smith_tate.complexes import (
     complex_to_json,
 )
 from smith_tate.errors import SmithTateError
-from smith_tate.random_instances import (
-    random_chain_complex,
-    random_equivariant_filtered,
-    random_filtered_complex,
-    random_floer_model,
-    random_free_equivariant,
-)
+from smith_tate.random_instances import random_filtered_complex, random_floer_model
 from smith_tate.spectral import EquivariantFloerModel, model_to_json
-from smith_tate.tate import mapping_cone, tate_blocks_at_one
+from smith_tate.tate import tate_blocks_at_one
 
 PRIMES = (2, 3, 5, 7)
 
@@ -172,77 +165,6 @@ def test_model_checks_match_the_dense_scan(p):
             assert blocks[0] == _outcome(model_degree_check_dense, m)[0]
             seen[built[0]] += 1
     assert all(seen[k] > 0 for k in ("ok", "InvalidComplex", "FiltrationViolation", "NotSquareZero")), seen
-
-
-def _random_map(rng, source, target, *, same_degree: bool) -> dict:
-    """Random coefficients from each source generator, in source order, to
-    target generators of its degree, or of any degree."""
-    f = {}
-    for g in source.generators:
-        row = {
-            h.id: rng.randrange(1, source.p)
-            for h in target.generators
-            if (h.degree == g.degree or not same_degree) and rng.random() < 0.4
-        }
-        if row:
-            f[g.id] = row
-    return f
-
-
-def _cone_cases(p, seed):
-    rng = random.Random(seed)
-    pool = [
-        random_chain_complex(p, seed, max_dim=4),
-        random_filtered_complex(p, seed, max_gens=6),
-        random_equivariant_filtered(p, seed, max_orbits=1, max_trivial=3),
-        random_free_equivariant(p, seed, max_blocks=2),
-        _unchecked_graded(p, seed),
-    ]
-    for V in pool:
-        yield V, V, {g.id: {g.id: 1} for g in V.generators}
-        yield V, V, {}
-        if isinstance(V, EquivariantComplex):
-            yield V, V, {g.id: V.sigma.get(g.id, {g.id: 1}) for g in V.generators}
-    for _ in range(6):
-        source, target = rng.choice(pool), rng.choice(pool)
-        yield source, target, _random_map(rng, source, target, same_degree=True)
-        yield source, target, _random_map(rng, source, target, same_degree=False)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_cone_matches_the_loops(p):
-    """Cones of identities, zero maps, sigma, and random maps that break
-    degree, the chain rule or equivariance: the same exception and message
-    as the generator-by-generator checks, and the same cone otherwise."""
-    seen = Counter()
-    for seed in range(10):
-        for source, target, f in _cone_cases(p, seed):
-            new, old = _outcome(mapping_cone, source, target, f), _outcome(mapping_cone_by_loops, source, target, f)
-            assert new[0] == old[0]
-            if new[0] == "ok":
-                assert type(new[1]) is type(old[1])
-                assert complex_to_json(new[1]) == complex_to_json(old[1])
-            else:
-                assert new == old
-            # which rule f broke: "f(x) is not ..." or "f does not commute with ..."
-            rule = old[1].split(" at ")[0].split("(")[0] if old[0].startswith("Not") else ""
-            seen[f"{old[0]} {rule}".strip()] += 1
-    for case in (
-        "ok",
-        "InvalidComplex",  # sigma^p or equivariance of an unchecked source or target
-        "NotChainMap f",
-        "NotChainMap f does not commute with d",
-        "NotEquivariant f does not commute with sigma",
-    ):
-        assert seen[case] > 0, seen
-
-
-def test_cone_rejects_unknown_generators_first():
-    V = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
-    # x -> y shifts degree, but the unknown id is reported first
-    with pytest.raises(SmithTateError, match="^f hits unknown generator 'ghost'$") as e:
-        mapping_cone(V, V, {"x": {"y": 1}, "y": {"ghost": 1}})
-    assert type(e.value).__name__ == "NotChainMap"
 
 
 def _counting(monkeypatch, cls, name, computes):

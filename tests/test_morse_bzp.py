@@ -1,12 +1,16 @@
 """Critical-point bookkeeping, the alternating resolution, unit constants."""
 
 import cmath
+import time
 
 import pytest
+from oracles import resolution_homology_by_complex
 
-from smith_tate.errors import MalformedInput, NotPrime, PrimeTooLarge
-from smith_tate.fp_core import FpScalar
+from smith_tate.errors import MalformedInput, NotPrime, PrimeTooLarge, TooLarge
+from smith_tate.fp_core import FpScalar, is_prime
 from smith_tate.morse_bzp import (
+    MAX_CRITICAL_POINTS,
+    MAX_RESOLUTION_LENGTH,
     MORSE_PRIME_BOUND,
     CriticalPoint,
     enumerate_critical_points,
@@ -53,6 +57,14 @@ class TestCriticalPoints:
         with pytest.raises(MalformedInput):
             enumerate_critical_points(3, -1)
 
+    def test_count_budget(self):
+        # 2p(l_max + 1) points: 2 * 2 * (l_max + 1) = MAX_CRITICAL_POINTS exactly
+        assert len(enumerate_critical_points(2, MAX_CRITICAL_POINTS // 4 - 1)) == MAX_CRITICAL_POINTS
+        with pytest.raises(TooLarge):
+            enumerate_critical_points(2, MAX_CRITICAL_POINTS // 4)
+        with pytest.raises(TooLarge):
+            enumerate_critical_points(251, 10**12)
+
 
 class TestResolutionHomology:
     def test_small_cases(self):
@@ -70,6 +82,29 @@ class TestResolutionHomology:
         with pytest.raises(MalformedInput):
             resolution_homology(3, 1)
         assert resolution_homology(3, 2)[0] == 1
+
+    @pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
+    def test_matches_the_complex(self, p):
+        for length in range(2, 13):
+            assert resolution_homology(p, length) == resolution_homology_by_complex(p, length), length
+
+    def test_large_prime_long_resolution(self):
+        """At p = 251 and length 40 the ranks answer in under 1 s.  The
+        complex's homology in degree k depends only on the maps into and out
+        of k, so the complexes of length 4 and 5 hold every kind of degree:
+        the first, an interior one after 1 - sigma (odd) and after N (even),
+        and a last one after each map."""
+        start = time.perf_counter()
+        dims = resolution_homology(251, 40)
+        assert time.perf_counter() - start < 1
+        four, five = resolution_homology_by_complex(251, 4), resolution_homology_by_complex(251, 5)
+        assert dims == (five[0],) + tuple(five[2 - k % 2] for k in range(1, 39)) + (four[3],)
+        assert dims == (1,) + (0,) * 38 + (1,)
+
+    def test_length_budget(self):
+        assert len(resolution_homology(3, MAX_RESOLUTION_LENGTH)) == MAX_RESOLUTION_LENGTH
+        with pytest.raises(TooLarge):
+            resolution_homology(3, MAX_RESOLUTION_LENGTH + 1)
 
 
 class TestWilsonConstant:
@@ -106,11 +141,6 @@ class TestEulerConstant:
             c = local_euler_constant(n, 7)
             assert c.sign.value == (1 if n % 2 == 0 else 6)
             assert c.u_exponent == 6 * n
-
-    def test_to_rp_element(self):
-        x = local_euler_constant(2, 3).to_rp_element()
-        assert x.as_dict() == {(4, 0): 1}
-        assert x.degree() == 8
 
     def test_negative_n_rejected(self):
         with pytest.raises(MalformedInput):

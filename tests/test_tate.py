@@ -1,4 +1,4 @@
-"""Tate and group cohomology, mapping cones, the quasi-Frobenius map."""
+"""Tate and group cohomology, the quasi-Frobenius map."""
 
 import itertools
 import random
@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, tensor_power
-from smith_tate.errors import InvalidComplex, NotChainMap, NotEquivariant
+from smith_tate.errors import InvalidComplex
 from smith_tate.tate import (
-    RpElement,
     blocks_square_zero,
     group_cohomology_dims,
-    mapping_cone,
     parity_dims_at_one,
     quasi_frobenius,
     tate_blocks_at_one,
@@ -44,28 +42,6 @@ def free_orbit(p, degree=0):
     gens = [Generator(f"e{j}", degree) for j in range(p)]
     sigma = {f"e{j}": {f"e{(j + 1) % p}": 1} for j in range(p)}
     return EquivariantComplex(p, gens, {}, sigma)
-
-
-class TestRpElement:
-    def test_monomial_and_grading(self):
-        x = RpElement.monomial(2, 1, 1, 3)
-        assert x.degree() == 5
-        assert x.is_homogeneous()
-        assert RpElement.monomial(0, 0, 3, 3).is_zero()
-
-    def test_theta_squares_to_zero(self):
-        th = RpElement.monomial(0, 1, 1, 5)
-        assert (th * th).is_zero()
-        u = RpElement.monomial(1, 0, 1, 5)
-        assert (u * th).as_dict() == {(1, 1): 1}
-
-    def test_addition_cancels_mod_p(self):
-        a = RpElement.monomial(0, 0, 2, 3)
-        b = RpElement.monomial(0, 0, 1, 3)
-        assert (a + b).is_zero()
-        mixed = a + RpElement.monomial(1, 1, 1, 3)
-        assert not mixed.is_homogeneous()
-        assert mixed.degree() is None
 
 
 def square_at_one_is_zero(V):
@@ -181,51 +157,6 @@ class TestGroupCohomology:
             dims = group_cohomology_dims(V, max_degree=m + 1)
             assert dims[m] == (even if m % 2 == 0 else odd)
             assert dims[m + 1] == (odd if m % 2 == 0 else even)
-
-
-class TestMappingCone:
-    def test_identity_cone_is_tate_acyclic(self):
-        V = trivial_point()
-        cone = mapping_cone(V, V, {"v": {"v": 1}})
-        assert isinstance(cone, EquivariantComplex)
-        assert sorted(g.id for g in cone.generators) == ["s:v", "t:v"]
-        assert tate_cohomology_dims(cone) == (0, 0)
-
-    def test_zero_map_cone_adds_up(self):
-        V = trivial_point()
-        cone = mapping_cone(V, V, {})
-        assert tate_cohomology_dims(cone) == (2, 2)
-
-    def test_norm_embedding_cone(self):
-        # v -> e0 + e1 + e2 realizes the trivial module inside the free one;
-        # the cone measures the failure, one dimension in each parity
-        V = trivial_point()
-        cone = mapping_cone(V, free_orbit(3), {"v": {"e0": 1, "e1": 1, "e2": 1}})
-        assert [g.degree for g in cone.generators] == [-1, 0, 0, 0]
-        assert tate_cohomology_dims(cone) == (1, 1)
-
-    def test_non_chain_map_rejected(self):
-        src = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
-        tgt = EquivariantComplex(3, [Generator("a", 0), Generator("b", 1)], {"a": {"b": 1}}, {})
-        # f(x) = a but f(dx) = 0 while d(f(x)) = b
-        with pytest.raises(NotChainMap):
-            mapping_cone(src, tgt, {"x": {"a": 1}})
-
-    def test_degree_shifting_map_rejected(self):
-        src = EquivariantComplex(3, [Generator("x", 1)], {}, {})
-        with pytest.raises(NotChainMap):
-            mapping_cone(src, trivial_point(), {"x": {"v": 1}})
-
-    def test_non_equivariant_map_rejected(self):
-        with pytest.raises(NotEquivariant):
-            mapping_cone(trivial_point(), free_orbit(3), {"v": {"e0": 1}})
-
-    def test_plain_chain_inputs_give_plain_cone(self):
-        a = ChainComplex(3, [Generator("x", 0)], {})
-        b = ChainComplex(3, [Generator("y", 0)], {})
-        cone = mapping_cone(a, b, {"x": {"y": 1}})
-        assert type(cone) is ChainComplex
-        assert cone.homology_dims() == {}
 
 
 class TestQuasiFrobenius:
