@@ -7,168 +7,65 @@ fixed-point dimension chain, action and algebraic spectral sequences,
 persistence barcodes with the single-vs-p-th-iterate comparison and
 torsion detection, and the local Morse constants.  The cli module exposes
 all of it as the smith-tate command.
+
+Every name below is imported from its module on first use (PEP 562), so
+`import smith_tate` loads no submodule and a process pays only for the
+modules it touches.
 """
 
-from .complexes import (
-    ActionWindow,
-    ChainComplex,
-    EquivariantComplex,
-    FilteredComplex,
-    Generator,
-    ValidationReport,
-    complex_from_json,
-    complex_to_json,
-    tensor_power,
-    window_truncate,
-)
-from .errors import (
-    EmptyBarcode,
-    FiltrationViolation,
-    InadmissibleWindow,
-    InvalidComplex,
-    MalformedInput,
-    NotNilpotent,
-    NotOrderP,
-    NotPrime,
-    NotSquareZero,
-    PrimeTooLarge,
-    SmithTateError,
-    SpectralEndpoint,
-    TooLarge,
-    UnknownCommand,
-    UnknownProperty,
-)
-from .fp_core import (
-    FpMatrix,
-    FpScalar,
-    RrefResult,
-    check_prime,
-    is_prime,
-    kernel_basis,
-    nilpotent_partition,
-    rank,
-    rref,
-)
-from .module_decomp import (
-    ChainReport,
-    ModuleDecomposition,
-    decompose,
-    smith_chain_check,
-    tate_and_invariant_dims,
-)
-from .morse_bzp import (
-    CriticalPoint,
-    EulerConstant,
-    enumerate_critical_points,
-    local_euler_constant,
-    resolution_homology,
-    wilson_constant,
-)
-from .persistence import (
-    Bar,
-    Barcode,
-    BarStats,
-    SmithBarcodeReport,
-    bar_stats,
-    barcode_from_filtered,
-    barcode_from_json,
-    barcode_to_json,
-    generate_iterated_barcode,
-    scale_barcode,
-    smith_barcode_check,
-    torsion_witness,
-    window_dim,
-)
-from .ratfun import bareiss_rank
-from .spectral import (
-    AlgebraicSSPages,
-    EquivariantFloerModel,
-    PageData,
-    SpectralSequencePages,
-    action_ss_pages,
-    algebraic_ss_pages,
-    model_from_json,
-    model_to_json,
-)
-from .tate import (
-    AdditivityCertificate,
-    QuasiFrobeniusResult,
-    group_cohomology_dims,
-    quasi_frobenius,
-    tate_cohomology_dims,
-)
+import importlib
 
-__all__ = [
-    "ActionWindow",
-    "AdditivityCertificate",
-    "AlgebraicSSPages",
-    "Bar",
-    "Barcode",
-    "BarStats",
-    "ChainComplex",
-    "ChainReport",
-    "CriticalPoint",
-    "EmptyBarcode",
-    "EquivariantComplex",
-    "EquivariantFloerModel",
-    "EulerConstant",
-    "FilteredComplex",
-    "FiltrationViolation",
-    "FpMatrix",
-    "FpScalar",
-    "Generator",
-    "InadmissibleWindow",
-    "InvalidComplex",
-    "MalformedInput",
-    "ModuleDecomposition",
-    "NotNilpotent",
-    "NotOrderP",
-    "NotPrime",
-    "NotSquareZero",
-    "PageData",
-    "PrimeTooLarge",
-    "QuasiFrobeniusResult",
-    "RrefResult",
-    "SmithBarcodeReport",
-    "SmithTateError",
-    "SpectralEndpoint",
-    "TooLarge",
-    "SpectralSequencePages",
-    "UnknownCommand",
-    "UnknownProperty",
-    "ValidationReport",
-    "action_ss_pages",
-    "algebraic_ss_pages",
-    "bar_stats",
-    "barcode_from_filtered",
-    "barcode_from_json",
-    "barcode_to_json",
-    "bareiss_rank",
-    "check_prime",
-    "complex_from_json",
-    "complex_to_json",
-    "decompose",
-    "enumerate_critical_points",
-    "generate_iterated_barcode",
-    "group_cohomology_dims",
-    "is_prime",
-    "kernel_basis",
-    "local_euler_constant",
-    "model_from_json",
-    "model_to_json",
-    "nilpotent_partition",
-    "quasi_frobenius",
-    "rank",
-    "resolution_homology",
-    "rref",
-    "scale_barcode",
-    "smith_barcode_check",
-    "smith_chain_check",
-    "tate_and_invariant_dims",
-    "tate_cohomology_dims",
-    "tensor_power",
-    "torsion_witness",
-    "wilson_constant",
-    "window_dim",
-    "window_truncate",
-]
+# each exported name, by the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "complexes": (
+            "ActionWindow", "ChainComplex", "EquivariantComplex", "FilteredComplex", "Generator",
+            "ValidationReport", "complex_from_json", "complex_to_json", "tensor_power", "window_truncate",
+        ),
+        "errors": (
+            "EmptyBarcode", "FiltrationViolation", "InadmissibleWindow", "InvalidComplex", "MalformedInput",
+            "NotNilpotent", "NotOrderP", "NotPrime", "NotSquareZero", "PrimeTooLarge", "SmithTateError",
+            "SpectralEndpoint", "TooLarge", "UnknownCommand", "UnknownProperty",
+        ),
+        "fp_core": (
+            "FpMatrix", "FpScalar", "RrefResult", "check_prime", "is_prime", "kernel_basis",
+            "nilpotent_partition", "rank", "rref",
+        ),
+        "module_decomp": (
+            "ChainReport", "ModuleDecomposition", "decompose", "smith_chain_check", "tate_and_invariant_dims",
+        ),
+        "morse_bzp": (
+            "CriticalPoint", "EulerConstant", "enumerate_critical_points", "local_euler_constant",
+            "resolution_homology", "wilson_constant",
+        ),
+        "persistence": (
+            "Bar", "BarStats", "Barcode", "SmithBarcodeReport", "bar_stats", "barcode_from_filtered",
+            "barcode_from_json", "barcode_to_json", "generate_iterated_barcode", "scale_barcode",
+            "smith_barcode_check", "torsion_witness", "window_dim",
+        ),
+        "ratfun": ("bareiss_rank",),
+        "spectral": (
+            "AlgebraicSSPages", "EquivariantFloerModel", "PageData", "SpectralSequencePages", "action_ss_pages",
+            "algebraic_ss_pages", "model_from_json", "model_to_json",
+        ),
+        "tate": (
+            "AdditivityCertificate", "QuasiFrobeniusResult", "group_cohomology_dims", "quasi_frobenius",
+            "tate_cohomology_dims",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -29,6 +29,8 @@ from .errors import (
     InvalidComplex,
     MalformedInput,
     NotSquareZero,
+    TooLarge,
+    check_size,
 )
 from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rref
 
@@ -556,8 +558,12 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _frac_str(x: Fraction) -> str:
-    """An exact rational as the "num/den" string that reports and barcode JSON use."""
-    return f"{x.numerator}/{x.denominator}"
+    """An exact rational as the "num/den" string that reports and barcode
+    JSON use; TooLarge when a side has more digits than Python writes."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise TooLarge(f"a rational with more than {_MAX_DIGITS} digits in a numerator or denominator") from None
 
 
 def _read_json_files(*paths: str) -> tuple[str, list]:
@@ -615,7 +621,9 @@ def _rational(v, what: str) -> Fraction:
             raise MalformedInput(f"bad {what} {v!r}: its power of 10 has more than {_MAX_DIGITS} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise MalformedInput(f"bad {what} {v!r}") from e
+        # the repr of a container can itself raise, on an int past the int-string limit
+        shown = repr(v) if isinstance(v, (str, float)) else f"of type {type(v).__name__}"
+        raise MalformedInput(f"bad {what} {shown}") from e
 
 
 def _coeff_map_from_json(raw, key: str) -> CoeffMap:
@@ -692,3 +700,124 @@ def complex_from_json(data, *, expect: str | None = None):
     if kind == "chain":
         return ChainComplex(p, gens, diff)
     raise MalformedInput(f"unknown complex kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# reports: the --json writer, input digests, sigma matrix files and window
+# bounds, shared by the cli and fuzz subcommands
+
+_FAILURE_DISPLAY_CAP = 20  # the most failures one report lists
+MAX_SIGMA_SIZE = 4096  # the dense size x size sigma matrix is allocated up front
+
+_escape = json.encoder.encode_basestring_ascii
+# the text of a JSON scalar, by exact type; subclasses take the slow branch
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    Fraction: lambda x: _escape(_frac_str(x)),
+    np.int64: lambda v: int.__repr__(int(v)),
+}
+
+
+def _json_text(x) -> str:
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for a results
+    tree once converted to plain JSON, written in one pass into one list.
+
+    The conversion happens as it writes: exact rationals become "num/den"
+    strings, numpy integers ints, an ActionWindow its {"lower", "upper"}
+    object, an array its list of rows, a tuple a list, and a tuple key its
+    members joined by commas (any other key its str).
+    """
+    out: list[str] = []
+    try:
+        _write_json(x, "\n", out)
+    except ValueError:  # from int.__repr__, past the int-string limit
+        raise TooLarge(f"an integer of more than {_MAX_DIGITS} digits in a report") from None
+    return "".join(out)
+
+
+def _write_json(x, nl: str, out: list) -> None:
+    """Append the text of x, whose closing bracket goes after nl; scalar
+    members are written without a call of their own."""
+    text = _SCALAR_TEXT.get(type(x))
+    if text is not None:
+        out.append(text(x))
+        return
+    inner = nl + "  "
+    if isinstance(x, ActionWindow):
+        x = {"lower": x.lower, "upper": x.upper}
+    elif isinstance(x, np.ndarray):
+        x = np.atleast_2d(x).astype(np.int64).tolist()
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        keys = (k if type(k) is str else ",".join(map(str, k)) if isinstance(k, tuple) else str(k) for k in x)
+        for k, v in sorted(zip(keys, x.values())):
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                out.append(sep + _escape(k) + ": ")
+                _write_json(v, inner, out)
+            else:
+                out.append(sep + _escape(k) + ": " + text(v))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for v in x:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                out.append(sep)
+                _write_json(v, inner, out)
+            else:
+                out.append(sep + text(v))
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, str):
+        out.append(_escape(x))
+    elif isinstance(x, (int, np.integer)):
+        out.append(int.__repr__(int(x)))
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
+def _digest_params(*parts) -> str:
+    text = "\x1f".join(str(p) for p in parts)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sigma matrix files: {"p": prime, "size": n, "matrix": [[row, col, value], ...]}
+
+
+def _sigma_from_json(data) -> FpMatrix:
+    data = _json_object(data, "sigma")
+    if "p" not in data or "size" not in data:
+        raise MalformedInput("sigma JSON needs integer fields 'p' and 'size'")
+    p = _strict_int(data["p"], "'p'")
+    n = _strict_int(data["size"], "'size'")
+    _check_matrix_prime(p)
+    if n < 0:
+        raise MalformedInput("'size' must be nonnegative")
+    check_size("sigma 'size'", n, MAX_SIGMA_SIZE)
+    return FpMatrix(_triplets_from_json(data.get("matrix", []), n, p), p)
+
+
+def _sigma_to_json(m: FpMatrix) -> dict:
+    return {"p": m.p, "size": m.rows, "matrix": _triplets_to_json(m.a)}
+
+
+# window bounds: --window LO:HI, or a fuzz payload's [lo, hi] pair
+
+
+def _parse_bound(v):
+    """None for an open side: null, or "", "*", "inf", "+inf" or "-inf" in
+    any case; else the rational v."""
+    if v is None or isinstance(v, str) and v.strip().lower() in ("", "*", "inf", "+inf", "-inf"):
+        return None
+    return _rational(v, "window bound")

@@ -514,6 +514,11 @@ def torsion_witness(b: Barcode) -> ActionWindow | None:
     return ActionWindow(_pick_avoiding(a - 1, a, levels), _pick_avoiding(a, Fraction(0), levels))
 
 
+def _avoids_zero(w: ActionWindow) -> bool:
+    """Whether the window lies on one side of action 0."""
+    return (w.lower is not None and w.lower > 0) or (w.upper is not None and w.upper < 0)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

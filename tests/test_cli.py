@@ -869,13 +869,13 @@ class TestReplay:
         assert err.startswith("error: MalformedInput:")
 
     def test_crashing_check_on_a_valid_payload_propagates(self, run, monkeypatch, tmp_path, tampered_payload):
-        import smith_tate.cli as cli
+        import smith_tate.fuzz as fuzz
 
         def check(payload):
             raise TypeError("crash in the check")
 
-        real = cli._FUZZ_OPS["barcode-smith"]
-        monkeypatch.setitem(cli._FUZZ_OPS, "barcode-smith", cli.FuzzOp(real.name, real.generate, check))
+        real = fuzz._FUZZ_OPS["barcode-smith"]
+        monkeypatch.setitem(fuzz._FUZZ_OPS, "barcode-smith", fuzz.FuzzOp(real.name, real.generate, check))
         path = write_json(tmp_path / "repro.json", {"op": "barcode-smith", "payload": tampered_payload})
         with pytest.raises(TypeError, match="crash in the check"):
             run(["fuzz", "--replay", path])
@@ -908,9 +908,9 @@ class TestPrimalityBound:
 
 
 def test_minimize_propagates_a_crashing_check(run, monkeypatch, tmp_path):
-    import smith_tate.cli as cli
+    import smith_tate.fuzz as fuzz
 
-    real = cli._FUZZ_OPS["barcode-smith"]
+    real = fuzz._FUZZ_OPS["barcode-smith"]
     full = []
 
     def check(payload):
@@ -920,7 +920,7 @@ def test_minimize_propagates_a_crashing_check(run, monkeypatch, tmp_path):
             return False, {}
         raise TypeError("crash in the check")
 
-    monkeypatch.setitem(cli._FUZZ_OPS, "barcode-smith", cli.FuzzOp(real.name, real.generate, check))
+    monkeypatch.setitem(fuzz._FUZZ_OPS, "barcode-smith", fuzz.FuzzOp(real.name, real.generate, check))
     with pytest.raises(TypeError, match="crash in the check"):
         run(["fuzz", "--op", "barcode-smith", "--count", "1", "--seed", "0", "--reproducer", str(tmp_path / "r.json")])
 
@@ -947,6 +947,23 @@ class TestTooLarge:
         code, report, _ = jrun(["group-cohomology", "--input", trivial_file, "--max-degree", "10000"])
         assert code == 0
         assert len(report["results"]["dims"]) == 10_001
+
+    @pytest.mark.parametrize(
+        "bar",
+        [
+            {"start": "1", "end": None},  # the total count of two such bars has 4301 digits
+            {"start": "0", "end": "1e4299"},  # beta-tot, a rational of 8600 digits
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_report_value_past_the_digit_limit(self, run, tmp_path, bar, flags):
+        """Every input value reads, but the report holds a number of more
+        digits than Python writes as text."""
+        m = 10**4300 - 1
+        path = write_json(tmp_path / "b.json", {"p": 3, "bars": [{"start": "0", "end": None, "mult": m}, {**bar, "mult": m}]})
+        code, out, err = run(["barcode", "--input", path] + flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: TooLarge:")
 
     @pytest.mark.parametrize("extra", [["--length", "1000000000"], ["--levels", "1000000000"]])
     def test_morse_constants_sizes(self, run, extra):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import smith_tate.errors as errors
 from smith_tate.cli import dispatch
 from smith_tate.complexes import _MAX_DIGITS, _rational
-from smith_tate.errors import MalformedInput
+from smith_tate.errors import MalformedInput, TooLarge
 from smith_tate.persistence import Bar, Barcode, barcode_from_json, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import random_floer_model
 from smith_tate.spectral import model_to_json
@@ -123,6 +123,21 @@ def test_rational_refusals(v):
     with pytest.raises(MalformedInput):
         _rational(v, "x")
     assert time.perf_counter() - t0 < 1
+
+
+def test_rational_refuses_a_container_of_a_huge_int():
+    """The refusal never writes out a value whose text Python refuses."""
+    with pytest.raises(MalformedInput, match="of type list"):
+        _rational([10**5000], "x")
+
+
+def test_a_rational_past_the_digit_limit_is_too_large_to_write():
+    """Every report writes rationals as "num/den" text, which Python refuses
+    past 4300 digits on a side: that is TooLarge, and 4300 digits still write."""
+    with pytest.raises(TooLarge):
+        barcode_to_json(barcode_from_json({"p": 3, "bars": [{"start": 10**5000}]}))
+    edge = {"p": 3, "bars": [{"start": 10**4299}]}
+    assert barcode_to_json(barcode_from_json(edge))["bars"][0]["start"] == f"{10**4299}/1"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import jsonable
 
 import smith_tate.cli as cli
+import smith_tate.fuzz as fuzz
 from smith_tate.cli import _json_text, dispatch
 from smith_tate.complexes import ActionWindow, EquivariantComplex, Generator, complex_to_json
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
@@ -94,9 +95,9 @@ def test_report_is_the_text_of_json_dumps(case, tmp_path, capsys):
 
 
 def test_fuzz_reproducer_is_the_text_of_json_dumps(tmp_path, monkeypatch, capsys):
-    real = cli._FUZZ_OPS["barcode-roundtrip"]
-    failing = cli.FuzzOp(real.name, real.generate, lambda payload: (False, {"why": "planted"}))
-    monkeypatch.setitem(cli._FUZZ_OPS, real.name, failing)
+    real = fuzz._FUZZ_OPS["barcode-roundtrip"]
+    failing = fuzz.FuzzOp(real.name, real.generate, lambda payload: (False, {"why": "planted"}))
+    monkeypatch.setitem(fuzz._FUZZ_OPS, real.name, failing)
     path = tmp_path / "rep.json"
     code = dispatch(["fuzz", "--op", real.name, "--count", "1", "--reproducer", str(path), "--json"])
     out = capsys.readouterr().out
