@@ -267,20 +267,6 @@ def reduce_columns(columns, p: int) -> list[int]:
     return lows
 
 
-def leading_pivots(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the pivots of reduce_columns on the residue matrix a,
-    row r keyed rows - 1 - r so that each low is the highest nonzero row.
-    Then rank a[:i, :j] is the number of pivots with row < i and col < j (the
-    pairing lemma; Edelsbrunner and Harer, "Computational Topology", VII.1)."""
-    c, r = np.nonzero(a.T)
-    keys, vals = (a.shape[0] - 1 - r).tolist(), a[r, c].tolist()
-    ends = np.searchsorted(c, np.arange(a.shape[1] + 1)).tolist()
-    columns = (dict(zip(keys[x:y], vals[x:y])) for x, y in zip(ends, ends[1:]))
-    lows = np.array(reduce_columns(columns, p), dtype=np.int64)
-    cols = np.flatnonzero(lows >= 0)
-    return a.shape[0] - 1 - lows[cols], cols
-
-
 @dataclass(frozen=True)
 class RrefResult:
     rank: int

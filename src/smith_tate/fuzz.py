@@ -31,6 +31,7 @@ from .complexes import (
     _json_text,
     _parse_bound,
     _read_json_files,
+    _shown,
     _sigma_from_json,
     _sigma_to_json,
 )
@@ -70,7 +71,7 @@ def _field(payload, key: str, kind: type = dict, default=_REQUIRED):
         return default
     value = payload[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise _BadPayload(MalformedInput, f"payload field {key!r} must be of type {kind.__name__}, got {value!r}")
+        raise _BadPayload(MalformedInput, f"payload field {key!r} must be of type {kind.__name__}, got {_shown(value)}")
     return value
 
 
@@ -85,7 +86,7 @@ def _decoded(payload, key: str, decode: Callable, **kwargs):
 def _payload_window(pair) -> ActionWindow:
     """The window of a payload's [lo, hi] pair, bounds read like --window's."""
     if not isinstance(pair, list) or len(pair) != 2:
-        raise _BadPayload(MalformedInput, f"window must be a [lo, hi] pair, got {pair!r}")
+        raise _BadPayload(MalformedInput, f"window must be a [lo, hi] pair, got {_shown(pair)}")
     try:
         return ActionWindow(*map(_parse_bound, pair))
     except SmithTateError as e:
@@ -447,7 +448,7 @@ def _cmd_fuzz(args):
             raise MalformedInput("reproducer JSON needs 'op' and 'payload' fields")
         op = _FUZZ_OPS.get(str(rep["op"]))
         if op is None:
-            raise UnknownProperty(f"unknown property {rep['op']!r}")
+            raise UnknownProperty(f"unknown property {_shown(rep['op'])}")
         try:
             ok, details = op.check(rep["payload"])
         except _BadPayload as e:

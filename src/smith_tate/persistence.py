@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational, _strict_int
+from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational, _shown, _strict_int
 from .errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -56,11 +56,11 @@ def _frac(x, what: str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise MalformedInput(f"{what} must be a rational number, got {x!r}")
+        raise MalformedInput(f"{what} must be a rational number, got {_shown(x)}")
     try:
         return Fraction(x)
     except (TypeError, ValueError) as e:
-        raise MalformedInput(f"{what} must be a rational number, got {x!r}") from e
+        raise MalformedInput(f"{what} must be a rational number, got {_shown(x)}") from e
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ class Bar:
         if self.end is not None:
             object.__setattr__(self, "end", _frac(self.end, "bar end"))
             if not self.start < self.end:
-                raise MalformedInput(f"bar needs start < end, got ({self.start}, {self.end}]")
+                raise MalformedInput(f"bar needs start < end, got ({_shown(self.start, str)}, {_shown(self.end, str)}]")
         if not isinstance(self.multiplicity, int) or isinstance(self.multiplicity, bool) or self.multiplicity < 1:
-            raise MalformedInput(f"bar multiplicity must be a positive integer, got {self.multiplicity!r}")
+            raise MalformedInput(f"bar multiplicity must be a positive integer, got {_shown(self.multiplicity)}")
 
     @property
     def finite(self) -> bool:
@@ -560,7 +560,7 @@ def barcode_from_json(data) -> Barcode:
     bars = []
     for item in raw:
         if not isinstance(item, dict) or "start" not in item:
-            raise MalformedInput(f"bad bar entry: {item!r}")
+            raise MalformedInput(f"bad bar entry: {_shown(item)}")
         start, end = _rational(item["start"], "bar start"), item.get("end")
         end = None if end is None else _rational(end, "bar end")
         bars.append(Bar(start, end, _strict_int(item.get("mult", 1), "bar 'mult'")))

@@ -41,6 +41,7 @@ from .complexes import (
     _coeff_map,
     _json_object,
     _out_of_range,
+    _shown,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -417,7 +418,7 @@ def model_from_json(data) -> EquivariantFloerModel:
         raise MalformedInput("'d_terms' must be a list")
     for item in raw:
         if not isinstance(item, dict) or "i" not in item or "alpha" not in item:
-            raise MalformedInput(f"bad d_term entry: {item!r}")
+            raise MalformedInput(f"bad d_term entry: {_shown(item)}")
         i, alpha = _strict_int(item["i"], "d_term 'i'"), _strict_int(item["alpha"], "d_term 'alpha'")
         terms[(i, alpha)] = _triplets_from_json(item.get("matrix", []), base.dim(), base.p)
     i_max = data.get("i_max")

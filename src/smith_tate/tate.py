@@ -12,12 +12,12 @@ whose square vanishes because N (1 - sigma) = 0 and d_V commutes with both.
 Everything 2-periodic collapses onto parity, so Tate cohomology is reported
 as a pair (even, odd) of F_p((u))-dimensions.
 
-One parity split of V<1, theta> (parity_split) serves every result here.
-Tate ranks are F_p ranks of its two blocks at u = 1, or Bareiss ranks of
-the same blocks over F_p[u].  Group cohomology is the first-quadrant part
-of the same complex: its total map from degree k is the parity-k block cut
-to generators of degree <= k, so above the top degree of V it is Tate
-cohomology.
+One set of sparse columns of V<1, theta> (tate_columns) serves every
+result here.  Tate ranks are F_p ranks of its two parity blocks at u = 1,
+or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
+first-quadrant part of the same complex: its total map from degree k is the
+parity-k block cut to generators of degree <= k, so above the top degree of
+V it is Tate cohomology.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -33,19 +33,21 @@ from itertools import product as _product
 
 import numpy as np
 
-from .complexes import ChainComplex, EquivariantComplex, _rotation_sign, norm_matrix
+from . import fp_core
+from .complexes import ChainComplex, Columns, EquivariantComplex, _affine, _dense, _rotation_sign, _sparse
 from .errors import InvalidComplex, check_size
-from .fp_core import FpMatrix, _matmul_mod, leading_pivots, rank
+from .fp_core import FpMatrix, _matmul_mod, rank
 from .ratfun import bareiss_rank, pupow
 
 # ---------------------------------------------------------------------------
 # the Tate complex
 
 
-def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
-    """Blocks (A, B, C, D) of d-hat at u = 1: d, N (which carries u),
-    1 - sigma and -d.  Group cohomology and the default terms of
-    equivariant models take their maps from here too.
+def tate_columns(V: EquivariantComplex) -> Columns:
+    """The 2n sparse columns of d-hat at u = 1, M(1) = [[d, N], [1 - sigma,
+    -d]], with N carrying u; label (i, theta^eps) has index i + n * eps.
+    This is the one source of Tate data: Tate and group cohomology and the
+    default terms of equivariant models all read it.
 
     Every u = 1 computation relies on d raising degree by 1 and sigma
     keeping it (so N = (sigma - 1)^(p-1) keeps it too).  Both rules are
@@ -61,10 +63,22 @@ def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
                 f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
                 f"{V.generators[r].id}: the Tate differential is not homogeneous"
             )
-    p, n = V.p, V.dim()
-    d = V.matrix_in_order(range(n))
-    s = V.sigma_matrix()
-    return d, norm_matrix(s, p), (np.eye(n, dtype=np.int64) - s) % p, (-d) % p
+    p, n, d = V.p, V.dim(), V.columns("differential")
+
+    def theta(col):
+        return {i + n: v for i, v in col.items()}
+
+    return [{**a, **theta(c)} for a, c in zip(d, _affine(V.columns("sigma"), -1, 1, p))] + [
+        {**b, **theta(c)} for b, c in zip(V.norm(), _affine(d, -1, 0, p))
+    ]
+
+
+def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
+    """The n x n blocks (A, B, C, D) = (d, N, 1 - sigma, -d) of tate_columns
+    as arrays, for callers that need them dense."""
+    n = V.dim()
+    m = _dense(tate_columns(V), 2 * n)
+    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
 
 def blocks_square_zero(A, B, C, D, p: int) -> bool:
@@ -81,33 +95,46 @@ def blocks_square_zero(A, B, C, D, p: int) -> bool:
     return not _matmul_mod(m, m, p).any()
 
 
-def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block differential M = [[A, B], [C, D]] on V<1, theta>, with the
-    generator degree and the total parity (degree + eps) mod 2 of every label.
-
-    Label (i, theta^eps) sits at index i + n * eps of M.  The differential
-    is odd, so M[parity 1 rows, parity 0 columns] and M[parity 0 rows,
-    parity 1 columns] carry all of it; Tate and group cohomology, and the
-    polynomial blocks of the Bareiss route, are all read off this split.
-    A degree of 2^62 or more in size raises TooLarge, which keeps the
-    degree shifts of _pivot_degrees and group_cohomology_dims in int64.
-    """
+def _parities(degrees: list[int]) -> list[int]:
+    """The total parity (degree + eps) mod 2 of every label i + n * eps.
+    The differential is odd, so it maps each parity into the other.  A
+    degree of 2^62 or more in size raises TooLarge, which keeps the degree
+    shifts of group_cohomology_dims in int64."""
     check_size("largest |generator degree|", max(map(abs, degrees), default=0), 2**62 - 1)
-    gen_deg = np.tile(np.asarray(degrees, dtype=np.int64), 2)
-    parity = (gen_deg + np.repeat([0, 1], len(degrees))) % 2
-    return np.block([[A, B], [C, D]]), gen_deg, parity
+    return [k % 2 for k in degrees] + [(k + 1) % 2 for k in degrees]
 
 
-def _pivot_degrees(m: np.ndarray, gen_deg: np.ndarray, parity: np.ndarray, par: int, p: int) -> np.ndarray:
-    """Sorted degrees k at which the pivots of the block out of parity par
-    enter its cut to rows of generator degree <= k + 1 and columns of degree
-    <= k.  Rows and columns are stably sorted by degree, so every cut is a
-    leading submatrix, whose rank is the number of leading_pivots in it."""
-    rows, cols = np.flatnonzero(parity != par), np.flatnonzero(parity == par)
-    rows = rows[np.argsort(gen_deg[rows], kind="stable")]
-    cols = cols[np.argsort(gen_deg[cols], kind="stable")]
-    r, c = leading_pivots(m[np.ix_(rows, cols)] % p, p)
-    return np.sort(np.maximum(gen_deg[rows[r]] - 1, gen_deg[cols[c]]))
+def _pivot_degrees(degrees: list[int], columns: Columns, p: int) -> list[list[int]]:
+    """For parity 0 and 1, the sorted degrees k at which the pivots of the
+    block out of that parity enter its cut to rows of generator degree
+    <= k + 1 and columns of degree <= k.
+
+    Rows and columns are stably sorted by generator degree, so every cut is
+    a leading submatrix.  Row r of R is keyed R - 1 - r, so that each low
+    is the highest nonzero row; then the rank of a leading submatrix is the
+    number of pivots inside it (the pairing lemma; Edelsbrunner and Harer,
+    "Computational Topology", VII.1).  One fp_core.reduce_columns runs per
+    parity.
+    """
+    parity, deg = _parities(degrees), degrees * 2
+    order = sorted(range(len(deg)), key=deg.__getitem__)
+    out = []
+    for par in (0, 1):
+        rows = [x for x in order if parity[x] != par]
+        key = {x: r for r, x in enumerate(reversed(rows))}
+        srcs = [x for x in order if parity[x] == par]
+        lows = fp_core.reduce_columns([{key[i]: v for i, v in columns[x].items()} for x in srcs], p)
+        top = len(rows) - 1
+        out.append(sorted(max(deg[rows[top - lo]] - 1, deg[x]) for x, lo in zip(srcs, lows) if lo >= 0))
+    return out
+
+
+def _parity_dims(degrees: list[int], columns: Columns, p: int) -> tuple[int, int]:
+    """(even, odd) homology dims of the block differential with these
+    columns: each generator gives one label of each parity."""
+    r_e, r_o = map(len, _pivot_degrees(degrees, columns, p))
+    n = len(degrees)
+    return n - r_e - r_o, n - r_o - r_e
 
 
 def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int]:
@@ -117,10 +144,7 @@ def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int
     Each parity block is M(u) = diag(u^a) M(1) diag(u^-b) with integer
     exponents, a change of basis over F_p((u)), so its rank is rank M(1).
     """
-    m, gen_deg, parity = parity_split(degrees, A, B, C, D)
-    r_e, r_o = (len(_pivot_degrees(m, gen_deg, parity, par, p)) for par in (0, 1))
-    even = int(np.count_nonzero(parity == 0))
-    return even - r_e - r_o, len(parity) - even - r_o - r_e
+    return _parity_dims(degrees, _sparse(np.block([[A, B], [C, D]])), p)
 
 
 def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:
@@ -128,8 +152,8 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
 
     With |u| = 2 and |theta| = 1, d-hat is homogeneous of degree +1, so each
     parity block is M(u) = diag(u^a) M(1) diag(u^-b) and has the F_p rank of M(1).
-    method="evaluation" (default) takes that rank at u = 1, one F_p
-    elimination per parity block; method="bareiss" runs fraction-free
+    method="evaluation" (default) takes that rank at u = 1, one column
+    reduction per parity block; method="bareiss" runs fraction-free
     elimination on the same parity blocks over F_p[u], with u on the
     entries of N, the independent route.  Both raise InvalidComplex when V
     is not homogeneous.
@@ -137,15 +161,15 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
     if method not in ("evaluation", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
     degrees = [g.degree for g in V.generators]
-    blocks = tate_blocks_at_one(V)
+    columns = tate_columns(V)
     if method == "evaluation":
-        return parity_dims_at_one(degrees, *blocks, V.p)
-    p, n = V.p, len(degrees)
-    m, _, parity = parity_split(degrees, *blocks)
+        return _parity_dims(degrees, columns, V.p)
+    p, n, parity = V.p, len(degrees), np.array(_parities(degrees))
+    m = _dense(columns, 2 * n)
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
     def poly_block(rows, cols):
-        # B maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
+        # N maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
         return [[pupow(int(r < n <= c), int(m[r, c]), p) if m[r, c] else () for c in cols] for r in rows]
 
     r_e = bareiss_rank(poly_block(odd, even), p)
@@ -182,8 +206,7 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     if max_degree < dmin:
         return {}
     check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
-    m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
-    enter = [_pivot_degrees(m, gen_deg, parity, par, V.p) for par in (0, 1)]
+    enter = _pivot_degrees(degrees, tate_columns(V), V.p)
     ks = np.arange(dmin - 1, max_degree + 1)
     r_even, r_odd = (np.searchsorted(e, ks, side="right") for e in enter)
     ranks = np.where(ks % 2, r_odd, r_even)  # r_k: the pivots inside parity k's cut

@@ -39,7 +39,13 @@ The library checks every degree and action rule of d, sigma and the model
 terms through one cached primitive on index grades; the *_by_loops routes
 walk each coefficient map generator by generator, tate_homogeneity_dense and
 model_validate_dense scan the dense matrices, and validate_by_message_text
-sorts the d messages into checks by their text.  The report writer converts
+sorts the d messages into checks by their text.  The library keeps d and
+sigma as sparse columns from parse to reduction: it checks d.d = 0,
+sigma^p = 1 and d sigma = sigma d by sparse composition and reads Tate and
+group cohomology off the sparse columns of M(1).  The dense routes it
+replaced stay here: the per-degree products of structure_violations_by_loops
+and sigma_violations_dense, and the n x n blocks of tate_blocks_dense, split
+by parity_split and read into columns by leading_pivots.  The report writer converts
 results as it writes; jsonable converts the whole tree first.
 The library reads the Morse resolution's homology off the ranks of two
 p x p circulants; resolution_homology_by_complex builds the length * p
@@ -67,7 +73,7 @@ from smith_tate.errors import (
     NotSquareZero,
     SpectralEndpoint,
 )
-from smith_tate.fp_core import FpMatrix, _row_reduce, rank, rref
+from smith_tate.fp_core import FpMatrix, _matmul_mod, _matpow, _row_reduce, rank, reduce_columns, rref
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -81,7 +87,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import blocks_square_zero, parity_split, tate_blocks_at_one
+from smith_tate.tate import blocks_square_zero
 
 
 def padd(a, b, p: int):
@@ -193,6 +199,17 @@ def poly_mat(m, p: int, shift: int = 0):
     return [[pupow(shift, int(v), p) if int(v) % p else () for v in row] for row in m]
 
 
+def sigma_block(V, k: int) -> np.ndarray:
+    """The matrix of sigma on degree k, a generator without an image fixed;
+    InvalidComplex when sigma takes a generator of degree k out of it."""
+    idx = V.degree_indices(k)
+    for i in idx:
+        g = V.generators[i]
+        if any(V.generator(t).degree != k for t in V.sigma.get(g.id, {})):
+            raise InvalidComplex(f"sigma({g.id}) leaves degree {k}")
+    return coeff_matrix_by_entries(V, V.sigma, idx, idx, sigma=True)
+
+
 def coeff_matrix_by_entries(cx, coeffs, src, tgt, *, sigma: bool = False) -> np.ndarray:
     """Entry (r, c) is the coefficient of generator tgt[r] in the image of
     generator src[c]; with sigma, a generator without an image is fixed."""
@@ -297,12 +314,46 @@ def assemble_parity_blocks(degrees: list[int], A, B, C, D, p: int):
     return block(even, odd), block(odd, even), even, odd
 
 
+def tate_blocks_dense(V) -> tuple[np.ndarray, ...]:
+    """The Tate blocks (d, N, 1 - sigma, -d) at u = 1 as dense n x n arrays
+    of the whole operators, N = (sigma - 1)^(p-1) by dense squaring, after
+    the dense homogeneity scan."""
+    tate_homogeneity_dense(V)
+    p, n = V.p, V.dim()
+    d, s = V.matrix_in_order(range(n)), V.sigma_matrix()
+    one = np.eye(n, dtype=np.int64)
+    return d, _matpow((s - one) % p, p - 1, p), (one - s) % p, (-d) % p
+
+
+def parity_split(degrees: list[int], A, B, C, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense block differential M = [[A, B], [C, D]] on V<1, theta>,
+    with the generator degree and the total parity (degree + eps) mod 2 of
+    every label i + n * eps."""
+    gen_deg = np.tile(np.asarray(degrees, dtype=np.int64), 2)
+    parity = (gen_deg + np.repeat([0, 1], len(degrees))) % 2
+    return np.block([[A, B], [C, D]]), gen_deg, parity
+
+
+def leading_pivots(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the pivots of reduce_columns on the residue matrix a,
+    row r keyed rows - 1 - r so that each low is the highest nonzero row.
+    Then rank a[:i, :j] is the number of pivots with row < i and col < j (the
+    pairing lemma; Edelsbrunner and Harer, "Computational Topology", VII.1)."""
+    c, r = np.nonzero(a.T)
+    keys, vals = (a.shape[0] - 1 - r).tolist(), a[r, c].tolist()
+    ends = np.searchsorted(c, np.arange(a.shape[1] + 1)).tolist()
+    columns = (dict(zip(keys[x:y], vals[x:y])) for x, y in zip(ends, ends[1:]))
+    lows = np.array(reduce_columns(columns, p), dtype=np.int64)
+    cols = np.flatnonzero(lows >= 0)
+    return a.shape[0] - 1 - lows[cols], cols
+
+
 def tate_poly_parity_blocks(V):
     """(even_to_odd, odd_to_even, even_basis, odd_basis) of V's Tate
     differential over F_p[u]: the blocks d, uN, 1 - sigma, -d split label
     by label."""
     p = V.p
-    A, B, C, D = tate_blocks_at_one(V)
+    A, B, C, D = tate_blocks_dense(V)
     degrees = [g.degree for g in V.generators]
     return assemble_parity_blocks(
         degrees, poly_mat(A, p), poly_mat(B, p, shift=1), poly_mat(C, p), poly_mat(D, p), p
@@ -321,7 +372,7 @@ def group_cohomology_by_slots(V, max_degree=None) -> dict:
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
     p = V.p
-    d, nm, one_minus, _ = tate_blocks_at_one(V)
+    d, nm, one_minus, _ = tate_blocks_dense(V)
     by_degree = {k: V.degree_indices(k) for k in degs}
 
     def slots(k):
@@ -369,7 +420,7 @@ def group_cohomology_by_cut_ranks(V, max_degree=None) -> dict:
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
     degrees = [g.degree for g in V.generators]
-    m, gen_deg, parity = parity_split(degrees, *tate_blocks_at_one(V))
+    m, gen_deg, parity = parity_split(degrees, *tate_blocks_dense(V))
     ranks = {dmin - 1: 0}
     for k in range(dmin, min(max_degree, dmax + 1) + 1):
         cols = np.flatnonzero((parity == k % 2) & (gen_deg <= k))
@@ -802,17 +853,43 @@ def sigma_violations_by_loops(V) -> tuple[dict[str, bool], list[str]]:
     if checks["sigma_structure"]:
         p = V.p
         for k in V.degrees():
-            s = power = V.sigma_block(k)
+            s = power = sigma_block(V, k)
             for _ in range(p - 1):
                 power = power @ s % p
             if not np.array_equal(power, np.eye(len(s), dtype=np.int64)):
                 checks["sigma_structure"] = False
                 violations.append(f"sigma^{p} != 1 in degree {k}")
             dk = V.d_block(k)
-            if not np.array_equal(dk @ s % p, V.sigma_block(k + 1) @ dk % p):
+            if not np.array_equal(dk @ s % p, sigma_block(V, k + 1) @ dk % p):
                 checks["equivariance"] = False
                 violations.append(f"sigma does not commute with d out of degree {k}")
     return checks, violations
+
+
+def sigma_violations_dense(V) -> list[tuple[str, str]]:
+    """(check, message) of EquivariantComplex._sigma_violations from dense
+    blocks per degree: sigma^p by repeated squaring against the identity,
+    and d sigma against sigma d, one degree at a time."""
+    degree, action = map(set, V._verdict("sigma"))
+    if degree or action:
+        index = V._index
+        return [
+            ("sigma_structure", f"sigma({src}) changes {what}")
+            for src, row in V.sigma.items()
+            for tgt in row
+            for what, bad in (("degree", degree), ("action", action))
+            if (index[tgt], index[src]) in bad
+        ]
+    out = []
+    p = V.p
+    for k in V.degrees():
+        s = sigma_block(V, k)
+        if not np.array_equal(_matpow(s, p, p), np.eye(len(s), dtype=np.int64)):
+            out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
+        dk = V.d_block(k)
+        if not np.array_equal(_matmul_mod(dk, s, p), _matmul_mod(sigma_block(V, k + 1), dk, p)):
+            out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
+    return out
 
 
 def validate_by_message_text(V, *, strict_action: bool = False) -> ValidationReport:
@@ -854,7 +931,7 @@ def _degree_violation_dense(m, degrees, shift: int):
 
 
 def tate_homogeneity_dense(V) -> None:
-    """Raise the InvalidComplex of tate_blocks_at_one unless the dense n x n
+    """Raise the InvalidComplex of tate_columns unless the dense n x n
     d raises degree by 1 and the dense sigma keeps it."""
     n = V.dim()
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)

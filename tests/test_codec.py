@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import smith_tate.errors as errors
 from smith_tate.cli import dispatch
-from smith_tate.complexes import _MAX_DIGITS, _rational
+from smith_tate.complexes import _MAX_DIGITS, _rational, _triplets_from_json, complex_from_json
 from smith_tate.errors import MalformedInput, TooLarge
 from smith_tate.persistence import Bar, Barcode, barcode_from_json, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import random_floer_model
-from smith_tate.spectral import model_to_json
+from smith_tate.spectral import model_from_json, model_to_json
 
 
 @pytest.fixture()
@@ -129,6 +129,60 @@ def test_rational_refuses_a_container_of_a_huge_int():
     """The refusal never writes out a value whose text Python refuses."""
     with pytest.raises(MalformedInput, match="of type list"):
         _rational([10**5000], "x")
+
+
+_HUGE = 10**5000  # an int whose repr Python refuses: more than 4300 digits
+
+
+def _fuzz_field():
+    from smith_tate.fuzz import _field
+
+    _field({"complex": [_HUGE]}, "complex")
+
+
+def _fuzz_window():
+    from smith_tate.fuzz import _payload_window
+
+    _payload_window([_HUGE])
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: barcode_from_json({"p": 3, "bars": [{"end": _HUGE}]}),
+        lambda: barcode_from_json({"p": 3, "bars": [{"start": _HUGE, "end": 0}]}),
+        lambda: barcode_from_json({"p": 3, "bars": [{"start": 0, "mult": -_HUGE}]}),
+        lambda: Bar([_HUGE], None),
+        lambda: Bar(0, [_HUGE]),
+        lambda: complex_from_json({"p": 3, "generators": [{"id": "a", "degree": 0, "action": [_HUGE]}]}),
+        lambda: complex_from_json({"p": 3, "generators": [{"id": "a", "weight": _HUGE}]}),
+        lambda: complex_from_json({"p": 3, "generators": [{"id": "a", "degree": [_HUGE]}]}),
+        lambda: _triplets_from_json({"m": _HUGE}, 2, 3),
+        lambda: _triplets_from_json([[_HUGE]], 2, 3),
+        lambda: _triplets_from_json([[_HUGE, 0, 1]], 2, 3),
+        lambda: model_from_json({"p": 3, "generators": [], "sigma": {}, "d_terms": [[_HUGE]]}),
+        _fuzz_field,
+        _fuzz_window,
+    ],
+    ids=[
+        "bar-end", "bar-start-after-end", "bar-mult", "bar-start-list", "bar-end-list", "action",
+        "generator-entry", "strict-int", "triplets-not-a-list", "triplet", "triplet-out-of-range",
+        "d-term-entry", "fuzz-field", "fuzz-window",
+    ],
+)
+def test_a_refusal_never_writes_out_a_huge_int(refused):
+    """Every refusal of outside input names a value whose text Python
+    refuses by its type, and stays typed."""
+    from smith_tate.fuzz import _BadPayload
+
+    try:
+        refused()
+    except MalformedInput as e:
+        assert "of type" in str(e)
+    except _BadPayload as e:
+        assert e.args[0] is MalformedInput and "of type" in e.args[1]
+    else:
+        pytest.fail("no refusal")
 
 
 def test_a_rational_past_the_digit_limit_is_too_large_to_write():

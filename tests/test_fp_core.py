@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import solve
+from oracles import leading_pivots, solve
 
 from smith_tate.complexes import ChainComplex, Generator, norm_matrix
 from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
@@ -21,7 +21,6 @@ from smith_tate.fp_core import (
     check_prime,
     is_prime,
     kernel_basis,
-    leading_pivots,
     nilpotent_partition,
     rank,
     rref,
