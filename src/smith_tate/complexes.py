@@ -56,6 +56,13 @@ class Generator:
             object.__setattr__(self, "action", Fraction(self.action))
 
 
+def _trusted_generator(gid: str, degree: int, action: Fraction) -> Generator:
+    """A Generator from parts already checked, so not validated again."""
+    g = object.__new__(Generator)
+    g.__dict__.update(id=gid, degree=degree, action=action)
+    return g
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -310,7 +317,7 @@ class ChainComplex:
         for i, k in enumerate(self._degree):
             self._deg_index.setdefault(k, []).append(i)
         self._block_cache: dict[int, np.ndarray] = {}
-        self._level_cache: tuple[list[Fraction], list[int]] | None = None
+        self._level_cache: tuple[list[Fraction], list[int], int, tuple[int, ...]] | None = None
         self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._verdicts: dict[str, tuple[list, list]] = {}
         self._columns: dict[str, Columns] = {}
@@ -479,15 +486,17 @@ class ChainComplex:
 
     # -- misc ----------------------------------------------------------------
 
-    def _level_table(self) -> tuple[list[Fraction], list[int]]:
-        """(sorted distinct actions, each generator's index among them)."""
+    def _level_table(self) -> tuple[list[Fraction], list[int], int, tuple[int, ...]]:
+        """(sorted distinct actions, each generator's index among them, and
+        the scale and ticks of the sorted actions): the ticks are sorted."""
         if self._level_cache is None:
-            # parsed generators share one Fraction per action: hash only those
+            # parsed generators share one Fraction per action: read only those
             objects = {id(g.action): g.action for g in self.generators}
-            levels = sorted(set(objects.values()))
-            at = {a: i for i, a in enumerate(levels)}
-            by_id = {k: at[a] for k, a in objects.items()}
-            self._level_cache = (levels, [by_id[id(g.action)] for g in self.generators])
+            scale, ticks = _ticks(objects.values())
+            action = dict(zip(ticks, objects.values()))
+            at = {t: i for i, t in enumerate(sorted(action))}
+            by_id = {k: at[t] for k, t in zip(objects, ticks)}
+            self._level_cache = ([action[t] for t in at], [by_id[id(g.action)] for g in self.generators], scale, tuple(at))
         return self._level_cache
 
     def actions(self) -> list[Fraction]:
@@ -655,7 +664,7 @@ def window_truncate(V: ChainComplex, window: ActionWindow):
     complex this is the quotient of one action sublevel by another, so the
     result is again a complex of the same kind.
     """
-    levels, level = V._level_table()
+    levels, level = V._level_table()[:2]
     lo = 0 if window.lower is None else bisect_right(levels, window.lower)
     hi = len(levels) if window.upper is None else bisect_right(levels, window.upper)
     keep = {g.id for g, k in zip(V.generators, level) if lo <= k < hi}
@@ -676,7 +685,7 @@ def window_truncate(V: ChainComplex, window: ActionWindow):
 # ---------------------------------------------------------------------------
 # JSON: the one codec of outside input.  Files are read once and hashed as
 # read, all JSON text goes through _parse_json, and every rational written as
-# text goes through _rational.
+# text goes through _rational, or _rational_pair where plain text reads alike.
 
 _MAX_DIGITS = 4300  # CPython's default limit on the digits of an int read from text
 # the decimal exponent of a rational literal, where fractions.Fraction finds it
@@ -750,6 +759,27 @@ def _rational(v, what: str) -> Fraction:
         raise MalformedInput(f"bad {what} {_shown(v)}") from e
 
 
+def _rational_pair(v, what: str) -> tuple[int, int]:
+    """(num, den > 0) of _rational(v, what), read without a Fraction from an
+    int or ASCII "n" or "n/d" text of at most _MAX_DIGITS characters."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and len(v) <= _MAX_DIGITS and v.isascii():
+        n, slash, d = v.partition("/")
+        if n.removeprefix("-").isdigit() and (d.isdigit() or not slash) and (den := int(d or 1)):
+            return int(n), den
+    return _rational(v, what).as_integer_ratio()
+
+
+def _ticks(values) -> tuple[int, list[int]]:
+    """(L, ticks) of rationals given as Fractions or (num, den) pairs with
+    den > 0: L is the lcm of the denominators, 1 for none, and each tick is
+    the int x * L, so ticks sort, compare and subtract as the values do."""
+    pairs = [x.as_integer_ratio() if isinstance(x, Fraction) else x for x in values]
+    scale = math.lcm(*{d for _, d in pairs})
+    return scale, [n * (scale // d) for n, d in pairs]
+
+
 def _coeff_map_from_json(raw, key: str) -> CoeffMap:
     """The coefficient map of a JSON object {id: {id: coefficient}}; the
     coefficients are checked by the complex."""
@@ -764,6 +794,9 @@ def _action_to_json(a: Fraction) -> dict:
 
 def _action_from_json(v, interned: dict[tuple[int, int], Fraction]) -> Fraction:
     """The action v, one shared Fraction per repeated (num, den) pair."""
+    if type(v) is dict and len(v) == 2 and type(n := v.get("num")) is int and type(d := v.get("den")) is int and d:
+        key = (n, d)
+        return interned[key] if key in interned else interned.setdefault(key, Fraction(n, d))
     if isinstance(v, int) and not isinstance(v, bool):
         v = {"num": v}
     if isinstance(v, dict) and "num" in v and set(v) <= {"num", "den"}:
@@ -808,13 +841,11 @@ def complex_from_json(data, *, expect: str | None = None):
     for item in raw_gens:
         if not isinstance(item, dict) or "id" not in item or "degree" not in item:
             raise MalformedInput(f"bad generator entry: {_shown(item)}")
-        gens.append(
-            Generator(
-                str(item["id"]),
-                _strict_int(item["degree"], "generator degree"),
-                _action_from_json(item.get("action", 0), interned),
-            )
-        )
+        gid, degree = str(item["id"]), _strict_int(item["degree"], "generator degree")
+        action = _action_from_json(item.get("action", 0), interned)
+        if not gid:
+            raise MalformedInput("generator id must be a nonempty string")
+        gens.append(_trusted_generator(gid, degree, action))
     diff = _coeff_map_from_json(data.get("differential", {}), "differential")
     kind = expect or ("equivariant" if "sigma" in data else "filtered" if data.get("filtered") else "chain")
     if kind == "equivariant":

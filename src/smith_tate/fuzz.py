@@ -17,6 +17,7 @@ import copy
 import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import complexes, fp_core, module_decomp, persistence, random_instances, spectral, tate
@@ -218,7 +219,8 @@ def _check_spectral_algebraic(payload):
 
 def _gen_barcode_roundtrip(rng, p, args):
     fc = random_instances.random_filtered_complex(p, rng, max_gens=args.max_gens or 12)
-    probes = _midpoint_probes(fc.actions())
+    _, _, scale, ticks = fc._level_table()
+    probes = [Fraction(x, 2 * scale) for x in _midpoint_probes([2 * t for t in ticks], 2 * scale)]
     windows: list[list] = [[None, None]]
     for _ in range(5):
         shape = rng.randrange(3)

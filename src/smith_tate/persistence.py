@@ -3,15 +3,18 @@
 Bars are half-open intervals (a, b] or (a, inf) with positive integer
 multiplicity, endpoints exact rationals.  Every count depends only on the
 order of the endpoints, so a barcode interns them once into a sorted level
-table and holds its bars as int level indices.  A filtered complex yields
-its barcode through standard boundary-matrix reduction in action order; a
-window's dimension counts the bars holding exactly one of its ends, which
-must avoid the spectrum.  The p-th iterate comparison bundles the pointwise
-finite-bar count inequality m(t) <= m(pt), the total-length inequality it
-integrates to, and the window-dimension inequality over a canonical window
-family.  It maps every level once to an index among generic probe points
-and counts all windows of the family from prefix sums over those indices;
-window_dim counts a single window directly from the bars.
+table and holds its bars as int level indices.  The levels carry int ticks
+x * L, L a common denominator, so lengths, sums and midpoints are int
+arithmetic and a Fraction is built only for a value a report writes.  A
+filtered complex yields its barcode through standard boundary-matrix
+reduction in action order; a window's dimension counts the bars holding
+exactly one of its ends, which must avoid the spectrum.  The p-th iterate
+comparison bundles the pointwise finite-bar count inequality m(t) <= m(pt),
+the total-length inequality it integrates to, and the window-dimension
+inequality over a canonical window family.  It maps every level once to an
+index among generic probe points and counts all windows of the family from
+prefix sums over those indices; window_dim counts a single window directly
+from the bars.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational, _shown, _strict_int
+from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational_pair, _shown, _strict_int, _ticks
 from .errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -108,33 +112,33 @@ def _trusted_bar(start: Fraction, end: Fraction | None, multiplicity: int) -> Ba
 class Barcode:
     """Canonical multiset of bars: sorted by (start, end), equal bars merged.
 
-    levels is the sorted tuple of distinct endpoints.  index_bars holds each
-    bar once, as sorted (start index, end index, multiplicity) into levels
-    with an infinite end at index len(levels); bars holds them as Bars.
+    levels is the sorted tuple of distinct endpoints, ticks their ints
+    x * scale for the lcm scale of their denominators as read.  index_bars
+    holds each bar once, as sorted (start index, end index, multiplicity)
+    into levels with an infinite end at index len(levels); bars as Bars.
     """
 
     def __init__(self, p: int, bars=()):
         bars = [b if isinstance(b, Bar) else Bar(*b) for b in bars]
-        levels = tuple(sorted({b.start for b in bars} | {b.end for b in bars if b.end is not None}))
-        at = {x: i for i, x in enumerate(levels)} | {None: len(levels)}
-        counts: Counter = Counter()
-        for b in bars:
-            counts[at[b.start], at[b.end]] += b.multiplicity
-        self._canonicalise(p, levels, counts)
+        self._canonicalise(p, *_indexed([(b.start, b.end, b.multiplicity) for b in bars]))
 
     @classmethod
-    def _from_levels(cls, p: int, levels: tuple, counts: dict[tuple[int, int], int]) -> "Barcode":
-        """counts[s, e] copies of (levels[s], levels[e]]; every level is some bar's endpoint."""
+    def _from_levels(cls, p: int, levels: tuple, counts: dict[tuple[int, int], int], scaled=None) -> "Barcode":
+        """counts[s, e] copies of (levels[s], levels[e]], each level an endpoint; scaled as _ticks(levels)."""
         b = cls.__new__(cls)
-        b._canonicalise(p, levels, counts)
+        b._canonicalise(p, levels, counts, scaled or _ticks(levels))
         return b
 
-    def _canonicalise(self, p: int, levels: tuple, counts: dict[tuple[int, int], int]) -> None:
+    def _canonicalise(self, p: int, levels: tuple, counts: dict[tuple[int, int], int], scaled) -> None:
         self.p = check_prime(p)
         self.levels = levels
+        self.scale, self.ticks = scaled
         self.index_bars = tuple((s, e, m) for (s, e), m in sorted(counts.items()))
-        ends = levels + (None,)
-        self.bars = tuple(_trusted_bar(levels[s], ends[e], m) for s, e, m in self.index_bars)
+
+    @cached_property
+    def bars(self) -> tuple[Bar, ...]:
+        ends = self.levels + (None,)
+        return tuple(_trusted_bar(self.levels[s], ends[e], m) for s, e, m in self.index_bars)
 
     def __eq__(self, other) -> bool:
         key = (self.p, self.levels, self.index_bars)
@@ -152,6 +156,19 @@ class Barcode:
 
     def __repr__(self) -> str:
         return f"Barcode(p={self.p}, bars=[{', '.join(map(repr, self.bars))}])"
+
+
+def _indexed(rows) -> tuple[tuple, Counter, tuple[int, tuple]]:
+    """(levels, counts, (scale, ticks)) of (start, end or None, multiplicity)
+    rows, endpoints as _ticks takes them, merged as ticks: one Fraction per level."""
+    values = list({x: None for s, e, _ in rows for x in (s, e) if x is not None})
+    scale, ticks = _ticks(values)
+    at = {t: i for i, t in enumerate(sorted(set(ticks)))}
+    index = {x: at[t] for x, t in zip(values, ticks)} | {None: len(at)}
+    counts: Counter = Counter()
+    for s, e, m in rows:
+        counts[index[s], index[e]] += m
+    return tuple(Fraction(t, scale) for t in at), counts, (scale, tuple(at))
 
 
 def scale_barcode(b: Barcode, factor) -> Barcode:
@@ -199,12 +216,12 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
     is an endpoint, as each generator starts or ends a bar.
     """
     order, lows = persistence_pairing(fc)
-    levels, level = fc._level_table()
+    levels, level, scale, ticks = fc._level_table()
     at, inf = [level[i] for i in order], len(levels)
     lows = lows.tolist()
     paired = set(lows)
     pairs = [(at[i], at[j]) if i >= 0 else (at[j], inf) for j, i in enumerate(lows) if i >= 0 or j not in paired]
-    return Barcode._from_levels(fc.p, tuple(levels), Counter(pairs))
+    return Barcode._from_levels(fc.p, tuple(levels), Counter(pairs), (scale, ticks))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +272,7 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
     beta_tot weighs each level by the finite bars ending minus starting
     there, and beta_max compares the longest finite bar from each start.
     """
-    levels, inf = b.levels, len(b.levels)
+    levels, ticks, inf = b.levels, b.ticks, len(b.levels)
     finite = [bar for bar in b.index_bars if bar[1] < inf]
     starts = [s for s, e, _ in b.index_bars if e == inf]
     weight = [0] * inf  # multiplicity of finite bars ending minus starting at each level
@@ -271,8 +288,8 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
         finite_count=K,
         infinite_count=B,
         total_count=2 * K + B,
-        beta_tot=sum((w * x for w, x in zip(weight, levels) if w), Fraction(0)),
-        beta_max=max((levels[e] - levels[s] for s, e in longest.items()), default=Fraction(0)),
+        beta_tot=Fraction(sum(w * t for w, t in zip(weight, ticks) if w), b.scale),
+        beta_max=Fraction(max((ticks[e] - ticks[s] for s, e in longest.items()), default=0), b.scale),
         c_plus=levels[starts[-1]] if starts else None,
         c_minus=levels[starts[0]] if starts else None,
     )
@@ -280,35 +297,31 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
 
 def _integrate_finite_count(b: Barcode) -> Fraction:
     """Exact integral of m(t) dt, by one sweep over the regions between
-    consecutive levels."""
-    levels = b.levels
-    steps = [0] * len(levels)
+    consecutive levels, on their ticks."""
+    ticks = b.ticks
+    steps = [0] * len(ticks)
     for s, e, m in b.index_bars:
-        if e < len(levels):
+        if e < len(ticks):
             steps[s] += m
             steps[e] -= m
-    total, m = Fraction(0), 0
-    for k in range(len(levels) - 1):
+    total = m = 0
+    for k in range(len(ticks) - 1):
         m += steps[k]
         if m:
-            total += m * (levels[k + 1] - levels[k])
-    return total
+            total += m * (ticks[k + 1] - ticks[k])
+    return Fraction(total, b.scale)
 
 
 # ---------------------------------------------------------------------------
 # the p-th iterate comparison
 
 
-def _midpoint_probes(events: list[Fraction]) -> list[Fraction]:
-    """One generic test point per region of the complement of `events`."""
+def _midpoint_probes(events: list[int], one: int) -> list[int]:
+    """One generic test point per region of the complement of `events`:
+    sorted distinct even ticks, with 1 at tick `one`, so midpoints are ints."""
     if not events:
-        return [Fraction(0)]
-    probes = [events[0] - 1]
-    for lo, hi in zip(events, events[1:]):
-        if lo != hi:
-            probes.append((lo + hi) / 2)
-    probes.append(events[-1] + 1)
-    return probes
+        return [0]
+    return [events[0] - one, *((lo + hi) // 2 for lo, hi in zip(events, events[1:])), events[-1] + one]
 
 
 @dataclass(frozen=True)
@@ -346,18 +359,9 @@ class _ProbeCounts:
     finite: list  # (index(start), index(end), multiplicity), sorted
 
 
-def _probe_counts(b: Barcode, probes: list[Fraction], scale: int, dtype) -> _ProbeCounts:
-    """Counts of b at the points scale * probe, for every probe; each level
-    is located among the probes once, by bisect."""
-    n = len(probes)
-    index = []
-    for x in b.levels:
-        k = bisect_left(probes, x / scale)
-        if k < n and probes[k] * scale == x:
-            raise SpectralEndpoint(f"window endpoint {x} is a bar endpoint")
-        index.append(k)
+def _probe_counts(b: Barcode, index: list[int], n: int, dtype) -> _ProbeCounts:
+    """Counts of b at n probes, with index[k] probes below level k."""
     inf = len(index)
-
     cover = np.zeros(n + 1, dtype=dtype)
     inf_start = np.zeros(n + 1, dtype=dtype)
     finite = []
@@ -370,11 +374,7 @@ def _probe_counts(b: Barcode, probes: list[Fraction], scale: int, dtype) -> _Pro
             finite.append((s, e, m))
         else:
             inf_start[s] += m
-    return _ProbeCounts(
-        cover=np.cumsum(cover)[:n],
-        inf_in=np.cumsum(inf_start)[:n],
-        finite=sorted(finite),
-    )
+    return _ProbeCounts(cover=np.cumsum(cover)[:n], inf_in=np.cumsum(inf_start)[:n], finite=sorted(finite))
 
 
 def _pair_dims(c: _ProbeCounts, rows: int):
@@ -429,16 +429,21 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
     """
     if p <= 0:
         raise InadmissibleWindow("scale factor must be positive")
-    events = sorted(set(b1.endpoints()) | {e / p for e in bp.endpoints()})
-    probes = _midpoint_probes(events)
+    # the levels x of b1 and y / p of bp on one scale, doubled to make every probe an int
+    scale, (u1, up) = _ticks([(1, b1.scale), (1, p * bp.scale)])
+    x1, xp = [2 * u1 * t for t in b1.ticks], [2 * up * t for t in bp.ticks]
+    events = sorted({*x1, *xp})
+    probes = _midpoint_probes(events, 2 * scale)
     n = len(probes)
+    below = {x: k for k, x in enumerate(events, 1)}  # probes lie between the events
     stats1, statsp = bar_stats(b1), bar_stats(bp)
     bars = max(s.finite_count + s.infinite_count for s in (stats1, statsp))
     dtype = np.int64 if bars < 2**61 else object
-    c1 = _probe_counts(b1, probes, 1, dtype)
-    cp = _probe_counts(bp, probes, p, dtype)
+    c1 = _probe_counts(b1, [below[x] for x in x1], n, dtype)
+    cp = _probe_counts(bp, [below[x] for x in xp], n, dtype)
+    at = cache(lambda k: Fraction(probes[k], 2 * scale))  # a probe's value, for reported failures
 
-    m_failures = [(probes[k], int(c1.cover[k]), int(cp.cover[k])) for k in np.nonzero(c1.cover > cp.cover)[0]]
+    m_failures = [(at(k), int(c1.cover[k]), int(cp.cover[k])) for k in np.nonzero(c1.cover > cp.cover)[0]]
     beta1, betap = stats1.beta_tot, statsp.beta_tot
     beta_direct_ok = betap >= p * beta1
     beta_integral_ok = _integrate_finite_count(bp) >= p * _integrate_finite_count(b1)
@@ -452,11 +457,11 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
         (lambda t: ActionWindow(t, None), c1.cover - c1.inf_in + whole1, cp.cover - cp.inf_in + wholep),
     )
     for window, d1, dp in one_sided:
-        window_failures += [(window(probes[k]), int(d1[k]), int(dp[k])) for k in np.nonzero(d1 > dp)[0]]
+        window_failures += [(window(at(k)), int(d1[k]), int(dp[k])) for k in np.nonzero(d1 > dp)[0]]
     rows = max(1, _PAIR_BLOCK // (n + 1))
     for (lo, d1), (_, dp) in zip(_pair_dims(c1, rows), _pair_dims(cp, rows)):
         for r, j in zip(*np.nonzero(np.triu(d1 > dp, lo + 1))):
-            window_failures.append((ActionWindow(probes[lo + r], probes[j]), int(d1[r, j]), int(dp[r, j])))
+            window_failures.append((ActionWindow(at(lo + r), at(j)), int(d1[r, j]), int(dp[r, j])))
     return SmithBarcodeReport(
         p=p,
         m_ok=not m_failures,
@@ -474,15 +479,6 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
 # torsion detection
 
 
-def _pick_avoiding(lo: Fraction, hi: Fraction, levels: tuple) -> Fraction:
-    """The midpoint of lo and the first of the sorted levels or hi above lo:
-    a rational strictly inside (lo, hi) that is not a level."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    k = bisect_right(levels, lo)
-    return (lo + (levels[k] if k < len(levels) and levels[k] < hi else hi)) / 2
-
-
 def torsion_witness(b: Barcode) -> ActionWindow | None:
     """A window with closure avoiding 0 and positive dimension, if one exists.
 
@@ -491,27 +487,35 @@ def torsion_witness(b: Barcode) -> ActionWindow | None:
     a nonzero extremal start; otherwise any finite bar yields a one-sided
     window, since (start, end) always contains nonzero points.  Returns
     None when all infinite bars share one starting point and no finite bar
-    exists.
+    exists.  Every cut is an int on the level ticks times 4.
     """
-    if not b.bars:
+    if not b.index_bars:
         raise EmptyBarcode("torsion detection needs a nonempty barcode")
-    levels = b.levels
-    stats = bar_stats(b)
-    if stats.c_plus is not None and stats.c_plus > stats.c_minus:
-        s = stats.c_plus if stats.c_plus != 0 else stats.c_minus
-        r = abs(s) / 2
-        return ActionWindow(_pick_avoiding(s - r, s, levels), _pick_avoiding(s, s + r, levels))
-    finite = next(((s, e) for s, e, _ in b.index_bars if e < len(levels)), None)
+    one, ticks, inf = 4 * b.scale, [4 * t for t in b.ticks], len(b.ticks)
+
+    def cut(lo: int, hi: int) -> int:
+        """The midpoint of even lo and the first level or even hi above lo."""
+        k = bisect_right(ticks, lo)
+        return (lo + (ticks[k] if k < inf and ticks[k] < hi else hi)) // 2
+
+    def window(lo: int, hi: int) -> ActionWindow:
+        return ActionWindow(Fraction(lo, one), Fraction(hi, one))
+
+    starts = [ticks[s] for s, e, _ in b.index_bars if e == inf]  # sorted
+    if starts and starts[-1] > starts[0]:
+        s = starts[-1] or starts[0]
+        r = abs(s) // 2
+        return window(cut(s - r, s), cut(s, s + r))
+    finite = next(((s, e) for s, e, _ in b.index_bars if e < inf), None)
     if finite is None:
         return None
-    a, e = levels[finite[0]], levels[finite[1]]
+    a, e = ticks[finite[0]], ticks[finite[1]]
     if e > 0:
-        lo = _pick_avoiding(max(a, Fraction(0)), e, levels)
-        return ActionWindow(lo, _pick_avoiding(e, e + 1, levels))
+        return window(cut(max(a, 0), e), cut(e, e + one))
     if e < 0:
-        return ActionWindow(_pick_avoiding(a, e, levels), _pick_avoiding(e, Fraction(0), levels))
+        return window(cut(a, e), cut(e, 0))
     # e == 0: stay strictly negative on both sides
-    return ActionWindow(_pick_avoiding(a - 1, a, levels), _pick_avoiding(a, Fraction(0), levels))
+    return window(cut(a - one, a), cut(a, 0))
 
 
 def _avoids_zero(w: ActionWindow) -> bool:
@@ -557,11 +561,14 @@ def barcode_from_json(data) -> Barcode:
     raw = data.get("bars", [])
     if not isinstance(raw, list):
         raise MalformedInput("'bars' must be a list")
-    bars = []
+    rows = []
     for item in raw:
         if not isinstance(item, dict) or "start" not in item:
             raise MalformedInput(f"bad bar entry: {_shown(item)}")
-        start, end = _rational(item["start"], "bar start"), item.get("end")
-        end = None if end is None else _rational(end, "bar end")
-        bars.append(Bar(start, end, _strict_int(item.get("mult", 1), "bar 'mult'")))
-    return Barcode(_strict_int(data["p"], "'p'"), bars)
+        start, end = _rational_pair(item["start"], "bar start"), item.get("end")
+        end = None if end is None else _rational_pair(end, "bar end")
+        m = _strict_int(item.get("mult", 1), "bar 'mult'")
+        if m < 1 or end is not None and not start[0] * end[1] < end[0] * start[1]:
+            Bar(Fraction(*start), None if end is None else Fraction(*end), m)  # raises the Bar's refusal
+        rows.append((start, end, m))
+    return Barcode._from_levels(_strict_int(data["p"], "'p'"), *_indexed(rows))

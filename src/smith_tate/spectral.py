@@ -110,7 +110,7 @@ def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
     homology of the complex in each degree, computed independently.
     """
     order, lows = persistence_pairing(fc)
-    levels, level = fc._level_table()
+    levels, level = fc._level_table()[:2]
     L = len(levels)
     keys = [(L - 1 - level[i], fc.generators[i].degree) for i in order]
     # pages each generator survives: the filtration distance to its partner

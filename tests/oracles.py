@@ -22,8 +22,12 @@ the same pages from the subquotient formula.  The library counts every iterate
 window from prefix sums over probe indices; smith_barcode_check_per_window
 counts each window by window_dim and integrates m(t) region by region.
 The library sorts generators and bars on int indices into a table of
-the distinct action levels; the *_by_fractions routes compare and sort
-the exact rationals themselves, generator by generator and bar by bar.
+the distinct action levels, and sorts, subtracts and halves the levels as
+int ticks on one scale, the lcm of their denominators; the *_by_fractions
+routes compare, sort and add the exact rationals themselves, generator by
+generator and bar by bar.  barcode_from_json_by_fractions and
+generators_from_json_by_dataclass read JSON through Fraction and the
+validating Bar and Generator constructors.
 The library runs Bareiss elimination over F_p[u] as products of int64
 coefficient arrays; bareiss_rank_by_entries runs it one polynomial
 product and long division (pmul, psub, pdiv_exact) per entry and step.
@@ -65,11 +69,16 @@ from smith_tate.complexes import (
     ValidationReport,
     _coeff_map,
     _frac_str,
+    _json_object,
+    _rational,
+    _shown,
+    _strict_int,
 )
 from smith_tate.errors import (
     EmptyBarcode,
     FiltrationViolation,
     InvalidComplex,
+    MalformedInput,
     NotSquareZero,
     SpectralEndpoint,
 )
@@ -79,7 +88,6 @@ from smith_tate.persistence import (
     Bar,
     BarStats,
     SmithBarcodeReport,
-    _midpoint_probes,
     bar_stats,
     persistence_pairing,
     window_dim,
@@ -554,6 +562,19 @@ def subquotient_pages(fc) -> list[tuple[dict, dict]]:
     return pages
 
 
+def midpoint_probes_by_fractions(events: list[Fraction]) -> list[Fraction]:
+    """One generic test point per region of the complement of `events`,
+    each a rational midpoint of two neighbours."""
+    if not events:
+        return [Fraction(0)]
+    probes = [events[0] - 1]
+    for lo, hi in zip(events, events[1:]):
+        if lo != hi:
+            probes.append((lo + hi) / 2)
+    probes.append(events[-1] + 1)
+    return probes
+
+
 def finite_bar_count_at(b, t: Fraction) -> int:
     """m(t): multiplicity-weighted number of finite bars containing t."""
     k = bisect_left(b.levels, Fraction(t))
@@ -575,7 +596,7 @@ def smith_barcode_check_per_window(b1, bp, p: int) -> SmithBarcodeReport:
     window_dim, which rescans all bars and checks the window's endpoints
     against the spectrum: O(P^2 E log E) for P probes and E bars."""
     events = sorted(set(b1.endpoints()) | {e / p for e in bp.endpoints()})
-    probes = _midpoint_probes(events)
+    probes = midpoint_probes_by_fractions(events)
     m_failures = []
     for t in probes:
         m1 = finite_bar_count_at(b1, t)
@@ -609,6 +630,52 @@ def smith_barcode_check_per_window(b1, bp, p: int) -> SmithBarcodeReport:
 
 # ---------------------------------------------------------------------------
 # the filtered layer on exact rationals
+
+
+def barcode_from_json_by_fractions(data) -> tuple[int, list[tuple]]:
+    """(p, canonical bars) of barcode JSON, each endpoint read by _rational
+    and each bar checked by Bar, in file order."""
+    data = _json_object(data, "barcode")
+    if "p" not in data:
+        raise MalformedInput("barcode JSON needs a 'p' key")
+    raw = data.get("bars", [])
+    if not isinstance(raw, list):
+        raise MalformedInput("'bars' must be a list")
+    bars = []
+    for item in raw:
+        if not isinstance(item, dict) or "start" not in item:
+            raise MalformedInput(f"bad bar entry: {_shown(item)}")
+        start, end = _rational(item["start"], "bar start"), item.get("end")
+        end = None if end is None else _rational(end, "bar end")
+        bars.append(Bar(start, end, _strict_int(item.get("mult", 1), "bar 'mult'")))
+    return _strict_int(data["p"], "'p'"), canonical_bars_by_fractions(bars)
+
+
+def _action_by_fraction(v) -> Fraction:
+    if isinstance(v, int) and not isinstance(v, bool):
+        v = {"num": v}
+    if isinstance(v, dict) and "num" in v and set(v) <= {"num", "den"}:
+        num, den = _strict_int(v["num"], "action 'num'"), _strict_int(v.get("den", 1), "action 'den'")
+        if den:
+            return Fraction(num, den)
+    raise MalformedInput(f"bad action value: {_shown(v)}")
+
+
+def generators_from_json_by_dataclass(raw) -> list[Generator]:
+    """The generators of a JSON list, sorted by id, each built by the
+    validating Generator constructor from its own Fraction."""
+    gens = []
+    for item in raw:
+        if not isinstance(item, dict) or "id" not in item or "degree" not in item:
+            raise MalformedInput(f"bad generator entry: {_shown(item)}")
+        gens.append(
+            Generator(
+                str(item["id"]),
+                _strict_int(item["degree"], "generator degree"),
+                _action_by_fraction(item.get("action", 0)),
+            )
+        )
+    return sorted(gens, key=lambda g: g.id)
 
 
 def filtration_order_by_fractions(cx) -> list[int]:

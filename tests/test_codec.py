@@ -17,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import smith_tate.errors as errors
 from smith_tate.cli import dispatch
-from smith_tate.complexes import _MAX_DIGITS, _rational, _triplets_from_json, complex_from_json
+from smith_tate.complexes import _MAX_DIGITS, _rational, _rational_pair, _triplets_from_json, complex_from_json
 from smith_tate.errors import MalformedInput, TooLarge
 from smith_tate.persistence import Bar, Barcode, barcode_from_json, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import random_floer_model
 from smith_tate.spectral import model_from_json, model_to_json
+
+from oracles import generators_from_json_by_dataclass
 
 
 @pytest.fixture()
@@ -129,6 +131,83 @@ def test_rational_refuses_a_container_of_a_huge_int():
     """The refusal never writes out a value whose text Python refuses."""
     with pytest.raises(MalformedInput, match="of type list"):
         _rational([10**5000], "x")
+
+
+# ---------------------------------------------------------------------------
+# the (num, den) reader of bar endpoints against the rational reader
+
+
+def _check_pair_reads_as_rational(v):
+    """_rational_pair(v) is _rational(v) as a pair with a positive
+    denominator, or the same refusal with the same text."""
+    try:
+        want = _rational(v, "bar start")
+    except MalformedInput as e:
+        with pytest.raises(MalformedInput) as got:
+            _rational_pair(v, "bar start")
+        assert str(got.value) == str(e)
+    else:
+        n, d = _rational_pair(v, "bar start")
+        assert type(n) is int and type(d) is int and d > 0 and Fraction(n, d) == want
+
+
+@given(rational_literals())
+@settings(max_examples=300, deadline=None)
+def test_the_pair_reader_reads_every_literal_as_rational_does(s):
+    _check_pair_reads_as_rational(s)
+
+
+@given(st.text("0123456789+-/_ \t\u0660\u0663\u00a0\uff11x", max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_the_pair_reader_agrees_with_rational_on_any_text(s):
+    _check_pair_reads_as_rational(s)
+
+
+def _endpoint_corpus():
+    """The refused and accepted endpoints of the barcode corpus and of
+    test_rational_refusals, with edges of the plain "n/d" form."""
+    values = [v for path, vs in _KINDS["barcode"][2] if path[-1] in ("start", "end") for v in vs]
+    values += [float("inf"), True, None, [1], {"num": 1}, "inf", "1/0", "", "1e4300", " 1e10000000 ", "1e1_0000000"]
+    values += ["1/2", "2/4", "-0/5", "+1/2", " 1/2", "1/2 ", "1/2\n", "1_0/3", "0/0", "1/-2", "-1/-2", "--1", "1//2",
+               "/2", "1/", "-", "0x10", "0b1", "\u0663/\u0664", "1\u0663", "\uff11/2", "00/007", "7", "-0", "1.5/2"]
+    values += ["9" * 4300, "-" + "9" * 4299, "-" + "9" * 4300, "9" * 4301, "1/" + "9" * 4298, "1/" + "9" * 4299]
+    values += [0, -3, 10**5000, -(10**5000), 0.5, 2.5e-3]
+    return [v for v in values if v is not _DROP and v is not _RENAME]
+
+
+def test_the_pair_reader_reads_the_corpus_as_rational_does():
+    for v in _endpoint_corpus():
+        _check_pair_reads_as_rational(v)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [{"id": "", "degree": "x"}],
+        [{"id": "", "degree": 0, "action": "x"}],
+        [{"id": "", "degree": 0}],
+        [{"id": "a", "degree": 0, "action": {"num": 1, "den": 0}}, {"id": "", "degree": 0}],
+        [{"id": "a", "degree": 0, "action": {"num": True, "den": 2}}],
+        [{"id": "a", "degree": 0, "action": {"num": 1, "den": 2.0}}],
+        [{"id": "a", "degree": 0, "action": {"num": 1, "den": 2, "x": 1}}],
+        [{"id": "a", "degree": 0, "action": {"den": 2, "x": 1}}],
+        [{"id": "a", "degree": 1.0, "action": {"num": 3}}, {"id": "b", "degree": 0, "action": {"num": 6, "den": -4}}],
+        [{"id": 7, "degree": 0, "action": {"num": -3, "den": 2}}, {"id": "c", "degree": 2, "action": -2}],
+    ],
+)
+def test_generators_read_as_the_validating_constructor_reads_them(raw):
+    """The trusted generator route keeps the checks, their order and their
+    text: the same generators or the same refusal."""
+    try:
+        want = generators_from_json_by_dataclass(raw)
+    except MalformedInput as e:
+        with pytest.raises(MalformedInput) as got:
+            complex_from_json({"p": 3, "generators": raw})
+        assert str(got.value) == str(e)
+    else:
+        gens = complex_from_json({"p": 3, "generators": raw}).generators
+        assert list(gens) == want
+        assert all(type(g.degree) is int and type(g.action) is Fraction for g in gens)
 
 
 _HUGE = 10**5000  # an int whose repr Python refuses: more than 4300 digits

@@ -1,13 +1,15 @@
 """Barcodes: extraction, window counts, iterate comparison, torsion windows."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smith_tate.complexes import ActionWindow, ChainComplex, FilteredComplex, Generator
+from smith_tate.cli import dispatch
+from smith_tate.complexes import ActionWindow, ChainComplex, FilteredComplex, Generator, _frac_str, complex_from_json
 from smith_tate.errors import (
     EmptyBarcode,
     FiltrationViolation,
@@ -19,7 +21,6 @@ from smith_tate.persistence import (
     Bar,
     Barcode,
     _integrate_finite_count,
-    _midpoint_probes,
     bar_stats,
     barcode_from_filtered,
     barcode_from_json,
@@ -41,11 +42,13 @@ from smith_tate.random_instances import (
 from oracles import (
     action_violations_by_fractions,
     bar_stats_by_fractions,
+    barcode_from_json_by_fractions,
     barcode_from_filtered_by_fractions,
     canonical_bars_by_fractions,
     filtration_order_by_fractions,
     finite_bar_count_at,
     integrate_finite_count_by_regions,
+    midpoint_probes_by_fractions,
     persistence_pairing_dense,
     smith_barcode_check_per_window,
     torsion_witness_by_fractions,
@@ -490,7 +493,7 @@ HUGE = [Fraction(2**62 + k, 2**62 - 1) for k in (-3, -1, 0, 1, 2)] + [Fraction(-
 def _windows(levels, rng, count=60):
     """The whole line, plus windows whose ends are open, below or above every
     level, or strictly between two adjacent levels."""
-    ends = [None] + _midpoint_probes(sorted(levels))
+    ends = [None] + midpoint_probes_by_fractions(sorted(levels))
     out = [ActionWindow(None, None)]
     for _ in range(count):
         a, t = rng.choice(ends), rng.choice(ends)
@@ -665,3 +668,199 @@ def test_sparse_and_dense_pairing_reject_an_unfiltered_complex():
     with pytest.raises(FiltrationViolation) as dense:
         persistence_pairing_dense(cx)
     assert str(sparse.value) == str(dense.value) == "d(a) does not strictly decrease action at b"
+
+
+# ---------------------------------------------------------------------------
+# int ticks against the Fraction routes, on inputs where one scale could go wrong
+
+# pairwise-coprime denominators, so that the scale is their product
+COPRIME = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _coprime_bars(rng, count, dens):
+    """count bars whose starts and ends take their denominators from dens
+    independently, so neither side's denominators divide the other's lcm."""
+    out = []
+    for _ in range(count):
+        a = Fraction(rng.randint(-90, 90), rng.choice(dens))
+        end = None if rng.random() < 0.3 else a + Fraction(rng.randint(1, 60), rng.choice(dens))
+        out.append(Bar(a, end, rng.randint(1, 3)))
+    return out
+
+
+def _assert_ticks(b, lcm=True):
+    """Every level of b is its tick over the scale, and the scale is the
+    lcm of the level denominators, or with lcm false a multiple of it."""
+    least = math.lcm(*(x.denominator for x in b.levels))
+    assert b.scale == least if lcm else b.scale % least == 0
+    assert b.ticks == tuple(int(x * b.scale) for x in b.levels)
+
+
+def _assert_iterate_pairs(b1, p, seed):
+    """The iterate check against the per-window route on a generated
+    iterate, a tampered one and b1 itself."""
+    assert _assert_same_report(b1, generate_iterated_barcode(b1, p, extra_bars=3, seed=seed), p).ok
+    _assert_same_report(b1, b1, p)
+    if any(bar.finite for bar in b1.bars):
+        assert not _assert_same_report(b1, adversarial_iterated_pair(b1, p, seed)[1], p).ok
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coprime_denominators_match_the_fraction_routes(seed):
+    rng = random.Random(seed)
+    p = PRIMES[seed % 4]
+    dens = rng.sample(COPRIME, 8)
+    b = Barcode(p, _coprime_bars(rng, 12, dens))
+    assert b.scale > 10**6
+    _assert_ticks(b)
+    _assert_barcode_matches_oracles(b, rng)
+    assert barcode_from_json(barcode_to_json(b)) == b
+    assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b)
+    _assert_iterate_pairs(b, p, seed)
+    # an unrelated iterate on other coprime denominators
+    _assert_same_report(b, Barcode(p, _coprime_bars(rng, 10, rng.sample(COPRIME, 8))), p)
+    # a filtered complex whose actions have pairwise-coprime denominators
+    levels = sorted({Fraction(rng.randint(-40, 40), d) for d in dens})
+    fc, planted = planted_filtered_complex(p, *_planted_bars(rng, levels), seed)
+    _assert_complex_matches_oracles(fc, rng)
+    assert barcode_from_filtered(fc) == planted
+    _, _, scale, ticks = fc._level_table()
+    assert scale == math.lcm(*(x.denominator for x in fc.actions()))
+    assert ticks == tuple(int(x * scale) for x in fc.actions())
+
+
+def test_one_value_spelled_several_ways_is_one_level():
+    data = {
+        "p": 3,
+        "bars": [
+            {"start": "1/2", "end": "3/4"},
+            {"start": "2/4", "end": "6/8"},
+            {"start": "0.5", "end": 0.75, "mult": 2},
+            {"start": "-0/5", "end": " 1/2 "},
+            {"start": 0, "end": None},
+            {"start": "0/7", "end": None},
+        ],
+    }
+    b = barcode_from_json(data)
+    assert (b.p, spans(b)) == barcode_from_json_by_fractions(data)
+    assert b.levels == (0, Fraction(1, 2), Fraction(3, 4))
+    assert b.index_bars == ((0, 1, 1), (0, 3, 2), (1, 2, 4))
+    assert bar_stats(b) == bar_stats_by_fractions(b)
+    _assert_barcode_matches_oracles(b, random.Random(0))
+    # the same action as {"num": 1, "den": -2}, {"num": -1, "den": 2} and {"num": -2, "den": 4}
+    gens = [{"id": "a", "degree": 0, "action": 1}, {"id": "b", "degree": 1, "action": {"num": 1, "den": -2}},
+            {"id": "c", "degree": 1, "action": {"num": -1, "den": 2}},
+            {"id": "e", "degree": 1, "action": {"num": -2, "den": 4}}]
+    fc = complex_from_json({"p": 3, "generators": gens, "differential": {"a": {"b": 1}}}, expect="filtered")
+    assert fc.actions() == [Fraction(-1, 2), Fraction(1)]
+    assert fc._level_table()[1:] == ([1, 0, 0, 0], 2, (-1, 2))
+    _assert_complex_matches_oracles(fc, random.Random(1))
+    assert spans(barcode_from_filtered(fc)) == [(Fraction(-1, 2), 1, 1), (Fraction(-1, 2), None, 2)]
+
+
+def test_integer_only_inputs_have_scale_one():
+    rng = random.Random(5)
+    data = {"p": 5, "bars": [{"start": rng.randint(-9, 9), "end": None} for _ in range(4)]}
+    data["bars"] += [{"start": "3", "end": "7/1"}, {"start": -2, "end": "4"}, {"start": "-0", "end": 1}]
+    b = barcode_from_json(data)
+    assert (b.p, spans(b)) == barcode_from_json_by_fractions(data)
+    assert b.scale == 1 and b.ticks == tuple(b.levels)
+    _assert_barcode_matches_oracles(b, rng)
+    _assert_iterate_pairs(b, 5, 5)
+    fc, _ = planted_filtered_complex(3, *_planted_bars(rng, list(range(-5, 6))), 5)
+    assert fc._level_table()[2:] == (1, tuple(map(int, fc.actions())))
+    _assert_complex_matches_oracles(fc, rng)
+
+
+def test_an_empty_barcode_has_scale_one_and_no_ticks():
+    b = barcode_from_json({"p": 3, "bars": []})
+    assert (b.scale, b.ticks, b.levels, b.bars) == (1, (), (), ())
+    assert bar_stats(b) == bar_stats_by_fractions(b)
+    assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b) == 0
+    assert _assert_same_report(b, b, 3).ok
+    with pytest.raises(EmptyBarcode):
+        torsion_witness(b)
+    assert barcode_from_json(barcode_to_json(b)) == b == Barcode(3)
+
+
+def test_the_iterate_check_at_a_prime_near_2_24(tmp_path, capsys):
+    """p = 16777213 scales bp's levels by 1 / p: the joint scale is about p
+    times the single one."""
+    p = 16777213
+    rng = random.Random(p)
+    for seed in range(4):
+        b1 = Barcode(3, _coprime_bars(rng, 6, rng.sample(COPRIME, 4)))
+        _assert_iterate_pairs(b1, p, seed)
+        _assert_same_report(b1, Barcode(3, _coprime_bars(rng, 6, rng.sample(COPRIME, 4))), p)
+    argv = ["barcode-smith", "-p", str(p), "--json"]
+    iterate = generate_iterated_barcode(b1, p, extra_bars=2, seed=0)
+    for name, b in (("single", b1), ("iterate", iterate)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(barcode_to_json(b)))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert dispatch(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["results"]["beta-tot-iterate"] == _frac_str(bar_stats(iterate).beta_tot)
+
+
+def test_a_barcode_refusal_names_the_first_bad_bar_as_the_fraction_route_does():
+    huge = 10**5000
+    cases = [
+        [{"start": "1", "end": "1/2"}, {"start": "x"}],
+        [{"start": "x"}, {"start": "1", "end": "1/2"}],
+        [{"start": "1/2", "end": "2/4"}],
+        [{"start": "0.5", "end": "1/2"}],
+        [{"start": 1, "end": 0, "mult": 0}],
+        [{"start": 0, "end": 1, "mult": 0}, {"start": 2, "end": 1}],
+        [{"start": 0, "end": 1, "mult": 2.5}],
+        [{"start": huge, "end": 0}],
+        [{"start": 0, "end": -huge}],
+        [{"start": "1/3", "end": "1/3"}, {"start": 0, "mult": -1}],
+        [{"start": "-1/3", "end": "-1/3", "mult": -1}],
+    ]
+    for bars in cases:
+        data = {"p": 3, "bars": bars}
+        with pytest.raises(MalformedInput) as want:
+            barcode_from_json_by_fractions(data)
+        with pytest.raises(MalformedInput) as got:
+            barcode_from_json(data)
+        assert str(got.value) == str(want.value), bars
+    with pytest.raises(MalformedInput, match=r"^bar needs start < end, got \(1/2, 1/2\]$"):
+        barcode_from_json({"p": 3, "bars": [{"start": "1/2", "end": "2/4"}]})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_barcode_json_reads_as_the_fraction_route(seed):
+    """Random bars written in every spelling the reader takes, with a few
+    malformed fields: the same bars or the same refusal."""
+    rng = random.Random(seed)
+    spellings = (
+        lambda x: _frac_str(x),
+        lambda x: f"{x.numerator * 3}/{x.denominator * 3}",
+        lambda x: str(x),
+        lambda x: f" {x} ",
+        lambda x: x.numerator if x.denominator == 1 else str(x),
+        lambda x: float(x) if x.denominator in (1, 2, 4, 8) else str(x),
+    )
+    bad = ("x", "1/0", True, None, [1], "1e10000000", "0x10")
+    bars = []
+    for bar in _coprime_bars(rng, 12, rng.sample(COPRIME, 3)):
+        item = {"start": rng.choice(spellings)(bar.start), "mult": bar.multiplicity}
+        if bar.end is not None:
+            item["end"] = rng.choice(spellings)(bar.end)
+        if rng.random() < 0.05:
+            item[rng.choice(("start", "end", "mult"))] = rng.choice(bad)
+        if rng.random() < 0.05:
+            item["start"], item["end"] = item.get("end", item["start"]), item["start"]
+        bars.append(item)
+    data = {"p": PRIMES[seed % 4], "bars": bars}
+    try:
+        want = barcode_from_json_by_fractions(data)
+    except MalformedInput as e:
+        with pytest.raises(MalformedInput) as got:
+            barcode_from_json(data)
+        assert str(got.value) == str(e)
+        return
+    b = barcode_from_json(data)
+    assert (b.p, spans(b)) == want
+    _assert_ticks(b, lcm=False)
+    _assert_barcode_matches_oracles(b, rng)
