@@ -155,10 +155,10 @@ def _triplets_to_json(a: np.ndarray) -> list[list[int]]:
     return [[int(r), int(c), int(a[r, c])] for r, c in zip(*np.nonzero(a))]
 
 
-def _coeff_map(m: np.ndarray, ids: list[str]) -> CoeffMap:
-    """{source id: {target id: coefficient}} of a square matrix whose rows
-    and columns follow ids; a zero column gets no entry."""
-    return {ids[j]: {ids[i]: v for i, v in col.items()} for j, col in enumerate(_sparse(m)) if col}
+def _coeff_map(a: Columns, ids: list[str]) -> CoeffMap:
+    """{source id: {target id: coefficient}} of a square operator's columns,
+    whose indices follow ids; a zero column gets no entry."""
+    return {ids[j]: {ids[i]: v for i, v in col.items()} for j, col in enumerate(a) if col}
 
 
 def _sparse(m: np.ndarray) -> Columns:
@@ -402,38 +402,16 @@ class ChainComplex:
     def index_of(self, gid: str) -> int:
         return self._index[gid]
 
-    def _coeff_matrix(self, coeffs: CoeffMap, src, tgt, *, sigma: bool = False) -> np.ndarray:
-        """Dense matrix of a coefficient map from the generators at indices
-        src to those at indices tgt; entries outside tgt are dropped.
-
-        With sigma, a generator without a row is fixed.
-        """
-        pos = {idx: r for r, idx in enumerate(tgt)}
-        a = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for c, i in enumerate(src):
-            g = self.generators[i]
-            row = coeffs.get(g.id)
-            if row is None:
-                if sigma:
-                    a[pos[i], c] = 1
-                continue
-            for tid, coeff in row.items():
-                r = pos.get(self._index[tid])
-                if r is not None:
-                    a[r, c] = coeff
-        return a
-
     def d_block(self, k: int) -> np.ndarray:
-        """Matrix of d from degree k to degree k+1 in stored generator order;
-        cached and shared, so callers must not write to it."""
+        """Matrix of d from degree k to degree k+1 in stored generator order,
+        cut from d's cached columns; cached and shared, so callers must not
+        write to it."""
         if k not in self._block_cache:
-            deg = self._deg_index
-            self._block_cache[k] = self._coeff_matrix(self.differential, deg.get(k, []), deg.get(k + 1, []))
+            cols, tgt = self.columns("differential"), self._deg_index.get(k + 1, [])
+            row = {i: r for r, i in enumerate(tgt)}
+            src = [{row[i]: v for i, v in cols[j].items()} for j in self._deg_index.get(k, [])]
+            self._block_cache[k] = _dense(src, len(tgt))
         return self._block_cache[k]
-
-    def matrix_in_order(self, order: list[int]) -> np.ndarray:
-        """Full differential matrix with rows/columns indexed by `order`."""
-        return self._coeff_matrix(self.differential, order, order)
 
     # -- homology ----------------------------------------------------------
 
@@ -525,11 +503,6 @@ class EquivariantComplex(ChainComplex):
         # ChainComplex.__init__ has already checked d
         if check and (bad := self._sigma_violations()):
             raise InvalidComplex("; ".join(msg for _, msg in bad))
-
-    def sigma_matrix(self) -> np.ndarray:
-        """Matrix of sigma on all generators in stored order."""
-        order = range(self.dim())
-        return self._coeff_matrix(self.sigma, order, order, sigma=True)
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.

@@ -35,6 +35,7 @@ from .complexes import (
     _shown,
     _sigma_from_json,
     _sigma_to_json,
+    _sparse,
 )
 from .errors import MalformedInput, SmithTateError, UnknownProperty, check_size
 from .persistence import _avoids_zero, _midpoint_probes
@@ -158,7 +159,7 @@ def _check_sigma_decomposition(payload):
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
     gens = [Generator(f"v{i}", 0) for i in range(n)]
-    V = EquivariantComplex(s.p, gens, {}, _coeff_map(s.a, [g.id for g in gens]))
+    V = EquivariantComplex(s.p, gens, {}, _coeff_map(_sparse(s.a), [g.id for g in gens]))
     direct_tate = tate.tate_cohomology_dims(V)
     ok = (
         invariant == direct_invariant

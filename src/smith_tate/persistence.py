@@ -295,23 +295,6 @@ def bar_stats(b: Barcode, *, require_extremal_starts: bool = False) -> BarStats:
     )
 
 
-def _integrate_finite_count(b: Barcode) -> Fraction:
-    """Exact integral of m(t) dt, by one sweep over the regions between
-    consecutive levels, on their ticks."""
-    ticks = b.ticks
-    steps = [0] * len(ticks)
-    for s, e, m in b.index_bars:
-        if e < len(ticks):
-            steps[s] += m
-            steps[e] -= m
-    total = m = 0
-    for k in range(len(ticks) - 1):
-        m += steps[k]
-        if m:
-            total += m * (ticks[k + 1] - ticks[k])
-    return Fraction(total, b.scale)
-
-
 # ---------------------------------------------------------------------------
 # the p-th iterate comparison
 
@@ -446,7 +429,10 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
     m_failures = [(at(k), int(c1.cover[k]), int(cp.cover[k])) for k in np.nonzero(c1.cover > cp.cover)[0]]
     beta1, betap = stats1.beta_tot, statsp.beta_tot
     beta_direct_ok = betap >= p * beta1
-    beta_integral_ok = _integrate_finite_count(bp) >= p * _integrate_finite_count(b1)
+    # int m(t, bp) dt >= p int m(t, b1) dt, with t = p x in the first: each region
+    # between events weighs the count difference at its probe by its length
+    diff = cp.cover - c1.cover
+    beta_integral_ok = sum(int(diff[k]) * (events[k] - events[k - 1]) for k in np.flatnonzero(diff).tolist()) >= 0
 
     window_failures = []
     whole1, wholep = int(c1.inf_in[-1]), int(cp.inf_in[-1])

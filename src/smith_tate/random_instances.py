@@ -8,7 +8,8 @@ raise action (_conjugated).  These invariants do not change under such a
 filtered, equivariant change of basis, so validity is by construction and
 each instance carries its provenance (planted data) where tests need an
 oracle.  The bases are built unchecked; the conjugated complex is checked,
-and P d P^-1 fails a check exactly when d does.
+and P d P^-1 fails a check exactly when d does.  Every matching joins
+degree-adjacent generators, so a base's cached columns of d hold all of d.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .complexes import (
     FilteredComplex,
     Generator,
     _coeff_map,
+    _dense,
+    _sparse,
 )
 from .fp_core import FpMatrix, _matmul_mod, _row_reduce
 from .persistence import Bar, Barcode, scale_barcode
 from .spectral import EquivariantFloerModel
-from .tate import tate_blocks_at_one
+from .tate import tate_terms
 
 __all__ = [
     "random_free_equivariant",
@@ -104,8 +107,8 @@ def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
 
 
 def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    d = _matmul_mod(_matmul_mod(pm, cx.matrix_in_order(range(cx.dim())), cx.p), inv, cx.p)
-    return _coeff_map(d, [g.id for g in cx.generators])
+    d = _matmul_mod(_matmul_mod(pm, _dense(cx.columns("differential"), cx.dim()), cx.p), inv, cx.p)
+    return _coeff_map(_sparse(d), [g.id for g in cx.generators])
 
 
 def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> ChainComplex:
@@ -329,7 +332,8 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     rng = _rng(seed)
     base = random_equivariant_filtered(p, rng, **kwargs)
     n = base.dim()
-    blocks = tate_blocks_at_one(base)
+    # the default terms d, 1 - sigma, -d and N: each alone in its block of M(1)
+    blocks = [(_dense(cols, n), alpha) for (_, alpha), cols in tate_terms(base).items()]
     degs = np.array([g.degree for g in base.generators], dtype=np.int64)
     if deform and n:
         level = base._level_table()[1]
@@ -337,10 +341,9 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
         for x, y in _draws(rng, n, lambda x, y: degs[y] == degs[x] - 2 and level[y] < level[x]):
             r[(y, x)] = rng.randrange(p)
         q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
-        blocks = tuple(_matmul_mod(_matmul_mod(q, m, p), qinv, p) for m in blocks)
-    A, B, C, D = blocks  # 1 -> 1, theta -> 1, 1 -> theta, theta -> theta
+        blocks = [(_matmul_mod(_matmul_mod(q, m, p), qinv, p), alpha) for m, alpha in blocks]
     terms = {}
-    for m, alpha in ((A, 0), (C, 0), (D, 1), (B, 1)):
+    for m, alpha in blocks:
         slot = 1 + alpha - (degs[:, None] - degs[None, :])
         for i in sorted(set(slot[m != 0].tolist())):
             terms[(i, alpha)] = np.where(slot == i, m, 0)

@@ -36,12 +36,16 @@ import numpy as np
 
 from .complexes import (
     ChainComplex,
+    Columns,
     EquivariantComplex,
     FilteredComplex,
     _coeff_map,
+    _compose,
+    _dense,
     _json_object,
     _out_of_range,
     _shown,
+    _sparse,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -54,10 +58,10 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _matmul_mod, _matpow, rank
+from .fp_core import FpMatrix, _matmul_mod, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
 from .persistence import persistence_pairing
-from .tate import blocks_square_zero, parity_dims_at_one, tate_blocks_at_one
+from .tate import _parity_dims, assemble, tate_terms
 
 __all__ = [
     "FilteredComplex",
@@ -162,7 +166,9 @@ class EquivariantFloerModel:
     Every term d_alpha^i must have internal degree 1 - i + alpha; the two
     filtration-level terms d_0^0 and d_1^1 must strictly decrease action and
     all others must not increase it.  The assembled differential must square
-    to zero over F_p[[u]].
+    to zero over F_p[[u]].  terms holds each nonzero term as sparse columns,
+    the defaults being tate.tate_terms of base; term(i, alpha) is its dense
+    view.
     """
 
     def __init__(
@@ -176,8 +182,7 @@ class EquivariantFloerModel:
         self.base = base
         self.p = base.p
         n = base.dim()
-        A, B, C, D = tate_blocks_at_one(base)
-        terms: dict[tuple[int, int], np.ndarray] = {(0, 0): A, (1, 0): C, (1, 1): D, (2, 1): B}
+        terms = tate_terms(base)
         supplied = d_terms or {}
         for (i, alpha), m in supplied.items():
             if alpha not in (0, 1) or i < 0:
@@ -187,7 +192,7 @@ class EquivariantFloerModel:
             a = np.asarray(m, dtype=np.int64)
             if a.shape != (n, n):
                 raise MalformedInput(f"d_term ({i},{alpha}) must be {n} x {n}")
-            terms[(i, alpha)] = a % self.p
+            terms[(i, alpha)] = _sparse(a % self.p)
         if i_max is None:
             raise MalformedInput("i_max is required")
         self.i_max = int(i_max)
@@ -196,16 +201,17 @@ class EquivariantFloerModel:
                 if (i, alpha) in supplied:
                     raise MalformedInput(f"d_term ({i},{alpha}) exceeds i_max={self.i_max}")
                 del terms[(i, alpha)]  # defaults above i_max are dropped
-        self.terms = {k: v for k, v in terms.items() if v.any()}
+        self.terms: dict[tuple[int, int], Columns] = {k: v for k, v in terms.items() if any(v)}
         self._verdict_cache: tuple[str | None, str | None] | None = None
-        self._blocks: tuple[np.ndarray, ...] | None = None
+        self._columns: Columns | None = None
         self._square_zero: bool | None = None
         if check:
             self._validate()
 
     def term(self, i: int, alpha: int) -> np.ndarray:
+        """d_alpha^i as an n x n residue array, zero for a missing term."""
         n = self.base.dim()
-        return self.terms.get((i, alpha), np.zeros((n, n), dtype=np.int64))
+        return _dense(self.terms.get((i, alpha), [{}] * n), n)
 
     def _verdict(self) -> tuple[str | None, str | None]:
         """Messages for the first d_term entry that breaks its degree rule
@@ -214,21 +220,22 @@ class EquivariantFloerModel:
         Term (i, alpha) must have internal degree 1 - i + alpha, so that the
         assembled differential is homogeneous of degree +1 with |u| = 2 and
         |theta| = 1; d_0^0 and d_1^1 must strictly decrease action and the
-        others must not increase it.
+        others must not increase it.  Each message names the term's first
+        breaking entry in row-major order.
         """
         if self._verdict_cache is None:
             gens = self.base.generators
             degree, level = [g.degree for g in gens], self.base._level_table()[1]
             degree_msg = action_msg = None
-            for (i, alpha), m in self.terms.items():
-                entries = list(zip(*np.nonzero(m)))
+            for (i, alpha), cols in self.terms.items():
+                entries = [(r, j) for j, col in enumerate(cols) for r in col]
                 step = 1 - i + alpha
                 if degree_msg is None and (bad := _out_of_range(entries, degree, step, step)):
-                    tgt, src = (gens[x].id for x in bad[0])
+                    tgt, src = (gens[x].id for x in min(bad))
                     degree_msg = f"d_term ({i},{alpha}) entry {src} -> {tgt} violates degree 1-i+alpha = {step}"
                 strict = (i, alpha) in ((0, 0), (1, 1))
                 if action_msg is None and (bad := _out_of_range(entries, level, -math.inf, -1 if strict else 0)):
-                    tgt, src = (gens[x].id for x in bad[0])
+                    tgt, src = (gens[x].id for x in min(bad))
                     rule = "strictly decrease" if strict else "not increase"
                     action_msg = f"d_term ({i},{alpha}) must {rule} action ({src} -> {tgt})"
             self._verdict_cache = (degree_msg, action_msg)
@@ -243,37 +250,37 @@ class EquivariantFloerModel:
         if not self.square_is_zero():
             raise NotSquareZero("assembled equivariant differential does not square to zero")
 
-    def blocks_at_one(self) -> tuple[np.ndarray, ...]:
-        """Blocks (A, B, C, D) of the assembled differential at u = 1:
-        A: 1->1, B: theta->1, C: 1->theta, D: theta->theta; assembled once
-        and shared, so callers must not write to them.
-
-        Term (i, alpha) is u^(i // 2) d_alpha^i from theta^alpha to
-        theta^(i mod 2).  Raises InvalidComplex unless the differential is
-        homogeneous, so that these blocks determine it.
+    def columns(self) -> Columns:
+        """The 2n sparse columns of the assembled differential at u = 1
+        (tate.assemble): term (i, alpha) is u^(i // 2) d_alpha^i from
+        theta^alpha to theta^(i mod 2).  Assembled once and shared, so
+        callers must not write to them.  Raises InvalidComplex unless the
+        differential is homogeneous, so that these columns determine it.
         """
-        if self._blocks is None:
+        if self._columns is None:
             if degree_msg := self._verdict()[0]:
                 raise InvalidComplex(degree_msg)
-            n = self.base.dim()
-            acbd = np.zeros((4, n, n), dtype=np.int64)
-            for (i, alpha), m in self.terms.items():
-                acbd[2 * alpha + i % 2] += m
-            A, C, B, D = acbd % self.p
-            self._blocks = (A, B, C, D)
-        return self._blocks
+            self._columns = assemble(self.terms, self.base.dim(), self.p)
+        return self._columns
 
     def square_is_zero(self) -> bool:
-        """Whether the assembled differential squares to zero; computed
-        once, at construction under check=True or on first use otherwise."""
+        """Whether the assembled differential squares to zero over F_p[u];
+        computed once, at construction under check=True or on first use
+        otherwise.
+
+        With |u| = 2 and |theta| = 1 a homogeneous differential of degree +1
+        is M(u) = u^(1/2) G^-1 M(1) G for G = diag(u^(deg/2)) over the total
+        degrees of the basis, so M(u)^2 = u G^-1 M(1)^2 G vanishes exactly
+        when M(1)^2 does.
+        """
         if self._square_zero is None:
-            self._square_zero = blocks_square_zero(*self.blocks_at_one(), self.p)
+            m = self.columns()
+            self._square_zero = not any(_compose(m, m, self.p))
         return self._square_zero
 
     def tate_parity_dims(self) -> tuple[int, int]:
         """(even, odd) F_p((u))-dims of the homology of the assembled complex."""
-        degs = [g.degree for g in self.base.generators]
-        return parity_dims_at_one(degs, *self.blocks_at_one(), self.p)
+        return _parity_dims([g.degree for g in self.base.generators], self.columns(), self.p)
 
     def __repr__(self) -> str:
         slots = sorted(self.terms)
@@ -330,10 +337,12 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     base = model.base
     n = base.dim()
     ids = [g.id for g in base.generators]
+    zero = [{}] * n
+    d00 = model.terms.get((0, 0), zero)
     # M(u)^2 = 0 and the theta -> 1 block has no u^0 term, so the u^0 parts
     # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
-    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids), check=False)
-    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids), check=False)
+    even_cx = ChainComplex(p, base.generators, _coeff_map(d00, ids), check=False)
+    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.terms.get((1, 1), zero), ids), check=False)
     d10 = model.term(1, 0)
     d21 = model.term(2, 1)
     e1_even = even_cx.homology_dims()
@@ -363,11 +372,12 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     bound = einf[0] <= e2_even_total and einf[1] <= e2_odd_total
     sigma_module = None
     sigma_tate = None
-    s = base.sigma_matrix()
-    d00 = model.term(0, 0)
-    order_p = np.array_equal(_matpow(s, p, p), np.eye(n, dtype=np.int64))
-    if order_p and np.array_equal(_matmul_mod(s, d00, p), _matmul_mod(d00, s, p)):
+    # the base is homogeneous (tate_terms), so sigma's columns are all of sigma;
+    # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
+    s, nm = base.columns("sigma"), base.norm()
+    if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0); decompose the induced module
+        s = _dense(s, n)
         blocks = [_induced(s, even_cx, even_cx, k) for k in degrees]
         total = sum(b.shape[0] for b in blocks)
         sig_star = np.zeros((total, total), dtype=np.int64)
@@ -400,8 +410,8 @@ def model_to_json(model: EquivariantFloerModel) -> dict:
     out = complex_to_json(model.base)
     out["i_max"] = model.i_max
     out["d_terms"] = [
-        {"i": i, "alpha": alpha, "matrix": _triplets_to_json(m)}
-        for (i, alpha), m in sorted(model.terms.items())
+        {"i": i, "alpha": alpha, "matrix": _triplets_to_json(model.term(i, alpha))}
+        for i, alpha in sorted(model.terms)
     ]
     return out
 

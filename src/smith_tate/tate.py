@@ -12,8 +12,8 @@ whose square vanishes because N (1 - sigma) = 0 and d_V commutes with both.
 Everything 2-periodic collapses onto parity, so Tate cohomology is reported
 as a pair (even, odd) of F_p((u))-dimensions.
 
-One set of sparse columns of V<1, theta> (tate_columns) serves every
-result here.  Tate ranks are F_p ranks of its two parity blocks at u = 1,
+One set of sparse columns of V<1, theta> (tate_columns, the terms of
+tate_terms placed by assemble) serves every result here.  Tate ranks are F_p ranks of its two parity blocks at u = 1,
 or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
 first-quadrant part of the same complex: its total map from degree k is the
 parity-k block cut to generators of degree <= k, so above the top degree of
@@ -34,18 +34,19 @@ from itertools import product as _product
 import numpy as np
 
 from . import fp_core
-from .complexes import ChainComplex, Columns, EquivariantComplex, _affine, _dense, _rotation_sign, _sparse
+from .complexes import ChainComplex, Columns, EquivariantComplex, _affine, _dense, _rotation_sign
 from .errors import InvalidComplex, check_size
-from .fp_core import FpMatrix, _matmul_mod, rank
+from .fp_core import FpMatrix, rank
 from .ratfun import bareiss_rank, pupow
 
 # ---------------------------------------------------------------------------
 # the Tate complex
 
 
-def tate_columns(V: EquivariantComplex) -> Columns:
-    """The 2n sparse columns of d-hat at u = 1, M(1) = [[d, N], [1 - sigma,
-    -d]], with N carrying u; label (i, theta^eps) has index i + n * eps.
+def tate_terms(V: EquivariantComplex) -> dict[tuple[int, int], Columns]:
+    """The default terms {(0, 0): d, (1, 0): 1 - sigma, (1, 1): -d, (2, 1): N}
+    of the Tate differential as sparse columns: term (i, alpha) is
+    u^(i // 2) d_alpha^i from theta^alpha to theta^(i mod 2) (see assemble).
     This is the one source of Tate data: Tate and group cohomology and the
     default terms of equivariant models all read it.
 
@@ -63,36 +64,31 @@ def tate_columns(V: EquivariantComplex) -> Columns:
                 f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
                 f"{V.generators[r].id}: the Tate differential is not homogeneous"
             )
-    p, n, d = V.p, V.dim(), V.columns("differential")
-
-    def theta(col):
-        return {i + n: v for i, v in col.items()}
-
-    return [{**a, **theta(c)} for a, c in zip(d, _affine(V.columns("sigma"), -1, 1, p))] + [
-        {**b, **theta(c)} for b, c in zip(V.norm(), _affine(d, -1, 0, p))
-    ]
+    p, d = V.p, V.columns("differential")
+    return {(0, 0): d, (1, 0): _affine(V.columns("sigma"), -1, 1, p), (1, 1): _affine(d, -1, 0, p), (2, 1): V.norm()}
 
 
-def tate_blocks_at_one(V: EquivariantComplex) -> tuple[np.ndarray, ...]:
-    """The n x n blocks (A, B, C, D) = (d, N, 1 - sigma, -d) of tate_columns
-    as arrays, for callers that need them dense."""
-    n = V.dim()
-    m = _dense(tate_columns(V), 2 * n)
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+def assemble(terms: dict[tuple[int, int], Columns], n: int, p: int) -> Columns:
+    """The 2n sparse columns of a block differential on V<1, theta> at
+    u = 1 from its n-column terms of nonzero residues: term (i, alpha) maps
+    the labels j + n * alpha into the labels r + n * (i mod 2), and terms
+    that share a block add mod p."""
+    out: Columns = [{} for _ in range(2 * n)]
+    for (i, alpha), cols in terms.items():
+        shift = n * (i % 2)
+        for acc, col in zip(out[n * alpha:], cols):
+            for r, v in col.items():
+                r += shift
+                if r in acc and not (v := (acc.pop(r) + v) % p):
+                    continue  # the terms cancel here
+                acc[r] = v
+    return out
 
 
-def blocks_square_zero(A, B, C, D, p: int) -> bool:
-    """Whether the homogeneous block differential [[A, B], [C, D]] on
-    V<1, theta> squares to zero over F_p[u]; A, B, C, D are its n x n
-    blocks at u = 1.
-
-    With |u| = 2 and |theta| = 1 a homogeneous differential of degree +1
-    is M(u) = u^(1/2) G^-1 M(1) G for G = diag(u^(deg/2)) over the total
-    degrees of the basis, so
-    M(u)^2 = u G^-1 M(1)^2 G vanishes exactly when M(1)^2 does.
-    """
-    m = np.block([[A, B], [C, D]]) % p
-    return not _matmul_mod(m, m, p).any()
+def tate_columns(V: EquivariantComplex) -> Columns:
+    """The 2n sparse columns of d-hat at u = 1, M(1) = [[d, N], [1 - sigma,
+    -d]], with N carrying u; label (i, theta^eps) has index i + n * eps."""
+    return assemble(tate_terms(V), V.dim(), V.p)
 
 
 def _parities(degrees: list[int]) -> list[int]:
@@ -135,16 +131,6 @@ def _parity_dims(degrees: list[int], columns: Columns, p: int) -> tuple[int, int
     r_e, r_o = map(len, _pivot_degrees(degrees, columns, p))
     n = len(degrees)
     return n - r_e - r_o, n - r_o - r_e
-
-
-def parity_dims_at_one(degrees: list[int], A, B, C, D, p: int) -> tuple[int, int]:
-    """(even, odd) F_p((u))-dims of the homology of the homogeneous block
-    differential [[A, B], [C, D]] on V<1, theta>, from its blocks at u = 1.
-
-    Each parity block is M(u) = diag(u^a) M(1) diag(u^-b) with integer
-    exponents, a change of basis over F_p((u)), so its rank is rank M(1).
-    """
-    return _parity_dims(degrees, _sparse(np.block([[A, B], [C, D]])), p)
 
 
 def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:

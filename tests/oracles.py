@@ -49,7 +49,13 @@ sigma^p = 1 and d sigma = sigma d by sparse composition and reads Tate and
 group cohomology off the sparse columns of M(1).  The dense routes it
 replaced stay here: the per-degree products of structure_violations_by_loops
 and sigma_violations_dense, and the n x n blocks of tate_blocks_dense, split
-by parity_split and read into columns by leading_pivots.  The report writer converts
+by parity_split and read into columns by leading_pivots.  The library keeps
+d, sigma and the equivariant model's terms only as sparse columns, assembles
+the model's differential with tate.assemble and squares it with _compose;
+coeff_matrix_by_entries builds whole dense operators, degree-breaking
+entries included, blocks_square_zero squares the dense block matrix, and
+tate_column_blocks, model_blocks and model_terms_dense are dense views of
+the library's columns.  The report writer converts
 results as it writes; jsonable converts the whole tree first.
 The library reads the Morse resolution's homology off the ranks of two
 p x p circulants; resolution_homology_by_complex builds the length * p
@@ -68,6 +74,7 @@ from smith_tate.complexes import (
     Generator,
     ValidationReport,
     _coeff_map,
+    _dense,
     _frac_str,
     _json_object,
     _rational,
@@ -95,7 +102,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import blocks_square_zero
+from smith_tate.tate import tate_columns
 
 
 def padd(a, b, p: int):
@@ -232,6 +239,42 @@ def coeff_matrix_by_entries(cx, coeffs, src, tgt, *, sigma: bool = False) -> np.
     return a
 
 
+def sigma_matrix_by_entries(V) -> np.ndarray:
+    """The dense n x n matrix of the whole of sigma, a generator without an
+    image fixed."""
+    every = range(V.dim())
+    return coeff_matrix_by_entries(V, V.sigma, every, every, sigma=True)
+
+
+def tate_column_blocks(V) -> tuple[np.ndarray, ...]:
+    """The n x n blocks (A, B, C, D) = (d, N, 1 - sigma, -d) of the sparse
+    columns tate_columns(V), made dense."""
+    n = V.dim()
+    m = _dense(tate_columns(V), 2 * n)
+    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+
+
+def model_blocks(model) -> tuple[np.ndarray, ...]:
+    """The n x n blocks (A, B, C, D) of the sparse columns model.columns() of
+    an equivariant model's assembled differential at u = 1, made dense:
+    A: 1->1, B: theta->1, C: 1->theta, D: theta->theta."""
+    n = model.base.dim()
+    m = _dense(model.columns(), 2 * n)
+    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+
+
+def model_terms_dense(model) -> dict:
+    """{(i, alpha): the dense n x n array of d_alpha^i} over a model's terms."""
+    return {(i, alpha): model.term(i, alpha) for i, alpha in model.terms}
+
+
+def blocks_square_zero(A, B, C, D, p: int) -> bool:
+    """Whether the dense block matrix [[A, B], [C, D]] squares to zero over
+    F_p, one dense product."""
+    m = np.block([[A, B], [C, D]]) % p
+    return not _matmul_mod(m, m, p).any()
+
+
 def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwargs):
     """random_floer_model with its blocks d, uN, 1 - sigma, -d conjugated
     by I + uR over F_p[u], and each coefficient of u^j of a block read off
@@ -241,7 +284,7 @@ def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwa
     n = base.dim()
     every = range(n)
     d = coeff_matrix_by_entries(base, base.differential, every, every)
-    s = coeff_matrix_by_entries(base, base.sigma, every, every, sigma=True)
+    s = sigma_matrix_by_entries(base)
     nm, power = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
     for _ in range(p):
         nm, power = (nm + power) % p, (power @ s) % p
@@ -284,7 +327,7 @@ def model_poly_blocks(model):
     F_p[u]: term (i, alpha) contributes u^(i // 2) d_alpha^i."""
     p, n = model.p, model.base.dim()
     A, C, B, D = ([[() for _ in range(n)] for _ in range(n)] for _ in range(4))
-    for (i, alpha), m in model.terms.items():
+    for (i, alpha), m in model_terms_dense(model).items():
         tgt = (A, C, B, D)[2 * alpha + i % 2]
         for r in range(n):
             for c in range(n):
@@ -328,7 +371,7 @@ def tate_blocks_dense(V) -> tuple[np.ndarray, ...]:
     the dense homogeneity scan."""
     tate_homogeneity_dense(V)
     p, n = V.p, V.dim()
-    d, s = V.matrix_in_order(range(n)), V.sigma_matrix()
+    d, s = coeff_matrix_by_entries(V, V.differential, range(n), range(n)), sigma_matrix_by_entries(V)
     one = np.eye(n, dtype=np.int64)
     return d, _matpow((s - one) % p, p - 1, p), (one - s) % p, (-d) % p
 
@@ -482,7 +525,7 @@ def persistence_pairing_dense(fc) -> tuple[list[int], np.ndarray]:
     p = fc.p
     order = fc.filtration_order()
     n = len(order)
-    d = fc.matrix_in_order(order)
+    d = coeff_matrix_by_entries(fc, fc.differential, order, order)
     low_of: dict[int, int] = {}  # low row -> column that holds it
     lows = np.full(n, -1, dtype=np.int64)
     for j in range(n):
@@ -511,7 +554,7 @@ def subquotient_pages(fc) -> list[tuple[dict, dict]]:
     n = fc.dim()
     levels = fc.actions()
     L = len(levels)
-    d = fc.matrix_in_order(range(n))
+    d = coeff_matrix_by_entries(fc, fc.differential, range(n), range(n))
     degs = [g.degree for g in fc.generators]
     acts = [g.action for g in fc.generators]
     degrees = sorted(set(degs))
@@ -859,8 +902,8 @@ def algebraic_ss_by_vectors(model) -> dict:
     d_0^0."""
     p, base = model.p, model.base
     ids = [g.id for g in base.generators]
-    even_cx = ChainComplex(p, base.generators, _coeff_map(model.term(0, 0), ids))
-    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.term(1, 1), ids))
+    even_cx = ChainComplex(p, base.generators, _coeff_map(model.terms.get((0, 0), []), ids))
+    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.terms.get((1, 1), []), ids))
     degrees = [k for k in base.degrees() if homology_basis_by_solve(even_cx, k) or homology_basis_by_solve(odd_cx, k)]
     out = {"d10_induced": {}, "d21_induced": {}, "e2_by_degree": {}, "sigma_module": None}
     for k in degrees:
@@ -868,7 +911,7 @@ def algebraic_ss_by_vectors(model) -> dict:
         m21 = out["d21_induced"][k] = _induced_by_vectors(model.term(2, 1), odd_cx, even_cx, k)
         r10, r21 = rank(FpMatrix(m10, p)), rank(FpMatrix(m21, p))
         out["e2_by_degree"][k] = {"one": m10.shape[1] - r10 - r21, "theta": m21.shape[1] - r21 - r10}
-    s = base.sigma_matrix()
+    s = sigma_matrix_by_entries(base)
     d00 = model.term(0, 0)
     power = np.eye(base.dim(), dtype=np.int64)
     for _ in range(p):
@@ -1002,7 +1045,8 @@ def tate_homogeneity_dense(V) -> None:
     d raises degree by 1 and the dense sigma keeps it."""
     n = V.dim()
     degrees = np.array([g.degree for g in V.generators], dtype=np.int64)
-    for what, m, shift in (("d", V.matrix_in_order(range(n)), 1), ("sigma", V.sigma_matrix(), 0)):
+    d = coeff_matrix_by_entries(V, V.differential, range(n), range(n))
+    for what, m, shift in (("d", d, 1), ("sigma", sigma_matrix_by_entries(V), 0)):
         bad = _degree_violation_dense(m, degrees, shift)
         if bad is not None:
             r, c = bad
@@ -1017,7 +1061,7 @@ def model_degree_check_dense(model) -> None:
     degree 1 - i + alpha."""
     gens = model.base.generators
     degrees = np.array([g.degree for g in gens], dtype=np.int64)
-    for (i, alpha), m in model.terms.items():
+    for (i, alpha), m in model_terms_dense(model).items():
         bad = _degree_violation_dense(m, degrees, 1 - i + alpha)
         if bad is not None:
             r, c = bad
@@ -1032,7 +1076,8 @@ def model_validate_dense(model) -> None:
     on blocks assembled here."""
     model_degree_check_dense(model)
     gens = model.base.generators
-    for (i, alpha), m in model.terms.items():
+    terms = model_terms_dense(model)
+    for (i, alpha), m in terms.items():
         strict = (i, alpha) in ((0, 0), (1, 1))
         for r, c in zip(*np.nonzero(m)):
             a, b = gens[r].action, gens[c].action
@@ -1041,7 +1086,7 @@ def model_validate_dense(model) -> None:
                 raise FiltrationViolation(f"d_term ({i},{alpha}) must {rule} action ({gens[c].id} -> {gens[r].id})")
     n = model.base.dim()
     acbd = np.zeros((4, n, n), dtype=np.int64)
-    for (i, alpha), m in model.terms.items():
+    for (i, alpha), m in terms.items():
         acbd[2 * alpha + i % 2] += m
     A, C, B, D = acbd % model.p
     if not blocks_square_zero(A, B, C, D, model.p):

@@ -223,13 +223,20 @@ class TestSpectralCommand:
     def test_algebraic_squares_the_model_once(self, jrun, tmp_path, monkeypatch):
         import smith_tate.spectral as spectral
 
-        path = write_json(tmp_path / "model.json", model_to_json(random_floer_model(3, 5)))
+        model = random_floer_model(3, 5)
+        path = write_json(tmp_path / "model.json", model_to_json(model))
         calls = []
-        real = spectral.blocks_square_zero
-        monkeypatch.setattr(spectral, "blocks_square_zero", lambda *a: calls.append(a) or real(*a))
+        real = spectral._compose
+
+        def compose(a, b, p):
+            if a is b:  # the square of the assembled columns
+                calls.append(len(a))
+            return real(a, b, p)
+
+        monkeypatch.setattr(spectral, "_compose", compose)
         code, _, _ = jrun(["spectral", "algebraic", "--input", path])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [2 * model.base.dim()]
 
     def test_mode_is_required(self, run, tmp_path):
         path = write_json(tmp_path / "x.json", {})

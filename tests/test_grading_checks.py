@@ -13,11 +13,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import (
     action_violations_by_fractions,
     construction_error_by_loops,
     model_degree_check_dense,
+    model_terms_dense,
     model_validate_dense,
     sigma_violations_by_loops,
     structure_violations_by_loops,
@@ -40,7 +42,7 @@ from smith_tate.complexes import (
 from smith_tate.errors import SmithTateError
 from smith_tate.random_instances import random_filtered_complex, random_floer_model
 from smith_tate.spectral import EquivariantFloerModel, model_to_json
-from smith_tate.tate import tate_blocks_at_one
+from smith_tate.tate import tate_columns
 
 PRIMES = (2, 3, 5, 7)
 
@@ -115,7 +117,7 @@ def test_complex_checks_match_the_loops(p):
             want = construction_error_by_loops(V)
             assert built == (("ok", built[1]) if want is None else ("InvalidComplex", want))
 
-            new_tate, old_tate = _outcome(tate_blocks_at_one, V), _outcome(tate_homogeneity_dense, V)
+            new_tate, old_tate = _outcome(tate_columns, V), _outcome(tate_homogeneity_dense, V)
             assert new_tate[0] == old_tate[0]
             if new_tate[0] != "ok":
                 assert new_tate == old_tate
@@ -142,13 +144,13 @@ def _scrambled(model, seed):
     i, alpha = rng.choice([(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)])
     m = model.term(i, alpha).copy()
     m[rng.randrange(n), rng.randrange(n)] = rng.randrange(1, model.p)
-    terms = {**model.terms, (i, alpha): m}
+    terms = {**model_terms_dense(model), (i, alpha): m}
     return EquivariantFloerModel(model.base, terms, i_max=max(model.i_max, i), check=False)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_model_checks_match_the_dense_scan(p):
-    """The checked constructor and blocks_at_one of valid, perturbed and
+    """The checked constructor and columns() of valid, perturbed and
     scrambled models raise what the dense scans of the terms raise."""
     seen = Counter()
     for seed in range(15):
@@ -161,10 +163,28 @@ def test_model_checks_match_the_dense_scan(p):
             assert built[0] == want[0]
             if want[0] != "ok":
                 assert built == want
-            blocks = _outcome(_rebuild(m, check=False).blocks_at_one)
-            assert blocks[0] == _outcome(model_degree_check_dense, m)[0]
+            columns = _outcome(_rebuild(m, check=False).columns)
+            assert columns[0] == _outcome(model_degree_check_dense, m)[0]
             seen[built[0]] += 1
     assert all(seen[k] > 0 for k in ("ok", "InvalidComplex", "FiltrationViolation", "NotSquareZero")), seen
+
+
+def test_model_messages_name_the_first_bad_entry_in_row_major_order():
+    """Each model message names the first entry of its term that breaks the
+    rule in row-major order, as the dense scan does; the term's columns
+    hold the entries column by column, which would name another."""
+    p, zero = 3, np.zeros((3, 3), dtype=np.int64)
+    graded = EquivariantComplex(p, [Generator("a", 0), Generator("b", 0), Generator("c", 1)], {}, {})
+    acted = EquivariantComplex(p, [Generator("a", 0, 1), Generator("b", 0, 2), Generator("c", 0, 0)], {}, {})
+    for base, entries, want in (
+        (graded, [(2, 0), (0, 2)], ("InvalidComplex", "d_term (1,0) entry c -> a violates degree 1-i+alpha = 0")),
+        (acted, [(1, 0), (0, 2)], ("FiltrationViolation", "d_term (1,0) must not increase action (c -> a)")),
+    ):
+        m = zero.copy()
+        for r, c in entries:
+            m[r, c] = 1
+        assert _outcome(EquivariantFloerModel, base, {(1, 0): m}, 2) == want
+        assert _outcome(model_validate_dense, EquivariantFloerModel(base, {(1, 0): m}, 2, check=False)) == want
 
 
 def _counting(monkeypatch, cls, name, computes):
@@ -211,5 +231,5 @@ def test_unchecked_pages_of_a_checked_model_are_square_zero():
             model = random_floer_model(p, seed)
             ids = [g.id for g in model.base.generators]
             for i in (0, 1):
-                d = _coeff_map(model.term(i, i), ids)
+                d = _coeff_map(model.terms.get((i, i), []), ids)
                 assert not ChainComplex(p, model.base.generators, d, check=False)._structure_violations()

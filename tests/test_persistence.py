@@ -1,13 +1,16 @@
 """Barcodes: extraction, window counts, iterate comparison, torsion windows."""
 
+import dataclasses
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smith_tate.persistence as persistence
 from smith_tate.cli import dispatch
 from smith_tate.complexes import ActionWindow, ChainComplex, FilteredComplex, Generator, _frac_str, complex_from_json
 from smith_tate.errors import (
@@ -20,7 +23,6 @@ from smith_tate.errors import (
 from smith_tate.persistence import (
     Bar,
     Barcode,
-    _integrate_finite_count,
     bar_stats,
     barcode_from_filtered,
     barcode_from_json,
@@ -343,7 +345,7 @@ def test_iterate_generator_always_passes(seed):
 @settings(max_examples=40, deadline=None)
 def test_beta_tot_is_the_integral_of_the_count(seed):
     b = random_barcode(3, seed)
-    assert _integrate_finite_count(b) == bar_stats(b).beta_tot
+    assert integrate_finite_count_by_regions(b) == bar_stats(b).beta_tot
 
 
 @given(st.sampled_from((2, 3, 5)), st.integers(0, 100_000))
@@ -477,10 +479,32 @@ def test_iterate_check_rejects_nonpositive_scale():
 
 @given(st.integers(0, 100_000))
 @settings(max_examples=40, deadline=None)
-def test_integral_sweep_matches_region_sum(seed):
-    b1, bp = _grid_pair(PRIMES[seed % 4], seed)
-    for b in (b1, bp, random_barcode(5, seed)):
-        assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b)
+def test_integral_check_matches_region_sum(seed):
+    p = PRIMES[seed % 4]
+    b1, bp = _grid_pair(p, seed)
+    for single, iterate in ((b1, bp), (b1, scale_barcode(b1, p)), (random_barcode(p, seed), bp)):
+        by_regions = integrate_finite_count_by_regions(iterate) >= p * integrate_finite_count_by_regions(single)
+        assert smith_barcode_check(single, iterate, p).beta_integral_ok == by_regions
+
+
+def test_beta_integral_reads_the_probe_counts(monkeypatch):
+    """beta-integral sums the probe counts over the regions' lengths; it
+    does not compare the two beta_tot values that beta-direct compares.
+    Shifting every cover by one probe moves the counts onto regions of
+    other lengths and flips beta-integral alone."""
+    b1 = Barcode(3, [Bar(0, 1, 2), Bar(-10, None), Bar(20, None)])
+    bp = Barcode(3, [Bar(-30, 0), Bar(-30, None), Bar(60, None)])
+    rep = smith_barcode_check(b1, bp, 3)
+    assert rep.beta_direct_ok and rep.beta_integral_ok
+    real = persistence._probe_counts
+
+    def shifted(*args):
+        counts = real(*args)
+        return dataclasses.replace(counts, cover=np.roll(counts.cover, 1))
+
+    monkeypatch.setattr(persistence, "_probe_counts", shifted)
+    rep = smith_barcode_check(b1, bp, 3)
+    assert rep.beta_direct_ok and not rep.beta_integral_ok
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +739,7 @@ def test_coprime_denominators_match_the_fraction_routes(seed):
     _assert_ticks(b)
     _assert_barcode_matches_oracles(b, rng)
     assert barcode_from_json(barcode_to_json(b)) == b
-    assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b)
+    assert integrate_finite_count_by_regions(b) == bar_stats(b).beta_tot
     _assert_iterate_pairs(b, p, seed)
     # an unrelated iterate on other coprime denominators
     _assert_same_report(b, Barcode(p, _coprime_bars(rng, 10, rng.sample(COPRIME, 8))), p)
@@ -776,7 +800,7 @@ def test_an_empty_barcode_has_scale_one_and_no_ticks():
     b = barcode_from_json({"p": 3, "bars": []})
     assert (b.scale, b.ticks, b.levels, b.bars) == (1, (), (), ())
     assert bar_stats(b) == bar_stats_by_fractions(b)
-    assert _integrate_finite_count(b) == integrate_finite_count_by_regions(b) == 0
+    assert bar_stats(b).beta_tot == integrate_finite_count_by_regions(b) == 0
     assert _assert_same_report(b, b, 3).ok
     with pytest.raises(EmptyBarcode):
         torsion_witness(b)

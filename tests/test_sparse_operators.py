@@ -23,6 +23,7 @@ from oracles import (
     sigma_violations_dense,
     structure_violations_by_loops,
     tate_blocks_dense,
+    tate_column_blocks,
     tate_homogeneity_dense,
     validate_by_message_text,
 )
@@ -47,7 +48,7 @@ from smith_tate.random_instances import (
     random_free_equivariant,
     random_sigma_matrix,
 )
-from smith_tate.tate import group_cohomology_dims, tate_blocks_at_one, tate_cohomology_dims
+from smith_tate.tate import group_cohomology_dims, tate_cohomology_dims
 
 HUGE_PRIME = 16777213  # the largest prime below fp_core.MATRIX_PRIME_BOUND = 2^24
 
@@ -72,13 +73,13 @@ def dense_sigma_complex(p, multiplicities, seed, with_d=False):
     s = random_sigma_matrix(p, multiplicities, seed).a
     n = len(s)
     ids = [f"a{i:03d}" for i in range(n)]
-    sigma = _coeff_map(s, ids)
+    sigma = _coeff_map(_sparse(s), ids)
     gens = [Generator(g, 0) for g in ids]
     diff = {}
     if with_d:
         top = [f"b{i:03d}" for i in range(n)]
         gens += [Generator(g, 1) for g in top]
-        sigma.update(_coeff_map(s, top))
+        sigma.update(_coeff_map(_sparse(s), top))
         diff = {a: {b: 1} for a, b in zip(ids, top)}
     return EquivariantComplex(p, gens, diff, sigma, check=False)
 
@@ -145,7 +146,7 @@ def _check_against_oracles(V, bareiss=True):
         assert want == construction_error_by_loops(V)
         old = validate_by_message_text(V)
         assert (report.violations, report.checks) == (old.violations, _fixed_flags(old))
-    tate = _outcome(tate_blocks_at_one, V)
+    tate = _outcome(tate_column_blocks, V)
     assert tate[0] == _outcome(tate_homogeneity_dense, V)[0]
     if tate[0] != "ok":
         assert tate == _outcome(tate_homogeneity_dense, V)

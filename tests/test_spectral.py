@@ -33,11 +33,12 @@ from smith_tate.spectral import (
     model_from_json,
     model_to_json,
 )
-from smith_tate.tate import tate_blocks_at_one, tate_cohomology_dims
+from smith_tate.tate import tate_cohomology_dims, tate_terms
 
 from oracles import (
     algebraic_ss_by_vectors,
     model_poly_route,
+    model_terms_dense,
     random_floer_model_over_polynomials,
     subquotient_pages,
 )
@@ -315,7 +316,7 @@ def _perturbed(model, seed):
         for c in range(n):
             if degs[r] == degs[c] + 1 - i + alpha and rng.random() < 0.5:
                 m[r, c] = rng.randrange(model.p)
-    terms = {k: v for k, v in model.terms.items() if k != (i, alpha)}
+    terms = {k: v for k, v in model_terms_dense(model).items() if k != (i, alpha)}
     terms[(i, alpha)] = (model.term(i, alpha) + m) % model.p
     return EquivariantFloerModel(model.base, terms, i_max=max(model.i_max, i), check=False)
 
@@ -406,17 +407,17 @@ def test_random_model_matches_polynomial_conjugation():
 
 def test_random_model_checks_the_theta_slot(monkeypatch):
     assert (0, 1) not in random_floer_model(3, 4, deform=False).terms
-    # a norm block entry that raises degree by 2 belongs to slot i = 0
+    # a norm term entry that raises degree by 2 belongs to slot i = 0
     base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 2)], {}, {})
 
-    def blocks(V):
-        A, B, C, D = tate_blocks_at_one(V)
-        B = B.copy()
-        B[1, 0] = 1
-        return A, B, C, D
+    def terms(V):
+        out = tate_terms(V)
+        x, y = out[(2, 1)]
+        out[(2, 1)] = [{**x, 1: 1}, y]
+        return out
 
     monkeypatch.setattr("smith_tate.random_instances.random_equivariant_filtered", lambda p, rng, **kw: base)
-    monkeypatch.setattr("smith_tate.random_instances.tate_blocks_at_one", blocks)
+    monkeypatch.setattr("smith_tate.random_instances.tate_terms", terms)
     with pytest.raises(RuntimeError, match="alpha=1"):
         random_floer_model(3, 4, deform=False)
 

@@ -8,14 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, tensor_power
 from smith_tate.errors import InvalidComplex
-from smith_tate.tate import (
-    blocks_square_zero,
-    group_cohomology_dims,
-    parity_dims_at_one,
-    quasi_frobenius,
-    tate_blocks_at_one,
-    tate_cohomology_dims,
-)
+from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 from smith_tate.random_instances import (
     _conjugate_differential,
     _unipotent_pair,
@@ -26,10 +19,13 @@ from smith_tate.random_instances import (
 )
 
 from oracles import (
+    blocks_square_zero,
     group_cohomology_by_cut_ranks,
     group_cohomology_by_slots,
+    model_blocks,
     parity_dims_by_dense_rank,
     poly_square_is_zero,
+    tate_column_blocks,
     tate_poly_parity_blocks,
 )
 
@@ -45,7 +41,7 @@ def free_orbit(p, degree=0):
 
 
 def square_at_one_is_zero(V):
-    return blocks_square_zero(*tate_blocks_at_one(V), V.p)
+    return blocks_square_zero(*tate_column_blocks(V), V.p)
 
 
 class TestTateView:
@@ -393,6 +389,21 @@ def _slot_base(p, degrees, pairs, seed):
     return ChainComplex(p, gens, _conjugate_differential(cx, *_unipotent_pair(n, p, same)))
 
 
+def test_assemble_places_terms_by_slot_and_sums_shared_blocks():
+    """Term (i, alpha) goes from the theta^alpha labels into the
+    theta^(i mod 2) labels; (0, 0) and (2, 0) share the 1 -> 1 block and
+    (1, 1) and (3, 1) the theta -> theta block, where they add mod p and
+    cancel to no entry."""
+    terms = {
+        (0, 0): [{1: 1}, {}],
+        (1, 0): [{}, {1: 1}],
+        (1, 1): [{}, {0: 2}],
+        (2, 0): [{1: 2, 0: 1}, {}],
+        (3, 1): [{}, {0: 2}],
+    }
+    assert assemble(terms, 2, 3) == [{0: 1}, {3: 1}, {}, {2: 1}]
+
+
 def test_group_and_parity_dims_match_the_dense_rank_oracles():
     """The column-reduction route gives the same group cohomology as one
     dense rank per degree cut, and the same Tate parity dimensions as one
@@ -402,8 +413,7 @@ def test_group_and_parity_dims_match_the_dense_rank_oracles():
     cases += [(f"bench-{k}", tensor_power(_slot_base(*slot, seed=k))) for k, slot in enumerate(_BENCH_SLOTS)]
     for name, V in cases:
         degrees = [g.degree for g in V.generators]
-        blocks = tate_blocks_at_one(V)
-        assert parity_dims_at_one(degrees, *blocks, V.p) == parity_dims_by_dense_rank(degrees, *blocks, V.p), name
+        assert tate_cohomology_dims(V) == parity_dims_by_dense_rank(degrees, *tate_column_blocks(V), V.p), name
         if not V.dim():
             continue
         dmin, dmax = min(degrees), max(degrees)
@@ -413,7 +423,7 @@ def test_group_and_parity_dims_match_the_dense_rank_oracles():
         for seed in range(5):
             model = random_floer_model(p, seed)
             degrees = [g.degree for g in model.base.generators]
-            assert model.tate_parity_dims() == parity_dims_by_dense_rank(degrees, *model.blocks_at_one(), p)
+            assert model.tate_parity_dims() == parity_dims_by_dense_rank(degrees, *model_blocks(model), p)
 
 
 def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
