@@ -7,11 +7,15 @@ with sigma^p = 1 commuting with the differential.  The filtered variant
 requires the differential to strictly decrease action, which is what makes
 barcodes and the action spectral sequence well defined.
 
-Generators are stored sorted by id, so matrix layouts, homology
-representatives, and JSON output are reproducible across runs.  Filtration
-comparisons run on each generator's index in a sorted table of the actions.
-d and sigma are kept as sparse columns, read once from the coefficient
-maps, and the structure checks compose them sparsely.
+Generators are stored sorted by id, as flat lists of ids, degrees and
+actions, so matrix layouts, homology representatives, and JSON output are
+reproducible across runs.  Filtration comparisons run on each generator's
+index in a sorted table of the actions.  Coefficient maps {source id:
+{target id: coefficient}} are the input format: d and sigma are read from
+them once, by _read_columns, into their only stored form, sparse columns
+keyed by generator index that keep every entry.  The structure checks
+compose these columns sparsely; the coefficient maps and Generator objects
+a complex shows are views built from them on first use.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -54,13 +59,6 @@ class Generator:
             raise MalformedInput("generator id must be a nonempty string")
         if not isinstance(self.action, Fraction):
             object.__setattr__(self, "action", Fraction(self.action))
-
-
-def _trusted_generator(gid: str, degree: int, action: Fraction) -> Generator:
-    """A Generator from parts already checked, so not validated again."""
-    g = object.__new__(Generator)
-    g.__dict__.update(id=gid, degree=degree, action=action)
-    return g
 
 
 @dataclass(frozen=True)
@@ -245,23 +243,29 @@ def _affine(a: Columns, scale: int, shift: int, p: int) -> Columns:
     return out
 
 
-def _clean_coeff_map(raw: CoeffMap, ids: set[str], p: int, what: str) -> CoeffMap:
-    out: CoeffMap = {}
+def _read_columns(raw, index: dict[str, int], p: int, what: str) -> tuple[Columns, list[tuple[int, int]]]:
+    """(columns, entries) of a coefficient map {source id: {target id:
+    coefficient}}, decoded JSON or a CoeffMap: one column per generator of
+    index with every nonzero residue, empty for a generator without a row,
+    and the (target, source) index pair of each residue in the map's order.
+    Ids and coefficients are checked on the way: the first bad one is named."""
+    cols: Columns = [{} for _ in index]
+    entries = []
     for src, row in raw.items():
-        if src not in ids:
+        j = index.get(src)
+        if j is None:
             raise MalformedInput(f"{what} references unknown generator {src!r}")
-        cleaned = {}
+        col = cols[j]
         for tgt, c in row.items():
-            if tgt not in ids:
+            i = index.get(tgt)
+            if i is None:
                 raise MalformedInput(f"{what} references unknown generator {tgt!r}")
             if type(c) is not int:
                 c = _strict_int(c, f"{what} coefficient for {src!r}->{tgt!r}")
-            c %= p
-            if c:
-                cleaned[tgt] = c
-        if cleaned:
-            out[src] = cleaned
-    return out
+            if c := c % p:
+                col[i] = c
+                entries.append((i, j))
+    return cols, entries
 
 
 def _out_of_range(entries, grade, lo, hi) -> list[tuple[int, int]]:
@@ -292,6 +296,23 @@ def norm_matrix(sigma: np.ndarray, p: int) -> np.ndarray:
     return _matpow((sigma - np.eye(len(sigma), dtype=np.int64)) % p, p - 1, p)
 
 
+# the most cells d_block allocates, 32 MB of int64: 66 times the largest block
+# (251 x 251) that the test suite and the benchmark build
+MAX_BLOCK_CELLS = 1 << 22
+
+
+def _levels(actions: list[Fraction]) -> tuple[list[Fraction], list[int], int, tuple[int, ...]]:
+    """(sorted distinct actions, each generator's index among them, and the
+    scale and ticks of the sorted actions): the ticks are sorted."""
+    # parsed generators share one Fraction per action: read only those
+    objects = {id(a): a for a in actions}
+    scale, ticks = _ticks(objects.values())
+    action = dict(zip(ticks, objects.values()))
+    at = {t: i for i, t in enumerate(sorted(action))}
+    by_id = {k: at[t] for k, t in zip(objects, ticks)}
+    return [action[t] for t in at], [by_id[id(a)] for a in actions], scale, tuple(at)
+
+
 class ChainComplex:
     """Finite cochain complex over F_p with action-labelled generators.
 
@@ -304,93 +325,109 @@ class ChainComplex:
     _RULES = {"differential": ((1, 1), (-math.inf, -1)), "sigma": ((0, 0), (0, 0))}
 
     def __init__(self, p: int, generators, differential: CoeffMap, *, check: bool = True):
+        self._init(p, [(g.id, g.degree, g.action) for g in generators], (differential,), check)
+
+    @classmethod
+    def _of(cls, p: int, gens, *ops, check: bool = True):
+        """A complex of this class from (id, degree, action) triples and its
+        operators in _RULES order, each a coefficient map or columns whose
+        indices follow the sorted ids."""
+        self = cls.__new__(cls)
+        self._init(p, gens, ops, check)
+        return self
+
+    def _init(self, p, gens, ops, check) -> None:
+        """The one initialiser: store the generators sorted by id, then read
+        and check d (ops[0]); subclasses then read and check their own."""
         _check_matrix_prime(p)
         self.p = p
-        gens = tuple(sorted(generators, key=lambda g: g.id))
-        if len({g.id for g in gens}) != len(gens):
+        gens = sorted(gens, key=lambda g: g[0])
+        self._ids, self._degree, self._action = (list(x) for x in zip(*gens)) if gens else ([], [], [])
+        self._index = {g: i for i, g in enumerate(self._ids)}
+        if len(self._index) != len(gens):
             raise MalformedInput("generator ids must be unique")
-        self.generators = gens
-        self._index = {g.id: i for i, g in enumerate(gens)}
-        self.differential = _clean_coeff_map(differential, set(self._index), p, "differential")
-        self._degree = [g.degree for g in gens]
         self._deg_index: dict[int, list[int]] = {}
         for i, k in enumerate(self._degree):
             self._deg_index.setdefault(k, []).append(i)
+        self._level_table = _levels(self._action)
         self._block_cache: dict[int, np.ndarray] = {}
-        self._level_cache: tuple[list[Fraction], list[int], int, tuple[int, ...]] | None = None
         self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._verdicts: dict[str, tuple[list, list]] = {}
         self._columns: dict[str, Columns] = {}
+        self._verdicts: dict[str, tuple[list, list, list]] = {}
+        self._take("differential", ops[0])
         if check and (bad := self._structure_violations()):
             raise InvalidComplex("; ".join(msg for _, msg in bad))
 
     # -- structure ---------------------------------------------------------
 
-    def _verdict(self, op: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """The (target, source) entries of operator op, "differential" or
-        "sigma", that break its degree rule and its action rule, in the
-        operator's order.  Computed once, at construction under check=True
-        or on first use otherwise, and cached like the level table.
-
-        The same pass caches the operator's sparse columns (columns(op)):
-        each holds the entries of its generator's row that keep the degree
-        rule, a single step: one degree up for d and the same degree for
-        sigma.  sigma fixes a generator without a row."""
-        if op not in self._verdicts:
-            index, degree = self._index, self._degree
-            (dlo, dhi), (alo, ahi) = self._RULES[op]
-            cols: Columns = [{j: 1} if op == "sigma" else {} for j in range(len(degree))]
-            entries = []
-            for s, row in getattr(self, op).items():
-                j = index[s]
-                col = cols[j] = {}
-                kept = degree[j] + dlo
-                for t, c in row.items():
-                    i = index[t]
-                    entries.append((i, j))
-                    if degree[i] == kept:
-                        col[i] = c
-            self._columns[op] = cols
-            self._verdicts[op] = (
-                _out_of_range(entries, degree, dlo, dhi),
-                _out_of_range(entries, self._level_table()[1], alo, ahi),
-            )
-        return self._verdicts[op]
+    def _take(self, op: str, given) -> None:
+        """Store operator op from a coefficient map (read by _read_columns)
+        or columns, and its verdict: the (target, source) entries breaking
+        its degree rule, its action rule and either, in the map's order."""
+        if type(given) is list:
+            cols, entries = given, [(i, j) for j, col in enumerate(given) for i in col]
+        else:
+            cols, entries = _read_columns(given, self._index, self.p, op)
+        (dlo, dhi), (alo, ahi) = self._RULES[op]
+        degree = _out_of_range(entries, self._degree, dlo, dhi)
+        action = _out_of_range(entries, self._level_table[1], alo, ahi)
+        bad = {*degree, *action}
+        self._columns[op] = cols
+        self._verdicts[op] = (degree, action, [e for e in entries if e in bad] if bad else [])
 
     def columns(self, op: str) -> Columns:
-        """The cached sparse columns of operator op (see _verdict); shared,
-        so callers must not write to them."""
-        self._verdict(op)
-        return self._columns[op]
+        """The sparse columns of operator op, every entry kept; shared, so
+        callers must not write to them.  sigma fixes a generator whose
+        stored column is empty: it had no row."""
+        cols = self._columns[op]
+        return cols if op == "differential" else [c or {j: 1} for j, c in enumerate(cols)]
+
+    def _graded_d(self) -> Columns:
+        """The columns of d cut to the entries one degree up, which the
+        composition checks compare: all of d unless one breaks that rule."""
+        d, degree = self._columns["differential"], self._degree
+        if not self._verdicts["differential"][0]:
+            return d
+        return [{i: v for i, v in col.items() if degree[i] == degree[j] + 1} for j, col in enumerate(d)]
 
     def _structure_violations(self) -> list[tuple[str, str]]:
         """(check, message) for each entry of d that does not raise degree
         by 1, then for each degree out of which d.d != 0, from one sparse
         composition taken again on every call."""
-        gens = self.generators
+        ids = self._ids
         out = [
-            ("degree_one_differential", f"d({gens[s].id}) hits {gens[t].id}, which is not one degree higher")
-            for t, s in self._verdict("differential")[0]
+            ("degree_one_differential", f"d({ids[s]}) hits {ids[t]}, which is not one degree higher")
+            for t, s in self._verdicts["differential"][0]
         ]
-        d = self.columns("differential")
+        d = self._graded_d()
         bad = {self._degree[j] for j, col in enumerate(_compose(d, d, self.p)) if col}
         return out + [("square_zero", f"d.d != 0 out of degree {k}") for k in sorted(bad)]
 
     def action_violations(self) -> list[str]:
         """One message per differential entry that does not strictly
         decrease action, the requirement for filtered use."""
-        gens = self.generators
+        ids = self._ids
         return [
-            f"d({gens[s].id}) does not strictly decrease action at {gens[t].id}"
-            for t, s in self._verdict("differential")[1]
+            f"d({ids[s]}) does not strictly decrease action at {ids[t]}"
+            for t, s in self._verdicts["differential"][1]
         ]
+
+    @cached_property
+    def generators(self) -> tuple[Generator, ...]:
+        """The generators sorted by id, a view built on first use."""
+        return tuple(map(Generator, self._ids, self._degree, self._action))
+
+    @cached_property
+    def differential(self) -> CoeffMap:
+        """d as a coefficient map, a view built on first use."""
+        return _coeff_map(self._columns["differential"], self._ids)
 
     def degrees(self) -> list[int]:
         return sorted(self._deg_index)
 
     def dim(self, k: int | None = None) -> int:
         if k is None:
-            return len(self.generators)
+            return len(self._ids)
         return len(self._deg_index.get(k, []))
 
     def degree_indices(self, k: int) -> list[int]:
@@ -404,13 +441,14 @@ class ChainComplex:
 
     def d_block(self, k: int) -> np.ndarray:
         """Matrix of d from degree k to degree k+1 in stored generator order,
-        cut from d's cached columns; cached and shared, so callers must not
-        write to it."""
+        cut from d's columns; cached and shared, so callers must not write
+        to it.  More than MAX_BLOCK_CELLS cells raise TooLarge before any
+        is allocated."""
         if k not in self._block_cache:
-            cols, tgt = self.columns("differential"), self._deg_index.get(k + 1, [])
+            cols, src, tgt = self._columns["differential"], self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
+            check_size(f"d block from degree {k} (rows x columns)", len(tgt) * len(src), MAX_BLOCK_CELLS)
             row = {i: r for r, i in enumerate(tgt)}
-            src = [{row[i]: v for i, v in cols[j].items()} for j in self._deg_index.get(k, [])]
-            self._block_cache[k] = _dense(src, len(tgt))
+            self._block_cache[k] = _dense([{row[i]: v for i, v in cols[j].items() if i in row} for j in src], len(tgt))
         return self._block_cache[k]
 
     # -- homology ----------------------------------------------------------
@@ -464,26 +502,13 @@ class ChainComplex:
 
     # -- misc ----------------------------------------------------------------
 
-    def _level_table(self) -> tuple[list[Fraction], list[int], int, tuple[int, ...]]:
-        """(sorted distinct actions, each generator's index among them, and
-        the scale and ticks of the sorted actions): the ticks are sorted."""
-        if self._level_cache is None:
-            # parsed generators share one Fraction per action: read only those
-            objects = {id(g.action): g.action for g in self.generators}
-            scale, ticks = _ticks(objects.values())
-            action = dict(zip(ticks, objects.values()))
-            at = {t: i for i, t in enumerate(sorted(action))}
-            by_id = {k: at[t] for k, t in zip(objects, ticks)}
-            self._level_cache = ([action[t] for t in at], [by_id[id(g.action)] for g in self.generators], scale, tuple(at))
-        return self._level_cache
-
     def actions(self) -> list[Fraction]:
-        return list(self._level_table()[0])
+        return list(self._level_table[0])
 
     def filtration_order(self) -> list[int]:
         """Generator indices sorted by (action, id): generators are stored
         by id, so a stable sort on the level index is enough."""
-        return sorted(range(len(self.generators)), key=self._level_table()[1].__getitem__)
+        return sorted(range(len(self._ids)), key=self._level_table[1].__getitem__)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, dims={ {k: self.dim(k) for k in self.degrees()} })"
@@ -497,12 +522,21 @@ class EquivariantComplex(ChainComplex):
     """
 
     def __init__(self, p, generators, differential, sigma: CoeffMap | None = None, *, check=True):
-        super().__init__(p, generators, differential, check=check)
-        self.sigma = _clean_coeff_map(sigma or {}, set(self._index), p, "sigma")
+        self._init(p, [(g.id, g.degree, g.action) for g in generators], (differential, sigma or {}), check)
+
+    def _init(self, p, gens, ops, check) -> None:
+        super()._init(p, gens, ops, check)
+        self._take("sigma", ops[1])
         self._norm_cache: Columns | None = None
-        # ChainComplex.__init__ has already checked d
+        # ChainComplex._init has already checked d
         if check and (bad := self._sigma_violations()):
             raise InvalidComplex("; ".join(msg for _, msg in bad))
+
+    @cached_property
+    def sigma(self) -> CoeffMap:
+        """sigma as a coefficient map, a view built on first use: one row
+        per generator the input gave a row with a nonzero residue."""
+        return _coeff_map(self._columns["sigma"], self._ids)
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.
@@ -524,20 +558,14 @@ class EquivariantComplex(ChainComplex):
 
     def _sigma_violations(self) -> list[tuple[str, str]]:
         """(check, message) for each sigma entry that changes degree or
-        action; when there is none, for each degree where sigma^p != 1 or
-        sigma does not commute with d."""
-        degree, action = map(set, self._verdict("sigma"))
-        if degree or action:
-            index = self._index
-            return [
-                ("sigma_structure", f"sigma({src}) changes {what}")
-                for src, row in self.sigma.items()
-                for tgt in row
-                for what, bad in (("degree", degree), ("action", action))
-                if (index[tgt], index[src]) in bad
-            ]
+        action, in the map's order; when there is none, for each degree
+        where sigma^p != 1 or sigma does not commute with d."""
+        degree, action, bad = self._verdicts["sigma"]
+        if bad:
+            ids, rules = self._ids, (("degree", set(degree)), ("action", set(action)))
+            return [("sigma_structure", f"sigma({ids[s]}) changes {what}") for t, s in bad for what, rule in rules if (t, s) in rule]
         # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
-        p, d, s, nm = self.p, self.columns("differential"), self.columns("sigma"), self.norm()
+        p, d, s, nm = self.p, self._graded_d(), self.columns("sigma"), self.norm()
         power = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(nm, s, p), nm)) if x != y}
         commute = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(d, s, p), _compose(s, d, p))) if x != y}
         out = []
@@ -559,8 +587,8 @@ class EquivariantComplex(ChainComplex):
 class FilteredComplex(ChainComplex):
     """ChainComplex whose differential strictly decreases action."""
 
-    def __init__(self, p, generators, differential, *, check=True):
-        super().__init__(p, generators, differential, check=check)
+    def _init(self, p, gens, ops, check) -> None:
+        super()._init(p, gens, ops, check)
         if check and (bad := self.action_violations()):
             raise InvalidComplex(bad[0])
 
@@ -594,9 +622,7 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
     if n > 1:  # p * n ** p passes the limit once p passes its bit length; it is not built then
         check_size("tensor power p with two or more generators", p, MAX_TENSOR_LETTERS.bit_length())
     check_size("tensor power letters (p * generators ** p)", p * n**p, MAX_TENSOR_LETTERS)
-    ids = [g.id for g in base.generators]
-    degs = {g.id: g.degree for g in base.generators}
-    acts = {g.id: g.action for g in base.generators}
+    ids, degs, acts = base._ids, dict(zip(base._ids, base._degree)), dict(zip(base._ids, base._action))
 
     def word_id(word: tuple[str, ...]) -> str:
         return "|".join(word)
@@ -604,10 +630,7 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
     from itertools import product as _product
 
     words = list(_product(ids, repeat=p)) if ids else []  # product() takes p steps even on no ids
-    gens = [
-        Generator(word_id(w), sum(degs[x] for x in w), sum((acts[x] for x in w), Fraction(0)))
-        for w in words
-    ]
+    gens = [(word_id(w), sum(degs[x] for x in w), sum((acts[x] for x in w), Fraction(0))) for w in words]
     diff: CoeffMap = {}
     for w in words:
         row: dict[str, int] = {}
@@ -627,32 +650,22 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
     sigma: CoeffMap = {
         word_id(w): {word_id(w[-1:] + w[:-1]): _rotation_sign([degs[x] for x in w]) % p} for w in words
     }
-    return EquivariantComplex(p, gens, diff, sigma)
+    return EquivariantComplex._of(p, gens, diff, sigma)
 
 
 def window_truncate(V: ChainComplex, window: ActionWindow):
     """Subquotient complex spanned by generators with action in the window.
 
-    Differential entries leaving the window are dropped; for a filtered
+    Entries of d and sigma leaving the window are dropped; for a filtered
     complex this is the quotient of one action sublevel by another, so the
     result is again a complex of the same kind.
     """
-    levels, level = V._level_table()[:2]
+    levels, level = V._level_table[:2]
     lo = 0 if window.lower is None else bisect_right(levels, window.lower)
     hi = len(levels) if window.upper is None else bisect_right(levels, window.upper)
-    keep = {g.id for g, k in zip(V.generators, level) if lo <= k < hi}
-    gens = [g for g in V.generators if g.id in keep]
-    diff = {
-        src: {t: c for t, c in row.items() if t in keep}
-        for src, row in V.differential.items()
-        if src in keep
-    }
-    if isinstance(V, EquivariantComplex):
-        sigma = {s: dict(row) for s, row in V.sigma.items() if s in keep}
-        return EquivariantComplex(V.p, gens, diff, sigma)
-    if isinstance(V, FilteredComplex):
-        return FilteredComplex(V.p, gens, diff)
-    return ChainComplex(V.p, gens, diff)
+    new = {i: r for r, i in enumerate(i for i, k in enumerate(level) if lo <= k < hi)}
+    ops = [[{new[i]: c for i, c in cols[j].items() if i in new} for j in new] for cols in V._columns.values()]
+    return type(V)._of(V.p, [(V._ids[j], V._degree[j], V._action[j]) for j in new], *ops)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +766,12 @@ def _ticks(values) -> tuple[int, list[int]]:
     return scale, [n * (scale // d) for n, d in pairs]
 
 
-def _coeff_map_from_json(raw, key: str) -> CoeffMap:
-    """The coefficient map of a JSON object {id: {id: coefficient}}; the
-    coefficients are checked by the complex."""
+def _coeff_object(raw, key: str) -> dict:
+    """raw when it is a JSON object of objects {id: {id: coefficient}}; the
+    complex reads its ids and coefficients."""
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
         raise MalformedInput(f"{key!r} must map ids to coefficient objects")
-    return {str(s): {str(t): c for t, c in row.items()} for s, row in raw.items()}
+    return raw
 
 
 def _action_to_json(a: Fraction) -> dict:
@@ -782,10 +795,7 @@ def _action_from_json(v, interned: dict[tuple[int, int], Fraction]) -> Fraction:
 def complex_to_json(V: ChainComplex) -> dict:
     out = {
         "p": V.p,
-        "generators": [
-            {"id": g.id, "degree": g.degree, "action": _action_to_json(g.action)}
-            for g in V.generators
-        ],
+        "generators": [{"id": g, "degree": k, "action": _action_to_json(a)} for g, k, a in zip(V._ids, V._degree, V._action)],
         "differential": {s: dict(row) for s, row in sorted(V.differential.items())},
     }
     if isinstance(V, EquivariantComplex):
@@ -818,16 +828,14 @@ def complex_from_json(data, *, expect: str | None = None):
         action = _action_from_json(item.get("action", 0), interned)
         if not gid:
             raise MalformedInput("generator id must be a nonempty string")
-        gens.append(_trusted_generator(gid, degree, action))
-    diff = _coeff_map_from_json(data.get("differential", {}), "differential")
+        gens.append((gid, degree, action))
+    diff = _coeff_object(data.get("differential", {}), "differential")
     kind = expect or ("equivariant" if "sigma" in data else "filtered" if data.get("filtered") else "chain")
-    if kind == "equivariant":
-        return EquivariantComplex(p, gens, diff, _coeff_map_from_json(data.get("sigma", {}), "sigma"))
-    if kind == "filtered":
-        return FilteredComplex(p, gens, diff)
-    if kind == "chain":
-        return ChainComplex(p, gens, diff)
-    raise MalformedInput(f"unknown complex kind {kind!r}")
+    cls = {"equivariant": EquivariantComplex, "filtered": FilteredComplex, "chain": ChainComplex}.get(kind)
+    if cls is None:
+        raise MalformedInput(f"unknown complex kind {kind!r}")
+    sigma = (_coeff_object(data.get("sigma", {}), "sigma"),) if cls is EquivariantComplex else ()
+    return cls._of(p, gens, diff, *sigma)
 
 
 # ---------------------------------------------------------------------------

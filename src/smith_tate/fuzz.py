@@ -25,8 +25,6 @@ from .complexes import (
     _FAILURE_DISPLAY_CAP,
     ActionWindow,
     EquivariantComplex,
-    Generator,
-    _coeff_map,
     _digest_params,
     _frac_str,
     _json_text,
@@ -158,8 +156,8 @@ def _check_sigma_decomposition(payload):
     direct_invariant = fp_core.fixed_dim(s.a, s.p)
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
-    gens = [Generator(f"v{i}", 0) for i in range(n)]
-    V = EquivariantComplex(s.p, gens, {}, _coeff_map(_sparse(s.a), [g.id for g in gens]))
+    gens = [(f"v{i:0{len(str(n))}d}", 0, Fraction(0)) for i in range(n)]  # sorted as the matrix's indices
+    V = EquivariantComplex._of(s.p, gens, [{}] * n, _sparse(s.a))
     direct_tate = tate.tate_cohomology_dims(V)
     ok = (
         invariant == direct_invariant
@@ -220,7 +218,7 @@ def _check_spectral_algebraic(payload):
 
 def _gen_barcode_roundtrip(rng, p, args):
     fc = random_instances.random_filtered_complex(p, rng, max_gens=args.max_gens or 12)
-    _, _, scale, ticks = fc._level_table()
+    _, _, scale, ticks = fc._level_table
     probes = [Fraction(x, 2 * scale) for x in _midpoint_probes([2 * t for t in ticks], 2 * scale)]
     windows: list[list] = [[None, None]]
     for _ in range(5):

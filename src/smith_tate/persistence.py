@@ -193,16 +193,16 @@ def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
     and the action of i is strictly below that of j.  Raises
     FiltrationViolation unless d strictly decreases action.
 
-    Columns are sparse, {position in order: coefficient}, read straight off
-    the differential, and reduced by fp_core.reduce_columns.
+    Columns are sparse, {position in order: coefficient}: the complex's
+    columns of d, every entry kept, re-keyed by position and reduced by
+    fp_core.reduce_columns.
     """
     bad = fc.action_violations()
     if bad:
         raise FiltrationViolation(bad[0])
     order = fc.filtration_order()
-    ids = [fc.generators[i].id for i in order]
-    pos = {gid: k for k, gid in enumerate(ids)}
-    columns = ({pos[t]: c for t, c in fc.differential.get(gid, {}).items()} for gid in ids)
+    pos, d = dict(zip(order, range(len(order)))), fc.columns("differential")
+    columns = ({pos[t]: c for t, c in d[i].items()} for i in order)
     lows = np.array(reduce_columns(columns, fc.p), dtype=np.int64)
     return order, lows
 
@@ -216,7 +216,7 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
     is an endpoint, as each generator starts or ends a bar.
     """
     order, lows = persistence_pairing(fc)
-    levels, level, scale, ticks = fc._level_table()
+    levels, level, scale, ticks = fc._level_table
     at, inf = [level[i] for i in order], len(levels)
     lows = lows.tolist()
     paired = set(lows)

@@ -8,8 +8,7 @@ raise action (_conjugated).  These invariants do not change under such a
 filtered, equivariant change of basis, so validity is by construction and
 each instance carries its provenance (planted data) where tests need an
 oracle.  The bases are built unchecked; the conjugated complex is checked,
-and P d P^-1 fails a check exactly when d does.  Every matching joins
-degree-adjacent generators, so a base's cached columns of d hold all of d.
+and P d P^-1 fails a check exactly when d does.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
-    _coeff_map,
     _dense,
     _sparse,
 )
@@ -106,19 +104,16 @@ def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
     return pm, inv
 
 
-def _conjugate_differential(cx: ChainComplex, pm: np.ndarray, inv: np.ndarray) -> dict:
-    d = _matmul_mod(_matmul_mod(pm, _dense(cx.columns("differential"), cx.dim()), cx.p), inv, cx.p)
-    return _coeff_map(_sparse(d), [g.id for g in cx.generators])
-
-
 def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> ChainComplex:
     """A checked complex of base's kind with its generators and sigma, and
     d replaced by P d P^-1 for P = I + E on the (row, col, val) entries.
     (P d P^-1)^2 = P d^2 P^-1, and P commutes with sigma, keeps degree and
     never raises action, so this check also covers an unchecked base."""
-    pm, inv = _unipotent_pair(base.dim(), base.p, entries)
-    sigma = (base.sigma,) if isinstance(base, EquivariantComplex) else ()
-    return type(base)(base.p, base.generators, _conjugate_differential(base, pm, inv), *sigma)
+    p = base.p
+    pm, inv = _unipotent_pair(base.dim(), p, entries)
+    d = _sparse(_matmul_mod(_matmul_mod(pm, _dense(base.columns("differential"), base.dim()), p), inv, p))
+    sigma = (base._columns["sigma"],) if isinstance(base, EquivariantComplex) else ()
+    return type(base)._of(p, zip(base._ids, base._degree, base._action), d, *sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,8 @@ def planted_filtered_complex(p: int, finite_bars, infinite_starts, seed, degree_
         gens.append(Generator(f"e{j}", degree_lo + rng.randint(0, 3), Fraction(a)))
         bars.append(Bar(Fraction(a), None))
     base = FilteredComplex(p, gens, diff, check=False)
-    g = base.generators
-    kept = _draws(rng, len(g), lambda x, y: g[x].degree == g[y].degree and g[y].action < g[x].action)
+    deg, act = base._degree, base._action
+    kept = _draws(rng, len(deg), lambda x, y: deg[x] == deg[y] and act[y] < act[x])
     return _conjugated(base, [(y, x, rng.randrange(p)) for x, y in kept]), Barcode(p, bars)
 
 
@@ -334,9 +329,9 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     n = base.dim()
     # the default terms d, 1 - sigma, -d and N: each alone in its block of M(1)
     blocks = [(_dense(cols, n), alpha) for (_, alpha), cols in tate_terms(base).items()]
-    degs = np.array([g.degree for g in base.generators], dtype=np.int64)
+    degs = np.array(base._degree, dtype=np.int64)
     if deform and n:
-        level = base._level_table()[1]
+        level = base._level_table[1]
         r: dict[tuple[int, int], int] = {}
         for x, y in _draws(rng, n, lambda x, y: degs[y] == degs[x] - 2 and level[y] < level[x]):
             r[(y, x)] = rng.randrange(p)

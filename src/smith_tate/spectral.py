@@ -39,7 +39,6 @@ from .complexes import (
     Columns,
     EquivariantComplex,
     FilteredComplex,
-    _coeff_map,
     _compose,
     _dense,
     _json_object,
@@ -114,9 +113,9 @@ def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
     homology of the complex in each degree, computed independently.
     """
     order, lows = persistence_pairing(fc)
-    levels, level = fc._level_table()[:2]
+    levels, level = fc._level_table[:2]
     L = len(levels)
-    keys = [(L - 1 - level[i], fc.generators[i].degree) for i in order]
+    keys = [(L - 1 - level[i], fc._degree[i]) for i in order]
     # pages each generator survives: the filtration distance to its partner
     life = [math.inf] * len(order)
     for j, i in enumerate(lows):
@@ -224,18 +223,17 @@ class EquivariantFloerModel:
         breaking entry in row-major order.
         """
         if self._verdict_cache is None:
-            gens = self.base.generators
-            degree, level = [g.degree for g in gens], self.base._level_table()[1]
+            ids, degree, level = self.base._ids, self.base._degree, self.base._level_table[1]
             degree_msg = action_msg = None
             for (i, alpha), cols in self.terms.items():
                 entries = [(r, j) for j, col in enumerate(cols) for r in col]
                 step = 1 - i + alpha
                 if degree_msg is None and (bad := _out_of_range(entries, degree, step, step)):
-                    tgt, src = (gens[x].id for x in min(bad))
+                    tgt, src = (ids[x] for x in min(bad))
                     degree_msg = f"d_term ({i},{alpha}) entry {src} -> {tgt} violates degree 1-i+alpha = {step}"
                 strict = (i, alpha) in ((0, 0), (1, 1))
                 if action_msg is None and (bad := _out_of_range(entries, level, -math.inf, -1 if strict else 0)):
-                    tgt, src = (gens[x].id for x in min(bad))
+                    tgt, src = (ids[x] for x in min(bad))
                     rule = "strictly decrease" if strict else "not increase"
                     action_msg = f"d_term ({i},{alpha}) must {rule} action ({src} -> {tgt})"
             self._verdict_cache = (degree_msg, action_msg)
@@ -280,7 +278,7 @@ class EquivariantFloerModel:
 
     def tate_parity_dims(self) -> tuple[int, int]:
         """(even, odd) F_p((u))-dims of the homology of the assembled complex."""
-        return _parity_dims([g.degree for g in self.base.generators], self.columns(), self.p)
+        return _parity_dims(self.base._degree, self.columns(), self.p)
 
     def __repr__(self) -> str:
         slots = sorted(self.terms)
@@ -336,13 +334,12 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     p = model.p
     base = model.base
     n = base.dim()
-    ids = [g.id for g in base.generators]
-    zero = [{}] * n
+    gens, zero = list(zip(base._ids, base._degree, base._action)), [{}] * n
     d00 = model.terms.get((0, 0), zero)
     # M(u)^2 = 0 and the theta -> 1 block has no u^0 term, so the u^0 parts
     # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
-    even_cx = ChainComplex(p, base.generators, _coeff_map(d00, ids), check=False)
-    odd_cx = ChainComplex(p, base.generators, _coeff_map(model.terms.get((1, 1), zero), ids), check=False)
+    even_cx = ChainComplex._of(p, gens, d00, check=False)
+    odd_cx = ChainComplex._of(p, gens, model.terms.get((1, 1), zero), check=False)
     d10 = model.term(1, 0)
     d21 = model.term(2, 1)
     e1_even = even_cx.homology_dims()

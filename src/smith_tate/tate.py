@@ -52,17 +52,17 @@ def tate_terms(V: EquivariantComplex) -> dict[tuple[int, int], Columns]:
 
     Every u = 1 computation relies on d raising degree by 1 and sigma
     keeping it (so N = (sigma - 1)^(p-1) keeps it too).  Both rules are
-    read off the complex's cached degree verdict, computed here on first
-    use for a complex built with check=False; InvalidComplex names the
+    read off the complex's degree verdicts, taken as it read d and sigma,
+    also for a complex built with check=False; InvalidComplex names the
     first breaking entry in row-major order.
     """
     for what, op, shift in (("d", "differential", 1), ("sigma", "sigma", 0)):
-        bad = V._verdict(op)[0]
+        bad = V._verdicts[op][0]
         if bad:
             r, c = min(bad)
             raise InvalidComplex(
-                f"{what} does not shift degree by {shift} at {V.generators[c].id} -> "
-                f"{V.generators[r].id}: the Tate differential is not homogeneous"
+                f"{what} does not shift degree by {shift} at {V._ids[c]} -> "
+                f"{V._ids[r]}: the Tate differential is not homogeneous"
             )
     p, d = V.p, V.columns("differential")
     return {(0, 0): d, (1, 0): _affine(V.columns("sigma"), -1, 1, p), (1, 1): _affine(d, -1, 0, p), (2, 1): V.norm()}
@@ -146,7 +146,7 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
     """
     if method not in ("evaluation", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
-    degrees = [g.degree for g in V.generators]
+    degrees = V._degree
     columns = tate_columns(V)
     if method == "evaluation":
         return _parity_dims(degrees, columns, V.p)
@@ -185,7 +185,7 @@ def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) 
     """
     if V.dim() == 0:
         return {}
-    degrees = [g.degree for g in V.generators]
+    degrees = V._degree
     dmin, dmax = min(degrees), max(degrees)
     if max_degree is None:
         max_degree = dmax + 2 * (dmax - dmin + 1) + 4
@@ -341,7 +341,7 @@ def quasi_frobenius(
             labels.append(lab)
             degrees[lab] = k
             label_of[(k, i)] = lab
-            support = [(V.generators[idx[t]].id, int(z[t])) for t in np.nonzero(z)[0]]
+            support = [(V._ids[idx[t]], int(z[t])) for t in np.nonzero(z)[0]]
             word_vec: dict[str, int] = {}
             for combo in _product(support, repeat=p):
                 coeff = 1

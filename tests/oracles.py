@@ -28,6 +28,11 @@ routes compare, sort and add the exact rationals themselves, generator by
 generator and bar by bar.  barcode_from_json_by_fractions and
 generators_from_json_by_dataclass read JSON through Fraction and the
 validating Bar and Generator constructors.
+The library reads each coefficient map once, into index-keyed columns
+that keep every entry, with its degree and action verdicts; DictComplex
+and dict_complex_from_json keep the route it replaced, a JSON object
+copied into a dict of dicts (coeff_map_from_json), cleaned against the ids
+(clean_coeff_map) and stored as such, and check it by walking those dicts.
 The library runs Bareiss elimination over F_p[u] as products of int64
 coefficient arrays; bareiss_rank_by_entries runs it one polynomial
 product and long division (pmul, psub, pdiv_exact) per entry and step.
@@ -62,6 +67,7 @@ p x p circulants; resolution_homology_by_complex builds the length * p
 generator complex and takes its homology degree by degree.
 """
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -89,7 +95,7 @@ from smith_tate.errors import (
     NotSquareZero,
     SpectralEndpoint,
 )
-from smith_tate.fp_core import FpMatrix, _matmul_mod, _matpow, _row_reduce, rank, reduce_columns, rref
+from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rank, reduce_columns, rref
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -721,6 +727,168 @@ def generators_from_json_by_dataclass(raw) -> list[Generator]:
     return sorted(gens, key=lambda g: g.id)
 
 
+def coeff_map_from_json(raw, key: str) -> dict:
+    """The coefficient map of a JSON object {id: {id: coefficient}}, copied
+    with its ids as str; the coefficients are checked by the complex."""
+    if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
+        raise MalformedInput(f"{key!r} must map ids to coefficient objects")
+    return {str(s): {str(t): c for t, c in row.items()} for s, row in raw.items()}
+
+
+def clean_coeff_map(raw: dict, ids: set, p: int, what: str) -> dict:
+    """raw with each id checked, each coefficient read as an int mod p,
+    zero residues dropped and rows left empty dropped."""
+    out = {}
+    for src, row in raw.items():
+        if src not in ids:
+            raise MalformedInput(f"{what} references unknown generator {src!r}")
+        cleaned = {}
+        for tgt, c in row.items():
+            if tgt not in ids:
+                raise MalformedInput(f"{what} references unknown generator {tgt!r}")
+            if type(c) is not int:
+                c = _strict_int(c, f"{what} coefficient for {src!r}->{tgt!r}")
+            c %= p
+            if c:
+                cleaned[tgt] = c
+        if cleaned:
+            out[src] = cleaned
+    return out
+
+
+class DictComplex:
+    """A complex of kind "chain", "filtered" or "equivariant" stored as
+    Generator objects sorted by id and d and sigma as cleaned dicts of
+    dicts, checked in the library's order: ids, d's rules, d.d = 0, then
+    the action rule of a filtered complex, or sigma's rules, sigma^p = 1
+    and d sigma = sigma d.  Every check walks the dicts one entry at a time,
+    and sigma^p is p applications of sigma."""
+
+    def __init__(self, kind, p, generators, differential, sigma=None, *, check=True):
+        _check_matrix_prime(p)
+        self.kind, self.p = kind, p
+        self.generators = tuple(sorted(generators, key=lambda g: g.id))
+        self._gen = {g.id: g for g in self.generators}
+        if len(self._gen) != len(self.generators):
+            raise MalformedInput("generator ids must be unique")
+        self.differential = clean_coeff_map(differential, set(self._gen), p, "differential")
+        if check and (bad := self.structure_violations()):
+            raise InvalidComplex("; ".join(msg for _, msg in bad))
+        if kind == "filtered" and check and (bad := self.action_violations()):
+            raise InvalidComplex(bad[0])
+        if kind == "equivariant":
+            self.sigma = clean_coeff_map(sigma or {}, set(self._gen), p, "sigma")
+            if check and (bad := self.sigma_violations()):
+                raise InvalidComplex("; ".join(msg for _, msg in bad))
+
+    def _apply(self, m: dict, v: dict, fixed: bool) -> dict:
+        """The image of the vector v under the map m, whose missing rows
+        are the identity when fixed and zero otherwise."""
+        out = {}
+        for x, c in v.items():
+            for y, e in m.get(x, {x: 1} if fixed else {}).items():
+                out[y] = (out.get(y, 0) + c * e) % self.p
+        return {y: e for y, e in out.items() if e}
+
+    def graded_d(self) -> dict:
+        """d with only its entries one degree up."""
+        deg = {g.id: g.degree for g in self.generators}
+        return {s: {t: c for t, c in row.items() if deg[t] == deg[s] + 1} for s, row in self.differential.items()}
+
+    def structure_violations(self) -> list[tuple[str, str]]:
+        gen, d = self._gen, self.graded_d()
+        out = [
+            ("degree_one_differential", f"d({s}) hits {t}, which is not one degree higher")
+            for s, row in self.differential.items()
+            for t in row
+            if gen[t].degree != gen[s].degree + 1
+        ]
+        bad = {g.degree for g in self.generators if self._apply(d, self._apply(d, {g.id: 1}, False), False)}
+        return out + [("square_zero", f"d.d != 0 out of degree {k}") for k in sorted(bad)]
+
+    def action_violations(self) -> list[str]:
+        gen = self._gen
+        return [
+            f"d({s}) does not strictly decrease action at {t}"
+            for s, row in self.differential.items()
+            for t in row
+            if not gen[t].action < gen[s].action
+        ]
+
+    def sigma_violations(self) -> list[tuple[str, str]]:
+        gen = self._gen
+        moved = [
+            ("sigma_structure", f"sigma({s}) changes {what}")
+            for s, row in self.sigma.items()
+            for t in row
+            for what in ("degree", "action")
+            if getattr(gen[t], what) != getattr(gen[s], what)
+        ]
+        if moved:
+            return moved
+        d, power, commute = self.graded_d(), set(), set()
+        for g in self.generators:
+            v = {g.id: 1}
+            for _ in range(self.p):
+                v = self._apply(self.sigma, v, True)
+            if v != {g.id: 1}:
+                power.add(g.degree)
+            e = {g.id: 1}
+            if self._apply(d, self._apply(self.sigma, e, True), False) != self._apply(self.sigma, self._apply(d, e, False), True):
+                commute.add(g.degree)
+        out = []
+        for k in sorted({g.degree for g in self.generators}):
+            if k in power:
+                out.append(("sigma_structure", f"sigma^{self.p} != 1 in degree {k}"))
+            if k in commute:
+                out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
+        return out
+
+    def validate(self) -> ValidationReport:
+        """EquivariantComplex.validate(strict_action=True)."""
+        checks = dict.fromkeys(
+            ("unique_ids", "degree_one_differential", "square_zero", "sigma_structure", "equivariance", "action_decrease"),
+            True,
+        )
+        found = self.structure_violations() + self.sigma_violations()
+        found += [("action_decrease", msg) for msg in self.action_violations()]
+        for check, _ in found:
+            checks[check] = False
+        return ValidationReport(all(checks.values()), checks, [msg for _, msg in found])
+
+    def columns(self) -> list[list[dict]]:
+        """The columns {target index: coefficient} of d, and of sigma with
+        a generator without a row fixed."""
+        index = {g.id: i for i, g in enumerate(self.generators)}
+        maps = [(self.differential, False)] + ([(self.sigma, True)] if self.kind == "equivariant" else [])
+        return [
+            [{index[t]: c for t, c in m.get(g.id, {g.id: 1} if fixed else {}).items()} for g in self.generators]
+            for m, fixed in maps
+        ]
+
+    def level_table(self) -> tuple:
+        """(sorted distinct actions, each generator's index among them, the
+        lcm L of their denominators, and each sorted action times L)."""
+        levels = sorted({g.action for g in self.generators})
+        scale = math.lcm(*(x.denominator for x in levels))
+        return levels, [levels.index(g.action) for g in self.generators], scale, tuple(int(x * scale) for x in levels)
+
+
+def dict_complex_from_json(data) -> DictComplex:
+    """complex_from_json by the dict-of-dicts route."""
+    data = _json_object(data, "complex")
+    if "p" not in data or "generators" not in data:
+        raise MalformedInput("complex JSON needs integer 'p' and 'generators'")
+    p = _strict_int(data["p"], "'p'")
+    if not isinstance(data["generators"], list):
+        raise MalformedInput("'generators' must be a list")
+    gens = generators_from_json_by_dataclass(data["generators"])
+    diff = coeff_map_from_json(data.get("differential", {}), "differential")
+    if "sigma" in data:
+        return DictComplex("equivariant", p, gens, diff, coeff_map_from_json(data["sigma"], "sigma"))
+    return DictComplex("filtered" if data.get("filtered") else "chain", p, gens, diff)
+
+
 def filtration_order_by_fractions(cx) -> list[int]:
     """Generator indices sorted on (action, id) keys."""
     gens = cx.generators
@@ -980,16 +1148,16 @@ def sigma_violations_dense(V) -> list[tuple[str, str]]:
     """(check, message) of EquivariantComplex._sigma_violations from dense
     blocks per degree: sigma^p by repeated squaring against the identity,
     and d sigma against sigma d, one degree at a time."""
-    degree, action = map(set, V._verdict("sigma"))
-    if degree or action:
-        index = V._index
-        return [
-            ("sigma_structure", f"sigma({src}) changes {what}")
-            for src, row in V.sigma.items()
-            for tgt in row
-            for what, bad in (("degree", degree), ("action", action))
-            if (index[tgt], index[src]) in bad
-        ]
+    gens = {g.id: g for g in V.generators}
+    moved = [
+        ("sigma_structure", f"sigma({src}) changes {what}")
+        for src, row in V.sigma.items()
+        for tgt in row
+        for what in ("degree", "action")
+        if getattr(gens[tgt], what) != getattr(gens[src], what)
+    ]
+    if moved:
+        return moved
     out = []
     p = V.p
     for k in V.degrees():

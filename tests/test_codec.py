@@ -7,8 +7,10 @@ import copy
 import fractions
 import hashlib
 import json
+import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +19,32 @@ from hypothesis import given, settings, strategies as st
 
 import smith_tate.errors as errors
 from smith_tate.cli import dispatch
-from smith_tate.complexes import _MAX_DIGITS, _rational, _rational_pair, _triplets_from_json, complex_from_json
+from smith_tate.complexes import (
+    _MAX_DIGITS,
+    ChainComplex,
+    EquivariantComplex,
+    FilteredComplex,
+    _parse_json,
+    _rational,
+    _rational_pair,
+    _strict_int,
+    _triplets_from_json,
+    complex_from_json,
+    complex_to_json,
+)
 from smith_tate.errors import MalformedInput, TooLarge
 from smith_tate.persistence import Bar, Barcode, barcode_from_json, barcode_to_json, generate_iterated_barcode
-from smith_tate.random_instances import random_floer_model
+from smith_tate.random_instances import (
+    random_chain_complex,
+    random_equivariant_filtered,
+    random_filtered_complex,
+    random_floer_model,
+    random_free_equivariant,
+)
 from smith_tate.spectral import model_from_json, model_to_json
 
-from oracles import generators_from_json_by_dataclass
+from oracles import DictComplex, dict_complex_from_json, generators_from_json_by_dataclass
+from test_grading_checks import _outcome
 
 
 @pytest.fixture()
@@ -490,3 +511,150 @@ def test_the_valid_inputs_pass(run, tmp_path):
         path.write_bytes(_text(doc))
         code, _, err = run([str(path) if a == "@" else a for a in argv])
         assert code == 0, (kind, err)
+
+
+# ---------------------------------------------------------------------------
+# the complex reader against the dict-of-dicts route it replaced
+
+_KIND_OF = {ChainComplex: "chain", FilteredComplex: "filtered", EquivariantComplex: "equivariant"}
+_CLASS_OF = {kind: cls for cls, kind in _KIND_OF.items()}
+_BAD_COEFFICIENTS = [True, False, 2.0, 2.5, "1", None, [1], 10**30, -(10**30)]
+
+
+def _library_summary(V):
+    kind = _KIND_OF[type(V)]
+    if kind == "equivariant":
+        r = V.validate(strict_action=True)
+        report, sigma, ops = (r.ok, r.checks, r.violations), V.sigma, ("differential", "sigma")
+    else:
+        report, sigma, ops = (V._structure_violations(), V.action_violations()), None, ("differential",)
+    return kind, list(V.generators), V.differential, sigma, report, [V.columns(op) for op in ops], V._level_table
+
+
+def _oracle_summary(D):
+    if D.kind == "equivariant":
+        r = D.validate()
+        report, sigma = (r.ok, r.checks, r.violations), D.sigma
+    else:
+        report, sigma = (D.structure_violations(), D.action_violations()), None
+    return D.kind, list(D.generators), D.differential, sigma, report, D.columns(), D.level_table()
+
+
+def _corpus_complexes():
+    """The complexes of the malformed-input corpus that parse as JSON, the
+    valid ones included."""
+    for name in ("complex", "reproducer"):
+        _, doc, mutations = _KINDS[name]
+        texts = [_text(doc)] + [_text(_mutated(doc, path, v)) for path, values in mutations for v in values]
+        for text in texts:
+            try:
+                data = _parse_json(text, "corpus")
+            except MalformedInput:
+                continue
+            if name == "reproducer":
+                payload = data.get("payload")
+                data = payload.get("complex") if isinstance(payload, dict) else None
+            if data is not None:
+                yield data
+
+
+def _reader_mutant(seed):
+    """The JSON of a random complex with one to three seeded mutations:
+    unknown ids, coefficients of every type, zero and unreduced residues,
+    duplicate ids, a non-prime p, shuffled key orders, entries that may
+    break the degree or action rule, dropped rows and a changed kind."""
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5, 7])
+    build = rng.choice([random_equivariant_filtered, random_free_equivariant, random_filtered_complex, random_chain_complex])
+    data = complex_to_json(build(p, seed))
+    ids = [g["id"] for g in data["generators"]] or ["a"]
+    for _ in range(rng.randint(1, 3)):
+        maps = [data[k] for k in ("differential", "sigma") if k in data]
+        m = rng.choice(maps)
+        how = rng.choice(["unknown", "coefficient", "duplicate", "prime", "order", "entry", "entry", "drop", "kind"])
+        if how == "unknown":
+            if rng.random() < 0.5:
+                m["zz"] = {rng.choice(ids): 1}
+            else:
+                m.setdefault(rng.choice(ids), {})["zz"] = 1
+        elif how == "coefficient":
+            entries = [(s, t) for s, row in m.items() for t in row] or [(rng.choice(ids), rng.choice(ids))]
+            s, t = rng.choice(entries)
+            m.setdefault(s, {})[t] = rng.choice(_BAD_COEFFICIENTS + [0, p, -p, p + 1, -1])
+        elif how == "duplicate" and data["generators"]:
+            data["generators"].append(dict(rng.choice(data["generators"]), degree=rng.randint(-1, 3)))
+        elif how == "prime":
+            data["p"] = rng.choice([4, 1, 0, -3, 9, 2.0])
+        elif how == "order":
+            rng.shuffle(data["generators"])
+            for k in ("differential", "sigma"):
+                if k in data:
+                    rows = rng.sample(list(data[k].items()), len(data[k]))
+                    data[k] = {s: dict(rng.sample(list(row.items()), len(row))) for s, row in rows}
+        elif how == "entry":
+            m.setdefault(rng.choice(ids), {})[rng.choice(ids)] = rng.randrange(1, p)
+        elif how == "drop" and m:
+            del m[rng.choice(list(m))]
+        elif how == "kind":
+            if "sigma" in data:
+                del data["sigma"]
+            elif rng.random() < 0.5:
+                data["sigma"] = {}
+            else:
+                data["filtered"] = not data.get("filtered")
+    return data
+
+
+def _unchecked_outcomes(data):
+    """(library, oracle) outcomes of the public constructors with
+    check=False on data's generators and maps, or None when those do not
+    read as generators and dicts of dicts."""
+    try:
+        p, gens = _strict_int(data["p"], "p"), generators_from_json_by_dataclass(data["generators"])
+    except (MalformedInput, KeyError, TypeError):
+        return None
+    kind = "equivariant" if "sigma" in data else "filtered" if data.get("filtered") else "chain"
+    maps = [data.get("differential", {})] + ([data["sigma"]] if kind == "equivariant" else [])
+    if not all(isinstance(m, dict) and all(isinstance(r, dict) for r in m.values()) for m in maps):
+        return None
+    return (
+        _outcome(lambda: _library_summary(_CLASS_OF[kind](p, gens, *maps, check=False))),
+        _outcome(lambda: _oracle_summary(DictComplex(kind, p, gens, *maps, check=False))),
+    )
+
+
+def test_the_complex_reader_matches_the_dict_route():
+    """complex_from_json and the public constructors read every input of
+    the corpus and of 400 seeded mutants as the dict-of-dicts route did:
+    the same refusal, type and text, or the same generators, views,
+    checks, columns and level table."""
+    seen = Counter()
+    for data in [*_corpus_complexes(), *map(_reader_mutant, range(400))]:
+        want = _outcome(lambda: _oracle_summary(dict_complex_from_json(data)))
+        assert _outcome(lambda: _library_summary(complex_from_json(data))) == want, data
+        seen[want[0]] += 1
+        if (pair := _unchecked_outcomes(data)) is not None:
+            assert pair[0] == pair[1], data
+            seen["unchecked " + pair[1][0]] += 1
+    assert min(seen[k] for k in ("MalformedInput", "InvalidComplex", "ok", "unchecked ok")) >= 20, seen
+
+
+_THREE = [{"id": "a", "degree": 0, "action": 2}, {"id": "b", "degree": 1, "action": 3}, {"id": "c", "degree": 1, "action": 5}]
+
+
+@pytest.mark.parametrize(
+    "cmd, doc, err",
+    [
+        # c before b in d(a): the first entry named is the map's first, not the first by index
+        ("barcode", {"p": 3, "generators": _THREE, "differential": {"a": {"c": 1, "b": 1}}, "filtered": True},
+         "InvalidComplex: d(a) does not strictly decrease action at c"),
+        ("tate", {"p": 3, "generators": _THREE, "sigma": {"a": {"zz": 1}}},
+         "MalformedInput: sigma references unknown generator 'zz'"),
+        ("barcode", {"p": 3, "generators": _THREE, "differential": {"a": {"b": True}}},
+         "MalformedInput: differential coefficient for 'a'->'b' must be an integer, got True"),
+    ],
+)
+def test_refusal_texts_of_the_reader(run, tmp_path, cmd, doc, err):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([cmd, "--input", str(path)]) == (2, "", f"error: {err}\n")

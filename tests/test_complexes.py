@@ -1,5 +1,6 @@
 """Complex construction, validation, windows, tensor powers, JSON round trips."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -356,9 +357,36 @@ class TestTensorPower:
         if built:
             assert tensor_power(base).dim() == n**p
             return
-        monkeypatch.setattr(complexes, "Generator", None)  # building a word would fail
+        monkeypatch.setattr(itertools, "product", None)  # building a word would fail
         with pytest.raises(TooLarge, match="tensor power"):
             tensor_power(base)
+
+
+class TestBlockBudget:
+    def test_blocks_stay_within_the_budget(self, monkeypatch):
+        """d_block allocates at most MAX_BLOCK_CELLS cells: a block at the
+        limit is built, and one past it raises TooLarge before any array
+        is allocated."""
+        gens = [Generator(f"a{i}", 0) for i in range(2)] + [Generator(f"b{i}", 1) for i in range(3)]
+        V = ChainComplex(3, gens, {"a0": {"b1": 2}})
+        dense = complexes._dense
+        monkeypatch.setattr(complexes, "MAX_BLOCK_CELLS", 5)
+        monkeypatch.setattr(complexes, "_dense", None)  # allocating the block would fail
+        with pytest.raises(TooLarge, match=r"d block from degree 0 \(rows x columns\) is 6, above the limit of 5"):
+            V.d_block(0)
+        monkeypatch.setattr(complexes, "_dense", dense)
+        monkeypatch.setattr(complexes, "MAX_BLOCK_CELLS", 6)
+        assert V.d_block(0).tolist() == [[0, 0], [2, 0], [0, 0]]
+
+    def test_an_oversized_block_is_refused(self):
+        """A block of 2049 x 2049 cells passes the limit of 2^22: homology
+        refuses it with TooLarge, and the dense block is never built."""
+        n = 2049
+        gens = [Generator(f"a{i:04d}", 0) for i in range(n)] + [Generator(f"b{i:04d}", 1) for i in range(n)]
+        V = ChainComplex(3, gens, {})
+        assert n * n > complexes.MAX_BLOCK_CELLS
+        with pytest.raises(TooLarge, match="d block from degree 0"):
+            V.homology_dims()
 
 
 class TestInvariantsCoinvariants:
@@ -518,9 +546,9 @@ def _unchecked_equivariant(p, seed):
 
 def test_operator_matrices_match_entry_by_entry_loop():
     """d_block and the sparse columns of d and sigma against a plain loop
-    over entries: the columns keep exactly the entries of d one degree up
-    and of sigma in the same degree, and d_block cuts degree k to k + 1
-    from them."""
+    over entries: the columns keep every entry of d and sigma, the graded
+    part of d that the checks compose keeps those one degree up, and
+    d_block cuts degree k to k + 1 from them."""
     leaving = 0
     for p in (2, 3, 5, 7):
         for seed in range(25):
@@ -533,9 +561,11 @@ def test_operator_matrices_match_entry_by_entry_loop():
                 want = coeff_matrix_by_entries(V, V.sigma, range(n), range(n), sigma=True)
                 step = np.subtract.outer(*[[g.degree for g in V.generators]] * 2)  # deg target - deg source
                 leaving += bool((want[step != 0]).any())
-                assert _dense(V.columns("sigma"), n).tolist() == np.where(step == 0, want, 0).tolist()
+                assert _dense(V.columns("sigma"), n).tolist() == want.tolist()
                 want = coeff_matrix_by_entries(V, V.differential, range(n), range(n))
-                assert _dense(V.columns("differential"), n).tolist() == np.where(step == 1, want, 0).tolist()
+                leaving += bool((want[step != 1]).any())
+                assert _dense(V.columns("differential"), n).tolist() == want.tolist()
+                assert _dense(V._graded_d(), n).tolist() == np.where(step == 1, want, 0).tolist()
                 for k in range(min(V.degrees()) - 1, max(V.degrees()) + 2):
                     idx = V.degree_indices(k)
                     want = coeff_matrix_by_entries(V, V.differential, idx, V.degree_indices(k + 1))

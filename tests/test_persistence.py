@@ -684,6 +684,16 @@ def test_sparse_pairing_matches_the_dense_reduction(p):
         _assert_pairing_matches_dense(_dense_two_degree_complex(p, n, p + n))
 
 
+def test_an_unchecked_complex_pairs_on_every_entry_of_d():
+    """d(a) = b + c with b in a's own degree: a check=False complex keeps
+    the entry a -> b, which breaks the degree rule, and pairs a with b as
+    the dense reduction does; dropping it would pair a with c."""
+    gens = [Generator("a", 0, 3), Generator("b", 0, Fraction(5, 2)), Generator("c", 1, 2)]
+    fc = FilteredComplex(3, gens, {"a": {"b": 1, "c": 1}}, check=False)
+    _assert_pairing_matches_dense(fc)
+    assert persistence_pairing(fc)[1].tolist() == [-1, -1, 1]
+
+
 def test_sparse_and_dense_pairing_reject_an_unfiltered_complex():
     gens = [Generator("a", 0, 1), Generator("b", 1, 1), Generator("c", 1, 0)]
     cx = ChainComplex(3, gens, {"a": {"b": 1, "c": 2}})
@@ -748,7 +758,7 @@ def test_coprime_denominators_match_the_fraction_routes(seed):
     fc, planted = planted_filtered_complex(p, *_planted_bars(rng, levels), seed)
     _assert_complex_matches_oracles(fc, rng)
     assert barcode_from_filtered(fc) == planted
-    _, _, scale, ticks = fc._level_table()
+    _, _, scale, ticks = fc._level_table
     assert scale == math.lcm(*(x.denominator for x in fc.actions()))
     assert ticks == tuple(int(x * scale) for x in fc.actions())
 
@@ -777,7 +787,7 @@ def test_one_value_spelled_several_ways_is_one_level():
             {"id": "e", "degree": 1, "action": {"num": -2, "den": 4}}]
     fc = complex_from_json({"p": 3, "generators": gens, "differential": {"a": {"b": 1}}}, expect="filtered")
     assert fc.actions() == [Fraction(-1, 2), Fraction(1)]
-    assert fc._level_table()[1:] == ([1, 0, 0, 0], 2, (-1, 2))
+    assert fc._level_table[1:] == ([1, 0, 0, 0], 2, (-1, 2))
     _assert_complex_matches_oracles(fc, random.Random(1))
     assert spans(barcode_from_filtered(fc)) == [(Fraction(-1, 2), 1, 1), (Fraction(-1, 2), None, 2)]
 
@@ -792,7 +802,7 @@ def test_integer_only_inputs_have_scale_one():
     _assert_barcode_matches_oracles(b, rng)
     _assert_iterate_pairs(b, 5, 5)
     fc, _ = planted_filtered_complex(3, *_planted_bars(rng, list(range(-5, 6))), 5)
-    assert fc._level_table()[2:] == (1, tuple(map(int, fc.actions())))
+    assert fc._level_table[2:] == (1, tuple(map(int, fc.actions())))
     _assert_complex_matches_oracles(fc, rng)
 
 

@@ -10,8 +10,7 @@ from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, te
 from smith_tate.errors import InvalidComplex
 from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 from smith_tate.random_instances import (
-    _conjugate_differential,
-    _unipotent_pair,
+    _conjugated,
     random_chain_complex,
     random_equivariant_filtered,
     random_floer_model,
@@ -386,7 +385,7 @@ def _slot_base(p, degrees, pairs, seed):
     cx = ChainComplex(p, gens, {f"x{s}": {f"x{t}": 1 + rng.randrange(p - 1)} for s, t in pairs})
     n = len(degrees)
     same = [(i, j, rng.randrange(p)) for i in range(n) for j in range(i + 1, n) if degrees[i] == degrees[j]]
-    return ChainComplex(p, gens, _conjugate_differential(cx, *_unipotent_pair(n, p, same)))
+    return _conjugated(cx, same)
 
 
 def test_assemble_places_terms_by_slot_and_sums_shared_blocks():
