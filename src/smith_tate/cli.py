@@ -47,7 +47,7 @@ from .tate import group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 
 def _cmd_tate(args):
     digest, (data,) = _read_json_files(args.input)
-    V = complex_from_json(data, expect="equivariant")
+    V = complex_from_json(data)
     even, odd = tate_cohomology_dims(V, method=args.method)
     results = {"p": V.p, "dim": V.dim(), "even": even, "odd": odd}
     return digest, results, {}
@@ -55,14 +55,14 @@ def _cmd_tate(args):
 
 def _cmd_group_cohomology(args):
     digest, (data,) = _read_json_files(args.input)
-    V = complex_from_json(data, expect="equivariant")
+    V = complex_from_json(data)
     dims = group_cohomology_dims(V, max_degree=args.max_degree)
     return digest, {"p": V.p, "dims": dims}, {}
 
 
 def _cmd_quasi_frobenius(args):
     digest, (data,) = _read_json_files(args.input)
-    V = complex_from_json(data, expect="chain")
+    V = complex_from_json(data)
     res = quasi_frobenius(V, max_certificates=args.max_certificates)
     results = {
         "p": res.p,
@@ -127,7 +127,7 @@ def _cmd_spectral(args):
 
     digest, (data,) = _read_json_files(args.input)
     if args.mode == "action":
-        fc = complex_from_json(data, expect="filtered")
+        fc = complex_from_json(data)
         pages = action_ss_pages(fc)
         results = {
             "levels": pages.levels,
@@ -167,7 +167,7 @@ def _cmd_barcode(args):
         b = barcode_from_json(data)
         source = "barcode"
     else:
-        fc = complex_from_json(data, expect="filtered")
+        fc = complex_from_json(data)
         b = barcode_from_filtered(fc)
         source = "complex"
     st = bar_stats(b)

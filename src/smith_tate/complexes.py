@@ -1,11 +1,15 @@
 """Cochain complexes over F_p with Z/pZ-action and action filtration.
 
 A complex is a finite set of generators, each carrying a cohomological
-degree and a rational action value, together with a degree +1 differential.
-The equivariant variant adds a degree- and action-preserving operator sigma
-with sigma^p = 1 commuting with the differential.  The filtered variant
-requires the differential to strictly decrease action, which is what makes
-barcodes and the action spectral sequence well defined.
+degree and a rational action value, together with a degree +1 differential
+and a Z/pZ-action sigma: a degree- and action-preserving operator with
+sigma^p = 1 commuting with the differential.  Every complex carries sigma;
+one given none, or a generator given no sigma row, is fixed by it.  A
+filtered complex also requires the differential to strictly decrease
+action, which is what makes barcodes and the action spectral sequence well
+defined.  The subclasses EquivariantComplex (given sigma) and
+FilteredComplex (action rule checked) only name these inputs: the kind of
+a complex read from JSON is what its payload holds.
 
 Generators are stored sorted by id, as flat lists of ids, degrees and
 actions, so matrix layouts, homology representatives, and JSON output are
@@ -40,7 +44,7 @@ from .errors import (
     TooLarge,
     check_size,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rref
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rref
 
 CoeffMap = dict[str, dict[str, int]]
 # a square operator on the generators: column j is {target index: coefficient}
@@ -285,17 +289,6 @@ def _rotation_sign(word_degs) -> int:
     return -1 if word_degs[-1] * sum(word_degs[:-1]) % 2 else 1
 
 
-def norm_matrix(sigma: np.ndarray, p: int) -> np.ndarray:
-    """N = 1 + sigma + ... + sigma^(p-1), as (sigma - 1)^(p-1), for a square
-    residue array sigma.
-
-    (x - 1)^p = x^p - 1 = (x - 1)(1 + x + ... + x^(p-1)) in F_p[x], which
-    has no zero divisors, so the two polynomials agree for any square
-    sigma; repeated squaring takes O(log p) products instead of p - 1.
-    """
-    return _matpow((sigma - np.eye(len(sigma), dtype=np.int64)) % p, p - 1, p)
-
-
 # the most cells d_block allocates, 32 MB of int64: 66 times the largest block
 # (251 x 251) that the test suite and the benchmark build
 MAX_BLOCK_CELLS = 1 << 22
@@ -314,31 +307,40 @@ def _levels(actions: list[Fraction]) -> tuple[list[Fraction], list[int], int, tu
 
 
 class ChainComplex:
-    """Finite cochain complex over F_p with action-labelled generators.
+    """Finite cochain complex over F_p with action-labelled generators and
+    a Z/pZ-action.
 
     differential maps a generator id to the coefficient dict of its image;
-    d must raise degree by exactly 1 and satisfy d(d(x)) = 0.
+    d must raise degree by exactly 1 and satisfy d(d(x)) = 0.  sigma, when
+    one is given, maps each generator id to its image coefficients and must
+    keep degree and action, satisfy sigma^p = 1 and commute with d; an
+    omitted id, or every id of a complex given no sigma, is fixed.
     """
 
     # allowed steps grade(target) - grade(source) of each operator's entries,
     # in degree and in action level
     _RULES = {"differential": ((1, 1), (-math.inf, -1)), "sigma": ((0, 0), (0, 0))}
+    # whether every construction checks that d strictly decreases action
+    _strict = False
 
     def __init__(self, p: int, generators, differential: CoeffMap, *, check: bool = True):
         self._init(p, [(g.id, g.degree, g.action) for g in generators], (differential,), check)
 
     @classmethod
-    def _of(cls, p: int, gens, *ops, check: bool = True):
+    def _of(cls, p: int, gens, *ops, check: bool = True, strict: bool = False):
         """A complex of this class from (id, degree, action) triples and its
-        operators in _RULES order, each a coefficient map or columns whose
-        indices follow the sorted ids."""
+        operators in _RULES order, d and optionally sigma, each a
+        coefficient map or columns whose indices follow the sorted ids;
+        strict also checks d's action rule."""
         self = cls.__new__(cls)
-        self._init(p, gens, ops, check)
+        self._init(p, gens, ops, check, strict)
         return self
 
-    def _init(self, p, gens, ops, check) -> None:
-        """The one initialiser: store the generators sorted by id, then read
-        and check d (ops[0]); subclasses then read and check their own."""
+    def _init(self, p, gens, ops, check, strict=False) -> None:
+        """The one initialiser: store the generators sorted by id, read and
+        check d (ops[0]), check its action rule when strict, then read and
+        check sigma (ops[1]) when one is given; without one nothing of sigma
+        is read or checked."""
         _check_matrix_prime(p)
         self.p = p
         gens = sorted(gens, key=lambda g: g[0])
@@ -352,11 +354,19 @@ class ChainComplex:
         self._level_table = _levels(self._action)
         self._block_cache: dict[int, np.ndarray] = {}
         self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._norm_cache: Columns | None = None
         self._columns: dict[str, Columns] = {}
-        self._verdicts: dict[str, tuple[list, list, list]] = {}
+        # the identity breaks no rule of sigma
+        self._verdicts: dict[str, tuple[list, list, list]] = {"sigma": ([], [], [])}
         self._take("differential", ops[0])
         if check and (bad := self._structure_violations()):
             raise InvalidComplex("; ".join(msg for _, msg in bad))
+        if check and (strict or self._strict) and (bad := self.action_violations()):
+            raise InvalidComplex(bad[0])
+        if len(ops) > 1:
+            self._take("sigma", ops[1])
+            if check and (bad := self._sigma_violations()):
+                raise InvalidComplex("; ".join(msg for _, msg in bad))
 
     # -- structure ---------------------------------------------------------
 
@@ -378,9 +388,11 @@ class ChainComplex:
     def columns(self, op: str) -> Columns:
         """The sparse columns of operator op, every entry kept; shared, so
         callers must not write to them.  sigma fixes a generator whose
-        stored column is empty: it had no row."""
-        cols = self._columns[op]
-        return cols if op == "differential" else [c or {j: 1} for j, c in enumerate(cols)]
+        stored column is empty (it had no row) and, on a complex given no
+        sigma, every generator."""
+        if op == "differential":
+            return self._columns[op]
+        return [c or {j: 1} for j, c in enumerate(self._columns.get(op) or [{}] * len(self._ids))]
 
     def _graded_d(self) -> Columns:
         """The columns of d cut to the entries one degree up, which the
@@ -412,6 +424,54 @@ class ChainComplex:
             for t, s in self._verdicts["differential"][1]
         ]
 
+    def _sigma_violations(self) -> list[tuple[str, str]]:
+        """(check, message) for each sigma entry that changes degree or
+        action, in the map's order; when there is none, for each degree
+        where sigma^p != 1 or sigma does not commute with d."""
+        degree, action, bad = self._verdicts["sigma"]
+        if bad:
+            ids, rules = self._ids, (("degree", set(degree)), ("action", set(action)))
+            return [("sigma_structure", f"sigma({ids[s]}) changes {what}") for t, s in bad for what, rule in rules if (t, s) in rule]
+        # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
+        p, d, s, nm = self.p, self._graded_d(), self.columns("sigma"), self.norm()
+        power = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(nm, s, p), nm)) if x != y}
+        commute = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(d, s, p), _compose(s, d, p))) if x != y}
+        out = []
+        for k in self.degrees():
+            if k in power:
+                out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
+            if k in commute:
+                out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
+        return out
+
+    def validate(self, *, strict_action: bool = False) -> ValidationReport:
+        """Check the structural invariants; never raises.
+
+        strict_action additionally demands that d strictly decrease action,
+        the requirement for filtered use.  Each check fails exactly when
+        its own rule reports a violation.
+        """
+        checks = dict.fromkeys(
+            ("unique_ids", "degree_one_differential", "square_zero", "sigma_structure", "equivariance"), True
+        )
+        found = self._structure_violations() + self._sigma_violations()
+        if strict_action:
+            checks["action_decrease"] = True
+            found += [("action_decrease", msg) for msg in self.action_violations()]
+        for check, _ in found:
+            checks[check] = False
+        return ValidationReport(all(checks.values()), checks, [msg for _, msg in found])
+
+    def norm(self) -> Columns:
+        """The sparse columns of N = 1 + sigma + ... + sigma^(p-1), computed
+        once as (sigma - 1)^(p-1) by squaring; shared, so callers must not
+        write to them.  (x - 1)^p = x^p - 1 = (x - 1)(1 + x + ... + x^(p-1))
+        in F_p[x], which has no zero divisors, so the two polynomials agree
+        for any square sigma."""
+        if self._norm_cache is None:
+            self._norm_cache = _power(_affine(self.columns("sigma"), 1, -1, self.p), self.p - 1, self.p)
+        return self._norm_cache
+
     @cached_property
     def generators(self) -> tuple[Generator, ...]:
         """The generators sorted by id, a view built on first use."""
@@ -421,6 +481,12 @@ class ChainComplex:
     def differential(self) -> CoeffMap:
         """d as a coefficient map, a view built on first use."""
         return _coeff_map(self._columns["differential"], self._ids)
+
+    @cached_property
+    def sigma(self) -> CoeffMap:
+        """sigma as a coefficient map, a view built on first use: one row
+        per generator the input gave a row with a nonzero residue."""
+        return _coeff_map(self._columns.get("sigma", ()), self._ids)
 
     def degrees(self) -> list[int]:
         return sorted(self._deg_index)
@@ -515,85 +581,19 @@ class ChainComplex:
 
 
 class EquivariantComplex(ChainComplex):
-    """ChainComplex with a Z/pZ-action sigma commuting with d.
-
-    sigma maps each generator id to its image coefficients; omitted ids act
-    as the identity on that generator.
-    """
+    """A complex given its Z/pZ-action sigma: sigma maps each generator id
+    to its image coefficients, and omitted ids act as the identity on that
+    generator.  Its JSON carries a "sigma" key."""
 
     def __init__(self, p, generators, differential, sigma: CoeffMap | None = None, *, check=True):
         self._init(p, [(g.id, g.degree, g.action) for g in generators], (differential, sigma or {}), check)
 
-    def _init(self, p, gens, ops, check) -> None:
-        super()._init(p, gens, ops, check)
-        self._take("sigma", ops[1])
-        self._norm_cache: Columns | None = None
-        # ChainComplex._init has already checked d
-        if check and (bad := self._sigma_violations()):
-            raise InvalidComplex("; ".join(msg for _, msg in bad))
-
-    @cached_property
-    def sigma(self) -> CoeffMap:
-        """sigma as a coefficient map, a view built on first use: one row
-        per generator the input gave a row with a nonzero residue."""
-        return _coeff_map(self._columns["sigma"], self._ids)
-
-    def validate(self, *, strict_action: bool = False) -> ValidationReport:
-        """Check the structural invariants; never raises.
-
-        strict_action additionally demands that d strictly decrease action,
-        the requirement for filtered use.  Each check fails exactly when
-        its own rule reports a violation.
-        """
-        checks = dict.fromkeys(
-            ("unique_ids", "degree_one_differential", "square_zero", "sigma_structure", "equivariance"), True
-        )
-        found = self._structure_violations() + self._sigma_violations()
-        if strict_action:
-            checks["action_decrease"] = True
-            found += [("action_decrease", msg) for msg in self.action_violations()]
-        for check, _ in found:
-            checks[check] = False
-        return ValidationReport(all(checks.values()), checks, [msg for _, msg in found])
-
-    def _sigma_violations(self) -> list[tuple[str, str]]:
-        """(check, message) for each sigma entry that changes degree or
-        action, in the map's order; when there is none, for each degree
-        where sigma^p != 1 or sigma does not commute with d."""
-        degree, action, bad = self._verdicts["sigma"]
-        if bad:
-            ids, rules = self._ids, (("degree", set(degree)), ("action", set(action)))
-            return [("sigma_structure", f"sigma({ids[s]}) changes {what}") for t, s in bad for what, rule in rules if (t, s) in rule]
-        # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
-        p, d, s, nm = self.p, self._graded_d(), self.columns("sigma"), self.norm()
-        power = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(nm, s, p), nm)) if x != y}
-        commute = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(d, s, p), _compose(s, d, p))) if x != y}
-        out = []
-        for k in self.degrees():
-            if k in power:
-                out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
-            if k in commute:
-                out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
-        return out
-
-    def norm(self) -> Columns:
-        """The sparse columns of N = (sigma - 1)^(p-1) (see norm_matrix), by
-        squaring, computed once; shared, so callers must not write to them."""
-        if self._norm_cache is None:
-            self._norm_cache = _power(_affine(self.columns("sigma"), 1, -1, self.p), self.p - 1, self.p)
-        return self._norm_cache
-
 
 class FilteredComplex(ChainComplex):
-    """ChainComplex whose differential strictly decreases action."""
+    """A complex whose differential strictly decreases action, checked at
+    construction.  Its JSON carries "filtered": true."""
 
-    def _init(self, p, gens, ops, check) -> None:
-        super()._init(p, gens, ops, check)
-        if check and (bad := self.action_violations()):
-            raise InvalidComplex(bad[0])
-
-    def levels(self) -> list[Fraction]:
-        return self.actions()
+    _strict = True
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +604,7 @@ class FilteredComplex(ChainComplex):
 MAX_TENSOR_LETTERS = 1 << 17
 
 
-def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantComplex:
+def tensor_power(base: ChainComplex) -> EquivariantComplex:
     """p-fold tensor power with the signed cyclic permutation action.
 
     Word generators are tuples of base generators; degree and action add.
@@ -615,9 +615,6 @@ def tensor_power(base: ChainComplex, power: int | None = None) -> EquivariantCom
     built.
     """
     p = base.p
-    r = p if power is None else power
-    if r != p:
-        raise MalformedInput("tensor power must equal the coefficient prime")
     n = base.dim()
     if n > 1:  # p * n ** p passes the limit once p passes its bit length; it is not built then
         check_size("tensor power p with two or more generators", p, MAX_TENSOR_LETTERS.bit_length())
@@ -798,19 +795,20 @@ def complex_to_json(V: ChainComplex) -> dict:
         "generators": [{"id": g, "degree": k, "action": _action_to_json(a)} for g, k, a in zip(V._ids, V._degree, V._action)],
         "differential": {s: dict(row) for s, row in sorted(V.differential.items())},
     }
-    if isinstance(V, EquivariantComplex):
+    if "sigma" in V._columns:
         out["sigma"] = {s: dict(row) for s, row in sorted(V.sigma.items())}
     if isinstance(V, FilteredComplex):
         out["filtered"] = True
     return out
 
 
-def complex_from_json(data, *, expect: str | None = None):
-    """Rebuild a complex from its JSON dict (or JSON string).
-
-    expect: None infers the richest type the payload supports ("sigma" key
-    gives an EquivariantComplex, "filtered": true a FilteredComplex);
-    passing "chain", "equivariant", or "filtered" forces one.
+def complex_from_json(data):
+    """Rebuild a complex from its JSON dict (or JSON string), reading every
+    key the payload has: a "sigma" map is read and checked (ids,
+    coefficients, the degree and action rules, sigma^p = 1 and
+    d sigma = sigma d) and gives an EquivariantComplex, and without one
+    sigma is the identity; "filtered": true checks that d strictly
+    decreases action, and gives a FilteredComplex when there is no sigma.
     """
     data = _json_object(data, "complex")
     if "p" not in data or "generators" not in data:
@@ -829,13 +827,12 @@ def complex_from_json(data, *, expect: str | None = None):
         if not gid:
             raise MalformedInput("generator id must be a nonempty string")
         gens.append((gid, degree, action))
-    diff = _coeff_object(data.get("differential", {}), "differential")
-    kind = expect or ("equivariant" if "sigma" in data else "filtered" if data.get("filtered") else "chain")
-    cls = {"equivariant": EquivariantComplex, "filtered": FilteredComplex, "chain": ChainComplex}.get(kind)
-    if cls is None:
-        raise MalformedInput(f"unknown complex kind {kind!r}")
-    sigma = (_coeff_object(data.get("sigma", {}), "sigma"),) if cls is EquivariantComplex else ()
-    return cls._of(p, gens, diff, *sigma)
+    ops = [_coeff_object(data.get("differential", {}), "differential")]
+    if "sigma" in data:
+        ops.append(_coeff_object(data["sigma"], "sigma"))
+    filtered = bool(data.get("filtered"))
+    cls = EquivariantComplex if "sigma" in data else FilteredComplex if filtered else ChainComplex
+    return cls._of(p, gens, *ops, strict=filtered)
 
 
 # ---------------------------------------------------------------------------

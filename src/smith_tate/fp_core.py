@@ -13,12 +13,14 @@ their columns that way).
 
 The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
 product of two entries stays below 2^48, and every product of n x n
-matrices is exact in int64 for n <= 2^15.  Every product and power of
-residue arrays goes through _matmul_mod and _matpow.  _matmul_mod picks its
-route from the shape: below _BLAS_MIN_WORK multiply-adds it runs on int64,
-at or above it on float64 BLAS while its sums stay below 2^53, and past
-that on int64 again.  FpScalar uses Python integers and takes any prime
-below PRIMALITY_BOUND, where the Miller-Rabin test of is_prime is exact.
+matrices is exact in int64 for n <= 2^15.  Every product of residue
+arrays goes through _matmul_mod, which picks its route from the shape:
+below _BLAS_MIN_WORK multiply-adds it runs on int64, at or above it on
+float64 BLAS while its sums stay below 2^53, and past that on int64 again.
+No power of an array is taken here: powers, the norm among them, are
+products of sparse columns (complexes._power).  FpScalar uses Python
+integers and takes any prime below PRIMALITY_BOUND, where the Miller-Rabin
+test of is_prime is exact.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class FpMatrix:
 
     Construction checks the prime and reduces the entries; inside the
     package matrices are plain int64 residue arrays (the attribute a), and
-    their products go through _matmul_mod and _matpow.
+    their products go through _matmul_mod.
     """
 
     __slots__ = ("a", "p")
@@ -194,23 +196,6 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out = a.astype(np.float64) @ b.astype(np.float64)
         return np.fmod(out, p, out=out).astype(np.int64)
     return a @ b % p
-
-
-def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """a^k for a square residue array in floor(log2 k) + popcount(k) - 1
-    products; the identity for k = 0."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError(f"negative exponent {k}")
-    out, base = None, a
-    while k:
-        if k & 1:
-            out = base if out is None else _matmul_mod(out, base, p)
-        k >>= 1
-        if k:
-            base = _matmul_mod(base, base, p)
-    return np.eye(a.shape[0], dtype=np.int64) if out is None else out
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -75,10 +75,10 @@ def _field(payload, key: str, kind: type = dict, default=_REQUIRED):
     return value
 
 
-def _decoded(payload, key: str, decode: Callable, **kwargs):
-    """decode(payload[key], **kwargs) of a JSON object field."""
+def _decoded(payload, key: str, decode: Callable):
+    """decode(payload[key]) of a JSON object field."""
     try:
-        return decode(_field(payload, key), **kwargs)
+        return decode(_field(payload, key))
     except SmithTateError as e:
         raise _BadPayload(type(e), f"field {key!r}: {e}") from None
 
@@ -109,7 +109,7 @@ def _gen_tate_free(rng, p, args):
 
 
 def _check_tate_free(payload):
-    V = _decoded(payload, "complex", complexes.complex_from_json, expect="equivariant")
+    V = _decoded(payload, "complex", complexes.complex_from_json)
     dims = tate.tate_cohomology_dims(V)
     return dims == (0, 0), {"even": dims[0], "odd": dims[1]}
 
@@ -120,7 +120,7 @@ def _gen_quasi_frobenius(rng, p, args):
 
 
 def _check_quasi_frobenius(payload):
-    V = _decoded(payload, "complex", complexes.complex_from_json, expect="chain")
+    V = _decoded(payload, "complex", complexes.complex_from_json)
     res = tate.quasi_frobenius(V)
     total = sum(V.homology_dims().values())
     ok = (
@@ -181,7 +181,7 @@ def _gen_spectral_action(rng, p, args):
 
 
 def _check_spectral_action(payload):
-    fc = _decoded(payload, "complex", complexes.complex_from_json, expect="filtered")
+    fc = _decoded(payload, "complex", complexes.complex_from_json)
     pages = spectral.action_ss_pages(fc)
     details = {
         "stabilized-at": pages.stabilized_at,
@@ -234,7 +234,7 @@ def _gen_barcode_roundtrip(rng, p, args):
 
 
 def _check_barcode_roundtrip(payload):
-    fc = _decoded(payload, "complex", complexes.complex_from_json, expect="filtered")
+    fc = _decoded(payload, "complex", complexes.complex_from_json)
     windows = [(pair, _payload_window(pair)) for pair in _field(payload, "windows", list, [])]
     b = persistence.barcode_from_filtered(fc)
     failures = []

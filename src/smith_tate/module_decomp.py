@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrderP
-from .fp_core import FpMatrix, _matpow, fixed_dim, nilpotent_partition
+from .errors import NotNilpotent, NotOrderP
+from .fp_core import FpMatrix, fixed_dim, nilpotent_partition
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,19 @@ class ModuleDecomposition:
 
 
 def decompose(sigma: FpMatrix) -> ModuleDecomposition:
-    """Jordan multiplicities of the module (F_p^n, sigma) over F_p[Z/pZ]."""
+    """Jordan multiplicities of the module (F_p^n, sigma) over F_p[Z/pZ].
+
+    sigma^p - 1 = (sigma - 1)^p in characteristic p, so sigma has order
+    dividing p exactly when t = sigma - 1 has t^p = 0, which
+    nilpotent_partition tests."""
     p = sigma.p
     n = sigma.rows
     if sigma.cols != n:
         raise NotOrderP("sigma must be square")
-    one = np.eye(n, dtype=np.int64)
-    if not np.array_equal(_matpow(sigma.a, p, p), one):
-        raise NotOrderP(f"sigma^{p} != identity")
-    partition = nilpotent_partition(FpMatrix(sigma.a - one, p))
+    try:
+        partition = nilpotent_partition(FpMatrix(sigma.a - np.eye(n, dtype=np.int64), p))
+    except NotNilpotent:
+        raise NotOrderP(f"sigma^{p} != identity") from None
     m = [0] * p
     for size in partition:
         m[size - 1] += 1

@@ -14,12 +14,13 @@ The local invertibility constants come from the top Chern class of n
 copies of the reduced regular representation: (-1)^n u^{n(p-1)}, with the
 sign produced by the product of all units of F_p (Wilson's theorem).
 
-The resolution's homology is read off two p x p circulants, 1 - sigma and N,
-each ranked once; the constants loop over the units of F_p.  So the public
-functions take primes below MORSE_PRIME_BOUND only and raise PrimeTooLarge,
-before any work, above it.  The resolution length and the number of critical
-points are bounded too (MAX_RESOLUTION_LENGTH, MAX_CRITICAL_POINTS), and
-TooLarge is raised before anything is built.
+The resolution's homology is read off two p x p circulants, 1 - sigma and
+N, built as sparse columns (N by squaring, as a complex's norm is) and each
+ranked by one column reduction; the constants loop over the units of F_p.
+So the public functions take primes below MORSE_PRIME_BOUND only and raise
+PrimeTooLarge, before any work, above it.  The resolution length and the
+number of critical points are bounded too (MAX_RESOLUTION_LENGTH,
+MAX_CRITICAL_POINTS), and TooLarge is raised before anything is built.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
-from .complexes import norm_matrix
+from .complexes import _affine, _power
 from .errors import MalformedInput, PrimeTooLarge, check_size
-from .fp_core import FpScalar, _row_reduce, check_prime
+from .fp_core import FpScalar, check_prime, reduce_columns
 
 MORSE_PRIME_BOUND = 2**8
 # one dimension per resolution degree, and 2p(l_max + 1) critical points
@@ -115,10 +114,11 @@ def resolution_homology(p: int, length: int) -> tuple[int, ...]:
     if length < 2:
         raise MalformedInput("resolution needs at least 2 terms")
     check_size("resolution length", length, MAX_RESOLUTION_LENGTH)
-    sigma = np.roll(np.eye(p, dtype=np.int64), 1, axis=0)  # e_j -> e_{j+1}
-    one_minus_sigma = (np.eye(p, dtype=np.int64) - sigma) % p
-    # out_rank[k % 2]: the rank of the map out of degree k
-    out_rank = [len(_row_reduce(m, p)[1]) for m in (one_minus_sigma, norm_matrix(sigma, p))]
+    sigma = [{(j + 1) % p: 1} for j in range(p)]  # e_j -> e_{j+1}, as columns
+    # out_rank[k % 2]: the rank of the map out of degree k, 1 - sigma or
+    # N = (sigma - 1)^(p-1), as the pivot count of one column reduction
+    maps = (_affine(sigma, -1, 1, p), _power(_affine(sigma, 1, -1, p), p - 1, p))
+    out_rank = [sum(low >= 0 for low in reduce_columns(m, p)) for m in maps]
     return tuple(
         p - (out_rank[k % 2] if k < length - 1 else 0) - (out_rank[(k - 1) % 2] if k else 0)
         for k in range(length)

@@ -112,7 +112,7 @@ def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> Chai
     p = base.p
     pm, inv = _unipotent_pair(base.dim(), p, entries)
     d = _sparse(_matmul_mod(_matmul_mod(pm, _dense(base.columns("differential"), base.dim()), p), inv, p))
-    sigma = (base._columns["sigma"],) if isinstance(base, EquivariantComplex) else ()
+    _, *sigma = base._columns.values()
     return type(base)._of(p, zip(base._ids, base._degree, base._action), d, *sigma)
 
 

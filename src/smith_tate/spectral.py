@@ -37,7 +37,6 @@ import numpy as np
 from .complexes import (
     ChainComplex,
     Columns,
-    EquivariantComplex,
     FilteredComplex,
     _compose,
     _dense,
@@ -172,7 +171,7 @@ class EquivariantFloerModel:
 
     def __init__(
         self,
-        base: EquivariantComplex,
+        base: ChainComplex,
         d_terms: dict[tuple[int, int], np.ndarray] | None = None,
         i_max: int | None = None,
         *,
@@ -415,10 +414,7 @@ def model_to_json(model: EquivariantFloerModel) -> dict:
 
 def model_from_json(data) -> EquivariantFloerModel:
     data = _json_object(data, "model")
-    base = complex_from_json(
-        {k: v for k, v in data.items() if k not in ("d_terms", "i_max", "filtered")},
-        expect="equivariant",
-    )
+    base = complex_from_json({k: v for k, v in data.items() if k not in ("d_terms", "i_max", "filtered")})
     terms: dict[tuple[int, int], np.ndarray] = {}
     raw = data.get("d_terms", [])
     if not isinstance(raw, list):

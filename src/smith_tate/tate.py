@@ -34,7 +34,7 @@ from itertools import product as _product
 import numpy as np
 
 from . import fp_core
-from .complexes import ChainComplex, Columns, EquivariantComplex, _affine, _dense, _rotation_sign
+from .complexes import ChainComplex, Columns, _affine, _dense, _rotation_sign
 from .errors import InvalidComplex, check_size
 from .fp_core import FpMatrix, rank
 from .ratfun import bareiss_rank, pupow
@@ -43,7 +43,7 @@ from .ratfun import bareiss_rank, pupow
 # the Tate complex
 
 
-def tate_terms(V: EquivariantComplex) -> dict[tuple[int, int], Columns]:
+def tate_terms(V: ChainComplex) -> dict[tuple[int, int], Columns]:
     """The default terms {(0, 0): d, (1, 0): 1 - sigma, (1, 1): -d, (2, 1): N}
     of the Tate differential as sparse columns: term (i, alpha) is
     u^(i // 2) d_alpha^i from theta^alpha to theta^(i mod 2) (see assemble).
@@ -85,7 +85,7 @@ def assemble(terms: dict[tuple[int, int], Columns], n: int, p: int) -> Columns:
     return out
 
 
-def tate_columns(V: EquivariantComplex) -> Columns:
+def tate_columns(V: ChainComplex) -> Columns:
     """The 2n sparse columns of d-hat at u = 1, M(1) = [[d, N], [1 - sigma,
     -d]], with N carrying u; label (i, theta^eps) has index i + n * eps."""
     return assemble(tate_terms(V), V.dim(), V.p)
@@ -133,7 +133,7 @@ def _parity_dims(degrees: list[int], columns: Columns, p: int) -> tuple[int, int
     return n - r_e - r_o, n - r_o - r_e
 
 
-def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -> tuple[int, int]:
+def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tuple[int, int]:
     """(even, odd) dimensions of the Tate cohomology of V over F_p((u)).
 
     With |u| = 2 and |theta| = 1, d-hat is homogeneous of degree +1, so each
@@ -167,7 +167,7 @@ def tate_cohomology_dims(V: EquivariantComplex, *, method: str = "evaluation") -
 MAX_GROUP_DEGREES = 10_000
 
 
-def group_cohomology_dims(V: EquivariantComplex, max_degree: int | None = None) -> dict[int, int]:
+def group_cohomology_dims(V: ChainComplex, max_degree: int | None = None) -> dict[int, int]:
     """Hypercohomology dimensions H^k(Z/pZ, V) for k up to max_degree.
 
     The first-quadrant double complex with horizontal maps alternating

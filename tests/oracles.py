@@ -65,6 +65,9 @@ results as it writes; jsonable converts the whole tree first.
 The library reads the Morse resolution's homology off the ranks of two
 p x p circulants; resolution_homology_by_complex builds the length * p
 generator complex and takes its homology degree by degree.
+The library takes every power, the norm (sigma - 1)^(p-1) among them, of
+sparse columns by squaring (complexes._power); _matpow squares dense
+residue arrays.
 """
 
 import math
@@ -95,7 +98,7 @@ from smith_tate.errors import (
     NotSquareZero,
     SpectralEndpoint,
 )
-from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _matpow, _row_reduce, rank, reduce_columns, rref
+from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rank, reduce_columns, rref
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -199,6 +202,18 @@ def unipotent_inverse_by_neumann(e: np.ndarray, p: int) -> np.ndarray:
             return inv
         inv = (inv + term) % p
     raise ValueError("conjugation support is not nilpotent")
+
+
+def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k for a square residue array by dense repeated squaring; the
+    identity for k = 0."""
+    out, base = np.eye(len(a), dtype=np.int64), a
+    while k:
+        if k & 1:
+            out = _matmul_mod(out, base, p)
+        k >>= 1
+        base = _matmul_mod(base, base, p)
+    return out
 
 
 def poly_mat_mul(a, b, p: int):
@@ -759,12 +774,12 @@ def clean_coeff_map(raw: dict, ids: set, p: int, what: str) -> dict:
 class DictComplex:
     """A complex of kind "chain", "filtered" or "equivariant" stored as
     Generator objects sorted by id and d and sigma as cleaned dicts of
-    dicts, checked in the library's order: ids, d's rules, d.d = 0, then
-    the action rule of a filtered complex, or sigma's rules, sigma^p = 1
-    and d sigma = sigma d.  Every check walks the dicts one entry at a time,
-    and sigma^p is p applications of sigma."""
+    dicts, checked in the library's order: ids, d's rules, d.d = 0, the
+    action rule of a filtered or strict complex, then sigma's rules,
+    sigma^p = 1 and d sigma = sigma d.  Every check walks the dicts one
+    entry at a time, and sigma^p is p applications of sigma."""
 
-    def __init__(self, kind, p, generators, differential, sigma=None, *, check=True):
+    def __init__(self, kind, p, generators, differential, sigma=None, *, check=True, strict=False):
         _check_matrix_prime(p)
         self.kind, self.p = kind, p
         self.generators = tuple(sorted(generators, key=lambda g: g.id))
@@ -774,7 +789,7 @@ class DictComplex:
         self.differential = clean_coeff_map(differential, set(self._gen), p, "differential")
         if check and (bad := self.structure_violations()):
             raise InvalidComplex("; ".join(msg for _, msg in bad))
-        if kind == "filtered" and check and (bad := self.action_violations()):
+        if (kind == "filtered" or strict) and check and (bad := self.action_violations()):
             raise InvalidComplex(bad[0])
         if kind == "equivariant":
             self.sigma = clean_coeff_map(sigma or {}, set(self._gen), p, "sigma")
@@ -885,7 +900,8 @@ def dict_complex_from_json(data) -> DictComplex:
     gens = generators_from_json_by_dataclass(data["generators"])
     diff = coeff_map_from_json(data.get("differential", {}), "differential")
     if "sigma" in data:
-        return DictComplex("equivariant", p, gens, diff, coeff_map_from_json(data["sigma"], "sigma"))
+        sigma = coeff_map_from_json(data["sigma"], "sigma")
+        return DictComplex("equivariant", p, gens, diff, sigma, strict=bool(data.get("filtered")))
     return DictComplex("filtered" if data.get("filtered") else "chain", p, gens, diff)
 
 

@@ -658,3 +658,38 @@ def test_refusal_texts_of_the_reader(run, tmp_path, cmd, doc, err):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run([cmd, "--input", str(path)]) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("cmd", [["barcode"], ["spectral", "action"], ["quasi-frobenius"]], ids="-".join)
+@pytest.mark.parametrize(
+    "sigma, err",
+    [
+        ({"a": {"zz": 1}}, "MalformedInput: sigma references unknown generator 'zz'"),
+        ({"a": {"b": 1}}, "InvalidComplex: sigma(a) changes degree; sigma(a) changes action"),
+    ],
+    ids=["unknown-id", "changes-degree"],
+)
+def test_every_complex_command_reads_sigma(run, tmp_path, cmd, sigma, err):
+    """barcode, spectral action and quasi-frobenius read a file's sigma as
+    tate does, and refuse a bad one."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"p": 3, "generators": _THREE, "sigma": sigma}), encoding="utf-8")
+    assert run([*cmd, "--input", str(path)]) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "cmd, extra, err",
+    [
+        # "filtered": true is checked when the file is read, also beside a sigma
+        (["tate"], {"filtered": True, "sigma": {}}, "InvalidComplex: d(a) does not strictly decrease action at c"),
+        (["group-cohomology"], {"filtered": True}, "InvalidComplex: d(a) does not strictly decrease action at c"),
+        # without it the pairing refuses the same d, with the same text
+        (["barcode"], {}, "FiltrationViolation: d(a) does not strictly decrease action at c"),
+    ],
+    ids=["tate-sigma-filtered", "group-cohomology-filtered", "barcode-unfiltered"],
+)
+def test_the_action_rule_follows_the_filtered_key(run, tmp_path, cmd, extra, err):
+    doc = {"p": 3, "generators": _THREE, "differential": {"a": {"c": 1, "b": 1}}, **extra}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([*cmd, "--input", str(path)]) == (2, "", f"error: {err}\n")

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import leading_pivots, solve
+from oracles import _matpow, leading_pivots, solve
 
-from smith_tate.complexes import ChainComplex, Generator, norm_matrix
+import smith_tate.complexes as complexes
+from smith_tate.complexes import ChainComplex, Generator, _affine, _dense, _power, _sparse
 from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import (
     MATRIX_PRIME_BOUND,
@@ -17,7 +18,6 @@ from smith_tate.fp_core import (
     _BLAS_MIN_WORK,
     _check_matrix_prime,
     _matmul_mod,
-    _matpow,
     check_prime,
     is_prime,
     kernel_basis,
@@ -144,42 +144,31 @@ def test_matmul_mod_matches_python_ints(p):
             assert _matmul_mod(a, v, p).tolist() == [row[0] for row in _product_by_python_ints(a, v[:, None], p)]
 
 
-class TestMatpow:
-    def test_power(self):
-        j = np.array([[1, 1], [0, 1]])
-        assert _matpow(j, 3, 3).tolist() == np.eye(2).tolist()
-        assert _matpow(j, 0, 3).tolist() == np.eye(2).tolist()
-        assert _matpow(np.zeros((0, 0), dtype=np.int64), 2, 3).shape == (0, 0)
-        with pytest.raises(ValueError):
-            _matpow(np.zeros((2, 3), dtype=np.int64), 2, 3)
+class TestPower:
+    """complexes._power, the one power routine: sparse columns by squaring,
+    against the dense oracle _matpow."""
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="negative exponent"):
-            _matpow(np.eye(1, dtype=np.int64), -1, 3)
+    def test_power(self):
+        j = _sparse(np.array([[1, 1], [0, 1]]))
+        assert _power(j, 3, 3) == [{0: 1}, {1: 1}]
+        assert _power([], 2, 3) == []
 
     def test_power_takes_no_wasted_products(self, monkeypatch):
-        """_matpow(a, k) makes floor(log2 k) + popcount(k) - 1 products for
-        k >= 1 and none for k = 0, where it is the identity."""
+        """_power(a, k) makes floor(log2 k) + popcount(k) - 1 compositions
+        for k >= 1."""
         m = np.array([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
         products = []
-        real = _matmul_mod
-
-        def counting(a, b, p):
-            products.append(1)
-            return real(a, b, p)
-
-        monkeypatch.setattr("smith_tate.fp_core._matmul_mod", counting)
-        want = np.eye(3, dtype=np.int64)
-        for k in range(70):
+        real = complexes._compose
+        monkeypatch.setattr(complexes, "_compose", lambda a, b, p: products.append(1) or real(a, b, p))
+        for k in range(1, 70):
             products.clear()
-            assert _matpow(m, k, 5).tolist() == want.tolist(), k
-            assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
-            want = want @ m % 5
+            assert _dense(_power(_sparse(m), k, 5), 3).tolist() == _matpow(m, k, 5).tolist(), k
+            assert len(products) == k.bit_length() + bin(k).count("1") - 2, k
 
     def test_array_routines_do_not_check_the_prime(self, monkeypatch):
-        """Products, powers and the norm on residue arrays never test the
-        prime; the FpMatrix constructor tests each prime once and a composite
-        every time."""
+        """Products of residue arrays, and powers and the norm of sparse
+        columns, never test the prime; the FpMatrix constructor tests each
+        prime once and a composite every time."""
         a = np.array([[1, 2], [3, 4]])
         b = np.array([[0, 1], [1, 0]])
         calls = []
@@ -187,8 +176,9 @@ class TestMatpow:
         monkeypatch.setattr("smith_tate.fp_core.is_prime", lambda n: calls.append(n) or real(n))
         _check_matrix_prime.cache_clear()
         assert _matmul_mod(a, b, 7).tolist() == [[2, 1], [4, 3]]
-        assert _matpow(a, 2, 7).tolist() == (a @ a % 7).tolist()
-        assert norm_matrix(b, 7).tolist() == [[4, 3], [3, 4]]  # 1 + b + ... + b^6 = 4 + 3b
+        assert _dense(_power(_sparse(a), 2, 7), 2).tolist() == (a @ a % 7).tolist()
+        # N = (b - 1)^6 = 1 + b + ... + b^6 = 4 + 3b
+        assert _dense(_power(_affine(_sparse(b), 1, -1, 7), 6, 7), 2).tolist() == [[4, 3], [3, 4]]
         assert calls == []
         for _ in range(2):
             assert FpMatrix(a, 7).a.tolist() == a.tolist()

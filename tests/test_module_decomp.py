@@ -69,9 +69,9 @@ class TestDecompose:
             decompose(FpMatrix(np.zeros((2, 3)), 5))
 
     def test_wrong_order_rejected(self):
-        with pytest.raises(NotOrderP):
+        with pytest.raises(NotOrderP, match=r"^sigma\^5 != identity$"):
             decompose(FpMatrix([[2]], 5))  # 2 has order 4 in F_5
-        with pytest.raises(NotOrderP):
+        with pytest.raises(NotOrderP, match=r"^sigma\^5 != identity$"):
             decompose(cyclic_shift(4, 5))  # a 4-cycle has order 4, not 5
 
     def test_conjugation_invariant(self):

@@ -785,7 +785,7 @@ def test_one_value_spelled_several_ways_is_one_level():
     gens = [{"id": "a", "degree": 0, "action": 1}, {"id": "b", "degree": 1, "action": {"num": 1, "den": -2}},
             {"id": "c", "degree": 1, "action": {"num": -1, "den": 2}},
             {"id": "e", "degree": 1, "action": {"num": -2, "den": 4}}]
-    fc = complex_from_json({"p": 3, "generators": gens, "differential": {"a": {"b": 1}}}, expect="filtered")
+    fc = complex_from_json({"p": 3, "generators": gens, "differential": {"a": {"b": 1}}, "filtered": True})
     assert fc.actions() == [Fraction(-1, 2), Fraction(1)]
     assert fc._level_table[1:] == ([1, 0, 0, 0], 2, (-1, 2))
     _assert_complex_matches_oracles(fc, random.Random(1))

@@ -17,6 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from oracles import (
+    _matpow,
     construction_error_by_loops,
     group_cohomology_by_cut_ranks,
     parity_dims_by_dense_rank,
@@ -42,7 +43,6 @@ from smith_tate.complexes import (
     _sparse,
     tensor_power,
 )
-from smith_tate.fp_core import _matpow
 from smith_tate.random_instances import (
     random_equivariant_filtered,
     random_free_equivariant,

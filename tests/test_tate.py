@@ -6,7 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, tensor_power
+from smith_tate.complexes import (
+    ChainComplex,
+    EquivariantComplex,
+    FilteredComplex,
+    Generator,
+    complex_from_json,
+    complex_to_json,
+    tensor_power,
+)
 from smith_tate.errors import InvalidComplex
 from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 from smith_tate.random_instances import (
@@ -14,6 +22,7 @@ from smith_tate.random_instances import (
     random_chain_complex,
     random_equivariant_filtered,
     random_floer_model,
+    random_filtered_complex,
     random_free_equivariant,
 )
 
@@ -386,6 +395,29 @@ def _slot_base(p, degrees, pairs, seed):
     n = len(degrees)
     same = [(i, j, rng.randrange(p)) for i in range(n) for j in range(i + 1, n) if degrees[i] == degrees[j]]
     return _conjugated(cx, same)
+
+
+def test_a_missing_sigma_reads_as_the_identity():
+    """A payload without "sigma" and the same payload with "sigma": {}
+    give the same Tate and group cohomology, on seeds 0-49 of chain,
+    filtered and slot-base complexes; each writes back its own payload,
+    except that a complex given sigma drops "filtered", as before."""
+    for seed in range(50):
+        p = (2, 3, 5, 7)[seed % 4]
+        bases = (
+            (ChainComplex, random_chain_complex(p, seed)),
+            (FilteredComplex, random_filtered_complex(p, seed)),
+            (ChainComplex, _slot_base(*_BENCH_SLOTS[seed % len(_BENCH_SLOTS)], seed=seed)),
+        )
+        for cls, V in bases:
+            plain = complex_to_json(V)
+            given = dict(plain, sigma={})
+            A, B = complex_from_json(plain), complex_from_json(given)
+            assert (type(A), type(B)) == (cls, EquivariantComplex)
+            assert tate_cohomology_dims(A) == tate_cohomology_dims(B), (seed, plain)
+            assert group_cohomology_dims(A) == group_cohomology_dims(B), (seed, plain)
+            assert complex_to_json(A) == plain
+            assert complex_to_json(B) == {k: v for k, v in given.items() if k != "filtered"}
 
 
 def test_assemble_places_terms_by_slot_and_sums_shared_blocks():
