@@ -19,7 +19,10 @@ index in a sorted table of the actions.  Coefficient maps {source id:
 them once, by _read_columns, into their only stored form, sparse columns
 keyed by generator index that keep every entry.  The structure checks
 compose these columns sparsely; the coefficient maps and Generator objects
-a complex shows are views built from them on first use.
+a complex shows are views built from them on first use.  numpy is imported
+only inside the functions that build or read arrays (_dense, _sparse, the
+sigma-file triplets and homology), so reading, checking and sparse products
+run without it.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import hashlib
 import json
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     InadmissibleWindow,
@@ -45,6 +48,9 @@ from .errors import (
     check_size,
 )
 from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rref
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CoeffMap = dict[str, dict[str, int]]
 # a square operator on the generators: column j is {target index: coefficient}
@@ -141,6 +147,8 @@ def _triplets_from_json(trips, n: int, p: int) -> np.ndarray:
     triplets, each a 3-element list; a repeated (row, col) keeps its last value."""
     if not isinstance(trips, list):
         raise MalformedInput(f"a matrix must be a list of [row, col, value] triplets, got {_shown(trips)}")
+    import numpy as np
+
     a = np.zeros((n, n), dtype=np.int64)
     for t in trips:
         if not isinstance(t, list) or len(t) != 3:
@@ -154,6 +162,8 @@ def _triplets_from_json(trips, n: int, p: int) -> np.ndarray:
 
 def _triplets_to_json(a: np.ndarray) -> list[list[int]]:
     """The nonzero entries of a as [row, col, value] triplets in row-major order."""
+    import numpy as np
+
     return [[int(r), int(c), int(a[r, c])] for r, c in zip(*np.nonzero(a))]
 
 
@@ -166,6 +176,8 @@ def _coeff_map(a: Columns, ids: list[str]) -> CoeffMap:
 def _sparse(m: np.ndarray) -> Columns:
     """The columns of a residue array, each {row: entry} over its nonzero
     entries in row order."""
+    import numpy as np
+
     cols, rows = np.nonzero(m.T)
     keys, vals = rows.tolist(), m[rows, cols].tolist()
     ends = np.searchsorted(cols, np.arange(m.shape[1] + 1)).tolist()
@@ -174,6 +186,8 @@ def _sparse(m: np.ndarray) -> Columns:
 
 def _dense(a: Columns, rows: int) -> np.ndarray:
     """The rows x len(a) residue array of columns a; the inverse of _sparse."""
+    import numpy as np
+
     m = np.zeros((rows, len(a)), dtype=np.int64)
     lens = list(map(len, a))
     keys = np.fromiter(chain.from_iterable(a), dtype=np.int64, count=sum(lens))
@@ -532,6 +546,8 @@ class ChainComplex:
         read off the class coordinates of any cocycle.
         """
         if k not in self._homology_cache:
+            import numpy as np
+
             dprev = self.d_block(k - 1)
             ker = rref(FpMatrix(self.d_block(k), self.p)).kernel_basis
             n, m = dprev.shape
@@ -561,6 +577,8 @@ class ChainComplex:
     def express_in_homology(self, k: int, v: np.ndarray) -> np.ndarray:
         """Coefficients of the class [v] in the homology_basis(k) order; for
         a matrix of cocycle columns, one column of coefficients each."""
+        import numpy as np
+
         v = np.asarray(v, dtype=np.int64) % self.p
         if _matmul_mod(self.d_block(k), v, self.p).any():
             raise InvalidComplex("vector is not a cocycle")
@@ -850,7 +868,6 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
     Fraction: lambda x: _escape(_frac_str(x)),
-    np.int64: lambda v: int.__repr__(int(v)),
 }
 
 
@@ -879,9 +896,10 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(text(x))
         return
     inner = nl + "  "
+    np = sys.modules.get("numpy")  # while numpy is not loaded, no numpy value exists
     if isinstance(x, ActionWindow):
         x = {"lower": x.lower, "upper": x.upper}
-    elif isinstance(x, np.ndarray):
+    elif np is not None and isinstance(x, np.ndarray):
         x = np.atleast_2d(x).astype(np.int64).tolist()
     if isinstance(x, dict):
         if not x:
@@ -914,7 +932,7 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(nl + "]")
     elif isinstance(x, str):
         out.append(_escape(x))
-    elif isinstance(x, (int, np.integer)):
+    elif isinstance(x, int) or np is not None and isinstance(x, np.integer):
         out.append(int.__repr__(int(x)))
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")

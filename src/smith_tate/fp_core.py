@@ -21,16 +21,22 @@ No power of an array is taken here: powers, the norm among them, are
 products of sparse columns (complexes._power).  FpScalar uses Python
 integers and takes any prime below PRIMALITY_BOUND, where the Miller-Rabin
 test of is_prime is exact.
+
+numpy is imported inside the routines that build or use arrays, not at
+the top: primality, FpScalar and the sparse reduce_columns run without
+it, so a process that only reduces sparse columns never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotNilpotent, NotPrime, PrimeTooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATRIX_PRIME_BOUND = 1 << 24
 # m k n multiply-adds of an (m x k)(k x n) product from which float64 BLAS,
@@ -150,6 +156,8 @@ class FpMatrix:
     __slots__ = ("a", "p")
 
     def __init__(self, array, p: int):
+        import numpy as np
+
         _check_matrix_prime(p)
         a = np.asarray(array, dtype=np.int64)
         if a.ndim == 0:
@@ -192,6 +200,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     sums stay below 2^53 runs exactly on float64 BLAS; a smaller one, or one
     past 2^53, runs on int64, which numpy multiplies without BLAS.
     """
+    import numpy as np
+
     if a.shape[0] * b.size >= _BLAS_MIN_WORK and a.shape[1] * (p - 1) ** 2 < 1 << 53:
         out = a.astype(np.float64) @ b.astype(np.float64)
         return np.fmod(out, p, out=out).astype(np.int64)
@@ -200,6 +210,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """In-place RREF of a copy; returns (reduced array, pivot column list)."""
+    import numpy as np
+
     a = a % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -268,6 +280,8 @@ def rref(m: FpMatrix) -> RrefResult:
     basis vector per non-pivot column, unit in that coordinate); the image
     basis is the original pivot columns, so both are deterministic.
     """
+    import numpy as np
+
     red, pivots = _row_reduce(m.a, m.p)
     rank = len(pivots)
     pivset = set(pivots)
@@ -287,6 +301,8 @@ def rank(m: FpMatrix) -> int:
 
 def fixed_dim(sigma: np.ndarray, p: int) -> int:
     """dim ker(sigma - 1) = n - rank(sigma - 1) for an n x n residue array."""
+    import numpy as np
+
     n = len(sigma)
     return n - len(_row_reduce(sigma - np.eye(n, dtype=np.int64), p)[1])
 
@@ -300,19 +316,24 @@ def nilpotent_partition(t: FpMatrix) -> list[int]:
 
     Computed from the rank sequence: the number of blocks of size >= k is
     rank(t^{k-1}) - rank(t^k), so exactly k is its second difference.
-    Returned sorted descending; sizes sum to the dimension.
+    The ranks are taken up to the first k with rank(t^(k-1)) = rank(t^k),
+    as every later power has that rank too, or up to k = p: at most n + 1
+    ranks.  t^p = 0 exactly when that last power t^k is 0.  Returned sorted
+    descending; sizes sum to the dimension.
     """
     if t.rows != t.cols:
         raise NotNilpotent("operator must be square")
     n, p = t.rows, t.p
-    ranks, power = [n], t.a  # ranks[k] = rank(t^k)
-    for _ in range(p - 1):
+    ranks, power = [n], t.a  # ranks[k] = rank(t^k); power = t^len(ranks)
+    while True:
         ranks.append(rank(FpMatrix(power, p)))
+        if ranks[-1] == ranks[-2] or len(ranks) > p:
+            break
         power = _matmul_mod(power, t.a, p)
     if power.any():
         raise NotNilpotent(f"t^{p} != 0")
     ranks += [0, 0]
-    sizes = [k for k in range(p, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
+    sizes = [k for k in range(len(ranks) - 2, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
     if sum(sizes) != n:
         raise RuntimeError(f"Jordan block sizes {sizes} do not sum to the dimension {n}")
     return sizes

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNilpotent, NotOrderP
+from .errors import NotNilpotent, NotOrderP, check_size
 from .fp_core import FpMatrix, fixed_dim, nilpotent_partition
+
+# the largest p whose p Jordan multiplicities decompose allocates and a
+# report lists; the largest prime the tests, the CI fuzz steps and the
+# benchmark pass in is 509, below the fuzz size bound of 512
+MAX_DECOMPOSE_PRIME = 4096
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,10 @@ def decompose(sigma: FpMatrix) -> ModuleDecomposition:
 
     sigma^p - 1 = (sigma - 1)^p in characteristic p, so sigma has order
     dividing p exactly when t = sigma - 1 has t^p = 0, which
-    nilpotent_partition tests."""
+    nilpotent_partition tests.  A prime above MAX_DECOMPOSE_PRIME raises
+    TooLarge before any multiplicity is allocated."""
     p = sigma.p
+    check_size("p, the number of Jordan multiplicities", p, MAX_DECOMPOSE_PRIME)
     n = sigma.rows
     if sigma.cols != n:
         raise NotOrderP("sigma must be square")

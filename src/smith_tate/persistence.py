@@ -25,8 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import ActionWindow, ChainComplex, _frac_str, _json_object, _rational_pair, _shown, _strict_int, _ticks
 from .errors import (
@@ -37,6 +36,9 @@ from .errors import (
     SpectralEndpoint,
 )
 from .fp_core import check_prime, reduce_columns
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Bar",
@@ -183,15 +185,16 @@ def scale_barcode(b: Barcode, factor) -> Barcode:
 # reduction
 
 
-def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
+def persistence_pairing(fc: ChainComplex) -> tuple[list[int], list[int]]:
     """Persistence pairing of the action filtration by column reduction.
 
-    Returns (order, lows): order is fc.filtration_order(), generators by
-    increasing (action, id), and lows[j] is the position in order of the
-    lowest entry of reduced column j, or -1 when the column reduces to zero.
-    A column j with lows[j] = i pairs the generators at positions i and j,
-    and the action of i is strictly below that of j.  Raises
-    FiltrationViolation unless d strictly decreases action.
+    Returns (order, lows), two lists of ints: order is
+    fc.filtration_order(), generators by increasing (action, id), and
+    lows[j] is the position in order of the lowest entry of reduced column
+    j, or -1 when the column reduces to zero.  A column j with lows[j] = i
+    pairs the generators at positions i and j, and the action of i is
+    strictly below that of j.  Raises FiltrationViolation unless d strictly
+    decreases action.
 
     Columns are sparse, {position in order: coefficient}: the complex's
     columns of d, every entry kept, re-keyed by position and reduced by
@@ -203,8 +206,7 @@ def persistence_pairing(fc: ChainComplex) -> tuple[list[int], np.ndarray]:
     order = fc.filtration_order()
     pos, d = dict(zip(order, range(len(order)))), fc.columns("differential")
     columns = ({pos[t]: c for t, c in d[i].items()} for i in order)
-    lows = np.array(reduce_columns(columns, fc.p), dtype=np.int64)
-    return order, lows
+    return order, reduce_columns(columns, fc.p)
 
 
 def barcode_from_filtered(fc: ChainComplex) -> Barcode:
@@ -218,7 +220,6 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
     order, lows = persistence_pairing(fc)
     levels, level, scale, ticks = fc._level_table
     at, inf = [level[i] for i in order], len(levels)
-    lows = lows.tolist()
     paired = set(lows)
     pairs = [(at[i], at[j]) if i >= 0 else (at[j], inf) for j, i in enumerate(lows) if i >= 0 or j not in paired]
     return Barcode._from_levels(fc.p, tuple(levels), Counter(pairs), (scale, ticks))
@@ -344,6 +345,8 @@ class _ProbeCounts:
 
 def _probe_counts(b: Barcode, index: list[int], n: int, dtype) -> _ProbeCounts:
     """Counts of b at n probes, with index[k] probes below level k."""
+    import numpy as np
+
     inf = len(index)
     cover = np.zeros(n + 1, dtype=dtype)
     inf_start = np.zeros(n + 1, dtype=dtype)
@@ -369,6 +372,8 @@ def _pair_dims(c: _ProbeCounts, rows: int):
     born inside number I(j) - I(i).  Both is a cumulative sum of the
     (start, end) index histogram, carried from block to block.
     """
+    import numpy as np
+
     n = len(c.cover)
     carry = np.zeros(n + 1, dtype=c.cover.dtype)  # histogram rows of the blocks done
     k = 0
@@ -410,6 +415,8 @@ def smith_barcode_check(b1: Barcode, bp: Barcode, p: int) -> SmithBarcodeReport:
     holds fewer than 2^61 bars counted with multiplicity, Python integers
     beyond.
     """
+    import numpy as np
+
     if p <= 0:
         raise InadmissibleWindow("scale factor must be positive")
     # the levels x of b1 and y / p of bp on one scale, doubled to make every probe an int

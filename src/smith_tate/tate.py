@@ -17,7 +17,8 @@ tate_terms placed by assemble) serves every result here.  Tate ranks are F_p ran
 or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
 first-quadrant part of the same complex: its total map from degree k is the
 parity-k block cut to generators of degree <= k, so above the top degree of
-V it is Tate cohomology.
+V it is Tate cohomology.  Both run on the sparse columns alone; only the
+Bareiss route and the quasi-Frobenius import ratfun and numpy, when they run.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -28,16 +29,18 @@ part; additivity holds up to norms, witnessed here by explicit certificates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product as _product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import fp_core
 from .complexes import ChainComplex, Columns, _affine, _dense, _rotation_sign
 from .errors import InvalidComplex, check_size
 from .fp_core import FpMatrix, rank
-from .ratfun import bareiss_rank, pupow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # the Tate complex
@@ -94,8 +97,7 @@ def tate_columns(V: ChainComplex) -> Columns:
 def _parities(degrees: list[int]) -> list[int]:
     """The total parity (degree + eps) mod 2 of every label i + n * eps.
     The differential is odd, so it maps each parity into the other.  A
-    degree of 2^62 or more in size raises TooLarge, which keeps the degree
-    shifts of group_cohomology_dims in int64."""
+    degree of 2^62 or more in size raises TooLarge."""
     check_size("largest |generator degree|", max(map(abs, degrees), default=0), 2**62 - 1)
     return [k % 2 for k in degrees] + [(k + 1) % 2 for k in degrees]
 
@@ -150,16 +152,18 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     columns = tate_columns(V)
     if method == "evaluation":
         return _parity_dims(degrees, columns, V.p)
-    p, n, parity = V.p, len(degrees), np.array(_parities(degrees))
+    from . import ratfun  # read at call time, so a wrapper set on the module sees the calls
+
+    p, n, parity = V.p, len(degrees), _parities(degrees)
     m = _dense(columns, 2 * n)
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    even, odd = [x for x, e in enumerate(parity) if not e], [x for x, e in enumerate(parity) if e]
 
     def poly_block(rows, cols):
         # N maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
-        return [[pupow(int(r < n <= c), int(m[r, c]), p) if m[r, c] else () for c in cols] for r in rows]
+        return [[ratfun.pupow(int(r < n <= c), int(m[r, c]), p) if m[r, c] else () for c in cols] for r in rows]
 
-    r_e = bareiss_rank(poly_block(odd, even), p)
-    r_o = bareiss_rank(poly_block(even, odd), p)
+    r_e = ratfun.bareiss_rank(poly_block(odd, even), p)
+    r_o = ratfun.bareiss_rank(poly_block(even, odd), p)
     return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
@@ -192,12 +196,10 @@ def group_cohomology_dims(V: ChainComplex, max_degree: int | None = None) -> dic
     if max_degree < dmin:
         return {}
     check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
-    enter = _pivot_degrees(degrees, tate_columns(V), V.p)
-    ks = np.arange(dmin - 1, max_degree + 1)
-    r_even, r_odd = (np.searchsorted(e, ks, side="right") for e in enter)
-    ranks = np.where(ks % 2, r_odd, r_even)  # r_k: the pivots inside parity k's cut
-    at_most = np.searchsorted(np.sort(degrees), ks[1:], side="right")  # H^k's cochains: degree <= k
-    return dict(zip(ks[1:].tolist(), (at_most - ranks[1:] - ranks[:-1]).tolist()))
+    enter, cochains = _pivot_degrees(degrees, tate_columns(V), V.p), sorted(degrees)
+    # r[k - dmin + 1]: the pivots inside parity k's cut; H^k's cochains: degree <= k
+    r = [bisect_right(enter[k % 2], k) for k in range(dmin - 1, max_degree + 1)]
+    return {k: bisect_right(cochains, k) - r[k - dmin + 1] - r[k - dmin] for k in range(dmin, max_degree + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,8 @@ def quasi_frobenius(
     size dim H(V), with source degrees rescaled by p; certificates witness
     additivity failures as norms.
     """
+    import numpy as np
+
     p = V.p
     labels: list[str] = []
     degrees: dict[str, int] = {}

@@ -14,8 +14,10 @@ the first-quadrant double complex slot by slot and eliminates every total
 degree up to max_degree.  The library counts every degree's cut of a parity
 block from one column reduction of that block; group_cohomology_by_cut_ranks
 runs a dense F_p rank per cut, and parity_dims_by_dense_rank a dense rank
-per parity block.  The library reduces the persistence pairing
-on sparse columns; persistence_pairing_dense reduces the dense n x n
+per parity block.  The library counts the pivots inside each cut with
+bisect_right on lists; group_cohomology_by_searchsorted counts them for
+all degrees at once with numpy's searchsorted.  The library reduces the
+persistence pairing on sparse columns; persistence_pairing_dense reduces the dense n x n
 differential in filtration order.  The library counts the action
 spectral sequence from the persistence pairing; subquotient_pages builds
 the same pages from the subquotient formula.  The library counts every iterate
@@ -36,6 +38,8 @@ copied into a dict of dicts (coeff_map_from_json), cleaned against the ids
 The library runs Bareiss elimination over F_p[u] as products of int64
 coefficient arrays; bareiss_rank_by_entries runs it one polynomial
 product and long division (pmul, psub, pdiv_exact) per entry and step.
+The library takes the ranks of t^k only until they stop falling;
+nilpotent_partition_by_p_ranks takes all p - 1 of them and t^p.
 The generators invert unipotent changes of basis I + E by repeated
 squaring; unipotent_inverse_by_neumann sums the Neumann series.
 The library reads homology off one cached elimination per degree and
@@ -95,8 +99,10 @@ from smith_tate.errors import (
     FiltrationViolation,
     InvalidComplex,
     MalformedInput,
+    NotNilpotent,
     NotSquareZero,
     SpectralEndpoint,
+    check_size,
 )
 from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rank, reduce_columns, rref
 from smith_tate.module_decomp import decompose
@@ -111,7 +117,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import tate_columns
+from smith_tate.tate import MAX_GROUP_DEGREES, _pivot_degrees, tate_columns
 
 
 def padd(a, b, p: int):
@@ -507,6 +513,26 @@ def group_cohomology_by_cut_ranks(V, max_degree=None) -> dict:
     }
 
 
+def group_cohomology_by_searchsorted(V, max_degree=None) -> dict:
+    """H^k(Z/pZ, V) from the same pivot degrees as the library, counted
+    for all degrees at once with numpy's searchsorted on int64 arrays."""
+    if V.dim() == 0:
+        return {}
+    degrees = V._degree
+    dmin, dmax = min(degrees), max(degrees)
+    if max_degree is None:
+        max_degree = dmax + 2 * (dmax - dmin + 1) + 4
+    if max_degree < dmin:
+        return {}
+    check_size("max_degree - dmin", max_degree - dmin, MAX_GROUP_DEGREES)
+    enter = _pivot_degrees(degrees, tate_columns(V), V.p)
+    ks = np.arange(dmin - 1, max_degree + 1)
+    r_even, r_odd = (np.searchsorted(e, ks, side="right") for e in enter)
+    ranks = np.where(ks % 2, r_odd, r_even)
+    at_most = np.searchsorted(np.sort(degrees), ks[1:], side="right")
+    return dict(zip(ks[1:].tolist(), (at_most - ranks[1:] - ranks[:-1]).tolist()))
+
+
 def parity_dims_by_dense_rank(degrees, A, B, C, D, p: int) -> tuple[int, int]:
     """(even, odd) homology dimensions of the block differential on
     V<1, theta> from one dense F_p rank per parity block at u = 1."""
@@ -535,6 +561,22 @@ def model_poly_route(model) -> tuple[tuple[int, int], bool]:
     e2o, o2e, even, odd = assemble_parity_blocks(degrees, *model_poly_blocks(model), p)
     r_e, r_o = bareiss_rank(e2o, p), bareiss_rank(o2e, p)
     return (len(even) - r_e - r_o, len(odd) - r_o - r_e), poly_square_is_zero(e2o, o2e, p)
+
+
+def nilpotent_partition_by_p_ranks(t: FpMatrix) -> list[int]:
+    """Jordan block sizes of t with t^p = 0 from all p - 1 ranks rank(t^k),
+    1 <= k < p, and the product t^p, with no early stop."""
+    if t.rows != t.cols:
+        raise NotNilpotent("operator must be square")
+    n, p = t.rows, t.p
+    ranks, power = [n], t.a
+    for _ in range(p - 1):
+        ranks.append(rank(FpMatrix(power, p)))
+        power = _matmul_mod(power, t.a, p)
+    if power.any():
+        raise NotNilpotent(f"t^{p} != 0")
+    ranks += [0, 0]
+    return [k for k in range(p, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
 
 
 def persistence_pairing_dense(fc) -> tuple[list[int], np.ndarray]:

@@ -1021,6 +1021,25 @@ class TestTooLarge:
         assert code == 0
         assert report["results"]["passed"] == 2
 
+    def test_decompose_bounds_the_prime_before_its_multiplicities(self, run, jrun, tmp_path):
+        """decompose and smith-check list p Jordan multiplicities: a prime
+        near 2^24 is refused with TooLarge at once, and the largest prime
+        within the bound decomposes from three ranks."""
+        unipotent = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]  # one Jordan block of size 2
+        big = write_json(tmp_path / "big.json", {"p": 16777213, "size": 2, "matrix": unipotent})
+        for argv in (["decompose", "--sigma", big], ["smith-check", "--sigma", big, "--hf-dim", "1"]):
+            t0 = time.perf_counter()
+            code, out, err = run(argv + ["--json"])
+            assert time.perf_counter() - t0 < 1
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: TooLarge: p, the number of Jordan multiplicities is 16777213, above the limit of 4096")
+        t0 = time.perf_counter()
+        code, report, _ = jrun(["decompose", "--sigma", write_json(tmp_path / "ok.json", {"p": 4093, "size": 2, "matrix": unipotent})])
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        assert report["results"]["multiplicities"] == [0, 1] + [0] * 4091
+
     @pytest.mark.parametrize("op", ["tate-free-vanishing", "spectral-algebraic"])
     def test_fuzz_free_orbit_generators(self, run, jrun, op):
         """p generators per free orbit are bounded before generating, for

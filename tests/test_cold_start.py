@@ -1,5 +1,7 @@
 """What a fresh process loads: `import smith_tate` loads no submodule, and
-each subcommand loads only the modules it runs.  Each load check runs in its own
+each subcommand loads only the modules it runs.  The cohomology, barcode
+and torsion subcommands run on sparse columns and Python ints, so on
+sparse inputs they leave numpy unloaded.  Each load check runs in its own
 interpreter, since this one has imported every module already."""
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CORE = {"cli", "complexes", "errors", "fp_core", "tate", "ratfun"}
+CORE = {"cli", "complexes", "errors", "fp_core", "tate"}
 
 _POINT = {"p": 3, "generators": [{"id": "v", "degree": 0}], "sigma": {}}
 _ISO = {
@@ -21,6 +23,15 @@ _ISO = {
     "differential": {"a": {"b": 1}},
     "filtered": True,
 }
+_BARS = {"p": 3, "bars": [{"start": "0/1", "end": "1/1", "mult": 2}, {"start": "-1/2", "end": None, "mult": 1}]}
+
+
+def _tensor_cube() -> dict:
+    """The p = 3 tensor power of x -> y beside a free z: 27 generators."""
+    from smith_tate.complexes import ChainComplex, Generator, complex_to_json, tensor_power
+
+    base = ChainComplex(3, [Generator("x", 0), Generator("y", 1), Generator("z", 1)], {"x": {"y": 1}})
+    return complex_to_json(tensor_power(base))
 
 
 def _loaded(code: str) -> tuple[set[str], bool]:
@@ -38,12 +49,18 @@ def _loaded(code: str) -> tuple[set[str], bool]:
     return set(modules), numpy
 
 
-def _after_run(argv: list[str]) -> set[str]:
+def _after_run(argv: list[str]) -> tuple[set[str], bool]:
     code = (
         "import contextlib, io\nfrom smith_tate.cli import dispatch\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert dispatch({argv!r}) == 0"
     )
-    return _loaded(code)[0]
+    return _loaded(code)
+
+
+def _input(tmp_path, payload: dict) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
 
 
 def test_package_import_loads_no_submodule():
@@ -58,15 +75,36 @@ def test_every_export_is_listed_by_dir():
 
 @pytest.mark.parametrize("command", ["tate", "group-cohomology"])
 def test_cohomology_runs_load_the_core(tmp_path, command):
-    path = tmp_path / "point.json"
-    path.write_text(json.dumps(_POINT), encoding="utf-8")
-    assert _after_run([command, "--input", str(path), "--json"]) == CORE
+    assert _after_run([command, "--input", _input(tmp_path, _POINT), "--json"]) == (CORE, False)
+
+
+@pytest.mark.parametrize("command", ["tate", "group-cohomology"])
+def test_cohomology_runs_on_a_tensor_power_leave_numpy_unloaded(tmp_path, command):
+    assert _after_run([command, "--input", _input(tmp_path, _tensor_cube()), "--json"]) == (CORE, False)
+
+
+def test_the_bareiss_route_loads_ratfun_and_numpy(tmp_path):
+    path = _input(tmp_path, _tensor_cube())
+    assert _after_run(["tate", "--method", "bareiss", "--input", path, "--json"]) == (CORE | {"ratfun"}, True)
 
 
 def test_barcode_run_loads_the_core_and_persistence(tmp_path):
-    path = tmp_path / "iso.json"
-    path.write_text(json.dumps(_ISO), encoding="utf-8")
-    assert _after_run(["barcode", "--input", str(path), "--json"]) == CORE | {"persistence"}
+    assert _after_run(["barcode", "--input", _input(tmp_path, _ISO), "--json"]) == (CORE | {"persistence"}, False)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["barcode"], _BARS),
+        (["barcode", "--window=1/2:*"], _ISO),
+        (["barcode", "--window=-1:1/2"], _BARS),
+        (["torsion"], _BARS),
+    ],
+    ids=["barcode-bars", "barcode-complex-window", "barcode-bars-window", "torsion"],
+)
+def test_barcode_and_torsion_runs_leave_numpy_unloaded(tmp_path, argv, payload):
+    path = _input(tmp_path, payload)
+    assert _after_run([*argv, "--input", path, "--json"]) == (CORE | {"persistence"}, False)
 
 
 def _imports_cli(node: ast.AST) -> bool:

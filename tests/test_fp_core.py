@@ -1,11 +1,13 @@
 """Exact linear algebra over F_p: rank, kernels, solving, Jordan partitions."""
 
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import _matpow, leading_pivots, solve
+from oracles import _matpow, leading_pivots, nilpotent_partition_by_p_ranks, solve
 
 import smith_tate.complexes as complexes
 from smith_tate.complexes import ChainComplex, Generator, _affine, _dense, _power, _sparse
@@ -25,6 +27,7 @@ from smith_tate.fp_core import (
     rank,
     rref,
 )
+from smith_tate.random_instances import random_sigma_with_multiplicities
 
 
 def test_is_prime_small_values():
@@ -315,6 +318,51 @@ def test_planted_partition_recovered(p, data):
             a[off + t, off + t + 1] = 1
         off += s
     assert nilpotent_partition(FpMatrix(a, p)) == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_partition_matches_all_p_ranks_on_fixed_seeds(p):
+    """Stopping at the first repeated rank gives the sizes and the refusals
+    of taking all p - 1 ranks and t^p: on planted sigma - 1, on Jordan
+    blocks longer than p, on strictly triangular and on random matrices."""
+    rng = random.Random(p)
+    cases = []
+    for seed in range(20):
+        sigma, _ = random_sigma_with_multiplicities(p, seed, max_dim=14)
+        cases.append(sigma.a - np.eye(sigma.rows, dtype=np.int64))
+    cases += [np.eye(n, k=1, dtype=np.int64) for n in (p - 1, p, p + 1, p + 3)]
+    for k in (1, 0):  # strictly upper triangular (nilpotent), then any
+        for _ in range(15):
+            n = rng.randint(0, 9)
+            a = np.array([rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(n * n)], dtype=np.int64)
+            cases.append(np.triu(a.reshape(n, n), k))
+    refused = 0
+    for a in cases:
+        t = FpMatrix(a, p)
+        try:
+            want = nilpotent_partition_by_p_ranks(t)
+        except NotNilpotent as e:
+            refused += 1
+            with pytest.raises(NotNilpotent) as got:
+                nilpotent_partition(t)
+            assert str(got.value) == str(e)
+        else:
+            assert nilpotent_partition(t) == want, a.tolist()
+    assert 0 < refused < len(cases)
+
+
+def test_partition_takes_at_most_n_plus_1_ranks(monkeypatch):
+    """At the largest matrix prime a 2 x 2 nilpotent t takes at most
+    n + 1 = 3 ranks, not p - 1, and returns at once."""
+    calls = []
+    monkeypatch.setattr("smith_tate.fp_core.rank", lambda m: calls.append(m) or rank(m))
+    t0 = time.perf_counter()
+    assert nilpotent_partition(FpMatrix([[0, 1], [0, 0]], 16777213)) == [2]
+    assert nilpotent_partition(FpMatrix([[0, 0], [0, 0]], 16777213)) == [1, 1]
+    assert time.perf_counter() - t0 < 1
+    assert len(calls) == 3 + 2
+    with pytest.raises(NotNilpotent, match="t\\^16777213 != 0"):
+        nilpotent_partition(FpMatrix([[1, 1], [0, 1]], 16777213))
 
 
 def _trial_division(n):

@@ -29,6 +29,7 @@ from smith_tate.random_instances import (
 from oracles import (
     blocks_square_zero,
     group_cohomology_by_cut_ranks,
+    group_cohomology_by_searchsorted,
     group_cohomology_by_slots,
     model_blocks,
     parity_dims_by_dense_rank,
@@ -333,16 +334,16 @@ def test_rank_and_square_at_one_on_unchecked_complexes():
 def test_bareiss_blocks_are_the_label_by_label_split(monkeypatch):
     """The Bareiss route eliminates exactly the polynomial parity blocks
     of the label-by-label split, in the same order."""
-    import smith_tate.tate as tate
+    import smith_tate.ratfun as ratfun
 
     seen = []
-    real = tate.bareiss_rank
+    real = ratfun.bareiss_rank
 
     def recording(mat, p):
         seen.append(mat)
         return real(mat, p)
 
-    monkeypatch.setattr(tate, "bareiss_rank", recording)
+    monkeypatch.setattr(ratfun, "bareiss_rank", recording)
     cases = list(_differential_cases())
     cases += [(f"unchecked-{p}-{s}", _unchecked_graded(p, s)) for p in (2, 3, 5, 7) for s in range(10)]
     for name, V in cases:
@@ -373,6 +374,27 @@ def test_group_cohomology_matches_slot_by_slot_oracle():
         dmin, dmax = degs[0], degs[-1]
         for m in (None, dmin - 2, dmin, (dmin + dmax) // 2, dmax, dmax + 1, 3 * dmax + 20):
             assert group_cohomology_dims(V, max_degree=m) == group_cohomology_by_slots(V, m), (name, m)
+
+
+def test_group_cohomology_counts_match_the_searchsorted_formula():
+    """The per-degree pivot counts by bisect_right against numpy's
+    searchsorted over all degrees at once, on fixed seeds: the default
+    bound, bounds below, at and inside the degrees of V and far above
+    them, also on slot bases shifted to large odd and negative degrees."""
+    cases = list(_group_cases())
+    for seed, (p, degrees, pairs) in enumerate(_BENCH_SLOTS):
+        for shift in (-1001, 2**40 + 1):
+            cases.append((f"slots-{seed}{shift:+}", _slot_base(p, [d + shift for d in degrees], pairs, seed)))
+    for name, V in cases:
+        if not V.dim():
+            assert group_cohomology_dims(V) == group_cohomology_by_searchsorted(V) == {}, name
+            continue
+        degs = V.degrees()
+        dmin, dmax = degs[0], degs[-1]
+        for m in (None, dmin - 3, dmin - 1, dmin, (dmin + dmax) // 2, dmax + 1, dmax + 501):
+            got = group_cohomology_dims(V, max_degree=m)
+            assert got == group_cohomology_by_searchsorted(V, m), (name, m)
+            assert all(type(k) is int and type(v) is int for k, v in got.items()), (name, m)
 
 
 # (p, degree pattern, matched pairs) of the tensor-power bases of the
