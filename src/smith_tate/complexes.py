@@ -19,10 +19,10 @@ index in a sorted table of the actions.  Coefficient maps {source id:
 them once, by _read_columns, into their only stored form, sparse columns
 keyed by generator index that keep every entry.  The structure checks
 compose these columns sparsely; the coefficient maps and Generator objects
-a complex shows are views built from them on first use.  numpy is imported
-only inside the functions that build or read arrays (_dense, _sparse, the
-sigma-file triplets and homology), so reading, checking and sparse products
-run without it.
+a complex shows are views built from them on first use; _block cuts each
+dense array from them under one budget.  numpy is imported only inside the
+functions that build or read arrays (_dense, _sparse and homology), so
+reading, checking and sparse products run without it.
 """
 
 from __future__ import annotations
@@ -142,29 +142,25 @@ def _strict_int(v, what: str) -> int:
     raise MalformedInput(f"{what} must be an integer, got {_shown(v)}")
 
 
-def _triplets_from_json(trips, n: int, p: int) -> np.ndarray:
-    """The n x n matrix over F_p of a JSON list of sparse [row, col, value]
-    triplets, each a 3-element list; a repeated (row, col) keeps its last value."""
+def _triplets_from_json(trips, n: int, p: int) -> Columns:
+    """The n columns over F_p of a JSON list of [row, col, value] triplets, each
+    a 3-element list; a repeated (row, col) keeps its last value (0 mod p: none)."""
     if not isinstance(trips, list):
         raise MalformedInput(f"a matrix must be a list of [row, col, value] triplets, got {_shown(trips)}")
-    import numpy as np
-
-    a = np.zeros((n, n), dtype=np.int64)
+    cols: Columns = [{} for _ in range(n)]
     for t in trips:
         if not isinstance(t, list) or len(t) != 3:
             raise MalformedInput(f"bad matrix triplet: {_shown(t)}")
         r, c, v = (_strict_int(x, "matrix triplet entry") for x in t)
         if not (0 <= r < n and 0 <= c < n):
             raise MalformedInput(f"matrix triplet out of range: {_shown(t)}")
-        a[r, c] = v % p
-    return a
+        cols[c][r] = v % p
+    return [{r: v for r, v in col.items() if v} for col in cols]
 
 
-def _triplets_to_json(a: np.ndarray) -> list[list[int]]:
-    """The nonzero entries of a as [row, col, value] triplets in row-major order."""
-    import numpy as np
-
-    return [[int(r), int(c), int(a[r, c])] for r, c in zip(*np.nonzero(a))]
+def _triplets_to_json(a: Columns) -> list[list[int]]:
+    """The entries of columns a as [row, col, value] triplets in row-major order."""
+    return sorted([r, c, v] for c, col in enumerate(a) for r, v in col.items())
 
 
 def _coeff_map(a: Columns, ids: list[str]) -> CoeffMap:
@@ -185,7 +181,8 @@ def _sparse(m: np.ndarray) -> Columns:
 
 
 def _dense(a: Columns, rows: int) -> np.ndarray:
-    """The rows x len(a) residue array of columns a; the inverse of _sparse."""
+    """The rows x len(a) residue array of columns a; the inverse of _sparse.
+    Callers bound its size: MAX_BLOCK_CELLS, or MAX_SIGMA_SIZE for a sigma file."""
     import numpy as np
 
     m = np.zeros((rows, len(a)), dtype=np.int64)
@@ -195,12 +192,24 @@ def _dense(a: Columns, rows: int) -> np.ndarray:
     return m
 
 
+# the most cells of one array cut from sparse columns, 32 MB of int64; the
+# benchmark cuts at most 251 x 251, the tests 1500 x 1500 (Bareiss parity blocks)
+MAX_BLOCK_CELLS = 1 << 22
+
+
+def _block(a: Columns, rows: list[int], sources: list[int], what: str) -> np.ndarray:
+    """The residue array of operator a from the labels sources to the labels
+    rows, in those orders: the one dense cut of sparse columns.  More than
+    MAX_BLOCK_CELLS cells raise TooLarge, naming what, before any is allocated."""
+    check_size(f"{what} (rows x columns)", len(rows) * len(sources), MAX_BLOCK_CELLS)
+    row = {i: r for r, i in enumerate(rows)}
+    return _dense([{row[i]: v for i, v in a[j].items() if i in row} for j in sources], len(rows))
+
+
 # One multiply-add of _compose's sparse loop costs about as much as this
 # many of _matmul_mod's BLAS product with its conversions: 0.155 us against
 # 0.15 ns at n = 512 (2-core Xeon, numpy 2.4; 560 at n = 256, 1660 at 1024)
 _BLAS_GAIN = 1024
-# the most cells of an operand that _compose makes dense: 32 MB of int64
-_DENSE_CELLS = 1 << 22
 
 
 def _compose(a: Columns, b: Columns, p: int) -> Columns:
@@ -209,14 +218,14 @@ def _compose(a: Columns, b: Columns, p: int) -> Columns:
     The sparse loop takes one multiply-add per entry of a_t for each entry
     t of each column of b.  The dense route converts about n^2 cells, one
     sparse step each, and runs n^3 / _BLAS_GAIN steps' worth of BLAS; when
-    the sparse count passes that and n^2 stays within _DENSE_CELLS, the
+    the sparse count passes that and n^2 stays within MAX_BLOCK_CELLS, the
     product runs dense through _matmul_mod.  This is the one choice of
     density in the package: the sparse loop won below it and the dense
     route above it on random columns at n = 16 to 512.
     """
     n = len(a)
     work = sum(map(len, map(a.__getitem__, chain.from_iterable(b))))
-    if work > n * n + n**3 // _BLAS_GAIN and n * n <= _DENSE_CELLS:
+    if work > n * n + n**3 // _BLAS_GAIN and n * n <= MAX_BLOCK_CELLS:
         m = _dense(a, n)
         return _sparse(_matmul_mod(m, m if b is a else _dense(b, n), p))
     out: Columns = []
@@ -301,11 +310,6 @@ def _out_of_range(entries, grade, lo, hi) -> list[tuple[int, int]]:
 def _rotation_sign(word_degs) -> int:
     """Koszul sign of rotating the last tensor factor to the front."""
     return -1 if word_degs[-1] * sum(word_degs[:-1]) % 2 else 1
-
-
-# the most cells d_block allocates, 32 MB of int64: 66 times the largest block
-# (251 x 251) that the test suite and the benchmark build
-MAX_BLOCK_CELLS = 1 << 22
 
 
 def _levels(actions: list[Fraction]) -> tuple[list[Fraction], list[int], int, tuple[int, ...]]:
@@ -521,14 +525,11 @@ class ChainComplex:
 
     def d_block(self, k: int) -> np.ndarray:
         """Matrix of d from degree k to degree k+1 in stored generator order,
-        cut from d's columns; cached and shared, so callers must not write
-        to it.  More than MAX_BLOCK_CELLS cells raise TooLarge before any
-        is allocated."""
+        cut from d's columns by _block; cached and shared, so callers must
+        not write to it."""
         if k not in self._block_cache:
-            cols, src, tgt = self._columns["differential"], self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
-            check_size(f"d block from degree {k} (rows x columns)", len(tgt) * len(src), MAX_BLOCK_CELLS)
-            row = {i: r for r, i in enumerate(tgt)}
-            self._block_cache[k] = _dense([{row[i]: v for i, v in cols[j].items() if i in row} for j in src], len(tgt))
+            src, tgt = self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
+            self._block_cache[k] = _block(self._columns["differential"], tgt, src, f"d block from degree {k}")
         return self._block_cache[k]
 
     # -- homology ----------------------------------------------------------
@@ -559,7 +560,8 @@ class ChainComplex:
                 # the image of d^(k-1) lies in ker d^k exactly when d^k d^(k-1) = 0
                 raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
             reps = z[:, [c - m for c in pivots[lo:hi]]]
-            self._homology_cache[k] = (reps, red[lo:hi, m + len(ker):])
+            # a copy, so that the cache does not keep all of red alive
+            self._homology_cache[k] = (reps, red[lo:hi, m + len(ker):].copy())
         return self._homology_cache[k]
 
     def homology_basis(self, k: int) -> list[np.ndarray]:
@@ -956,11 +958,11 @@ def _sigma_from_json(data) -> FpMatrix:
     if n < 0:
         raise MalformedInput("'size' must be nonnegative")
     check_size("sigma 'size'", n, MAX_SIGMA_SIZE)
-    return FpMatrix(_triplets_from_json(data.get("matrix", []), n, p), p)
+    return FpMatrix(_dense(_triplets_from_json(data.get("matrix", []), n, p), n), p)
 
 
 def _sigma_to_json(m: FpMatrix) -> dict:
-    return {"p": m.p, "size": m.rows, "matrix": _triplets_to_json(m.a)}
+    return {"p": m.p, "size": m.rows, "matrix": _triplets_to_json(_sparse(m.a))}
 
 
 # window bounds: --window LO:HI, or a fuzz payload's [lo, hi] pair

@@ -341,7 +341,7 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
     for m, alpha in blocks:
         slot = 1 + alpha - (degs[:, None] - degs[None, :])
         for i in sorted(set(slot[m != 0].tolist())):
-            terms[(i, alpha)] = np.where(slot == i, m, 0)
+            terms[(i, alpha)] = _sparse(np.where(slot == i, m, 0))
     if (0, 1) in terms:
         raise RuntimeError("the conjugated differential has a term in the (i=0, alpha=1) slot")
     i_max = max((i for i, _ in terms), default=2)

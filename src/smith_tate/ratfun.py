@@ -115,6 +115,21 @@ def _bareiss_step(a: np.ndarray, piv: np.ndarray, prev: np.ndarray, width: int, 
     return num.reshape(m, n, num.shape[1])
 
 
+def _check_limits(poly_mat: list[list[Poly]], p: int) -> tuple[int, int]:
+    """(D, width) of a polynomial matrix: its entry degree D, -1 when it is
+    zero, and min(rows, cols) * D + 1, after bareiss_rank's size and work limits."""
+    rows, cols = len(poly_mat), len(poly_mat[0]) if poly_mat else 0
+    deg = max((max(map(len, row), default=0) for row in poly_mat), default=0) - 1
+    if deg < 0:
+        return deg, 0
+    width = min(rows, cols) * deg + 1
+    check_size("Bareiss coefficient array (rows * cols * width)", rows * cols * width, MAX_BAREISS_CELLS)
+    if width * (p - 1) ** 2 >= 1 << 63:
+        raise TooLarge(f"Bareiss width {width} at p = {p} could overflow int64 sums")
+    check_size("Bareiss step work (rows * cols * width^2)", rows * cols * width * width, MAX_BAREISS_WORK)
+    return deg, width
+
+
 def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     """Rank of a polynomial matrix over F_p(u) by fraction-free Gaussian
     elimination (Bareiss, Math. Comp. 1968).
@@ -125,22 +140,14 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     with Toeplitz shift matrices, then divides all of them exactly by the
     previous pivot (Sylvester's identity) and cuts the width to the highest
     nonzero coefficient left.  Every live entry is a minor, so the width
-    stays within min(rows, cols) * D + 1 for entry degree D; that size is
-    bounded by MAX_BAREISS_CELLS, width * (p - 1)^2 must fit in int64
-    sums, and a step's products, about rows * cols * width^2, are bounded
-    by MAX_BAREISS_WORK.  The limits raise TooLarge.
+    stays within min(rows, cols) * D + 1 for entry degree D; past
+    MAX_BAREISS_CELLS, int64 sums or MAX_BAREISS_WORK, _check_limits raises
+    TooLarge before anything is allocated.
     """
-    rows = len(poly_mat)
-    cols = len(poly_mat[0]) if rows else 0
-    deg = max((len(e) for row in poly_mat for e in row), default=0) - 1
+    deg, width = _check_limits(poly_mat, p)
     if deg < 0:
         return 0
-    width = min(rows, cols) * deg + 1
-    check_size("Bareiss coefficient array (rows * cols * width)", rows * cols * width, MAX_BAREISS_CELLS)
-    if width * (p - 1) ** 2 >= 1 << 63:
-        raise TooLarge(f"Bareiss width {width} at p = {p} could overflow int64 sums")
-    check_size("Bareiss step work (rows * cols * width^2)", rows * cols * width * width, MAX_BAREISS_WORK)
-    a = np.zeros((rows, cols, deg + 1), dtype=np.int64)
+    a = np.zeros((len(poly_mat), len(poly_mat[0]), deg + 1), dtype=np.int64)
     for i, row in enumerate(poly_mat):
         for j, e in enumerate(row):
             if e:

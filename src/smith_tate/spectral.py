@@ -31,19 +31,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import (
     ChainComplex,
     Columns,
     FilteredComplex,
+    _block,
     _compose,
-    _dense,
     _json_object,
     _out_of_range,
     _shown,
-    _sparse,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -60,6 +58,9 @@ from .fp_core import FpMatrix, _matmul_mod, rank
 from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
 from .persistence import persistence_pairing
 from .tate import _parity_dims, assemble, tate_terms
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FilteredComplex",
@@ -156,41 +157,40 @@ class EquivariantFloerModel:
     """A Z/pZ-equivariant deformation of a filtered complex.
 
     base supplies the generators, the action values, sigma, and the default
-    structure maps; d_terms maps (i, alpha) to an n x n integer array, read
-    mod p, in the stored generator order, replacing or extending the defaults
+    structure maps; d_terms maps (i, alpha) to n sparse columns, read mod p,
+    in the stored generator order, replacing or extending the defaults
 
         d_0^0 = d,  d_0^1 = 1 - sigma,  d_1^1 = -d,  d_1^2 = N.
 
     Every term d_alpha^i must have internal degree 1 - i + alpha; the two
     filtration-level terms d_0^0 and d_1^1 must strictly decrease action and
     all others must not increase it.  The assembled differential must square
-    to zero over F_p[[u]].  terms holds each nonzero term as sparse columns,
-    the defaults being tate.tate_terms of base; term(i, alpha) is its dense
-    view.
+    to zero over F_p[[u]].  terms holds each nonzero term as sparse columns
+    of nonzero residues, the defaults being tate.tate_terms of base; no
+    term is ever held as an array.
     """
 
     def __init__(
         self,
         base: ChainComplex,
-        d_terms: dict[tuple[int, int], np.ndarray] | None = None,
+        d_terms: dict[tuple[int, int], Columns] | None = None,
         i_max: int | None = None,
         *,
         check: bool = True,
     ):
         self.base = base
-        self.p = base.p
+        self.p = p = base.p
         n = base.dim()
         terms = tate_terms(base)
         supplied = d_terms or {}
-        for (i, alpha), m in supplied.items():
+        for (i, alpha), cols in supplied.items():
             if alpha not in (0, 1) or i < 0:
                 raise MalformedInput(f"bad d_term slot ({i}, {alpha})")
             if (i, alpha) == (0, 1):
                 raise MalformedInput("the (i=0, alpha=1) slot does not exist")
-            a = np.asarray(m, dtype=np.int64)
-            if a.shape != (n, n):
-                raise MalformedInput(f"d_term ({i},{alpha}) must be {n} x {n}")
-            terms[(i, alpha)] = _sparse(a % self.p)
+            if len(cols) != n or not all(0 <= r < n for col in cols for r in col):
+                raise MalformedInput(f"d_term ({i},{alpha}) must be {n} columns of rows below {n}")
+            terms[(i, alpha)] = [{r: x for r, v in col.items() if (x := v % p)} for col in cols]
         if i_max is None:
             raise MalformedInput("i_max is required")
         self.i_max = int(i_max)
@@ -205,11 +205,6 @@ class EquivariantFloerModel:
         self._square_zero: bool | None = None
         if check:
             self._validate()
-
-    def term(self, i: int, alpha: int) -> np.ndarray:
-        """d_alpha^i as an n x n residue array, zero for a missing term."""
-        n = self.base.dim()
-        return _dense(self.terms.get((i, alpha), [{}] * n), n)
 
     def _verdict(self) -> tuple[str | None, str | None]:
         """Messages for the first d_term entry that breaks its degree rule
@@ -312,11 +307,13 @@ class AlgebraicSSPages:
     sigma_module_tate_dim: int | None
 
 
-def _induced(m: np.ndarray, src: ChainComplex, tgt: ChainComplex, k: int) -> np.ndarray:
-    """The map H^k(src) -> H^k(tgt) induced by m, a degree-0 matrix on all
-    generators in stored order, in the homology bases of src and tgt."""
+def _induced(a: Columns, src: ChainComplex, tgt: ChainComplex, k: int, what: str) -> np.ndarray:
+    """The map H^k(src) -> H^k(tgt) induced by the degree-0 operator what
+    with columns a on all generators, in the homology bases of src and
+    tgt; only its degree-k block is made dense, by _block."""
     idx = src.degree_indices(k)
-    return tgt.express_in_homology(k, _matmul_mod(m[np.ix_(idx, idx)], src._homology(k)[0], src.p))
+    m = _block(a, idx, idx, f"{what} block in degree {k}")
+    return tgt.express_in_homology(k, _matmul_mod(m, src._homology(k)[0], src.p))
 
 
 def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
@@ -339,8 +336,6 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
     even_cx = ChainComplex._of(p, gens, d00, check=False)
     odd_cx = ChainComplex._of(p, gens, model.terms.get((1, 1), zero), check=False)
-    d10 = model.term(1, 0)
-    d21 = model.term(2, 1)
     e1_even = even_cx.homology_dims()
     e1_odd = odd_cx.homology_dims()
     degrees = sorted(set(e1_even) | set(e1_odd))
@@ -351,8 +346,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     e2_odd_total = 0
     for k in degrees:
         # both induced maps have internal degree 0
-        m10 = d10_induced[k] = _induced(d10, even_cx, odd_cx, k)
-        m21 = d21_induced[k] = _induced(d21, odd_cx, even_cx, k)
+        m10 = d10_induced[k] = _induced(model.terms.get((1, 0), zero), even_cx, odd_cx, k, "d_0^1")
+        m21 = d21_induced[k] = _induced(model.terms.get((2, 1), zero), odd_cx, even_cx, k, "d_1^2")
         r10 = rank(FpMatrix(m10, p))
         r21 = rank(FpMatrix(m21, p))
         one_part = m10.shape[1] - r10 - r21  # ker[d10] / im[d21]
@@ -372,16 +367,9 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
     s, nm = base.columns("sigma"), base.norm()
     if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
-        # sigma descends to H(d_0^0); decompose the induced module
-        s = _dense(s, n)
-        blocks = [_induced(s, even_cx, even_cx, k) for k in degrees]
-        total = sum(b.shape[0] for b in blocks)
-        sig_star = np.zeros((total, total), dtype=np.int64)
-        off = 0
-        for b in blocks:
-            sig_star[off:off + b.shape[0], off:off + b.shape[0]] = b
-            off += b.shape[0]
-        sigma_module = decompose(FpMatrix(sig_star, p))
+        # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
+        parts = [decompose(FpMatrix(_induced(s, even_cx, even_cx, k, "sigma"), p)).multiplicities for k in e1_even]
+        sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))
         sigma_tate = tate_and_invariant_dims(sigma_module)[0]
     return AlgebraicSSPages(
         p=p,
@@ -406,8 +394,8 @@ def model_to_json(model: EquivariantFloerModel) -> dict:
     out = complex_to_json(model.base)
     out["i_max"] = model.i_max
     out["d_terms"] = [
-        {"i": i, "alpha": alpha, "matrix": _triplets_to_json(model.term(i, alpha))}
-        for i, alpha in sorted(model.terms)
+        {"i": i, "alpha": alpha, "matrix": _triplets_to_json(cols)}
+        for (i, alpha), cols in sorted(model.terms.items())
     ]
     return out
 
@@ -415,7 +403,7 @@ def model_to_json(model: EquivariantFloerModel) -> dict:
 def model_from_json(data) -> EquivariantFloerModel:
     data = _json_object(data, "model")
     base = complex_from_json({k: v for k, v in data.items() if k not in ("d_terms", "i_max", "filtered")})
-    terms: dict[tuple[int, int], np.ndarray] = {}
+    terms: dict[tuple[int, int], Columns] = {}
     raw = data.get("d_terms", [])
     if not isinstance(raw, list):
         raise MalformedInput("'d_terms' must be a list")

@@ -35,7 +35,7 @@ from itertools import product as _product
 from typing import TYPE_CHECKING
 
 from . import fp_core
-from .complexes import ChainComplex, Columns, _affine, _dense, _rotation_sign
+from .complexes import ChainComplex, Columns, _affine, _block, _rotation_sign
 from .errors import InvalidComplex, check_size
 from .fp_core import FpMatrix, rank
 
@@ -143,8 +143,8 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     method="evaluation" (default) takes that rank at u = 1, one column
     reduction per parity block; method="bareiss" runs fraction-free
     elimination on the same parity blocks over F_p[u], with u on the
-    entries of N, the independent route.  Both raise InvalidComplex when V
-    is not homogeneous.
+    entries of N, the independent route, checking both blocks' limits before
+    it eliminates either.  Both raise InvalidComplex on an inhomogeneous V.
     """
     if method not in ("evaluation", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
@@ -155,15 +155,17 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     from . import ratfun  # read at call time, so a wrapper set on the module sees the calls
 
     p, n, parity = V.p, len(degrees), _parities(degrees)
-    m = _dense(columns, 2 * n)
     even, odd = [x for x, e in enumerate(parity) if not e], [x for x, e in enumerate(parity) if e]
 
-    def poly_block(rows, cols):
+    def poly_block(rows, cols, what):
         # N maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
-        return [[ratfun.pupow(int(r < n <= c), int(m[r, c]), p) if m[r, c] else () for c in cols] for r in rows]
+        m = _block(columns, rows, cols, f"Bareiss block out of the {what} labels").tolist()
+        return [[ratfun.pupow(int(r < n <= c), x, p) if x else () for c, x in zip(cols, row)] for r, row in zip(rows, m)]
 
-    r_e = ratfun.bareiss_rank(poly_block(odd, even), p)
-    r_o = ratfun.bareiss_rank(poly_block(even, odd), p)
+    blocks = poly_block(odd, even, "even"), poly_block(even, odd, "odd")
+    for b in blocks:  # refuse either block before eliminating the other
+        ratfun._check_limits(b, p)
+    r_e, r_o = (ratfun.bareiss_rank(b, p) for b in blocks)
     return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
@@ -366,13 +368,13 @@ def quasi_frobenius(
             induced[pos:pos + m, pos + i] = [pow(int(x), p, p) for x in columns[pos + i]]
         pos += m
     target_degrees = {lab: p * degrees[lab] for lab in labels}
-    even_idx = [i for i, lab in enumerate(labels) if target_degrees[lab] % 2 == 0]
-    odd_idx = [i for i, lab in enumerate(labels) if target_degrees[lab] % 2 == 1]
-    source_parity = (len(even_idx), len(odd_idx))
+    even = sum(k % 2 == 0 for k in target_degrees.values())
+    source_parity = (even, n - even)
     # diagonal words each contribute one even and one odd Tate class over
     # F_p((u)); theta shifts parity, so both counts equal dim H(V)
     target_parity = (n, n)
-    bij = all(rank(FpMatrix(induced[np.ix_(idx, idx)], p)) == len(idx) for idx in (even_idx, odd_idx) if idx)
+    # block diagonal by degree: each parity's block is invertible iff it is
+    bij = rank(FpMatrix(induced, p)) == n
     pairs = coefficient_pairs or [(1, 1)]
     wanted = [
         (k, i, j, a % p, b % p)

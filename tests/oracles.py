@@ -63,8 +63,8 @@ d, sigma and the equivariant model's terms only as sparse columns, assembles
 the model's differential with tate.assemble and squares it with _compose;
 coeff_matrix_by_entries builds whole dense operators, degree-breaking
 entries included, blocks_square_zero squares the dense block matrix, and
-tate_column_blocks, model_blocks and model_terms_dense are dense views of
-the library's columns.  The report writer converts
+tate_column_blocks, model_blocks, term_dense and model_terms_dense are
+dense views of the library's columns.  The report writer converts
 results as it writes; jsonable converts the whole tree first.
 The library reads the Morse resolution's homology off the ranks of two
 p x p circulants; resolution_homology_by_complex builds the length * p
@@ -92,6 +92,7 @@ from smith_tate.complexes import (
     _json_object,
     _rational,
     _shown,
+    _sparse,
     _strict_int,
 )
 from smith_tate.errors import (
@@ -290,9 +291,16 @@ def model_blocks(model) -> tuple[np.ndarray, ...]:
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
 
+def term_dense(model, i: int, alpha: int) -> np.ndarray:
+    """d_alpha^i of a model as an n x n residue array, zero for a missing
+    term: the dense view of its sparse columns."""
+    n = model.base.dim()
+    return _dense(model.terms.get((i, alpha), [{}] * n), n)
+
+
 def model_terms_dense(model) -> dict:
     """{(i, alpha): the dense n x n array of d_alpha^i} over a model's terms."""
-    return {(i, alpha): model.term(i, alpha) for i, alpha in model.terms}
+    return {(i, alpha): term_dense(model, i, alpha) for i, alpha in model.terms}
 
 
 def blocks_square_zero(A, B, C, D, p: int) -> bool:
@@ -344,7 +352,7 @@ def random_floer_model_over_polynomials(p: int, seed, deform: bool = True, **kwa
         for j in range(top_degree(mat) + 1):
             coeff = np.array([[e[j] if j < len(e) else 0 for e in row] for row in mat], dtype=np.int64)
             if coeff.any():
-                terms[(2 * j + parity, alpha)] = coeff
+                terms[(2 * j + parity, alpha)] = _sparse(coeff)
     i_max = max((i for i, _ in terms), default=2)
     return EquivariantFloerModel(base, terms, max(2, i_max))
 
@@ -1133,12 +1141,12 @@ def algebraic_ss_by_vectors(model) -> dict:
     degrees = [k for k in base.degrees() if homology_basis_by_solve(even_cx, k) or homology_basis_by_solve(odd_cx, k)]
     out = {"d10_induced": {}, "d21_induced": {}, "e2_by_degree": {}, "sigma_module": None}
     for k in degrees:
-        m10 = out["d10_induced"][k] = _induced_by_vectors(model.term(1, 0), even_cx, odd_cx, k)
-        m21 = out["d21_induced"][k] = _induced_by_vectors(model.term(2, 1), odd_cx, even_cx, k)
+        m10 = out["d10_induced"][k] = _induced_by_vectors(term_dense(model, 1, 0), even_cx, odd_cx, k)
+        m21 = out["d21_induced"][k] = _induced_by_vectors(term_dense(model, 2, 1), odd_cx, even_cx, k)
         r10, r21 = rank(FpMatrix(m10, p)), rank(FpMatrix(m21, p))
         out["e2_by_degree"][k] = {"one": m10.shape[1] - r10 - r21, "theta": m21.shape[1] - r21 - r10}
     s = sigma_matrix_by_entries(base)
-    d00 = model.term(0, 0)
+    d00 = term_dense(model, 0, 0)
     power = np.eye(base.dim(), dtype=np.int64)
     for _ in range(p):
         power = power @ s % p

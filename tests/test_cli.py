@@ -1007,6 +1007,23 @@ class TestTooLarge:
         assert code == 0
         assert (report["results"]["even"], report["results"]["odd"], report["results"]["dim"]) == (1, 1, 243)
 
+    def test_bareiss_checks_both_blocks_before_eliminating_either(self, run, tmp_path):
+        """500 free orbits at p = 3 in one degree: the even parity block
+        (1 - sigma, no u) passes every Bareiss limit, and the odd one (N,
+        which carries u) fails the cell limit.  Both are checked before
+        either is eliminated, so the refusal comes at once."""
+        gens, sigma = [], {}
+        for o in range(500):
+            ids = [f"o{o:03d}e{j}" for j in range(3)]
+            gens += [{"id": g, "degree": 0} for g in ids]
+            sigma.update({g: {ids[(j + 1) % 3]: 1} for j, g in enumerate(ids)})
+        path = write_json(tmp_path / "orbits500.json", {"p": 3, "generators": gens, "sigma": sigma})
+        t0 = time.perf_counter()
+        code, out, err = run(["tate", "--input", path, "--method", "bareiss", "--json"])
+        assert time.perf_counter() - t0 < 5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: TooLarge: Bareiss coefficient array")
+
     def test_fuzz_sigma_decomposition_size(self, run, jrun):
         """p Jordan multiplicities and a matrix of up to --max-gens rows are
         bounded before generating."""
@@ -1082,6 +1099,73 @@ class TestTooLarge:
     def test_huge_degree_in_a_filtered_command(self, jrun, tmp_path, command):
         code, _, _ = jrun(command + ["--input", self._two_degrees(tmp_path, 2**63 + 1)])
         assert code == 0
+
+
+def _four_degree_model(p: int, orbits: int, unpaired: int) -> dict:
+    """The default model of a complex of free orbits in degrees 0 to 3,
+    orbits per degree, at action -degree: d pairs orbit b of degree 0 and 2
+    with orbit b one degree up, for every b from unpaired on."""
+    from smith_tate.complexes import complex_from_json
+
+    gens, sigma, diff = [], {}, {}
+    for k in range(4):
+        for b in range(orbits):
+            ids = [f"d{k}o{b:03d}e{j}" for j in range(p)]
+            gens += [{"id": g, "degree": k, "action": -k} for g in ids]
+            sigma.update({g: {ids[(j + 1) % p]: 1} for j, g in enumerate(ids)})
+            if k % 2 == 0 and b >= unpaired:
+                diff.update({g: {f"d{k + 1}o{b:03d}e{j}": 1} for j, g in enumerate(ids)})
+    base = complex_from_json({"p": p, "generators": gens, "differential": diff, "sigma": sigma})
+    return model_to_json(EquivariantFloerModel(base, i_max=2))
+
+
+class TestDenseArrays:
+    """Every array made dense from sparse columns is one degree's block or
+    one parity's block: no whole operator is made dense."""
+
+    @staticmethod
+    def _shapes(monkeypatch) -> list:
+        """The shape of every array _dense builds from now on, in every
+        module that calls it."""
+        import sys
+
+        from smith_tate import complexes
+
+        shapes, real = [], complexes._dense
+
+        def recording(a, rows):
+            m = real(a, rows)
+            shapes.append(m.shape)
+            return m
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("smith_tate.") and getattr(mod, "_dense", None) is real:
+                monkeypatch.setattr(mod, "_dense", recording)
+        return shapes
+
+    def test_spectral_algebraic_cuts_one_degree_at_a_time(self, jrun, tmp_path, monkeypatch):
+        """12 generators in each of four degrees: the d blocks and the
+        induced maps' blocks are at most 12 x 12, never 48 x 48."""
+        path = write_json(tmp_path / "model.json", _four_degree_model(3, 4, 2))
+        shapes = self._shapes(monkeypatch)
+        code, report, _ = jrun(["spectral", "algebraic", "--input", path])
+        assert code == 0
+        assert report["results"]["e1-even"] == {str(k): 6 for k in range(4)}
+        assert (12, 12) in shapes
+        assert max(r * c for r, c in shapes) == 12 * 12
+
+    def test_bareiss_cuts_one_parity_at_a_time(self, jrun, tmp_path, monkeypatch):
+        """48 generators give 96 labels: each parity block is 48 x 48,
+        never the 96 x 96 whole."""
+        data = _four_degree_model(3, 4, 2)
+        data = {k: data[k] for k in ("p", "generators", "differential", "sigma")}
+        path = write_json(tmp_path / "complex.json", data)
+        shapes = self._shapes(monkeypatch)
+        code, report, _ = jrun(["tate", "--input", path, "--method", "bareiss"])
+        assert code == 0
+        assert sorted(shapes) == [(48, 48), (48, 48)]
+        _, by_evaluation, _ = jrun(["tate", "--input", path])
+        assert report["results"] == by_evaluation["results"]
 
 
 class TestSharedParser:

@@ -693,3 +693,33 @@ def test_the_action_rule_follows_the_filtered_key(run, tmp_path, cmd, extra, err
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run([*cmd, "--input", str(path)]) == (2, "", f"error: {err}\n")
+
+
+def test_a_repeated_triplet_keeps_its_last_value(tmp_path):
+    """In a model file and in a sigma file, a repeated (row, col) keeps its
+    last value, and a last value of 0 mod p leaves no entry, even after a
+    nonzero one."""
+    from smith_tate.complexes import _read_json_files, _sigma_from_json, _sigma_to_json
+
+    model = {
+        "p": 3,
+        "generators": [{"id": "x", "degree": 0}, {"id": "y", "degree": 1}],
+        "sigma": {},
+        "i_max": 2,
+        "d_terms": [
+            {"i": 2, "alpha": 0, "matrix": [[0, 1, 1], [0, 1, 5]]},
+            {"i": 2, "alpha": 1, "matrix": [[1, 1, 1], [0, 0, 2], [1, 1, 3]]},
+        ],
+    }
+    sigma = {"p": 3, "size": 2, "matrix": [[0, 1, 1], [1, 0, 1], [0, 1, 2], [0, 0, 1], [1, 1, 1], [1, 1, -3]]}
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    (tmp_path / "sigma.json").write_text(json.dumps(sigma), encoding="utf-8")
+    _, (model, sigma) = _read_json_files(str(tmp_path / "model.json"), str(tmp_path / "sigma.json"))
+    m = model_from_json(model)
+    assert m.terms[(2, 0)] == [{}, {0: 2}]
+    assert m.terms[(2, 1)] == [{0: 2}, {}]
+    assert [t["matrix"] for t in model_to_json(m)["d_terms"]] == [[[0, 1, 2]], [[0, 0, 2]]]
+    s = _sigma_from_json(sigma)
+    assert s.a.tolist() == [[1, 2], [1, 0]]
+    assert _sigma_to_json(s)["matrix"] == [[0, 0, 1], [0, 1, 2], [1, 0, 1]]
+    assert _triplets_from_json([[1, 0, 2], [1, 0, 0], [0, 1, 4]], 2, 3) == [{}, {0: 1}]

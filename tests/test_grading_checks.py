@@ -19,11 +19,11 @@ from oracles import (
     action_violations_by_fractions,
     construction_error_by_loops,
     model_degree_check_dense,
-    model_terms_dense,
     model_validate_dense,
     sigma_violations_by_loops,
     structure_violations_by_loops,
     tate_homogeneity_dense,
+    term_dense,
     validate_by_message_text,
 )
 from test_complexes import _unchecked_equivariant
@@ -37,6 +37,7 @@ from smith_tate.complexes import (
     Generator,
     _coeff_map,
     _out_of_range,
+    _sparse,
     complex_to_json,
 )
 from smith_tate.errors import SmithTateError
@@ -132,7 +133,8 @@ def test_complex_checks_match_the_loops(p):
 def _rebuild(model, check=True):
     """A model with model's terms, every default slot given explicitly."""
     slots = list(model.terms) + [s for s in ((0, 0), (1, 0), (1, 1), (2, 1)) if s not in model.terms]
-    terms = {s: model.term(*s) for s in slots if s[0] <= model.i_max}
+    zero = [{}] * model.base.dim()
+    terms = {s: model.terms.get(s, zero) for s in slots if s[0] <= model.i_max}
     return EquivariantFloerModel(model.base, terms, i_max=model.i_max, check=check)
 
 
@@ -142,9 +144,9 @@ def _scrambled(model, seed):
     rng = random.Random(seed)
     n = model.base.dim()
     i, alpha = rng.choice([(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)])
-    m = model.term(i, alpha).copy()
+    m = term_dense(model, i, alpha)
     m[rng.randrange(n), rng.randrange(n)] = rng.randrange(1, model.p)
-    terms = {**model_terms_dense(model), (i, alpha): m}
+    terms = {**model.terms, (i, alpha): _sparse(m)}
     return EquivariantFloerModel(model.base, terms, i_max=max(model.i_max, i), check=False)
 
 
@@ -183,8 +185,8 @@ def test_model_messages_name_the_first_bad_entry_in_row_major_order():
         m = zero.copy()
         for r, c in entries:
             m[r, c] = 1
-        assert _outcome(EquivariantFloerModel, base, {(1, 0): m}, 2) == want
-        assert _outcome(model_validate_dense, EquivariantFloerModel(base, {(1, 0): m}, 2, check=False)) == want
+        assert _outcome(EquivariantFloerModel, base, {(1, 0): _sparse(m)}, 2) == want
+        assert _outcome(model_validate_dense, EquivariantFloerModel(base, {(1, 0): _sparse(m)}, 2, check=False)) == want
 
 
 def _counting(monkeypatch, cls, name, computes):

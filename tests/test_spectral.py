@@ -12,6 +12,7 @@ from smith_tate.complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    _sparse,
     tensor_power,
 )
 from smith_tate.errors import (
@@ -38,9 +39,9 @@ from smith_tate.tate import tate_cohomology_dims, tate_terms
 from oracles import (
     algebraic_ss_by_vectors,
     model_poly_route,
-    model_terms_dense,
     random_floer_model_over_polynomials,
     subquotient_pages,
+    term_dense,
 )
 
 
@@ -131,31 +132,40 @@ class TestFloerModelConstruction:
 
     def test_impossible_slot_rejected(self):
         with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(0, 1): np.zeros((2, 2), dtype=np.int64)}, i_max=2)
+            EquivariantFloerModel(self.base, {(0, 1): [{}, {}]}, i_max=2)
 
     def test_supplied_term_above_i_max_rejected(self):
         with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(3, 0): np.zeros((2, 2), dtype=np.int64)}, i_max=2)
+            EquivariantFloerModel(self.base, {(3, 0): [{}, {}]}, i_max=2)
 
     def test_defaults_above_i_max_dropped(self):
         model = EquivariantFloerModel(self.base, i_max=1)
         assert all(i <= 1 for (i, _) in model.terms)
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(MalformedInput):
-            EquivariantFloerModel(self.base, {(2, 0): np.zeros((3, 3), dtype=np.int64)}, i_max=2)
+        """A term needs one column per generator, each with rows below n."""
+        for cols in ([{}, {}, {}], [{}], [{2: 1}, {}], [{}, {-1: 1}]):
+            with pytest.raises(MalformedInput, match=r"d_term \(2,0\) must be 2 columns of rows below 2"):
+                EquivariantFloerModel(self.base, {(2, 0): cols}, i_max=2)
+
+    def test_supplied_terms_are_read_mod_p(self):
+        """Entries are reduced mod p on the way in, and a multiple of p
+        leaves no entry."""
+        model = EquivariantFloerModel(self.base, {(2, 0): [{}, {0: 4}], (3, 1): [{}, {}], (2, 1): [{0: 3}, {1: -3}]}, i_max=3)
+        assert model.terms[(2, 0)] == [{}, {0: 1}]
+        assert (3, 1) not in model.terms and (2, 1) not in model.terms
 
     def test_term_degree_enforced(self):
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1  # x <- y drops degree, but slot (1, 0) preserves it
         with pytest.raises(InvalidComplex):
-            EquivariantFloerModel(self.base, {(1, 0): m}, i_max=2)
+            EquivariantFloerModel(self.base, {(1, 0): _sparse(m)}, i_max=2)
 
     def test_filtration_term_must_strictly_decrease(self):
         m = np.zeros((2, 2), dtype=np.int64)
         m[1, 0] = 1  # y <- x raises degree but keeps action constant
         with pytest.raises(FiltrationViolation):
-            EquivariantFloerModel(self.base, {(0, 0): m}, i_max=2)
+            EquivariantFloerModel(self.base, {(0, 0): _sparse(m)}, i_max=2)
 
     def test_planted_filtration_violations(self):
         """The first violating entry in row-major order of the first
@@ -168,7 +178,7 @@ class TestFloerModelConstruction:
         strict[3, 0] = 2  # a -> d increases it
         strict[2, 0] = 1  # a -> c keeps it, and comes first
         with pytest.raises(FiltrationViolation) as e:
-            EquivariantFloerModel(base, {(0, 0): strict}, i_max=2)
+            EquivariantFloerModel(base, {(0, 0): _sparse(strict)}, i_max=2)
         assert str(e.value) == "d_term (0,0) must strictly decrease action (a -> c)"
         loose = np.zeros((5, 5), dtype=np.int64)
         loose[0, 1] = 1  # b -> a decreases action: allowed
@@ -176,10 +186,10 @@ class TestFloerModelConstruction:
         loose[2, 2] = 1  # c -> c keeps it: allowed in a non-strict term
         loose[3, 3] = 1
         with pytest.raises(FiltrationViolation) as e:
-            EquivariantFloerModel(base, {(1, 0): loose}, i_max=2)
+            EquivariantFloerModel(base, {(1, 0): _sparse(loose)}, i_max=2)
         assert str(e.value) == "d_term (1,0) must not increase action (c -> d)"
         loose[3, 2] = 0
-        assert (EquivariantFloerModel(base, {(1, 0): loose}, i_max=2).term(1, 0) == loose).all()
+        assert (term_dense(EquivariantFloerModel(base, {(1, 0): _sparse(loose)}, i_max=2), 1, 0) == loose).all()
 
     def test_assembled_square_checked(self):
         wide = EquivariantComplex(
@@ -189,7 +199,7 @@ class TestFloerModelConstruction:
         m[0, 1] = 1
         m[1, 2] = 1
         with pytest.raises(NotSquareZero):
-            EquivariantFloerModel(wide, {(2, 0): m}, i_max=2)
+            EquivariantFloerModel(wide, {(2, 0): _sparse(m)}, i_max=2)
         assert EquivariantFloerModel(wide, i_max=2).square_is_zero()
 
     def test_inhomogeneous_unchecked_model_rejected(self):
@@ -197,7 +207,7 @@ class TestFloerModelConstruction:
         the u = 1 ranks and square test refuse it instead of answering."""
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1  # y -> x lowers degree; slot (1, 0) must preserve it
-        model = EquivariantFloerModel(self.base, {(1, 0): m}, i_max=2, check=False)
+        model = EquivariantFloerModel(self.base, {(1, 0): _sparse(m)}, i_max=2, check=False)
         with pytest.raises(InvalidComplex):
             model.tate_parity_dims()
         with pytest.raises(InvalidComplex):
@@ -235,7 +245,7 @@ class TestAlgebraicSS:
         base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1
-        model = EquivariantFloerModel(base, {(2, 0): m}, i_max=2)
+        model = EquivariantFloerModel(base, {(2, 0): _sparse(m)}, i_max=2)
         pages = algebraic_ss_pages(model)
         assert pages.e1_even_dims == {0: 1, 1: 1}
         assert pages.e1_odd_dims == {0: 1, 1: 1}
@@ -262,7 +272,7 @@ class TestModelJson:
         base = EquivariantComplex(3, [Generator("x", 0), Generator("y", 1)], {}, {})
         m = np.zeros((2, 2), dtype=np.int64)
         m[0, 1] = 1
-        model = EquivariantFloerModel(base, {(2, 0): m}, i_max=2)
+        model = EquivariantFloerModel(base, {(2, 0): _sparse(m)}, i_max=2)
         data = model_to_json(model)
         back = model_from_json(data)
         assert model_to_json(back) == data
@@ -316,8 +326,8 @@ def _perturbed(model, seed):
         for c in range(n):
             if degs[r] == degs[c] + 1 - i + alpha and rng.random() < 0.5:
                 m[r, c] = rng.randrange(model.p)
-    terms = {k: v for k, v in model_terms_dense(model).items() if k != (i, alpha)}
-    terms[(i, alpha)] = (model.term(i, alpha) + m) % model.p
+    terms = {k: v for k, v in model.terms.items() if k != (i, alpha)}
+    terms[(i, alpha)] = _sparse((term_dense(model, i, alpha) + m) % model.p)
     return EquivariantFloerModel(model.base, terms, i_max=max(model.i_max, i), check=False)
 
 
