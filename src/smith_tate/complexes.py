@@ -36,7 +36,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -544,7 +545,8 @@ class ChainComplex:
         d^(k-1), and since Z spans ker d^k they represent a basis of H^k.
         The identity block records the row operations E, and E sends each
         pivot column to its unit vector, so the rows of E at the Z pivots
-        read off the class coordinates of any cocycle.
+        read off the class coordinates of any cocycle.  That array, about
+        three d blocks wide, is held to MAX_BLOCK_CELLS like each block.
         """
         if k not in self._homology_cache:
             import numpy as np
@@ -552,6 +554,7 @@ class ChainComplex:
             dprev = self.d_block(k - 1)
             ker = rref(FpMatrix(self.d_block(k), self.p)).kernel_basis
             n, m = dprev.shape
+            check_size(f"homology array in degree {k} (rows x columns)", n * (m + len(ker) + n), MAX_BLOCK_CELLS)
             z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
             red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), self.p)
             lo = sum(c < m for c in pivots)
@@ -881,6 +884,11 @@ def _json_text(x) -> str:
     strings, numpy integers ints, an ActionWindow its {"lower", "upper"}
     object, an array its list of rows, a tuple a list, and a tuple key its
     members joined by commas (any other key its str).
+
+    A list of records, dicts with one set of str keys and only scalars of
+    _SCALAR_TEXT as values (the bars of a barcode report), is written in
+    one formatting pass by _write_records; any other list, and every dict,
+    member by member.
     """
     out: list[str] = []
     try:
@@ -922,6 +930,8 @@ def _write_json(x, nl: str, out: list) -> None:
         if not x:
             out.append("[]")
             return
+        if type(x[0]) is dict and _write_records(x, nl, out):
+            return
         sep = "[" + inner
         for v in x:
             text = _SCALAR_TEXT.get(type(v))
@@ -938,6 +948,39 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(int.__repr__(int(x)))
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
+def _write_records(x, nl: str, out: list) -> bool:
+    """Append the text of a list of records, dicts with one nonempty set of
+    str keys whose values are all scalars of _SCALAR_TEXT, and return True;
+    for any other list write nothing and return False.
+
+    The whole list is scanned before any value is converted.  Then each key
+    is escaped once, each column of values converted with one function per
+    type, and every member written through one row template, the keys' text
+    interleaved with the columns and joined, so no key text is parsed."""
+    first = x[0]  # most lists that do not qualify fail on their first member
+    if not first or not all(type(k) is str for k in first) or not _SCALAR_TEXT.keys() >= set(map(type, first.values())):
+        return False
+    if {dict} != set(map(type, x)) or {len(first)} != set(map(len, x)):
+        return False
+    names = sorted(first)
+    try:  # a member of len(first) keys has them all exactly when none is missing
+        columns = [list(map(itemgetter(k), x)) for k in names]
+    except KeyError:
+        return False
+    kinds = [set(map(type, col)) for col in columns]
+    if not _SCALAR_TEXT.keys() >= set().union(*kinds):
+        return False
+    inner = nl + "  "
+    field = "," + inner + "  "
+    row = []  # the template: each key's fixed text, then its column's values
+    for k, col, kind in zip(names, columns, kinds):
+        row.append(repeat((field if row else "{" + field[1:]) + _escape(k) + ": "))
+        row.append(map(_SCALAR_TEXT[kind.pop()], col) if len(kind) == 1 else [_SCALAR_TEXT[type(v)](v) for v in col])
+    row.append(repeat(inner + "}"))
+    out.append("[" + inner + ("," + inner).join(map("".join, zip(*row))) + nl + "]")
+    return True
 
 
 def _digest_params(*parts) -> str:

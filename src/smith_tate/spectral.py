@@ -37,6 +37,7 @@ from .complexes import (
     ChainComplex,
     Columns,
     FilteredComplex,
+    _affine,
     _block,
     _compose,
     _json_object,
@@ -335,7 +336,11 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     # M(u)^2 = 0 and the theta -> 1 block has no u^0 term, so the u^0 parts
     # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
     even_cx = ChainComplex._of(p, gens, d00, check=False)
-    odd_cx = ChainComplex._of(p, gens, model.terms.get((1, 1), zero), check=False)
+    d11 = model.terms.get((1, 1), zero)
+    # when d_1^1 = -d_0^0, as for the default terms, it has d_0^0's pivot
+    # columns, so by uniqueness of rref the same representatives and class
+    # coordinates: the odd page complex is the even one
+    odd_cx = even_cx if d11 == _affine(d00, -1, 0, p) else ChainComplex._of(p, gens, d11, check=False)
     e1_even = even_cx.homology_dims()
     e1_odd = odd_cx.homology_dims()
     degrees = sorted(set(e1_even) | set(e1_odd))

@@ -1024,6 +1024,16 @@ class TestTooLarge:
         assert (code, out) == (2, "")
         assert err.startswith("error: TooLarge: Bareiss coefficient array")
 
+    def test_homology_array(self, run, tmp_path):
+        """One degree of 1500 generators with d = 0: all 1500 are cocycles, so
+        homology would eliminate [d^(-1) | Z | I], 1500 x 3000 cells, past
+        MAX_BLOCK_CELLS; it is refused before that array is built."""
+        gens = [{"id": f"g{i:04d}", "degree": 0, "action": 0} for i in range(1500)]
+        path = write_json(tmp_path / "flat1500.json", {"p": 3, "generators": gens, "differential": {}, "filtered": True})
+        code, out, err = run(["spectral", "action", "--input", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: TooLarge: homology array in degree 0 (rows x columns) is 4500000")
+
     def test_fuzz_sigma_decomposition_size(self, run, jrun):
         """p Jordan multiplicities and a matrix of up to --max-gens rows are
         bounded before generating."""

@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import jsonable
 
 import smith_tate.cli as cli
+import smith_tate.complexes as complexes
 import smith_tate.fuzz as fuzz
 from smith_tate.cli import _json_text, dispatch
 from smith_tate.complexes import ActionWindow, EquivariantComplex, Generator, complex_to_json
+from smith_tate.errors import TooLarge
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
 from smith_tate.random_instances import planted_filtered_complex, random_filtered_complex, random_floer_model
 from smith_tate.spectral import model_to_json
@@ -199,3 +201,93 @@ def test_every_raw_type_once():
         "pair": ["2/1", [-1]],
     }
     assert _json_text(tree) == _dumps(jsonable(tree))
+
+
+# the records branch: a list of dicts with one set of str keys and scalar
+# values is written column by column through one row template
+_record_keys = st.lists(st.text(alphabet='%"\\/é\U0001f600 aZ', max_size=4), min_size=1, max_size=5, unique=True)
+_record_values = st.one_of(st.none(), st.booleans(), st.integers(), _strings, _fractions)
+
+
+@st.composite
+def _records(draw):
+    """A list of records on shared keys, each inserted in its own order,
+    whose columns mix None, bool, int, str and Fraction values."""
+    keys = draw(_record_keys)
+    return [
+        {k: draw(_record_values) for k in draw(st.permutations(keys))}
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+def _takes_records_branch(x) -> bool:
+    out = []
+    taken = complexes._write_records(x, "\n", out)
+    assert taken or out == []
+    return taken
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records())
+@example([{"%s": 1, '"': None, "\\": True, "é\U0001f600": Fraction(-1, 3), "": "%d"}, {"": 2, "\\": False, "é\U0001f600": "x", "%s": None, '"': Fraction(4)}])
+def test_record_lists(records):
+    assert _takes_records_branch(records)
+    tree = {"results": {"bars": records, "p": 3}, "top": records, "nested": [records, [records]]}
+    assert _json_text(tree) == _dumps(jsonable(tree))
+    assert _json_text(records) == _dumps(jsonable(records))
+
+
+def _base():
+    return [{"start": Fraction(1, 2), "end": None, "mult": 1}, {"mult": 2, "end": "3/1", "start": Fraction(0)}]
+
+
+def _with(i, **changes):
+    records = _base()
+    records[i].update(changes)
+    return records
+
+
+def _without(i, key):
+    records = _base()
+    del records[i][key]
+    return records
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        _with(0, extra=1),
+        _with(1, extra=1),
+        _without(0, "end"),
+        _without(1, "end"),
+        _with(1, end=[1, 2]),
+        _with(0, end={"a": None}),
+        _with(1, end=ActionWindow(Fraction(1, 3), None)),
+        _with(1, mult=np.int64(2)),
+        _base() + [ActionWindow(None, Fraction(2))],
+        [{1: "a", "b": 2}, {1: "c", "b": 3}],
+        [{"a": 1, "b": 2}, {"a": 1, 3: 2}],
+        [{(1, 2): "x"}, {(1, 2): "y"}],
+        [{"s": 1}, {("s",): 1}],
+        [{}, {}],
+        [{"a": 1}, {}],
+        [{"a": True}, [1]],
+    ],
+)
+def test_near_miss_record_lists_take_the_recursive_path(records):
+    assert not _takes_records_branch(records)
+    tree = {"results": {"bars": records}}
+    assert _json_text(tree) == _dumps(jsonable(tree))
+
+
+@pytest.mark.parametrize(
+    "big",
+    [10**4300, -(10**4300), Fraction(10**4300, 3), Fraction(1, 10**4300)],
+    ids=["int", "negative-int", "numerator", "denominator"],
+)
+def test_a_record_past_the_digit_limit_raises_too_large(big):
+    records = _with(1, end=big)
+    with pytest.raises((TooLarge, ValueError)):  # int.__repr__'s ValueError becomes TooLarge in _json_text
+        complexes._write_records(records, "\n", [])
+    with pytest.raises(TooLarge):
+        _json_text({"bars": records})

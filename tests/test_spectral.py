@@ -12,6 +12,7 @@ from smith_tate.complexes import (
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    _affine,
     _sparse,
     tensor_power,
 )
@@ -463,3 +464,55 @@ def test_induced_maps_match_the_per_vector_route(p):
         assert pages.sigma_module == want["sigma_module"], (p, model)
         modules += pages.sigma_module is not None
     assert nonzero >= 8 and modules >= 8
+
+
+def _theta_rescaled(model, seed):
+    """The model conjugated by the identity on the 1 slot and a seeded
+    diagonal of units on the theta slot: still a valid model, and d_1^1 is
+    no longer -d_0^0 once d joins two generators of unequal scales."""
+    p = model.p
+    rng = random.Random(seed)
+    scale = [rng.randrange(1, p) for _ in range(model.base.dim())]
+    inverse = [pow(x, -1, p) for x in scale]
+    terms = {
+        (i, alpha): [
+            {r: v * (scale[r] if i % 2 else 1) * (inverse[c] if alpha else 1) % p for r, v in col.items()}
+            for c, col in enumerate(cols)
+        ]
+        for (i, alpha), cols in model.terms.items()
+    }
+    return EquivariantFloerModel(model.base, terms, i_max=model.i_max)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_odd_page_reuses_the_even_complex_exactly_when_d11_is_minus_d00(p, monkeypatch):
+    """Fixed-seed differential check: every field of the pages matches a
+    run that builds the odd page complex of d_1^1 on its own, and the even
+    complex is reused (one complex fewer built) exactly when d_1^1 = -d_0^0."""
+    from smith_tate import spectral
+
+    built = []
+    real = ChainComplex._of.__func__
+    monkeypatch.setattr(ChainComplex, "_of", classmethod(lambda cls, *a, **k: built.append(cls) or real(cls, *a, **k)))
+    shared = separate = 0
+    rescaled = [_theta_rescaled(random_floer_model(p, seed, deform=deform), seed) for seed in range(8) for deform in (False, True)]
+    for model in [*_spectral_inputs(p), *rescaled]:
+        zero = [{}] * model.base.dim()
+        negated = model.terms.get((1, 1), zero) == _affine(model.terms.get((0, 0), zero), -1, 0, p)
+        built.clear()
+        pages = algebraic_ss_pages(model)
+        n_built = len(built)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_affine", lambda *a: None)
+            built.clear()
+            want = algebraic_ss_pages(model)
+        assert n_built == len(built) - negated, (p, model)
+        for name in ("d10_induced", "d21_induced"):
+            got, ref = getattr(pages, name), getattr(want, name)
+            assert list(got) == list(ref)
+            assert all(got[k].shape == ref[k].shape and (got[k] == ref[k]).all() for k in got), (p, model, name)
+        for name in ("e1_even_dims", "e1_odd_dims", "e2_by_degree", "e2_dims", "einf_dims", "tate_bound_holds", "sigma_module", "sigma_module_tate_dim"):
+            assert getattr(pages, name) == getattr(want, name), (p, model, name)
+        shared += negated
+        separate += not negated
+    assert shared >= 8 and separate >= (0 if p == 2 else 4), (shared, separate)
