@@ -29,8 +29,7 @@ _EXPORTS = {
             "SpectralEndpoint", "TooLarge", "UnknownCommand", "UnknownProperty",
         ),
         "fp_core": (
-            "FpMatrix", "FpScalar", "RrefResult", "check_prime", "is_prime", "kernel_basis",
-            "nilpotent_partition", "rank", "rref",
+            "FpMatrix", "FpScalar", "check_prime", "is_prime", "nilpotent_partition", "rank",
         ),
         "module_decomp": (
             "ChainReport", "ModuleDecomposition", "decompose", "smith_chain_check", "tate_and_invariant_dims",

@@ -20,9 +20,10 @@ them once, by _read_columns, into their only stored form, sparse columns
 keyed by generator index that keep every entry.  The structure checks
 compose these columns sparsely; the coefficient maps and Generator objects
 a complex shows are views built from them on first use; _block cuts each
-dense array from them under one budget.  numpy is imported only inside the
-functions that build or read arrays (_dense, _sparse and homology), so
-reading, checking and sparse products run without it.
+dense array from them under one budget; homology is read off column
+reductions of them.  numpy is imported only inside the functions that build
+or read arrays (_dense, _sparse and the array views of homology), so
+reading, checking, sparse products and homology run without it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     TooLarge,
     check_size,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rref
+from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, reduce_columns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,7 +215,8 @@ _BLAS_GAIN = 1024
 
 
 def _compose(a: Columns, b: Columns, p: int) -> Columns:
-    """The columns of a.b for square operators a and b over F_p.
+    """The columns of a.b over F_p for a square operator a and columns b
+    keyed below len(a): a square operator, or vectors such as cocycles.
 
     The sparse loop takes one multiply-add per entry of a_t for each entry
     t of each column of b.  The dense route converts about n^2 cells, one
@@ -372,7 +374,7 @@ class ChainComplex:
             self._deg_index.setdefault(k, []).append(i)
         self._level_table = _levels(self._action)
         self._block_cache: dict[int, np.ndarray] = {}
-        self._homology_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._homology_cache: dict[int, Columns] = {}
         self._norm_cache: Columns | None = None
         self._columns: dict[str, Columns] = {}
         # the identity breaks no rule of sigma
@@ -535,59 +537,77 @@ class ChainComplex:
 
     # -- homology ----------------------------------------------------------
 
-    def _homology(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, coords) for H^k, cached: the n_k x dim H^k matrix of cocycle
-        representatives of a basis, and the dim H^k x n_k matrix sending a
-        cocycle to its class coordinates in that basis.
+    def _homology(self, k: int) -> Columns:
+        """Cocycle representatives of a basis of H^k, cached: sparse columns
+        {generator index: residue}, shared, so callers must not write to them.
 
-        One elimination of [d^(k-1) | Z | I], with Z a kernel basis of d^k:
-        its pivot columns in Z are cocycles independent modulo the image of
-        d^(k-1), and since Z spans ker d^k they represent a basis of H^k.
-        The identity block records the row operations E, and E sends each
-        pivot column to its unit vector, so the rows of E at the Z pivots
-        read off the class coordinates of any cocycle.  That array, about
-        three d blocks wide, is held to MAX_BLOCK_CELLS like each block.
+        Two column reductions pick the basis that eliminating [d^(k-1) | Z | I]
+        densely picks, Z the free-variable kernel basis of the row echelon
+        form of d^k.  First each column of d^k, joined with its unit vector
+        e_j keyed below d's rows, reduces; a column whose low lands in the e
+        part is then e_j minus the combination of earlier independent columns
+        of d^k that equals column j, which is that kernel vector.  Then the
+        columns of d^(k-1), followed by the kernel vectors, reduce; the
+        kernel vectors independent of all before them, those with a low,
+        represent a basis of H^k.
         """
         if k not in self._homology_cache:
-            import numpy as np
-
-            dprev = self.d_block(k - 1)
-            ker = rref(FpMatrix(self.d_block(k), self.p)).kernel_basis
-            n, m = dprev.shape
-            check_size(f"homology array in degree {k} (rows x columns)", n * (m + len(ker) + n), MAX_BLOCK_CELLS)
-            z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
-            red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), self.p)
-            lo = sum(c < m for c in pivots)
-            hi = sum(c < m + len(ker) for c in pivots)
-            if hi != len(ker):
+            d, idx, n, p = self._graded_d(), self._deg_index.get(k, []), len(self._ids), self.p
+            cols = [{j: 1, **{n + i: v for i, v in d[j].items()}} for j in idx]
+            ker = [col for col, lo in zip(cols, reduce_columns(cols, p)) if lo < n]
+            image = [dict(d[j]) for j in self._deg_index.get(k - 1, [])]
+            lows = reduce_columns(image + [dict(z) for z in ker], p)
+            if len(lows) - lows.count(-1) != len(ker):
                 # the image of d^(k-1) lies in ker d^k exactly when d^k d^(k-1) = 0
                 raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
-            reps = z[:, [c - m for c in pivots[lo:hi]]]
-            # a copy, so that the cache does not keep all of red alive
-            self._homology_cache[k] = (reps, red[lo:hi, m + len(ker):].copy())
+            self._homology_cache[k] = [z for z, lo in zip(ker, lows[len(image):]) if lo >= 0]
         return self._homology_cache[k]
+
+    def _coordinates(self, k: int, queries: Columns) -> np.ndarray:
+        """The coordinates of the classes of the cocycles queries, sparse
+        columns keyed by generator index, in the basis _homology(k): one
+        column per query.  InvalidComplex if one is not a cocycle.
+
+        One reduction of the columns of d^(k-1), the representatives and
+        the queries: representative t carries tag key t, query i its own tag
+        key h + i, and the generator keys sit above every tag.  A cocycle is
+        a boundary plus a combination of representatives, so its generator
+        part clears, and what is left is its own tag minus its coordinates
+        on the representatives' tags; its own tag keeps it from reducing
+        the next query.  A vector that is not a cocycle keeps a generator low.
+        """
+        import numpy as np
+
+        reps, p = self._homology(k), self.p
+        h = len(reps)
+        top = h + len(queries)
+        image = [{top + i: v for i, v in self._graded_d()[j].items()} for j in self._deg_index.get(k - 1, [])]
+        tagged = [{t: 1, **{top + i: v for i, v in col.items()}} for t, col in enumerate(reps + queries)]
+        lows = reduce_columns(image + tagged, p)
+        if any(lo >= top for lo in lows[len(image) + h:]):
+            raise InvalidComplex("vector is not a cocycle")
+        coords = [-col.get(t, 0) % p for col in tagged[h:] for t in range(h)]
+        return np.array(coords, dtype=np.int64).reshape(len(queries), h).T
 
     def homology_basis(self, k: int) -> list[np.ndarray]:
         """Cocycle representatives of a basis of H^k, in degree-k coordinates."""
-        return list(self._homology(k)[0].T.copy())
+        reps, idx = self._homology(k), self._deg_index.get(k, [])
+        return list(_block(reps, idx, range(len(reps)), f"homology basis in degree {k}").T.copy())
 
     def homology_dims(self) -> dict[int, int]:
-        out = {}
-        for k in self.degrees():
-            d = self._homology(k)[0].shape[1]
-            if d:
-                out[k] = d
-        return out
+        return {k: h for k in self.degrees() if (h := len(self._homology(k)))}
 
     def express_in_homology(self, k: int, v: np.ndarray) -> np.ndarray:
         """Coefficients of the class [v] in the homology_basis(k) order; for
         a matrix of cocycle columns, one column of coefficients each."""
         import numpy as np
 
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if _matmul_mod(self.d_block(k), v, self.p).any():
-            raise InvalidComplex("vector is not a cocycle")
-        return _matmul_mod(self._homology(k)[1], v, self.p)
+        v, idx = np.asarray(v, dtype=np.int64) % self.p, self._deg_index.get(k, [])
+        if len(v) != len(idx):
+            raise ValueError(f"a vector in degree {k} has {len(idx)} entries, not {len(v)}")
+        queries = [{idx[t]: x for t, x in col.items()} for col in _sparse(v[:, None] if v.ndim == 1 else v)]
+        out = self._coordinates(k, queries)
+        return out[:, 0] if v.ndim == 1 else out
 
     # -- misc ----------------------------------------------------------------
 

@@ -5,11 +5,10 @@ Inside the package a matrix is a plain numpy int64 array of residues in
 EquivariantFloerModel.p, or the p of a sigma file.  The prime is checked
 where it enters: the FpMatrix constructor, ChainComplex.__init__ and the
 JSON readers.  FpMatrix is the checked argument of the public entry points
-(rank, rref, kernel_basis, nilpotent_partition and their callers);
-every public routine returns fully reduced results.  Kernel and image bases
-come out of one reduced row echelon computation and are deterministic for a
-fixed column order (callers wanting "lexicographic by generator id" order
-their columns that way).
+(rank, nilpotent_partition and their callers); every public routine
+returns fully reduced results.  Homology is read off the sparse
+reduce_columns, whose choice of independent columns depends only on the
+column order (complexes.ChainComplex._homology).
 
 The prime of a matrix must stay below MATRIX_PRIME_BOUND = 2^24: then a
 product of two entries stays below 2^48, and every product of n x n
@@ -264,37 +263,6 @@ def reduce_columns(columns, p: int) -> list[int]:
     return lows
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    rank: int
-    kernel_basis: list  # list of int64 vectors, m.v = 0
-    image_basis: list  # original columns spanning the column space
-    pivots: tuple
-    reduced: np.ndarray
-
-
-def rref(m: FpMatrix) -> RrefResult:
-    """Reduced row echelon form with kernel and image bases.
-
-    kernel vectors use the standard free-variable parameterization (one
-    basis vector per non-pivot column, unit in that coordinate); the image
-    basis is the original pivot columns, so both are deterministic.
-    """
-    import numpy as np
-
-    red, pivots = _row_reduce(m.a, m.p)
-    rank = len(pivots)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    kernel = []
-    for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f], v[pivots] = 1, (-red[:rank, f]) % m.p
-        kernel.append(v)
-    image = [m.a[:, c].copy() for c in pivots]
-    return RrefResult(rank, kernel, image, tuple(pivots), red)
-
-
 def rank(m: FpMatrix) -> int:
     return len(_row_reduce(m.a, m.p)[1])
 
@@ -305,10 +273,6 @@ def fixed_dim(sigma: np.ndarray, p: int) -> int:
 
     n = len(sigma)
     return n - len(_row_reduce(sigma - np.eye(n, dtype=np.int64), p)[1])
-
-
-def kernel_basis(m: FpMatrix) -> list:
-    return rref(m).kernel_basis
 
 
 def nilpotent_partition(t: FpMatrix) -> list[int]:

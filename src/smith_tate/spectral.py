@@ -38,7 +38,6 @@ from .complexes import (
     Columns,
     FilteredComplex,
     _affine,
-    _block,
     _compose,
     _json_object,
     _out_of_range,
@@ -55,13 +54,14 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, _matmul_mod, rank
-from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
+from .fp_core import FpMatrix, rank
 from .persistence import persistence_pairing
 from .tate import _parity_dims, assemble, tate_terms
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .module_decomp import ModuleDecomposition
 
 __all__ = [
     "FilteredComplex",
@@ -308,13 +308,12 @@ class AlgebraicSSPages:
     sigma_module_tate_dim: int | None
 
 
-def _induced(a: Columns, src: ChainComplex, tgt: ChainComplex, k: int, what: str) -> np.ndarray:
-    """The map H^k(src) -> H^k(tgt) induced by the degree-0 operator what
-    with columns a on all generators, in the homology bases of src and
-    tgt; only its degree-k block is made dense, by _block."""
-    idx = src.degree_indices(k)
-    m = _block(a, idx, idx, f"{what} block in degree {k}")
-    return tgt.express_in_homology(k, _matmul_mod(m, src._homology(k)[0], src.p))
+def _induced(a: Columns, src: ChainComplex, tgt: ChainComplex, k: int) -> np.ndarray:
+    """The map H^k(src) -> H^k(tgt) induced by the degree-0 operator with
+    columns a on all generators, in the homology bases of src and tgt: a
+    applied to the sparse representatives of src, whose images tgt reads
+    in its class coordinates."""
+    return tgt._coordinates(k, _compose(a, src._homology(k), src.p))
 
 
 def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
@@ -326,6 +325,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     cohomology of the assembled complex; the bound asserts it fits under
     E_2 parity by parity.
     """
+    from .module_decomp import ModuleDecomposition, decompose, tate_and_invariant_dims
+
     if not model.square_is_zero():
         raise NotSquareZero("model differential does not square to zero")
     p = model.p
@@ -337,8 +338,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     # of its 1 -> 1 and theta -> theta blocks give (d_0^0)^2 = (d_1^1)^2 = 0
     even_cx = ChainComplex._of(p, gens, d00, check=False)
     d11 = model.terms.get((1, 1), zero)
-    # when d_1^1 = -d_0^0, as for the default terms, it has d_0^0's pivot
-    # columns, so by uniqueness of rref the same representatives and class
+    # when d_1^1 = -d_0^0, as for the default terms, it has d_0^0's kernel
+    # vectors and image, so the same representatives and class
     # coordinates: the odd page complex is the even one
     odd_cx = even_cx if d11 == _affine(d00, -1, 0, p) else ChainComplex._of(p, gens, d11, check=False)
     e1_even = even_cx.homology_dims()
@@ -351,8 +352,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     e2_odd_total = 0
     for k in degrees:
         # both induced maps have internal degree 0
-        m10 = d10_induced[k] = _induced(model.terms.get((1, 0), zero), even_cx, odd_cx, k, "d_0^1")
-        m21 = d21_induced[k] = _induced(model.terms.get((2, 1), zero), odd_cx, even_cx, k, "d_1^2")
+        m10 = d10_induced[k] = _induced(model.terms.get((1, 0), zero), even_cx, odd_cx, k)
+        m21 = d21_induced[k] = _induced(model.terms.get((2, 1), zero), odd_cx, even_cx, k)
         r10 = rank(FpMatrix(m10, p))
         r21 = rank(FpMatrix(m21, p))
         one_part = m10.shape[1] - r10 - r21  # ker[d10] / im[d21]
@@ -373,7 +374,7 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     s, nm = base.columns("sigma"), base.norm()
     if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
-        parts = [decompose(FpMatrix(_induced(s, even_cx, even_cx, k, "sigma"), p)).multiplicities for k in e1_even]
+        parts = [decompose(FpMatrix(_induced(s, even_cx, even_cx, k), p)).multiplicities for k in e1_even]
         sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))
         sigma_tate = tate_and_invariant_dims(sigma_module)[0]
     return AlgebraicSSPages(

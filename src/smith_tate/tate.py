@@ -340,14 +340,14 @@ def quasi_frobenius(
     label_of: dict[tuple[int, int], str] = {}
     hdims = V.homology_dims()
     for k in sorted(hdims):
-        reps = V.homology_basis(k)
-        idx = V.degree_indices(k)
+        reps = V._homology(k)
+        columns += list(V._coordinates(k, reps).T)
         for i, z in enumerate(reps):
             lab = f"h{k}.{i}"
             labels.append(lab)
             degrees[lab] = k
             label_of[(k, i)] = lab
-            support = [(V._ids[idx[t]], int(z[t])) for t in np.nonzero(z)[0]]
+            support = [(V._ids[g], c) for g, c in sorted(z.items())]
             word_vec: dict[str, int] = {}
             for combo in _product(support, repeat=p):
                 coeff = 1
@@ -356,7 +356,6 @@ def quasi_frobenius(
                 wid = "|".join(g for g, _ in combo)
                 word_vec[wid] = (word_vec.get(wid, 0) + coeff) % p
             chain_map[lab] = {w: c for w, c in word_vec.items() if c}
-            columns.append(V.express_in_homology(k, z))
     n = len(labels)
     induced = np.zeros((n, n), dtype=np.int64)
     pos = 0

@@ -42,8 +42,10 @@ The library takes the ranks of t^k only until they stop falling;
 nilpotent_partition_by_p_ranks takes all p - 1 of them and t^p.
 The generators invert unipotent changes of basis I + E by repeated
 squaring; unipotent_inverse_by_neumann sums the Neumann series.
-The library reads homology off one cached elimination per degree and
-induced maps as matrix products; homology_basis_by_solve and
+The library reads homology off sparse column reductions per degree and
+applies each induced map to sparse representatives; homology_dense keeps
+the dense elimination of [d^(k-1) | Z | I] it replaced, with rref, whose
+free-variable kernel basis is Z; homology_basis_by_solve and
 express_in_homology_by_solve eliminate the image basis of d^(k-1) beside
 the kernel of d^k and solve each cocycle against it, and
 algebraic_ss_by_vectors induces the page maps one zero-padded vector at a
@@ -77,6 +79,7 @@ residue arrays.
 import math
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +108,7 @@ from smith_tate.errors import (
     SpectralEndpoint,
     check_size,
 )
-from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rank, reduce_columns, rref
+from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rank, reduce_columns
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -1068,7 +1071,64 @@ def torsion_witness_by_fractions(b):
 
 
 # ---------------------------------------------------------------------------
-# homology by solving
+# homology by dense elimination and by solving
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    rank: int
+    kernel_basis: list  # list of int64 vectors, m.v = 0
+    image_basis: list  # original columns spanning the column space
+    pivots: tuple
+    reduced: np.ndarray
+
+
+def rref(m: FpMatrix) -> RrefResult:
+    """Reduced row echelon form with kernel and image bases.
+
+    kernel vectors use the standard free-variable parameterization (one
+    basis vector per non-pivot column, unit in that coordinate); the image
+    basis is the original pivot columns, so both are deterministic.
+    """
+    red, pivots = _row_reduce(m.a, m.p)
+    rank = len(pivots)
+    pivset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    kernel = []
+    for f in free:
+        v = np.zeros(m.cols, dtype=np.int64)
+        v[f], v[pivots] = 1, (-red[:rank, f]) % m.p
+        kernel.append(v)
+    image = [m.a[:, c].copy() for c in pivots]
+    return RrefResult(rank, kernel, image, tuple(pivots), red)
+
+
+def kernel_basis(m: FpMatrix) -> list:
+    return rref(m).kernel_basis
+
+
+def homology_dense(cx, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, coords) for H^k: the n_k x dim H^k matrix of cocycle
+    representatives of a basis, and the dim H^k x n_k matrix sending a
+    cocycle to its class coordinates in that basis.
+
+    One elimination of [d^(k-1) | Z | I], with Z the kernel basis of
+    rref(d^k): its pivot columns in Z are cocycles independent modulo the
+    image of d^(k-1), and since Z spans ker d^k they represent a basis of
+    H^k.  The identity block records the row operations E, and E sends each
+    pivot column to its unit vector, so the rows of E at the Z pivots read
+    off the class coordinates of any cocycle.
+    """
+    dprev = cx.d_block(k - 1)
+    ker = rref(FpMatrix(cx.d_block(k), cx.p)).kernel_basis
+    n, m = dprev.shape
+    z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
+    red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), cx.p)
+    lo = sum(c < m for c in pivots)
+    hi = sum(c < m + len(ker) for c in pivots)
+    if hi != len(ker):
+        raise NotSquareZero(f"the image of d^{k - 1} is not inside the kernel of d^{k}")
+    return z[:, [c - m for c in pivots[lo:hi]]], red[lo:hi, m + len(ker):]
 
 
 def solve(m: FpMatrix, b: np.ndarray):

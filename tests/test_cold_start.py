@@ -1,7 +1,7 @@
 """What a fresh process loads: `import smith_tate` loads no submodule, and
-each subcommand loads only the modules it runs.  The cohomology, barcode
-and torsion subcommands run on sparse columns and Python ints, so on
-sparse inputs they leave numpy unloaded.  Each load check runs in its own
+each subcommand loads only the modules it runs.  The cohomology, barcode,
+torsion and action spectral sequence subcommands run on sparse columns and
+Python ints, so on sparse inputs they leave numpy unloaded.  Each load check runs in its own
 interpreter, since this one has imported every module already."""
 
 import ast
@@ -105,6 +105,13 @@ def test_barcode_run_loads_the_core_and_persistence(tmp_path):
 def test_barcode_and_torsion_runs_leave_numpy_unloaded(tmp_path, argv, payload):
     path = _input(tmp_path, payload)
     assert _after_run([*argv, "--input", path, "--json"]) == (CORE | {"persistence"}, False)
+
+
+def test_spectral_action_run_leaves_numpy_unloaded(tmp_path):
+    """The action pages come from the persistence pairing and their
+    convergence check from sparse homology, so no array is built."""
+    path = _input(tmp_path, _ISO)
+    assert _after_run(["spectral", "action", "--input", path, "--json"]) == (CORE | {"persistence", "spectral"}, False)
 
 
 def _imports_cli(node: ast.AST) -> bool:

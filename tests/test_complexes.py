@@ -31,7 +31,7 @@ from smith_tate.errors import (
     NotSquareZero,
     TooLarge,
 )
-from smith_tate.fp_core import FpMatrix, fixed_dim, rref
+from smith_tate.fp_core import FpMatrix, fixed_dim
 from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
     _unipotent_pair,
@@ -46,9 +46,12 @@ from oracles import (
     coeff_matrix_by_entries,
     express_in_homology_by_solve,
     homology_basis_by_solve,
+    homology_dense,
+    rref,
     sigma_block,
     unipotent_inverse_by_neumann,
 )
+from test_spectral import _theta_rescaled
 
 
 def free_orbit(p, degree=0, action=0):
@@ -117,6 +120,8 @@ class TestChainComplex:
         cx = ChainComplex(5, [Generator("a", 0), Generator("b", 0)], {})
         coeffs = cx.express_in_homology(0, [2, 3])
         assert coeffs.tolist() == [2, 3]
+        with pytest.raises(ValueError, match="has 2 entries, not 1"):
+            cx.express_in_homology(0, [2])
         with pytest.raises(InvalidComplex):
             acyclic = ChainComplex(5, [Generator("x", 0), Generator("y", 1)], {"x": {"y": 1}})
             acyclic.express_in_homology(0, [1])
@@ -390,14 +395,14 @@ class TestBlockBudget:
         assert V.d_block(0).tolist() == [[0, 0], [2, 0], [0, 0]]
 
     def test_an_oversized_block_is_refused(self):
-        """A block of 2049 x 2049 cells passes the limit of 2^22: homology
+        """A block of 2049 x 2049 cells passes the limit of 2^22: d_block
         refuses it with TooLarge, and the dense block is never built."""
         n = 2049
         gens = [Generator(f"a{i:04d}", 0) for i in range(n)] + [Generator(f"b{i:04d}", 1) for i in range(n)]
         V = ChainComplex(3, gens, {})
         assert n * n > complexes.MAX_BLOCK_CELLS
         with pytest.raises(TooLarge, match="d block from degree 0"):
-            V.homology_dims()
+            V.d_block(0)
 
 
 class TestInvariantsCoinvariants:
@@ -619,7 +624,8 @@ def test_unipotent_inverse_matches_neumann_series():
 def _homology_inputs(p):
     """Fixed-seed complexes of every kind that computes homology: random
     chain and filtered complexes, tensor powers, and the d_0^0 and d_1^1
-    complexes of equivariant models with and without deformation."""
+    complexes of equivariant models with and without deformation, and of
+    the same models with the theta slot rescaled, where d_1^1 != -d_0^0."""
     yield from (random_chain_complex(p, seed) for seed in range(12))
     yield from (random_filtered_complex(p, seed) for seed in range(12))
     base_dim = {2: 5, 3: 3, 5: 2, 7: 2}[p]
@@ -628,21 +634,25 @@ def _homology_inputs(p):
         for deform in (False, True):
             model = random_floer_model(p, seed, deform=deform)
             ids = [g.id for g in model.base.generators]
-            for i in (0, 1):
-                yield ChainComplex(p, model.base.generators, _coeff_map(model.terms.get((i, i), []), ids))
+            for m in (model, _theta_rescaled(model, seed)):
+                for i in (0, 1):
+                    yield ChainComplex(p, m.base.generators, _coeff_map(m.terms.get((i, i), []), ids))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_homology_matches_the_solve_route(p):
     """Fixed-seed differential check of homology_basis and
-    express_in_homology against solving each cocycle beside the image
+    express_in_homology against the dense elimination of [d^(k-1) | Z | I]
+    that they replaced and against solving each cocycle beside the image
     basis of d^(k-1), on vectors and on matrices of cocycle columns."""
     rng = np.random.default_rng(p)
     classes = boundaries = 0
     for cx in _homology_inputs(p):
         for k in cx.degrees():
             reps = cx.homology_basis(k)
+            dense_reps, dense_coords = homology_dense(cx, k)
             assert [z.tolist() for z in reps] == [z.tolist() for z in homology_basis_by_solve(cx, k)]
+            assert [z.tolist() for z in reps] == dense_reps.T.tolist()
             ker = rref(FpMatrix(cx.d_block(k), p)).kernel_basis
             if not ker:
                 continue
@@ -653,6 +663,7 @@ def test_homology_matches_the_solve_route(p):
             cocycles %= p
             coords = cx.express_in_homology(k, cocycles)
             assert coords.shape == (len(reps), 5)
+            assert coords.tolist() == (dense_coords @ cocycles % p).tolist()
             for c in range(5):
                 want = express_in_homology_by_solve(cx, k, cocycles[:, c])
                 assert cx.express_in_homology(k, cocycles[:, c]).tolist() == want.tolist()

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import _matpow, leading_pivots, nilpotent_partition_by_p_ranks, solve
+from oracles import _matpow, kernel_basis, leading_pivots, nilpotent_partition_by_p_ranks, rref, solve
 
 import smith_tate.complexes as complexes
 from smith_tate.complexes import ChainComplex, Generator, _affine, _dense, _power, _sparse
@@ -22,10 +22,8 @@ from smith_tate.fp_core import (
     _matmul_mod,
     check_prime,
     is_prime,
-    kernel_basis,
     nilpotent_partition,
     rank,
-    rref,
 )
 from smith_tate.random_instances import random_sigma_with_multiplicities
 
