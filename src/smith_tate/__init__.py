@@ -29,7 +29,7 @@ _EXPORTS = {
             "SpectralEndpoint", "TooLarge", "UnknownCommand", "UnknownProperty",
         ),
         "fp_core": (
-            "FpMatrix", "FpScalar", "check_prime", "is_prime", "nilpotent_partition", "rank",
+            "FpMatrix", "check_prime", "is_prime", "nilpotent_partition",
         ),
         "module_decomp": (
             "ChainReport", "ModuleDecomposition", "decompose", "smith_chain_check", "tate_and_invariant_dims",

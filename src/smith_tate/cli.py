@@ -14,8 +14,8 @@ JSON boundary as "num/den" strings to stay exact.
 A process loads only the modules its subcommand runs: tate and the JSON
 codec at import, every other module inside the handlers that call it.
 numpy loads only where dense algebra runs, inside the functions that
-build or use arrays, so tate, group-cohomology, barcode and torsion on
-sparse inputs never load it.
+build or use arrays, so tate, group-cohomology, barcode, torsion,
+spectral action, decompose and smith-check on sparse inputs never load it.
 Those handlers import their functions each time they run, never into a
 table or default built at import, so a profiler that wraps module
 attributes sees every call.
@@ -86,8 +86,8 @@ def _cmd_decompose(args):
     from .module_decomp import decompose, tate_and_invariant_dims
 
     digest, (data,) = _read_json_files(args.sigma)
-    s = _sigma_from_json(data)
-    d = decompose(s)
+    p, s = _sigma_from_json(data)
+    d = decompose(s, p)
     tate_total, invariant = tate_and_invariant_dims(d)
     results = {
         "p": d.p,
@@ -106,8 +106,8 @@ def _cmd_smith_check(args):
 
     files, (data,) = _read_json_files(args.sigma)
     digest = _digest_params(files, "hf-dim", args.hf_dim)
-    s = _sigma_from_json(data)
-    rep = smith_chain_check(args.hf_dim, s)
+    p, s = _sigma_from_json(data)
+    rep = smith_chain_check(args.hf_dim, s, p)
     results = {
         "p": rep.p,
         "hf-dim": rep.hf_phi_dim,
@@ -257,15 +257,15 @@ def _cmd_morse_constants(args):
         by_index[cp.index] = by_index.get(cp.index, 0) + 1
     results = {
         "p": args.p,
-        "wilson": wil.value,
-        "euler-sign": eu.sign.value,
+        "wilson": wil,
+        "euler-sign": eu.sign,
         "euler-u-exponent": eu.u_exponent,
         "critical-count": len(pts),
         "critical-by-index": by_index,
         "resolution": list(res),
     }
     checks = {
-        "wilson-is-minus-one": wil.value == (args.p - 1) % args.p,
+        "wilson-is-minus-one": wil == (args.p - 1) % args.p,
         "resolution-interior-vanishes": res[0] == 1 and not any(res[1:-1]),
     }
     return digest, results, checks

@@ -49,7 +49,7 @@ from .errors import (
     TooLarge,
     check_size,
 )
-from .fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, reduce_columns
+from .fp_core import _check_matrix_prime, _matmul_mod, reduce_columns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,9 +146,11 @@ def _strict_int(v, what: str) -> int:
 
 def _triplets_from_json(trips, n: int, p: int) -> Columns:
     """The n columns over F_p of a JSON list of [row, col, value] triplets, each
-    a 3-element list; a repeated (row, col) keeps its last value (0 mod p: none)."""
+    a 3-element list; a repeated (row, col) keeps its last value (0 mod p: none).
+    More triplets than one dense block has cells, MAX_BLOCK_CELLS, raise TooLarge."""
     if not isinstance(trips, list):
         raise MalformedInput(f"a matrix must be a list of [row, col, value] triplets, got {_shown(trips)}")
+    check_size("matrix triplets", len(trips), MAX_BLOCK_CELLS)
     cols: Columns = [{} for _ in range(n)]
     for t in trips:
         if not isinstance(t, list) or len(t) != 3:
@@ -184,7 +186,7 @@ def _sparse(m: np.ndarray) -> Columns:
 
 def _dense(a: Columns, rows: int) -> np.ndarray:
     """The rows x len(a) residue array of columns a; the inverse of _sparse.
-    Callers bound its size: MAX_BLOCK_CELLS, or MAX_SIGMA_SIZE for a sigma file."""
+    Callers bound its size by MAX_BLOCK_CELLS."""
     import numpy as np
 
     m = np.zeros((rows, len(a)), dtype=np.int64)
@@ -212,6 +214,9 @@ def _block(a: Columns, rows: list[int], sources: list[int], what: str) -> np.nda
 # many of _matmul_mod's BLAS product with its conversions: 0.155 us against
 # 0.15 ns at n = 512 (2-core Xeon, numpy 2.4; 560 at n = 256, 1660 at 1024)
 _BLAS_GAIN = 1024
+# the dense route's fixed cost, its numpy calls, in sparse multiply-adds:
+# about 17 us against 0.14 us at n <= 4 (same machine)
+_DENSE_FIXED_STEPS = 128
 
 
 def _compose(a: Columns, b: Columns, p: int) -> Columns:
@@ -220,15 +225,16 @@ def _compose(a: Columns, b: Columns, p: int) -> Columns:
 
     The sparse loop takes one multiply-add per entry of a_t for each entry
     t of each column of b.  The dense route converts about n^2 cells, one
-    sparse step each, and runs n^3 / _BLAS_GAIN steps' worth of BLAS; when
-    the sparse count passes that and n^2 stays within MAX_BLOCK_CELLS, the
-    product runs dense through _matmul_mod.  This is the one choice of
-    density in the package: the sparse loop won below it and the dense
-    route above it on random columns at n = 16 to 512.
+    sparse step each, runs n^3 / _BLAS_GAIN steps' worth of BLAS and pays
+    _DENSE_FIXED_STEPS; when the sparse count passes that and n^2 stays
+    within MAX_BLOCK_CELLS, the product runs dense through _matmul_mod.
+    This is the one choice of density for products, as fp_core.column_rank
+    is for elimination: the sparse loop won below it and the dense route
+    above it on random columns at n = 2 to 512.
     """
     n = len(a)
     work = sum(map(len, map(a.__getitem__, chain.from_iterable(b))))
-    if work > n * n + n**3 // _BLAS_GAIN and n * n <= MAX_BLOCK_CELLS:
+    if work > n * n + n**3 // _BLAS_GAIN + _DENSE_FIXED_STEPS and n * n <= MAX_BLOCK_CELLS:
         m = _dense(a, n)
         return _sparse(_matmul_mod(m, m if b is a else _dense(b, n), p))
     out: Columns = []
@@ -883,7 +889,9 @@ def complex_from_json(data):
 # bounds, shared by the cli and fuzz subcommands
 
 _FAILURE_DISPLAY_CAP = 20  # the most failures one report lists
-MAX_SIGMA_SIZE = 4096  # the dense size x size sigma matrix is allocated up front
+# a sigma file's 'size' empty columns, about 70 bytes each, are allocated
+# before its triplets are read
+MAX_SIGMA_COLUMNS = 1 << 16
 
 _escape = json.encoder.encode_basestring_ascii
 # the text of a JSON scalar, by exact type; subclasses take the slow branch
@@ -1011,7 +1019,8 @@ def _digest_params(*parts) -> str:
 # sigma matrix files: {"p": prime, "size": n, "matrix": [[row, col, value], ...]}
 
 
-def _sigma_from_json(data) -> FpMatrix:
+def _sigma_from_json(data) -> tuple[int, Columns]:
+    """(p, the size sparse columns of sigma) of a sigma file."""
     data = _json_object(data, "sigma")
     if "p" not in data or "size" not in data:
         raise MalformedInput("sigma JSON needs integer fields 'p' and 'size'")
@@ -1020,12 +1029,12 @@ def _sigma_from_json(data) -> FpMatrix:
     _check_matrix_prime(p)
     if n < 0:
         raise MalformedInput("'size' must be nonnegative")
-    check_size("sigma 'size'", n, MAX_SIGMA_SIZE)
-    return FpMatrix(_dense(_triplets_from_json(data.get("matrix", []), n, p), n), p)
+    check_size("sigma 'size'", n, MAX_SIGMA_COLUMNS)
+    return p, _triplets_from_json(data.get("matrix", []), n, p)
 
 
-def _sigma_to_json(m: FpMatrix) -> dict:
-    return {"p": m.p, "size": m.rows, "matrix": _triplets_to_json(_sparse(m.a))}
+def _sigma_to_json(p: int, sigma: Columns) -> dict:
+    return {"p": p, "size": len(sigma), "matrix": _triplets_to_json(sigma)}
 
 
 # window bounds: --window LO:HI, or a fuzz payload's [lo, hi] pair

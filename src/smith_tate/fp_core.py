@@ -1,12 +1,14 @@
 """Exact linear algebra over the prime field F_p: dense, and sparse columns.
 
-Inside the package a matrix is a plain numpy int64 array of residues in
-[0, p), and its owner holds the prime: ChainComplex.p,
-EquivariantFloerModel.p, or the p of a sigma file.  The prime is checked
-where it enters: the FpMatrix constructor, ChainComplex.__init__ and the
-JSON readers.  FpMatrix is the checked argument of the public entry points
-(rank, nilpotent_partition and their callers); every public routine
-returns fully reduced results.  Homology is read off the sparse
+Inside the package a matrix is sparse columns, a list of {row: residue}
+dicts, or a plain numpy int64 array of residues in [0, p), and its owner
+holds the prime: ChainComplex.p, EquivariantFloerModel.p, or the p of a
+sigma file.  The prime is checked where it enters: ChainComplex.__init__,
+the JSON readers, nilpotent_partition and the FpMatrix constructor.
+FpMatrix, a checked dense matrix, is only what the seeded sigma samplers
+of random_instances return.  Every rank that is not read off
+reduce_columns' lows comes from column_rank, which picks dense or sparse
+elimination from the columns.  Homology is read off the sparse
 reduce_columns, whose choice of independent columns depends only on the
 column order (complexes.ChainComplex._homology).
 
@@ -17,19 +19,19 @@ arrays goes through _matmul_mod, which picks its route from the shape:
 below _BLAS_MIN_WORK multiply-adds it runs on int64, at or above it on
 float64 BLAS while its sums stay below 2^53, and past that on int64 again.
 No power of an array is taken here: powers, the norm among them, are
-products of sparse columns (complexes._power).  FpScalar uses Python
-integers and takes any prime below PRIMALITY_BOUND, where the Miller-Rabin
-test of is_prime is exact.
+products of sparse columns (complexes._power).  Primality takes any number
+below PRIMALITY_BOUND, where the Miller-Rabin test of is_prime is exact.
 
 numpy is imported inside the routines that build or use arrays, not at
-the top: primality, FpScalar and the sparse reduce_columns run without
-it, so a process that only reduces sparse columns never loads it.
+the top: primality, the sparse reduce_columns and column_rank on sparse
+columns run without it, so a process that only reduces sparse columns
+never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import NotNilpotent, NotPrime, PrimeTooLarge
@@ -108,44 +110,8 @@ def _check_matrix_prime(p: int) -> int:
     return check_prime(p)
 
 
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in [0, p); the modulus is primality-checked."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._same(other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._same(other)
-        return FpScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._same(other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    def _same(self, other: "FpScalar") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    def __int__(self) -> int:
-        return self.value
-
-
 class FpMatrix:
-    """Dense matrix over F_p, the checked argument of the public entry points.
+    """Dense matrix over F_p: what the seeded sigma samplers return.
 
     Construction checks the prime and reduces the entries; inside the
     package matrices are plain int64 residue arrays (the attribute a), and
@@ -183,12 +149,6 @@ class FpMatrix:
             and self.a.shape == other.a.shape
             and bool((self.a == other.a).all())
         )
-
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {self.a.tolist()})"
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -263,20 +223,35 @@ def reduce_columns(columns, p: int) -> list[int]:
     return lows
 
 
-def rank(m: FpMatrix) -> int:
-    return len(_row_reduce(m.a, m.p)[1])
+# cells from which column_rank may eliminate dense.  On random square
+# matrices (p = 3 and 7, 2-core Xeon, numpy 2.4) the sparse reduction won at
+# every density up to 28 x 28, and _row_reduce won from a quarter nonzero
+# at 40 x 40 and from a tenth at 100 x 100, as the sparse columns fill in
+_DENSE_MIN_CELLS = 32 * 32
 
 
-def fixed_dim(sigma: np.ndarray, p: int) -> int:
-    """dim ker(sigma - 1) = n - rank(sigma - 1) for an n x n residue array."""
-    import numpy as np
+def column_rank(columns, rows: int, p: int) -> int:
+    """The rank over F_p of the rows x len(columns) matrix whose columns are
+    the sparse {row: residue} dicts columns, which are left unchanged.
 
-    n = len(sigma)
-    return n - len(_row_reduce(sigma - np.eye(n, dtype=np.int64), p)[1])
+    This is the one choice of density for elimination, as complexes._compose
+    is for products.  A matrix of at least _DENSE_MIN_CELLS cells, at most
+    MAX_BLOCK_CELLS, with a quarter of them nonzero, runs _row_reduce on its
+    dense cut; any other counts the lows of reduce_columns on copies.  On a
+    dense conjugated sigma of 399 generators the sparse route alone made
+    decompose 4.5 to 6 times slower; on a permutation it stays linear.
+    """
+    from .complexes import MAX_BLOCK_CELLS, _dense
+
+    cells = rows * len(columns)
+    if _DENSE_MIN_CELLS <= cells <= MAX_BLOCK_CELLS and 4 * sum(map(len, columns)) >= cells:
+        return len(_row_reduce(_dense(columns, rows), p)[1])
+    return sum(lo >= 0 for lo in reduce_columns([dict(col) for col in columns], p))
 
 
-def nilpotent_partition(t: FpMatrix) -> list[int]:
-    """Jordan block sizes of a nilpotent operator with t^p = 0.
+def nilpotent_partition(t, p: int) -> list[int]:
+    """Jordan block sizes of a nilpotent operator with t^p = 0, given as
+    square sparse columns: a key at or past len(t) raises NotNilpotent.
 
     Computed from the rank sequence: the number of blocks of size >= k is
     rank(t^{k-1}) - rank(t^k), so exactly k is its second difference.
@@ -285,16 +260,19 @@ def nilpotent_partition(t: FpMatrix) -> list[int]:
     ranks.  t^p = 0 exactly when that last power t^k is 0.  Returned sorted
     descending; sizes sum to the dimension.
     """
-    if t.rows != t.cols:
+    from .complexes import _compose
+
+    _check_matrix_prime(p)
+    n = len(t)
+    if max(chain.from_iterable(t), default=-1) >= n:
         raise NotNilpotent("operator must be square")
-    n, p = t.rows, t.p
-    ranks, power = [n], t.a  # ranks[k] = rank(t^k); power = t^len(ranks)
+    ranks, power = [n], t  # ranks[k] = rank(t^k); power = t^len(ranks)
     while True:
-        ranks.append(rank(FpMatrix(power, p)))
+        ranks.append(column_rank(power, n, p))
         if ranks[-1] == ranks[-2] or len(ranks) > p:
             break
-        power = _matmul_mod(power, t.a, p)
-    if power.any():
+        power = _compose(power, t, p)
+    if any(power):
         raise NotNilpotent(f"t^{p} != 0")
     ranks += [0, 0]
     sizes = [k for k in range(len(ranks) - 2, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]

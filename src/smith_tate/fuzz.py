@@ -144,20 +144,20 @@ def _sigma_size(p, args):
 
 def _gen_sigma_decomposition(rng, p, args):
     s, mults = random_instances.random_sigma_with_multiplicities(p, rng, max_dim=args.max_gens or 12)
-    return {"kind": "sigma", "sigma": _sigma_to_json(s), "expected": list(mults)}
+    return {"kind": "sigma", "sigma": _sigma_to_json(s.p, _sparse(s.a)), "expected": list(mults)}
 
 
 def _check_sigma_decomposition(payload):
-    s = _decoded(payload, "sigma", _sigma_from_json)
+    p, s = _decoded(payload, "sigma", _sigma_from_json)
     expected = _field(payload, "expected", list, None)
-    d = module_decomp.decompose(s)
-    n = s.rows
+    d = module_decomp.decompose(s, p)
+    n = len(s)
     tate_total, invariant = module_decomp.tate_and_invariant_dims(d)
-    direct_invariant = fp_core.fixed_dim(s.a, s.p)
+    direct_invariant = n - fp_core.column_rank(complexes._affine(s, 1, -1, p), n, p)
     # cross-check against the complex concentrated in degree 0: its Tate
     # cohomology must count the non-free blocks once per parity
     gens = [(f"v{i:0{len(str(n))}d}", 0, Fraction(0)) for i in range(n)]  # sorted as the matrix's indices
-    V = EquivariantComplex._of(s.p, gens, [{}] * n, _sparse(s.a))
+    V = EquivariantComplex._of(p, gens, [{}] * n, s)
     direct_tate = tate.tate_cohomology_dims(V)
     ok = (
         invariant == direct_invariant

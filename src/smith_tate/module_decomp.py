@@ -11,11 +11,11 @@ fixed-point inequalities need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-import numpy as np
-
+from .complexes import Columns, _affine
 from .errors import NotNilpotent, NotOrderP, check_size
-from .fp_core import FpMatrix, fixed_dim, nilpotent_partition
+from .fp_core import column_rank, nilpotent_partition
 
 # the largest p whose p Jordan multiplicities decompose allocates and a
 # report lists; the largest prime the tests, the CI fuzz steps and the
@@ -53,20 +53,20 @@ class ModuleDecomposition:
         return all(m == 0 for m in self.multiplicities[:-1])
 
 
-def decompose(sigma: FpMatrix) -> ModuleDecomposition:
-    """Jordan multiplicities of the module (F_p^n, sigma) over F_p[Z/pZ].
+def decompose(sigma: Columns, p: int) -> ModuleDecomposition:
+    """Jordan multiplicities of the module (F_p^n, sigma) over F_p[Z/pZ],
+    for sigma given as n sparse columns; a key at or past n raises NotOrderP.
 
     sigma^p - 1 = (sigma - 1)^p in characteristic p, so sigma has order
     dividing p exactly when t = sigma - 1 has t^p = 0, which
     nilpotent_partition tests.  A prime above MAX_DECOMPOSE_PRIME raises
     TooLarge before any multiplicity is allocated."""
-    p = sigma.p
     check_size("p, the number of Jordan multiplicities", p, MAX_DECOMPOSE_PRIME)
-    n = sigma.rows
-    if sigma.cols != n:
+    n = len(sigma)
+    if max(chain.from_iterable(sigma), default=-1) >= n:
         raise NotOrderP("sigma must be square")
     try:
-        partition = nilpotent_partition(FpMatrix(sigma.a - np.eye(n, dtype=np.int64), p))
+        partition = nilpotent_partition(_affine(sigma, 1, -1, p), p)
     except NotNilpotent:
         raise NotOrderP(f"sigma^{p} != identity") from None
     m = [0] * p
@@ -113,20 +113,21 @@ class ChainReport:
         return self.holds_sharpened and self.holds_classical and self.holds_invariant_leq_dim
 
 
-def smith_chain_check(hf_phi_dim: int, sigma_on_hf_phi_p: FpMatrix) -> ChainReport:
+def smith_chain_check(hf_phi_dim: int, sigma_on_hf_phi_p: Columns, p: int) -> ChainReport:
     """Check the fixed-point dimension chain against a concrete sigma.
 
     hf_phi_dim is the dimension being bounded; sigma_on_hf_phi_p is the
-    induced order-p operator on the p-th iterate's cohomology.  The
-    invariant dimension is cross-computed from rank(sigma - 1) and must
-    match the multiplicity formula.
+    induced order-p operator on the p-th iterate's cohomology, as sparse
+    columns.  The invariant dimension is cross-computed as
+    n - rank(sigma - 1) and must match the multiplicity formula.
     """
     if hf_phi_dim < 0:
         raise ValueError("hf_phi_dim must be nonnegative")
-    d = decompose(sigma_on_hf_phi_p)
+    d = decompose(sigma_on_hf_phi_p, p)
     sharpened = sum(d.multiplicities[:-1])
     _, invariant = tate_and_invariant_dims(d)
-    direct_invariant = fixed_dim(sigma_on_hf_phi_p.a, d.p)
+    n = len(sigma_on_hf_phi_p)
+    direct_invariant = n - column_rank(_affine(sigma_on_hf_phi_p, 1, -1, p), n, p)
     if direct_invariant != invariant:
         raise RuntimeError(
             f"invariant dimension {direct_invariant} from rank(sigma - 1) differs from {invariant} from the decomposition"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .complexes import _affine, _power
 from .errors import MalformedInput, PrimeTooLarge, check_size
-from .fp_core import FpScalar, check_prime, reduce_columns
+from .fp_core import check_prime, reduce_columns
 
 MORSE_PRIME_BOUND = 2**8
 # one dimension per resolution degree, and 2p(l_max + 1) critical points
@@ -125,13 +125,13 @@ def resolution_homology(p: int, length: int) -> tuple[int, ...]:
     )
 
 
-def wilson_constant(p: int) -> FpScalar:
+def wilson_constant(p: int) -> int:
     """Product of all units of F_p; always the residue p - 1."""
     _check_budget(p)
     out = 1
     for a in range(2, p):
         out = (out * a) % p
-    return FpScalar(out, p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class EulerConstant:
 
     p: int
     n: int
-    sign: FpScalar
+    sign: int
     u_exponent: int
 
 
@@ -151,5 +151,4 @@ def local_euler_constant(n: int, p: int) -> EulerConstant:
     _check_budget(p)
     if n < 0:
         raise MalformedInput("n must be non-negative")
-    w = wilson_constant(p).value
-    return EulerConstant(p=p, n=n, sign=FpScalar(pow(w, n, p), p), u_exponent=n * (p - 1))
+    return EulerConstant(p=p, n=n, sign=pow(wilson_constant(p), n, p), u_exponent=n * (p - 1))

@@ -115,19 +115,17 @@ def _bareiss_step(a: np.ndarray, piv: np.ndarray, prev: np.ndarray, width: int, 
     return num.reshape(m, n, num.shape[1])
 
 
-def _check_limits(poly_mat: list[list[Poly]], p: int) -> tuple[int, int]:
-    """(D, width) of a polynomial matrix: its entry degree D, -1 when it is
-    zero, and min(rows, cols) * D + 1, after bareiss_rank's size and work limits."""
-    rows, cols = len(poly_mat), len(poly_mat[0]) if poly_mat else 0
-    deg = max((max(map(len, row), default=0) for row in poly_mat), default=0) - 1
-    if deg < 0:
-        return deg, 0
+def _check_limits(rows: int, cols: int, deg: int, p: int) -> int:
+    """The width min(rows, cols) * deg + 1 of a rows x cols polynomial
+    matrix of entry degree deg >= 0, after bareiss_rank's size and work
+    limits: the shape and degree suffice, so a caller can check them
+    before it builds the matrix."""
     width = min(rows, cols) * deg + 1
     check_size("Bareiss coefficient array (rows * cols * width)", rows * cols * width, MAX_BAREISS_CELLS)
     if width * (p - 1) ** 2 >= 1 << 63:
         raise TooLarge(f"Bareiss width {width} at p = {p} could overflow int64 sums")
     check_size("Bareiss step work (rows * cols * width^2)", rows * cols * width * width, MAX_BAREISS_WORK)
-    return deg, width
+    return width
 
 
 def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
@@ -144,9 +142,10 @@ def bareiss_rank(poly_mat: list[list[Poly]], p: int) -> int:
     MAX_BAREISS_CELLS, int64 sums or MAX_BAREISS_WORK, _check_limits raises
     TooLarge before anything is allocated.
     """
-    deg, width = _check_limits(poly_mat, p)
+    deg = max((max(map(len, row), default=0) for row in poly_mat), default=0) - 1
     if deg < 0:
         return 0
+    width = _check_limits(len(poly_mat), len(poly_mat[0]), deg, p)
     a = np.zeros((len(poly_mat), len(poly_mat[0]), deg + 1), dtype=np.int64)
     for i, row in enumerate(poly_mat):
         for j, e in enumerate(row):

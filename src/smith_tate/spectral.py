@@ -42,6 +42,7 @@ from .complexes import (
     _json_object,
     _out_of_range,
     _shown,
+    _sparse,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -54,7 +55,7 @@ from .errors import (
     MalformedInput,
     NotSquareZero,
 )
-from .fp_core import FpMatrix, rank
+from .fp_core import column_rank
 from .persistence import persistence_pairing
 from .tate import _parity_dims, assemble, tate_terms
 
@@ -354,8 +355,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
         # both induced maps have internal degree 0
         m10 = d10_induced[k] = _induced(model.terms.get((1, 0), zero), even_cx, odd_cx, k)
         m21 = d21_induced[k] = _induced(model.terms.get((2, 1), zero), odd_cx, even_cx, k)
-        r10 = rank(FpMatrix(m10, p))
-        r21 = rank(FpMatrix(m21, p))
+        r10 = column_rank(_sparse(m10), len(m10), p)
+        r21 = column_rank(_sparse(m21), len(m21), p)
         one_part = m10.shape[1] - r10 - r21  # ker[d10] / im[d21]
         theta_part = m21.shape[1] - r21 - r10  # ker[d21] / im[d10]
         e2_by_degree[k] = {"one": one_part, "theta": theta_part}
@@ -374,7 +375,7 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     s, nm = base.columns("sigma"), base.norm()
     if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
-        parts = [decompose(FpMatrix(_induced(s, even_cx, even_cx, k), p)).multiplicities for k in e1_even]
+        parts = [decompose(_sparse(_induced(s, even_cx, even_cx, k)), p).multiplicities for k in e1_even]
         sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))
         sigma_tate = tate_and_invariant_dims(sigma_module)[0]
     return AlgebraicSSPages(

@@ -35,9 +35,9 @@ from itertools import product as _product
 from typing import TYPE_CHECKING
 
 from . import fp_core
-from .complexes import ChainComplex, Columns, _affine, _block, _rotation_sign
+from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _block, _rotation_sign, _sparse
 from .errors import InvalidComplex, check_size
-from .fp_core import FpMatrix, rank
+from .fp_core import column_rank
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,8 +143,9 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     method="evaluation" (default) takes that rank at u = 1, one column
     reduction per parity block; method="bareiss" runs fraction-free
     elimination on the same parity blocks over F_p[u], with u on the
-    entries of N, the independent route, checking both blocks' limits before
-    it eliminates either.  Both raise InvalidComplex on an inhomogeneous V.
+    entries of N, the independent route, checking both blocks' limits from
+    their shapes and entry degrees before it builds either.  Both raise
+    InvalidComplex on an inhomogeneous V.
     """
     if method not in ("evaluation", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
@@ -157,15 +158,22 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     p, n, parity = V.p, len(degrees), _parities(degrees)
     even, odd = [x for x, e in enumerate(parity) if not e], [x for x, e in enumerate(parity) if e]
 
+    # refuse either block before building one.  Both have |odd| x |even|
+    # cells.  N maps theta^1 labels (columns >= n) to theta^0 labels (rows
+    # < n), so its entries carry u; d-hat is odd, so every entry of a column
+    # lies in its block's rows, and a block's entry degree is read off its columns
+    cuts = (odd, even, "even"), (even, odd, "odd")
+    check_size("Bareiss block out of the even labels (rows x columns)", len(odd) * len(even), MAX_BLOCK_CELLS)
+    for rows, cols, _ in cuts:
+        deg = max((int(r < n <= c) for c in cols for r in columns[c]), default=-1)
+        if deg >= 0:
+            ratfun._check_limits(len(rows), len(cols), deg, p)
+
     def poly_block(rows, cols, what):
-        # N maps theta^1 labels (columns >= n) to theta^0 labels (rows < n)
         m = _block(columns, rows, cols, f"Bareiss block out of the {what} labels").tolist()
         return [[ratfun.pupow(int(r < n <= c), x, p) if x else () for c, x in zip(cols, row)] for r, row in zip(rows, m)]
 
-    blocks = poly_block(odd, even, "even"), poly_block(even, odd, "odd")
-    for b in blocks:  # refuse either block before eliminating the other
-        ratfun._check_limits(b, p)
-    r_e, r_o = (ratfun.bareiss_rank(b, p) for b in blocks)
+    r_e, r_o = (ratfun.bareiss_rank(poly_block(*cut), p) for cut in cuts)
     return len(even) - r_e - r_o, len(odd) - r_o - r_e
 
 
@@ -373,7 +381,7 @@ def quasi_frobenius(
     # F_p((u)); theta shifts parity, so both counts equal dim H(V)
     target_parity = (n, n)
     # block diagonal by degree: each parity's block is invertible iff it is
-    bij = rank(FpMatrix(induced, p)) == n
+    bij = column_rank(_sparse(induced), n, p) == n
     pairs = coefficient_pairs or [(1, 1)]
     wanted = [
         (k, i, j, a % p, b % p)

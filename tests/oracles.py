@@ -39,7 +39,10 @@ The library runs Bareiss elimination over F_p[u] as products of int64
 coefficient arrays; bareiss_rank_by_entries runs it one polynomial
 product and long division (pmul, psub, pdiv_exact) per entry and step.
 The library takes the ranks of t^k only until they stop falling;
-nilpotent_partition_by_p_ranks takes all p - 1 of them and t^p.
+nilpotent_partition_by_p_ranks takes all p - 1 of them and t^p.  The
+library takes every rank it does not read off reduce_columns' lows from
+fp_core.column_rank, which picks dense or sparse elimination from the
+columns; rank and fixed_dim always run _row_reduce on the dense array.
 The generators invert unipotent changes of basis I + E by repeated
 squaring; unipotent_inverse_by_neumann sums the Neumann series.
 The library reads homology off sparse column reductions per degree and
@@ -108,7 +111,7 @@ from smith_tate.errors import (
     SpectralEndpoint,
     check_size,
 )
-from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, rank, reduce_columns
+from smith_tate.fp_core import FpMatrix, _check_matrix_prime, _matmul_mod, _row_reduce, reduce_columns
 from smith_tate.module_decomp import decompose
 from smith_tate.persistence import (
     Bar,
@@ -572,6 +575,16 @@ def model_poly_route(model) -> tuple[tuple[int, int], bool]:
     e2o, o2e, even, odd = assemble_parity_blocks(degrees, *model_poly_blocks(model), p)
     r_e, r_o = bareiss_rank(e2o, p), bareiss_rank(o2e, p)
     return (len(even) - r_e - r_o, len(odd) - r_o - r_e), poly_square_is_zero(e2o, o2e, p)
+
+
+def rank(m: FpMatrix) -> int:
+    return len(_row_reduce(m.a, m.p)[1])
+
+
+def fixed_dim(sigma: np.ndarray, p: int) -> int:
+    """dim ker(sigma - 1) = n - rank(sigma - 1) for an n x n residue array."""
+    n = len(sigma)
+    return n - len(_row_reduce(sigma - np.eye(n, dtype=np.int64), p)[1])
 
 
 def nilpotent_partition_by_p_ranks(t: FpMatrix) -> list[int]:
@@ -1218,7 +1231,7 @@ def algebraic_ss_by_vectors(model) -> dict:
         for b in blocks:
             star[off:off + b.shape[0], off:off + b.shape[0]] = b
             off += b.shape[0]
-        out["sigma_module"] = decompose(FpMatrix(star, p))
+        out["sigma_module"] = decompose(_sparse(star), p)
     return out
 
 

@@ -11,10 +11,11 @@ import random
 import time
 
 import numpy as np
+from oracles import rank
 
 from smith_tate.cli import dispatch
-from smith_tate.complexes import ActionWindow, EquivariantComplex, Generator, tensor_power, window_truncate
-from smith_tate.fp_core import FpMatrix, rank
+from smith_tate.complexes import ActionWindow, EquivariantComplex, Generator, _sparse, tensor_power, window_truncate
+from smith_tate.fp_core import FpMatrix
 from smith_tate.module_decomp import decompose, tate_and_invariant_dims
 from smith_tate.morse_bzp import local_euler_constant, resolution_homology, wilson_constant
 from smith_tate.persistence import (
@@ -126,14 +127,14 @@ def test_criterion_04_sharpened_bound_vs_invariant_bound():
         mults = [0] * p
         mults[i % (p - 1)] = 1 + (i % 3)
         planted = random_sigma_matrix(p, tuple(mults), i)
-        dec = decompose(planted)
+        dec = decompose(_sparse(planted.a), p)
         assert dec.multiplicities == tuple(mults), f"seed {i}, p={p}"
         td, inv = tate_and_invariant_dims(dec)
         assert td == 2 * inv, f"seed {i}, p={p}: no free part but bounds differ ({td} vs {2 * inv})"
 
         mults[p - 1] = 1 + (i % 2)
         planted = random_sigma_matrix(p, tuple(mults), 1000 + i)
-        dec = decompose(planted)
+        dec = decompose(_sparse(planted.a), p)
         assert dec.multiplicities == tuple(mults), f"seed {i}, p={p}"
         td, inv = tate_and_invariant_dims(dec)
         assert td < 2 * inv, f"seed {i}, p={p}: free part planted but bound not sharper ({td} vs {2 * inv})"
@@ -276,11 +277,11 @@ def test_criterion_08_torsion_witnesses():
 def test_criterion_09_constants():
     t0 = time.perf_counter()
     for p in PRIMES_TO_97:
-        assert wilson_constant(p).value == p - 1, f"p={p}"
+        assert wilson_constant(p) == p - 1, f"p={p}"
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for n in range(21):
             c = local_euler_constant(n, p)
-            assert c.sign.value == pow(p - 1, n, p) == (-1) ** n % p, f"n={n}, p={p}"
+            assert c.sign == pow(p - 1, n, p) == (-1) ** n % p, f"n={n}, p={p}"
             assert c.u_exponent == n * (p - 1), f"n={n}, p={p}"
     for p in (2, 3, 5, 7):
         res = resolution_homology(p, 10)

@@ -699,7 +699,7 @@ def test_a_repeated_triplet_keeps_its_last_value(tmp_path):
     """In a model file and in a sigma file, a repeated (row, col) keeps its
     last value, and a last value of 0 mod p leaves no entry, even after a
     nonzero one."""
-    from smith_tate.complexes import _read_json_files, _sigma_from_json, _sigma_to_json
+    from smith_tate.complexes import _dense, _read_json_files, _sigma_from_json, _sigma_to_json
 
     model = {
         "p": 3,
@@ -719,7 +719,7 @@ def test_a_repeated_triplet_keeps_its_last_value(tmp_path):
     assert m.terms[(2, 0)] == [{}, {0: 2}]
     assert m.terms[(2, 1)] == [{0: 2}, {}]
     assert [t["matrix"] for t in model_to_json(m)["d_terms"]] == [[[0, 1, 2]], [[0, 0, 2]]]
-    s = _sigma_from_json(sigma)
-    assert s.a.tolist() == [[1, 2], [1, 0]]
-    assert _sigma_to_json(s)["matrix"] == [[0, 0, 1], [0, 1, 2], [1, 0, 1]]
+    p, s = _sigma_from_json(sigma)
+    assert _dense(s, 2).tolist() == [[1, 2], [1, 0]]
+    assert _sigma_to_json(p, s)["matrix"] == [[0, 0, 1], [0, 1, 2], [1, 0, 1]]
     assert _triplets_from_json([[1, 0, 2], [1, 0, 0], [0, 1, 4]], 2, 3) == [{}, {0: 1}]

@@ -1,7 +1,8 @@
 """What a fresh process loads: `import smith_tate` loads no submodule, and
 each subcommand loads only the modules it runs.  The cohomology, barcode,
-torsion and action spectral sequence subcommands run on sparse columns and
-Python ints, so on sparse inputs they leave numpy unloaded.  Each load check runs in its own
+torsion, action spectral sequence, decompose and smith-check subcommands
+run on sparse columns and Python ints, so on sparse inputs they leave numpy
+unloaded.  Each load check runs in its own
 interpreter, since this one has imported every module already."""
 
 import ast
@@ -24,6 +25,7 @@ _ISO = {
     "filtered": True,
 }
 _BARS = {"p": 3, "bars": [{"start": "0/1", "end": "1/1", "mult": 2}, {"start": "-1/2", "end": None, "mult": 1}]}
+_SIGMA = {"p": 3, "size": 4, "matrix": [[0, 0, 1], [2, 1, 1], [3, 2, 1], [1, 3, 1]]}
 
 
 def _tensor_cube() -> dict:
@@ -112,6 +114,14 @@ def test_spectral_action_run_leaves_numpy_unloaded(tmp_path):
     convergence check from sparse homology, so no array is built."""
     path = _input(tmp_path, _ISO)
     assert _after_run(["spectral", "action", "--input", path, "--json"]) == (CORE | {"persistence", "spectral"}, False)
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["smith-check", "--hf-dim", "1"]], ids=["decompose", "smith-check"])
+def test_sigma_runs_on_a_small_sigma_leave_numpy_unloaded(tmp_path, argv):
+    """A sigma file is read into sparse columns, and below the size floor
+    of fp_core.column_rank every rank reduces them sparse."""
+    path = _input(tmp_path, _SIGMA)
+    assert _after_run([*argv, "--sigma", path, "--json"]) == (CORE | {"module_decomp"}, False)
 
 
 def _imports_cli(node: ast.AST) -> bool:

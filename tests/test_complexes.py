@@ -31,7 +31,7 @@ from smith_tate.errors import (
     NotSquareZero,
     TooLarge,
 )
-from smith_tate.fp_core import FpMatrix, fixed_dim
+from smith_tate.fp_core import FpMatrix
 from smith_tate.persistence import barcode_from_filtered
 from smith_tate.random_instances import (
     _unipotent_pair,
@@ -45,6 +45,7 @@ from smith_tate.random_instances import (
 from oracles import (
     coeff_matrix_by_entries,
     express_in_homology_by_solve,
+    fixed_dim,
     homology_basis_by_solve,
     homology_dense,
     rref,

@@ -7,25 +7,25 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import _matpow, kernel_basis, leading_pivots, nilpotent_partition_by_p_ranks, rref, solve
+from oracles import _matpow, fixed_dim, kernel_basis, leading_pivots, nilpotent_partition_by_p_ranks, rank, rref, solve
 
 import smith_tate.complexes as complexes
+import smith_tate.fp_core as fp_core
 from smith_tate.complexes import ChainComplex, Generator, _affine, _dense, _power, _sparse
 from smith_tate.errors import NotNilpotent, NotPrime, PrimeTooLarge
 from smith_tate.fp_core import (
     MATRIX_PRIME_BOUND,
     PRIMALITY_BOUND,
     FpMatrix,
-    FpScalar,
     _BLAS_MIN_WORK,
     _check_matrix_prime,
     _matmul_mod,
     check_prime,
+    column_rank,
     is_prime,
     nilpotent_partition,
-    rank,
 )
-from smith_tate.random_instances import random_sigma_with_multiplicities
+from smith_tate.random_instances import random_sigma_matrix, random_sigma_with_multiplicities
 
 
 def test_is_prime_small_values():
@@ -67,10 +67,6 @@ class TestMatrixPrimeBound:
         cx = ChainComplex(p, [Generator("x", 0), Generator("y", 1)], {"x": {"y": big}})
         assert cx.homology_dims() == {}
 
-    def test_scalars_keep_any_prime(self):
-        x = FpScalar(self.TOO_LARGE - 1, self.TOO_LARGE)
-        assert int(x * x) == 1
-
 
 def test_check_prime_rejects_composites():
     assert check_prime(5) == 5
@@ -78,31 +74,6 @@ def test_check_prime_rejects_composites():
         check_prime(6)
     with pytest.raises(NotPrime):
         check_prime(1)
-
-
-class TestFpScalar:
-    def test_reduction_and_arithmetic(self):
-        a = FpScalar(7, 5)
-        assert a.value == 2
-        b = FpScalar(4, 5)
-        assert (a + b).value == 1
-        assert (a - b).value == 3
-        assert (a * b).value == 3
-        assert int(a) == 2
-
-    def test_inverse(self):
-        assert FpScalar(2, 5).inverse().value == 3
-        assert FpScalar(4, 7).inverse().value == 2
-        with pytest.raises(ZeroDivisionError):
-            FpScalar(0, 5).inverse()
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            FpScalar(1, 3) + FpScalar(1, 5)
-
-    def test_modulus_must_be_prime(self):
-        with pytest.raises(NotPrime):
-            FpScalar(1, 4)
 
 
 class TestFpMatrix:
@@ -246,12 +217,12 @@ def test_solve_in_span():
 
 class TestNilpotentPartition:
     def test_zero_operator(self):
-        assert nilpotent_partition(FpMatrix(np.zeros((4, 4)), 3)) == [1, 1, 1, 1]
+        assert nilpotent_partition(_sparse(np.zeros((4, 4), dtype=np.int64)), 3) == [1, 1, 1, 1]
 
     def test_single_jordan_block(self):
         j = np.zeros((3, 3), dtype=int)
         j[0, 1] = j[1, 2] = 1
-        assert nilpotent_partition(FpMatrix(j, 3)) == [3]
+        assert nilpotent_partition(_sparse(j), 3) == [3]
 
     def test_cycle_minus_identity(self):
         """sigma - 1 for the regular representation is one full block."""
@@ -259,19 +230,19 @@ class TestNilpotentPartition:
         s = np.zeros((p, p), dtype=int)
         for j in range(p):
             s[(j + 1) % p, j] = 1
-        t = FpMatrix(s - np.eye(p, dtype=int), p)
-        assert nilpotent_partition(t) == [p]
+        t = _sparse((s - np.eye(p, dtype=int)) % p)
+        assert nilpotent_partition(t, p) == [p]
 
     def test_mixed_blocks(self):
         a = np.zeros((5, 5), dtype=int)
         a[0, 1] = 1  # one block of size 2, three of size 1
-        assert nilpotent_partition(FpMatrix(a, 5)) == [2, 1, 1, 1]
+        assert nilpotent_partition(_sparse(a), 5) == [2, 1, 1, 1]
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):
-            nilpotent_partition(FpMatrix(np.eye(2), 3))
-        with pytest.raises(NotNilpotent):
-            nilpotent_partition(FpMatrix(np.zeros((2, 3)), 3))
+            nilpotent_partition([{0: 1}, {1: 1}], 3)
+        with pytest.raises(NotNilpotent, match="square"):
+            nilpotent_partition([{}, {2: 1}], 3)  # 3 x 2
 
 
 @st.composite
@@ -315,7 +286,7 @@ def test_planted_partition_recovered(p, data):
         for t in range(s - 1):
             a[off + t, off + t + 1] = 1
         off += s
-    assert nilpotent_partition(FpMatrix(a, p)) == sorted(sizes, reverse=True)
+    assert nilpotent_partition(_sparse(a), p) == sorted(sizes, reverse=True)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -342,25 +313,76 @@ def test_partition_matches_all_p_ranks_on_fixed_seeds(p):
         except NotNilpotent as e:
             refused += 1
             with pytest.raises(NotNilpotent) as got:
-                nilpotent_partition(t)
+                nilpotent_partition(_sparse(t.a), p)
             assert str(got.value) == str(e)
         else:
-            assert nilpotent_partition(t) == want, a.tolist()
+            assert nilpotent_partition(_sparse(t.a), p) == want, a.tolist()
     assert 0 < refused < len(cases)
+
+
+def _permutation_sigma(p, n_free, n_fixed, rng):
+    """A permutation of n_free p-cycles and n_fixed fixed points, shuffled."""
+    n = p * n_free + n_fixed
+    points = rng.sample(range(n), n)
+    image = list(range(n))
+    for b in range(n_free):
+        cycle = points[b * p:(b + 1) * p]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            image[x] = y
+    a = np.zeros((n, n), dtype=np.int64)
+    a[image, range(n)] = 1
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_column_rank_matches_the_dense_oracle_on_both_sides_of_the_density_choice(p, monkeypatch):
+    """column_rank, and the Jordan partition and fixed dimension of sigma
+    taken through it, against _row_reduce on the dense array.  Random
+    matrices of every shape around the size floor and at three densities;
+    permutation sigma, whose columns stay sparse at any size and must never
+    be made dense; and conjugated random_sigma_matrix sigma, dense, which
+    must be made dense past the floor and not below it."""
+    dense = []
+    real = fp_core._row_reduce
+    monkeypatch.setattr(fp_core, "_row_reduce", lambda a, q: dense.append(a.shape) or real(a, q))
+    rng = random.Random(p)
+    for rows, cols in ((1, 1), (7, 5), (20, 20), (31, 33), (40, 40), (24, 60), (60, 24)):
+        for density in (0.05, 0.3, 1.0):
+            a = np.array([[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)])
+            assert column_rank(_sparse(a), rows, p) == rank(FpMatrix(a, p)), (a.tolist(), p)
+    assert dense and len(dense) < 21
+
+    def check(sigma):
+        n = len(sigma)
+        t = _affine(_sparse(sigma), 1, -1, p)
+        want = nilpotent_partition_by_p_ranks(FpMatrix(sigma - np.eye(n, dtype=np.int64), p))
+        assert nilpotent_partition(t, p) == want, sigma.tolist()
+        assert n - column_rank(t, n, p) == fixed_dim(sigma, p) == len(want), sigma.tolist()
+
+    for n_free, n_fixed in ((1, 0), (3, 2), (40 // p, 11), (120 // p, 0)):
+        dense.clear()
+        check(_permutation_sigma(p, n_free, n_fixed, rng))
+        assert dense == []
+    for seed, mults in enumerate([(0,) * (p - 1) + (2,), (3,) + (0,) * (p - 2) + (1,), (1,) * p, (0,) * (p - 1) + (48 // p,)]):
+        dense.clear()
+        sigma = random_sigma_matrix(p, mults, seed).a
+        check(sigma)
+        assert bool(dense) == (len(sigma) >= 32), (mults, dense)
 
 
 def test_partition_takes_at_most_n_plus_1_ranks(monkeypatch):
     """At the largest matrix prime a 2 x 2 nilpotent t takes at most
     n + 1 = 3 ranks, not p - 1, and returns at once."""
     calls = []
-    monkeypatch.setattr("smith_tate.fp_core.rank", lambda m: calls.append(m) or rank(m))
+    real = fp_core.column_rank
+    monkeypatch.setattr(fp_core, "column_rank", lambda *a: calls.append(a) or real(*a))
     t0 = time.perf_counter()
-    assert nilpotent_partition(FpMatrix([[0, 1], [0, 0]], 16777213)) == [2]
-    assert nilpotent_partition(FpMatrix([[0, 0], [0, 0]], 16777213)) == [1, 1]
+    assert nilpotent_partition([{}, {0: 1}], 16777213) == [2]
+    assert nilpotent_partition([{}, {}], 16777213) == [1, 1]
     assert time.perf_counter() - t0 < 1
     assert len(calls) == 3 + 2
     with pytest.raises(NotNilpotent, match="t\\^16777213 != 0"):
-        nilpotent_partition(FpMatrix([[1, 1], [0, 1]], 16777213))
+        nilpotent_partition([{0: 1}, {0: 1, 1: 1}], 16777213)
 
 
 def _trial_division(n):
@@ -402,11 +424,11 @@ class TestMillerRabin:
 
 
 def test_jordan_partition_checks_the_block_sum(monkeypatch):
-    t = FpMatrix([[0, 1], [0, 0]], 3)
-    assert nilpotent_partition(t) == [2]
-    monkeypatch.setattr("smith_tate.fp_core.rank", lambda m: 1)
+    t = [{}, {0: 1}]
+    assert nilpotent_partition(t, 3) == [2]
+    monkeypatch.setattr("smith_tate.fp_core.column_rank", lambda columns, rows, p: 1)
     with pytest.raises(RuntimeError, match="do not sum to the dimension 2"):
-        nilpotent_partition(t)
+        nilpotent_partition(t, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 16777213])

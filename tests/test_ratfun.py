@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smith_tate.errors import TooLarge
-from smith_tate.fp_core import FpMatrix, rank
+from smith_tate.fp_core import FpMatrix
 from smith_tate.ratfun import MAX_BAREISS_CELLS, MAX_BAREISS_WORK, _divide_exact, _shift_matrices, bareiss_rank, pnorm, pupow
 
-from oracles import bareiss_rank_by_entries, padd, pdivmod, pmul, psub
+from oracles import bareiss_rank_by_entries, padd, pdivmod, pmul, psub, rank
 
 U = (0, 1)  # the variable u as a coefficient tuple
 

@@ -209,7 +209,7 @@ def test_compose_matches_the_dense_product_on_both_routes(monkeypatch):
                 got = _compose(a, b, p)
                 want = _sparse(_dense(a, n) @ _dense(b, n) % p)
                 assert got == want, (p, n, k)
-                dense = work > n * n + n**3 // complexes._BLAS_GAIN
+                dense = work > n * n + n**3 // complexes._BLAS_GAIN + complexes._DENSE_FIXED_STEPS
                 assert len(dense_calls) == dense, (p, n, k, work)
                 seen[dense] += 1
     assert seen[True] > 0 and seen[False] > 0

@@ -15,7 +15,7 @@ from smith_tate.complexes import (
     complex_to_json,
     tensor_power,
 )
-from smith_tate.errors import InvalidComplex
+from smith_tate.errors import InvalidComplex, TooLarge
 from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
 from smith_tate.random_instances import (
     _conjugated,
@@ -351,6 +351,20 @@ def test_bareiss_blocks_are_the_label_by_label_split(monkeypatch):
         tate_cohomology_dims(V, method="bareiss")
         even_to_odd, odd_to_even, _, _ = tate_poly_parity_blocks(V)
         assert seen == [even_to_odd, odd_to_even], name
+
+
+def test_bareiss_limits_are_checked_before_a_block_is_built(monkeypatch):
+    """A block's shape and entry degree (1 where N has an entry) give its
+    Bareiss limits, so 100 free orbits at p = 3 in one degree, 300 x 300
+    blocks of degree 1, are refused before either block is cut."""
+    import smith_tate.tate as tate
+
+    gens = [Generator(f"o{o:02d}e{j}", 0) for o in range(100) for j in range(3)]
+    sigma = {f"o{o:02d}e{j}": {f"o{o:02d}e{(j + 1) % 3}": 1} for o in range(100) for j in range(3)}
+    V = EquivariantComplex(3, gens, {}, sigma)
+    monkeypatch.setattr(tate, "_block", lambda *a: pytest.fail("a block was cut"))
+    with pytest.raises(TooLarge, match=r"^Bareiss coefficient array \(rows \* cols \* width\) is 27090000,"):
+        tate_cohomology_dims(V, method="bareiss")
 
 
 def _group_cases():
