@@ -14,8 +14,8 @@ JSON boundary as "num/den" strings to stay exact.
 A process loads only the modules its subcommand runs: tate and the JSON
 codec at import, every other module inside the handlers that call it.
 numpy loads only where dense algebra runs, inside the functions that
-build or use arrays, so tate, group-cohomology, barcode, torsion,
-spectral action, decompose and smith-check on sparse inputs never load it.
+build or use arrays, so tate, group-cohomology, quasi-frobenius, barcode,
+torsion, spectral, decompose and smith-check on sparse inputs never load it.
 Those handlers import their functions each time they run, never into a
 table or default built at import, so a profiler that wraps module
 attributes sees every call.

@@ -21,9 +21,10 @@ keyed by generator index that keep every entry.  The structure checks
 compose these columns sparsely; the coefficient maps and Generator objects
 a complex shows are views built from them on first use; _block cuts each
 dense array from them under one budget; homology is read off column
-reductions of them.  numpy is imported only inside the functions that build
-or read arrays (_dense, _sparse and the array views of homology), so
-reading, checking, sparse products and homology run without it.
+reductions of them, class coordinates included.  numpy is imported only
+inside the functions that build or read arrays (_dense, _sparse,
+homology_basis and express_in_homology), so reading, checking, sparse
+products and homology run without it.
 """
 
 from __future__ import annotations
@@ -379,7 +380,6 @@ class ChainComplex:
         for i, k in enumerate(self._degree):
             self._deg_index.setdefault(k, []).append(i)
         self._level_table = _levels(self._action)
-        self._block_cache: dict[int, np.ndarray] = {}
         self._homology_cache: dict[int, Columns] = {}
         self._norm_cache: Columns | None = None
         self._columns: dict[str, Columns] = {}
@@ -534,12 +534,9 @@ class ChainComplex:
 
     def d_block(self, k: int) -> np.ndarray:
         """Matrix of d from degree k to degree k+1 in stored generator order,
-        cut from d's columns by _block; cached and shared, so callers must
-        not write to it."""
-        if k not in self._block_cache:
-            src, tgt = self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
-            self._block_cache[k] = _block(self._columns["differential"], tgt, src, f"d block from degree {k}")
-        return self._block_cache[k]
+        cut from d's columns by _block on each call: a fresh array."""
+        src, tgt = self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
+        return _block(self._columns["differential"], tgt, src, f"d block from degree {k}")
 
     # -- homology ----------------------------------------------------------
 
@@ -569,10 +566,11 @@ class ChainComplex:
             self._homology_cache[k] = [z for z, lo in zip(ker, lows[len(image):]) if lo >= 0]
         return self._homology_cache[k]
 
-    def _coordinates(self, k: int, queries: Columns) -> np.ndarray:
+    def _coordinates(self, k: int, queries: Columns) -> Columns:
         """The coordinates of the classes of the cocycles queries, sparse
         columns keyed by generator index, in the basis _homology(k): one
-        column per query.  InvalidComplex if one is not a cocycle.
+        sparse column {representative index: coordinate} per query.
+        InvalidComplex if one is not a cocycle.
 
         One reduction of the columns of d^(k-1), the representatives and
         the queries: representative t carries tag key t, query i its own tag
@@ -582,8 +580,6 @@ class ChainComplex:
         on the representatives' tags; its own tag keeps it from reducing
         the next query.  A vector that is not a cocycle keeps a generator low.
         """
-        import numpy as np
-
         reps, p = self._homology(k), self.p
         h = len(reps)
         top = h + len(queries)
@@ -592,8 +588,7 @@ class ChainComplex:
         lows = reduce_columns(image + tagged, p)
         if any(lo >= top for lo in lows[len(image) + h:]):
             raise InvalidComplex("vector is not a cocycle")
-        coords = [-col.get(t, 0) % p for col in tagged[h:] for t in range(h)]
-        return np.array(coords, dtype=np.int64).reshape(len(queries), h).T
+        return [{t: x for t in range(h) if (x := -col.get(t, 0) % p)} for col in tagged[h:]]
 
     def homology_basis(self, k: int) -> list[np.ndarray]:
         """Cocycle representatives of a basis of H^k, in degree-k coordinates."""
@@ -612,7 +607,7 @@ class ChainComplex:
         if len(v) != len(idx):
             raise ValueError(f"a vector in degree {k} has {len(idx)} entries, not {len(v)}")
         queries = [{idx[t]: x for t, x in col.items()} for col in _sparse(v[:, None] if v.ndim == 1 else v)]
-        out = self._coordinates(k, queries)
+        out = _dense(self._coordinates(k, queries), len(self._homology(k)))
         return out[:, 0] if v.ndim == 1 else out
 
     # -- misc ----------------------------------------------------------------

@@ -8,7 +8,9 @@ raise action (_conjugated).  These invariants do not change under such a
 filtered, equivariant change of basis, so validity is by construction and
 each instance carries its provenance (planted data) where tests need an
 oracle.  The bases are built unchecked; the conjugated complex is checked,
-and P d P^-1 fails a check exactly when d does.
+and P d P^-1 fails a check exactly when d does.  P, P^-1 and d stay sparse
+columns, multiplied by complexes._compose; only the dense sigma sampler
+random_sigma_matrix imports numpy, and multiplies on float64 BLAS.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .complexes import (
     ChainComplex,
+    Columns,
     EquivariantComplex,
     FilteredComplex,
     Generator,
-    _dense,
-    _sparse,
+    _affine,
+    _compose,
 )
 from .fp_core import FpMatrix, _matmul_mod, _row_reduce
 from .persistence import Bar, Barcode, scale_barcode
@@ -85,23 +86,29 @@ def _draws(rng: random.Random, n: int, fits):
             yield a, b
 
 
-def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]):
-    """(P, P^-1) for P = I + E with E supported on the given (row, col, val)
-    triples; E must be nilpotent.  P^-1 = prod_k (I + (-E)^(2^k)) over the
-    2^k below the nilpotency index, so it takes O(log n) products."""
-    e = np.zeros((n, n), dtype=np.int64)
+def _unipotent_pair(n: int, p: int, entries: list[tuple[int, int, int]]) -> tuple[Columns, Columns]:
+    """(P, P^-1) as sparse columns for P = I + E, E the sum of the given
+    (row, col, val) triples; E must be nilpotent.  P^-1 = prod_k (I +
+    (-E)^(2^k)) over the 2^k below the nilpotency index, so it takes
+    O(log n) products through _compose."""
+    e: Columns = [{} for _ in range(n)]
     for r, c, v in entries:
-        e[r, c] = (e[r, c] + v) % p
-    pm = (np.eye(n, dtype=np.int64) + e) % p
-    inv = np.eye(n, dtype=np.int64)
-    power, square = 1, (-e) % p
-    while square.any():
+        e[c][r] = e[c].get(r, 0) + v
+    e = [{r: x for r, v in col.items() if (x := v % p)} for col in e]
+    inv, power, square = [{j: 1} for j in range(n)], 1, _affine(e, -1, 0, p)
+    while any(square):
         if power >= n:
             raise ValueError("conjugation support is not nilpotent")
-        inv = (inv + _matmul_mod(inv, square, p)) % p
-        square = _matmul_mod(square, square, p)
+        inv = _compose(inv, _affine(square, 1, 1, p), p)
+        square = _compose(square, square, p)
         power *= 2
-    return pm, inv
+    return _affine(e, 1, 1, p), inv
+
+
+def _conjugate(pm: Columns, d: Columns, inv: Columns, p: int) -> Columns:
+    """The columns of P d P^-1, each in ascending row order, the order of
+    the coefficient maps a complex writes."""
+    return [dict(sorted(col.items())) for col in _compose(pm, _compose(d, inv, p), p)]
 
 
 def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> ChainComplex:
@@ -111,7 +118,7 @@ def _conjugated(base: ChainComplex, entries: list[tuple[int, int, int]]) -> Chai
     never raises action, so this check also covers an unchecked base."""
     p = base.p
     pm, inv = _unipotent_pair(base.dim(), p, entries)
-    d = _sparse(_matmul_mod(_matmul_mod(pm, _dense(base.columns("differential"), base.dim()), p), inv, p))
+    d = _conjugate(pm, base.columns("differential"), inv, p)
     _, *sigma = base._columns.values()
     return type(base)._of(p, zip(base._ids, base._degree, base._action), d, *sigma)
 
@@ -156,6 +163,8 @@ def random_free_equivariant(p: int, seed, max_blocks: int | None = None) -> Equi
 def random_sigma_matrix(p: int, multiplicities, seed) -> FpMatrix:
     """An order-dividing-p matrix whose unipotent-part Jordan multiplicities
     are exactly the given tuple (m_1, ..., m_p for block sizes 1..p)."""
+    import numpy as np
+
     rng = _rng(seed)
     if len(multiplicities) != p or any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be p non-negative counts")
@@ -319,29 +328,31 @@ def random_floer_model(p: int, seed, deform: bool = True, **kwargs) -> Equivaria
 
     uR has degree 0, so the conjugated differential is homogeneous and is
     fixed by its value Q(1) M(1) Q(1)^-1 at u = 1 together with the
-    degrees: an entry (r, c) of the block theta^alpha -> theta^eps belongs
+    degrees: each default term, the block theta^alpha -> theta^eps of
+    M(1), is conjugated by Q(1) on its own, and its entry (r, c) belongs
     to the term d_alpha^i with i = 1 + alpha - (deg r - deg c), which
     carries u^(i // 2) and has i = eps mod 2.  R strictly lowers action, so
     E = R(1) is nilpotent and _unipotent_pair inverts Q(1) exactly.
     """
     rng = _rng(seed)
     base = random_equivariant_filtered(p, rng, **kwargs)
-    n = base.dim()
-    # the default terms d, 1 - sigma, -d and N: each alone in its block of M(1)
-    blocks = [(_dense(cols, n), alpha) for (_, alpha), cols in tate_terms(base).items()]
-    degs = np.array(base._degree, dtype=np.int64)
+    n, deg = base.dim(), base._degree
+    # the default terms d, 1 - sigma, -d and N: shared columns, only read
+    blocks = tate_terms(base)
     if deform and n:
         level = base._level_table[1]
-        r: dict[tuple[int, int], int] = {}
-        for x, y in _draws(rng, n, lambda x, y: degs[y] == degs[x] - 2 and level[y] < level[x]):
-            r[(y, x)] = rng.randrange(p)
-        q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in r.items()])
-        blocks = [(_matmul_mod(_matmul_mod(q, m, p), qinv, p), alpha) for m, alpha in blocks]
+        drawn: dict[tuple[int, int], int] = {}
+        for x, y in _draws(rng, n, lambda x, y: deg[y] == deg[x] - 2 and level[y] < level[x]):
+            drawn[(y, x)] = rng.randrange(p)
+        q, qinv = _unipotent_pair(n, p, [(y, x, v) for (y, x), v in drawn.items()])
+        blocks = {slot: _conjugate(q, m, qinv, p) for slot, m in blocks.items()}
     terms = {}
-    for m, alpha in blocks:
-        slot = 1 + alpha - (degs[:, None] - degs[None, :])
-        for i in sorted(set(slot[m != 0].tolist())):
-            terms[(i, alpha)] = _sparse(np.where(slot == i, m, 0))
+    for (_, alpha), m in blocks.items():
+        split: dict[int, Columns] = {}
+        for c, col in enumerate(m):
+            for r, v in col.items():
+                split.setdefault(1 + alpha - (deg[r] - deg[c]), [{} for _ in range(n)])[c][r] = v
+        terms.update(((i, alpha), split[i]) for i in sorted(split))
     if (0, 1) in terms:
         raise RuntimeError("the conjugated differential has a term in the (i=0, alpha=1) slot")
     i_max = max((i for i, _ in terms), default=2)

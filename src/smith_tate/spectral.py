@@ -42,7 +42,6 @@ from .complexes import (
     _json_object,
     _out_of_range,
     _shown,
-    _sparse,
     _strict_int,
     _triplets_from_json,
     _triplets_to_json,
@@ -60,8 +59,6 @@ from .persistence import persistence_pairing
 from .tate import _parity_dims, assemble, tate_terms
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .module_decomp import ModuleDecomposition
 
 __all__ = [
@@ -291,9 +288,10 @@ class AlgebraicSSPages:
 
     e1_* give the page-one dimensions per internal degree (homology of the
     filtration-preserving terms); d10_induced / d21_induced are the page
-    differentials in those homology bases.  e2/einf dims are (even, odd)
-    over F_p((u)); sigma_module reports the Jordan decomposition of the
-    induced sigma* when the zeroth term is genuinely equivariant.
+    differentials in those homology bases, per degree one sparse column
+    {target class index: coefficient} per source class.  e2/einf dims are
+    (even, odd) over F_p((u)); sigma_module reports the Jordan decomposition
+    of the induced sigma* when the zeroth term is genuinely equivariant.
     """
 
     p: int
@@ -309,11 +307,11 @@ class AlgebraicSSPages:
     sigma_module_tate_dim: int | None
 
 
-def _induced(a: Columns, src: ChainComplex, tgt: ChainComplex, k: int) -> np.ndarray:
+def _induced(a: Columns, src: ChainComplex, tgt: ChainComplex, k: int) -> Columns:
     """The map H^k(src) -> H^k(tgt) induced by the degree-0 operator with
     columns a on all generators, in the homology bases of src and tgt: a
     applied to the sparse representatives of src, whose images tgt reads
-    in its class coordinates."""
+    in its class coordinates, one sparse column per class of src."""
     return tgt._coordinates(k, _compose(a, src._homology(k), src.p))
 
 
@@ -346,8 +344,8 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     e1_even = even_cx.homology_dims()
     e1_odd = odd_cx.homology_dims()
     degrees = sorted(set(e1_even) | set(e1_odd))
-    d10_induced: dict[int, np.ndarray] = {}
-    d21_induced: dict[int, np.ndarray] = {}
+    d10_induced: dict[int, Columns] = {}
+    d21_induced: dict[int, Columns] = {}
     e2_by_degree: dict[int, dict[str, int]] = {}
     e2_even_total = 0
     e2_odd_total = 0
@@ -355,10 +353,11 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
         # both induced maps have internal degree 0
         m10 = d10_induced[k] = _induced(model.terms.get((1, 0), zero), even_cx, odd_cx, k)
         m21 = d21_induced[k] = _induced(model.terms.get((2, 1), zero), odd_cx, even_cx, k)
-        r10 = column_rank(_sparse(m10), len(m10), p)
-        r21 = column_rank(_sparse(m21), len(m21), p)
-        one_part = m10.shape[1] - r10 - r21  # ker[d10] / im[d21]
-        theta_part = m21.shape[1] - r21 - r10  # ker[d21] / im[d10]
+        # m10 has a column per class of the even page, m21 one per class of the odd
+        r10 = column_rank(m10, len(m21), p)
+        r21 = column_rank(m21, len(m10), p)
+        one_part = len(m10) - r10 - r21  # ker[d10] / im[d21]
+        theta_part = len(m21) - r21 - r10  # ker[d21] / im[d10]
         e2_by_degree[k] = {"one": one_part, "theta": theta_part}
         if k % 2 == 0:
             e2_even_total += one_part
@@ -375,7 +374,7 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     s, nm = base.columns("sigma"), base.norm()
     if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
-        parts = [decompose(_sparse(_induced(s, even_cx, even_cx, k)), p).multiplicities for k in e1_even]
+        parts = [decompose(_induced(s, even_cx, even_cx, k), p).multiplicities for k in e1_even]
         sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))
         sigma_tate = tate_and_invariant_dims(sigma_module)[0]
     return AlgebraicSSPages(

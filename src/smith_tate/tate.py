@@ -17,8 +17,8 @@ tate_terms placed by assemble) serves every result here.  Tate ranks are F_p ran
 or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
 first-quadrant part of the same complex: its total map from degree k is the
 parity-k block cut to generators of degree <= k, so above the top degree of
-V it is Tate cohomology.  Both run on the sparse columns alone; only the
-Bareiss route and the quasi-Frobenius import ratfun and numpy, when they run.
+V it is Tate cohomology.  Both run on the sparse columns alone, as does the
+quasi-Frobenius; only the Bareiss route imports ratfun and numpy, when it runs.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -32,15 +32,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product as _product
-from typing import TYPE_CHECKING
 
 from . import fp_core
-from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _block, _rotation_sign, _sparse
+from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _block, _rotation_sign
 from .errors import InvalidComplex, check_size
 from .fp_core import column_rank
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # ---------------------------------------------------------------------------
 # the Tate complex
@@ -264,7 +260,7 @@ class QuasiFrobeniusResult:
     degrees: dict[str, int]
     target_degrees: dict[str, int]
     chain_map: dict[str, dict[str, int]]
-    induced_matrix: np.ndarray
+    induced_matrix: list[list[int]]  # rows
     source_parity_dims: tuple[int, int]
     target_parity_dims: tuple[int, int]
     is_bijective: bool
@@ -338,18 +334,19 @@ def quasi_frobenius(
     size dim H(V), with source degrees rescaled by p; certificates witness
     additivity failures as norms.
     """
-    import numpy as np
-
     p = V.p
     labels: list[str] = []
     degrees: dict[str, int] = {}
     chain_map: dict[str, dict[str, int]] = {}
-    columns: list[np.ndarray] = []
+    # the induced map's columns, block diagonal by degree: [z^(ox p)] has
+    # diagonal-word coordinates given by the p-th powers of the
+    # H(V)-coordinates of [z]
+    columns: Columns = []
     label_of: dict[tuple[int, int], str] = {}
     hdims = V.homology_dims()
     for k in sorted(hdims):
         reps = V._homology(k)
-        columns += list(V._coordinates(k, reps).T)
+        columns += [{len(labels) + t: pow(x, p, p) for t, x in col.items()} for col in V._coordinates(k, reps)]
         for i, z in enumerate(reps):
             lab = f"h{k}.{i}"
             labels.append(lab)
@@ -365,15 +362,6 @@ def quasi_frobenius(
                 word_vec[wid] = (word_vec.get(wid, 0) + coeff) % p
             chain_map[lab] = {w: c for w, c in word_vec.items() if c}
     n = len(labels)
-    induced = np.zeros((n, n), dtype=np.int64)
-    pos = 0
-    for k in sorted(hdims):
-        m = hdims[k]
-        for i in range(m):
-            # [z^(ox p)] has diagonal-word coordinates given by the p-th
-            # powers of the H(V)-coordinates of [z]
-            induced[pos:pos + m, pos + i] = [pow(int(x), p, p) for x in columns[pos + i]]
-        pos += m
     target_degrees = {lab: p * degrees[lab] for lab in labels}
     even = sum(k % 2 == 0 for k in target_degrees.values())
     source_parity = (even, n - even)
@@ -381,7 +369,7 @@ def quasi_frobenius(
     # F_p((u)); theta shifts parity, so both counts equal dim H(V)
     target_parity = (n, n)
     # block diagonal by degree: each parity's block is invertible iff it is
-    bij = column_rank(_sparse(induced), n, p) == n
+    bij = column_rank(columns, n, p) == n
     pairs = coefficient_pairs or [(1, 1)]
     wanted = [
         (k, i, j, a % p, b % p)
@@ -402,7 +390,7 @@ def quasi_frobenius(
         degrees=degrees,
         target_degrees=target_degrees,
         chain_map=chain_map,
-        induced_matrix=induced,
+        induced_matrix=[[col.get(r, 0) for col in columns] for r in range(n)],
         source_parity_dims=source_parity,
         target_parity_dims=target_parity,
         is_bijective=bij,

@@ -1,9 +1,10 @@
 """What a fresh process loads: `import smith_tate` loads no submodule, and
-each subcommand loads only the modules it runs.  The cohomology, barcode,
-torsion, action spectral sequence, decompose and smith-check subcommands
-run on sparse columns and Python ints, so on sparse inputs they leave numpy
-unloaded.  Each load check runs in its own
-interpreter, since this one has imported every module already."""
+each subcommand loads only the modules it runs.  The cohomology,
+quasi-Frobenius, barcode, torsion, spectral sequence, decompose and
+smith-check subcommands, and the fuzz op on free complexes, run on sparse
+columns and Python ints, so on sparse inputs they leave numpy unloaded.
+Each load check runs in its own interpreter, since this one has imported
+every module already."""
 
 import ast
 import json
@@ -114,6 +115,26 @@ def test_spectral_action_run_leaves_numpy_unloaded(tmp_path):
     convergence check from sparse homology, so no array is built."""
     path = _input(tmp_path, _ISO)
     assert _after_run(["spectral", "action", "--input", path, "--json"]) == (CORE | {"persistence", "spectral"}, False)
+
+
+def test_quasi_frobenius_run_leaves_numpy_unloaded(tmp_path):
+    """Class coordinates and the induced map are sparse columns, and the
+    report's matrix a list of int rows."""
+    assert _after_run(["quasi-frobenius", "--input", _input(tmp_path, _ISO), "--json"]) == (CORE, False)
+
+
+def test_spectral_algebraic_run_leaves_numpy_unloaded(tmp_path):
+    """The page differentials are induced as sparse columns, ranked and
+    decomposed as they are."""
+    path = _input(tmp_path, _POINT)
+    want = CORE | {"module_decomp", "persistence", "spectral"}
+    assert _after_run(["spectral", "algebraic", "--input", path, "--json"]) == (want, False)
+
+
+def test_fuzz_on_free_complexes_leaves_numpy_unloaded():
+    """The generators conjugate sparse columns; only the sigma sampler builds arrays."""
+    want = CORE | {"fuzz", "module_decomp", "persistence", "random_instances", "spectral"}
+    assert _after_run(["fuzz", "--op", "tate-free-vanishing", "--count", "3", "--json"]) == (want, False)
 
 
 @pytest.mark.parametrize("argv", [["decompose"], ["smith-check", "--hf-dim", "1"]], ids=["decompose", "smith-check"])

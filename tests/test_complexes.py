@@ -606,15 +606,15 @@ def _nilpotent_entries(rng, n, p, chain):
 
 
 def test_unipotent_inverse_matches_neumann_series():
-    """The inverse of I + E is unique, so the repeated-squaring product
-    equals the Neumann series, with float64 and int64 products alike (the
-    largest matrix prime crosses from one to the other at n = 33)."""
+    """The inverse of I + E is unique, so the repeated-squaring product of
+    sparse columns equals the Neumann series, at small primes and at the
+    largest matrix prime, on random supports and on chains up to n = 40."""
     for p in (2, 3, 5, 16777213):
         rng = random.Random(p)
         for _ in range(8):
             for chain in (False, True):
                 n = rng.randint(1, 40)
-                pm, inv = _unipotent_pair(n, p, _nilpotent_entries(rng, n, p, chain))
+                pm, inv = (_dense(cols, n) for cols in _unipotent_pair(n, p, _nilpotent_entries(rng, n, p, chain)))
                 e = (pm - np.eye(n, dtype=np.int64)) % p
                 assert inv.tolist() == unipotent_inverse_by_neumann(e, p).tolist()
                 assert (pm @ inv % p).tolist() == np.eye(n, dtype=np.int64).tolist()

@@ -171,7 +171,7 @@ class TestQuasiFrobenius:
         assert res.degrees == {"h0.0": 0}
         assert res.target_degrees == {"h0.0": 0}
         assert res.chain_map == {"h0.0": {"v|v|v": 1}}
-        assert res.induced_matrix.tolist() == [[1]]
+        assert res.induced_matrix == [[1]]
         assert res.source_parity_dims == (1, 0)
         assert res.target_parity_dims == (1, 1)
         assert res.is_bijective
@@ -181,7 +181,7 @@ class TestQuasiFrobenius:
         V = EquivariantComplex(3, [Generator("x", 0), Generator("y", 0)], {}, {})
         res = quasi_frobenius(V)
         assert res.labels == ["h0.0", "h0.1"]
-        assert res.induced_matrix.tolist() == [[1, 0], [0, 1]]
+        assert res.induced_matrix == [[1, 0], [0, 1]]
         assert res.source_parity_dims == (2, 0)
         assert res.target_parity_dims == (2, 2)
         assert res.is_bijective
