@@ -19,12 +19,11 @@ index in a sorted table of the actions.  Coefficient maps {source id:
 them once, by _read_columns, into their only stored form, sparse columns
 keyed by generator index that keep every entry.  The structure checks
 compose these columns sparsely; the coefficient maps and Generator objects
-a complex shows are views built from them on first use; _block cuts each
-dense array from them under one budget; homology is read off column
-reductions of them, class coordinates included.  numpy is imported only
-inside the functions that build or read arrays (_dense, _sparse,
-homology_basis and express_in_homology), so reading, checking, sparse
-products and homology run without it.
+a complex shows are views built from them on first use; homology is read
+off column reductions of them, class coordinates included.  numpy is
+imported only inside the two functions that build or read arrays (_dense
+and _sparse, for _compose's dense route and fp_core.column_rank), so
+reading, checking, sparse products and homology run without it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import hashlib
 import json
 import math
 import re
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,18 +195,10 @@ def _dense(a: Columns, rows: int) -> np.ndarray:
     return m
 
 
-# the most cells of one array cut from sparse columns, 32 MB of int64; the
-# benchmark cuts at most 251 x 251, the tests 1500 x 1500 (Bareiss parity blocks)
+# the most cells of one dense array, 32 MB of int64 (an n x n product that
+# _compose runs dense, or a matrix fp_core.column_rank reduces dense), of one
+# Bareiss parity block, and the most triplets of one matrix
 MAX_BLOCK_CELLS = 1 << 22
-
-
-def _block(a: Columns, rows: list[int], sources: list[int], what: str) -> np.ndarray:
-    """The residue array of operator a from the labels sources to the labels
-    rows, in those orders: the one dense cut of sparse columns.  More than
-    MAX_BLOCK_CELLS cells raise TooLarge, naming what, before any is allocated."""
-    check_size(f"{what} (rows x columns)", len(rows) * len(sources), MAX_BLOCK_CELLS)
-    row = {i: r for r, i in enumerate(rows)}
-    return _dense([{row[i]: v for i, v in a[j].items() if i in row} for j in sources], len(rows))
 
 
 # One multiply-add of _compose's sparse loop costs about as much as this
@@ -459,9 +449,8 @@ class ChainComplex:
         if bad:
             ids, rules = self._ids, (("degree", set(degree)), ("action", set(action)))
             return [("sigma_structure", f"sigma({ids[s]}) changes {what}") for t, s in bad for what, rule in rules if (t, s) in rule]
-        # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
-        p, d, s, nm = self.p, self._graded_d(), self.columns("sigma"), self.norm()
-        power = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(nm, s, p), nm)) if x != y}
+        p, d, s = self.p, self._graded_d(), self.columns("sigma")
+        power = {self._degree[j] for j, col in enumerate(_power(s, p, p)) if col != {j: 1}}
         commute = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(d, s, p), _compose(s, d, p))) if x != y}
         out = []
         for k in self.degrees():
@@ -532,12 +521,6 @@ class ChainComplex:
     def index_of(self, gid: str) -> int:
         return self._index[gid]
 
-    def d_block(self, k: int) -> np.ndarray:
-        """Matrix of d from degree k to degree k+1 in stored generator order,
-        cut from d's columns by _block on each call: a fresh array."""
-        src, tgt = self._deg_index.get(k, []), self._deg_index.get(k + 1, [])
-        return _block(self._columns["differential"], tgt, src, f"d block from degree {k}")
-
     # -- homology ----------------------------------------------------------
 
     def _homology(self, k: int) -> Columns:
@@ -590,25 +573,8 @@ class ChainComplex:
             raise InvalidComplex("vector is not a cocycle")
         return [{t: x for t in range(h) if (x := -col.get(t, 0) % p)} for col in tagged[h:]]
 
-    def homology_basis(self, k: int) -> list[np.ndarray]:
-        """Cocycle representatives of a basis of H^k, in degree-k coordinates."""
-        reps, idx = self._homology(k), self._deg_index.get(k, [])
-        return list(_block(reps, idx, range(len(reps)), f"homology basis in degree {k}").T.copy())
-
     def homology_dims(self) -> dict[int, int]:
         return {k: h for k in self.degrees() if (h := len(self._homology(k)))}
-
-    def express_in_homology(self, k: int, v: np.ndarray) -> np.ndarray:
-        """Coefficients of the class [v] in the homology_basis(k) order; for
-        a matrix of cocycle columns, one column of coefficients each."""
-        import numpy as np
-
-        v, idx = np.asarray(v, dtype=np.int64) % self.p, self._deg_index.get(k, [])
-        if len(v) != len(idx):
-            raise ValueError(f"a vector in degree {k} has {len(idx)} entries, not {len(v)}")
-        queries = [{idx[t]: x for t, x in col.items()} for col in _sparse(v[:, None] if v.ndim == 1 else v)]
-        out = _dense(self._coordinates(k, queries), len(self._homology(k)))
-        return out[:, 0] if v.ndim == 1 else out
 
     # -- misc ----------------------------------------------------------------
 
@@ -904,9 +870,9 @@ def _json_text(x) -> str:
     tree once converted to plain JSON, written in one pass into one list.
 
     The conversion happens as it writes: exact rationals become "num/den"
-    strings, numpy integers ints, an ActionWindow its {"lower", "upper"}
-    object, an array its list of rows, a tuple a list, and a tuple key its
-    members joined by commas (any other key its str).
+    strings, an ActionWindow its {"lower", "upper"} object, an int subclass
+    an int, a tuple a list, and a tuple key its members joined by commas
+    (any other key its str).
 
     A list of records, dicts with one set of str keys and only scalars of
     _SCALAR_TEXT as values (the bars of a barcode report), is written in
@@ -929,11 +895,8 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(text(x))
         return
     inner = nl + "  "
-    np = sys.modules.get("numpy")  # while numpy is not loaded, no numpy value exists
     if isinstance(x, ActionWindow):
         x = {"lower": x.lower, "upper": x.upper}
-    elif np is not None and isinstance(x, np.ndarray):
-        x = np.atleast_2d(x).astype(np.int64).tolist()
     if isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -967,7 +930,7 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(nl + "]")
     elif isinstance(x, str):
         out.append(_escape(x))
-    elif isinstance(x, int) or np is not None and isinstance(x, np.integer):
+    elif isinstance(x, int):
         out.append(int.__repr__(int(x)))
     else:
         raise TypeError(f"cannot write {type(x).__name__} as JSON")

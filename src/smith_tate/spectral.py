@@ -41,6 +41,7 @@ from .complexes import (
     _compose,
     _json_object,
     _out_of_range,
+    _power,
     _shown,
     _strict_int,
     _triplets_from_json,
@@ -369,10 +370,9 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     bound = einf[0] <= e2_even_total and einf[1] <= e2_odd_total
     sigma_module = None
     sigma_tate = None
-    # the base is homogeneous (tate_terms), so sigma's columns are all of sigma;
-    # sigma^p - 1 = (sigma - 1)^p = N sigma - N in characteristic p
-    s, nm = base.columns("sigma"), base.norm()
-    if _compose(nm, s, p) == nm and _compose(s, d00, p) == _compose(d00, s, p):
+    # the base is homogeneous (tate_terms), so sigma's columns are all of sigma
+    s = base.columns("sigma")
+    if _power(s, p, p) == [{j: 1} for j in range(len(s))] and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
         parts = [decompose(_induced(s, even_cx, even_cx, k), p).multiplicities for k in e1_even]
         sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))

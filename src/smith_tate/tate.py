@@ -18,7 +18,8 @@ or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
 first-quadrant part of the same complex: its total map from degree k is the
 parity-k block cut to generators of degree <= k, so above the top degree of
 V it is Tate cohomology.  Both run on the sparse columns alone, as does the
-quasi-Frobenius; only the Bareiss route imports ratfun and numpy, when it runs.
+quasi-Frobenius.  The Bareiss route writes its polynomial blocks straight
+from the same columns; only it imports ratfun and numpy, when it runs.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import product as _product
 
 from . import fp_core
-from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _block, _rotation_sign
+from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _rotation_sign
 from .errors import InvalidComplex, check_size
 from .fp_core import column_rank
 
@@ -158,16 +159,19 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     # cells.  N maps theta^1 labels (columns >= n) to theta^0 labels (rows
     # < n), so its entries carry u; d-hat is odd, so every entry of a column
     # lies in its block's rows, and a block's entry degree is read off its columns
-    cuts = (odd, even, "even"), (even, odd, "odd")
+    cuts = (odd, even), (even, odd)
     check_size("Bareiss block out of the even labels (rows x columns)", len(odd) * len(even), MAX_BLOCK_CELLS)
-    for rows, cols, _ in cuts:
+    for rows, cols in cuts:
         deg = max((int(r < n <= c) for c in cols for r in columns[c]), default=-1)
         if deg >= 0:
             ratfun._check_limits(len(rows), len(cols), deg, p)
 
-    def poly_block(rows, cols, what):
-        m = _block(columns, rows, cols, f"Bareiss block out of the {what} labels").tolist()
-        return [[ratfun.pupow(int(r < n <= c), x, p) if x else () for c, x in zip(cols, row)] for r, row in zip(rows, m)]
+    def poly_block(rows, cols):
+        block = {r: [()] * len(cols) for r in rows}
+        for t, c in enumerate(cols):
+            for r, x in columns[c].items():
+                block[r][t] = ratfun.pupow(int(r < n <= c), x, p)
+        return list(block.values())
 
     r_e, r_o = (ratfun.bareiss_rank(poly_block(*cut), p) for cut in cuts)
     return len(even) - r_e - r_o, len(odd) - r_o - r_e

@@ -69,7 +69,11 @@ the model's differential with tate.assemble and squares it with _compose;
 coeff_matrix_by_entries builds whole dense operators, degree-breaking
 entries included, blocks_square_zero squares the dense block matrix, and
 tate_column_blocks, model_blocks, term_dense and model_terms_dense are
-dense views of the library's columns.  The report writer converts
+dense views of the library's columns, as are block, the dense cut of
+columns from some labels to others, and d_block, its cut of d from one
+degree to the next.  The library writes the polynomial rows of its Bareiss
+parity blocks straight from the columns; bareiss_blocks_by_cut keeps the
+dense cut read cell by cell that it replaced.  The report writer converts
 results as it writes; jsonable converts the whole tree first.
 The library reads the Morse resolution's homology off the ranks of two
 p x p circulants; resolution_homology_by_complex builds the length * p
@@ -124,7 +128,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import MAX_GROUP_DEGREES, _pivot_degrees, tate_columns
+from smith_tate.tate import MAX_GROUP_DEGREES, _parities, _pivot_degrees, tate_columns
 
 
 def padd(a, b, p: int):
@@ -257,6 +261,33 @@ def sigma_block(V, k: int) -> np.ndarray:
         if any(V.generator(t).degree != k for t in V.sigma.get(g.id, {})):
             raise InvalidComplex(f"sigma({g.id}) leaves degree {k}")
     return coeff_matrix_by_entries(V, V.sigma, idx, idx, sigma=True)
+
+
+def block(a, rows, sources) -> np.ndarray:
+    """The residue array of columns a from the labels sources to the labels
+    rows, in those orders."""
+    row = {i: r for r, i in enumerate(rows)}
+    return _dense([{row[i]: v for i, v in a[j].items() if i in row} for j in sources], len(rows))
+
+
+def d_block(cx, k: int) -> np.ndarray:
+    """The array of d from degree k to degree k + 1 in stored generator order."""
+    return block(cx.columns("differential"), cx.degree_indices(k + 1), cx.degree_indices(k))
+
+
+def bareiss_blocks_by_cut(V) -> list:
+    """The polynomial parity blocks out of the even and the odd labels that
+    tate_cohomology_dims(V, method="bareiss") eliminates, each cut from
+    tate_columns(V) as a dense array and read cell by cell, u on the entries
+    of N (theta^1 columns into theta^0 rows)."""
+    columns, n, p = tate_columns(V), V.dim(), V.p
+    parity = _parities(V._degree)
+    even, odd = [x for x, e in enumerate(parity) if not e], [x for x, e in enumerate(parity) if e]
+    out = []
+    for rows, cols in ((odd, even), (even, odd)):
+        m = block(columns, rows, cols).tolist()
+        out.append([[pupow(int(r < n <= c), x, p) if x else () for c, x in zip(cols, row)] for r, row in zip(rows, m)])
+    return out
 
 
 def coeff_matrix_by_entries(cx, coeffs, src, tgt, *, sigma: bool = False) -> np.ndarray:
@@ -1132,8 +1163,8 @@ def homology_dense(cx, k: int) -> tuple[np.ndarray, np.ndarray]:
     pivot column to its unit vector, so the rows of E at the Z pivots read
     off the class coordinates of any cocycle.
     """
-    dprev = cx.d_block(k - 1)
-    ker = rref(FpMatrix(cx.d_block(k), cx.p)).kernel_basis
+    dprev = d_block(cx, k - 1)
+    ker = rref(FpMatrix(d_block(cx, k), cx.p)).kernel_basis
     n, m = dprev.shape
     z = np.array(ker, dtype=np.int64).reshape(len(ker), n).T
     red, pivots = _row_reduce(np.hstack([dprev, z, np.eye(n, dtype=np.int64)]), cx.p)
@@ -1162,8 +1193,8 @@ def solve(m: FpMatrix, b: np.ndarray):
 def _image_and_reps(cx, k: int) -> tuple[list, list]:
     """(image basis of d^(k-1), homology representatives): the kernel
     vectors of d^k that are pivots after the image basis."""
-    ker = rref(FpMatrix(cx.d_block(k), cx.p)).kernel_basis
-    im = rref(FpMatrix(cx.d_block(k - 1), cx.p)).image_basis
+    ker = rref(FpMatrix(d_block(cx, k), cx.p)).kernel_basis
+    im = rref(FpMatrix(d_block(cx, k - 1), cx.p)).image_basis
     cols = im + ker
     stacked = np.array(cols, dtype=np.int64).T if cols else np.zeros((cx.dim(k), 0), dtype=np.int64)
     pivots = rref(FpMatrix(stacked, cx.p)).pivots
@@ -1177,7 +1208,7 @@ def homology_basis_by_solve(cx, k: int) -> list:
 def express_in_homology_by_solve(cx, k: int, v) -> np.ndarray:
     """Coordinates of the class [v] in homology_basis_by_solve(cx, k)."""
     v = np.asarray(v, dtype=np.int64) % cx.p
-    if (cx.d_block(k) @ v % cx.p).any():
+    if (d_block(cx, k) @ v % cx.p).any():
         raise InvalidComplex("vector is not a cocycle")
     im, reps = _image_and_reps(cx, k)
     cols = im + reps
@@ -1248,7 +1279,7 @@ def structure_violations_by_loops(cx) -> list[str]:
             if cx.generator(tgt).degree != dsrc + 1:
                 out.append(f"d({src}) hits {tgt}, which is not one degree higher")
     for k in cx.degrees():
-        if (cx.d_block(k + 1) @ cx.d_block(k) % cx.p).any():
+        if (d_block(cx, k + 1) @ d_block(cx, k) % cx.p).any():
             out.append(f"d.d != 0 out of degree {k}")
     return out
 
@@ -1276,7 +1307,7 @@ def sigma_violations_by_loops(V) -> tuple[dict[str, bool], list[str]]:
             if not np.array_equal(power, np.eye(len(s), dtype=np.int64)):
                 checks["sigma_structure"] = False
                 violations.append(f"sigma^{p} != 1 in degree {k}")
-            dk = V.d_block(k)
+            dk = d_block(V, k)
             if not np.array_equal(dk @ s % p, sigma_block(V, k + 1) @ dk % p):
                 checks["equivariance"] = False
                 violations.append(f"sigma does not commute with d out of degree {k}")
@@ -1303,7 +1334,7 @@ def sigma_violations_dense(V) -> list[tuple[str, str]]:
         s = sigma_block(V, k)
         if not np.array_equal(_matpow(s, p, p), np.eye(len(s), dtype=np.int64)):
             out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
-        dk = V.d_block(k)
+        dk = d_block(V, k)
         if not np.array_equal(_matmul_mod(dk, s, p), _matmul_mod(sigma_block(V, k + 1), dk, p)):
             out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
     return out
@@ -1438,12 +1469,10 @@ def jsonable(x):
         return x
     if isinstance(x, Fraction):
         return _frac_str(x)
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int):
         return int(x)
     if isinstance(x, ActionWindow):
         return {"lower": jsonable(x.lower), "upper": jsonable(x.upper)}
-    if isinstance(x, np.ndarray):
-        return [[int(v) for v in row] for row in np.atleast_2d(x)]
     if isinstance(x, dict):
         return {_json_key(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

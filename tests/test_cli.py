@@ -1132,8 +1132,8 @@ def _four_degree_model(p: int, orbits: int, unpaired: int) -> dict:
 
 
 class TestDenseArrays:
-    """Every array made dense from sparse columns is one degree's block or
-    one parity's block: no whole operator is made dense."""
+    """No whole operator is made dense: the spectral pages cut no array
+    from sparse columns, and Bareiss eliminates one parity's block at a time."""
 
     @staticmethod
     def _shapes(monkeypatch) -> list:
@@ -1167,15 +1167,26 @@ class TestDenseArrays:
         assert shapes == []
 
     def test_bareiss_cuts_one_parity_at_a_time(self, jrun, tmp_path, monkeypatch):
-        """48 generators give 96 labels: each parity block is 48 x 48,
-        never the 96 x 96 whole."""
+        """48 generators give 96 labels: each polynomial parity block that
+        Bareiss eliminates is 48 x 48, never the 96 x 96 whole, and its rows
+        are written from the sparse columns, with no array cut from them."""
+        import smith_tate.ratfun as ratfun
+
         data = _four_degree_model(3, 4, 2)
         data = {k: data[k] for k in ("p", "generators", "differential", "sigma")}
         path = write_json(tmp_path / "complex.json", data)
-        shapes = self._shapes(monkeypatch)
+        dense = self._shapes(monkeypatch)
+        shapes, real = [], ratfun.bareiss_rank
+
+        def recording(mat, p):
+            shapes.append((len(mat), *{len(row) for row in mat}))
+            return real(mat, p)
+
+        monkeypatch.setattr(ratfun, "bareiss_rank", recording)
         code, report, _ = jrun(["tate", "--input", path, "--method", "bareiss"])
         assert code == 0
         assert sorted(shapes) == [(48, 48), (48, 48)]
+        assert dense == []
         _, by_evaluation, _ = jrun(["tate", "--input", path])
         assert report["results"] == by_evaluation["results"]
 

@@ -110,6 +110,17 @@ def test_barcode_and_torsion_runs_leave_numpy_unloaded(tmp_path, argv, payload):
     assert _after_run([*argv, "--input", path, "--json"]) == (CORE | {"persistence"}, False)
 
 
+def test_barcode_on_a_large_prime_free_complex_leaves_numpy_unloaded(tmp_path):
+    """Two free orbits at p = 31, 62 generators: sigma is checked as sigma^p
+    by composing one-entry columns, and the barcode never reads the norm,
+    whose dense p x p orbit blocks would send its products to numpy."""
+    from smith_tate.complexes import complex_to_json
+    from smith_tate.random_instances import random_free_equivariant
+
+    path = _input(tmp_path, complex_to_json(random_free_equivariant(31, 0, max_blocks=2)))
+    assert _after_run(["barcode", "--input", path, "--json"]) == (CORE | {"persistence"}, False)
+
+
 def test_spectral_action_run_leaves_numpy_unloaded(tmp_path):
     """The action pages come from the persistence pairing and their
     convergence check from sparse homology, so no array is built."""

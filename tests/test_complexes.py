@@ -41,9 +41,12 @@ from smith_tate.random_instances import (
     random_floer_model,
     random_free_equivariant,
 )
+from smith_tate.tate import tate_cohomology_dims
 
 from oracles import (
+    block,
     coeff_matrix_by_entries,
+    d_block,
     express_in_homology_by_solve,
     fixed_dim,
     homology_basis_by_solve,
@@ -112,20 +115,18 @@ class TestChainComplex:
     def test_d_block_and_homology(self):
         gens = [Generator("a", 0), Generator("b", 1), Generator("c", 1)]
         cx = ChainComplex(5, gens, {"a": {"b": 2}})
-        assert cx.d_block(0).tolist() == [[2], [0]]
+        assert d_block(cx, 0).tolist() == [[2], [0]]
         assert cx.homology_dims() == {1: 1}
-        rep = cx.homology_basis(1)
-        assert len(rep) == 1
+        assert cx._homology(1) == [{2: 1}]
 
     def test_express_in_homology(self):
+        """Class coordinates, sparse columns in the basis _homology(k), of
+        the cocycle 2a + 3b; a vector that is not a cocycle is refused."""
         cx = ChainComplex(5, [Generator("a", 0), Generator("b", 0)], {})
-        coeffs = cx.express_in_homology(0, [2, 3])
-        assert coeffs.tolist() == [2, 3]
-        with pytest.raises(ValueError, match="has 2 entries, not 1"):
-            cx.express_in_homology(0, [2])
-        with pytest.raises(InvalidComplex):
+        assert cx._coordinates(0, [{0: 2, 1: 3}]) == [{0: 2, 1: 3}]
+        with pytest.raises(InvalidComplex, match="^vector is not a cocycle$"):
             acyclic = ChainComplex(5, [Generator("x", 0), Generator("y", 1)], {"x": {"y": 1}})
-            acyclic.express_in_homology(0, [1])
+            acyclic._coordinates(0, [{0: 1}])
 
 
 class TestEquivariantComplex:
@@ -209,6 +210,57 @@ class TestEquivariantComplex:
         # validate still runs every check, once per call
         assert all(V.validate().ok for V in built)
         assert len(calls) == 8
+
+
+def _cycle(ids):
+    """sigma rotating the generators ids one step, a cycle of order len(ids)."""
+    return {g: {ids[(j + 1) % len(ids)]: 1} for j, g in enumerate(ids)}
+
+
+class TestSigmaRefusals:
+    """Every refusal text of a sigma, at construction (joined by "; ") and
+    from validate (one per violation), for sigmas whose p-th power is
+    checked column by column against the identity."""
+
+    A = [Generator(f"a{j}", 0) for j in range(9)]
+    B = [Generator(f"b{j}", 1) for j in range(3)]
+    CASES = {
+        # a 9-cycle at p = 3 has order p^2, so sigma^3 moves every generator
+        "order-p-squared": (A, {}, _cycle([g.id for g in A]), ["sigma^3 != 1 in degree 0"]),
+        # order p on degree 0, and sigma = 2 (order 2) on one generator of degree 1
+        "one-degree": (A[:3] + B, {}, {**_cycle(["a0", "a1", "a2"]), "b0": {"b0": 2}}, ["sigma^3 != 1 in degree 1"]),
+        # d hits one orbit member only, so it cannot commute with the rotation
+        "not-equivariant": (A[:3] + B[:1], {"a0": {"b0": 1}}, _cycle(["a0", "a1", "a2"]), ["sigma does not commute with d out of degree 0"]),
+        # both rules broken out of degree 0: the power is named first
+        "both": (A[:1] + B[:1], {"a0": {"b0": 1}}, {"a0": {"a0": 2}}, ["sigma^3 != 1 in degree 0", "sigma does not commute with d out of degree 0"]),
+        "degrees-in-order": (
+            A[:3] + B,
+            {"a0": {"b0": 1}},
+            {**_cycle(["a0", "a1", "a2"]), "b1": {"b2": 1}, "b2": {"b1": 1}},
+            ["sigma does not commute with d out of degree 0", "sigma^3 != 1 in degree 1"],
+        ),
+        "changes-degree": (A[:1] + B[:1], {}, {"a0": {"b0": 1}}, ["sigma(a0) changes degree"]),
+        "changes-action": ([Generator("x", 0, 0), Generator("y", 0, 1)], {}, _cycle(["x", "y"]), ["sigma(x) changes action", "sigma(y) changes action"]),
+        "changes-both": ([Generator("x", 0, 0), Generator("y", 1, 1)], {}, {"x": {"y": 1}}, ["sigma(x) changes degree", "sigma(x) changes action"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refusal_text(self, case):
+        gens, diff, sigma, messages = self.CASES[case]
+        with pytest.raises(InvalidComplex) as e:
+            EquivariantComplex(3, gens, diff, sigma)
+        assert str(e.value) == "; ".join(messages)
+        report = EquivariantComplex(3, gens, diff, sigma, check=False).validate()
+        assert not report.ok and report.violations == messages
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 31])
+    def test_an_orbit_of_p_squared_is_refused_and_one_of_p_is_not(self, p):
+        """A free orbit of p generators passes; the p^2-cycle, whose p-th
+        power is a product of p disjoint p-cycles, is refused."""
+        for size, messages in ((p, []), (p * p, [f"sigma^{p} != 1 in degree 0"])):
+            ids = [f"e{j:06d}" for j in range(size)]
+            V = EquivariantComplex(p, [Generator(g, 0) for g in ids], {}, _cycle(ids), check=False)
+            assert V.validate().violations == messages
 
 
 class TestFilteredComplex:
@@ -380,30 +432,39 @@ class TestTensorPower:
 
 
 class TestBlockBudget:
+    """A Bareiss parity block, |odd| x |even| labels of V<1, theta>, has at
+    most MAX_BLOCK_CELLS cells, checked before any polynomial entry of
+    either block is written (ratfun.pupow writes every one)."""
+
     def test_blocks_stay_within_the_budget(self, monkeypatch):
-        """d_block allocates at most MAX_BLOCK_CELLS cells: a block at the
-        limit is built, and one past it raises TooLarge before any array
-        is allocated."""
+        """Two generators in degree 0 and three in degree 1 give five labels
+        of each parity: blocks of 25 cells are built at the limit 25, and
+        refused at the limit 24."""
+        import smith_tate.ratfun as ratfun
+        import smith_tate.tate as tate
+
         gens = [Generator(f"a{i}", 0) for i in range(2)] + [Generator(f"b{i}", 1) for i in range(3)]
         V = ChainComplex(3, gens, {"a0": {"b1": 2}})
-        dense = complexes._dense
-        monkeypatch.setattr(complexes, "MAX_BLOCK_CELLS", 5)
-        monkeypatch.setattr(complexes, "_dense", None)  # allocating the block would fail
-        with pytest.raises(TooLarge, match=r"d block from degree 0 \(rows x columns\) is 6, above the limit of 5"):
-            V.d_block(0)
-        monkeypatch.setattr(complexes, "_dense", dense)
-        monkeypatch.setattr(complexes, "MAX_BLOCK_CELLS", 6)
-        assert V.d_block(0).tolist() == [[0, 0], [2, 0], [0, 0]]
+        pupow = ratfun.pupow
+        monkeypatch.setattr(tate, "MAX_BLOCK_CELLS", 24)
+        monkeypatch.setattr(ratfun, "pupow", None)  # writing an entry would fail
+        with pytest.raises(TooLarge, match=r"^Bareiss block out of the even labels \(rows x columns\) is 25, above the limit of 24"):
+            tate_cohomology_dims(V, method="bareiss")
+        monkeypatch.setattr(ratfun, "pupow", pupow)
+        monkeypatch.setattr(tate, "MAX_BLOCK_CELLS", 25)
+        assert tate_cohomology_dims(V, method="bareiss") == tate_cohomology_dims(V) == (3, 3)
 
-    def test_an_oversized_block_is_refused(self):
-        """A block of 2049 x 2049 cells passes the limit of 2^22: d_block
-        refuses it with TooLarge, and the dense block is never built."""
+    def test_an_oversized_block_is_refused(self, monkeypatch):
+        """2049 generators give parity blocks of 2049 x 2049 cells, past the
+        limit of 2^22: TooLarge, and no entry is ever written."""
+        import smith_tate.ratfun as ratfun
+
         n = 2049
-        gens = [Generator(f"a{i:04d}", 0) for i in range(n)] + [Generator(f"b{i:04d}", 1) for i in range(n)]
-        V = ChainComplex(3, gens, {})
+        V = ChainComplex(3, [Generator(f"a{i:04d}", 0) for i in range(n)], {})
         assert n * n > complexes.MAX_BLOCK_CELLS
-        with pytest.raises(TooLarge, match="d block from degree 0"):
-            V.d_block(0)
+        monkeypatch.setattr(ratfun, "pupow", None)
+        with pytest.raises(TooLarge, match="^Bareiss block out of the even labels"):
+            tate_cohomology_dims(V, method="bareiss")
 
 
 class TestInvariantsCoinvariants:
@@ -517,7 +578,7 @@ def test_random_filtered_instances_are_valid(p, seed):
         for tgt in row:
             assert fc.generator(tgt).action < a
     k = fc.degrees()[0]
-    prod = fc.d_block(k + 1) @ fc.d_block(k) % p
+    prod = d_block(fc, k + 1) @ d_block(fc, k) % p
     assert not prod.any()
 
 
@@ -556,10 +617,10 @@ def _unchecked_equivariant(p, seed):
 
 
 def test_operator_matrices_match_entry_by_entry_loop():
-    """d_block and the sparse columns of d and sigma against a plain loop
-    over entries: the columns keep every entry of d and sigma, the graded
-    part of d that the checks compose keeps those one degree up, and
-    d_block cuts degree k to k + 1 from them."""
+    """The sparse columns of d and sigma against a plain loop over entries:
+    the columns keep every entry of d and sigma, the graded part of d that
+    the checks compose keeps those one degree up, and the oracles' d_block
+    cuts degree k to k + 1 from them."""
     leaving = 0
     for p in (2, 3, 5, 7):
         for seed in range(25):
@@ -580,7 +641,7 @@ def test_operator_matrices_match_entry_by_entry_loop():
                 for k in range(min(V.degrees()) - 1, max(V.degrees()) + 2):
                     idx = V.degree_indices(k)
                     want = coeff_matrix_by_entries(V, V.differential, idx, V.degree_indices(k + 1))
-                    assert V.d_block(k).tolist() == want.tolist()
+                    assert d_block(V, k).tolist() == want.tolist()
     assert leaving > 10
 
 
@@ -642,32 +703,34 @@ def _homology_inputs(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_homology_matches_the_solve_route(p):
-    """Fixed-seed differential check of homology_basis and
-    express_in_homology against the dense elimination of [d^(k-1) | Z | I]
-    that they replaced and against solving each cocycle beside the image
-    basis of d^(k-1), on vectors and on matrices of cocycle columns."""
+    """Fixed-seed differential check of the representatives _homology and
+    the class coordinates _coordinates against the dense elimination of
+    [d^(k-1) | Z | I] that they replaced and against solving each cocycle
+    beside the image basis of d^(k-1), query by query and five at once."""
     rng = np.random.default_rng(p)
     classes = boundaries = 0
     for cx in _homology_inputs(p):
         for k in cx.degrees():
-            reps = cx.homology_basis(k)
+            idx, h = cx.degree_indices(k), len(cx._homology(k))
+            reps = block(cx._homology(k), idx, range(h)).T
             dense_reps, dense_coords = homology_dense(cx, k)
             assert [z.tolist() for z in reps] == [z.tolist() for z in homology_basis_by_solve(cx, k)]
             assert [z.tolist() for z in reps] == dense_reps.T.tolist()
-            ker = rref(FpMatrix(cx.d_block(k), p)).kernel_basis
+            ker = rref(FpMatrix(d_block(cx, k), p)).kernel_basis
             if not ker:
                 continue
             # random cocycles: kernel combinations plus random boundaries
-            dprev = cx.d_block(k - 1)
+            dprev = d_block(cx, k - 1)
             cocycles = np.array(ker).T @ rng.integers(0, p, (len(ker), 5))
             cocycles += dprev @ rng.integers(0, p, (dprev.shape[1], 5))
             cocycles %= p
-            coords = cx.express_in_homology(k, cocycles)
-            assert coords.shape == (len(reps), 5)
+            queries = [{idx[t]: x for t, x in col.items()} for col in _sparse(cocycles)]
+            coords = _dense(cx._coordinates(k, queries), h)
+            assert coords.shape == (h, 5)
             assert coords.tolist() == (dense_coords @ cocycles % p).tolist()
             for c in range(5):
                 want = express_in_homology_by_solve(cx, k, cocycles[:, c])
-                assert cx.express_in_homology(k, cocycles[:, c]).tolist() == want.tolist()
+                assert _dense(cx._coordinates(k, queries[c:c + 1]), h)[:, 0].tolist() == want.tolist()
                 assert coords[:, c].tolist() == want.tolist()
             classes += int(coords.any())
             boundaries += int(dprev.any())

@@ -261,6 +261,25 @@ class TestAlgebraicSS:
         assert pages.sigma_module.multiplicities == (2, 0, 0)
         assert pages.sigma_module_tate_dim == 4
 
+    @pytest.mark.parametrize("size, multiplicities", [(9, None), (3, (0, 0, 1))], ids=["order-p-squared", "free-orbit"])
+    def test_sigma_gives_a_module_only_at_order_p(self, size, multiplicities):
+        """One degree of size generators rotated by a size-cycle at p = 3,
+        built unchecked, with the norm term set to zero so that the model
+        squares to zero for any sigma (M(u) = [[0, 0], [1 - sigma, 0]]).  The
+        9-cycle has order p^2, so sigma^3 != 1 and sigma gives no
+        F_3[Z/3]-module: sigma_module is None.  The 3-cycle is a free orbit."""
+        ids = [f"e{j}" for j in range(size)]
+        sigma = {g: {ids[(j + 1) % size]: 1} for j, g in enumerate(ids)}
+        base = EquivariantComplex(3, [Generator(g, 0) for g in ids], {}, sigma, check=False)
+        model = EquivariantFloerModel(base, {(2, 1): [{}] * size}, i_max=2)
+        pages = algebraic_ss_pages(model)
+        assert pages.e1_even_dims == {0: size}
+        if multiplicities is None:
+            assert pages.sigma_module is None and pages.sigma_module_tate_dim is None
+        else:
+            assert pages.sigma_module.multiplicities == multiplicities
+        assert pages.sigma_module == algebraic_ss_by_vectors(model)["sigma_module"]
+
     def test_undeformed_model_matches_tate(self):
         for seed in range(6):
             model = random_floer_model(3, seed, deform=False)
