@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -450,15 +450,21 @@ class ChainComplex:
             ids, rules = self._ids, (("degree", set(degree)), ("action", set(action)))
             return [("sigma_structure", f"sigma({ids[s]}) changes {what}") for t, s in bad for what, rule in rules if (t, s) in rule]
         p, d, s = self.p, self._graded_d(), self.columns("sigma")
-        power = {self._degree[j] for j, col in enumerate(_power(s, p, p)) if col != {j: 1}}
         commute = {self._degree[j] for j, (x, y) in enumerate(zip(_compose(d, s, p), _compose(s, d, p))) if x != y}
         out = []
         for k in self.degrees():
-            if k in power:
+            if k in self._sigma_power_breaks:
                 out.append(("sigma_structure", f"sigma^{p} != 1 in degree {k}"))
             if k in commute:
                 out.append(("equivariance", f"sigma does not commute with d out of degree {k}"))
         return out
+
+    @cached_property
+    def _sigma_power_breaks(self) -> set[int]:
+        """The degrees where sigma^p != 1, from one _power on first use:
+        the check of a complex and algebraic_ss_pages both read it."""
+        p = self.p
+        return {self._degree[j] for j, col in enumerate(_power(self.columns("sigma"), p, p)) if col != {j: 1}}
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.
@@ -610,8 +616,29 @@ class FilteredComplex(ChainComplex):
 # operations
 
 
-# the most letters tensor_power writes: base.dim() ** p words of p letters each
+# the most letters _word_power, and so tensor_power, writes: p * n ** p for
+# n letters
 MAX_TENSOR_LETTERS = 1 << 17
+
+
+def _word_power(vec: dict, p: int) -> dict[tuple, int]:
+    """The p-th tensor power of a vector {letter: coefficient} over F_p, as
+    {word tuple: coefficient} in the product order of vec's letters; the
+    letters whose coefficient is 0 mod p drop first.  More than
+    MAX_TENSOR_LETTERS letters raise TooLarge before any word is built."""
+    vec = {x: c for x, c in vec.items() if c % p}
+    n = len(vec)
+    if n > 1:  # p * n ** p passes the limit once p passes its bit length; it is not built then
+        check_size("tensor power p with two or more generators", p, MAX_TENSOR_LETTERS.bit_length())
+    check_size("tensor power letters (p * generators ** p)", p * n**p, MAX_TENSOR_LETTERS)
+    out = {}
+    for combo in product(vec.items(), repeat=p) if vec else ():  # product() takes p steps even on no letters
+        word, coeffs = zip(*combo)
+        coeff = 1
+        for c in coeffs:
+            coeff = coeff * c % p
+        out[word] = coeff
+    return out
 
 
 def tensor_power(base: ChainComplex) -> EquivariantComplex:
@@ -625,18 +652,12 @@ def tensor_power(base: ChainComplex) -> EquivariantComplex:
     built.
     """
     p = base.p
-    n = base.dim()
-    if n > 1:  # p * n ** p passes the limit once p passes its bit length; it is not built then
-        check_size("tensor power p with two or more generators", p, MAX_TENSOR_LETTERS.bit_length())
-    check_size("tensor power letters (p * generators ** p)", p * n**p, MAX_TENSOR_LETTERS)
     ids, degs, acts = base._ids, dict(zip(base._ids, base._degree)), dict(zip(base._ids, base._action))
 
     def word_id(word: tuple[str, ...]) -> str:
         return "|".join(word)
 
-    from itertools import product as _product
-
-    words = list(_product(ids, repeat=p)) if ids else []  # product() takes p steps even on no ids
+    words = list(_word_power(dict.fromkeys(ids, 1), p))
     gens = [(word_id(w), sum(degs[x] for x in w), sum((acts[x] for x in w), Fraction(0))) for w in words]
     diff: CoeffMap = {}
     for w in words:

@@ -41,7 +41,6 @@ from .complexes import (
     _compose,
     _json_object,
     _out_of_range,
-    _power,
     _shown,
     _strict_int,
     _triplets_from_json,
@@ -372,7 +371,7 @@ def algebraic_ss_pages(model: EquivariantFloerModel) -> AlgebraicSSPages:
     sigma_tate = None
     # the base is homogeneous (tate_terms), so sigma's columns are all of sigma
     s = base.columns("sigma")
-    if _power(s, p, p) == [{j: 1} for j in range(len(s))] and _compose(s, d00, p) == _compose(d00, s, p):
+    if not base._sigma_power_breaks and _compose(s, d00, p) == _compose(d00, s, p):
         # sigma descends to H(d_0^0), degree by degree: sum their Jordan blocks
         parts = [decompose(_induced(s, even_cx, even_cx, k), p).multiplicities for k in e1_even]
         sigma_module = ModuleDecomposition(p, tuple(map(sum, zip([0] * p, *parts))))

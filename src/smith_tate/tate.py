@@ -25,19 +25,23 @@ The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
 Kunneth model H(V)^(ox p) the rotation fixes the diagonal words and permutes
 the rest freely, which is what makes the map an isomorphism onto the Tate
-part; additivity holds up to norms, witnessed here by explicit certificates.
+part.  Additivity holds up to norms: a certificate takes the defect of
+(a x + b y)^(ox p) on the words of tensor_power of two letters, checks it
+against that complex's sigma columns, and reads a witness w with
+N(w) = defect off one reduce_columns of its norm() columns.  The p-fold
+words of chain_map and of the defect both come from
+complexes._word_power, under tensor_power's letter budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product as _product
 
 from . import fp_core
-from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, _affine, _rotation_sign
+from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, Generator, _affine, _compose, _word_power, tensor_power
 from .errors import InvalidComplex, check_size
-from .fp_core import column_rank
+from .fp_core import column_rank, reduce_columns
 
 # ---------------------------------------------------------------------------
 # the Tate complex
@@ -216,33 +220,13 @@ def group_cohomology_dims(V: ChainComplex, max_degree: int | None = None) -> dic
 # quasi-Frobenius
 
 
-def _rotate(word: tuple, degs: dict, p: int) -> tuple[tuple, int]:
-    return (word[-1],) + word[:-1], _rotation_sign([degs[x] for x in word]) % p
-
-
-def _apply_sigma_words(vec: dict, degs: dict, p: int) -> dict:
-    out: dict = {}
-    for w, c in vec.items():
-        nw, s = _rotate(w, degs, p)
-        out[nw] = (out.get(nw, 0) + c * s) % p
-    return {k: v for k, v in out.items() if v}
-
-
-def _apply_norm_words(vec: dict, degs: dict, p: int) -> dict:
-    out: dict = {}
-    for i in range(p):
-        cur = _apply_sigma_words(cur, degs, p) if i else vec
-        for w, c in cur.items():
-            out[w] = (out.get(w, 0) + c) % p
-    return {k: v for k, v in out.items() if v}
-
-
 @dataclass(frozen=True)
 class AdditivityCertificate:
     """Witness that F(ax + by) - a F(x) - b F(y) is a norm.
 
     defect lives in the span of non-diagonal words of the Kunneth model;
-    witness solves N(witness) = defect, orbit by orbit.
+    witness solves N(witness) = defect, read off one column reduction of N
+    on tensor_power's words, and is empty when the defect is not a norm.
     """
 
     degree: int
@@ -271,44 +255,32 @@ class QuasiFrobeniusResult:
     certificates: list[AdditivityCertificate] = field(default_factory=list)
 
 
-def _certificate(
-    k: int,
-    la: str,
-    lb: str,
-    a: int,
-    b: int,
-    degs: dict[str, int],
-    p: int,
-) -> AdditivityCertificate:
+def _certificate(T: ChainComplex, k: int, la: str, lb: str, a: int, b: int) -> AdditivityCertificate:
+    """The certificate of the labels la, lb of degree k and coefficients a,
+    b, on T, the tensor power of generators "a" and "b" of degree k with
+    d = 0: T's words are those of the two labels, and its sigma and norm
+    act on them."""
+    p, n = T.p, T.dim()
     # defect = (a x + b y)^(ox p) - a^p x^(ox p) - b^p y^(ox p), in words over
     # the two labels; Fermat turns the diagonal coefficients a^p, b^p back
     # into a, b, which is exactly the semilinearity the map claims.
-    defect: dict = {}
-    for w in _product((la, lb), repeat=p):
-        coeff = 1
-        for x in w:
-            coeff = (coeff * (a if x == la else b)) % p
-        defect[w] = coeff
-    defect[(la,) * p] = (defect[(la,) * p] - pow(a, p, p)) % p
-    defect[(lb,) * p] = (defect[(lb,) * p] - pow(b, p, p)) % p
+    defect = _word_power({la: a, lb: b}, p)
+    for x, c in ((la, a), (lb, b)):
+        defect[(x,) * p] = (defect.get((x,) * p, 0) - pow(c, p, p)) % p
     defect = {w: c for w, c in defect.items() if c}
     constant_zero = (la,) * p not in defect and (lb,) * p not in defect
-    invariant = _apply_sigma_words(defect, degs, p) == defect
-    # one representative per rotation orbit; the orbit sum is N(rep) since
-    # same-degree rotations carry no sign
-    witness: dict = {}
-    seen: set = set()
-    for w, c in sorted(defect.items()):
-        if w in seen:
-            continue
-        orbit = [w]
-        cur = w
-        for _ in range(p - 1):
-            cur = _rotate(cur, degs, p)[0]
-            orbit.append(cur)
-        seen.update(orbit)
-        witness[w] = c
-    verified = constant_zero and invariant and _apply_norm_words(witness, degs, p) == defect
+    letter, label = {la: "a", lb: "b"}, {"a": la, "b": lb}
+    col = {T.index_of("|".join(letter[x] for x in w)): c for w, c in defect.items()}
+    invariant = _compose(T.columns("sigma"), [col], p) == [col]
+    # one reduction of N's columns and then the defect, tagged as in
+    # ChainComplex._coordinates: N's column j carries tag key j, the defect
+    # tag key n, and the word keys sit above every tag.  The defect is a
+    # norm exactly when its word part clears, leaving its own tag as its
+    # low; its other tags, negated, are then a witness w with N(w) = defect
+    cols = [{j: 1, **{n + 1 + r: v for r, v in c.items()}} for j, c in enumerate(T.norm())]
+    cols.append({n: 1, **{n + 1 + r: v for r, v in col.items()}})
+    is_norm = reduce_columns(cols, p)[-1] == n
+    witness = {tuple(label[x] for x in T._ids[j].split("|")): -v % p for j, v in sorted(cols[-1].items()) if j < n}
     return AdditivityCertificate(
         degree=k,
         left=la,
@@ -316,10 +288,10 @@ def _certificate(
         left_coeff=a,
         right_coeff=b,
         defect=defect,
-        witness=witness,
+        witness=witness if is_norm else {},
         constant_component_zero=constant_zero,
         invariant=invariant,
-        verified=verified,
+        verified=constant_zero and invariant and is_norm,
     )
 
 
@@ -356,15 +328,8 @@ def quasi_frobenius(
             labels.append(lab)
             degrees[lab] = k
             label_of[(k, i)] = lab
-            support = [(V._ids[g], c) for g, c in sorted(z.items())]
-            word_vec: dict[str, int] = {}
-            for combo in _product(support, repeat=p):
-                coeff = 1
-                for _, c in combo:
-                    coeff = (coeff * c) % p
-                wid = "|".join(g for g, _ in combo)
-                word_vec[wid] = (word_vec.get(wid, 0) + coeff) % p
-            chain_map[lab] = {w: c for w, c in word_vec.items() if c}
+            words = _word_power({V._ids[g]: c for g, c in sorted(z.items())}, p)
+            chain_map[lab] = {"|".join(w): c for w, c in words.items()}
     n = len(labels)
     target_degrees = {lab: p * degrees[lab] for lab in labels}
     even = sum(k % 2 == 0 for k in target_degrees.values())
@@ -384,9 +349,10 @@ def quasi_frobenius(
     ]
     if max_certificates is not None:
         wanted = wanted[:max_certificates]
+    # one tensor power of two letters per degree that has a certificate
+    powers = {k: tensor_power(ChainComplex(p, [Generator("a", k), Generator("b", k)], {})) for k, *_ in wanted}
     certificates = [
-        _certificate(k, label_of[(k, i)], label_of[(k, j)], a, b, degrees, p)
-        for (k, i, j, a, b) in wanted
+        _certificate(powers[k], k, label_of[(k, i)], label_of[(k, j)], a, b) for (k, i, j, a, b) in wanted
     ]
     return QuasiFrobeniusResult(
         p=p,

@@ -81,8 +81,14 @@ generator complex and takes its homology degree by degree.
 The library takes every power, the norm (sigma - 1)^(p-1) among them, of
 sparse columns by squaring (complexes._power); _matpow squares dense
 residue arrays.
+The library checks each quasi-Frobenius certificate on tensor_power's
+words with its sigma and norm columns, and reads the witness off one
+column reduction; certificate_by_words keeps the word-by-word route it
+replaced: the signed rotation and norm of sigma_on_words and
+norm_on_words, and a witness of one representative per rotation orbit.
 """
 
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -101,6 +107,7 @@ from smith_tate.complexes import (
     _frac_str,
     _json_object,
     _rational,
+    _rotation_sign,
     _shown,
     _sparse,
     _strict_int,
@@ -128,7 +135,7 @@ from smith_tate.persistence import (
 from smith_tate.random_instances import random_equivariant_filtered
 from smith_tate.ratfun import bareiss_rank, pnorm, pupow
 from smith_tate.spectral import EquivariantFloerModel
-from smith_tate.tate import MAX_GROUP_DEGREES, _parities, _pivot_degrees, tate_columns
+from smith_tate.tate import MAX_GROUP_DEGREES, AdditivityCertificate, _parities, _pivot_degrees, tate_columns
 
 
 def padd(a, b, p: int):
@@ -1450,6 +1457,66 @@ def resolution_homology_by_complex(p: int, length: int) -> tuple[int, ...]:
                 diff[f"e{k}.{j}"] = {f"e{k + 1}.{i}": 1 for i in range(p)}
     dims = ChainComplex(p, gens, diff).homology_dims()
     return tuple(dims.get(k, 0) for k in range(length))
+
+
+# ---------------------------------------------------------------------------
+# quasi-Frobenius certificates word by word
+
+
+def _rotate_word(word: tuple, degs: dict, p: int) -> tuple[tuple, int]:
+    return (word[-1],) + word[:-1], _rotation_sign([degs[x] for x in word]) % p
+
+
+def sigma_on_words(vec: dict, degs: dict, p: int) -> dict:
+    """The signed rotation of a vector {word tuple: coefficient}."""
+    out: dict = {}
+    for w, c in vec.items():
+        nw, s = _rotate_word(w, degs, p)
+        out[nw] = (out.get(nw, 0) + c * s) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def norm_on_words(vec: dict, degs: dict, p: int) -> dict:
+    """N = 1 + sigma + ... + sigma^(p-1) on a vector of words, summed."""
+    out: dict = {}
+    for i in range(p):
+        cur = sigma_on_words(cur, degs, p) if i else vec
+        for w, c in cur.items():
+            out[w] = (out.get(w, 0) + c) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def certificate_by_words(k: int, la: str, lb: str, a: int, b: int, degs: dict, p: int) -> AdditivityCertificate:
+    """The certificate of tate._certificate, word by word: the defect from
+    all 2^p words, invariance from sigma_on_words, and a witness of one
+    representative per rotation orbit, checked by norm_on_words."""
+    defect: dict = {}
+    for w in itertools.product((la, lb), repeat=p):
+        coeff = 1
+        for x in w:
+            coeff = (coeff * (a if x == la else b)) % p
+        defect[w] = coeff
+    defect[(la,) * p] = (defect[(la,) * p] - pow(a, p, p)) % p
+    defect[(lb,) * p] = (defect[(lb,) * p] - pow(b, p, p)) % p
+    defect = {w: c for w, c in defect.items() if c}
+    constant_zero = (la,) * p not in defect and (lb,) * p not in defect
+    invariant = sigma_on_words(defect, degs, p) == defect
+    # one representative per rotation orbit; the orbit sum is N(rep) since
+    # same-degree rotations carry no sign
+    witness: dict = {}
+    seen: set = set()
+    for w, c in sorted(defect.items()):
+        if w in seen:
+            continue
+        orbit = [w]
+        cur = w
+        for _ in range(p - 1):
+            cur = _rotate_word(cur, degs, p)[0]
+            orbit.append(cur)
+        seen.update(orbit)
+        witness[w] = c
+    verified = constant_zero and invariant and norm_on_words(witness, degs, p) == defect
+    return AdditivityCertificate(k, la, lb, a, b, defect, witness, constant_zero, invariant, verified)
 
 
 # ---------------------------------------------------------------------------

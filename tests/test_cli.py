@@ -138,6 +138,27 @@ class TestQuasiFrobeniusCommand:
         assert code == 0
         assert report["results"]["certificates"] == 0
 
+    @pytest.mark.parametrize(
+        "p, extra, code",
+        [(13, [], 0), (23, [], 2), (23, ["--max-certificates", "0"], 0)],
+    )
+    def test_certificate_word_budget(self, run, tmp_path, p, extra, code):
+        """A certificate works on the 2^p words of two letters under the
+        tensor power's letter budget: p = 13 answers, p = 23 exits 2 with
+        TooLarge at once, and without certificates p = 23 answers too."""
+        gens = [{"id": "x", "degree": 0, "action": 0}, {"id": "y", "degree": 0, "action": 0}]
+        path = write_json(tmp_path / "pair.json", {"p": p, "generators": gens, "differential": {}})
+        t0 = time.perf_counter()
+        got, out, err = run(["quasi-frobenius", "--input", path, *extra])
+        elapsed = time.perf_counter() - t0
+        assert got == code
+        if code:
+            assert elapsed < 1
+            assert out == ""
+            assert err.startswith("error: TooLarge: tensor power p with two or more generators is 23")
+        else:
+            assert "PASS  certificates-verified" in out
+
 
 class TestDecomposeCommand:
     def test_regular_module(self, jrun, regular_sigma_file):
@@ -237,6 +258,31 @@ class TestSpectralCommand:
         code, _, _ = jrun(["spectral", "algebraic", "--input", path])
         assert code == 0
         assert calls == [2 * model.base.dim()]
+
+    def test_algebraic_takes_sigma_to_the_p_once(self, jrun, tmp_path, monkeypatch):
+        """Reading the model checks its base's sigma^p = 1, and the sigma
+        module reads that verdict: one _power(sigma, p, p) per run."""
+        import sys
+
+        import smith_tate.complexes as complexes
+
+        model = random_floer_model(3, 5)
+        path = write_json(tmp_path / "model.json", model_to_json(model))
+        calls = []
+        real = complexes._power
+
+        def power(a, k, p):
+            if k == p:
+                calls.append(len(a))
+            return real(a, k, p)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("smith_tate") and getattr(mod, "_power", None) is real:
+                monkeypatch.setattr(mod, "_power", power)
+        code, report, _ = jrun(["spectral", "algebraic", "--input", path])
+        assert code == 0
+        assert report["results"]["sigma-module"] is not None
+        assert calls == [model.base.dim()]
 
     def test_mode_is_required(self, run, tmp_path):
         path = write_json(tmp_path / "x.json", {})

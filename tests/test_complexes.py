@@ -426,7 +426,7 @@ class TestTensorPower:
         if built:
             assert tensor_power(base).dim() == n**p
             return
-        monkeypatch.setattr(itertools, "product", None)  # building a word would fail
+        monkeypatch.setattr(complexes, "product", None)  # building a word would fail
         with pytest.raises(TooLarge, match="tensor power"):
             tensor_power(base)
 

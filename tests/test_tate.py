@@ -1,16 +1,19 @@
 """Tate and group cohomology, the quasi-Frobenius map."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smith_tate.complexes as complexes
 from smith_tate.complexes import (
     ChainComplex,
     EquivariantComplex,
     FilteredComplex,
     Generator,
+    _word_power,
     complex_from_json,
     complex_to_json,
     tensor_power,
@@ -29,10 +32,12 @@ from smith_tate.random_instances import (
 from oracles import (
     bareiss_blocks_by_cut,
     blocks_square_zero,
+    certificate_by_words,
     group_cohomology_by_cut_ranks,
     group_cohomology_by_searchsorted,
     group_cohomology_by_slots,
     model_blocks,
+    norm_on_words,
     parity_dims_by_dense_rank,
     poly_square_is_zero,
     tate_column_blocks,
@@ -224,6 +229,27 @@ class TestQuasiFrobenius:
             for word in row:
                 assert T.generator(word).degree == res.target_degrees[lab]
 
+    def test_word_power(self):
+        """The p-th power of a vector over F_p, word by word in product
+        order; a letter of coefficient 0 mod p drops, and the zero vector's
+        power is empty at any p."""
+        vec = {"x": 1, "y": 2, "z": 3}
+        want = {w: math.prod(vec[x] for x in w) % 3 for w in itertools.product("xy", repeat=3)}
+        assert list(_word_power(vec, 3).items()) == list(want.items())
+        assert _word_power({"x": 16777213}, 16777213) == {}
+
+    def test_a_class_past_the_letter_budget_is_refused_before_any_word(self, monkeypatch):
+        """x0 + ... + x7 spans H^0 (d x0 = y1 + ... + y7, d xi = -yi): its
+        5-fold power would write 5 * 8^5 letters, above 2^17, so the chain
+        map refuses it with TooLarge before enumerating a word."""
+        gens = [Generator(f"x{i}", 0) for i in range(8)] + [Generator(f"y{i}", 1) for i in range(1, 8)]
+        diff = {"x0": {f"y{i}": 1 for i in range(1, 8)}, **{f"x{i}": {f"y{i}": -1} for i in range(1, 8)}}
+        V = ChainComplex(5, gens, diff)
+        assert V.homology_dims() == {0: 1} and len(V._homology(0)[0]) == 8
+        monkeypatch.setattr(complexes, "product", None)  # building a word would fail
+        with pytest.raises(TooLarge, match=r"tensor power letters \(p \* generators \*\* p\) is 163840"):
+            quasi_frobenius(V)
+
     def test_bijective_on_random_instances(self):
         for seed in range(10):
             base = random_chain_complex(3, seed, max_dim=4)
@@ -233,6 +259,25 @@ class TestQuasiFrobenius:
             n = sum(base.homology_dims().values())
             assert res.target_parity_dims == (n, n)
             assert res.is_bijective
+
+
+def test_certificates_match_the_word_by_word_route():
+    """The 1032 certificates of random_chain_complex at p = 2, 3, 5 and 7,
+    seeds 0-149, under three coefficient pairs: the defect and all three
+    flags are those of the word-by-word route, and the norm of each witness,
+    taken word by word, is its defect."""
+    count = 0
+    for p in (2, 3, 5, 7):
+        for seed in range(150):
+            res = quasi_frobenius(random_chain_complex(p, seed), coefficient_pairs=[(1, 1), (1, 2), (2, 1)])
+            for c in res.certificates:
+                ref = certificate_by_words(c.degree, c.left, c.right, c.left_coeff, c.right_coeff, res.degrees, p)
+                assert c.defect == ref.defect
+                flags = (c.constant_component_zero, c.invariant, c.verified)
+                assert flags == (ref.constant_component_zero, ref.invariant, ref.verified)
+                assert norm_on_words(c.witness, res.degrees, p) == c.defect
+                count += 1
+    assert count == 1032
 
 
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 100_000))
