@@ -652,13 +652,17 @@ def tensor_power(base: ChainComplex) -> EquivariantComplex:
     built.
     """
     p = base.p
-    ids, degs, acts = base._ids, dict(zip(base._ids, base._degree)), dict(zip(base._ids, base._action))
+    _, level, scale, ticks = base._level_table
+    ids, degs, tick = base._ids, dict(zip(base._ids, base._degree)), {x: ticks[k] for x, k in zip(base._ids, level)}
 
     def word_id(word: tuple[str, ...]) -> str:
         return "|".join(word)
 
     words = list(_word_power(dict.fromkeys(ids, 1), p))
-    gens = [(word_id(w), sum(degs[x] for x in w), sum((acts[x] for x in w), Fraction(0))) for w in words]
+    # actions add as int ticks, with one Fraction per distinct sum
+    sums = [sum(tick[x] for x in w) for w in words]
+    action = {t: Fraction(t, scale) for t in set(sums)}
+    gens = [(word_id(w), sum(degs[x] for x in w), action[t]) for w, t in zip(words, sums)]
     diff: CoeffMap = {}
     for w in words:
         row: dict[str, int] = {}

@@ -469,6 +469,8 @@ def _cmd_fuzz(args):
         )
     if args.adversarial and op.name != "barcode-smith":
         raise MalformedInput("--adversarial applies only to barcode-smith")
+    if args.max_gens is not None and args.max_gens < 1:
+        raise MalformedInput("--max-gens must be at least 1")
     fp_core.check_prime(args.p)
     if op.size is not None:
         what, size = op.size(args.p, args)

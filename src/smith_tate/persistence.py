@@ -185,28 +185,23 @@ def scale_barcode(b: Barcode, factor) -> Barcode:
 # reduction
 
 
-def persistence_pairing(fc: ChainComplex) -> tuple[list[int], list[int]]:
+def persistence_pairing(fc: ChainComplex) -> list[tuple[int, int]]:
     """Persistence pairing of the action filtration by column reduction.
 
-    Returns (order, lows), two lists of ints: order is
-    fc.filtration_order(), generators by increasing (action, id), and
-    lows[j] is the position in order of the lowest entry of reduced column
-    j, or -1 when the column reduces to zero.  A column j with lows[j] = i
-    pairs the generators at positions i and j, and the action of i is
-    strictly below that of j.  Raises FiltrationViolation unless d strictly
-    decreases action.
-
-    Columns are sparse, {position in order: coefficient}: the complex's
-    columns of d, every entry kept, re-keyed by position and reduced by
-    fp_core.reduce_columns.
+    Returns the pairs (i, j) of generator indices, j in filtration order:
+    the reduced column of j has its low at i, whose action is strictly
+    below j's.  The complex's columns of d, every entry kept, are keyed by
+    position in fc.filtration_order() (a bar depends on which row is the
+    low) and reduced by fp_core.reduce_columns.  Raises FiltrationViolation
+    unless d strictly decreases action.
     """
     bad = fc.action_violations()
     if bad:
         raise FiltrationViolation(bad[0])
     order = fc.filtration_order()
     pos, d = dict(zip(order, range(len(order)))), fc.columns("differential")
-    columns = ({pos[t]: c for t, c in d[i].items()} for i in order)
-    return order, reduce_columns(columns, fc.p)
+    lows = reduce_columns(({pos[t]: c for t, c in d[j].items()} for j in order), fc.p)
+    return [(order[lo], j) for j, lo in zip(order, lows) if lo >= 0]
 
 
 def barcode_from_filtered(fc: ChainComplex) -> Barcode:
@@ -217,12 +212,12 @@ def barcode_from_filtered(fc: ChainComplex) -> Barcode:
     Bars are merged and sorted on the complex's level indices; every level
     is an endpoint, as each generator starts or ends a bar.
     """
-    order, lows = persistence_pairing(fc)
+    pairs = persistence_pairing(fc)
     levels, level, scale, ticks = fc._level_table
-    at, inf = [level[i] for i in order], len(levels)
-    paired = set(lows)
-    pairs = [(at[i], at[j]) if i >= 0 else (at[j], inf) for j, i in enumerate(lows) if i >= 0 or j not in paired]
-    return Barcode._from_levels(fc.p, tuple(levels), Counter(pairs), (scale, ticks))
+    inf = len(levels)
+    paired = {x for pair in pairs for x in pair}
+    bars = [(level[i], level[j]) for i, j in pairs] + [(k, inf) for x, k in enumerate(level) if x not in paired]
+    return Barcode._from_levels(fc.p, tuple(levels), Counter(bars), (scale, ticks))
 
 
 # ---------------------------------------------------------------------------

@@ -111,20 +111,19 @@ def action_ss_pages(fc: ChainComplex) -> SpectralSequencePages:
     page; every page up to there is reported.  E_infinity must total to the
     homology of the complex in each degree, computed independently.
     """
-    order, lows = persistence_pairing(fc)
+    pairs = persistence_pairing(fc)
     levels, level = fc._level_table[:2]
     L = len(levels)
-    keys = [(L - 1 - level[i], fc._degree[i]) for i in order]
+    keys = [(L - 1 - k, deg) for k, deg in zip(level, fc._degree)]
     # pages each generator survives: the filtration distance to its partner
-    life = [math.inf] * len(order)
-    for j, i in enumerate(lows):
-        if i >= 0:
-            life[i] = life[j] = keys[i][0] - keys[j][0]
+    life = [math.inf] * len(keys)
+    for i, j in pairs:
+        life[i] = life[j] = keys[i][0] - keys[j][0]
     pages = []
     last_page = max(1, L)
     for r in range(1, last_page + 1):
         dims = Counter(key for key, t in zip(keys, life) if t >= r)
-        ranks = Counter(keys[j] for j, i in enumerate(lows) if i >= 0 and life[j] == r)
+        ranks = Counter(keys[j] for i, j in pairs if life[j] == r)
         pages.append(PageData(r, dict(sorted(dims.items())), dict(sorted(ranks.items()))))
     inf_dims = pages[-1].dims
     # earliest page that already equals E_infinity with nothing left to run

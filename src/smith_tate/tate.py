@@ -13,13 +13,16 @@ Everything 2-periodic collapses onto parity, so Tate cohomology is reported
 as a pair (even, odd) of F_p((u))-dimensions.
 
 One set of sparse columns of V<1, theta> (tate_columns, the terms of
-tate_terms placed by assemble) serves every result here.  Tate ranks are F_p ranks of its two parity blocks at u = 1,
-or Bareiss ranks of the same blocks over F_p[u].  Group cohomology is the
-first-quadrant part of the same complex: its total map from degree k is the
-parity-k block cut to generators of degree <= k, so above the top degree of
-V it is Tate cohomology.  Both run on the sparse columns alone, as does the
-quasi-Frobenius.  The Bareiss route writes its polynomial blocks straight
-from the same columns; only it imports ratfun and numpy, when it runs.
+tate_terms placed by assemble) serves every result here.  Tate ranks are
+F_p ranks of its two parity blocks at u = 1, or Bareiss ranks of the same
+blocks over F_p[u].  Group cohomology is the first-quadrant part of the
+same complex: its total map from degree k is the parity-k block cut to
+generators of degree <= k, so above the top degree of V it is Tate
+cohomology.  d raises degree by 1 and sigma and N keep it, so that cut
+holds whole columns, and one column reduction in degree order counts
+every cut's rank.  All of it runs on the sparse columns alone, as does
+the quasi-Frobenius.  The Bareiss route writes its polynomial blocks
+straight from the same columns; only it imports ratfun and numpy.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 from . import fp_core
 from .complexes import MAX_BLOCK_CELLS, ChainComplex, Columns, Generator, _affine, _compose, _word_power, tensor_power
-from .errors import InvalidComplex, check_size
+from .errors import InvalidComplex, MalformedInput, check_size
 from .fp_core import column_rank, reduce_columns
 
 # ---------------------------------------------------------------------------
@@ -108,32 +111,24 @@ def _pivot_degrees(degrees: list[int], columns: Columns, p: int) -> list[list[in
     block out of that parity enter its cut to rows of generator degree
     <= k + 1 and columns of degree <= k.
 
-    Rows and columns are stably sorted by generator degree, so every cut is
-    a leading submatrix.  Row r of R is keyed R - 1 - r, so that each low
-    is the highest nonzero row; then the rank of a leading submatrix is the
-    number of pivots inside it (the pairing lemma; Edelsbrunner and Harer,
-    "Computational Topology", VII.1).  One fp_core.reduce_columns runs per
-    parity.
+    One fp_core.reduce_columns runs on copies of all 2n columns, stably
+    sorted by degree; d-hat is odd, so the parity blocks share no row.  A
+    column of degree k has entries only in rows of degree k and k + 1, so
+    the cut holds all columns of degree <= k, and its rank is the number
+    of pivot columns among them, whatever the rows' order.
     """
     parity, deg = _parities(degrees), degrees * 2
     order = sorted(range(len(deg)), key=deg.__getitem__)
-    out = []
-    for par in (0, 1):
-        rows = [x for x in order if parity[x] != par]
-        key = {x: r for r, x in enumerate(reversed(rows))}
-        srcs = [x for x in order if parity[x] == par]
-        lows = fp_core.reduce_columns([{key[i]: v for i, v in columns[x].items()} for x in srcs], p)
-        top = len(rows) - 1
-        out.append(sorted(max(deg[rows[top - lo]] - 1, deg[x]) for x, lo in zip(srcs, lows) if lo >= 0))
-    return out
+    lows = fp_core.reduce_columns([dict(columns[x]) for x in order], p)
+    return [[deg[x] for x, lo in zip(order, lows) if lo >= 0 and parity[x] == par] for par in (0, 1)]
 
 
 def _parity_dims(degrees: list[int], columns: Columns, p: int) -> tuple[int, int]:
     """(even, odd) homology dims of the block differential with these
-    columns: each generator gives one label of each parity."""
-    r_e, r_o = map(len, _pivot_degrees(degrees, columns, p))
-    n = len(degrees)
-    return n - r_e - r_o, n - r_o - r_e
+    columns, from their pivot count, a rank for any column order: each
+    generator gives one label of each parity."""
+    r = sum(map(len, _pivot_degrees(degrees, columns, p)))
+    return len(degrees) - r, len(degrees) - r
 
 
 def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tuple[int, int]:
@@ -141,8 +136,8 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
 
     With |u| = 2 and |theta| = 1, d-hat is homogeneous of degree +1, so each
     parity block is M(u) = diag(u^a) M(1) diag(u^-b) and has the F_p rank of M(1).
-    method="evaluation" (default) takes that rank at u = 1, one column
-    reduction per parity block; method="bareiss" runs fraction-free
+    method="evaluation" (default) takes those ranks at u = 1 from one
+    column reduction of both parity blocks; method="bareiss" runs fraction-free
     elimination on the same parity blocks over F_p[u], with u on the
     entries of N, the independent route, checking both blocks' limits from
     their shapes and entry degrees before it builds either.  Both raise
@@ -193,9 +188,9 @@ def group_cohomology_dims(V: ChainComplex, max_degree: int | None = None) -> dic
     i = k - j of total degree k; reading theta's exponent as i mod 2, that
     is the Tate label of parity k.  So the total map from degree k to k + 1
     is the u = 1 parity block out of parity k, restricted to columns of
-    generator degree <= k and rows of generator degree <= k + 1, a leading
-    cut counted from one column reduction per parity.  Once k >= max degree
-    of V nothing is cut off, so H^k is the Tate dimension of parity k above
+    generator degree <= k and rows of generator degree <= k + 1, whose rank
+    one column reduction counts (_pivot_degrees).  Once k >= max degree of
+    V nothing is cut off, so H^k is the Tate dimension of parity k above
     the top degree (periodicity of cyclic group cohomology).  Default
     max_degree leaves room to watch the dimensions go 2-periodic.  The
     result has one entry per degree, so max_degree - dmin above
@@ -257,9 +252,9 @@ class QuasiFrobeniusResult:
 
 def _certificate(T: ChainComplex, k: int, la: str, lb: str, a: int, b: int) -> AdditivityCertificate:
     """The certificate of the labels la, lb of degree k and coefficients a,
-    b, on T, the tensor power of generators "a" and "b" of degree k with
-    d = 0: T's words are those of the two labels, and its sigma and norm
-    act on them."""
+    b, on T, the tensor power of generators "a" and "b" with d = 0: T's
+    words are those of the two labels, and its sigma and norm act on them
+    as on words of any one degree."""
     p, n = T.p, T.dim()
     # defect = (a x + b y)^(ox p) - a^p x^(ox p) - b^p y^(ox p), in words over
     # the two labels; Fermat turns the diagonal coefficients a^p, b^p back
@@ -308,8 +303,11 @@ def quasi_frobenius(
     sigma-equivariantly into diagonal words (trivial modules, surviving to
     Tate) and free orbits (Tate-invisible).  The induced matrix is square of
     size dim H(V), with source degrees rescaled by p; certificates witness
-    additivity failures as norms.
+    additivity failures as norms.  A max_certificates below 0 raises
+    MalformedInput.
     """
+    if max_certificates is not None and max_certificates < 0:
+        raise MalformedInput(f"max_certificates must be at least 0, got {max_certificates}")
     p = V.p
     labels: list[str] = []
     degrees: dict[str, int] = {}
@@ -349,11 +347,10 @@ def quasi_frobenius(
     ]
     if max_certificates is not None:
         wanted = wanted[:max_certificates]
-    # one tensor power of two letters per degree that has a certificate
-    powers = {k: tensor_power(ChainComplex(p, [Generator("a", k), Generator("b", k)], {})) for k, *_ in wanted}
-    certificates = [
-        _certificate(powers[k], k, label_of[(k, i)], label_of[(k, j)], a, b) for (k, i, j, a, b) in wanted
-    ]
+    # a rotation of words in letters of one degree k has Koszul sign
+    # (-1)^(k k (p - 1)) = 1 mod p, so two letters of degree 0 serve every k
+    T = tensor_power(ChainComplex(p, [Generator("a", 0), Generator("b", 0)], {})) if wanted else None
+    certificates = [_certificate(T, k, label_of[(k, i)], label_of[(k, j)], a, b) for (k, i, j, a, b) in wanted]
     return QuasiFrobeniusResult(
         p=p,
         labels=labels,

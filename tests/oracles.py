@@ -12,7 +12,7 @@ numpy parity split of V<1, theta>; assemble_parity_blocks splits the
 polynomial blocks label by label, and group_cohomology_by_slots assembles
 the first-quadrant double complex slot by slot and eliminates every total
 degree up to max_degree.  The library counts every degree's cut of a parity
-block from one column reduction of that block; group_cohomology_by_cut_ranks
+block from one column reduction of both blocks; group_cohomology_by_cut_ranks
 runs a dense F_p rank per cut, and parity_dims_by_dense_rank a dense rank
 per parity block.  The library counts the pivots inside each cut with
 bisect_right on lists; group_cohomology_by_searchsorted counts them for
@@ -1038,7 +1038,11 @@ def canonical_bars_by_fractions(bars) -> list[tuple]:
 def barcode_from_filtered_by_fractions(fc) -> list[tuple]:
     """The canonical bars of the persistence pairing, with each generator's
     action read off the generator and merged on rationals."""
-    order, lows = persistence_pairing(fc)
+    order = fc.filtration_order()
+    pos = {x: k for k, x in enumerate(order)}
+    lows = [-1] * len(order)
+    for i, j in persistence_pairing(fc):
+        lows[pos[j]] = pos[i]
     paired = set(int(x) for x in lows if x >= 0)
     acts = [fc.generators[i].action for i in order]
     bars = []

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from smith_tate import fuzz
 from smith_tate.cli import dispatch
 from smith_tate.complexes import ChainComplex, EquivariantComplex, Generator, complex_to_json, tensor_power
 from smith_tate.persistence import Bar, Barcode, barcode_to_json, generate_iterated_barcode
@@ -158,6 +159,16 @@ class TestQuasiFrobeniusCommand:
             assert err.startswith("error: TooLarge: tensor power p with two or more generators is 23")
         else:
             assert "PASS  certificates-verified" in out
+
+    @pytest.mark.parametrize("cap", ["-1", "-100"])
+    def test_negative_certificate_cap_is_refused(self, run, tmp_path, cap):
+        """A cap below 0 would slice certificates off the end of the list
+        and report fewer, with exit 0: it is MalformedInput, exit 2."""
+        gens = [{"id": "x", "degree": 0, "action": 0}, {"id": "y", "degree": 0, "action": 0}]
+        path = write_json(tmp_path / "pair.json", {"p": 3, "generators": gens, "differential": {}})
+        code, out, err = run(["quasi-frobenius", "--input", path, "--max-certificates", cap])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: MalformedInput: max_certificates must be at least 0, got {cap}")
 
 
 class TestDecomposeCommand:
@@ -783,6 +794,17 @@ class TestFuzz:
         code, _, err = jrun(["fuzz", "--count", "1"])
         assert code == 2
         assert "MalformedInput" in err
+
+    @pytest.mark.parametrize("op", sorted(fuzz._FUZZ_OPS))
+    def test_max_gens_below_one_is_refused_before_any_draw(self, run, monkeypatch, op):
+        """--max-gens 0 read as the default for most ops and crashed
+        tate-free-vanishing, and -3 raised an untyped ValueError: both are
+        MalformedInput, exit 2, before any instance is drawn."""
+        monkeypatch.setattr(fuzz, "random", None)  # drawing an instance would fail
+        for max_gens in ("0", "-3"):
+            code, out, err = run(["fuzz", "--op", op, "--count", "1", "--max-gens", max_gens])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: MalformedInput: --max-gens must be at least 1")
 
     def test_count_must_be_positive(self, jrun):
         code, _, err = jrun(["fuzz", "--op", "tate-free-vanishing", "--count", "0"])

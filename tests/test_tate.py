@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from smith_tate.complexes import (
     tensor_power,
 )
 from smith_tate.errors import InvalidComplex, TooLarge
-from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims
+from smith_tate.tate import assemble, group_cohomology_dims, quasi_frobenius, tate_cohomology_dims, tate_columns
 from smith_tate.random_instances import (
     _conjugated,
     random_chain_complex,
@@ -249,6 +250,26 @@ class TestQuasiFrobenius:
         monkeypatch.setattr(complexes, "product", None)  # building a word would fail
         with pytest.raises(TooLarge, match=r"tensor power letters \(p \* generators \*\* p\) is 163840"):
             quasi_frobenius(V)
+
+    def test_one_tensor_power_serves_the_certificates_of_every_degree(self, monkeypatch):
+        """Certificates in degrees 0 and 1 share one tensor power of two
+        letters: a rotation of words in letters of one degree has sign 1
+        mod p, also for odd degree at p = 2."""
+        import smith_tate.tate as tate
+
+        calls = []
+        real = tate.tensor_power
+        monkeypatch.setattr(tate, "tensor_power", lambda base: calls.append(base) or real(base))
+        for p in (2, 3, 5):
+            gens = [Generator("x", 0), Generator("y", 0), Generator("u", 1), Generator("w", 1)]
+            calls.clear()
+            res = quasi_frobenius(EquivariantComplex(p, gens, {}, {}))
+            assert len(calls) == 1
+            assert [c.degree for c in res.certificates] == [0, 1]
+            for c in res.certificates:
+                ref = certificate_by_words(c.degree, c.left, c.right, c.left_coeff, c.right_coeff, res.degrees, p)
+                assert (c.defect, c.verified) == (ref.defect, ref.verified)
+                assert norm_on_words(c.witness, res.degrees, p) == c.defect
 
     def test_bijective_on_random_instances(self):
         for seed in range(10):
@@ -561,9 +582,26 @@ def test_group_and_parity_dims_match_the_dense_rank_oracles():
             assert model.tate_parity_dims() == parity_dims_by_dense_rank(degrees, *model_blocks(model), p)
 
 
+def test_tate_columns_reach_only_their_own_degree_and_the_next():
+    """Every entry of a column of generator degree k of tate_columns lies in
+    a row of degree k or k + 1, on tensor powers and on free and random
+    equivariant complexes.  So a cut to columns of degree <= k and rows of
+    degree <= k + 1 holds all of those columns, and group cohomology may
+    read each pivot at its column's degree, whatever the rows' order."""
+    cases = [tensor_power(b) for p in (2, 3, 5) for b in _tensor_bases(p, 3, 6)]
+    cases += [random_free_equivariant(p, s) for p in (2, 3, 5, 7) for s in range(10)]
+    cases += [random_equivariant_filtered(p, s) for p in (2, 3, 5, 7) for s in range(10)]
+    steps = Counter()
+    for V in cases:
+        deg = V._degree * 2
+        steps.update(deg[r] - deg[j] for j, col in enumerate(tate_columns(V)) for r in col)
+    assert set(steps) == {0, 1}, steps
+
+
 def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
-    """Every degree's rank is a pivot count of one column reduction per
-    parity block, so exactly two reductions run for any max_degree."""
+    """Every degree's rank is a pivot count of one column reduction of
+    both parity blocks, so exactly one reduction runs for any max_degree,
+    and one for the Tate dimensions."""
     import smith_tate.fp_core as fp_core
 
     calls = []
@@ -584,4 +622,7 @@ def test_group_cohomology_eliminations_do_not_grow_with_max_degree(monkeypatch):
             calls.clear()
             dims = group_cohomology_dims(V, max_degree=m)
             assert len(dims) == m - degs[0] + 1
-            assert calls == [V.p, V.p]
+            assert calls == [V.p]
+        calls.clear()
+        tate_cohomology_dims(V)
+        assert calls == [V.p]
