@@ -215,10 +215,12 @@ def _compose(a: Columns, b: Columns, p: int) -> Columns:
     keyed below len(a): a square operator, or vectors such as cocycles.
 
     The sparse loop takes one multiply-add per entry of a_t for each entry
-    t of each column of b.  The dense route converts about n^2 cells, one
-    sparse step each, runs n^3 / _BLAS_GAIN steps' worth of BLAS and pays
-    _DENSE_FIXED_STEPS; when the sparse count passes that and n^2 stays
-    within MAX_BLOCK_CELLS, the product runs dense through _matmul_mod.
+    t of each column of b; a column of b with one entry c is c times a
+    column of a, copied as it is when c = 1.  The dense route converts
+    about n^2 cells, one sparse step each, runs n^3 / _BLAS_GAIN steps'
+    worth of BLAS and pays _DENSE_FIXED_STEPS; when the sparse count passes
+    that and n^2 stays within MAX_BLOCK_CELLS, the product runs dense
+    through _matmul_mod.
     This is the one choice of density for products, as fp_core.column_rank
     is for elimination: the sparse loop won below it and the dense route
     above it on random columns at n = 2 to 512.
@@ -233,8 +235,8 @@ def _compose(a: Columns, b: Columns, p: int) -> Columns:
         if not col:
             out.append({})
         elif len(col) == 1:  # c times column t of a: p is prime, so nothing cancels
-            for t, c in col.items():
-                out.append({r: c * v % p for r, v in a[t].items()})
+            ((t, c),) = col.items()
+            out.append(dict(a[t]) if c == 1 else {r: c * v % p for r, v in a[t].items()})
         else:
             acc: dict[int, int] = {}
             for t, c in col.items():
@@ -464,7 +466,7 @@ class ChainComplex:
         """The degrees where sigma^p != 1, from one _power on first use:
         the check of a complex and algebraic_ss_pages both read it."""
         p = self.p
-        return {self._degree[j] for j, col in enumerate(_power(self.columns("sigma"), p, p)) if col != {j: 1}}
+        return {self._degree[j] for j, col in enumerate(_power(self.columns("sigma"), p, p)) if len(col) != 1 or col.get(j) != 1}
 
     def validate(self, *, strict_action: bool = False) -> ValidationReport:
         """Check the structural invariants; never raises.

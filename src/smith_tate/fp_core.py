@@ -234,8 +234,9 @@ def column_rank(columns, rows: int, p: int) -> int:
     """The rank over F_p of the rows x len(columns) matrix whose columns are
     the sparse {row: residue} dicts columns, which are left unchanged.
 
-    This is the one choice of density for elimination, as complexes._compose
-    is for products.  A matrix of at least _DENSE_MIN_CELLS cells, at most
+    This is the one choice of density for elimination over F_p, as
+    complexes._compose is for products; ratfun.bareiss_rank takes the same
+    quarter over F_p[u].  A matrix of at least _DENSE_MIN_CELLS cells, at most
     MAX_BLOCK_CELLS, with a quarter of them nonzero, runs _row_reduce on its
     dense cut; any other counts the lows of reduce_columns on copies.  On a
     dense conjugated sigma of 399 generators the sparse route alone made

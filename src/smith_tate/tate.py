@@ -14,15 +14,17 @@ as a pair (even, odd) of F_p((u))-dimensions.
 
 One set of sparse columns of V<1, theta> (tate_columns, the terms of
 tate_terms placed by assemble) serves every result here.  Tate ranks are
-F_p ranks of its two parity blocks at u = 1, or Bareiss ranks of the same
-blocks over F_p[u].  Group cohomology is the first-quadrant part of the
-same complex: its total map from degree k is the parity-k block cut to
-generators of degree <= k, so above the top degree of V it is Tate
-cohomology.  d raises degree by 1 and sigma and N keep it, so that cut
-holds whole columns, and one column reduction in degree order counts
-every cut's rank.  All of it runs on the sparse columns alone, as does
-the quasi-Frobenius.  The Bareiss route writes its polynomial blocks
-straight from the same columns; only it imports ratfun and numpy.
+F_p ranks of its two parity blocks at u = 1, or ranks of the same blocks
+over F_p[u] by ratfun.bareiss_rank, whose unit pivots take most of a
+sparse block before any fraction-free step.  Group cohomology is the
+first-quadrant part of the same complex: its total map from degree k is
+the parity-k block cut to generators of degree <= k, so above the top
+degree of V it is Tate cohomology.  d raises degree by 1 and sigma and
+N keep it, so that cut holds whole columns, and one column reduction in
+degree order counts every cut's rank.  All of it runs on the sparse
+columns alone, as does the quasi-Frobenius.  The Bareiss route writes its
+polynomial blocks straight from the same columns; only it imports ratfun
+and numpy.
 
 The quasi-Frobenius sends a cohomology class [z] of V to [z^(ox p)] in the
 Tate cohomology of the p-fold tensor power with rotation action.  On the
@@ -137,8 +139,9 @@ def tate_cohomology_dims(V: ChainComplex, *, method: str = "evaluation") -> tupl
     With |u| = 2 and |theta| = 1, d-hat is homogeneous of degree +1, so each
     parity block is M(u) = diag(u^a) M(1) diag(u^-b) and has the F_p rank of M(1).
     method="evaluation" (default) takes those ranks at u = 1 from one
-    column reduction of both parity blocks; method="bareiss" runs fraction-free
-    elimination on the same parity blocks over F_p[u], with u on the
+    column reduction of both parity blocks; method="bareiss" runs
+    ratfun.bareiss_rank, unit pivots and then fraction-free elimination, on
+    the same parity blocks over F_p[u], with u on the
     entries of N, the independent route, checking both blocks' limits from
     their shapes and entry degrees before it builds either.  Both raise
     InvalidComplex on an inhomogeneous V.

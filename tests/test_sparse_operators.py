@@ -218,6 +218,17 @@ def test_compose_matches_the_dense_product_on_both_routes(monkeypatch):
         assert _dense(_power(s, k, 7), 30).tolist() == _matpow(_dense(s, 30), k, 7).tolist()
 
 
+def test_compose_copies_a_column_taken_once():
+    """A column of b with one entry c gives c times a column of a, and a
+    copy of it when c = 1, never a's own dict, so writing to the product
+    leaves a as it was."""
+    a = [{1: 3}, {0: 2, 1: 5}]
+    got = _compose(a, [{1: 1}, {0: 2}, {}], 7)
+    assert got == [{0: 2, 1: 5}, {1: 6}, {}]
+    got[0][0] = 1
+    assert a == [{1: 3}, {0: 2, 1: 5}]
+
+
 def test_the_dense_route_runs_on_dense_sigma_and_not_on_tensor_powers(monkeypatch):
     """Building and checking a complex with sigma conjugated by a dense
     matrix takes BLAS products; a tensor power's signed permutation none."""
